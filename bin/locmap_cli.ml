@@ -455,15 +455,18 @@ let degrade_arg =
            answer with the cheap fallback mapping (flagged \
            \"degraded\": true) instead of an error.")
 
-let policy_of deadline_ms max_retries degrade =
-  {
-    Service.Resilience.default with
-    Service.Resilience.deadline_ms;
-    max_retries;
-    degrade;
-  }
+let resilience_term =
+  let policy deadline_ms max_retries degrade =
+    {
+      Service.Resilience.default with
+      Service.Resilience.deadline_ms;
+      max_retries;
+      degrade;
+    }
+  in
+  Term.(const policy $ deadline_arg $ max_retries_arg $ degrade_arg)
 
-(* Observability knobs shared by batch (and reusable elsewhere). *)
+(* Observability knobs shared by batch, serve and sched. *)
 
 let metrics_out_arg =
   Arg.(
@@ -526,6 +529,68 @@ let write_out file contents =
     output_string oc contents;
     close_out oc
 
+let metrics_term =
+  Term.(
+    const (fun out fmt -> Option.map (fun file -> (file, fmt)) out)
+    $ metrics_out_arg $ metrics_format_arg)
+
+let write_metrics (file, fmt) m =
+  let samples = Obs.Metrics.snapshot m in
+  write_out file
+    (match fmt with
+    | `Json -> Obs.Metrics.to_json samples ^ "\n"
+    | `Prometheus -> Obs.Metrics.to_prometheus samples)
+
+(* The service and observability flags batch and serve share. *)
+type serving = {
+  domains : int;
+  cache_size : int;
+  policy : Service.Resilience.policy;
+  metrics_out : (string * [ `Json | `Prometheus ]) option;
+  trace_out : string option;
+  det_obs : bool;
+}
+
+let serving_term =
+  let make domains cache_size policy metrics_out trace_out det_obs =
+    { domains; cache_size; policy; metrics_out; trace_out; det_obs }
+  in
+  Term.(
+    const make $ domains_arg $ cache_size_arg $ resilience_term
+    $ metrics_term $ trace_out_arg $ det_obs_arg)
+
+type service = {
+  api : Service.Api.t;
+  metrics : Obs.Metrics.t option;
+  tracer : Obs.Trace.t option;
+}
+
+let start_service s =
+  let metrics = Option.map (fun _ -> Obs.Metrics.create ()) s.metrics_out in
+  let tracer =
+    Option.map
+      (fun _ ->
+        Obs.Trace.create ?deterministic:(if s.det_obs then Some 0 else None) ())
+      s.trace_out
+  in
+  let api =
+    Service.Api.create ~cache_capacity:s.cache_size ~num_domains:s.domains
+      ~resilience:s.policy ?metrics ?tracer ()
+  in
+  { api; metrics; tracer }
+
+(* Write the metrics snapshot and trace the flags asked for, report the
+   service stats on stderr, and shut the pool down. *)
+let finish_service s svc =
+  (match (s.metrics_out, svc.metrics) with
+  | Some out, Some m -> write_metrics out m
+  | _ -> ());
+  (match (s.trace_out, svc.tracer) with
+  | Some file, Some tr -> write_out file (Obs.Trace.to_jsonl tr)
+  | _ -> ());
+  Format.eprintf "%a@." Service.Api.pp_stats (Service.Api.stats svc.api);
+  Service.Api.shutdown svc.api
+
 let batch_cmd =
   let file_arg =
     Arg.(
@@ -550,8 +615,7 @@ let batch_cmd =
             "Abort on the first malformed request line instead of \
              answering it with a per-line error response.")
   in
-  let run file output domains cache_size deadline_ms max_retries degrade
-      strict metrics_out metrics_format trace_out det_obs =
+  let run file output strict serving =
     let ic =
       if file = "-" then stdin
       else
@@ -595,26 +659,8 @@ let batch_cmd =
         (function _, Ok r -> Some r | _, Error _ -> None)
         parsed
     in
-    let metrics =
-      match metrics_out with
-      | None -> None
-      | Some _ -> Some (Obs.Metrics.create ())
-    in
-    let tracer =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-          Some
-            (Obs.Trace.create
-               ?deterministic:(if det_obs then Some 0 else None)
-               ())
-    in
-    let api =
-      Service.Api.create ~cache_capacity:cache_size ~num_domains:domains
-        ~resilience:(policy_of deadline_ms max_retries degrade) ?metrics
-        ?tracer ()
-    in
-    let responses = Service.Api.submit_batch api (Array.of_list valid) in
+    let svc = start_service serving in
+    let responses = Service.Api.submit_batch svc.api (Array.of_list valid) in
     let oc = match output with None -> stdout | Some f -> open_out f in
     let next_ok = ref 0 in
     List.iteri
@@ -631,29 +677,14 @@ let batch_cmd =
         output_char oc '\n')
       parsed;
     if output <> None then close_out oc else flush stdout;
-    (match (metrics_out, metrics) with
-    | Some file, Some m ->
-        let samples = Obs.Metrics.snapshot m in
-        write_out file
-          (match metrics_format with
-          | `Json -> Obs.Metrics.to_json samples ^ "\n"
-          | `Prometheus -> Obs.Metrics.to_prometheus samples)
-    | _ -> ());
-    (match (trace_out, tracer) with
-    | Some file, Some tr -> write_out file (Obs.Trace.to_jsonl tr)
-    | _ -> ());
-    Format.eprintf "%a@." Service.Api.pp_stats (Service.Api.stats api);
-    Service.Api.shutdown api
+    finish_service serving svc
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
          "Serve a JSON-lines file of mapping requests (see README, \
           \"Serving mode\").")
-    Term.(
-      const run $ file_arg $ output_arg $ domains_arg $ cache_size_arg
-      $ deadline_arg $ max_retries_arg $ degrade_arg $ strict_arg
-      $ metrics_out_arg $ metrics_format_arg $ trace_out_arg $ det_obs_arg)
+    Term.(const run $ file_arg $ output_arg $ strict_arg $ serving_term)
 
 (* ------------------------------------------------------------------ *)
 (* stats: pretty-print a metrics snapshot written by
@@ -885,9 +916,7 @@ let serve_cmd =
              connection ordinal, so a chaos run replays exactly.")
   in
   let run host port max_conns max_inflight drain_timeout_ms port_file
-      idle_timeout_ms quota_rate quota_burst breaker chaos_spec
-      domains cache_size deadline_ms max_retries degrade metrics_out
-      metrics_format trace_out det_obs =
+      idle_timeout_ms quota_rate quota_burst breaker chaos_spec serving =
     let chaos =
       if chaos_spec = "" then Net.Chaos.none
       else
@@ -897,25 +926,7 @@ let serve_cmd =
             Printf.eprintf "%s\n" e;
             exit 2
     in
-    let metrics =
-      match metrics_out with
-      | None -> None
-      | Some _ -> Some (Obs.Metrics.create ())
-    in
-    let tracer =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-          Some
-            (Obs.Trace.create
-               ?deterministic:(if det_obs then Some 0 else None)
-               ())
-    in
-    let api =
-      Service.Api.create ~cache_capacity:cache_size ~num_domains:domains
-        ~resilience:(policy_of deadline_ms max_retries degrade) ?metrics
-        ?tracer ()
-    in
+    let svc = start_service serving in
     let quota =
       if quota_rate <= 0. then None
       else
@@ -941,7 +952,10 @@ let serve_cmd =
       }
     in
     let server =
-      match Net.Server.create ~config ?metrics ?tracer ~api () with
+      match
+        Net.Server.create ~config ?metrics:svc.metrics ?tracer:svc.tracer
+          ~api:svc.api ()
+      with
       | s -> s
       | exception Unix.Unix_error (e, _, _) ->
           Printf.eprintf "cannot listen on %s:%d: %s\n" host port
@@ -954,25 +968,13 @@ let serve_cmd =
     let bound = Net.Server.port server in
     Printf.printf
       "listening on %s:%d (%d domains, %d in flight, %d connections)\n%!"
-      host bound domains max_inflight max_conns;
+      host bound serving.domains max_inflight max_conns;
     (match port_file with
     | Some f -> write_out f (string_of_int bound ^ "\n")
     | None -> ());
     let st = Net.Server.run server in
     Format.eprintf "%a@." Net.Server.pp_stats st;
-    Format.eprintf "%a@." Service.Api.pp_stats (Service.Api.stats api);
-    (match (metrics_out, metrics) with
-    | Some file, Some m ->
-        let samples = Obs.Metrics.snapshot m in
-        write_out file
-          (match metrics_format with
-          | `Json -> Obs.Metrics.to_json samples ^ "\n"
-          | `Prometheus -> Obs.Metrics.to_prometheus samples)
-    | _ -> ());
-    (match (trace_out, tracer) with
-    | Some file, Some tr -> write_out file (Obs.Trace.to_jsonl tr)
-    | _ -> ());
-    Service.Api.shutdown api;
+    finish_service serving svc;
     if st.Net.Server.lost <> 0 then begin
       Printf.eprintf "drain lost %d admitted request(s)\n"
         st.Net.Server.lost;
@@ -989,9 +991,7 @@ let serve_cmd =
       const run $ host_arg $ port_arg $ max_conns_arg $ max_inflight_arg
       $ drain_timeout_arg $ port_file_arg $ idle_timeout_arg
       $ quota_rate_arg $ quota_burst_arg $ breaker_arg $ chaos_arg
-      $ domains_arg $ cache_size_arg $ deadline_arg $ max_retries_arg
-      $ degrade_arg $ metrics_out_arg $ metrics_format_arg $ trace_out_arg
-      $ det_obs_arg)
+      $ serving_term)
 
 let sweep_cmd =
   let workloads_arg =
@@ -1017,8 +1017,7 @@ let sweep_cmd =
             "Comma-separated shared-LLC α overrides ($(b,default) = no \
              override).")
   in
-  let run workloads meshes alphas llc scale domains cache_size deadline_ms
-      max_retries degrade =
+  let run workloads meshes alphas llc scale domains cache_size policy =
     let split s = String.split_on_char ',' s |> List.map String.trim in
     let names =
       if workloads = "all" then Workloads.Registry.names else split workloads
@@ -1073,7 +1072,7 @@ let sweep_cmd =
     in
     let api =
       Service.Api.create ~cache_capacity:cache_size ~num_domains:domains
-        ~resilience:(policy_of deadline_ms max_retries degrade) ()
+        ~resilience:policy ()
     in
     (* One batch per workload, individually timed: the sweep reports
        where the wall time went, not just the total. The cache is
@@ -1143,8 +1142,7 @@ let sweep_cmd =
           service pool.")
     Term.(
       const run $ workloads_arg $ meshes_arg $ alphas_arg $ llc_arg
-      $ scale_arg $ domains_arg $ cache_size_arg $ deadline_arg
-      $ max_retries_arg $ degrade_arg)
+      $ scale_arg $ domains_arg $ cache_size_arg $ resilience_term)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster-level scheduling: replay or synthesise a job trace against
@@ -1242,7 +1240,7 @@ let sched_cmd =
              files.")
   in
   let run policy_s jobs load zipf seed beta llc scale workloads trace
-      emit_trace dump domains metrics_out metrics_format =
+      emit_trace dump domains metrics_out =
     let policies =
       if policy_s = "all" then Sched.Policy.all
       else
@@ -1309,11 +1307,7 @@ let sched_cmd =
     (match emit_trace with
     | None -> ()
     | Some file -> write_out file (Sched.Synth.to_trace specs));
-    let metrics =
-      match metrics_out with
-      | None -> None
-      | Some _ -> Some (Obs.Metrics.create ())
-    in
+    let metrics = Option.map (fun _ -> Obs.Metrics.create ()) metrics_out in
     let dumps =
       List.map
         (fun policy ->
@@ -1326,12 +1320,7 @@ let sched_cmd =
     | None -> ()
     | Some file -> write_out file (String.concat "" dumps));
     match (metrics_out, metrics) with
-    | Some file, Some m ->
-        let samples = Obs.Metrics.snapshot m in
-        write_out file
-          (match metrics_format with
-          | `Json -> Obs.Metrics.to_json samples ^ "\n"
-          | `Prometheus -> Obs.Metrics.to_prometheus samples)
+    | Some out, Some m -> write_metrics out m
     | _ -> ()
   in
   Cmd.v
@@ -1342,8 +1331,7 @@ let sched_cmd =
     Term.(
       const run $ policy_arg $ jobs_arg $ load_arg $ zipf_arg $ seed_arg
       $ beta_arg $ llc_arg $ sched_scale_arg $ workloads_arg $ trace_arg
-      $ emit_trace_arg $ dump_arg $ domains_arg $ metrics_out_arg
-      $ metrics_format_arg)
+      $ emit_trace_arg $ dump_arg $ domains_arg $ metrics_term)
 
 let () =
   let doc = "location-aware computation-to-core mapping (PLDI'18 reproduction)" in

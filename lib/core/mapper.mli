@@ -19,7 +19,7 @@
     [map] allocates its own page table (unless one is passed in), RNG
     (seeded from [cfg.seed], which also makes runs deterministic),
     caches and working arrays, so concurrent calls from multiple
-    domains — as issued by [Service.Pool] workers — are safe provided
+    domains — as issued by [Par.Pool] workers — are safe provided
     callers do not share a mutable [page_table] argument across
     concurrent calls. *)
 

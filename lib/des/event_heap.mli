@@ -2,8 +2,7 @@
     every discrete-event loop in the tree.
 
     Two consumers pull from this one implementation: the manycore
-    simulator ([Machine.Engine], which re-exports this module as
-    [Machine.Event_heap]) pushes one event per shared-resource
+    simulator ([Machine.Engine]) pushes one event per shared-resource
     transaction, and the cluster scheduler ([Sched.Sim]) pushes job
     arrivals and completions. Both care about the same two properties,
     which the direct unit tests ([test/test_event_heap.ml]) pin:

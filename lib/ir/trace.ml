@@ -345,25 +345,6 @@ let iter_body_line_blocks ?(step = 0) t ~nest ~body ~lo ~hi ~line f =
   in
   go 0
 
-let fill_range ?(step = 0) t ~nest ~lo ~hi ~buf =
-  let cn = get_nest t nest in
-  if lo < 0 || hi > cn.iterations || lo > hi then
-    invalid_arg "Trace.fill_range: bad range";
-  if Array.length buf < (hi - lo) * cn.appi then
-    invalid_arg "Trace.fill_range: buffer too small";
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
-  let n = ref 0 in
-  for i = lo to hi - 1 do
-    vals.(1) <- cn.par.lo + (i * cn.par.step);
-    iter_inner cn vals (fun ca ->
-        let addr = addr_of cn vals ca in
-        Array.unsafe_set buf !n
-          ((addr lsl 1) lor (if is_write ca then 1 else 0));
-        incr n)
-  done;
-  !n
-
 let decode_addr enc = enc lsr 1
 let decode_write enc = enc land 1 = 1
 

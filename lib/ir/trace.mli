@@ -58,17 +58,6 @@ val fill_iteration :
     and {!decode_write}. [buf] must hold at least
     [accesses_per_par_iter] elements. *)
 
-val fill_range :
-  ?step:int -> t -> nest:int -> lo:int -> hi:int -> buf:int array -> int
-(** [fill_range t ~nest ~lo ~hi ~buf] expands parallel iterations
-    [lo, hi) of [nest] into [buf] — the same
-    [(addr lsl 1) lor write_bit] encoding as {!fill_iteration}, in
-    exactly the order {!iter_range} emits — and returns the access
-    count ([(hi - lo) * accesses_per_par_iter]). [buf] must hold at
-    least that many elements. The flat buffer lets hot consumers (the
-    analysis fast path) iterate a chunk of the trace without paying a
-    closure call per access. *)
-
 val iter_body_periodic :
   ?step:int ->
   t ->
@@ -89,7 +78,7 @@ val iter_body_periodic :
     the CME classifier keys its miss periods on. [f] receives the
     execution counter and the access's virtual address.
 
-    This is the sparse complement of {!fill_range}: when only every
+    This is the sparse complement of {!fill_iteration}: when only every
     [period]-th execution of a reference needs an address (because the
     rest are classified L1 hits arithmetically), visiting just those is
     asymptotically cheaper than expanding the whole stream. Raises

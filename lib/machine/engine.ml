@@ -87,7 +87,7 @@ type state = {
   l2 : Cache.Sa_cache.t array;
   bank_free : int array;  (* shared-org bank port occupancy *)
   drams : Mem.Dram.t array;
-  heap : Event_heap.t;
+  heap : Des.Event_heap.t;
   cores : core_state array;
   jobs : job_state array;
   stats : Stats.t;
@@ -156,7 +156,7 @@ let start_phase st js t0 =
       cs.time <- t0 + skew;
       if next_set cs then begin
         incr with_work;
-        Event_heap.push st.heap ~time:(t0 + skew) ~id:core
+        Des.Event_heap.push st.heap ~time:(t0 + skew) ~id:core
       end)
     js.j.cores;
   js.remaining <- !with_work;
@@ -210,7 +210,7 @@ let schedule_deferred st ~time ev =
     st.deferred <- bigger
   end;
   st.deferred.(st.deferred_count) <- Some ev;
-  Event_heap.push st.heap ~time ~id:(num_core_ids st + st.deferred_count);
+  Des.Event_heap.push st.heap ~time ~id:(num_core_ids st + st.deferred_count);
   st.deferred_count <- st.deferred_count + 1
 
 (* The core's pending access completed: consume it and resume. *)
@@ -221,7 +221,7 @@ let resume_core st core t =
   cs.pend_victim_dirty <- false;
   cs.buf_pos <- cs.buf_pos + 1;
   cs.time <- t;
-  Event_heap.push st.heap ~time:t ~id:core
+  Des.Event_heap.push st.heap ~time:t ~id:core
 
 (* Execute the first stage of core [c]'s pending transaction at time
    [t]: inject the request and schedule the later stages at their own
@@ -330,7 +330,7 @@ let advance_private st c t =
             cs.pend_write <- write;
             cs.pend_victim <- victim_line_addr;
             cs.pend_victim_dirty <- victim_dirty;
-            Event_heap.push st.heap ~time:cs.time ~id:c;
+            Des.Event_heap.push st.heap ~time:cs.time ~id:c;
             continue := false
           end
           else
@@ -346,7 +346,7 @@ let advance_private st c t =
                 cs.pend_write <- write;
                 cs.pend_victim <- victim_line_addr;
                 cs.pend_victim_dirty <- victim_dirty;
-                Event_heap.push st.heap ~time:cs.time ~id:c;
+                Des.Event_heap.push st.heap ~time:cs.time ~id:c;
                 continue := false)
     end
     else if cs.iter < cs.iter_hi then begin
@@ -462,7 +462,7 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
         Array.init (Noc.Topology.num_mcs topo) (fun _ ->
             Mem.Dram.create ~kind:cfg.Config.dram_kind
               ~row_buffer:cfg.Config.row_buffer ());
-      heap = Event_heap.create ~capacity:(4 * n);
+      heap = Des.Event_heap.create ~capacity:(4 * n);
       cores = Array.init n (fun _ -> new_core_state ());
       jobs =
         Array.of_list
@@ -497,7 +497,7 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
       if start_phase st js 0 = 0 then advance_job st js)
     st.jobs;
   let rec drain () =
-    match Event_heap.pop st.heap with
+    match Des.Event_heap.pop st.heap with
     | None -> ()
     | Some (t, c) ->
         process st c t;

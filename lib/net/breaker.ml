@@ -27,13 +27,13 @@ type t = {
   now : unit -> int64;
   lock : Mutex.t;  (** guards every mutable field below *)
   ring : bool array;  (** [true] = bad outcome; a sliding window *)
-  mutable next : int;  (* lint:ignore — guarded by [t.lock] *)
-  mutable filled : int;  (* lint:ignore — guarded by [t.lock] *)
-  mutable bad : int;  (* lint:ignore — guarded by [t.lock] *)
-  mutable st : state;  (* lint:ignore — guarded by [t.lock] *)
-  mutable opened_at : int64;  (* lint:ignore — guarded by [t.lock] *)
-  mutable probes_out : int;  (* lint:ignore — guarded by [t.lock] *)
-  mutable probes_ok : int;  (* lint:ignore — guarded by [t.lock] *)
+  mutable next : int;  (* guarded by [t.lock] *)
+  mutable filled : int;  (* guarded by [t.lock] *)
+  mutable bad : int;  (* guarded by [t.lock] *)
+  mutable st : state;  (* guarded by [t.lock] *)
+  mutable opened_at : int64;  (* guarded by [t.lock] *)
+  mutable probes_out : int;  (* guarded by [t.lock] *)
+  mutable probes_ok : int;  (* guarded by [t.lock] *)
   trips : int Atomic.t;
   obs : instruments option;
 }

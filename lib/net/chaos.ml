@@ -130,7 +130,7 @@ type conn = {
           writes (and hence any combined count at a given point)
           depends on OS chunking, while each direction's own byte
           stream does not *)
-  mutable read_bytes : int;  (* lint:ignore — connection-confined, see .mli *)
+  mutable read_bytes : int;  (* connection-confined, see .mli *)
   mutable write_bytes : int;
   mutable reads : int;
   mutable writes : int;

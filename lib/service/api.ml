@@ -69,7 +69,7 @@ let instruments im =
 
 type t = {
   cache : Response.payload Solution_cache.t;
-  pool : Pool.t;
+  pool : Par.Pool.t;
   resilience : Resilience.policy;
   injection : Fault_injection.plan;
   obs : instruments option;
@@ -100,7 +100,7 @@ let create ?(cache_capacity = 512) ?(num_domains = 1)
     ?metrics ?tracer () =
   {
     cache = Solution_cache.create ~capacity:cache_capacity ?metrics ();
-    pool = Pool.create ~num_domains ?metrics ();
+    pool = Par.Pool.create ~num_domains ?metrics ();
     resilience;
     injection;
     obs = Option.map instruments metrics;
@@ -319,7 +319,7 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
     | Some inst -> Obs.Metrics.time inst.i_request_ms computed
     | None -> computed ()
   in
-  let raw = Pool.try_map t.pool run_one todo in
+  let raw = Par.Pool.try_map t.pool run_one todo in
   (* Pass 3 (sequential again): classify crashes, degrade if the policy
      says so, store cacheable solutions, and assemble responses in
      submission order. Degraded payloads are never cached: the cheap
@@ -432,14 +432,14 @@ let stats (t : t) =
     computed;
     degraded;
     retried;
-    crashes = Pool.crashes t.pool;
+    crashes = Par.Pool.crashes t.pool;
     cache = Solution_cache.counters t.cache;
     cache_entries = Solution_cache.length t.cache;
     cache_capacity = Solution_cache.capacity t.cache;
-    num_domains = Pool.num_domains t.pool;
+    num_domains = Par.Pool.num_domains t.pool;
   }
 
-let shutdown (t : t) = Pool.shutdown t.pool
+let shutdown (t : t) = Par.Pool.shutdown t.pool
 
 let pp_stats ppf s =
   let total = s.cache.hits + s.cache.misses in

@@ -46,7 +46,7 @@
 
     {b Thread safety}: faults are immutable values; every function in
     this interface is pure and safe to call from concurrent
-    {!Pool} workers without synchronisation. *)
+    {!Par.Pool} workers without synchronisation. *)
 
 type t =
   | Invalid_request of string
@@ -80,7 +80,7 @@ exception Error of t
 
 exception Crash of string
 (** Simulated death of the executing domain. Unlike {!Error}, [Crash]
-    deliberately escapes the per-task handler so that {!Pool} exercises
+    deliberately escapes the per-task handler so that {!Par.Pool} exercises
     its crash-isolation path (fail the task, respawn the worker). *)
 
 val retryable : t -> bool

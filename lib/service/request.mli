@@ -13,7 +13,7 @@
     round-trip.
 
     {b Thread safety}: requests are immutable pure data; every
-    function here is safe to call from concurrent {!Pool} workers
+    function here is safe to call from concurrent {!Par.Pool} workers
     without synchronisation. *)
 
 type estimation_opt =

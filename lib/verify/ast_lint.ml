@@ -1,23 +1,7 @@
-type config = {
-  lock_rules : bool;
-  escape_rules : bool;
-  contract_rule : bool;
-  require_mli : bool;
-}
-
-let default_config =
-  {
-    lock_rules = true;
-    escape_rules = true;
-    contract_rule = true;
-    require_mli = false;
-  }
-
 let rules =
   [
     "lock-order-cycle"; "double-acquire"; "blocking-under-lock";
-    "domain-escape"; "missing-thread-safety-contract"; "missing-interface";
-    "parse-error";
+    "domain-escape"; "missing-thread-safety-contract"; "parse-error";
   ]
 
 type unit_ = { src : Ast_source.t; intf : string option }
@@ -82,7 +66,7 @@ let mentions_contract intf =
 
 (* ------------------------------------------------------------------ *)
 
-let scan_units ?(config = default_config) units =
+let scan_units units =
   let sources = List.map (fun u -> u.src) units in
   let cg = Callgraph.build sources in
   let findings = ref [] in
@@ -93,34 +77,25 @@ let scan_units ?(config = default_config) units =
       | Some (line, msg) ->
           add
             {
-              Lint.file = u.src.Ast_source.path;
+              Ast_source.file = u.src.Ast_source.path;
               line;
               rule = "parse-error";
               message = msg;
             }
       | None -> ());
-      if config.require_mli && u.intf = None then
-        add
-          {
-            Lint.file = u.src.Ast_source.path;
-            line = 1;
-            rule = "missing-interface";
-            message = "module has no .mli interface";
-          };
       match u.intf with
       | Some intf
-        when config.contract_rule
-             (* An empty interface — including the "(* Auto-generated
-                by Dune *)" one dune materialises for every executable
-                when scanning a build tree — exports nothing, so it
-                owes no contract. *)
-             && (let t = String.trim intf in
-                 t <> "" && t <> "(* Auto-generated by Dune *)")
+        (* An empty interface — including the "(* Auto-generated by
+           Dune *)" one dune materialises for every executable when
+           scanning a build tree — exports nothing, so it owes no
+           contract. No interface at all owes none either. *)
+        when (let t = String.trim intf in
+              t <> "" && t <> "(* Auto-generated by Dune *)")
              && has_concurrency_surface u.src
              && not (mentions_contract intf) ->
           add
             {
-              Lint.file = u.src.Ast_source.path;
+              Ast_source.file = u.src.Ast_source.path;
               line = 1;
               rule = "missing-thread-safety-contract";
               message =
@@ -130,16 +105,14 @@ let scan_units ?(config = default_config) units =
             }
       | _ -> ())
     units;
-  if config.lock_rules then
-    List.iter add (Lock_analysis.analyze cg);
-  if config.escape_rules then
-    List.iter add (Escape_analysis.analyze cg);
+  List.iter add (Lock_analysis.analyze cg);
+  List.iter add (Escape_analysis.analyze cg);
   (* Apply suppression markers, then sort and deduplicate (ambiguous
      call resolution can report one site twice). *)
   let by_path = Hashtbl.create 16 in
   List.iter (fun u -> Hashtbl.replace by_path u.src.Ast_source.path u.src) units;
   !findings
-  |> List.filter (fun (f : Lint.finding) ->
+  |> List.filter (fun (f : Ast_source.finding) ->
          match Hashtbl.find_opt by_path f.file with
          | Some src -> not (Ast_source.suppressed src ~line:f.line ~rule:f.rule)
          | None -> true)
@@ -158,31 +131,19 @@ let unit_of_file path =
   in
   { src = Ast_source.read path; intf }
 
-let scan_files ?config paths =
-  scan_units ?config (List.map unit_of_file paths)
+let scan_files paths = scan_units (List.map unit_of_file paths)
 
-let rec ml_files_under ~exclude path =
-  let excluded p =
-    List.exists
-      (fun e ->
-        p = e
-        || (String.length p > String.length e
-           && String.sub p 0 (String.length e) = e
-           && p.[String.length e] = '/'))
-      exclude
-  in
-  if excluded path then []
-  else if Sys.is_directory path then
+let rec ml_files_under path =
+  if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.concat_map (fun entry ->
            if entry = "_build" || (String.length entry > 0 && entry.[0] = '.')
            then []
-           else ml_files_under ~exclude (Filename.concat path entry))
+           else ml_files_under (Filename.concat path entry))
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
 
-let scan_dirs ?config ?(exclude = []) paths =
-  scan_files ?config (List.concat_map (ml_files_under ~exclude) paths)
+let scan_dirs paths = scan_files (List.concat_map ml_files_under paths)
 
 (* ------------------------------------------------------------------ *)
 (* JSON findings, for the CI artifact. No dependency on the service
@@ -207,7 +168,7 @@ let to_json findings =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"findings\":[";
   List.iteri
-    (fun i (f : Lint.finding) ->
+    (fun i (f : Ast_source.finding) ->
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf
@@ -235,9 +196,6 @@ let selftest_expectations =
 
 let selftest ~dir =
   let errors = ref [] in
-  let fixture_config =
-    { default_config with contract_rule = false; require_mli = false }
-  in
   List.iter
     (fun (stem, rule) ->
       let pos = Filename.concat dir (stem ^ "_pos.ml") in
@@ -245,8 +203,8 @@ let selftest ~dir =
       if not (Sys.file_exists pos) then
         errors := Printf.sprintf "missing fixture %s" pos :: !errors
       else begin
-        let fs = scan_files ~config:fixture_config [ pos ] in
-        if not (List.exists (fun (f : Lint.finding) -> f.rule = rule) fs)
+        let fs = scan_files [ pos ] in
+        if not (List.exists (fun (f : Ast_source.finding) -> f.rule = rule) fs)
         then
           errors :=
             Printf.sprintf "rule %s went silent: %s produced no %s finding"
@@ -256,9 +214,9 @@ let selftest ~dir =
       if not (Sys.file_exists neg) then
         errors := Printf.sprintf "missing fixture %s" neg :: !errors
       else begin
-        let fs = scan_files ~config:fixture_config [ neg ] in
+        let fs = scan_files [ neg ] in
         List.iter
-          (fun (f : Lint.finding) ->
+          (fun (f : Ast_source.finding) ->
             if f.rule = rule then
               errors :=
                 Printf.sprintf

@@ -1,3 +1,13 @@
+type finding = {
+  file : string;
+  line : int;
+  rule : string;
+  message : string;
+}
+
+let pp_finding ppf f =
+  Format.fprintf ppf "%s:%d: [%s] %s" f.file f.line f.rule f.message
+
 type suppression = All | Rules of string list
 
 type t = {

@@ -15,6 +15,17 @@
     {b Thread safety}: values are immutable after {!load}; scanning
     allocates per call. *)
 
+type finding = {
+  file : string;
+  line : int;  (** 1-based *)
+  rule : string;
+  message : string;
+}
+(** One lint report; every analysis over these units emits them. *)
+
+val pp_finding : Format.formatter -> finding -> unit
+(** [file:line: [rule] message]. *)
+
 type suppression = All | Rules of string list
 
 type t = {

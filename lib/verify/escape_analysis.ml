@@ -234,7 +234,7 @@ let analyze (cg : Callgraph.t) =
           (fun message ->
             findings :=
               {
-                Lint.file = src.Ast_source.path;
+                Ast_source.file = src.Ast_source.path;
                 line;
                 rule = "domain-escape";
                 message = Printf.sprintf "in %s: %s" f.fq message;

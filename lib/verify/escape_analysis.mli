@@ -17,11 +17,9 @@
 
     "No lock held" is judged inside the closure: a region under
     [Mutex.protect] or after [Mutex.lock] in the same sequence is
-    considered guarded. This replaces the lexical
-    [unguarded-global]/[unguarded-global-use] heuristics with AST
-    facts: reads of immutable captures, [Atomic] traffic, and
-    lock-disciplined access are never flagged, while mutation through
-    any captured alias is — the token scan could do neither.
+    considered guarded. Reads of immutable captures, [Atomic] traffic
+    and lock-disciplined access are never flagged, while mutation
+    through any captured alias is.
 
     The analysis is intra-closure: state reached through calls made by
     the closure is covered by the interprocedural lock analysis, not
@@ -36,6 +34,6 @@ val toplevel_kinds : Ast_source.t -> (string, kind) Hashtbl.t
     the classification behind both the escape rule and {!Ast_lint}'s
     concurrency-surface test. *)
 
-val analyze : Callgraph.t -> Lint.finding list
+val analyze : Callgraph.t -> Ast_source.finding list
 (** All domain-escape findings over the graph's sources, unfiltered
     (suppression markers are applied by {!Ast_lint}). *)

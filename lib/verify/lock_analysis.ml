@@ -31,7 +31,7 @@ type ctx = {
   modname : string;
   file : string;
   params : string list;  (** stripped names of the enclosing function *)
-  findings : Lint.finding list ref;
+  findings : Ast_source.finding list ref;
   edges : edge list ref;
 }
 
@@ -89,7 +89,7 @@ let finding ctx ~line ~rule fmt =
     (fun message ->
       let message = Printf.sprintf "in %s: %s" ctx.sum.func.fq message in
       ctx.findings :=
-        { Lint.file = ctx.file; line; rule; message } :: !(ctx.findings))
+        { Ast_source.file = ctx.file; line; rule; message } :: !(ctx.findings))
     fmt
 
 let add_edge ctx ~line ?(via = "") from_lock to_lock =
@@ -533,7 +533,7 @@ let analyze (cg : Callgraph.t) =
             let message =
               Printf.sprintf "in %s: %s" s.func.Callgraph.fq message
             in
-            findings := { Lint.file; line; rule; message } :: !findings)
+            findings := { Ast_source.file; line; rule; message } :: !findings)
           fmt
       in
       List.iter
@@ -609,7 +609,7 @@ let analyze (cg : Callgraph.t) =
           in
           findings :=
             {
-              Lint.file = anchor.e_file;
+              Ast_source.file = anchor.e_file;
               line = anchor.e_line;
               rule = "lock-order-cycle";
               message =

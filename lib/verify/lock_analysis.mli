@@ -52,6 +52,6 @@ val is_async_sink : string list -> bool
     [Thread.create], [*.submit], [Pool.map]/[Pool.try_map])? Shared
     with {!Escape_analysis}. *)
 
-val analyze : Callgraph.t -> Lint.finding list
+val analyze : Callgraph.t -> Ast_source.finding list
 (** All lock-discipline findings over the graph's sources, unfiltered
     (suppression markers are applied by {!Ast_lint}). *)

@@ -1,5 +1,4 @@
 include Semantic
-module Lint = Lint
 module Ast_source = Ast_source
 module Callgraph = Callgraph
 module Lock_analysis = Lock_analysis

@@ -9,18 +9,17 @@
       [locmap check] CLI subcommand and the test suite share, and
       [Locmap.Mapper.map ~verify:true] asserts the same invariants at
       each pipeline phase boundary;
-    - the {e concurrency analyzer} ({!Ast_lint} over {!Ast_source} /
+    - the {e concurrency lint} ({!Ast_lint} over {!Ast_source} /
       {!Callgraph} / {!Lock_analysis} / {!Escape_analysis}): a
       parsetree-based, interprocedural analysis of lock order,
-      blocking-under-lock, and domain-escape across the repository's
-      sources ([bin/locmap_lint.ml], [make lint]). The older lexical
-      token scan ({!Lint}) is kept as a fallback tier.
+      blocking-under-lock, domain escape and the [.mli] thread-safety
+      contract across the repository's sources ([bin/locmap_lint.ml],
+      [make lint]). It is the only concurrency lint.
 
     {b Thread safety}: stateless; see the submodule contracts. *)
 
 include module type of Semantic
 
-module Lint : module type of Lint
 module Ast_source : module type of Ast_source
 module Callgraph : module type of Callgraph
 module Lock_analysis : module type of Lock_analysis

@@ -175,24 +175,6 @@ let collect_range trace ~nest ~lo ~hi =
       out := (addr, write) :: !out);
   List.rev !out
 
-let test_fill_range_matches_iter_range () =
-  let _, trace = prepare ~scale:0.05 "jacobi-3d" in
-  let appi = Ir.Trace.accesses_per_par_iter trace ~nest:0 in
-  let lo = 3 and hi = 17 in
-  let buf = Array.make ((hi - lo) * appi) 0 in
-  let n = Ir.Trace.fill_range trace ~nest:0 ~lo ~hi ~buf in
-  let expected = collect_range trace ~nest:0 ~lo ~hi in
-  check_int "count" (List.length expected) n;
-  List.iteri
-    (fun i (addr, write) ->
-      check_int (Printf.sprintf "addr %d" i) addr
-        (Ir.Trace.decode_addr buf.(i));
-      check_bool
-        (Printf.sprintf "write %d" i)
-        write
-        (Ir.Trace.decode_write buf.(i)))
-    expected
-
 (* Program-order accesses of one body reference with its execution
    counter, derived from the full stream: accesses cycle through the
    body references, so reference [r] owns stream positions r, r+nbody,
@@ -403,8 +385,6 @@ let () =
         ] );
       ( "trace-walkers",
         [
-          Alcotest.test_case "fill_range = iter_range" `Quick
-            test_fill_range_matches_iter_range;
           Alcotest.test_case "iter_body_periodic = stream subsequence" `Quick
             test_iter_body_periodic_matches_stream;
           Alcotest.test_case "iter_body_line_blocks counts" `Quick

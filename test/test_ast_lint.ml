@@ -8,25 +8,24 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let no_contract =
-  { Verify.Ast_lint.default_config with contract_rule = false }
-
+(* Inline units carry no .mli unless a test passes [~intf], so the
+   contract rule stays out of the way of the other rules' tests. *)
 let unit_of ?intf path code =
   { Verify.Ast_lint.src = Verify.Ast_source.load ~path ~code; intf }
 
-let scan ?(config = no_contract) ?intf ?(path = "inline.ml") code =
-  Verify.Ast_lint.scan_units ~config [ unit_of ?intf path code ]
+let scan ?intf ?(path = "inline.ml") code =
+  Verify.Ast_lint.scan_units [ unit_of ?intf path code ]
 
-let scan2 ?(config = no_contract) (p1, c1) (p2, c2) =
-  Verify.Ast_lint.scan_units ~config [ unit_of p1 c1; unit_of p2 c2 ]
+let scan2 (p1, c1) (p2, c2) =
+  Verify.Ast_lint.scan_units [ unit_of p1 c1; unit_of p2 c2 ]
 
-let rules fs = List.map (fun (f : Verify.Lint.finding) -> f.rule) fs
+let rules fs = List.map (fun (f : Verify.Ast_source.finding) -> f.rule) fs
 let has rule fs = List.mem rule (rules fs)
 
 let pp fs =
   String.concat "; "
     (List.map
-       (fun (f : Verify.Lint.finding) ->
+       (fun (f : Verify.Ast_source.finding) ->
          Printf.sprintf "%s:%d:[%s] %s" f.file f.line f.rule f.message)
        fs)
 
@@ -118,7 +117,7 @@ let test_blocking_transitive () =
   check_bool "transitive blocking flagged" true (has "blocking-under-lock" fs);
   check_bool "finding names the callee chain" true
     (List.exists
-       (fun (f : Verify.Lint.finding) ->
+       (fun (f : Verify.Ast_source.finding) ->
          f.rule = "blocking-under-lock" && contains f.message "Unix.sleepf")
        fs)
 
@@ -221,6 +220,98 @@ let test_escape_captured_local_mutation () =
   check_bool "captured local queue mutation flagged" true
     (has "domain-escape" fs)
 
+let test_escape_record_field_flagged () =
+  (* In-place mutation of a captured record's mutable field, with no
+     lock held on the spawned domain. *)
+  let fs =
+    scan
+      "type s = { mutable n : int }\n\
+       let f (s : s) = Domain.spawn (fun () -> s.n <- s.n + 1)\n"
+  in
+  check_bool "unguarded field mutation flagged" true (has "domain-escape" fs)
+
+let test_escape_record_field_guarded_clean () =
+  let fs =
+    scan
+      "type s = { mutable n : int }\n\
+       let lock = Mutex.create ()\n\
+       let f (s : s) =\n\
+      \  Domain.spawn (fun () ->\n\
+      \      Mutex.protect lock (fun () -> s.n <- s.n + 1))\n"
+  in
+  check_int ("field mutation under the lock clean: " ^ pp fs) 0
+    (List.length fs)
+
+(* mutable-state: the shared-state cases of the retired lexical tier,
+   restated as what the AST lint checks — the state is flagged once a
+   spawned closure touches it unguarded, and stays clean otherwise. *)
+
+let test_unguarded_ref () =
+  let fs =
+    scan
+      "let hits = ref 0\n\
+       let f () = Domain.spawn (fun () -> incr hits)\n"
+  in
+  check_bool "spawned incr of a global ref flagged" true
+    (has "domain-escape" fs)
+
+let test_mutex_disciplined_ok () =
+  let fs =
+    scan
+      "let m = Mutex.create ()\n\
+       let cache = Hashtbl.create 64\n\
+       let f () =\n\
+      \  Domain.spawn (fun () ->\n\
+      \      Mutex.protect m (fun () -> Hashtbl.replace cache 1 2))\n"
+  in
+  check_int ("protected use is clean: " ^ pp fs) 0 (List.length fs)
+
+let test_guard_wrapper_recognised () =
+  (* The lib/harness idiom: a top-level wrapper owns the locking and
+     the spawned closure only goes through it; a raw use beside it is
+     still flagged. *)
+  let wrapper =
+    "let m = Mutex.create ()\n\
+     let cache = Hashtbl.create 64\n\
+     let with_cache f = Mutex.protect m (fun () -> f cache)\n"
+  in
+  let ok =
+    scan
+      (wrapper
+     ^ "let put () = Domain.spawn (fun () -> with_cache (fun c -> \
+        Hashtbl.replace c 1 2))\n")
+  in
+  check_int ("guard wrapper accepted: " ^ pp ok) 0 (List.length ok);
+  let raw =
+    scan
+      (wrapper
+     ^ "let raw () = Domain.spawn (fun () -> Hashtbl.replace cache 1 2)\n")
+  in
+  check_bool "raw use beside the wrapper flagged" true
+    (has "domain-escape" raw)
+
+let test_lint_ignore () =
+  (* A bare marker, with no [rule] filter, suppresses any finding on
+     its line. *)
+  let fs =
+    scan
+      "let hits = ref 0\n\
+       let f () = Domain.spawn (fun () -> incr hits) (* lint:ignore — \
+       metrics, read racily *)\n"
+  in
+  check_int ("lint:ignore suppresses: " ^ pp fs) 0 (List.length fs)
+
+let test_contract_rule () =
+  (* The contract is owed only by a unit that has an .mli: the same
+     concurrency surface scanned without one reports nothing. *)
+  let code = "let m = Mutex.create ()\nlet f g = Mutex.protect m g\n" in
+  check_bool "mli without contract flagged" true
+    (has "missing-thread-safety-contract"
+       (scan ~intf:"(** Locked. *)\nval f : (unit -> 'a) -> 'a\n" code));
+  check_int "contract accepted" 0
+    (List.length (scan ~intf:"(** {b Thread safety}: locked. *)\n" code));
+  check_int "no mli, nothing to check" 0 (List.length (scan code))
+
 (* ------------------------------------------------------------------ *)
 (* suppression, contract rule, parse errors, JSON *)
 
@@ -254,28 +345,27 @@ let test_suppression_marker () =
     (has "blocking-under-lock" (scan wrong_rule))
 
 let test_contract_rule_ast_driven () =
-  let cfg = Verify.Ast_lint.default_config in
   (* A pure module owes no contract, even with an .mli. *)
   let pure =
-    scan ~config:cfg ~intf:"(** Pure helpers. *)\nval x : int\n" "let x = 1\n"
+    scan ~intf:"(** Pure helpers. *)\nval x : int\n" "let x = 1\n"
   in
   check_int ("pure module exempt: " ^ pp pure) 0 (List.length pure);
   (* Mutex use demands one. *)
   let conc_code =
     "let m = Mutex.create ()\nlet f g = Mutex.protect m g\n"
   in
-  let missing = scan ~config:cfg ~intf:"(** Locked. *)\n" conc_code in
+  let missing = scan ~intf:"(** Locked. *)\n" conc_code in
   check_bool "concurrency surface without contract flagged" true
     (has "missing-thread-safety-contract" missing);
   let ok =
-    scan ~config:cfg
+    scan
       ~intf:"(** Locked.\n\n    {b Thread safety}: fully thread-safe. *)\n"
       conc_code
   in
   check_int ("documented contract accepted: " ^ pp ok) 0 (List.length ok);
   (* A mutable record field is a concurrency surface too. *)
   let mut =
-    scan ~config:cfg ~intf:"(** T. *)\n"
+    scan ~intf:"(** T. *)\n"
       "type t = { mutable n : int }\nlet get t = t.n\n"
   in
   check_bool "mutable field counts as surface" true
@@ -320,9 +410,9 @@ let test_selftest_gate () =
   | Error msg -> Alcotest.failf "seeded-fixture self-test failed:\n%s" msg
 
 let test_repository_clean () =
-  (* The pinned triage result: the whole tree scans clean with the
-     default configuration (PR 8). New findings mean either a real
-     hazard or a justified lint:ignore — never silence. *)
+  (* The pinned triage result: the whole tree scans clean. New
+     findings mean either a real hazard or a justified lint:ignore —
+     never silence. *)
   let roots =
     [
       locate [ "../lib"; "lib" ];
@@ -337,6 +427,38 @@ let test_repository_clean () =
   check_bool
     (Printf.sprintf "scan under the 10s budget (took %.2fs)" dt)
     true (dt < 10.)
+
+let test_pool_reachable_sources_clean () =
+  (* The code pool workers and handler domains run, scanned as a
+     program of its own, stays clean too. *)
+  let fs =
+    Verify.Ast_lint.scan_dirs
+      [
+        locate [ "../lib/service"; "lib/service" ];
+        locate [ "../lib/harness"; "lib/harness" ];
+        locate [ "../lib/par"; "lib/par" ];
+        locate [ "../lib/net"; "lib/net" ];
+        locate [ "../lib/core/analysis.ml"; "lib/core/analysis.ml" ];
+        locate [ "../lib/core/line_memo.ml"; "lib/core/line_memo.ml" ];
+        locate [ "../lib/core/mapper.ml"; "lib/core/mapper.ml" ];
+      ]
+  in
+  check_int ("pool-reachable sources lint clean: " ^ pp fs) 0
+    (List.length fs)
+
+let test_seeded_fixture_flagged () =
+  (* A file scanned from disk, not through the self-test driver. *)
+  let fs =
+    Verify.Ast_lint.scan_files
+      [
+        locate
+          [
+            "fixtures/ast_lint/escape_pos.ml";
+            "test/fixtures/ast_lint/escape_pos.ml";
+          ];
+      ]
+  in
+  check_bool "seeded fixture flagged" true (has "domain-escape" fs)
 
 let () =
   Alcotest.run "ast_lint"
@@ -372,7 +494,23 @@ let () =
           Alcotest.test_case "guarded" `Quick test_escape_guarded_clean;
           Alcotest.test_case "captured local" `Quick
             test_escape_captured_local_mutation;
+          Alcotest.test_case "record field" `Quick
+            test_escape_record_field_flagged;
+          Alcotest.test_case "record field guarded" `Quick
+            test_escape_record_field_guarded_clean;
         ] );
+      ( "mutable-state",
+        [
+          Alcotest.test_case "unguarded ref" `Quick test_unguarded_ref;
+          Alcotest.test_case "mutex disciplined" `Quick
+            test_mutex_disciplined_ok;
+          Alcotest.test_case "guard wrapper" `Quick
+            test_guard_wrapper_recognised;
+          Alcotest.test_case "lint:ignore" `Quick test_lint_ignore;
+        ] );
+      ( "contract",
+        [ Alcotest.test_case "thread-safety contract" `Quick test_contract_rule ]
+      );
       ( "plumbing",
         [
           Alcotest.test_case "suppression" `Quick test_suppression_marker;
@@ -385,5 +523,9 @@ let () =
         [
           Alcotest.test_case "seeded fixtures" `Quick test_selftest_gate;
           Alcotest.test_case "tree clean" `Quick test_repository_clean;
+          Alcotest.test_case "pool-reachable clean" `Quick
+            test_pool_reachable_sources_clean;
+          Alcotest.test_case "seeded fixture" `Quick
+            test_seeded_fixture_flagged;
         ] );
     ]

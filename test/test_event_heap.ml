@@ -90,16 +90,6 @@ let test_negative_time () =
        false
      with Invalid_argument _ -> true)
 
-let test_machine_reexport () =
-  (* Machine.Event_heap is the same heap: values flow between the two
-     names without conversion. *)
-  let h = Machine.Event_heap.create ~capacity:2 in
-  Des.Event_heap.push h ~time:3 ~id:1;
-  Machine.Event_heap.push h ~time:1 ~id:2;
-  check_bool "shared type, shared order" true
-    (Machine.Event_heap.pop h = Some (1, 2)
-    && Des.Event_heap.pop h = Some (3, 1))
-
 let () =
   Alcotest.run "event_heap"
     [
@@ -110,6 +100,5 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "sorted reference" `Quick test_sorted_reference;
           Alcotest.test_case "negative time" `Quick test_negative_time;
-          Alcotest.test_case "machine re-export" `Quick test_machine_reexport;
         ] );
     ]
