@@ -1,7 +1,7 @@
 (* Tests for the analysis fast path: line-memoized address maps,
-   the periodic/chunked trace walkers behind them, domain-parallel CME
-   summaries, and the golden Mapper.map fixture that pins the public
-   pipeline behaviour to the pre-fast-path seed. *)
+   the periodic/chunked trace walkers behind them, and domain-parallel
+   CME summaries. The golden Mapper.map fixture that pins the public
+   pipeline behaviour is checked by a diff rule (see golden.ml). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -255,91 +255,7 @@ let test_iter_body_line_blocks_counts () =
       expected
   done
 
-(* ------------------------------------------------------------------ *)
-(* Golden pin: Mapper.map's public behaviour on every registry workload
-   and both LLC organisations is byte-identical to the fixture captured
-   from the pre-fast-path seed. Keep the formatting in sync with
-   tools/gen_golden.ml, which regenerates the fixture. *)
-
-let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
-
-let golden_of_info name llc (info : Locmap.Mapper.info) =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "== %s llc=%s ==\n" name llc;
-  Printf.bprintf b "estimation=%s\n"
-    (match info.estimation with
-    | Locmap.Mapper.Cme_estimate -> "cme"
-    | Locmap.Mapper.Inspector -> "inspector"
-    | Locmap.Mapper.Oracle -> "oracle");
-  Printf.bprintf b "sets=%d\n" (Array.length info.sets);
-  Printf.bprintf b "region_of_set=%s\n" (ints info.region_of_set);
-  Printf.bprintf b "pre_balance=%s\n" (ints info.pre_balance_region);
-  for c = 0 to 1023 do
-    match Machine.Schedule.sets_of_core info.schedule ~core:c with
-    | [] -> ()
-    | ss ->
-        Printf.bprintf b "core%d=%s\n" c
-          (String.concat ";"
-             (List.map
-                (fun (s : Ir.Iter_set.t) ->
-                  Printf.sprintf "%d/%d-%d" s.nest s.lo s.hi)
-                ss))
-  done;
-  Printf.bprintf b
-    "moved=%.6f alpha=%.9f mai_err=%.9f cai_err=%.9f overhead=%d\n"
-    info.moved_fraction info.alpha_mean info.mai_error info.cai_error
-    info.overhead_cycles;
-  Buffer.contents b
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let test_mapper_golden () =
-  let fixture =
-    let candidates =
-      [ "fixtures/golden_mapper.txt"; "test/fixtures/golden_mapper.txt" ]
-    in
-    match List.find_opt Sys.file_exists candidates with
-    | Some p -> read_file p
-    | None -> Alcotest.fail "golden_mapper.txt fixture not found"
-  in
-  let b = Buffer.create (String.length fixture) in
-  List.iter
-    (fun llc ->
-      List.iter
-        (fun name ->
-          let p = Harness.Experiment.prepare_name ~scale:0.2 name in
-          let cfg = { Machine.Config.default with llc_org = llc } in
-          let info = Locmap.Mapper.map cfg p.Harness.Experiment.trace in
-          Buffer.add_string b
-            (golden_of_info name
-               (match llc with
-               | Cache.Llc.Private -> "private"
-               | Cache.Llc.Shared -> "shared")
-               info))
-        Workloads.Registry.names)
-    [ Cache.Llc.Private; Cache.Llc.Shared ];
-  let got = Buffer.contents b in
-  if String.equal got fixture then ()
-  else begin
-    (* Report the first diverging line, not half a megabyte. *)
-    let gl = String.split_on_char '\n' got in
-    let fl = String.split_on_char '\n' fixture in
-    let rec first_diff i = function
-      | g :: gs, f :: fs ->
-          if String.equal g f then first_diff (i + 1) (gs, fs)
-          else Alcotest.failf "line %d differs:\n  got      %s\n  fixture  %s" i g f
-      | [], f :: _ -> Alcotest.failf "output short at line %d (fixture: %s)" i f
-      | g :: _, [] -> Alcotest.failf "output long at line %d (got: %s)" i g
-      | [], [] -> Alcotest.fail "contents differ but lines match?"
-    in
-    first_diff 1 (gl, fl)
-  end
-
-(* Mapper with a pool must also be byte-identical — the golden test
+(* Mapper with a pool must also be byte-identical — the golden fixture
    covers the no-pool call; this covers the pooled one. *)
 let test_mapper_pool_identical () =
   let p = Harness.Experiment.prepare_name ~scale:0.1 "mxm" in
@@ -389,10 +305,5 @@ let () =
             test_iter_body_periodic_matches_stream;
           Alcotest.test_case "iter_body_line_blocks counts" `Quick
             test_iter_body_line_blocks_counts;
-        ] );
-      ( "golden",
-        [
-          Alcotest.test_case "Mapper.map pinned to seed fixture" `Quick
-            test_mapper_golden;
         ] );
     ]
