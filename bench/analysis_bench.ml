@@ -195,29 +195,27 @@ let seed_observed_summaries (cfg : Machine.Config.t) amap trace ~sets =
       Ir.Trace.iter_range ~step:0 trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
         (fun ~addr ~write ->
           let pa = Machine.Addr_map.translate amap addr in
-          match Cache.Sa_cache.access l1 ~addr:pa ~write with
-          | Cache.Sa_cache.Hit -> Locmap.Summary.add_l1_hit sm
-          | Cache.Sa_cache.Miss _ -> (
-              let bank_node, bank =
-                if shared then
-                  let b = Machine.Addr_map.bank_node_of amap pa in
-                  (b, banks.(b))
-                else (0, banks.(0))
+          if Cache.Sa_cache.access l1 ~addr:pa ~write then
+            Locmap.Summary.add_l1_hit sm
+          else begin
+            let bank_node, bank =
+              if shared then
+                let b = Machine.Addr_map.bank_node_of amap pa in
+                (b, banks.(b))
+              else (0, banks.(0))
+            in
+            if Cache.Sa_cache.access bank ~addr:pa ~write then
+              let region =
+                if shared then Locmap.Region.of_node regions bank_node else 0
               in
-              match Cache.Sa_cache.access bank ~addr:pa ~write with
-              | Cache.Sa_cache.Hit ->
-                  let region =
-                    if shared then Locmap.Region.of_node regions bank_node
-                    else 0
-                  in
-                  Locmap.Summary.add_llc_hit sm ~region
-              | Cache.Sa_cache.Miss _ ->
-                  let bank_region =
-                    if shared then Locmap.Region.of_node regions bank_node
-                    else -1
-                  in
-                  Locmap.Summary.add_llc_miss sm ~bank_region
-                    ~mc:(Machine.Addr_map.mc_of amap pa))))
+              Locmap.Summary.add_llc_hit sm ~region
+            else
+              let bank_region =
+                if shared then Locmap.Region.of_node regions bank_node else -1
+              in
+              Locmap.Summary.add_llc_miss sm ~bank_region
+                ~mc:(Machine.Addr_map.mc_of amap pa)
+          end))
     sets;
   summaries
 

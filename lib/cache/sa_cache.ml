@@ -11,14 +11,9 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
+  mutable last_victim : int;  (* base of the line the last miss evicted; -1 *)
+  mutable last_victim_dirty : bool;
 }
-
-type result =
-  | Hit
-  | Miss of {
-      victim_line_addr : int;
-      victim_dirty : bool;
-    }
 
 let create ~size ~assoc ~line_size () =
   if size <= 0 || assoc <= 0 || line_size <= 0 then
@@ -51,6 +46,8 @@ let create ~size ~assoc ~line_size () =
     hits = 0;
     misses = 0;
     writebacks = 0;
+    last_victim = -1;
+    last_victim_dirty = false;
   }
 
 let line_of t addr =
@@ -59,6 +56,8 @@ let line_of t addr =
 let set_of t line =
   if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
 
+(* Returns the verdict as an unboxed bool and leaves the victim in
+   plain fields, so the access path allocates nothing. *)
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Sa_cache.access: negative address";
   let line = line_of t addr in
@@ -67,50 +66,6 @@ let access t ~addr ~write =
   t.clock <- t.clock + 1;
   (* Search the set for a hit, remembering the LRU (or an invalid)
      way as the victim. *)
-  let found = ref (-1) in
-  let victim = ref (-1) in
-  let oldest = ref max_int in
-  let invalid = ref (-1) in
-  for w = base to base + t.assoc - 1 do
-    if t.tags.(w) = line then found := w
-    else if t.tags.(w) = -1 then invalid := w
-    else if t.stamp.(w) < !oldest then begin
-      oldest := t.stamp.(w);
-      victim := w
-    end
-  done;
-  let victim = if !invalid >= 0 then invalid else victim in
-  if !found >= 0 then begin
-    let w = !found in
-    t.stamp.(w) <- t.clock;
-    if write then Bytes.unsafe_set t.dirty w '\001';
-    t.hits <- t.hits + 1;
-    Hit
-  end
-  else begin
-    let w = !victim in
-    let victim_tag = t.tags.(w) in
-    let victim_dirty = victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001' in
-    if victim_dirty then t.writebacks <- t.writebacks + 1;
-    let victim_line_addr = if victim_tag >= 0 then victim_tag * t.line_size else -1 in
-    t.tags.(w) <- line;
-    Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
-    t.stamp.(w) <- t.clock;
-    t.misses <- t.misses + 1;
-    Miss { victim_line_addr; victim_dirty }
-  end
-
-(* [access] for callers that only branch on hit/miss: identical state
-   transitions (clock, LRU stamps, dirtiness, counters — interleaving
-   with [access] is exact), but no result block is allocated. This is
-   the replay inner loop's variant: its allocation-budget test requires
-   zero words allocated per access. *)
-let access_hit t ~addr ~write =
-  if addr < 0 then invalid_arg "Sa_cache.access_hit: negative address";
-  let line = line_of t addr in
-  let set = set_of t line in
-  let base = set * t.assoc in
-  t.clock <- t.clock + 1;
   let found = ref (-1) in
   let victim = ref (-1) in
   let oldest = ref max_int in
@@ -132,14 +87,20 @@ let access_hit t ~addr ~write =
   end
   else begin
     let w = if !invalid >= 0 then !invalid else !victim in
-    if t.tags.(w) >= 0 && Bytes.unsafe_get t.dirty w = '\001' then
-      t.writebacks <- t.writebacks + 1;
+    let victim_tag = t.tags.(w) in
+    let victim_dirty = victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001' in
+    if victim_dirty then t.writebacks <- t.writebacks + 1;
+    t.last_victim <- (if victim_tag >= 0 then victim_tag * t.line_size else -1);
+    t.last_victim_dirty <- victim_dirty;
     t.tags.(w) <- line;
     Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
     t.stamp.(w) <- t.clock;
     t.misses <- t.misses + 1;
     false
   end
+
+let last_victim t = t.last_victim
+let last_victim_dirty t = t.last_victim_dirty
 
 let probe t ~addr =
   let line = line_of t addr in
@@ -171,7 +132,9 @@ let reset t =
   t.clock <- 0;
   t.hits <- 0;
   t.misses <- 0;
-  t.writebacks <- 0
+  t.writebacks <- 0;
+  t.last_victim <- -1;
+  t.last_victim_dirty <- false
 
 let hits t = t.hits
 let misses t = t.misses

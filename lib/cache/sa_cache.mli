@@ -11,34 +11,27 @@
 
 type t
 
-type result =
-  | Hit
-  | Miss of {
-      victim_line_addr : int;
-          (** base address of the evicted line, [-1] if the victim way
-              was invalid *)
-      victim_dirty : bool;
-          (** whether the eviction must write back to memory *)
-    }
-
 val create : size:int -> assoc:int -> line_size:int -> unit -> t
 (** [create ~size ~assoc ~line_size ()] builds an empty cache of [size]
     bytes, [assoc] ways and [line_size]-byte lines. Raises
     [Invalid_argument] if the geometry is inconsistent (size not
     divisible into at least one set of [assoc] lines). *)
 
-val access : t -> addr:int -> write:bool -> result
-(** [access t ~addr ~write] looks up the line containing [addr],
-    installing it on a miss (write-allocate) and marking it dirty on a
-    write. LRU state is updated. *)
+val access : t -> addr:int -> write:bool -> bool
+(** [access t ~addr ~write] looks up the line containing [addr] and
+    returns [true] on a hit. A miss ([false]) installs the line
+    (write-allocate) and records the evicted line in {!last_victim} and
+    {!last_victim_dirty}; a write marks the line dirty. LRU state is
+    updated. Allocates nothing. *)
 
-val access_hit : t -> addr:int -> write:bool -> bool
-(** [access] for callers that only branch on hit ([true]) vs miss
-    ([false]): identical state transitions — interleaving with
-    {!access} on the same cache is exact — but no victim information
-    and {e no allocation}. The analysis replay's inner loop uses this;
-    its allocation-budget test requires zero words allocated per
-    access. *)
+val last_victim : t -> int
+(** Base address of the line evicted by the most recent miss, [-1] if
+    the victim way was invalid (or no miss happened since {!create} or
+    {!reset}). A hit leaves it unchanged. *)
+
+val last_victim_dirty : t -> bool
+(** Whether the most recent miss evicted a dirty line, which must be
+    written back to memory. *)
 
 val probe : t -> addr:int -> bool
 (** [probe t ~addr] is [true] iff the line is resident. Does not update

@@ -465,9 +465,9 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    the cold pass too). Sharding sets would give each shard cold caches
    and change every outcome; the fast path here is therefore doing
    strictly less work per access, never domains: the trace streams
-   through a preallocated scratch walker ({!Ir.Trace.iter_range_s}),
-   outcomes come from the allocation-free {!Cache.Sa_cache.access_hit},
-   locations from the memo, and the address-translation branch is
+   through {!Ir.Trace.iter_range}, outcomes come from the
+   allocation-free {!Cache.Sa_cache.access} (the engine's cache
+   model), locations from the memo, and the address-translation branch is
    hoisted out of the loop entirely when the layout has no remaps
    ([pa = va]). The inner loop allocates nothing — the replay
    allocation-budget test holds it to zero words per access. *)
@@ -496,7 +496,6 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
       |]
   in
   let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
-  let sc = Ir.Trace.make_scratch trace in
   let identity = Line_memo.identity_translation memo in
   let bank0 = banks.(0) in
   (* Locations are resolved arithmetically through the address map plus
@@ -520,51 +519,51 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
         let sm = summaries.(k) in
         if shared then
           if identity then
-            Ir.Trace.iter_range_s ~step trace sc ~nest:s.nest ~lo:s.lo ~hi:s.hi
+            Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
               (fun ~addr ~write ->
-                if Cache.Sa_cache.access_hit l1 ~addr ~write then
+                if Cache.Sa_cache.access l1 ~addr ~write then
                   Summary.add_l1_hit sm
                 else begin
                   let node = Machine.Addr_map.bank_node_of amap addr in
                   let region = Array.unsafe_get region_of_node node in
-                  if Cache.Sa_cache.access_hit banks.(node) ~addr ~write then
+                  if Cache.Sa_cache.access banks.(node) ~addr ~write then
                     Summary.add_llc_hit sm ~region
                   else
                     Summary.add_llc_miss sm ~bank_region:region
                       ~mc:(Machine.Addr_map.mc_of amap addr)
                 end)
           else
-            Ir.Trace.iter_range_s ~step trace sc ~nest:s.nest ~lo:s.lo ~hi:s.hi
+            Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
               (fun ~addr ~write ->
                 let pa = Machine.Addr_map.translate amap addr in
-                if Cache.Sa_cache.access_hit l1 ~addr:pa ~write then
+                if Cache.Sa_cache.access l1 ~addr:pa ~write then
                   Summary.add_l1_hit sm
                 else begin
                   let node = Machine.Addr_map.bank_node_of amap pa in
                   let region = Array.unsafe_get region_of_node node in
-                  if Cache.Sa_cache.access_hit banks.(node) ~addr:pa ~write
+                  if Cache.Sa_cache.access banks.(node) ~addr:pa ~write
                   then Summary.add_llc_hit sm ~region
                   else
                     Summary.add_llc_miss sm ~bank_region:region
                       ~mc:(Machine.Addr_map.mc_of amap pa)
                 end)
         else if identity then
-          Ir.Trace.iter_range_s ~step trace sc ~nest:s.nest ~lo:s.lo ~hi:s.hi
+          Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
             (fun ~addr ~write ->
-              if Cache.Sa_cache.access_hit l1 ~addr ~write then
+              if Cache.Sa_cache.access l1 ~addr ~write then
                 Summary.add_l1_hit sm
-              else if Cache.Sa_cache.access_hit bank0 ~addr ~write then
+              else if Cache.Sa_cache.access bank0 ~addr ~write then
                 Summary.add_llc_hit sm ~region:0
               else
                 Summary.add_llc_miss sm ~bank_region:(-1)
                   ~mc:(Machine.Addr_map.mc_of amap addr))
         else
-          Ir.Trace.iter_range_s ~step trace sc ~nest:s.nest ~lo:s.lo ~hi:s.hi
+          Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
             (fun ~addr ~write ->
               let pa = Machine.Addr_map.translate amap addr in
-              if Cache.Sa_cache.access_hit l1 ~addr:pa ~write then
+              if Cache.Sa_cache.access l1 ~addr:pa ~write then
                 Summary.add_l1_hit sm
-              else if Cache.Sa_cache.access_hit bank0 ~addr:pa ~write then
+              else if Cache.Sa_cache.access bank0 ~addr:pa ~write then
                 Summary.add_llc_hit sm ~region:0
               else
                 Summary.add_llc_miss sm ~bank_region:(-1)

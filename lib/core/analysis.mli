@@ -28,11 +28,11 @@
     - {e traced} — index-array references have no closed form and
       expand their stream as line blocks.
 
-    The observed path streams the trace through a preallocated scratch
-    walker ({!Ir.Trace.iter_range_s}) and the allocation-free
-    {!Cache.Sa_cache.access_hit}, with the translation branch hoisted
-    out when the layout has no remaps; its inner loop allocates zero
-    words per access (enforced by the replay allocation-budget test).
+    The observed path streams the trace through {!Ir.Trace.iter_range}
+    and the allocation-free {!Cache.Sa_cache.access} — the walker and
+    cache model the simulator runs on — with the translation branch
+    hoisted out when the layout has no remaps; its inner loop allocates
+    zero words per access (enforced by the replay allocation-budget test).
     Callers that summarise the same trace more than once — {!Mapper.map}
     runs the CME path and up to two observed replays — should build the
     memo once and pass it to every call.

@@ -30,7 +30,6 @@ type t = {
   regions : Region.t;
   line_size : int;
   line_shift : int;  (* log2 line_size: lookups shift, never divide *)
-  line_mask : int;  (* line_size - 1 *)
   num_lines : int;
   exact : bool;
       (* The memo is line-granular: it is sound only when an LLC line
@@ -39,9 +38,8 @@ type t = {
          machine config, but checked so a hand-built config degrades to
          direct computation instead of silently misplacing lines. A
          non-power-of-two line size (equally impossible on a real
-         machine) also degrades, so the hot lookups can shift and mask
-         instead of dividing. *)
-  phys : int array;  (* line -> physical line *)
+         machine) also degrades, so the hot lookups can shift instead
+         of dividing. *)
   loc : int array;  (* line -> pack ~mc ~region ~node *)
   identity : bool;  (* translation is the identity over the footprint *)
   num_mcs : int;
@@ -150,10 +148,8 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
       regions;
       line_size;
       line_shift;
-      line_mask = line_size - 1;
       num_lines = 0;
       exact;
-      phys = [||];
       loc = [||];
       identity = false;
       num_mcs;
@@ -162,13 +158,11 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
       fallbacks;
     }
   else begin
-    let phys = Array.make num_lines 0 in
     let loc = Array.make num_lines 0 in
     let identity = ref true in
     for l = 0 to num_lines - 1 do
       let pa = Machine.Addr_map.translate amap (l * line_size) in
       let node = Machine.Addr_map.bank_node_of amap pa in
-      phys.(l) <- pa / line_size;
       if pa <> l * line_size then identity := false;
       loc.(l) <-
         pack
@@ -181,10 +175,8 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
       regions;
       line_size;
       line_shift;
-      line_mask = line_size - 1;
       num_lines;
       exact;
-      phys;
       loc;
       identity = !identity;
       num_mcs;
@@ -194,11 +186,8 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
     }
   end
 
-let addr_map t = t.amap
-let regions t = t.regions
 let line_size t = t.line_size
 let line_shift t = t.line_shift
-let num_lines t = t.num_lines
 let memoized t = t.exact
 
 let loc_of t va =
@@ -214,21 +203,8 @@ let loc_of t va =
       ~node
   end
 
-let translate t va =
-  let l = va lsr t.line_shift in
-  if va >= 0 && l < t.num_lines then
-    (Array.unsafe_get t.phys l lsl t.line_shift) + (va land t.line_mask)
-  else begin
-    (match t.fallbacks with Some c -> Obs.Metrics.incr c | None -> ());
-    Machine.Addr_map.translate t.amap va
-  end
-
-let bank_node_of t va = node_of_loc (loc_of t va)
-let region_of t va = region_of_loc (loc_of t va)
 let mc_of t va = mc_of_loc (loc_of t va)
 let identity_translation t = t.identity
-let num_mcs t = t.num_mcs
-let num_regions t = t.num_regions
 let prefix_available t = t.prefix <> None
 
 (* Count of lines of class [pre] in [0, x): whole periods contribute

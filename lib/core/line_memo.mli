@@ -1,11 +1,10 @@
 (** Line-granular memo of the address map.
 
-    Both summary-construction paths ask, for every access, where the
-    line lives: its physical line, its home LLC bank (and that bank's
-    region) and its MC. All four are pure functions of the cache line
-    under a fixed [(Addr_map, Region)] pair, so this module precomputes
-    them once per layout — one flat array indexed by
-    [virtual address / l2_line] holding the physical line, and one
+    The CME summary path asks, for every access, where the line lives:
+    its home LLC bank (and that bank's region) and its MC. All three
+    are pure functions of the cache line under a fixed
+    [(Addr_map, Region)] pair, so this module precomputes them once per
+    layout — one flat array indexed by [virtual address / l2_line]
     holding the (mc, region, node) triple packed into a single int —
     and the per-access work in {!Analysis} collapses to one array load
     plus a shift/mask.
@@ -42,10 +41,6 @@ val create :
     instrumented, so it stays a pure array load. Together with
     [locmap_cme_accesses_total] this yields the memo hit rate. *)
 
-val addr_map : t -> Machine.Addr_map.t
-
-val regions : t -> Region.t
-
 val line_size : t -> int
 (** The memo granularity: the config's [l2_line]. *)
 
@@ -54,23 +49,10 @@ val line_shift : t -> int
     then a power of two); 0 for degenerate memos. Lets hot callers
     shift instead of divide. *)
 
-val num_lines : t -> int
-(** Lines covered by the eager tables (0 when degenerate). *)
-
 val memoized : t -> bool
 (** Whether the eager tables were built (false only for degenerate
     configs or layouts beyond the memo cap — the fallback still answers
     identically, just without the speedup). *)
-
-val translate : t -> int -> int
-(** Virtual-to-physical translation of any address, via the memo. *)
-
-val bank_node_of : t -> int -> int
-(** Home-bank node of a {e virtual} address (the memo folds the
-    translate step in). *)
-
-val region_of : t -> int -> int
-(** Region of the home bank of a virtual address. *)
 
 val mc_of : t -> int -> int
 (** MC serving a virtual address. *)
@@ -93,12 +75,8 @@ val loc_of_line : t -> int -> int
 val identity_translation : t -> bool
 (** True when virtual-to-physical translation is the identity over the
     whole memoized footprint (no page remaps) — the observed replay
-    skips {!translate} entirely then. False whenever the memo is
+    skips translation entirely then. False whenever the memo is
     degenerate. *)
-
-val num_mcs : t -> int
-
-val num_regions : t -> int
 
 (** {2 Location prefix tables}
 

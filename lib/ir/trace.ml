@@ -157,40 +157,47 @@ let addr_of cn vals = function
 let is_write = function
   | Cdirect { write; _ } | Cindirect { write; _ } -> write
 
-(* Walk the inner loops of [cn] with the parallel variable fixed,
-   calling [f] per body access. *)
-let iter_inner cn vals f =
+(* The one inner-loop walker: for each parallel iteration in [lo, hi),
+   bind the parallel variable, walk the inner loops (outermost first)
+   and call [leaf ()] once per complete inner-iteration combination.
+   The recursion is built once per call, not once per parallel
+   iteration, so a walk allocates per range and nothing per access. *)
+let walk cn vals ~lo ~hi leaf =
   let ninner = Array.length cn.inner in
-  let body = cn.body in
-  let nbody = Array.length body in
   let rec go d =
-    if d = ninner then
-      for b = 0 to nbody - 1 do
-        f (Array.unsafe_get body b)
-      done
+    if d = ninner then leaf ()
     else begin
-      let l = cn.inner.(d) in
+      (* In bounds: d < ninner and vals has ninner + 2 cells. *)
+      let l = Array.unsafe_get cn.inner d in
       let v = ref l.lo in
       while !v < l.hi do
-        vals.(d + 2) <- !v;
+        Array.unsafe_set vals (d + 2) !v;
         go (d + 1);
         v := !v + l.step
       done
     end
   in
-  go 0
+  for i = lo to hi - 1 do
+    vals.(1) <- cn.par.lo + (i * cn.par.step);
+    go 0
+  done
+
+let fresh_vals cn step =
+  let vals = Array.make cn.nvars 0 in
+  vals.(0) <- step;
+  vals
 
 let iter_range ?(step = 0) t ~nest ~lo ~hi f =
   let cn = get_nest t nest in
   if lo < 0 || hi > cn.iterations || lo > hi then
     invalid_arg "Trace.iter_range: bad range";
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
-  for i = lo to hi - 1 do
-    vals.(1) <- cn.par.lo + (i * cn.par.step);
-    iter_inner cn vals (fun ca ->
-        f ~addr:(addr_of cn vals ca) ~write:(is_write ca))
-  done
+  let vals = fresh_vals cn step in
+  let body = cn.body in
+  walk cn vals ~lo ~hi (fun () ->
+      for b = 0 to Array.length body - 1 do
+        let ca = Array.unsafe_get body b in
+        f ~addr:(addr_of cn vals ca) ~write:(is_write ca)
+      done)
 
 let fill_iteration ?(step = 0) t ~nest ~iter ~buf =
   let cn = get_nest t nest in
@@ -198,14 +205,15 @@ let fill_iteration ?(step = 0) t ~nest ~iter ~buf =
     invalid_arg "Trace.fill_iteration: iteration out of range";
   if Array.length buf < cn.appi then
     invalid_arg "Trace.fill_iteration: buffer too small";
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
-  vals.(1) <- cn.par.lo + (iter * cn.par.step);
+  let vals = fresh_vals cn step in
+  let body = cn.body in
   let n = ref 0 in
-  iter_inner cn vals (fun ca ->
-      let addr = addr_of cn vals ca in
-      buf.(!n) <- (addr lsl 1) lor (if is_write ca then 1 else 0);
-      incr n);
+  walk cn vals ~lo:iter ~hi:(iter + 1) (fun () ->
+      for b = 0 to Array.length body - 1 do
+        let ca = Array.unsafe_get body b in
+        buf.(!n) <- (addr_of cn vals ca lsl 1) lor (if is_write ca then 1 else 0);
+        incr n
+      done);
   !n
 
 (* Visit the accesses of one body reference whose per-reference
@@ -221,41 +229,23 @@ let iter_body_periodic ?(step = 0) t ~nest ~body ~first ~hi ~period f =
   if period <= 0 then
     invalid_arg "Trace.iter_body_periodic: non-positive period";
   if first < 0 then invalid_arg "Trace.iter_body_periodic: negative start";
-  let ninner = Array.length cn.inner in
   let inner_trip =
     Array.fold_left (fun acc l -> acc * Loop_nest.trip l) 1 cn.inner
   in
   if hi > cn.iterations * inner_trip then
     invalid_arg "Trace.iter_body_periodic: range beyond nest executions";
   let ca = cn.body.(body) in
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
+  let vals = fresh_vals cn step in
   if period = 1 then begin
     (* Dense: nested-loop walk from the enclosing iteration boundary,
        guarded by two compares per execution — no decode divisions. *)
     let c = ref (first / inner_trip * inner_trip) in
     try
-      for i = first / inner_trip to cn.iterations - 1 do
-        vals.(1) <- cn.par.lo + (i * cn.par.step);
-        let rec go d =
-          if d = ninner then begin
-            let cc = !c in
-            if cc >= hi then raise Exit;
-            if cc >= first then f ~exec:cc ~addr:(addr_of cn vals ca);
-            incr c
-          end
-          else begin
-            let l = cn.inner.(d) in
-            let v = ref l.lo in
-            while !v < l.hi do
-              vals.(d + 2) <- !v;
-              go (d + 1);
-              v := !v + l.step
-            done
-          end
-        in
-        go 0
-      done
+      walk cn vals ~lo:(first / inner_trip) ~hi:cn.iterations (fun () ->
+          let cc = !c in
+          if cc >= hi then raise Exit;
+          if cc >= first then f ~exec:cc ~addr:(addr_of cn vals ca);
+          incr c)
     with Exit -> ()
   end
   else begin
@@ -267,7 +257,7 @@ let iter_body_periodic ?(step = 0) t ~nest ~body ~first ~hi ~period f =
       let cc = !c in
       vals.(1) <- cn.par.lo + (cc / inner_trip * cn.par.step);
       let rem = ref (cc mod inner_trip) in
-      for d = ninner - 1 downto 0 do
+      for d = Array.length cn.inner - 1 downto 0 do
         let l = cn.inner.(d) in
         vals.(d + 2) <- l.lo + (!rem mod trips.(d) * l.step);
         rem := !rem / trips.(d)
@@ -294,9 +284,7 @@ let iter_body_line_blocks ?(step = 0) t ~nest ~body ~lo ~hi ~line f =
     invalid_arg "Trace.iter_body_line_blocks: bad range";
   if line <= 0 then invalid_arg "Trace.iter_body_line_blocks: bad line size";
   let ca = cn.body.(body) in
-  let ninner = Array.length cn.inner in
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
+  let vals = fresh_vals cn step in
   let at_leaf =
     match ca with
     | Cindirect _ ->
@@ -331,19 +319,9 @@ let iter_body_line_blocks ?(step = 0) t ~nest ~body ~lo ~hi ~line f =
             done
           end
   in
-  let rec go d =
-    if d = ninner then at_leaf ()
-    else begin
-      let l = cn.inner.(d) in
-      let v = ref l.lo in
-      while !v < l.hi do
-        vals.(d + 2) <- !v;
-        go (d + 1);
-        v := !v + l.step
-      done
-    end
-  in
-  go 0
+  (* The leaf walks the parallel iterations itself, innermost, so the
+     walker makes a single pass of its parallel loop. *)
+  walk cn vals ~lo:0 ~hi:1 at_leaf
 
 let decode_addr enc = enc lsr 1
 let decode_write enc = enc land 1 = 1
@@ -371,58 +349,3 @@ let direct_ref t ~nest ~body =
 let num_body_refs t ~nest = Array.length (get_nest t nest).body
 let par_loop t ~nest = (get_nest t nest).par
 let inner_loops t ~nest = Array.copy (get_nest t nest).inner
-
-(* ------------------------------------------------------------------ *)
-(* Preallocated replay scratch. [iter_range] allocates one loop-variable
-   vector per call; the observed replay calls it once per set per chunk
-   and its allocation-budget test wants the steady-state inner loop to
-   allocate nothing at all, so callers preallocate the vector once and
-   walk through it. *)
-
-type scratch = { mutable svals : int array }
-
-let make_scratch t =
-  let n =
-    Array.fold_left (fun acc cn -> max acc cn.nvars) 1 t.nests
-  in
-  { svals = Array.make n 0 }
-
-let scratch_vals sc cn =
-  if Array.length sc.svals < cn.nvars then
-    sc.svals <- Array.make cn.nvars 0;
-  sc.svals
-
-let iter_range_s ?(step = 0) t sc ~nest ~lo ~hi f =
-  let cn = get_nest t nest in
-  if lo < 0 || hi > cn.iterations || lo > hi then
-    invalid_arg "Trace.iter_range_s: bad range";
-  let vals = scratch_vals sc cn in
-  Array.fill vals 0 cn.nvars 0;
-  vals.(0) <- step;
-  (* The inner walk is open-coded here rather than delegated to
-     [iter_inner] so the recursive walker is built once per call, not
-     once per parallel iteration — the replay's allocation budget is
-     per {e set}, not per iteration. *)
-  let ninner = Array.length cn.inner in
-  let body = cn.body in
-  let nbody = Array.length body in
-  let rec go d =
-    if d = ninner then
-      for b = 0 to nbody - 1 do
-        let ca = Array.unsafe_get body b in
-        f ~addr:(addr_of cn vals ca) ~write:(is_write ca)
-      done
-    else begin
-      let l = cn.inner.(d) in
-      let v = ref l.lo in
-      while !v < l.hi do
-        vals.(d + 2) <- !v;
-        go (d + 1);
-        v := !v + l.step
-      done
-    end
-  in
-  for i = lo to hi - 1 do
-    vals.(1) <- cn.par.lo + (i * cn.par.step);
-    go 0
-  done

@@ -46,9 +46,12 @@ val iter_range :
   unit
 (** [iter_range t ~nest ~lo ~hi f] calls [f] for every access issued by
     parallel iterations [lo, hi) of [nest], in program order, with the
-    step variable bound to [step] (default 0). Raises
-    [Invalid_argument] on a range outside the nest's iteration space,
-    or if an indirection reads outside its index table. *)
+    step variable bound to [step] (default 0). A call allocates a
+    constant amount (the loop-variable vector and the walker) and
+    nothing per access, so the observed replay can stream a whole
+    trace through it. Raises [Invalid_argument] on a range outside the
+    nest's iteration space, or if an indirection reads outside its
+    index table. *)
 
 val fill_iteration :
   ?step:int -> t -> nest:int -> iter:int -> buf:int array -> int
@@ -148,35 +151,3 @@ val par_loop : t -> nest:int -> Loop_nest.loop
 val inner_loops : t -> nest:int -> Loop_nest.loop array
 (** Inner loops of a nest, outermost first (fresh copy) — the trip
     counts and steps the symbolic tier folds into its progressions. *)
-
-(** {2 Preallocated replay scratch}
-
-    {!iter_range} allocates one loop-variable vector per call. The
-    observed replay iterates set-by-set over the whole trace and its
-    inner loop must allocate {e zero} words per access (the
-    allocation-budget test gates this), so it preallocates the vector
-    once in a [scratch] and reuses it across every walk.
-
-    {b Thread safety}: a scratch is not thread-safe — it is private
-    mutable state of the single replay that made it; never share one
-    across domains. The trace itself stays immutable and freely
-    shareable. *)
-
-type scratch
-
-val make_scratch : t -> scratch
-(** A scratch sized for the largest nest of [t] (it grows if later used
-    with a bigger trace). *)
-
-val iter_range_s :
-  ?step:int ->
-  t ->
-  scratch ->
-  nest:int ->
-  lo:int ->
-  hi:int ->
-  (addr:int -> write:bool -> unit) ->
-  unit
-(** Exactly {!iter_range} — same order, same addresses — but walking
-    through the caller's [scratch] instead of allocating: the only
-    per-call cost beyond the walk is clearing the vector. *)

@@ -36,8 +36,6 @@ type core_state = {
   mutable buf_pos : int;
   mutable pend_pa : int;  (* physical address of pending shared tx; -1 *)
   mutable pend_write : bool;
-  mutable pend_victim : int;  (* victim line address; -1 *)
-  mutable pend_victim_dirty : bool;
   mutable time : int;
 }
 
@@ -93,8 +91,10 @@ type state = {
   stats : Stats.t;
   data_flits : int;
   shared : bool;
-  mutable deferred : deferred option array;
-  mutable deferred_count : int;
+  mutable deferred : deferred option array;  (* slot -> pending stage *)
+  mutable free_slots : int array;  (* stack of slots whose stage fired *)
+  mutable num_free : int;
+  mutable num_slots : int;  (* slots handed out so far *)
 }
 
 let new_core_state () =
@@ -110,8 +110,6 @@ let new_core_state () =
     buf_pos = 0;
     pend_pa = -1;
     pend_write = false;
-    pend_victim = -1;
-    pend_victim_dirty = false;
     time = 0;
   }
 
@@ -203,38 +201,54 @@ let finish_phase_core st cs t =
 
 let num_core_ids st = Array.length st.cores
 
+(* A deferred stage's heap id is [num_core_ids + slot]. Slots are
+   recycled once their stage fires, so the table is bounded by the
+   transactions in flight, not by run length; the heap orders by time
+   alone, so which slot an event gets cannot change the pop order. *)
 let schedule_deferred st ~time ev =
-  if st.deferred_count = Array.length st.deferred then begin
-    let bigger = Array.make (2 * Array.length st.deferred) None in
-    Array.blit st.deferred 0 bigger 0 st.deferred_count;
-    st.deferred <- bigger
-  end;
-  st.deferred.(st.deferred_count) <- Some ev;
-  Des.Event_heap.push st.heap ~time ~id:(num_core_ids st + st.deferred_count);
-  st.deferred_count <- st.deferred_count + 1
+  let slot =
+    if st.num_free > 0 then begin
+      st.num_free <- st.num_free - 1;
+      st.free_slots.(st.num_free)
+    end
+    else begin
+      let cap = Array.length st.deferred in
+      if st.num_slots = cap then begin
+        let bigger = Array.make (2 * cap) None in
+        Array.blit st.deferred 0 bigger 0 cap;
+        st.deferred <- bigger;
+        (* The free stack is empty here: nothing to copy. *)
+        st.free_slots <- Array.make (2 * cap) 0
+      end;
+      st.num_slots <- st.num_slots + 1;
+      st.num_slots - 1
+    end
+  in
+  st.deferred.(slot) <- Some ev;
+  Des.Event_heap.push st.heap ~time ~id:(num_core_ids st + slot)
 
 (* The core's pending access completed: consume it and resume. *)
 let resume_core st core t =
   let cs = st.cores.(core) in
   cs.pend_pa <- -1;
-  cs.pend_victim <- -1;
-  cs.pend_victim_dirty <- false;
   cs.buf_pos <- cs.buf_pos + 1;
   cs.time <- t;
   Des.Event_heap.push st.heap ~time:t ~id:core
 
 (* Execute the first stage of core [c]'s pending transaction at time
    [t]: inject the request and schedule the later stages at their own
-   times. *)
+   times. The core has been blocked since the miss that parked it, so
+   its private caches still report that miss's victim. *)
 let execute_shared st c t =
   let cs = st.cores.(c) in
   let pa = cs.pend_pa in
   let node = c in
   if not st.shared then begin
     (* Private LLC: the local bank already missed; fetch from memory. *)
-    if cs.pend_victim_dirty && cs.pend_victim >= 0 then
+    let l2 = st.l2.(c) in
+    if Cache.Sa_cache.last_victim_dirty l2 then
       schedule_deferred st ~time:t
-        (Wb_to_mc { src = node; victim = cs.pend_victim });
+        (Wb_to_mc { src = node; victim = Cache.Sa_cache.last_victim l2 });
     let mc = Addr_map.mc_of st.amap pa in
     let mcn = Addr_map.mc_node st.amap mc in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:mcn ~flits:1 in
@@ -244,9 +258,10 @@ let execute_shared st c t =
   else begin
     (* Shared LLC (S-NUCA): the L1 victim (if dirty) flows to its own
        home bank; the request travels to the line's home bank. *)
-    if cs.pend_victim_dirty && cs.pend_victim >= 0 then
+    let l1 = st.l1.(c) in
+    if Cache.Sa_cache.last_victim_dirty l1 then
       schedule_deferred st ~time:t
-        (Wb_to_bank { src = node; victim = cs.pend_victim });
+        (Wb_to_bank { src = node; victim = Cache.Sa_cache.last_victim l1 });
     let bank = Addr_map.bank_node_of st.amap pa in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:bank ~flits:1 in
     schedule_deferred st ~time:t1 (Bank_access { core = c })
@@ -260,20 +275,22 @@ let bank_access st ~core t =
   let t1 = max t st.bank_free.(bank) in
   let t2 = t1 + st.cfg.Config.l2_hit_lat in
   st.bank_free.(bank) <- t2;
-  match Cache.Sa_cache.access st.l2.(bank) ~addr:pa ~write:cs.pend_write with
-  | Cache.Sa_cache.Hit ->
-      st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
-      schedule_deferred st ~time:t2 (Resp_to_core { src = bank; core })
-  | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
-      st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
-      if victim_dirty && victim_line_addr >= 0 then
-        schedule_deferred st ~time:t2
-          (Wb_to_mc { src = bank; victim = victim_line_addr });
-      let mc = Addr_map.mc_of st.amap pa in
-      let mcn = Addr_map.mc_node st.amap mc in
-      let t3 = Noc.Network.send st.net ~now:t2 ~src:bank ~dst:mcn ~flits:1 in
-      let t4 = Mem.Dram.service st.drams.(mc) ~now:t3 ~addr:pa in
-      schedule_deferred st ~time:t4 (Resp_via_bank { mcn; bank; core })
+  let l2 = st.l2.(bank) in
+  if Cache.Sa_cache.access l2 ~addr:pa ~write:cs.pend_write then begin
+    st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
+    schedule_deferred st ~time:t2 (Resp_to_core { src = bank; core })
+  end
+  else begin
+    st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
+    if Cache.Sa_cache.last_victim_dirty l2 then
+      schedule_deferred st ~time:t2
+        (Wb_to_mc { src = bank; victim = Cache.Sa_cache.last_victim l2 });
+    let mc = Addr_map.mc_of st.amap pa in
+    let mcn = Addr_map.mc_node st.amap mc in
+    let t3 = Noc.Network.send st.net ~now:t2 ~src:bank ~dst:mcn ~flits:1 in
+    let t4 = Mem.Dram.service st.drams.(mc) ~now:t3 ~addr:pa in
+    schedule_deferred st ~time:t4 (Resp_via_bank { mcn; bank; core })
+  end
 
 let run_deferred st ev t =
   match ev with
@@ -302,6 +319,12 @@ let run_deferred st ev t =
         (Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits);
       st.stats.Stats.writebacks <- st.stats.Stats.writebacks + 1
 
+(* Park core [c]'s missed access as a pending shared transaction. *)
+let park st cs c ~pa ~write =
+  cs.pend_pa <- pa;
+  cs.pend_write <- write;
+  Des.Event_heap.push st.heap ~time:cs.time ~id:c
+
 (* Run core [c] forward from time [t] through private-level work until
    it needs a shared resource, exhausts its phase, or parks a pending
    transaction. *)
@@ -317,37 +340,32 @@ let advance_private st c t =
       let write = Ir.Trace.decode_write enc in
       let pa = Addr_map.translate st.amap va in
       st.stats.Stats.accesses <- st.stats.Stats.accesses + 1;
-      match Cache.Sa_cache.access st.l1.(c) ~addr:pa ~write with
-      | Cache.Sa_cache.Hit ->
-          st.stats.Stats.l1_hits <- st.stats.Stats.l1_hits + 1;
-          cs.time <- cs.time + st.cfg.Config.l1_hit_lat;
-          cs.buf_pos <- cs.buf_pos + 1
-      | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } -> (
-          st.stats.Stats.l1_misses <- st.stats.Stats.l1_misses + 1;
-          if st.shared then begin
-            (* Any L1 miss goes over the network to the home bank. *)
-            cs.pend_pa <- pa;
-            cs.pend_write <- write;
-            cs.pend_victim <- victim_line_addr;
-            cs.pend_victim_dirty <- victim_dirty;
-            Des.Event_heap.push st.heap ~time:cs.time ~id:c;
+      if Cache.Sa_cache.access st.l1.(c) ~addr:pa ~write then begin
+        st.stats.Stats.l1_hits <- st.stats.Stats.l1_hits + 1;
+        cs.time <- cs.time + st.cfg.Config.l1_hit_lat;
+        cs.buf_pos <- cs.buf_pos + 1
+      end
+      else begin
+        st.stats.Stats.l1_misses <- st.stats.Stats.l1_misses + 1;
+        if st.shared then begin
+          (* Any L1 miss goes over the network to the home bank. *)
+          park st cs c ~pa ~write;
+          continue := false
+        end
+        else begin
+          (* Private LLC: probe the local bank without network. *)
+          if Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write then begin
+            st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
+            cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
+            cs.buf_pos <- cs.buf_pos + 1
+          end
+          else begin
+            st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
+            park st cs c ~pa ~write;
             continue := false
           end
-          else
-            (* Private LLC: probe the local bank without network. *)
-            match Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write with
-            | Cache.Sa_cache.Hit ->
-                st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
-                cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
-                cs.buf_pos <- cs.buf_pos + 1
-            | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
-                st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
-                cs.pend_pa <- pa;
-                cs.pend_write <- write;
-                cs.pend_victim <- victim_line_addr;
-                cs.pend_victim_dirty <- victim_dirty;
-                Des.Event_heap.push st.heap ~time:cs.time ~id:c;
-                continue := false)
+        end
+      end
     end
     else if cs.iter < cs.iter_hi then begin
       (* Charge the iteration's arithmetic — with a deterministic
@@ -388,6 +406,8 @@ let process st id t =
     match st.deferred.(slot) with
     | Some ev ->
         st.deferred.(slot) <- None;
+        st.free_slots.(st.num_free) <- slot;
+        st.num_free <- st.num_free + 1;
         run_deferred st ev t
     | None -> invalid_arg "Engine: deferred event fired twice"
   end
@@ -483,7 +503,9 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
       data_flits = Config.data_flits cfg;
       shared = Cache.Llc.equal cfg.Config.llc_org Cache.Llc.Shared;
       deferred = Array.make 1024 None;
-      deferred_count = 0;
+      free_slots = Array.make 1024 0;
+      num_free = 0;
+      num_slots = 0;
     }
   in
   (* Size each core's iteration buffer for its job. *)

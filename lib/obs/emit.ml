@@ -1,5 +1,6 @@
-(* Kept byte-compatible with Service.Json printing: the service-side
-   tooling parses obs output with that decoder. *)
+(* The one JSON string and float encoder: Service.Json delegates to
+   [escape] and [float_repr], so obs output parses back through the
+   service decoder and prints identically. *)
 
 let escape buf s =
   Buffer.add_char buf '"';

@@ -1,13 +1,13 @@
 (** Deterministic JSON emission for the observability layer.
 
     [lib/obs] sits below the serving layer (it is used by [lib/par] and
-    [lib/core]), so it cannot reuse [Service.Json]; this is the tiny
-    write-only subset it needs. The encoding matches [Service.Json]
-    byte-for-byte on the values both can produce — compact, no
-    whitespace, fields in construction order, floats printed with the
-    shortest representation that round-trips — so metrics snapshots and
-    trace lines written here parse back through the service decoder and
-    two structurally equal values always print identically (the trace
+    [lib/core]), so it owns the JSON string and float encoders and
+    [Service.Json] delegates to {!escape} and {!float_repr}: one
+    encoder for both layers. Output is compact, with no whitespace,
+    fields in construction order, and floats printed with the shortest
+    representation that round-trips — so metrics snapshots and trace
+    lines written here parse back through the service decoder and two
+    structurally equal values always print identically (the trace
     byte-reproducibility guarantee rides on this).
 
     {b Thread safety}: stateless; every function allocates its own

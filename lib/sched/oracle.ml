@@ -18,7 +18,10 @@ type t = {
   region_of_core : int array;
 }
 
-let analyse ?pool ?metrics ?symbolic cfg name ~scale ~work_unit =
+(* Raw access counts per scheduler tick. *)
+let work_unit = 64
+
+let analyse ?pool ?metrics cfg name ~scale =
   let entry_ = Workloads.Registry.find name in
   let p = Harness.Experiment.prepare ~scale entry_ in
   let pt = Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size () in
@@ -28,7 +31,7 @@ let analyse ?pool ?metrics ?symbolic cfg name ~scale ~work_unit =
       ~fraction:cfg.Machine.Config.iter_set_fraction
   in
   let summaries =
-    Locmap.Analysis.cme_summaries ?pool ?metrics ?symbolic cfg amap
+    Locmap.Analysis.cme_summaries ?pool ?metrics cfg amap
       p.Harness.Experiment.trace ~sets
   in
   let merged =
@@ -47,11 +50,9 @@ let analyse ?pool ?metrics ?symbolic cfg name ~scale ~work_unit =
     alpha = Locmap.Summary.alpha merged;
   }
 
-let build ?pool ?metrics ?symbolic ?(beta = 0.8) ?(scale = 0.1)
-    ?(work_unit = 64) cfg names =
+let build ?pool ?metrics ?(beta = 0.8) ?(scale = 0.1) cfg names =
   if beta <= 0. then invalid_arg "Oracle.build: non-positive beta";
   if scale <= 0. then invalid_arg "Oracle.build: non-positive scale";
-  if work_unit <= 0 then invalid_arg "Oracle.build: non-positive work_unit";
   let regions = Locmap.Region.create cfg in
   let topo = Machine.Config.topology cfg in
   let num_mcs = Machine.Config.num_mcs cfg in
@@ -81,7 +82,7 @@ let build ?pool ?metrics ?symbolic ?(beta = 0.8) ?(scale = 0.1)
     (fun name ->
       if not (Hashtbl.mem entries name) then
         Hashtbl.replace entries name
-          (analyse ?pool ?metrics ?symbolic cfg name ~scale ~work_unit))
+          (analyse ?pool ?metrics cfg name ~scale))
     names;
   { cfg; regions; beta; order = names; entries; rm_dist; d_mc; d_rr;
     region_of_core }

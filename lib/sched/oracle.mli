@@ -54,20 +54,18 @@ type entry = {
 val build :
   ?pool:Par.Pool.t ->
   ?metrics:Obs.Metrics.t ->
-  ?symbolic:bool ->
   ?beta:float ->
   ?scale:float ->
-  ?work_unit:int ->
   Machine.Config.t ->
   string list ->
   t
 (** [build cfg names] analyses each named registry workload at input
     scale [scale] (default 0.1) on machine [cfg]. [beta] (default 0.8)
-    is the dilation strength; [work_unit] (default 64) divides raw
-    access counts into ticks. [pool], [metrics] and [symbolic] are
-    passed through to {!Locmap.Analysis.cme_summaries}. Raises
-    [Not_found] on an unknown workload name and [Invalid_argument] on
-    a non-positive [beta], [scale] or [work_unit]. *)
+    is the dilation strength; a tick of work is 64 raw accesses.
+    [pool] and [metrics] are passed through to
+    {!Locmap.Analysis.cme_summaries}. Raises [Not_found] on an unknown
+    workload name and [Invalid_argument] on a non-positive [beta] or
+    [scale]. *)
 
 val config : t -> Machine.Config.t
 

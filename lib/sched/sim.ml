@@ -181,7 +181,10 @@ let rec schedule_pass st t =
 
 (* ------------------------------------------------------------------ *)
 
-let run ?metrics ?(stretch_bound = 10) ~oracle ~policy specs =
+(* The bounded-slowdown floor, ticks. *)
+let stretch_bound = 10
+
+let run ?metrics ~oracle ~policy specs =
   let n = Array.length specs in
   let seen = Array.make n false in
   Array.iter

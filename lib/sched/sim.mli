@@ -65,7 +65,7 @@ type totals = {
   reservations : int;  (** head jobs that ever needed a promise *)
   makespan : int;  (** first arrival to last completion, ticks *)
   utilization : float;  (** busy core-ticks / (cores * makespan) *)
-  mean_stretch : float;  (** mean bounded slowdown, see [stretch_bound] *)
+  mean_stretch : float;  (** mean bounded slowdown, see {!run} *)
   max_stretch : float;
   miss_rate : float;  (** missed / (completed + missed) *)
   fragmentation : float;
@@ -82,16 +82,15 @@ type result = {
 
 val run :
   ?metrics:Obs.Metrics.t ->
-  ?stretch_bound:int ->
   oracle:Oracle.t ->
   policy:Policy.t ->
   Job.spec array ->
   result
 (** Jobs must have dense unique ids [0 .. n-1] (as {!Job.of_lines} and
     {!Synth.jobs} produce); raises [Invalid_argument] otherwise.
-    [stretch_bound] (default 10 ticks) is the bounded-slowdown floor:
-    a job's stretch is [max 1 ((finish - arrival) / max bound
-    runtime)]. [metrics] exports the per-policy counters
+    A job's stretch is its bounded slowdown,
+    [max 1 ((finish - arrival) / max 10 runtime)]: runtimes below 10
+    ticks count as 10. [metrics] exports the per-policy counters
     [locmap_sched_jobs_total{policy,outcome}],
     [locmap_sched_backfills_total], [locmap_sched_reservations_total],
     the [locmap_sched_stretch] and [locmap_sched_wait_ticks]

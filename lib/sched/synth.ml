@@ -1,16 +1,14 @@
-let default_demands = [| 1; 2; 4; 4; 6; 8; 8; 12; 16; 24 |]
+(* Mostly region-sized requests with occasional near-machine-wide
+   ones: enough big jobs to force reservations and fragmentation. *)
+let demands = [| 1; 2; 4; 4; 6; 8; 8; 12; 16; 24 |]
 
-let jobs ?(zipf_s = 1.1) ?(demands = default_demands) ?(slack = (2.0, 6.0))
-    ?(deadline_fraction = 1.0) ?(priority_levels = 1) ~oracle ~seed ~load ~n
-    () =
+(* Uniform deadline slack factor range. *)
+let slack_lo = 2.0
+let slack_hi = 6.0
+
+let jobs ?(zipf_s = 1.1) ~oracle ~seed ~load ~n () =
   if load <= 0. then invalid_arg "Synth.jobs: non-positive load";
   if n <= 0 then invalid_arg "Synth.jobs: non-positive n";
-  if Array.length demands = 0 then invalid_arg "Synth.jobs: empty demands";
-  let slack_lo, slack_hi = slack in
-  if slack_lo <= 0. || slack_lo > slack_hi then
-    invalid_arg "Synth.jobs: invalid slack range";
-  if priority_levels < 1 then
-    invalid_arg "Synth.jobs: priority_levels must be at least 1";
   let rng = Random.State.make [| seed |] in
   let names = Array.of_list (Oracle.names oracle) in
   let num_cores = Oracle.num_cores oracle in
@@ -27,26 +25,24 @@ let jobs ?(zipf_s = 1.1) ?(demands = default_demands) ?(slack = (2.0, 6.0))
   in
   let rate = load *. float_of_int num_cores /. mean_work in
   let times = Arrivals.poisson_times rng ~rate ~n in
-  (* 3. Per-job demand, priority and deadline draws, in job order. *)
+  (* 3. Per-job demand and deadline draws, in job order. *)
   Array.init n (fun k ->
       let name = mix.(k) in
       let arrival = int_of_float (Float.round times.(k)) in
       let demand =
         min num_cores demands.(Random.State.int rng (Array.length demands))
       in
-      let priority =
-        if priority_levels = 1 then 0 else Random.State.int rng priority_levels
-      in
       let deadline =
-        let u = Random.State.float rng 1. in
-        if u <= deadline_fraction then begin
-          let s = slack_lo +. Random.State.float rng (slack_hi -. slack_lo) in
-          let est = Oracle.estimate oracle name ~demand in
-          Some (arrival + max 1 (int_of_float (Float.ceil (s *. float_of_int est))))
-        end
-        else None
+        (* Every job gets a deadline. The leading uniform draw is part
+           of the documented draw order, so it is still consumed: a
+           seed keeps generating the same trace. *)
+        ignore (Random.State.float rng 1.);
+        let s = slack_lo +. Random.State.float rng (slack_hi -. slack_lo) in
+        let est = Oracle.estimate oracle name ~demand in
+        arrival + max 1 (int_of_float (Float.ceil (s *. float_of_int est)))
       in
-      { Job.id = k; name; arrival; demand; priority; deadline })
+      { Job.id = k; name; arrival; demand; priority = 0;
+        deadline = Some deadline })
 
 let to_trace specs =
   let b = Buffer.create 1024 in

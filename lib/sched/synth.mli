@@ -9,25 +9,15 @@
 
     Randomness is drawn from one [Random.State.t] seeded with [seed],
     in a fixed documented order (workload mix first, then arrival
-    instants, then per-job demand/priority/deadline draws), so a seed
+    instants, then per-job demand and deadline draws), so a seed
     fixes the whole trace — the byte-determinism guarantees of
     [locmap sched] and [bench/sched_bench.exe] start here.
 
     {b Thread safety}: pure generation — every call allocates its own
     RNG and returns fresh specs; safe from any domain. *)
 
-val default_demands : int array
-(** The demand mix jobs sample uniformly: mostly region-sized
-    requests with occasional near-machine-wide ones
-    ([1,2,4,4,6,8,8,12,16,24]) — enough big jobs to force
-    reservations and fragmentation. *)
-
 val jobs :
   ?zipf_s:float ->
-  ?demands:int array ->
-  ?slack:float * float ->
-  ?deadline_fraction:float ->
-  ?priority_levels:int ->
   oracle:Oracle.t ->
   seed:int ->
   load:float ->
@@ -36,15 +26,13 @@ val jobs :
   Job.spec array
 (** [jobs ~oracle ~seed ~load ~n ()] generates [n] specs with dense
     ids in arrival order. [zipf_s] (default 1.1) skews the workload
-    mix; [demands] (default {!default_demands}) are capped at the
-    machine's core count; [slack] (default [(2.0, 6.0)]) bounds the
-    uniform deadline slack factor — a job's deadline is its arrival
-    plus slack times its upper-bound estimate; [deadline_fraction]
-    (default 1.0) is the share of jobs that get a deadline at all;
-    [priority_levels] (default 1, i.e. all priority 0) samples
-    priorities uniformly in [0 .. levels-1]. Raises [Invalid_argument]
-    on a non-positive [load] or [n], an empty [demands], or a
-    [slack] pair with [lo > hi] or [lo <= 0]. *)
+    mix. Demands are drawn uniformly from [1,2,4,4,6,8,8,12,16,24] —
+    mostly region-sized requests with occasional near-machine-wide
+    ones, enough big jobs to force reservations and fragmentation —
+    and capped at the machine's core count. Every job has priority 0
+    and a deadline: its arrival plus a uniform slack factor in
+    [[2, 6)] times its upper-bound estimate. Raises [Invalid_argument]
+    on a non-positive [load] or [n]. *)
 
 val to_trace : Job.spec array -> string
 (** The trace-file text (one {!Job.to_line} per job plus a header

@@ -10,31 +10,10 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
-(* Shortest decimal representation that round-trips, so structurally
-   equal values always print byte-identically. *)
-let float_repr f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e16 then
-    Printf.sprintf "%.1f" f
-  else
-    let s = Printf.sprintf "%.15g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+(* The string and float encoders are the observability layer's, so
+   obs output and service output cannot drift apart. *)
+let escape = Obs.Emit.escape
+let float_repr = Obs.Emit.float_repr
 
 let rec add buf = function
   | Null -> Buffer.add_string buf "null"

@@ -67,7 +67,8 @@ let test_parallel_matches_sequential () =
 (* ------------------------------------------------------------------ *)
 (* The memoized map answers exactly like the direct address map, on
    random addresses inside the layout and beyond it (the fallback
-   path). *)
+   path): the packed location decodes to the direct bank node, region
+   and MC, and the identity flag holds wherever it is claimed. *)
 
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
@@ -81,31 +82,32 @@ let test_line_memo_matches_addr_map () =
       let memo = Locmap.Line_memo.create cfg amap layout in
       let regions = Locmap.Region.create cfg in
       check_bool (name ^ ": memoized") true (Locmap.Line_memo.memoized memo);
+      let identity = Locmap.Line_memo.identity_translation memo in
       let footprint = Ir.Layout.footprint layout in
       for _ = 1 to 2000 do
         (* 10% of probes land beyond the layout to hit the fallback. *)
+        let inside = Random.State.int rng 10 <> 0 in
         let va =
-          if Random.State.int rng 10 = 0 then
-            footprint + Random.State.int rng 65536
-          else Random.State.int rng (max 1 footprint)
+          if inside then Random.State.int rng (max 1 footprint)
+          else footprint + Random.State.int rng 65536
         in
         let pa = Machine.Addr_map.translate amap va in
-        check_int
-          (Printf.sprintf "%s: translate %d" name va)
-          pa
-          (Locmap.Line_memo.translate memo va);
+        if inside && identity then
+          check_int (Printf.sprintf "%s: identity at %d" name va) va pa;
+        let loc = Locmap.Line_memo.loc_of memo va in
         let node = Machine.Addr_map.bank_node_of amap pa in
         check_int
           (Printf.sprintf "%s: bank of %d" name va)
           node
-          (Locmap.Line_memo.bank_node_of memo va);
+          (Locmap.Line_memo.node_of_loc loc);
         check_int
           (Printf.sprintf "%s: region of %d" name va)
           (Locmap.Region.of_node regions node)
-          (Locmap.Line_memo.region_of memo va);
-        check_int
-          (Printf.sprintf "%s: mc of %d" name va)
-          (Machine.Addr_map.mc_of amap pa)
+          (Locmap.Line_memo.region_of_loc loc);
+        let mc = Machine.Addr_map.mc_of amap pa in
+        check_int (Printf.sprintf "%s: mc of %d" name va) mc
+          (Locmap.Line_memo.mc_of_loc loc);
+        check_int (Printf.sprintf "%s: mc_of %d" name va) mc
           (Locmap.Line_memo.mc_of memo va)
       done)
     [ "mxm"; "jacobi-3d"; "moldyn" ]

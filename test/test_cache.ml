@@ -7,10 +7,6 @@ let small () = Cache.Sa_cache.create ~size:1024 ~assoc:2 ~line_size:64 ()
 (* 1024 / 64 = 16 lines, 2-way -> 8 sets. Addresses [a] and
    [a + 8*64 = a + 512] collide in the same set. *)
 
-let is_hit = function
-  | Cache.Sa_cache.Hit -> true
-  | Cache.Sa_cache.Miss _ -> false
-
 let test_geometry () =
   let c = small () in
   check_int "sets" 8 (Cache.Sa_cache.num_sets c);
@@ -28,8 +24,8 @@ let test_geometry_errors () =
 
 let test_miss_then_hit () =
   let c = small () in
-  check_bool "cold miss" false (is_hit (Cache.Sa_cache.access c ~addr:0 ~write:false));
-  check_bool "hit" true (is_hit (Cache.Sa_cache.access c ~addr:32 ~write:false));
+  check_bool "cold miss" false (Cache.Sa_cache.access c ~addr:0 ~write:false);
+  check_bool "hit" true (Cache.Sa_cache.access c ~addr:32 ~write:false);
   check_int "hits" 1 (Cache.Sa_cache.hits c);
   check_int "misses" 1 (Cache.Sa_cache.misses c)
 
@@ -40,11 +36,11 @@ let test_lru_eviction () =
   ignore (Cache.Sa_cache.access c ~addr:512 ~write:false);
   (* Touch 0 again so 512 becomes LRU. *)
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:false);
-  (match Cache.Sa_cache.access c ~addr:1024 ~write:false with
-  | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
-      check_int "LRU victim" 512 victim_line_addr;
-      check_bool "clean victim" false victim_dirty
-  | Cache.Sa_cache.Hit -> Alcotest.fail "expected a miss");
+  check_bool "miss" false (Cache.Sa_cache.access c ~addr:1024 ~write:false);
+  check_int "LRU victim" 512 (Cache.Sa_cache.last_victim c);
+  check_bool "clean victim" false (Cache.Sa_cache.last_victim_dirty c);
+  check_bool "hit" true (Cache.Sa_cache.access c ~addr:0 ~write:false);
+  check_int "a hit keeps the last victim" 512 (Cache.Sa_cache.last_victim c);
   check_bool "0 survived" true (Cache.Sa_cache.probe c ~addr:0);
   check_bool "512 evicted" false (Cache.Sa_cache.probe c ~addr:512)
 
@@ -52,11 +48,9 @@ let test_dirty_writeback () =
   let c = small () in
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:true);
   ignore (Cache.Sa_cache.access c ~addr:512 ~write:false);
-  (match Cache.Sa_cache.access c ~addr:1024 ~write:false with
-  | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
-      check_int "dirty victim is line 0" 0 victim_line_addr;
-      check_bool "dirty" true victim_dirty
-  | Cache.Sa_cache.Hit -> Alcotest.fail "expected a miss");
+  check_bool "miss" false (Cache.Sa_cache.access c ~addr:1024 ~write:false);
+  check_int "dirty victim is line 0" 0 (Cache.Sa_cache.last_victim c);
+  check_bool "dirty" true (Cache.Sa_cache.last_victim_dirty c);
   check_int "writebacks counted" 1 (Cache.Sa_cache.writebacks c)
 
 let test_write_hit_marks_dirty () =
@@ -64,10 +58,9 @@ let test_write_hit_marks_dirty () =
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:false);
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:true);
   ignore (Cache.Sa_cache.access c ~addr:512 ~write:false);
-  match Cache.Sa_cache.access c ~addr:1024 ~write:false with
-  | Cache.Sa_cache.Miss { victim_dirty; _ } ->
-      check_bool "write hit dirtied the line" true victim_dirty
-  | Cache.Sa_cache.Hit -> Alcotest.fail "expected a miss"
+  check_bool "miss" false (Cache.Sa_cache.access c ~addr:1024 ~write:false);
+  check_bool "write hit dirtied the line" true
+    (Cache.Sa_cache.last_victim_dirty c)
 
 let test_probe_no_side_effect () =
   let c = small () in
@@ -96,9 +89,9 @@ let test_full_way_residency () =
   (* Fill both ways of one set, re-touch both: all hits. *)
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:false);
   ignore (Cache.Sa_cache.access c ~addr:512 ~write:false);
-  check_bool "way 1 resident" true (is_hit (Cache.Sa_cache.access c ~addr:0 ~write:false));
+  check_bool "way 1 resident" true (Cache.Sa_cache.access c ~addr:0 ~write:false);
   check_bool "way 2 resident" true
-    (is_hit (Cache.Sa_cache.access c ~addr:512 ~write:false))
+    (Cache.Sa_cache.access c ~addr:512 ~write:false)
 
 (* Property: a sequential sweep larger than the cache yields exactly one
    miss per line (streaming), and a re-sweep of a cache-sized prefix

@@ -60,17 +60,17 @@ let qcheck_cache_matches_reference =
       let r = Ref_cache.create ~size:1024 ~assoc:2 ~line_size:64 () in
       List.for_all
         (fun (addr, write) ->
-          let got = Cache.Sa_cache.access c ~addr ~write in
+          let hit = Cache.Sa_cache.access c ~addr ~write in
           let hit_ref, victim_ref = Ref_cache.access r ~addr ~write in
-          match got with
-          | Cache.Sa_cache.Hit -> hit_ref
-          | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } -> (
-              (not hit_ref)
-              &&
-              match victim_ref with
-              | None -> victim_line_addr = -1
-              | Some (vline, vdirty) ->
-                  victim_line_addr = vline * 64 && victim_dirty = vdirty))
+          let victim = Cache.Sa_cache.last_victim c in
+          hit = hit_ref
+          && (hit
+             ||
+             match victim_ref with
+             | None -> victim = -1
+             | Some (vline, vdirty) ->
+                 victim = vline * 64
+                 && Cache.Sa_cache.last_victim_dirty c = vdirty))
         trace)
 
 (* ------------------------------------------------------------------ *)
@@ -90,6 +90,11 @@ let fresh_cache () =
   let size, assoc, line = cache_geometry in
   Cache.Sa_cache.create ~size ~assoc ~line_size:line ()
 
+(* One access: [None] on a hit, [Some (victim, dirty)] on a miss. *)
+let outcome c ~addr ~write =
+  if Cache.Sa_cache.access c ~addr ~write then None
+  else Some (Cache.Sa_cache.last_victim c, Cache.Sa_cache.last_victim_dirty c)
+
 let set_of_line line =
   let size, assoc, lsz = cache_geometry in
   line mod (size / lsz / assoc)
@@ -107,9 +112,9 @@ let qcheck_invalid_ways_filled_first =
         (fun (addr, write) ->
           let l = addr / line in
           let s = set_of_line l in
-          match Cache.Sa_cache.access c ~addr ~write with
-          | Cache.Sa_cache.Hit -> List.mem l resident.(s)
-          | Cache.Sa_cache.Miss { victim_line_addr; _ } ->
+          match outcome c ~addr ~write with
+          | None -> List.mem l resident.(s)
+          | Some (victim_line_addr, _) ->
               let ok =
                 if List.length resident.(s) < assoc then
                   (* a free (invalid) way existed: nothing evicted *)
@@ -144,9 +149,9 @@ let qcheck_lru_victim_order =
             else Some (List.nth recency.(s) (assoc - 1))
           in
           let ok =
-            match Cache.Sa_cache.access c ~addr ~write with
-            | Cache.Sa_cache.Hit -> hit
-            | Cache.Sa_cache.Miss { victim_line_addr; _ } -> (
+            match outcome c ~addr ~write with
+            | None -> hit
+            | Some (victim_line_addr, _) -> (
                 (not hit)
                 &&
                 match expected_victim with
@@ -177,9 +182,9 @@ let qcheck_writebacks_dirty_victims_only =
       List.iter
         (fun (addr, write) ->
           let l = addr / line in
-          (match Cache.Sa_cache.access c ~addr ~write with
-          | Cache.Sa_cache.Hit -> ()
-          | Cache.Sa_cache.Miss { victim_line_addr; victim_dirty } ->
+          (match outcome c ~addr ~write with
+          | None -> ()
+          | Some (victim_line_addr, victim_dirty) ->
               if victim_line_addr >= 0 then begin
                 let v = victim_line_addr / line in
                 let was_dirty = Hashtbl.mem dirty v in
@@ -201,9 +206,9 @@ let qcheck_counter_consistency =
       let hits = ref 0 and misses = ref 0 in
       List.iter
         (fun (addr, write) ->
-          match Cache.Sa_cache.access c ~addr ~write with
-          | Cache.Sa_cache.Hit -> incr hits
-          | Cache.Sa_cache.Miss _ -> incr misses)
+          match outcome c ~addr ~write with
+          | None -> incr hits
+          | Some _ -> incr misses)
         trace;
       Cache.Sa_cache.hits c = !hits
       && Cache.Sa_cache.misses c = !misses

@@ -1,8 +1,8 @@
 (* Tests for the trace-free symbolic CME tier and the allocation-free
    observed replay: plan decomposition against the brute-force
    classifier law, symbolic-vs-walker equivalence over the whole
-   registry, tier coverage accounting, Affine algebra laws,
-   access_hit = access, and the replay allocation budget. *)
+   registry, tier coverage accounting, Affine algebra laws, and the
+   replay allocation budget. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -248,33 +248,8 @@ let qcheck_affine_eval_decomposes =
             0 (Ir.Affine.vars a))
 
 (* ------------------------------------------------------------------ *)
-(* access_hit is access: same verdicts, same statistics, under random
-   interleaving of the two entry points on mirrored caches. *)
-
-let qcheck_access_hit_equals_access =
-  QCheck.Test.make ~name:"access_hit = access (mirrored interleaving)"
-    ~count:50
-    QCheck.(list_of_size Gen.(int_range 1 400) (pair (int_bound 8192) bool))
-    (fun ops ->
-      let mk () = Cache.Sa_cache.create ~size:2048 ~assoc:4 ~line_size:32 () in
-      let a = mk () and b = mk () in
-      List.for_all
-        (fun (addr, write) ->
-          let ha =
-            match Cache.Sa_cache.access a ~addr ~write with
-            | Cache.Sa_cache.Hit -> true
-            | Cache.Sa_cache.Miss _ -> false
-          in
-          let hb = Cache.Sa_cache.access_hit b ~addr ~write in
-          ha = hb)
-        ops
-      && Cache.Sa_cache.hits a = Cache.Sa_cache.hits b
-      && Cache.Sa_cache.misses a = Cache.Sa_cache.misses b
-      && Cache.Sa_cache.writebacks a = Cache.Sa_cache.writebacks b)
-
-(* ------------------------------------------------------------------ *)
 (* Replay allocation budget: one observed replay allocates a constant
-   amount (caches, summaries, scratch, closures) — nothing per access.
+   amount (caches, summaries, per-set walkers) — nothing per access.
    mxm at this scale streams ~1.8M accesses, so even one word per
    access would allocate ~14 MB; the budget below only covers the
    setup. *)
@@ -303,9 +278,9 @@ let test_replay_allocation_budget () =
     (Locmap.Analysis.observed_summaries ~warm_pass:false ~memo cfg amap trace
        ~sets);
   let allocated = Gc.allocated_bytes () -. before in
-  (* Setup for this configuration (one private bank, the summaries, the
-     scratch, four closures per set) stays well under 2 MB; a single
-     word per access would exceed 14 MB. *)
+  (* Setup for this configuration (one private bank, the summaries, a
+     loop-variable vector and closures per set) stays well under 2 MB;
+     a single word per access would exceed 14 MB. *)
   check_bool
     (Printf.sprintf "replay allocated %.0f bytes for %d accesses" allocated
        accesses)
@@ -333,8 +308,6 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_affine_coeff_structure;
           QCheck_alcotest.to_alcotest qcheck_affine_eval_decomposes;
         ] );
-      ( "cache",
-        [ QCheck_alcotest.to_alcotest qcheck_access_hit_equals_access ] );
       ( "allocation",
         [
           Alcotest.test_case "replay allocates nothing per access" `Quick
