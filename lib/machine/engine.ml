@@ -352,18 +352,16 @@ let advance_private st c t =
           park st cs c ~pa ~write;
           continue := false
         end
+        (* Private LLC: probe the local bank without network. *)
+        else if Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write then begin
+          st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
+          cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
+          cs.buf_pos <- cs.buf_pos + 1
+        end
         else begin
-          (* Private LLC: probe the local bank without network. *)
-          if Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write then begin
-            st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
-            cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
-            cs.buf_pos <- cs.buf_pos + 1
-          end
-          else begin
-            st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
-            park st cs c ~pa ~write;
-            continue := false
-          end
+          st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
+          park st cs c ~pa ~write;
+          continue := false
         end
       end
     end
