@@ -48,11 +48,11 @@ bench-resilience:
 bench-resilience-smoke:
 	dune exec bench/resilience_bench.exe -- --smoke
 
-# Observability cost: the serving path with no obs handles vs
-# registered-but-disabled vs enabled metrics+tracer (targets: ~0%
-# disabled, < 2% enabled), plus ns/op for the individual instrument
-# operations. Exit code reflects only response byte-equality across
-# the three variants; timings are informational.
+# Observability cost: the serving path with no caller handles (the
+# always-on private registry) vs a caller registry plus an enabled
+# tracer (target < 2%), plus ns/op for a counter increment and a
+# histogram observation. Exit code reflects only response
+# byte-equality across the two variants; timings are informational.
 bench-obs:
 	dune exec bench/obs_bench.exe
 

@@ -236,12 +236,7 @@ let experiments_cmd =
 
 let verify_options_of (o : Service.Request.options) =
   {
-    Verify.estimation =
-      (match o.Service.Request.estimation with
-      | Service.Request.Auto -> None
-      | Service.Request.Cme -> Some Locmap.Mapper.Cme_estimate
-      | Service.Request.Inspector -> Some Locmap.Mapper.Inspector
-      | Service.Request.Oracle -> Some Locmap.Mapper.Oracle);
+    Verify.estimation = o.Service.Request.estimation;
     fraction = o.Service.Request.fraction;
     balance = o.Service.Request.balance;
     alpha_override = o.Service.Request.alpha_override;

@@ -65,7 +65,6 @@ let fresh_stats () =
   }
 
 type cme_instruments = {
-  ci_im : Obs.Metrics.t;
   ci_accesses : Obs.Metrics.counter;
   ci_bulk_l1_hits : Obs.Metrics.counter;
   ci_visited : Obs.Metrics.counter;
@@ -77,7 +76,6 @@ type cme_instruments = {
 
 let cme_instruments im =
   {
-    ci_im = im;
     ci_accesses =
       Obs.Metrics.counter im
         ~help:"accesses classified by the CME closed form"
@@ -109,15 +107,13 @@ let cme_instruments im =
   }
 
 let flush_stats ci st =
-  if Obs.Metrics.is_enabled ci.ci_im then begin
-    Obs.Metrics.add ci.ci_accesses st.st_accesses;
-    Obs.Metrics.add ci.ci_bulk_l1_hits st.st_bulk_l1_hits;
-    Obs.Metrics.add ci.ci_visited st.st_visited;
-    Obs.Metrics.add ci.ci_line_blocks st.st_line_blocks;
-    Obs.Metrics.add ci.ci_symbolic st.st_symbolic;
-    Obs.Metrics.add ci.ci_periodic st.st_periodic;
-    Obs.Metrics.add ci.ci_traced st.st_traced
-  end
+  Obs.Metrics.add ci.ci_accesses st.st_accesses;
+  Obs.Metrics.add ci.ci_bulk_l1_hits st.st_bulk_l1_hits;
+  Obs.Metrics.add ci.ci_visited st.st_visited;
+  Obs.Metrics.add ci.ci_line_blocks st.st_line_blocks;
+  Obs.Metrics.add ci.ci_symbolic st.st_symbolic;
+  Obs.Metrics.add ci.ci_periodic st.st_periodic;
+  Obs.Metrics.add ci.ci_traced st.st_traced
 
 (* ---- Symbolic tier: progression resolution against the memo ---- *)
 

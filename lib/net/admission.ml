@@ -1,33 +1,23 @@
-type instruments = {
+type t = {
+  limit : int;
+  inflight : int Atomic.t;  (* the budget itself: synchronisation *)
   inflight_gauge : Obs.Metrics.gauge;
   admitted : Obs.Metrics.counter;
 }
 
-type t = {
-  limit : int;
-  inflight : int Atomic.t;
-  admitted_total : int Atomic.t;
-  obs : instruments option;
-}
-
 let create ?metrics ~limit () =
   if limit <= 0 then invalid_arg "Admission.create: limit must be positive";
-  let obs =
-    match metrics with
-    | None -> None
-    | Some im ->
-        Some
-          {
-            inflight_gauge =
-              Obs.Metrics.gauge im ~help:"requests admitted, not yet answered"
-                "locmap_net_inflight";
-            admitted =
-              Obs.Metrics.counter im
-                ~help:"requests admitted into computation"
-                "locmap_net_admitted_total";
-          }
+  let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  (* Registration order is snapshot order. *)
+  let admitted =
+    Obs.Metrics.counter im ~help:"requests admitted into computation"
+      "locmap_net_admitted_total"
   in
-  { limit; inflight = Atomic.make 0; admitted_total = Atomic.make 0; obs }
+  let inflight_gauge =
+    Obs.Metrics.gauge im ~help:"requests admitted, not yet answered"
+      "locmap_net_inflight"
+  in
+  { limit; inflight = Atomic.make 0; inflight_gauge; admitted }
 
 let limit t = t.limit
 
@@ -35,12 +25,8 @@ let rec try_acquire t =
   let cur = Atomic.get t.inflight in
   if cur >= t.limit then false
   else if Atomic.compare_and_set t.inflight cur (cur + 1) then begin
-    Atomic.incr t.admitted_total;
-    (match t.obs with
-    | Some i ->
-        Obs.Metrics.add_gauge i.inflight_gauge 1;
-        Obs.Metrics.incr i.admitted
-    | None -> ());
+    Obs.Metrics.add_gauge t.inflight_gauge 1;
+    Obs.Metrics.incr t.admitted;
     true
   end
   else try_acquire t
@@ -49,10 +35,8 @@ let rec release t =
   let cur = Atomic.get t.inflight in
   if cur <= 0 then invalid_arg "Admission.release: no slot held"
   else if Atomic.compare_and_set t.inflight cur (cur - 1) then
-    match t.obs with
-    | Some i -> Obs.Metrics.add_gauge i.inflight_gauge (-1)
-    | None -> ()
+    Obs.Metrics.add_gauge t.inflight_gauge (-1)
   else release t
 
 let in_flight t = Atomic.get t.inflight
-let admitted_total t = Atomic.get t.admitted_total
+let admitted_total t = Obs.Metrics.counter_value t.admitted

@@ -25,9 +25,12 @@ type t
 
 val create : ?metrics:Obs.Metrics.t -> limit:int -> unit -> t
 (** Raises [Invalid_argument] on a non-positive [limit]
-    (construction-time caller contract). [metrics] registers
+    (construction-time caller contract). Registers
     [locmap_net_inflight] (gauge: admitted, not yet released) and
-    [locmap_net_admitted_total] (counter). *)
+    [locmap_net_admitted_total] (counter, read by {!admitted_total}) in
+    [metrics], or in a private registry. Registration is idempotent, so
+    two budgets created on one registry share these counters; the slot
+    count itself ({!in_flight}) is always per budget. *)
 
 val limit : t -> int
 
@@ -43,4 +46,5 @@ val in_flight : t -> int
 (** Slots currently held (between 0 and [limit]). *)
 
 val admitted_total : t -> int
-(** Successful {!try_acquire}s since creation. *)
+(** Successful {!try_acquire}s since creation: the value of
+    [locmap_net_admitted_total]. *)

@@ -17,11 +17,6 @@ let default_config =
   { window = 64; min_events = 16; trip_ratio = 0.5; open_ms = 1_000.;
     probes = 3 }
 
-type instruments = {
-  i_state : Obs.Metrics.gauge;
-  i_trips : Obs.Metrics.counter;
-}
-
 type t = {
   cfg : config;
   now : unit -> int64;
@@ -34,8 +29,8 @@ type t = {
   mutable opened_at : int64;  (* guarded by [t.lock] *)
   mutable probes_out : int;  (* guarded by [t.lock] *)
   mutable probes_ok : int;  (* guarded by [t.lock] *)
-  trips : int Atomic.t;
-  obs : instruments option;
+  state_gauge : Obs.Metrics.gauge;
+  trips : Obs.Metrics.counter;
 }
 
 let gauge_of_state = function Closed -> 0 | Half_open -> 1 | Open -> 2
@@ -49,19 +44,15 @@ let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
   if cfg.open_ms <= 0. then
     invalid_arg "Breaker.create: open_ms must be positive";
   if cfg.probes < 1 then invalid_arg "Breaker.create: probes must be >= 1";
-  let obs =
-    Option.map
-      (fun im ->
-        {
-          i_state =
-            Obs.Metrics.gauge im
-              ~help:"breaker state (0 closed, 1 half-open, 2 open)"
-              "locmap_net_breaker_state";
-          i_trips =
-            Obs.Metrics.counter im ~help:"breaker trips into brownout"
-              "locmap_net_breaker_trips_total";
-        })
-      metrics
+  let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  (* Registration order is snapshot order. *)
+  let trips =
+    Obs.Metrics.counter im ~help:"breaker trips into brownout"
+      "locmap_net_breaker_trips_total"
+  in
+  let state_gauge =
+    Obs.Metrics.gauge im ~help:"breaker state (0 closed, 1 half-open, 2 open)"
+      "locmap_net_breaker_state"
   in
   {
     cfg;
@@ -75,17 +66,15 @@ let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
     opened_at = 0L;
     probes_out = 0;
     probes_ok = 0;
-    trips = Atomic.make 0;
-    obs;
+    state_gauge;
+    trips;
   }
 
 (* All three helpers below run with [t.lock] held. *)
 
 let set_state t st =
   t.st <- st;
-  match t.obs with
-  | Some i -> Obs.Metrics.set_gauge i.i_state (gauge_of_state st)
-  | None -> ()
+  Obs.Metrics.set_gauge t.state_gauge (gauge_of_state st)
 
 let clear_window t =
   Array.fill t.ring 0 (Array.length t.ring) false;
@@ -94,8 +83,7 @@ let clear_window t =
   t.bad <- 0
 
 let trip t =
-  Atomic.incr t.trips;
-  (match t.obs with Some i -> Obs.Metrics.incr i.i_trips | None -> ());
+  Obs.Metrics.incr t.trips;
   t.opened_at <- t.now ();
   t.probes_out <- 0;
   t.probes_ok <- 0;
@@ -153,4 +141,4 @@ let record t ~ok =
           then trip t)
 
 let state t = Mutex.protect t.lock (fun () -> t.st)
-let trips_total t = Atomic.get t.trips
+let trips_total t = Obs.Metrics.counter_value t.trips

@@ -50,10 +50,13 @@ val default_config : config
 type t
 
 val create : ?metrics:Obs.Metrics.t -> ?now:(unit -> int64) -> config -> t
-(** Raises [Invalid_argument] on an out-of-range field. [metrics]
-    registers [locmap_net_breaker_state] (gauge: 0 closed, 1
-    half-open, 2 open) and [locmap_net_breaker_trips_total] (counter).
-    [now] supplies monotonic nanoseconds. *)
+(** Raises [Invalid_argument] on an out-of-range field. Registers
+    [locmap_net_breaker_state] (gauge: 0 closed, 1 half-open, 2 open)
+    and [locmap_net_breaker_trips_total] (counter, read by
+    {!trips_total}) in [metrics], or in a private registry.
+    Registration is idempotent, so two breakers created on one
+    registry share these instruments. [now] supplies monotonic
+    nanoseconds. *)
 
 val allow : t -> bool
 (** May fresh compute proceed? Closed: always. Open: [false] until
@@ -73,4 +76,5 @@ val state : t -> state
     Half-open movement happens in {!allow}). *)
 
 val trips_total : t -> int
-(** Times the breaker has tripped (Closed/Half-open → Open). *)
+(** Times the breaker has tripped (Closed/Half-open → Open): the value
+    of [locmap_net_breaker_trips_total]. *)

@@ -101,22 +101,13 @@ let of_spec s =
   | exception Invalid_argument m -> Error m
 
 (* ------------------------------------------------------------------ *)
-(* Seeded decisions — the same MD5 construction as
-   [Service.Fault_injection.coin]: pure in the full decision identity,
-   so identical seeds draw identical outcomes whatever the
-   scheduling. *)
+(* Seeded decisions through [Service.Fault_injection.coin]: pure in the
+   full decision identity, so identical seeds draw identical outcomes
+   whatever the scheduling. *)
 
 let coin plan ~conn ~op ~index =
-  let d =
-    Digest.string (Printf.sprintf "%d|%d|%s|%d" plan.seed conn op index)
-  in
-  let bits =
-    (Char.code d.[0] lsl 22)
-    lor (Char.code d.[1] lsl 14)
-    lor (Char.code d.[2] lsl 6)
-    lor (Char.code d.[3] lsr 2)
-  in
-  float_of_int bits /. 1073741824.0 (* 2^30 *)
+  Service.Fault_injection.coin
+    (Printf.sprintf "%d|%d|%s|%d" plan.seed conn op index)
 
 (* Connection-confined by contract (see the .mli): one handler domain
    owns each wrapper, so the mutable counters need no lock. *)

@@ -11,20 +11,14 @@ type bucket = {
   mutable last_ns : int64;  (* guarded by [t.lock] *)
 }
 
-type instruments = {
-  i_denied : Obs.Metrics.counter;
-  i_evictions : Obs.Metrics.counter;
-  i_clients : Obs.Metrics.gauge;
-}
-
 type t = {
   cfg : config;
   now : unit -> int64;
   lock : Mutex.t;  (** guards [buckets] and every bucket's fields *)
   buckets : (string, bucket) Hashtbl.t;
-  denied : int Atomic.t;
-  evictions : int Atomic.t;
-  obs : instruments option;
+  denied : Obs.Metrics.counter;
+  evictions : Obs.Metrics.counter;
+  clients_gauge : Obs.Metrics.gauge;
 }
 
 let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
@@ -32,32 +26,28 @@ let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
   if cfg.burst < 1. then invalid_arg "Quota.create: burst must be >= 1";
   if cfg.max_clients < 1 then
     invalid_arg "Quota.create: max_clients must be positive";
-  let obs =
-    Option.map
-      (fun im ->
-        {
-          i_denied =
-            Obs.Metrics.counter im
-              ~help:"requests shed by a per-client quota"
-              "locmap_net_quota_denied_total";
-          i_evictions =
-            Obs.Metrics.counter im
-              ~help:"idle clients evicted from the quota table"
-              "locmap_net_quota_evictions_total";
-          i_clients =
-            Obs.Metrics.gauge im ~help:"clients tracked by the quota table"
-              "locmap_net_quota_clients";
-        })
-      metrics
+  let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  (* Registration order is snapshot order. *)
+  let clients_gauge =
+    Obs.Metrics.gauge im ~help:"clients tracked by the quota table"
+      "locmap_net_quota_clients"
+  in
+  let evictions =
+    Obs.Metrics.counter im ~help:"idle clients evicted from the quota table"
+      "locmap_net_quota_evictions_total"
+  in
+  let denied =
+    Obs.Metrics.counter im ~help:"requests shed by a per-client quota"
+      "locmap_net_quota_denied_total"
   in
   {
     cfg;
     now;
     lock = Mutex.create ();
     buckets = Hashtbl.create 64;
-    denied = Atomic.make 0;
-    evictions = Atomic.make 0;
-    obs;
+    denied;
+    evictions;
+    clients_gauge;
   }
 
 (* Longest-idle eviction: linear scan over a table bounded by
@@ -76,10 +66,7 @@ let evict_oldest t =
   | None -> ()
   | Some (k, _) ->
       Hashtbl.remove t.buckets k;
-      Atomic.incr t.evictions;
-      (match t.obs with
-      | Some i -> Obs.Metrics.incr i.i_evictions
-      | None -> ())
+      Obs.Metrics.incr t.evictions
 
 let try_take t client =
   let now = t.now () in
@@ -107,18 +94,12 @@ let try_take t client =
               evict_oldest t;
             Hashtbl.replace t.buckets client
               { tokens = t.cfg.burst -. 1.; last_ns = now };
-            (match t.obs with
-            | Some i ->
-                Obs.Metrics.set_gauge i.i_clients (Hashtbl.length t.buckets)
-            | None -> ());
+            Obs.Metrics.set_gauge t.clients_gauge (Hashtbl.length t.buckets);
             true)
   in
-  if not taken then begin
-    Atomic.incr t.denied;
-    match t.obs with Some i -> Obs.Metrics.incr i.i_denied | None -> ()
-  end;
+  if not taken then Obs.Metrics.incr t.denied;
   taken
 
 let clients t = Mutex.protect t.lock (fun () -> Hashtbl.length t.buckets)
-let denied_total t = Atomic.get t.denied
-let evictions_total t = Atomic.get t.evictions
+let denied_total t = Obs.Metrics.counter_value t.denied
+let evictions_total t = Obs.Metrics.counter_value t.evictions

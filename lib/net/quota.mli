@@ -38,10 +38,13 @@ type t
 
 val create : ?metrics:Obs.Metrics.t -> ?now:(unit -> int64) -> config -> t
 (** Raises [Invalid_argument] on a non-positive [rate], a [burst]
-    below 1, or a non-positive [max_clients]. [metrics] registers
+    below 1, or a non-positive [max_clients]. Registers
     [locmap_net_quota_denied_total], [locmap_net_quota_evictions_total]
-    (counters) and [locmap_net_quota_clients] (gauge). [now] supplies
-    monotonic nanoseconds (tests inject a fake clock). *)
+    (counters, read by {!denied_total} and {!evictions_total}) and
+    [locmap_net_quota_clients] (gauge) in [metrics], or in a private
+    registry. Registration is idempotent, so two quota tables created
+    on one registry share these instruments. [now] supplies monotonic
+    nanoseconds (tests inject a fake clock). *)
 
 val try_take : t -> string -> bool
 (** [try_take t client] spends one token from [client]'s bucket:

@@ -75,6 +75,7 @@ type instruments = {
 }
 
 let instruments im =
+  let counter help name = Obs.Metrics.counter im ~help name in
   let shed reason =
     Obs.Metrics.counter im
       ~labels:[ ("reason", reason) ]
@@ -82,49 +83,40 @@ let instruments im =
   in
   {
     i_conns_accepted =
-      Obs.Metrics.counter im ~help:"connections accepted"
-        "locmap_net_conns_accepted_total";
+      counter "connections accepted" "locmap_net_conns_accepted_total";
     i_conns_rejected =
-      Obs.Metrics.counter im
-        ~help:"connections refused over the connection cap"
+      counter "connections refused over the connection cap"
         "locmap_net_conns_rejected_total";
     i_conns_active =
       Obs.Metrics.gauge im ~help:"connections currently open"
         "locmap_net_conns_active";
     i_frames =
-      Obs.Metrics.counter im
-        ~help:"complete line frames received (blank/comment included)"
+      counter "complete line frames received (blank/comment included)"
         "locmap_net_frames_total";
     i_requests =
-      Obs.Metrics.counter im ~help:"lines processed (parsed or malformed)"
+      counter "lines processed (parsed or malformed)"
         "locmap_net_requests_total";
     i_shed_inflight = shed "inflight";
     i_shed_draining = shed "draining";
     i_shed_quota = shed "quota";
     i_shed_brownout = shed "brownout";
     i_brownout_cached =
-      Obs.Metrics.counter im
-        ~help:"brownout requests answered from the solution cache"
+      counter "brownout requests answered from the solution cache"
         "locmap_net_brownout_cached_total";
     i_brownout_degraded =
-      Obs.Metrics.counter im
-        ~help:"brownout requests answered with the fallback mapping"
+      counter "brownout requests answered with the fallback mapping"
         "locmap_net_brownout_degraded_total";
     i_idle_closed =
-      Obs.Metrics.counter im
-        ~help:"connections closed by the idle/read deadline (slowloris)"
+      counter "connections closed by the idle/read deadline (slowloris)"
         "locmap_net_idle_closed_total";
     i_malformed =
-      Obs.Metrics.counter im
-        ~help:"lines answered with a per-line parse-error fault"
+      counter "lines answered with a per-line parse-error fault"
         "locmap_net_malformed_total";
     i_completed =
-      Obs.Metrics.counter im
-        ~help:"admitted requests answered (response write attempted)"
+      counter "admitted requests answered (response write attempted)"
         "locmap_net_completed_total";
     i_write_errors =
-      Obs.Metrics.counter im
-        ~help:"response writes a closed/stalled peer never read"
+      counter "response writes a closed/stalled peer never read"
         "locmap_net_write_errors_total";
     i_request_ms =
       Obs.Metrics.histogram im
@@ -152,22 +144,8 @@ type t = {
   mutable acceptor : unit Domain.t option;
   mutable draining : bool;
   mutable final : stats option;
-  c_conns_accepted : int Atomic.t;
-  c_conns_rejected : int Atomic.t;
-  c_active : int Atomic.t;
-  c_frames : int Atomic.t;
-  c_requests : int Atomic.t;
-  c_shed_inflight : int Atomic.t;
-  c_shed_draining : int Atomic.t;
-  c_shed_quota : int Atomic.t;
-  c_shed_brownout : int Atomic.t;
-  c_brownout_cached : int Atomic.t;
-  c_brownout_degraded : int Atomic.t;
-  c_idle_closed : int Atomic.t;
-  c_malformed : int Atomic.t;
-  c_completed : int Atomic.t;
-  c_write_errors : int Atomic.t;
-  obs : instruments option;
+  c_active : int Atomic.t;  (** open connections, checked by the acceptor *)
+  obs : instruments;
   tracer : Obs.Trace.t option;
 }
 
@@ -175,31 +153,27 @@ let port t = t.bound_port
 let stopping t = Atomic.get t.stop
 let request_stop t = Atomic.set t.stop true
 
-(* Bump a plain stats cell and, when instrumented, its obs twin. *)
-let tick t cell inst =
-  Atomic.incr cell;
-  match t.obs with Some i -> Obs.Metrics.incr (inst i) | None -> ()
-
 let stats t =
+  let v = Obs.Metrics.counter_value and i = t.obs in
   let admitted = Admission.admitted_total t.admission in
-  let completed = Atomic.get t.c_completed in
+  let completed = v i.i_completed in
   {
-    conns_accepted = Atomic.get t.c_conns_accepted;
-    conns_rejected = Atomic.get t.c_conns_rejected;
+    conns_accepted = v i.i_conns_accepted;
+    conns_rejected = v i.i_conns_rejected;
     conns_active = Atomic.get t.c_active;
-    frames = Atomic.get t.c_frames;
-    requests = Atomic.get t.c_requests;
+    frames = v i.i_frames;
+    requests = v i.i_requests;
     admitted;
-    shed_inflight = Atomic.get t.c_shed_inflight;
-    shed_draining = Atomic.get t.c_shed_draining;
-    shed_quota = Atomic.get t.c_shed_quota;
-    shed_brownout = Atomic.get t.c_shed_brownout;
-    brownout_cached = Atomic.get t.c_brownout_cached;
-    brownout_degraded = Atomic.get t.c_brownout_degraded;
-    idle_closed = Atomic.get t.c_idle_closed;
-    malformed = Atomic.get t.c_malformed;
+    shed_inflight = v i.i_shed_inflight;
+    shed_draining = v i.i_shed_draining;
+    shed_quota = v i.i_shed_quota;
+    shed_brownout = v i.i_shed_brownout;
+    brownout_cached = v i.i_brownout_cached;
+    brownout_degraded = v i.i_brownout_degraded;
+    idle_closed = v i.i_idle_closed;
+    malformed = v i.i_malformed;
     completed;
-    write_errors = Atomic.get t.c_write_errors;
+    write_errors = v i.i_write_errors;
     lost = admitted - completed - Admission.in_flight t.admission;
   }
 
@@ -373,7 +347,7 @@ let handle t ~conn_id ~peer fd =
     match write_all (line ^ "\n") with
     | () -> ()
     | exception (Unix.Unix_error (_, _, _) | Write_timed_out) ->
-        tick t t.c_write_errors (fun i -> i.i_write_errors);
+        Obs.Metrics.incr t.obs.i_write_errors;
         alive := false
   in
   let respond resp = respond_line (Service.Response.to_string resp) in
@@ -387,7 +361,7 @@ let handle t ~conn_id ~peer fd =
   let process line =
     incr raw_line;
     last_frame_ns := Obs.Clock.now_ns ();
-    tick t t.c_frames (fun i -> i.i_frames);
+    Obs.Metrics.incr t.obs.i_frames;
     let s = String.trim line in
     if s = "" || s.[0] = '#' then ()
     else if s.[0] = '!' then begin
@@ -401,18 +375,18 @@ let handle t ~conn_id ~peer fd =
     else begin
       let id = !next_id in
       incr next_id;
-      tick t t.c_requests (fun i -> i.i_requests);
+      Obs.Metrics.incr t.obs.i_requests;
       let body () =
         match Service.Request.of_string line with
         | Error e ->
-            tick t t.c_malformed (fun i -> i.i_malformed);
+            Obs.Metrics.incr t.obs.i_malformed;
             respond
               (Service.Response.error ~id ~hash:""
                  (Service.Fault.Invalid_request
                     (Printf.sprintf "line %d: %s" !raw_line e)))
         | Ok req ->
             if Atomic.get t.stop then begin
-              tick t t.c_shed_draining (fun i -> i.i_shed_draining);
+              Obs.Metrics.incr t.obs.i_shed_draining;
               respond
                 (overload_response ~id ~scope:"draining"
                    ~limit:cfg.max_inflight)
@@ -425,7 +399,7 @@ let handle t ~conn_id ~peer fd =
               (* Greedy client: shed before it can touch the shared
                  admission budget. Not fed to the breaker — one
                  client over its quota is not server overload. *)
-              tick t t.c_shed_quota (fun i -> i.i_shed_quota);
+              Obs.Metrics.incr t.obs.i_shed_quota;
               let limit =
                 match cfg.quota with
                 | Some q -> int_of_float q.Quota.burst
@@ -449,7 +423,7 @@ let handle t ~conn_id ~peer fd =
                   hash
               with
               | Some p ->
-                  tick t t.c_brownout_cached (fun i -> i.i_brownout_cached);
+                  Obs.Metrics.incr t.obs.i_brownout_cached;
                   respond { Service.Response.id; hash; result = Ok p }
               | None -> (
                   let fault =
@@ -463,17 +437,16 @@ let handle t ~conn_id ~peer fd =
                   in
                   match fallback with
                   | Some resp ->
-                      tick t t.c_brownout_degraded (fun i ->
-                          i.i_brownout_degraded);
+                      Obs.Metrics.incr t.obs.i_brownout_degraded;
                       respond resp
                   | None ->
-                      tick t t.c_shed_brownout (fun i -> i.i_shed_brownout);
+                      Obs.Metrics.incr t.obs.i_shed_brownout;
                       respond
                         (overload_response ~id ~scope:"brownout"
                            ~limit:cfg.max_inflight))
             end
             else if not (Admission.try_acquire t.admission) then begin
-              tick t t.c_shed_inflight (fun i -> i.i_shed_inflight);
+              Obs.Metrics.incr t.obs.i_shed_inflight;
               (match t.breaker with
               | Some b -> Breaker.record b ~ok:false
               | None -> ());
@@ -491,12 +464,8 @@ let handle t ~conn_id ~peer fd =
                   ~finally:(fun () -> Admission.release t.admission)
                   (fun () -> Service.Api.submit t.api req)
               in
-              let r =
-                match t.obs with
-                | Some i -> Obs.Metrics.time i.i_request_ms compute
-                | None -> compute ()
-              in
-              tick t t.c_completed (fun i -> i.i_completed);
+              let r = Obs.Metrics.time t.obs.i_request_ms compute in
+              Obs.Metrics.incr t.obs.i_completed;
               (match t.breaker with
               | Some b ->
                   Breaker.record b
@@ -516,11 +485,11 @@ let handle t ~conn_id ~peer fd =
   let process_too_long n =
     incr raw_line;
     last_frame_ns := Obs.Clock.now_ns ();
-    tick t t.c_frames (fun i -> i.i_frames);
+    Obs.Metrics.incr t.obs.i_frames;
     let id = !next_id in
     incr next_id;
-    tick t t.c_requests (fun i -> i.i_requests);
-    tick t t.c_malformed (fun i -> i.i_malformed);
+    Obs.Metrics.incr t.obs.i_requests;
+    Obs.Metrics.incr t.obs.i_malformed;
     respond
       (Service.Response.error ~id ~hash:""
          (Service.Fault.Invalid_request
@@ -551,7 +520,7 @@ let handle t ~conn_id ~peer fd =
             (* Draining: already-buffered frames were answered above;
                stop reading new bytes and close. *)
           else if idle_expired () then begin
-            tick t t.c_idle_closed (fun i -> i.i_idle_closed);
+            Obs.Metrics.incr t.obs.i_idle_closed;
             respond
               (overload_response ~id:(-1) ~scope:"idle"
                  ~limit:(int_of_float cfg.idle_timeout_ms));
@@ -580,9 +549,7 @@ let handle t ~conn_id ~peer fd =
       | None -> ());
       close_quietly fd;
       Atomic.decr t.c_active;
-      (match t.obs with
-      | Some i -> Obs.Metrics.add_gauge i.i_conns_active (-1)
-      | None -> ());
+      Obs.Metrics.add_gauge t.obs.i_conns_active (-1);
       Mutex.protect t.lock (fun () -> Queue.push conn_id t.dead))
     (fun () ->
       (* A handler must never take the server down; unexpected
@@ -643,7 +610,7 @@ let acceptor_loop t () =
               (try Unix.set_nonblock fd with Unix.Unix_error _ -> ());
               if Atomic.get t.c_active >= t.cfg.max_conns then begin
                 (* Connection-level shed: one Overload line, close. *)
-                tick t t.c_conns_rejected (fun i -> i.i_conns_rejected);
+                Obs.Metrics.incr t.obs.i_conns_rejected;
                 write_best_effort fd
                   (Service.Response.to_string
                      (overload_response ~id:0 ~scope:"connections"
@@ -652,11 +619,9 @@ let acceptor_loop t () =
                 close_quietly fd
               end
               else begin
-                tick t t.c_conns_accepted (fun i -> i.i_conns_accepted);
+                Obs.Metrics.incr t.obs.i_conns_accepted;
                 Atomic.incr t.c_active;
-                (match t.obs with
-                | Some i -> Obs.Metrics.add_gauge i.i_conns_active 1
-                | None -> ());
+                Obs.Metrics.add_gauge t.obs.i_conns_active 1;
                 (* Spawn and register under one lock so the handler's
                    completion notice (also under [t.lock]) can never
                    precede registration. *)
@@ -706,15 +671,24 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
       close_quietly lfd;
       raise e
   in
+  let metrics =
+    match metrics with Some m -> m | None -> Obs.Metrics.create ()
+  in
+  (* Registration order is exposition order: the server's instruments,
+     then the breaker's, the quota's and admission's. *)
+  let obs = instruments metrics in
+  let breaker = Option.map (Breaker.create ~metrics) config.breaker in
+  let quota = Option.map (Quota.create ~metrics) config.quota in
+  let admission = Admission.create ~metrics ~limit:config.max_inflight () in
   let t =
     {
       cfg = config;
       api;
       lfd;
       bound_port;
-      admission = Admission.create ?metrics ~limit:config.max_inflight ();
-      quota = Option.map (fun q -> Quota.create ?metrics q) config.quota;
-      breaker = Option.map (fun b -> Breaker.create ?metrics b) config.breaker;
+      admission;
+      quota;
+      breaker;
       stop = Atomic.make false;
       lock = Mutex.create ();
       drain_lock = Mutex.create ();
@@ -725,22 +699,8 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
       acceptor = None;
       draining = false;
       final = None;
-      c_conns_accepted = Atomic.make 0;
-      c_conns_rejected = Atomic.make 0;
       c_active = Atomic.make 0;
-      c_frames = Atomic.make 0;
-      c_requests = Atomic.make 0;
-      c_shed_inflight = Atomic.make 0;
-      c_shed_draining = Atomic.make 0;
-      c_shed_quota = Atomic.make 0;
-      c_shed_brownout = Atomic.make 0;
-      c_brownout_cached = Atomic.make 0;
-      c_brownout_degraded = Atomic.make 0;
-      c_idle_closed = Atomic.make 0;
-      c_malformed = Atomic.make 0;
-      c_completed = Atomic.make 0;
-      c_write_errors = Atomic.make 0;
-      obs = Option.map instruments metrics;
+      obs;
       tracer;
     }
   in

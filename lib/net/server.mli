@@ -45,14 +45,20 @@
     after drain, [admitted = completed]). Metrics are left fully
     consistent for a final snapshot; nothing is dropped.
 
-    {b Observability} ([?metrics]): [locmap_net_conns_accepted_total],
+    {b Observability}: the server counts in
+    [locmap_net_conns_accepted_total],
     [locmap_net_conns_rejected_total], [locmap_net_conns_active]
     (gauge), [locmap_net_frames_total],
     [locmap_net_requests_total], [locmap_net_shed_total{reason}]
-    (["inflight"]/["draining"]), [locmap_net_malformed_total],
+    (["inflight"]/["draining"]/["quota"]/["brownout"]),
+    [locmap_net_brownout_cached_total],
+    [locmap_net_brownout_degraded_total],
+    [locmap_net_idle_closed_total], [locmap_net_malformed_total],
     [locmap_net_completed_total], [locmap_net_write_errors_total],
-    the admission instruments of {!Admission}, and
-    [locmap_net_request_ms] (admission-to-response latency histogram).
+    the instruments of {!Admission}, {!Quota} and {!Breaker}, and
+    [locmap_net_request_ms] (admission-to-response latency histogram),
+    all in the [?metrics] registry or in a private one. These are the
+    only tallies: {!stats} and {!health_json} read them.
     [?tracer] opens one root span per connection (["conn"], trace id
     ["conn-<ordinal>"]) with one child ["frame"] span per processed
     line; the per-request/attempt/phase spans of {!Service.Api} hang
@@ -100,8 +106,9 @@
     line — draining flag, connection/admission occupancy, breaker
     state, quota counters, shed breakdown — see {!health_json}.
 
-    {b Thread safety}: fully thread-safe. The stop flag and all stats
-    counters are atomics; the connection table is mutex-protected;
+    {b Thread safety}: fully thread-safe. The stop flag, the open-
+    connection count and all stats counters are atomics; the
+    connection table is mutex-protected;
     {!stats}, {!request_stop} and {!port} may be called from any
     domain (or a signal handler, for {!request_stop}). Sockets are
     owned by exactly one handler each; {!drain}'s force-close is the
@@ -179,6 +186,13 @@ val create :
   t
 (** Binds, listens and spawns the acceptor domain; serving starts
     immediately. The server borrows [api] (it does not shut it down).
+    [metrics] (default: a private registry) receives the server's
+    instruments and is handed down to its admission budget, quota and
+    breaker. Registration is idempotent, so two servers created on one
+    registry share their counters, and each one's {!stats} reports
+    the sum (the [lost] invariant then holds only for the pair). The
+    service stack has its own [?metrics] on {!Service.Api.create}; one
+    registry may serve both, since their metric names differ.
     [SIGPIPE] is set to ignore process-wide — a dead peer must surface
     as a write error, not kill the server. Raises [Unix.Unix_error]
     when the address cannot be bound. *)

@@ -24,15 +24,13 @@ type metric = {
   help : string;
   labels : (string * string) list;
   kind : kind;
-  on : bool Atomic.t;  (* the registry's switch, shared *)
   mask : int;
 }
 
 type t = {
   lock : Mutex.t;  (* registration only *)
-  tbl : (string, metric) Hashtbl.t;  (* keyed by name + canonical labels *)
+  tbl : (string, metric list) Hashtbl.t;  (* by name; one per label set *)
   mutable order : metric list;  (* reverse registration order *)
-  enabled : bool Atomic.t;
   shards : int;
 }
 
@@ -40,86 +38,99 @@ type counter = metric
 type gauge = metric
 type histogram = metric
 
+(* Loops, not closures over [s]: a repeated registration re-validates
+   its names and must still allocate nothing. *)
 let valid_name s =
-  s <> ""
-  && (match s.[0] with 'a' .. 'z' | 'A' .. 'Z' | '_' -> true | _ -> false)
-  && String.for_all
-       (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false)
-       s
+  let ok = ref (s <> "") in
+  for i = 0 to String.length s - 1 do
+    match s.[i] with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> ()
+    | '0' .. '9' when i > 0 -> ()
+    | _ -> ok := false
+  done;
+  !ok
 
 let rec pow2_ceil n k = if k >= n then k else pow2_ceil n (2 * k)
 
-let create ?(shards = 8) ?(enabled = true) () =
+let create ?(shards = 8) () =
   if shards < 1 then invalid_arg "Metrics.create: shards < 1";
   let shards = min 256 (pow2_ceil shards 1) in
-  {
-    lock = Mutex.create ();
-    tbl = Hashtbl.create 64;
-    order = [];
-    enabled = Atomic.make enabled;
-    shards;
-  }
+  { lock = Mutex.create (); tbl = Hashtbl.create 64; order = []; shards }
 
-let is_enabled t = Atomic.get t.enabled
-let set_enabled t b = Atomic.set t.enabled b
 let num_shards t = t.shards
 
-let key name labels =
-  let b = Buffer.create 32 in
-  Buffer.add_string b name;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char b '\x00';
-      Buffer.add_string b k;
-      Buffer.add_char b '\x01';
-      Buffer.add_string b v)
-    labels;
-  Buffer.contents b
+(* What a registration asks for, compared against an existing metric
+   without building a fresh instrument. *)
+type spec = Scounter | Sgauge | Shistogram of float array
 
-let same_kind a b =
-  match (a, b) with
-  | Kcounter _, Kcounter _ | Kgauge _, Kgauge _ -> true
-  | Khistogram h1, Khistogram h2 -> h1.upper = h2.upper
+let matches spec kind =
+  match (spec, kind) with
+  | Scounter, Kcounter _ | Sgauge, Kgauge _ -> true
+  | Shistogram u, Khistogram h -> u = h.upper
   | _ -> false
 
-(* Register-or-find under the registry lock; the instrument itself is
-   built outside any hot path. *)
-let register t ~name ~help ~labels mk =
-  if not (valid_name name) then
-    invalid_arg (Printf.sprintf "Metrics: invalid metric name %S" name);
-  List.iter
-    (fun (k, _) ->
-      if not (valid_name k) then
-        invalid_arg (Printf.sprintf "Metrics: invalid label key %S" k))
-    labels;
-  let k = key name labels in
+let build t spec =
+  match spec with
+  | Scounter -> Kcounter (Array.init t.shards (fun _ -> Atomic.make 0))
+  | Sgauge -> Kgauge (Atomic.make 0)
+  | Shistogram upper ->
+      Khistogram
+        {
+          upper = Array.copy upper;
+          hshards =
+            Array.init t.shards (fun _ ->
+                {
+                  hlock = Mutex.create ();
+                  bucket_counts = Array.make (Array.length upper + 1) 0;
+                  hsum = 0.;
+                  hcount = 0;
+                });
+        }
+
+let rec find_labels labels = function
+  | [] -> raise Not_found
+  | m :: rest -> if m.labels = labels then m else find_labels labels rest
+
+let check_name what s =
+  if not (valid_name s) then
+    invalid_arg (Printf.sprintf "Metrics: invalid %s %S" what s)
+
+let rec check_label_keys = function
+  | [] -> ()
+  | (k, _) :: rest ->
+      check_name "label key" k;
+      check_label_keys rest
+
+(* Register-or-find under the registry lock. Finding an existing
+   instrument compares the kind tag and bucket bounds in place, so a
+   repeated registration (every served request re-registers the
+   mapper's instruments) builds nothing. *)
+let register t ~name ~help ~labels spec =
+  check_name "metric name" name;
+  check_label_keys labels;
   Mutex.lock t.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.lock)
-    (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some m ->
-          let fresh = mk () in
-          if not (same_kind m.kind fresh) then
-            invalid_arg
-              (Printf.sprintf
-                 "Metrics: %S already registered with a different kind" name);
-          m
-      | None ->
-          let m =
-            { name; help; labels; kind = mk (); on = t.enabled;
-              mask = t.shards - 1 }
-          in
-          Hashtbl.replace t.tbl k m;
-          t.order <- m :: t.order;
-          m)
+  let same_name = try Hashtbl.find t.tbl name with Not_found -> [] in
+  match find_labels labels same_name with
+  | m ->
+      Mutex.unlock t.lock;
+      if not (matches spec m.kind) then
+        invalid_arg
+          (Printf.sprintf
+             "Metrics: %S already registered with a different kind" name);
+      m
+  | exception Not_found ->
+      let kind = build t spec in
+      let m = { name; help; labels; kind; mask = t.shards - 1 } in
+      Hashtbl.replace t.tbl name (m :: same_name);
+      t.order <- m :: t.order;
+      Mutex.unlock t.lock;
+      m
 
 let counter t ?(help = "") ?(labels = []) name =
-  register t ~name ~help ~labels (fun () ->
-      Kcounter (Array.init t.shards (fun _ -> Atomic.make 0)))
+  register t ~name ~help ~labels Scounter
 
 let gauge t ?(help = "") ?(labels = []) name =
-  register t ~name ~help ~labels (fun () -> Kgauge (Atomic.make 0))
+  register t ~name ~help ~labels Sgauge
 
 let default_buckets =
   [|
@@ -130,39 +141,24 @@ let default_buckets =
 let histogram t ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
   if Array.length buckets = 0 then
     invalid_arg "Metrics.histogram: empty buckets";
-  Array.iteri
-    (fun i b ->
-      if not (Float.is_finite b) then
-        invalid_arg "Metrics.histogram: non-finite bucket bound";
-      if i > 0 && b <= buckets.(i - 1) then
-        invalid_arg "Metrics.histogram: buckets not strictly increasing")
-    buckets;
-  let upper = Array.copy buckets in
-  register t ~name ~help ~labels (fun () ->
-      Khistogram
-        {
-          upper;
-          hshards =
-            Array.init t.shards (fun _ ->
-                {
-                  hlock = Mutex.create ();
-                  bucket_counts = Array.make (Array.length upper + 1) 0;
-                  hsum = 0.;
-                  hcount = 0;
-                });
-        })
+  for i = 0 to Array.length buckets - 1 do
+    if not (Float.is_finite buckets.(i)) then
+      invalid_arg "Metrics.histogram: non-finite bucket bound";
+    if i > 0 && buckets.(i) <= buckets.(i - 1) then
+      invalid_arg "Metrics.histogram: buckets not strictly increasing"
+  done;
+  register t ~name ~help ~labels (Shistogram buckets)
 
 let shard_ix (m : metric) = (Domain.self () :> int) land m.mask
 
 let incr (m : counter) =
-  if Atomic.get m.on then
-    match m.kind with
-    | Kcounter cells -> Atomic.incr cells.(shard_ix m)
-    | _ -> assert false
+  match m.kind with
+  | Kcounter cells -> Atomic.incr cells.(shard_ix m)
+  | _ -> assert false
 
 let add (m : counter) n =
   if n < 0 then invalid_arg "Metrics.add: negative amount";
-  if n > 0 && Atomic.get m.on then
+  if n > 0 then
     match m.kind with
     | Kcounter cells -> ignore (Atomic.fetch_and_add cells.(shard_ix m) n)
     | _ -> assert false
@@ -173,11 +169,10 @@ let counter_value (m : counter) =
   | _ -> assert false
 
 let set_gauge (m : gauge) v =
-  if Atomic.get m.on then
-    match m.kind with Kgauge c -> Atomic.set c v | _ -> assert false
+  match m.kind with Kgauge c -> Atomic.set c v | _ -> assert false
 
 let add_gauge (m : gauge) n =
-  if n <> 0 && Atomic.get m.on then
+  if n <> 0 then
     match m.kind with
     | Kgauge c -> ignore (Atomic.fetch_and_add c n)
     | _ -> assert false
@@ -197,26 +192,22 @@ let bucket_of upper v =
   !i
 
 let observe (m : histogram) v =
-  if Atomic.get m.on then
-    match m.kind with
-    | Khistogram { upper; hshards } ->
-        let s = hshards.(shard_ix m) in
-        let b = bucket_of upper v in
-        Mutex.lock s.hlock;
-        s.bucket_counts.(b) <- s.bucket_counts.(b) + 1;
-        s.hsum <- s.hsum +. v;
-        s.hcount <- s.hcount + 1;
-        Mutex.unlock s.hlock
-    | _ -> assert false
+  match m.kind with
+  | Khistogram { upper; hshards } ->
+      let s = hshards.(shard_ix m) in
+      let b = bucket_of upper v in
+      Mutex.lock s.hlock;
+      s.bucket_counts.(b) <- s.bucket_counts.(b) + 1;
+      s.hsum <- s.hsum +. v;
+      s.hcount <- s.hcount + 1;
+      Mutex.unlock s.hlock
+  | _ -> assert false
 
 let time (m : histogram) f =
-  if not (Atomic.get m.on) then f ()
-  else begin
-    let t0 = Clock.now_ns () in
-    let r = f () in
-    observe m (Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0));
-    r
-  end
+  let t0 = Clock.now_ns () in
+  let r = f () in
+  observe m (Clock.ns_to_ms (Int64.sub (Clock.now_ns ()) t0));
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots                                                           *)

@@ -7,12 +7,19 @@
     ({!to_json}, what [locmap batch --metrics] writes and [locmap
     stats] pretty-prints) or Prometheus text ({!to_prometheus}).
 
+    {b One set of counters}. Instruments are always on: there is no
+    off switch. The serving components ([Service.Api], its cache and
+    pool, [Net.Server] and its admission, quota and breaker) keep no
+    private tallies — their [stats] records read {!counter_value} and
+    {!gauge_value} of the instruments they registered, in the caller's
+    registry or in a private one they create when none is given.
+
     {b Cost model}. Instruments are {e lock-cheap}:
 
     - a counter is an array of per-domain shard cells ([int Atomic.t],
       indexed by the calling domain's id), so concurrent increments
       from different domains almost never contend — {!incr} is one
-      enabled-flag load plus one atomic fetch-and-add;
+      atomic fetch-and-add;
     - a gauge is a single atomic cell (gauges are set, not
       accumulated, so sharding would change their meaning);
     - a histogram shards whole bucket tables per domain, each shard
@@ -21,13 +28,6 @@
 
     Shards are merged only on {!snapshot}, so reads never stall
     writers for more than one shard's critical section.
-
-    {b Off switch}. A registry created with [~enabled:false] (or
-    switched off with {!set_enabled}) turns every instrument operation
-    into a single load-and-branch no-op — instrumented code can stay
-    compiled in at ~0% cost (bench/obs_bench.exe measures this).
-    Registration is independent of the flag, so a registry can be
-    enabled after the instruments exist.
 
     {b Determinism}. Counter and gauge values are exact whatever the
     domain count; {!to_json} and {!to_prometheus} print samples in
@@ -45,18 +45,10 @@
 
 type t
 
-val create : ?shards:int -> ?enabled:bool -> unit -> t
+val create : ?shards:int -> unit -> t
 (** [shards] (default 8, rounded up to a power of two, max 256) is the
-    number of per-domain cells each sharded instrument carries;
-    [enabled] defaults to [true]. Raises [Invalid_argument] on
-    [shards < 1]. *)
-
-val is_enabled : t -> bool
-
-val set_enabled : t -> bool -> unit
-(** Flips the registry-wide switch; takes effect on the next
-    instrument operation (no fence — in-flight updates may still
-    land). *)
+    number of per-domain cells each sharded instrument carries. Raises
+    [Invalid_argument] on [shards < 1]. *)
 
 val num_shards : t -> int
 
@@ -64,8 +56,11 @@ val num_shards : t -> int
 
     Registration is idempotent: asking for an existing (name, labels)
     pair returns the same instrument, so independent components may
-    register the same metric. Asking for it with a different
-    instrument kind (or different buckets) raises [Invalid_argument].
+    register the same metric — and two components built on one
+    registry share its counters. Finding an existing instrument
+    compares its kind (and buckets) in place and allocates nothing.
+    Asking for it with a different instrument kind (or different
+    buckets) raises [Invalid_argument].
     Names must match [[a-zA-Z_][a-zA-Z0-9_]*] (Prometheus-compatible);
     label keys likewise, label values are free-form. *)
 
@@ -118,8 +113,7 @@ val observe : histogram -> float -> unit
 
 val time : histogram -> (unit -> 'a) -> 'a
 (** Runs the thunk and observes its wall-clock duration in
-    milliseconds; when the registry is disabled the clock is never
-    read. Exceptions propagate without observing. *)
+    milliseconds. Exceptions propagate without observing. *)
 
 (** {2 Snapshots and exposition} *)
 

@@ -1,10 +1,10 @@
 exception Crash of string
 
-(* Obs instruments, registered once per pool when a registry is passed
-   to [create]. Handles are shared across pools on the same registry
+(* The pool's counters, registered once per pool in the caller's
+   registry or a private one. They are the only tally: [crashes] reads
+   [icrashes]. Handles are shared across pools on the same registry
    (registration is idempotent), so the metrics aggregate fleet-wide. *)
 type instruments = {
-  im : Obs.Metrics.t;
   queue_depth : Obs.Metrics.gauge;
   tasks : Obs.Metrics.counter;
   busy_ns : Obs.Metrics.counter;
@@ -18,8 +18,7 @@ type t = {
   mutable stop : bool;
   mutable workers : unit Domain.t list;
   mutable target : int;
-  mutable crashes : int;
-  obs : instruments option;
+  obs : instruments;
 }
 
 let default_domains () =
@@ -42,20 +41,15 @@ let rec worker_loop pool () =
     else begin
       let job = Queue.pop pool.queue in
       Mutex.unlock pool.lock;
-      (match pool.obs with
-      | Some i -> Obs.Metrics.add_gauge i.queue_depth (-1)
-      | None -> ());
+      Obs.Metrics.add_gauge pool.obs.queue_depth (-1);
       match job () with
       | () -> loop ()
       | exception _ ->
           Mutex.lock pool.lock;
-          pool.crashes <- pool.crashes + 1;
+          Obs.Metrics.incr pool.obs.icrashes;
           if not pool.stop then
             pool.workers <- Domain.spawn (worker_loop pool) :: pool.workers;
-          Mutex.unlock pool.lock;
-          (match pool.obs with
-          | Some i -> Obs.Metrics.incr i.icrashes
-          | None -> ())
+          Mutex.unlock pool.lock
           (* fall off the end: this domain is dead *)
     end
   in
@@ -72,28 +66,21 @@ let create ?num_domains ?metrics () =
         invalid_arg "Pool.create: negative num_domains"
     | Some n -> n
   in
+  let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let counter help name = Obs.Metrics.counter im ~help name in
   let obs =
-    match metrics with
-    | None -> None
-    | Some im ->
-        Some
-          {
-            im;
-            queue_depth =
-              Obs.Metrics.gauge im ~help:"jobs queued, not yet running"
-                "locmap_pool_queue_depth";
-            tasks =
-              Obs.Metrics.counter im ~help:"jobs completed (ok or error)"
-                "locmap_pool_tasks_total";
-            busy_ns =
-              Obs.Metrics.counter im
-                ~help:"worker nanoseconds spent inside jobs"
-                "locmap_pool_busy_ns_total";
-            icrashes =
-              Obs.Metrics.counter im
-                ~help:"worker domains that died and were replaced"
-                "locmap_pool_crashes_total";
-          }
+    {
+      queue_depth =
+        Obs.Metrics.gauge im ~help:"jobs queued, not yet running"
+          "locmap_pool_queue_depth";
+      tasks = counter "jobs completed (ok or error)" "locmap_pool_tasks_total";
+      busy_ns =
+        counter "worker nanoseconds spent inside jobs"
+          "locmap_pool_busy_ns_total";
+      icrashes =
+        counter "worker domains that died and were replaced"
+          "locmap_pool_crashes_total";
+    }
   in
   let pool =
     {
@@ -103,7 +90,6 @@ let create ?num_domains ?metrics () =
       stop = false;
       workers = [];
       target = (if n > 1 then n else 0);
-      crashes = 0;
       obs;
     }
   in
@@ -113,11 +99,7 @@ let create ?num_domains ?metrics () =
 
 let num_domains t = t.target
 
-let crashes t =
-  Mutex.lock t.lock;
-  let c = t.crashes in
-  Mutex.unlock t.lock;
-  c
+let crashes t = Obs.Metrics.counter_value t.obs.icrashes
 
 let submit t job =
   Mutex.lock t.lock;
@@ -128,23 +110,17 @@ let submit t job =
   Queue.push job t.queue;
   Condition.signal t.nonempty;
   Mutex.unlock t.lock;
-  match t.obs with
-  | Some i -> Obs.Metrics.add_gauge i.queue_depth 1
-  | None -> ()
+  Obs.Metrics.add_gauge t.obs.queue_depth 1
 
 (* One job with per-job fault containment, its wall time charged to the
-   busy counter when instrumentation is on (the clock is only read with
-   the registry enabled, so a disabled registry costs one branch). *)
+   busy counter. *)
 let run_job t f x =
-  match t.obs with
-  | Some i when Obs.Metrics.is_enabled i.im ->
-      let t0 = Obs.Clock.now_ns () in
-      let r = try Ok (f x) with e -> Error e in
-      Obs.Metrics.add i.busy_ns
-        (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0));
-      Obs.Metrics.incr i.tasks;
-      r
-  | _ -> ( try Ok (f x) with e -> Error e)
+  let t0 = Obs.Clock.now_ns () in
+  let r = try Ok (f x) with e -> Error e in
+  Obs.Metrics.add t.obs.busy_ns
+    (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0));
+  Obs.Metrics.incr t.obs.tasks;
+  r
 
 let try_map t f xs =
   let n = Array.length xs in

@@ -31,16 +31,16 @@
     domain-parallel analysis checkable.
 
     {b Thread safety}: the pool itself is thread-safe — every queue and
-    counter access is under the pool mutex, and {!try_map} may be called
-    concurrently from different domains.
+    worker-list access is under the pool mutex, counters are atomic,
+    and {!try_map} may be called concurrently from different domains.
 
-    {b Observability}: pass [?metrics] to {!create} to register and
-    feed four metrics — [locmap_pool_queue_depth] (gauge: submitted,
-    not yet started), [locmap_pool_tasks_total],
-    [locmap_pool_busy_ns_total] (counters: jobs completed and worker
-    time inside jobs — only accumulated while the registry is enabled)
-    and [locmap_pool_crashes_total]. Metric updates happen outside the
-    pool mutex and never affect job results or ordering. *)
+    {b Observability}: every pool counts its work in four metrics —
+    [locmap_pool_queue_depth] (gauge: submitted, not yet started),
+    [locmap_pool_tasks_total], [locmap_pool_busy_ns_total] (counters:
+    jobs completed and worker time inside jobs) and
+    [locmap_pool_crashes_total], which {!crashes} reads. They live in
+    the registry passed to {!create}, or in a private one. Metric
+    updates never affect job results or ordering. *)
 
 type t
 
@@ -57,16 +57,18 @@ val default_domains : unit -> int
 val create : ?num_domains:int -> ?metrics:Obs.Metrics.t -> unit -> t
 (** Defaults to {!default_domains}. Raises [Invalid_argument] on a
     negative count (construction-time caller contract — never reachable
-    from request data, hence not a {!Fault}). [metrics] registers the
-    pool instruments described above; pools sharing a registry share
-    (aggregate into) the same instruments. *)
+    from request data, hence not a {!Fault}). [metrics] receives the
+    pool instruments described above (default: a private registry).
+    Registration is idempotent, so pools sharing a registry share
+    (aggregate into) the same counters — {!crashes} included. *)
 
 val num_domains : t -> int
 (** Configured worker-domain count (0 for an inline pool); crash
     respawns keep the live count at this width. *)
 
 val crashes : t -> int
-(** Worker domains that have died (and been replaced) since creation. *)
+(** Worker domains that have died (and been replaced) since creation:
+    the value of [locmap_pool_crashes_total]. *)
 
 val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Parallel [Array.map] with per-job fault containment, submission

@@ -16,7 +16,7 @@ let fault_kinds =
   ]
 
 type instruments = {
-  im : Obs.Metrics.t;
+  im : Obs.Metrics.t;  (* handed to the mapper, per computed request *)
   i_served : Obs.Metrics.counter;
   i_computed : Obs.Metrics.counter;
   i_errors : Obs.Metrics.counter;
@@ -28,24 +28,19 @@ type instruments = {
 }
 
 let instruments im =
+  let counter help name = Obs.Metrics.counter im ~help name in
   {
     im;
     i_served =
-      Obs.Metrics.counter im ~help:"requests answered (ok or error)"
-        "locmap_requests_served_total";
+      counter "requests answered (ok or error)" "locmap_requests_served_total";
     i_computed =
-      Obs.Metrics.counter im
-        ~help:"pipeline executions (cache misses actually run)"
+      counter "pipeline executions (cache misses actually run)"
         "locmap_requests_computed_total";
-    i_errors =
-      Obs.Metrics.counter im ~help:"error responses"
-        "locmap_responses_error_total";
+    i_errors = counter "error responses" "locmap_responses_error_total";
     i_degraded =
-      Obs.Metrics.counter im ~help:"fallback-mapping responses"
-        "locmap_responses_degraded_total";
+      counter "fallback-mapping responses" "locmap_responses_degraded_total";
     i_retries =
-      Obs.Metrics.counter im ~help:"retry attempts spent on transient faults"
-        "locmap_retries_total";
+      counter "retry attempts spent on transient faults" "locmap_retries_total";
     i_request_ms =
       Obs.Metrics.histogram im ~help:"end-to-end compute latency (ms)"
         "locmap_request_ms";
@@ -72,14 +67,8 @@ type t = {
   pool : Par.Pool.t;
   resilience : Resilience.policy;
   injection : Fault_injection.plan;
-  obs : instruments option;
+  obs : instruments;
   tracer : Obs.Trace.t option;
-  stats_lock : Mutex.t;
-  mutable served : int;
-  mutable errors : int;
-  mutable computed : int;
-  mutable degraded : int;
-  mutable retried : int;
 }
 
 type stats = {
@@ -98,20 +87,15 @@ type stats = {
 let create ?(cache_capacity = 512) ?(num_domains = 1)
     ?(resilience = Resilience.default) ?(injection = Fault_injection.none)
     ?metrics ?tracer () =
-  {
-    cache = Solution_cache.create ~capacity:cache_capacity ?metrics ();
-    pool = Par.Pool.create ~num_domains ?metrics ();
-    resilience;
-    injection;
-    obs = Option.map instruments metrics;
-    tracer;
-    stats_lock = Mutex.create ();
-    served = 0;
-    errors = 0;
-    computed = 0;
-    degraded = 0;
-    retried = 0;
-  }
+  let metrics =
+    match metrics with Some m -> m | None -> Obs.Metrics.create ()
+  in
+  (* Registration order is exposition order: the serving instruments,
+     then the pool's, then the cache's. *)
+  let obs = instruments metrics in
+  let pool = Par.Pool.create ~num_domains ~metrics () in
+  let cache = Solution_cache.create ~capacity:cache_capacity ~metrics () in
+  { cache; pool; resilience; injection; obs; tracer }
 
 let cache (t : t) = t.cache
 let resilience (t : t) = t.resilience
@@ -119,7 +103,7 @@ let resilience (t : t) = t.resilience
 (* One full pipeline run, on whichever domain the pool schedules it.
    Everything here is freshly allocated per call — see the thread-safety
    notes in [Locmap.Mapper] — so workers share nothing mutable. *)
-let plain_compute ?metrics ?on_phase (req : Request.t) :
+let plain_compute ~metrics ~on_phase (req : Request.t) :
     (Response.payload, Fault.t) result =
   match Workloads.Registry.find_opt req.workload with
   | None -> Error (Fault.Unknown_workload req.workload)
@@ -142,18 +126,11 @@ let plain_compute ?metrics ?on_phase (req : Request.t) :
               in
               let trace = Ir.Trace.create prog layout in
               let o = req.options in
-              let estimation =
-                match o.estimation with
-                | Request.Auto -> None
-                | Request.Cme -> Some Locmap.Mapper.Cme_estimate
-                | Request.Inspector -> Some Locmap.Mapper.Inspector
-                | Request.Oracle -> Some Locmap.Mapper.Oracle
-              in
               let info =
-                Locmap.Mapper.map ?estimation ?fraction:o.fraction
-                  ~measure_error:o.measure_error ~balance:o.balance
-                  ?alpha_override:o.alpha_override ?on_phase ?metrics
-                  req.machine trace
+                Locmap.Mapper.map ?estimation:o.estimation
+                  ?fraction:o.fraction ~measure_error:o.measure_error
+                  ~balance:o.balance ?alpha_override:o.alpha_override
+                  ~on_phase ~metrics req.machine trace
               in
               let r =
                 Response.of_info ~id:0 ~hash:"" ~workload:req.workload info
@@ -168,11 +145,9 @@ let plain_compute ?metrics ?on_phase (req : Request.t) :
                 raise c
             | e -> Error (Fault.of_exn e)))
 
-(* The obs side of a phase boundary: a child span per phase under
-   [parent] (when tracing) plus a per-phase duration observation (when
-   metrics are on). Returns [None] when both sides are off so the
-   existing on_phase stays untouched — and so does the bypass path's
-   [?on_phase:None]. Never raises and never affects results. *)
+(* The obs side of a phase boundary: a per-phase duration observation
+   plus, when tracing, a child span per phase under [parent]. Never
+   raises and never affects results. *)
 let obs_phase_hook (t : t) ~parent =
   let span_hook =
     match (t.tracer, parent) with
@@ -180,47 +155,31 @@ let obs_phase_hook (t : t) ~parent =
         Some (Obs.Trace.phase_hook tr ~parent:sp)
     | _ -> None
   in
-  let hist_hook =
-    match t.obs with
-    | Some i when Obs.Metrics.is_enabled i.im ->
-        let last = ref (Obs.Clock.now_ns ()) in
-        Some
-          (fun phase ->
-            let now = Obs.Clock.now_ns () in
-            (match List.assoc_opt phase i.i_phase_ms with
-            | Some h ->
-                Obs.Metrics.observe h (Obs.Clock.ns_to_ms (Int64.sub now !last))
-            | None -> ());
-            last := now)
-    | _ -> None
-  in
-  match (span_hook, hist_hook) with
-  | None, None -> None
-  | sh, hh ->
-      Some
-        (fun phase ->
-          (match sh with Some f -> f phase | None -> ());
-          match hh with Some f -> f phase | None -> ())
+  let last = ref (Obs.Clock.now_ns ()) in
+  fun phase ->
+    (match span_hook with Some f -> f phase | None -> ());
+    let now = Obs.Clock.now_ns () in
+    (match List.assoc_opt phase t.obs.i_phase_ms with
+    | Some h ->
+        Obs.Metrics.observe h (Obs.Clock.ns_to_ms (Int64.sub now !last))
+    | None -> ());
+    last := now
 
 (* The resilience wrapper: injection points, per-request monotonic
    deadline checked at phase boundaries, bounded retry for transient
    faults. Returns the final result plus the retries spent. When the
    policy is off and no plan is loaded this is bypassed entirely (obs
-   phase hooks still fire there when on), so the no-fault,
-   no-observability overhead is one branch per side. [span] is the
-   request's root span (None when not tracing); each attempt gets a
-   child span, and phase spans hang off the attempt. *)
+   phase hooks still fire there), so the no-fault overhead is one
+   branch. [span] is the request's root span (None when not tracing);
+   each attempt gets a child span, and phase spans hang off the
+   attempt. *)
 let compute (t : t) ~index ~hash ~span (req : Request.t) :
     (Response.payload, Fault.t) result * int =
-  let metrics = Option.map (fun i -> i.im) t.obs in
+  let metrics = t.obs.im in
   if Resilience.is_off t.resilience && Fault_injection.is_none t.injection
   then
-    let r =
-      match obs_phase_hook t ~parent:span with
-      | None -> plain_compute ?metrics req
-      | Some on_phase -> plain_compute ?metrics ~on_phase req
-    in
-    (r, 0)
+    let on_phase = obs_phase_hook t ~parent:span in
+    (plain_compute ~metrics ~on_phase req, 0)
   else
     let deadline = Resilience.Deadline.start t.resilience in
     Resilience.with_retries t.resilience ~key:hash ~deadline (fun ~attempt ->
@@ -234,12 +193,12 @@ let compute (t : t) ~index ~hash ~span (req : Request.t) :
               (* Obs first: the phase just ended, so its span/duration
                  is recorded even when injection or the deadline then
                  kills the attempt. *)
-              (match obs_hook with Some f -> f phase | None -> ());
+              obs_hook phase;
               Fault_injection.fire t.injection ~site:("mapper." ^ phase)
                 ~key:hash ~index ~attempt;
               Resilience.Deadline.check deadline ~phase
             in
-            plain_compute ?metrics ~on_phase req
+            plain_compute ~metrics ~on_phase req
           with
           | Fault.Crash _ as c -> raise c
           | Fault.Error f -> Error f
@@ -315,9 +274,7 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
             (fun root -> compute t ~index:k ~hash:h ~span:(Some root) reqs.(i))
       | _ -> compute t ~index:k ~hash:h ~span:None reqs.(i)
     in
-    match t.obs with
-    | Some inst -> Obs.Metrics.time inst.i_request_ms computed
-    | None -> computed ()
+    Obs.Metrics.time t.obs.i_request_ms computed
   in
   let raw = Par.Pool.try_map t.pool run_one todo in
   (* Pass 3 (sequential again): classify crashes, degrade if the policy
@@ -338,12 +295,12 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
       (* Fault accounting happens before degradation, so the faults
          that degradation masks (deadline expiries, crashes) are still
          visible in locmap_faults_total. *)
-      (match (result, t.obs) with
-      | Error f, Some inst -> (
-          match List.assoc_opt (Fault.kind f) inst.i_faults with
+      (match result with
+      | Error f -> (
+          match List.assoc_opt (Fault.kind f) t.obs.i_faults with
           | Some c -> Obs.Metrics.incr c
           | None -> ())
-      | _ -> ());
+      | Ok _ -> ());
       let result =
         match result with
         | Ok _ as ok -> ok
@@ -375,21 +332,11 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
       if not (Response.is_ok r) then incr errors;
       if Response.is_degraded r then incr degraded)
     responses;
-  Mutex.lock t.stats_lock;
-  t.served <- t.served + n;
-  t.errors <- t.errors + !errors;
-  t.computed <- t.computed + Array.length todo;
-  t.degraded <- t.degraded + !degraded;
-  t.retried <- t.retried + !retried;
-  Mutex.unlock t.stats_lock;
-  (match t.obs with
-  | Some inst ->
-      Obs.Metrics.add inst.i_served n;
-      Obs.Metrics.add inst.i_computed (Array.length todo);
-      Obs.Metrics.add inst.i_errors !errors;
-      Obs.Metrics.add inst.i_degraded !degraded;
-      Obs.Metrics.add inst.i_retries !retried
-  | None -> ());
+  Obs.Metrics.add t.obs.i_served n;
+  Obs.Metrics.add t.obs.i_computed (Array.length todo);
+  Obs.Metrics.add t.obs.i_errors !errors;
+  Obs.Metrics.add t.obs.i_degraded !degraded;
+  Obs.Metrics.add t.obs.i_retries !retried;
   responses
 
 let submit (t : t) req =
@@ -407,31 +354,18 @@ let fallback_response (t : t) ~id ~fault (req : Request.t) :
   match degrade req ~hash fault with
   | Error _ -> None
   | Ok p ->
-      Mutex.lock t.stats_lock;
-      t.served <- t.served + 1;
-      t.degraded <- t.degraded + 1;
-      Mutex.unlock t.stats_lock;
-      (match t.obs with
-      | Some inst ->
-          Obs.Metrics.add inst.i_served 1;
-          Obs.Metrics.add inst.i_degraded 1
-      | None -> ());
+      Obs.Metrics.incr t.obs.i_served;
+      Obs.Metrics.incr t.obs.i_degraded;
       Some { Response.id; hash; result = Ok p }
 
 let stats (t : t) =
-  Mutex.lock t.stats_lock;
-  let served = t.served
-  and errors = t.errors
-  and computed = t.computed
-  and degraded = t.degraded
-  and retried = t.retried in
-  Mutex.unlock t.stats_lock;
+  let v = Obs.Metrics.counter_value in
   {
-    served;
-    errors;
-    computed;
-    degraded;
-    retried;
+    served = v t.obs.i_served;
+    errors = v t.obs.i_errors;
+    computed = v t.obs.i_computed;
+    degraded = v t.obs.i_degraded;
+    retried = v t.obs.i_retries;
     crashes = Par.Pool.crashes t.pool;
     cache = Solution_cache.counters t.cache;
     cache_entries = Solution_cache.length t.cache;

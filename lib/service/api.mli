@@ -33,15 +33,21 @@
     8 worker domains. [test/test_resilience.ml] asserts this under
     active fault injection.
 
-    {b Observability}: [create ?metrics] instruments the whole stack
-    behind this front-end — the cache ([locmap_cache_*]), the pool
-    ([locmap_pool_*]) and the serving layer itself:
-    [locmap_requests_served_total], [locmap_requests_computed_total],
-    [locmap_responses_error_total], [locmap_responses_degraded_total],
-    [locmap_retries_total], [locmap_faults_total{kind}] (counted
-    {e before} degradation, so masked deadline expiries and crashes
-    stay visible), the [locmap_request_ms] latency histogram and
-    [locmap_mapper_phase_ms{phase}] per-pipeline-phase histograms.
+    {b Observability}: the whole stack behind this front-end counts
+    its work once, in an {!Obs.Metrics} registry — the caller's
+    [?metrics], or a private one {!create} makes and hands to the cache
+    ([locmap_cache_*]) and the pool ([locmap_pool_*]). The serving
+    layer itself counts [locmap_requests_served_total],
+    [locmap_requests_computed_total], [locmap_responses_error_total],
+    [locmap_responses_degraded_total], [locmap_retries_total],
+    [locmap_faults_total{kind}] (counted {e before} degradation, so
+    masked deadline expiries and crashes stay visible), the
+    [locmap_request_ms] latency histogram and
+    [locmap_mapper_phase_ms{phase}] per-pipeline-phase histograms; the
+    registry is also passed to {!Locmap.Mapper.map}. {!stats} reads
+    these instruments. Registration is idempotent, so two [Api.t]s
+    created on one registry share their counters, and each one's
+    {!stats} reports the sum.
     [create ?tracer] opens one root span per {e computed} request
     (trace id = the request hash's first 16 hex chars), a child span
     per resilience attempt, and a ["phase.*"] span per mapper phase.
@@ -80,10 +86,11 @@ val create :
 (** [cache_capacity] defaults to 512 solutions; [num_domains] to 1
     (inline execution, no spawned domains); [resilience] to
     {!Resilience.default} (2 retries, no deadline, no degradation);
-    [injection] to {!Fault_injection.none}. [metrics] and [tracer]
-    (both off by default) enable the instrumentation described above;
-    the caller keeps the handles and drains them
-    ({!Obs.Metrics.snapshot}, {!Obs.Trace.to_jsonl}). *)
+    [injection] to {!Fault_injection.none}. [metrics] (default: a
+    private registry) receives the instruments described above;
+    [tracer] (off by default) enables tracing. The caller keeps the
+    handles and drains them ({!Obs.Metrics.snapshot},
+    {!Obs.Trace.to_jsonl}). *)
 
 val submit : t -> Request.t -> Response.t
 (** Single-request convenience: a one-element {!submit_batch} (the
@@ -106,6 +113,8 @@ val fallback_response :
     Counts toward [served]/[degraded] in {!stats}. *)
 
 val stats : t -> stats
+(** Each field read from its instrument: individually exact,
+    mutually consistent once in-flight submissions have returned. *)
 
 val cache : t -> Response.payload Solution_cache.t
 (** The underlying cache (shared, thread-safe). *)

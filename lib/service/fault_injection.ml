@@ -16,13 +16,8 @@ let is_none plan = plan.sites = []
 
 let seed plan = plan.seed
 
-(* Seeded coin in [0, 1): the first 30 bits of an MD5 over the full
-   decision identity. Pure, so the same (plan, site, key, attempt)
-   always lands the same way regardless of scheduling. *)
-let coin plan ~site ~key ~attempt =
-  let d =
-    Digest.string (Printf.sprintf "%d|%s|%s|%d" plan.seed site key attempt)
-  in
+let coin identity =
+  let d = Digest.string identity in
   let bits =
     (Char.code d.[0] lsl 22)
     lor (Char.code d.[1] lsl 14)
@@ -30,6 +25,9 @@ let coin plan ~site ~key ~attempt =
     lor (Char.code d.[3] lsr 2)
   in
   float_of_int bits /. 1073741824.0 (* 2^30 *)
+
+let plan_coin plan ~site ~key ~attempt =
+  coin (Printf.sprintf "%d|%s|%s|%d" plan.seed site key attempt)
 
 let fault_at plan ~site ~key ~index ~attempt =
   if plan.sites = [] then None
@@ -43,7 +41,7 @@ let fault_at plan ~site ~key ~index ~attempt =
             match action with
             | Fail_nth (n, f) when n = index && attempt = 0 -> Some f
             | Fail_nth _ -> None
-            | Fail_rate (p, f) when coin plan ~site ~key ~attempt < p -> Some f
+            | Fail_rate (p, f) when plan_coin plan ~site ~key ~attempt < p -> Some f
             | Fail_rate _ -> None
             | Slow _ -> None))
       None plan.sites

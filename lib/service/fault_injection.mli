@@ -56,6 +56,13 @@ val fault_at :
   Fault.t option
 (** Pure decision, no sleeping, no raising. *)
 
+val coin : string -> float
+(** The seeded coin behind every seeded decision in the serving stack
+    (fault injection, socket chaos, backoff jitter): a value in
+    [[0, 1)] from the first 30 bits of the MD5 of [identity]. Pure, so
+    a decision lands the same way whatever the scheduling; each caller
+    formats its own identity string, seed included. *)
+
 val fire : plan -> site:string -> key:string -> index:int -> attempt:int -> unit
 (** Applies [Slow] delays, then raises the injected fault, if any, as
     {!Fault.Crash} ([Worker_crashed]) or {!Fault.Error} (others). *)

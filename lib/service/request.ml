@@ -1,11 +1,5 @@
-type estimation_opt =
-  | Auto
-  | Cme
-  | Inspector
-  | Oracle
-
 type options = {
-  estimation : estimation_opt;
+  estimation : Locmap.Mapper.estimation option;
   fraction : float option;
   balance : bool;
   alpha_override : float option;
@@ -14,7 +8,7 @@ type options = {
 
 let default_options =
   {
-    estimation = Auto;
+    estimation = None;
     fraction = None;
     balance = true;
     alpha_override = None;
@@ -37,10 +31,10 @@ let make ?(scale = 1.0) ?(machine = Machine.Config.default)
    hash never depends on decimal formatting.                           *)
 
 let estimation_name = function
-  | Auto -> "auto"
-  | Cme -> "cme"
-  | Inspector -> "inspector"
-  | Oracle -> "oracle"
+  | None -> "auto"
+  | Some Locmap.Mapper.Cme_estimate -> "cme"
+  | Some Locmap.Mapper.Inspector -> "inspector"
+  | Some Locmap.Mapper.Oracle -> "oracle"
 
 let topology_name = function
   | Noc.Topology.Mesh -> "mesh"
@@ -257,10 +251,10 @@ let decode_options json =
     | "estimation" -> (
         let* s = in_field key (Json.to_str v) in
         match s with
-        | "auto" -> Ok { o with estimation = Auto }
-        | "cme" -> Ok { o with estimation = Cme }
-        | "inspector" -> Ok { o with estimation = Inspector }
-        | "oracle" -> Ok { o with estimation = Oracle }
+        | "auto" -> Ok { o with estimation = None }
+        | "cme" -> Ok { o with estimation = Some Cme_estimate }
+        | "inspector" -> Ok { o with estimation = Some Inspector }
+        | "oracle" -> Ok { o with estimation = Some Oracle }
         | s -> Error (Printf.sprintf "estimation: unknown mode %S" s))
     | "fraction" ->
         let* f = opt_float key v in

@@ -16,14 +16,10 @@
     function here is safe to call from concurrent {!Par.Pool} workers
     without synchronisation. *)
 
-type estimation_opt =
-  | Auto  (** per-program default: CME for regular, inspector otherwise *)
-  | Cme
-  | Inspector
-  | Oracle
-
 type options = {
-  estimation : estimation_opt;
+  estimation : Locmap.Mapper.estimation option;
+      (** [None] (wire name ["auto"]): the per-program default, CME for
+          regular programs and the inspector otherwise *)
   fraction : float option;  (** iteration-set fraction override *)
   balance : bool;  (** run the location-aware balancing pass *)
   alpha_override : float option;  (** fix the shared-LLC α weight *)
@@ -33,7 +29,7 @@ type options = {
 }
 
 val default_options : options
-(** [Auto] estimation, no overrides, balancing on, error replay off. *)
+(** Automatic estimation, no overrides, balancing on, error replay off. *)
 
 type t = {
   workload : string;  (** registry name; resolved at execution time *)

@@ -25,18 +25,14 @@ let is_off p = p.deadline_ms = None && p.max_retries = 0 && not p.degrade
 
 let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6
 
-(* Jitter in [-1, 1), a pure function of (seed, key, attempt) — the
-   same construction as Fault_injection.coin, so backoff schedules are
-   reproducible and need no shared RNG. *)
+(* Jitter in [-1, 1), a pure function of (seed, key, attempt) through
+   Fault_injection.coin, so backoff schedules are reproducible and need
+   no shared RNG. *)
 let jitter_unit ~seed ~key ~attempt =
-  let d = Digest.string (Printf.sprintf "backoff|%d|%s|%d" seed key attempt) in
-  let bits =
-    (Char.code d.[0] lsl 22)
-    lor (Char.code d.[1] lsl 14)
-    lor (Char.code d.[2] lsl 6)
-    lor (Char.code d.[3] lsr 2)
+  let u =
+    Fault_injection.coin (Printf.sprintf "backoff|%d|%s|%d" seed key attempt)
   in
-  (2.0 *. float_of_int bits /. 1073741824.0) -. 1.0
+  (2.0 *. u) -. 1.0
 
 let backoff_ms p ~key ~attempt =
   let base =

@@ -2,10 +2,11 @@
    most-recently used (head) to least (tail); the table maps key to its
    list node for O(1) touch/remove.
 
-   Counters live outside the mutex as atomics so that statistics reads
-   ([counters], [hit_rate], [length]) never contend with the LRU lock —
-   a stats scrape cannot stall the serving hot path. [size] mirrors
-   [Hashtbl.length table] for the same reason. *)
+   The statistics live in registry instruments bumped outside the
+   mutex, so that reads ([counters], [length]) never contend with the
+   LRU lock — a stats scrape cannot stall the serving hot path.
+   [length] reads the [locmap_cache_entries] gauge, which moves with
+   each insertion that evicts nothing. *)
 
 type 'a node = {
   key : string;
@@ -21,7 +22,6 @@ type counters = {
   evictions : int;
 }
 
-(* Registered once per cache when a registry is passed to [create]. *)
 type instruments = {
   m_hits : Obs.Metrics.counter;
   m_misses : Obs.Metrics.counter;
@@ -35,54 +35,31 @@ type 'a t = {
   table : (string, 'a node) Hashtbl.t;
   mutable head : 'a node option;
   mutable tail : 'a node option;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  insertions : int Atomic.t;
-  evictions : int Atomic.t;
-  size : int Atomic.t;
-  obs : instruments option;
+  obs : instruments;
   lock : Mutex.t;
 }
 
 let create ~capacity ?metrics () =
   if capacity < 1 then invalid_arg "Solution_cache.create: capacity < 1";
+  let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
+  let counter help name = Obs.Metrics.counter im ~help name in
   let obs =
-    match metrics with
-    | None -> None
-    | Some im ->
-        Some
-          {
-            m_hits =
-              Obs.Metrics.counter im ~help:"cache lookups that hit"
-                "locmap_cache_hits_total";
-            m_misses =
-              Obs.Metrics.counter im ~help:"cache lookups that missed"
-                "locmap_cache_misses_total";
-            m_insertions =
-              Obs.Metrics.counter im ~help:"new entries inserted"
-                "locmap_cache_insertions_total";
-            m_evictions =
-              Obs.Metrics.counter im
-                ~help:"entries dropped by capacity pressure"
-                "locmap_cache_evictions_total";
-            m_entries =
-              Obs.Metrics.gauge im ~help:"entries currently cached"
-                "locmap_cache_entries";
-          }
+    {
+      m_hits = counter "cache lookups that hit" "locmap_cache_hits_total";
+      m_misses =
+        counter "cache lookups that missed" "locmap_cache_misses_total";
+      m_insertions =
+        counter "new entries inserted" "locmap_cache_insertions_total";
+      m_evictions =
+        counter "entries dropped by capacity pressure"
+          "locmap_cache_evictions_total";
+      m_entries =
+        Obs.Metrics.gauge im ~help:"entries currently cached"
+          "locmap_cache_entries";
+    }
   in
-  {
-    cap = capacity;
-    table = Hashtbl.create (2 * capacity);
-    head = None;
-    tail = None;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    insertions = Atomic.make 0;
-    evictions = Atomic.make 0;
-    size = Atomic.make 0;
-    obs;
-    lock = Mutex.create ();
-  }
+  let table = Hashtbl.create (2 * capacity) and lock = Mutex.create () in
+  { cap = capacity; table; head = None; tail = None; obs; lock }
 
 let locked t f =
   Mutex.lock t.lock;
@@ -90,15 +67,7 @@ let locked t f =
 
 let capacity t = t.cap
 
-let length t = Atomic.get t.size
-
-let obs_incr t pick =
-  match t.obs with Some i -> Obs.Metrics.incr (pick i) | None -> ()
-
-let sync_entries t =
-  match t.obs with
-  | Some i -> Obs.Metrics.set_gauge i.m_entries (Atomic.get t.size)
-  | None -> ()
+let length t = Obs.Metrics.gauge_value t.obs.m_entries
 
 (* List surgery; all callers hold the lock. *)
 
@@ -129,13 +98,8 @@ let find t key =
             Some n.value
         | None -> None)
   in
-  (match r with
-  | Some _ ->
-      Atomic.incr t.hits;
-      obs_incr t (fun i -> i.m_hits)
-  | None ->
-      Atomic.incr t.misses;
-      obs_incr t (fun i -> i.m_misses));
+  Obs.Metrics.incr
+    (match r with Some _ -> t.obs.m_hits | None -> t.obs.m_misses);
   r
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
@@ -155,7 +119,6 @@ let add t key value =
                 | Some lru ->
                     unlink t lru;
                     Hashtbl.remove t.table lru.key;
-                    Atomic.decr t.size;
                     true
                 | None -> assert false
               end
@@ -164,18 +127,15 @@ let add t key value =
             let n = { key; value; prev = None; next = None } in
             push_front t n;
             Hashtbl.replace t.table key n;
-            Atomic.incr t.size;
             (evicted, true))
   in
-  if evicted then begin
-    Atomic.incr t.evictions;
-    obs_incr t (fun i -> i.m_evictions)
-  end;
+  (* An eviction only happens to make room for an insertion, so the
+     entry count moves only when the insertion evicted nothing. *)
   if inserted then begin
-    Atomic.incr t.insertions;
-    obs_incr t (fun i -> i.m_insertions)
-  end;
-  if evicted || inserted then sync_entries t
+    Obs.Metrics.incr t.obs.m_insertions;
+    if evicted then Obs.Metrics.incr t.obs.m_evictions
+    else Obs.Metrics.add_gauge t.obs.m_entries 1
+  end
 
 let keys_mru t =
   locked t (fun () ->
@@ -187,28 +147,8 @@ let keys_mru t =
 
 let counters t =
   {
-    hits = Atomic.get t.hits;
-    misses = Atomic.get t.misses;
-    insertions = Atomic.get t.insertions;
-    evictions = Atomic.get t.evictions;
+    hits = Obs.Metrics.counter_value t.obs.m_hits;
+    misses = Obs.Metrics.counter_value t.obs.m_misses;
+    insertions = Obs.Metrics.counter_value t.obs.m_insertions;
+    evictions = Obs.Metrics.counter_value t.obs.m_evictions;
   }
-
-let hit_rate t =
-  let h = Atomic.get t.hits and m = Atomic.get t.misses in
-  let total = h + m in
-  if total = 0 then 0. else float_of_int h /. float_of_int total
-
-let reset_counters t =
-  Atomic.set t.hits 0;
-  Atomic.set t.misses 0;
-  Atomic.set t.insertions 0;
-  Atomic.set t.evictions 0
-
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None;
-      Atomic.set t.size 0);
-  reset_counters t;
-  sync_entries t

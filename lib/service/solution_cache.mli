@@ -8,23 +8,28 @@
 
     {b Thread safety}: every structural operation takes an internal
     mutex, so a cache may be shared freely across domains. The
-    statistics — {!counters}, {!hit_rate}, {!length} — are kept in
-    atomics {e outside} that mutex and read lock-free: a stats scrape
-    never contends with (or stalls) the serving hot path. The price is
-    that a statistics read concurrent with operations sees each atomic
-    at its own instant — e.g. a [find] whose structural step has
-    completed but whose hit is not yet counted — so cross-counter sums
-    are momentarily approximate under concurrency, and exact once the
-    operations in flight have returned. A find/add pair is likewise not
-    a transaction — under concurrent misses of the same key both
-    callers may compute and store (last store wins, which is harmless
-    for deterministic solutions). {!Api} avoids even that by
-    deduplicating batches before dispatch.
+    statistics — {!counters} and {!length} — are {!Obs.Metrics}
+    instruments bumped {e outside} that mutex and read lock-free: a
+    stats scrape never contends with (or stalls) the serving hot path.
+    The price is that a statistics read concurrent with operations
+    sees each instrument at its own instant — e.g. a [find] whose
+    structural step has completed but whose hit is not yet counted —
+    so cross-counter sums are momentarily approximate under
+    concurrency, and exact once the operations in flight have
+    returned. A find/add pair is likewise not a transaction — under
+    concurrent misses of the same key both callers may compute and
+    store (last store wins, which is harmless for deterministic
+    solutions). {!Api} avoids even that by deduplicating batches
+    before dispatch.
 
-    {b Observability}: pass [?metrics] to {!create} to additionally
-    feed [locmap_cache_hits_total], [locmap_cache_misses_total],
-    [locmap_cache_insertions_total], [locmap_cache_evictions_total]
-    (counters) and [locmap_cache_entries] (gauge). *)
+    {b Observability}: the cache counts in [locmap_cache_hits_total],
+    [locmap_cache_misses_total], [locmap_cache_insertions_total],
+    [locmap_cache_evictions_total] (counters) and
+    [locmap_cache_entries] (gauge), registered in the [?metrics]
+    registry given to {!create} or in a private one. These are the
+    only tallies: {!counters} and {!length} read them. Registration is
+    idempotent, so two caches created on one registry share these
+    counters and their {!counters} and {!length} report the sum. *)
 
 type 'a t
 
@@ -37,11 +42,13 @@ type counters = {
 
 val create : capacity:int -> ?metrics:Obs.Metrics.t -> unit -> 'a t
 (** Raises [Invalid_argument] unless [capacity >= 1]. [metrics]
-    registers the cache instruments described above. *)
+    receives the cache instruments described above (default: a
+    private registry). *)
 
 val capacity : 'a t -> int
 
 val length : 'a t -> int
+(** Entries currently cached (the [locmap_cache_entries] gauge). *)
 
 val find : 'a t -> string -> 'a option
 (** Counts a hit (and refreshes recency) or a miss. *)
@@ -58,11 +65,3 @@ val keys_mru : 'a t -> string list
 (** Keys from most- to least-recently used (a test/debug view). *)
 
 val counters : 'a t -> counters
-
-val hit_rate : 'a t -> float
-(** [hits / (hits + misses)]; 0 before any [find]. *)
-
-val reset_counters : 'a t -> unit
-
-val clear : 'a t -> unit
-(** Drops all entries (not counted as evictions) and resets counters. *)

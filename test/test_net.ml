@@ -1176,6 +1176,117 @@ let test_health_control () =
         (Net.Server.stats server).Net.Server.requests)
 
 (* ------------------------------------------------------------------ *)
+(* Stats are the registry's counters                                   *)
+
+(* One serial session over a deterministic mix of ok, cached, evicting,
+   malformed and unknown-workload lines, drained before anything is
+   read back. *)
+let stats_session ?metrics () =
+  let api = Service.Api.create ~cache_capacity:2 ~num_domains:1 ?metrics () in
+  let config =
+    {
+      Net.Server.default_config with
+      Net.Server.quota =
+        Some
+          { Net.Quota.default_config with Net.Quota.rate = 1e4; burst = 1e4 };
+      breaker = Some Net.Breaker.default_config;
+    }
+  in
+  let server = Net.Server.create ~config ?metrics ~api () in
+  let lines =
+    [
+      req "fft";
+      req "lu";
+      req "fft" (* hit *);
+      "not json";
+      {|{"workload":"no-such-workload"}|};
+      "";
+      "# comment";
+      {|{"workload": 42}|};
+      req "mxm" (* evicts lu *);
+      req "lu" (* miss again, evicts fft *);
+    ]
+  in
+  let fd = connect (Net.Server.port server) in
+  send_string fd (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  let responses = read_lines ~expect:8 fd in
+  close_quietly fd;
+  let st = Net.Server.drain server in
+  let health = Net.Server.health_json server in
+  let ast = Service.Api.stats api in
+  Service.Api.shutdown api;
+  (responses, st, ast, health)
+
+let test_stats_are_counters () =
+  let metrics = Obs.Metrics.create () in
+  let resp_m, st_m, api_m, health_m = stats_session ~metrics () in
+  let resp_p, st_p, api_p, health_p = stats_session () in
+  let pp_server = Fmt.to_to_string Net.Server.pp_stats in
+  let pp_api = Fmt.to_to_string Service.Api.pp_stats in
+  check (Alcotest.list string_t) "same responses" resp_p resp_m;
+  check string_t "same Server.stats" (pp_server st_p) (pp_server st_m);
+  check bool_t "Server.stats structurally equal" true (st_p = st_m);
+  check string_t "same Api.stats" (pp_api api_p) (pp_api api_m);
+  check bool_t "Api.stats structurally equal" true (api_p = api_m);
+  check string_t "same !health" health_p health_m;
+  (* The mix exercised what it claims to. *)
+  check int_t "malformed" 2 st_m.Net.Server.malformed;
+  check int_t "errors" 1 api_m.Service.Api.errors;
+  check int_t "hits" 1 api_m.Service.Api.cache.Service.Solution_cache.hits;
+  check int_t "evictions" 2
+    api_m.Service.Api.cache.Service.Solution_cache.evictions;
+  (* Every field is its instrument in the caller's registry. *)
+  let samples = Obs.Metrics.snapshot metrics in
+  let value ?(labels = []) name =
+    match
+      List.find_opt
+        (fun (s : Obs.Metrics.sample) -> s.name = name && s.labels = labels)
+        samples
+    with
+    | Some { value = Obs.Metrics.Counter v | Obs.Metrics.Gauge v; _ } -> v
+    | _ -> Alcotest.failf "no counter or gauge %s in the snapshot" name
+  in
+  let c ?labels name = (name, value ?labels name) in
+  let shed reason = c ~labels:[ ("reason", reason) ] "locmap_net_shed_total" in
+  let s = st_m and a = api_m in
+  List.iter
+    (fun (field, (name, v)) -> check int_t name v field)
+    [
+      (s.conns_accepted, c "locmap_net_conns_accepted_total");
+      (s.conns_rejected, c "locmap_net_conns_rejected_total");
+      (s.conns_active, c "locmap_net_conns_active");
+      (s.frames, c "locmap_net_frames_total");
+      (s.requests, c "locmap_net_requests_total");
+      (s.admitted, c "locmap_net_admitted_total");
+      (s.shed_inflight, shed "inflight");
+      (s.shed_draining, shed "draining");
+      (s.shed_quota, shed "quota");
+      (s.shed_brownout, shed "brownout");
+      (s.brownout_cached, c "locmap_net_brownout_cached_total");
+      (s.brownout_degraded, c "locmap_net_brownout_degraded_total");
+      (s.idle_closed, c "locmap_net_idle_closed_total");
+      (s.malformed, c "locmap_net_malformed_total");
+      (s.completed, c "locmap_net_completed_total");
+      (s.write_errors, c "locmap_net_write_errors_total");
+      ( s.lost,
+        ( "admitted - completed - inflight",
+          value "locmap_net_admitted_total"
+          - value "locmap_net_completed_total"
+          - value "locmap_net_inflight" ) );
+      (a.served, c "locmap_requests_served_total");
+      (a.errors, c "locmap_responses_error_total");
+      (a.computed, c "locmap_requests_computed_total");
+      (a.degraded, c "locmap_responses_degraded_total");
+      (a.retried, c "locmap_retries_total");
+      (a.crashes, c "locmap_pool_crashes_total");
+      (a.cache.hits, c "locmap_cache_hits_total");
+      (a.cache.misses, c "locmap_cache_misses_total");
+      (a.cache.insertions, c "locmap_cache_insertions_total");
+      (a.cache.evictions, c "locmap_cache_evictions_total");
+      (a.cache_entries, c "locmap_cache_entries");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Server books under injected faults, many domains                    *)
 
 let test_server_fault_hammer () =
@@ -1377,6 +1488,8 @@ let () =
             test_slowloris_reclaim;
           Alcotest.test_case "health control line" `Quick
             test_health_control;
+          Alcotest.test_case "stats equal the registry snapshot" `Quick
+            test_stats_are_counters;
           Alcotest.test_case "books under injected faults" `Quick
             test_server_fault_hammer;
           Alcotest.test_case "chaos determinism across domains" `Quick

@@ -1,5 +1,6 @@
-(* lib/obs: histogram bucket semantics, per-domain shard merging, the
-   registry off switch, deterministic-ID tracing, span nesting — and
+(* lib/obs: histogram bucket semantics, per-domain shard merging,
+   allocation-free re-registration, the tracer's off switch,
+   deterministic-ID tracing, span nesting — and
    the end-to-end guarantee that a fully instrumented batch stays
    byte-identical across domain counts in deterministic-obs mode. *)
 
@@ -96,29 +97,35 @@ let test_shard_merge () =
     [ 1; 2; 4; 8 ]
 
 (* ------------------------------------------------------------------ *)
-(* The off switch                                                      *)
+(* Registration                                                        *)
+
+(* Repeated registration: every served request re-registers the
+   mapper's instruments, so finding an existing one must build
+   nothing. *)
+let test_reregister_allocation_free () =
+  let m = Obs.Metrics.create () in
+  let c = Obs.Metrics.counter m ~help:"h" "re_total" in
+  let g = Obs.Metrics.gauge m ~labels:[ ("k", "v") ] "re_gauge" in
+  let n = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Obs.Metrics.counter m ~help:"h" "re_total");
+    ignore (Obs.Metrics.gauge m ~labels:[ ("k", "v") ] "re_gauge")
+  done;
+  let words = Gc.minor_words () -. before in
+  check bool_t
+    (Printf.sprintf "%.0f words for %d lookups" words (2 * n))
+    true
+    (words < float_of_int n);
+  check bool_t "same counter" true
+    (Obs.Metrics.counter m ~help:"h" "re_total" == c);
+  check bool_t "same gauge" true
+    (Obs.Metrics.gauge m ~labels:[ ("k", "v") ] "re_gauge" == g)
+
+(* ------------------------------------------------------------------ *)
+(* The tracer's off switch                                             *)
 
 let test_disabled_noop () =
-  let m = Obs.Metrics.create ~enabled:false () in
-  let c = Obs.Metrics.counter m "c_total" in
-  let g = Obs.Metrics.gauge m "g" in
-  let h = Obs.Metrics.histogram m "h_ms" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 7;
-  Obs.Metrics.set_gauge g 3;
-  Obs.Metrics.add_gauge g 2;
-  Obs.Metrics.observe h 1.0;
-  let r = Obs.Metrics.time h (fun () -> 41 + 1) in
-  check int_t "time returns the thunk's result" 42 r;
-  check int_t "counter untouched" 0 (Obs.Metrics.counter_value c);
-  check int_t "gauge untouched" 0 (Obs.Metrics.gauge_value g);
-  (match (find_sample "h_ms" (Obs.Metrics.snapshot m)).value with
-  | Obs.Metrics.Histogram v -> check int_t "histogram untouched" 0 v.count
-  | _ -> Alcotest.fail "expected a histogram sample");
-  (* Flipping the switch makes the same instruments live. *)
-  Obs.Metrics.set_enabled m true;
-  Obs.Metrics.incr c;
-  check int_t "counter live after enable" 1 (Obs.Metrics.counter_value c);
   (* A disabled tracer records nothing and exports nothing. *)
   let tr = Obs.Trace.create ~enabled:false () in
   let s = Obs.Trace.root tr "r" in
@@ -295,13 +302,15 @@ let () =
             test_histogram_validation;
           Alcotest.test_case "shard merge 1/2/4/8 domains" `Slow
             test_shard_merge;
-          Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
+          Alcotest.test_case "re-registration allocation-free" `Quick
+            test_reregister_allocation_free;
         ] );
       ( "trace",
         [
           Alcotest.test_case "deterministic ids" `Quick
             test_deterministic_trace_ids;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
+          Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
         ] );
       ( "exposition",
         [
