@@ -7,6 +7,7 @@ type t = {
   tags : int array;  (* sets * assoc; -1 = invalid; tag = line index *)
   dirty : Bytes.t;
   stamp : int array;  (* LRU timestamps *)
+  mru : int array;  (* per set: the way the set last touched *)
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
@@ -42,6 +43,7 @@ let create ~size ~assoc ~line_size () =
     tags = Array.make lines (-1);
     dirty = Bytes.make lines '\000';
     stamp = Array.make lines 0;
+    mru = Array.init sets (fun set -> set * assoc);
     clock = 0;
     hits = 0;
     misses = 0;
@@ -56,47 +58,60 @@ let line_of t addr =
 let set_of t line =
   if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
 
+let hit t w ~set ~write =
+  t.stamp.(w) <- t.clock;
+  if write then Bytes.unsafe_set t.dirty w '\001';
+  t.mru.(set) <- w;
+  t.hits <- t.hits + 1;
+  true
+
 (* Returns the verdict as an unboxed bool and leaves the victim in
    plain fields, so the access path allocates nothing. *)
 let access t ~addr ~write =
   if addr < 0 then invalid_arg "Sa_cache.access: negative address";
   let line = line_of t addr in
   let set = set_of t line in
-  let base = set * t.assoc in
   t.clock <- t.clock + 1;
-  (* Search the set for a hit, remembering the LRU (or an invalid)
-     way as the victim. *)
-  let found = ref (-1) in
-  let victim = ref (-1) in
-  let oldest = ref max_int in
-  let invalid = ref (-1) in
-  for w = base to base + t.assoc - 1 do
-    if t.tags.(w) = line then found := w
-    else if t.tags.(w) = -1 then invalid := w
-    else if t.stamp.(w) < !oldest then begin
-      oldest := t.stamp.(w);
-      victim := w
-    end
-  done;
-  if !found >= 0 then begin
-    let w = !found in
-    t.stamp.(w) <- t.clock;
-    if write then Bytes.unsafe_set t.dirty w '\001';
-    t.hits <- t.hits + 1;
-    true
-  end
+  (* A line sits in at most one way of its set, so when the way the
+     set touched last holds it, the scan below would find that way:
+     the hit updates are the same and LRU stays exact. A stale entry
+     (the way since invalidated or reset) holds another tag or -1 and
+     falls through to the scan. *)
+  let m = t.mru.(set) in
+  if t.tags.(m) = line then hit t m ~set ~write
   else begin
-    let w = if !invalid >= 0 then !invalid else !victim in
-    let victim_tag = t.tags.(w) in
-    let victim_dirty = victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001' in
-    if victim_dirty then t.writebacks <- t.writebacks + 1;
-    t.last_victim <- (if victim_tag >= 0 then victim_tag * t.line_size else -1);
-    t.last_victim_dirty <- victim_dirty;
-    t.tags.(w) <- line;
-    Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
-    t.stamp.(w) <- t.clock;
-    t.misses <- t.misses + 1;
-    false
+    let base = set * t.assoc in
+    (* Search the set for a hit, remembering the LRU (or an invalid)
+       way as the victim. *)
+    let found = ref (-1) in
+    let victim = ref (-1) in
+    let oldest = ref max_int in
+    let invalid = ref (-1) in
+    for w = base to base + t.assoc - 1 do
+      if t.tags.(w) = line then found := w
+      else if t.tags.(w) = -1 then invalid := w
+      else if t.stamp.(w) < !oldest then begin
+        oldest := t.stamp.(w);
+        victim := w
+      end
+    done;
+    if !found >= 0 then hit t !found ~set ~write
+    else begin
+      let w = if !invalid >= 0 then !invalid else !victim in
+      let victim_tag = t.tags.(w) in
+      let victim_dirty =
+        victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001'
+      in
+      if victim_dirty then t.writebacks <- t.writebacks + 1;
+      t.last_victim <- (if victim_tag >= 0 then victim_tag * t.line_size else -1);
+      t.last_victim_dirty <- victim_dirty;
+      t.tags.(w) <- line;
+      Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
+      t.stamp.(w) <- t.clock;
+      t.mru.(set) <- w;
+      t.misses <- t.misses + 1;
+      false
+    end
   end
 
 let last_victim t = t.last_victim

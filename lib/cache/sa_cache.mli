@@ -22,7 +22,8 @@ val access : t -> addr:int -> write:bool -> bool
     returns [true] on a hit. A miss ([false]) installs the line
     (write-allocate) and records the evicted line in {!last_victim} and
     {!last_victim_dirty}; a write marks the line dirty. LRU state is
-    updated. Allocates nothing. *)
+    updated. A hit in the way its set touched last skips the way scan.
+    Allocates nothing. *)
 
 val last_victim : t -> int
 (** Base address of the line evicted by the most recent miss, [-1] if

@@ -35,31 +35,34 @@ let push t ~time ~id =
     i := (!i - 1) / 2
   done
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) and id = t.ids.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      t.times.(0) <- t.times.(t.len);
-      t.ids.(0) <- t.ids.(t.len);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && t.times.(l) < t.times.(!smallest) then smallest := l;
-        if r < t.len && t.times.(r) < t.times.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          swap t !i !smallest;
-          i := !smallest
-        end
-        else continue := false
-      done
-    end;
-    Some (time, id)
+let min_time t =
+  if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
+  t.times.(0)
+
+let min_id t =
+  if t.len = 0 then invalid_arg "Event_heap.min_id: empty heap";
+  t.ids.(0)
+
+let remove_min t =
+  if t.len = 0 then invalid_arg "Event_heap.remove_min: empty heap";
+  t.len <- t.len - 1;
+  if t.len > 0 then begin
+    t.times.(0) <- t.times.(t.len);
+    t.ids.(0) <- t.ids.(t.len);
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+      let smallest = ref !i in
+      if l < t.len && t.times.(l) < t.times.(!smallest) then smallest := l;
+      if r < t.len && t.times.(r) < t.times.(!smallest) then smallest := r;
+      if !smallest <> !i then begin
+        swap t !i !smallest;
+        i := !smallest
+      end
+      else continue := false
+    done
   end
 
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
 let size t = t.len
 let is_empty t = t.len = 0

@@ -7,18 +7,20 @@
     arrivals and completions. Both care about the same two properties,
     which the direct unit tests ([test/test_event_heap.ml]) pin:
 
-    - {e ordering}: [pop] always returns a minimum-time event, so the
-      sequence of popped times is non-decreasing whatever the
-      interleaving of pushes and pops;
+    - {e ordering}: [min_time]/[min_id] always name a minimum-time
+      event, so the sequence of removed times is non-decreasing
+      whatever the interleaving of pushes and removals;
     - {e determinism}: the heap is a pure sequential structure — the
-      same sequence of [push]/[pop] calls always yields the same
+      same sequence of [push]/[remove_min] calls always yields the same
       sequence of results. Ties ({e equal} times) are popped in an
       {e unspecified but reproducible} order; a caller that needs a
       total order across simultaneous events must impose its own
       tie-break on the ids it popped (the cluster scheduler drains all
       events of the current time and sorts them by id).
 
-    Specialised to unboxed ints for speed.
+    Specialised to unboxed ints for speed. Popping is the three calls
+    [min_time], [min_id], [remove_min]: none of them allocates, so a
+    drain loop costs no garbage per event.
 
     {b Thread safety}: not thread-safe. A heap is private to the event
     loop that allocated it and is mutated without locks. *)
@@ -31,10 +33,17 @@ val create : capacity:int -> t
 val push : t -> time:int -> id:int -> unit
 (** Raises [Invalid_argument] on a negative time. *)
 
-val pop : t -> (int * int) option
-(** Smallest-time event as [(time, id)], or [None] when empty. *)
+val min_time : t -> int
+(** Time of a minimum-time event. Raises [Invalid_argument] when the
+    heap is empty. *)
 
-val peek_time : t -> int option
+val min_id : t -> int
+(** Id of the same event {!min_time} reports. Raises [Invalid_argument]
+    when the heap is empty. *)
+
+val remove_min : t -> unit
+(** Removes the event {!min_time} and {!min_id} report. Raises
+    [Invalid_argument] when the heap is empty. *)
 
 val size : t -> int
 

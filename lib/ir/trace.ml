@@ -157,11 +157,12 @@ let addr_of cn vals = function
 let is_write = function
   | Cdirect { write; _ } | Cindirect { write; _ } -> write
 
-(* The one inner-loop walker: for each parallel iteration in [lo, hi),
+(* The range walker: for each parallel iteration in [lo, hi),
    bind the parallel variable, walk the inner loops (outermost first)
    and call [leaf ()] once per complete inner-iteration combination.
    The recursion is built once per call, not once per parallel
-   iteration, so a walk allocates per range and nothing per access. *)
+   iteration, so a walk allocates per range and nothing per access.
+   The per-iteration fill below has its own closure-free recursion. *)
 let walk cn vals ~lo ~hi leaf =
   let ninner = Array.length cn.inner in
   let rec go d =
@@ -199,22 +200,47 @@ let iter_range ?(step = 0) t ~nest ~lo ~hi f =
         f ~addr:(addr_of cn vals ca) ~write:(is_write ca)
       done)
 
-let fill_iteration ?(step = 0) t ~nest ~iter ~buf =
+let loop_vars t =
+  Array.make (Array.fold_left (fun m cn -> max m cn.nvars) 0 t.nests) 0
+
+(* Write the accesses of every inner-loop combination from depth [d]
+   down into [buf] from position [n]; return the next free position.
+   A top-level recursion rather than [walk]'s leaf closure, so a fill
+   allocates nothing. *)
+let rec fill_inner cn vals buf d n =
+  if d = Array.length cn.inner then begin
+    let n = ref n in
+    let body = cn.body in
+    for b = 0 to Array.length body - 1 do
+      let ca = Array.unsafe_get body b in
+      buf.(!n) <- (addr_of cn vals ca lsl 1) lor (if is_write ca then 1 else 0);
+      incr n
+    done;
+    !n
+  end
+  else begin
+    (* In bounds: d < ninner and vals has at least ninner + 2 cells. *)
+    let l = Array.unsafe_get cn.inner d in
+    let n = ref n and v = ref l.lo in
+    while !v < l.hi do
+      Array.unsafe_set vals (d + 2) !v;
+      n := fill_inner cn vals buf (d + 1) !n;
+      v := !v + l.step
+    done;
+    !n
+  end
+
+let fill_iteration t ~vals ~step ~nest ~iter ~buf =
   let cn = get_nest t nest in
   if iter < 0 || iter >= cn.iterations then
     invalid_arg "Trace.fill_iteration: iteration out of range";
   if Array.length buf < cn.appi then
     invalid_arg "Trace.fill_iteration: buffer too small";
-  let vals = fresh_vals cn step in
-  let body = cn.body in
-  let n = ref 0 in
-  walk cn vals ~lo:iter ~hi:(iter + 1) (fun () ->
-      for b = 0 to Array.length body - 1 do
-        let ca = Array.unsafe_get body b in
-        buf.(!n) <- (addr_of cn vals ca lsl 1) lor (if is_write ca then 1 else 0);
-        incr n
-      done);
-  !n
+  if Array.length vals < cn.nvars then
+    invalid_arg "Trace.fill_iteration: loop-variable vector too small";
+  vals.(0) <- step;
+  vals.(1) <- cn.par.lo + (iter * cn.par.step);
+  fill_inner cn vals buf 0 0
 
 (* Visit the accesses of one body reference whose per-reference
    execution counter is [first], [first + period], ... below [hi].

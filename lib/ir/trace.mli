@@ -53,13 +53,20 @@ val iter_range :
     nest's iteration space, or if an indirection reads outside its
     index table. *)
 
+val loop_vars : t -> int array
+(** A fresh loop-variable vector wide enough for every nest of the
+    trace, for {!fill_iteration}. *)
+
 val fill_iteration :
-  ?step:int -> t -> nest:int -> iter:int -> buf:int array -> int
-(** [fill_iteration t ~nest ~iter ~buf] writes the encoded accesses of
-    one parallel iteration into [buf] and returns their count. Each
-    element encodes [(addr lsl 1) lor write_bit] — see {!decode_addr}
-    and {!decode_write}. [buf] must hold at least
-    [accesses_per_par_iter] elements. *)
+  t -> vals:int array -> step:int -> nest:int -> iter:int -> buf:int array -> int
+(** [fill_iteration t ~vals ~step ~nest ~iter ~buf] writes the encoded
+    accesses of one parallel iteration into [buf], with the step
+    variable bound to [step], and returns their count. Each element
+    encodes [(addr lsl 1) lor write_bit] — see {!decode_addr} and
+    {!decode_write}. [buf] must hold at least [accesses_per_par_iter]
+    elements; [vals] is caller-owned scratch from {!loop_vars}. A fill
+    allocates nothing, so the simulator calls it once per parallel
+    iteration. *)
 
 val iter_body_periodic :
   ?step:int ->

@@ -31,6 +31,7 @@ type core_state = {
   mutable nest : int;
   mutable iter : int;  (* next parallel iteration of current set *)
   mutable iter_hi : int;  (* end of current set *)
+  mutable vals : int array;  (* loop-variable vector for the fill *)
   mutable buf : int array;  (* current iteration's encoded accesses *)
   mutable buf_len : int;
   mutable buf_pos : int;
@@ -55,26 +56,20 @@ type job_state = {
    traffic in (approximately) global-time order. Sending a response at
    its post-DRAM timestamp directly from the initial request event
    would reserve links far in the future and stall unrelated earlier
-   packets behind phantom traffic. *)
-type deferred =
-  | Resp_to_core of {
-      src : int;
-      core : int;
-    }  (** data packet [src]->core node, then the core resumes *)
-  | Resp_via_bank of {
-      mcn : int;
-      bank : int;
-      core : int;
-    }  (** S-NUCA fill: data MC->bank, then bank->core *)
-  | Bank_access of { core : int }  (** request reached the home bank *)
-  | Wb_to_mc of {
-      src : int;
-      victim : int;
-    }  (** fire-and-forget dirty writeback towards the victim's MC *)
-  | Wb_to_bank of {
-      src : int;
-      victim : int;
-    }  (** fire-and-forget L1 victim towards its home bank *)
+   packets behind phantom traffic.
+
+   A stage is a constant constructor plus three ints kept in parallel
+   arrays (see [state]), so scheduling one allocates nothing. *)
+type stage =
+  | Free  (* slot not in use *)
+  | Resp_to_core  (* data packet src->core node, then the core resumes *)
+  | Resp_via_bank  (* S-NUCA fill: data MC (src)->bank (aux), then
+                      bank->core *)
+  | Bank_access  (* the core's request reached the home bank *)
+  | Wb_to_mc  (* fire-and-forget dirty writeback of line aux from src
+                 towards its MC *)
+  | Wb_to_bank  (* fire-and-forget L1 victim aux from src towards its
+                   home bank *)
 
 type state = {
   cfg : Config.t;
@@ -91,7 +86,12 @@ type state = {
   stats : Stats.t;
   data_flits : int;
   shared : bool;
-  mutable deferred : deferred option array;  (* slot -> pending stage *)
+  (* Deferred stages by slot: what fires, the node its packet leaves
+     from, the core it serves and a bank or victim address. *)
+  mutable d_stage : stage array;
+  mutable d_src : int array;
+  mutable d_core : int array;
+  mutable d_aux : int array;
   mutable free_slots : int array;  (* stack of slots whose stage fired *)
   mutable num_free : int;
   mutable num_slots : int;  (* slots handed out so far *)
@@ -105,6 +105,7 @@ let new_core_state () =
     nest = 0;
     iter = 0;
     iter_hi = 0;
+    vals = [||];
     buf = [||];
     buf_len = 0;
     buf_pos = 0;
@@ -205,18 +206,24 @@ let num_core_ids st = Array.length st.cores
    recycled once their stage fires, so the table is bounded by the
    transactions in flight, not by run length; the heap orders by time
    alone, so which slot an event gets cannot change the pop order. *)
-let schedule_deferred st ~time ev =
+let grow a fill =
+  let bigger = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+let schedule_deferred st ~time stage ~src ~core ~aux =
   let slot =
     if st.num_free > 0 then begin
       st.num_free <- st.num_free - 1;
       st.free_slots.(st.num_free)
     end
     else begin
-      let cap = Array.length st.deferred in
+      let cap = Array.length st.d_stage in
       if st.num_slots = cap then begin
-        let bigger = Array.make (2 * cap) None in
-        Array.blit st.deferred 0 bigger 0 cap;
-        st.deferred <- bigger;
+        st.d_stage <- grow st.d_stage Free;
+        st.d_src <- grow st.d_src 0;
+        st.d_core <- grow st.d_core 0;
+        st.d_aux <- grow st.d_aux 0;
         (* The free stack is empty here: nothing to copy. *)
         st.free_slots <- Array.make (2 * cap) 0
       end;
@@ -224,7 +231,10 @@ let schedule_deferred st ~time ev =
       st.num_slots - 1
     end
   in
-  st.deferred.(slot) <- Some ev;
+  st.d_stage.(slot) <- stage;
+  st.d_src.(slot) <- src;
+  st.d_core.(slot) <- core;
+  st.d_aux.(slot) <- aux;
   Des.Event_heap.push st.heap ~time ~id:(num_core_ids st + slot)
 
 (* The core's pending access completed: consume it and resume. *)
@@ -247,24 +257,24 @@ let execute_shared st c t =
     (* Private LLC: the local bank already missed; fetch from memory. *)
     let l2 = st.l2.(c) in
     if Cache.Sa_cache.last_victim_dirty l2 then
-      schedule_deferred st ~time:t
-        (Wb_to_mc { src = node; victim = Cache.Sa_cache.last_victim l2 });
+      schedule_deferred st ~time:t Wb_to_mc ~src:node ~core:0
+        ~aux:(Cache.Sa_cache.last_victim l2);
     let mc = Addr_map.mc_of st.amap pa in
     let mcn = Addr_map.mc_node st.amap mc in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:mcn ~flits:1 in
     let t2 = Mem.Dram.service st.drams.(mc) ~now:t1 ~addr:pa in
-    schedule_deferred st ~time:t2 (Resp_to_core { src = mcn; core = c })
+    schedule_deferred st ~time:t2 Resp_to_core ~src:mcn ~core:c ~aux:0
   end
   else begin
     (* Shared LLC (S-NUCA): the L1 victim (if dirty) flows to its own
        home bank; the request travels to the line's home bank. *)
     let l1 = st.l1.(c) in
     if Cache.Sa_cache.last_victim_dirty l1 then
-      schedule_deferred st ~time:t
-        (Wb_to_bank { src = node; victim = Cache.Sa_cache.last_victim l1 });
+      schedule_deferred st ~time:t Wb_to_bank ~src:node ~core:0
+        ~aux:(Cache.Sa_cache.last_victim l1);
     let bank = Addr_map.bank_node_of st.amap pa in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:bank ~flits:1 in
-    schedule_deferred st ~time:t1 (Bank_access { core = c })
+    schedule_deferred st ~time:t1 Bank_access ~src:0 ~core:c ~aux:0
   end
 
 (* The request of [core]'s pending transaction reached the home bank. *)
@@ -278,34 +288,37 @@ let bank_access st ~core t =
   let l2 = st.l2.(bank) in
   if Cache.Sa_cache.access l2 ~addr:pa ~write:cs.pend_write then begin
     st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
-    schedule_deferred st ~time:t2 (Resp_to_core { src = bank; core })
+    schedule_deferred st ~time:t2 Resp_to_core ~src:bank ~core ~aux:0
   end
   else begin
     st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
     if Cache.Sa_cache.last_victim_dirty l2 then
-      schedule_deferred st ~time:t2
-        (Wb_to_mc { src = bank; victim = Cache.Sa_cache.last_victim l2 });
+      schedule_deferred st ~time:t2 Wb_to_mc ~src:bank ~core:0
+        ~aux:(Cache.Sa_cache.last_victim l2);
     let mc = Addr_map.mc_of st.amap pa in
     let mcn = Addr_map.mc_node st.amap mc in
     let t3 = Noc.Network.send st.net ~now:t2 ~src:bank ~dst:mcn ~flits:1 in
     let t4 = Mem.Dram.service st.drams.(mc) ~now:t3 ~addr:pa in
-    schedule_deferred st ~time:t4 (Resp_via_bank { mcn; bank; core })
+    schedule_deferred st ~time:t4 Resp_via_bank ~src:mcn ~core ~aux:bank
   end
 
-let run_deferred st ev t =
-  match ev with
-  | Resp_to_core { src; core } ->
+let run_deferred st stage ~src ~core ~aux t =
+  match stage with
+  | Free -> invalid_arg "Engine: deferred event fired twice"
+  | Resp_to_core ->
       let arrive =
         Noc.Network.send st.net ~now:t ~src ~dst:core ~flits:st.data_flits
       in
       resume_core st core (arrive + st.cfg.Config.l1_hit_lat)
-  | Resp_via_bank { mcn; bank; core } ->
+  | Resp_via_bank ->
+      let bank = aux in
       let arrive =
-        Noc.Network.send st.net ~now:t ~src:mcn ~dst:bank ~flits:st.data_flits
+        Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits
       in
-      schedule_deferred st ~time:arrive (Resp_to_core { src = bank; core })
-  | Bank_access { core } -> bank_access st ~core t
-  | Wb_to_mc { src; victim } ->
+      schedule_deferred st ~time:arrive Resp_to_core ~src:bank ~core ~aux:0
+  | Bank_access -> bank_access st ~core t
+  | Wb_to_mc ->
+      let victim = aux in
       let mc = Addr_map.mc_of st.amap victim in
       let arrive =
         Noc.Network.send st.net ~now:t ~src
@@ -313,7 +326,8 @@ let run_deferred st ev t =
       in
       ignore (Mem.Dram.service st.drams.(mc) ~now:arrive ~addr:victim);
       st.stats.Stats.writebacks <- st.stats.Stats.writebacks + 1
-  | Wb_to_bank { src; victim } ->
+  | Wb_to_bank ->
+      let victim = aux in
       let bank = Addr_map.bank_node_of st.amap victim in
       ignore
         (Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits);
@@ -381,8 +395,8 @@ let advance_private st c t =
       in
       cs.time <- cs.time + compute + jitter;
       cs.buf_len <-
-        Ir.Trace.fill_iteration ~step:cs.step trace ~nest:cs.nest
-          ~iter:cs.iter ~buf:cs.buf;
+        Ir.Trace.fill_iteration trace ~vals:cs.vals ~step:cs.step
+          ~nest:cs.nest ~iter:cs.iter ~buf:cs.buf;
       cs.buf_pos <- 0;
       cs.iter <- cs.iter + 1
     end
@@ -401,13 +415,12 @@ let process st id t =
   end
   else begin
     let slot = id - num_core_ids st in
-    match st.deferred.(slot) with
-    | Some ev ->
-        st.deferred.(slot) <- None;
-        st.free_slots.(st.num_free) <- slot;
-        st.num_free <- st.num_free + 1;
-        run_deferred st ev t
-    | None -> invalid_arg "Engine: deferred event fired twice"
+    let stage = st.d_stage.(slot) in
+    st.d_stage.(slot) <- Free;
+    st.free_slots.(st.num_free) <- slot;
+    st.num_free <- st.num_free + 1;
+    run_deferred st stage ~src:st.d_src.(slot) ~core:st.d_core.(slot)
+      ~aux:st.d_aux.(slot) t
   end
 
 let run ?(ideal_network = false) ?page_table cfg jobs =
@@ -500,30 +513,35 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
       stats = Stats.create ();
       data_flits = Config.data_flits cfg;
       shared = Cache.Llc.equal cfg.Config.llc_org Cache.Llc.Shared;
-      deferred = Array.make 1024 None;
+      d_stage = Array.make 1024 Free;
+      d_src = Array.make 1024 0;
+      d_core = Array.make 1024 0;
+      d_aux = Array.make 1024 0;
       free_slots = Array.make 1024 0;
       num_free = 0;
       num_slots = 0;
     }
   in
-  (* Size each core's iteration buffer for its job. *)
+  (* Size each core's iteration buffer and loop variables for its job. *)
   Array.iter
     (fun js ->
       let appi = max_appi js.j.trace in
-      Array.iter (fun c -> st.cores.(c).buf <- Array.make appi 0) js.j.cores)
+      Array.iter
+        (fun c ->
+          st.cores.(c).buf <- Array.make appi 0;
+          st.cores.(c).vals <- Ir.Trace.loop_vars js.j.trace)
+        js.j.cores)
     st.jobs;
   Array.iter
     (fun js ->
       if start_phase st js 0 = 0 then advance_job st js)
     st.jobs;
-  let rec drain () =
-    match Des.Event_heap.pop st.heap with
-    | None -> ()
-    | Some (t, c) ->
-        process st c t;
-        drain ()
-  in
-  drain ();
+  while not (Des.Event_heap.is_empty st.heap) do
+    let t = Des.Event_heap.min_time st.heap in
+    let id = Des.Event_heap.min_id st.heap in
+    Des.Event_heap.remove_min st.heap;
+    process st id t
+  done;
   (* Fold shared-resource statistics into the result. *)
   st.stats.Stats.net_latency <- Noc.Network.total_latency st.net;
   st.stats.Stats.net_queueing <- Noc.Network.total_queueing st.net;

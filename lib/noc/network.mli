@@ -20,7 +20,9 @@ type t
 val create : ?ideal:bool -> router_overhead:int -> Topology.t -> t
 (** [create ~router_overhead topo] builds an idle network.
     [router_overhead] is the per-hop router pipeline delay in cycles
-    (Table 4 uses 3). *)
+    (Table 4 uses 3). Every route is precomputed here, as an X leg per
+    (source, destination column) and a Y leg per (column, source row,
+    destination row), so {!send} allocates nothing. *)
 
 val topology : t -> Topology.t
 

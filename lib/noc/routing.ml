@@ -17,7 +17,7 @@ let link_id t ~node dir =
     invalid_arg "Routing.link_id: node out of range";
   (node * 4) + direction_index dir
 
-let iter_path t ~src ~dst f =
+let path t ~src ~dst =
   let cols = Topology.cols t and rows = Topology.rows t in
   let torus = Topology.kind t = Topology.Torus in
   let src_row = src / cols and src_col = src mod cols in
@@ -32,13 +32,14 @@ let iter_path t ~src ~dst f =
       if fwd <= size - fwd then 1 else -1
     end
   in
+  let links = ref [] in
   (* X first: walk columns. *)
   let node = ref src in
   let col = ref src_col in
   while !col <> dst_col do
     let step = step_of !col dst_col cols in
     let dir = if step > 0 then East else West in
-    f ((!node * 4) + direction_index dir);
+    links := ((!node * 4) + direction_index dir) :: !links;
     col := (!col + step + cols) mod cols;
     node := (src_row * cols) + !col
   done;
@@ -47,15 +48,11 @@ let iter_path t ~src ~dst f =
   while !row <> dst_row do
     let step = step_of !row dst_row rows in
     let dir = if step > 0 then South else North in
-    f ((!node * 4) + direction_index dir);
+    links := ((!node * 4) + direction_index dir) :: !links;
     row := (!row + step + rows) mod rows;
     node := (!row * cols) + dst_col
-  done
-
-let path t ~src ~dst =
-  let acc = ref [] in
-  iter_path t ~src ~dst (fun l -> acc := l :: !acc);
-  List.rev !acc
+  done;
+  List.rev !links
 
 let hop_count t ~src ~dst =
   Topology.distance t (Topology.coord_of_node t src)

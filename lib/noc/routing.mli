@@ -26,11 +26,7 @@ val path : Topology.t -> src:int -> dst:int -> int list
 (** [path t ~src ~dst] is the ordered list of directed links an X-Y
     routed packet traverses from node [src] to node [dst] (on a torus,
     each dimension takes the shorter way around). Empty when
-    [src = dst]. *)
+    [src = dst]. {!Network} precomputes these once, as route legs. *)
 
 val hop_count : Topology.t -> src:int -> dst:int -> int
 (** Number of links on the X-Y path — equals {!Topology.distance}. *)
-
-val iter_path : Topology.t -> src:int -> dst:int -> (int -> unit) -> unit
-(** Allocation-free traversal of the path, for the simulator's hot
-    loop. The callback receives each directed link id in order. *)

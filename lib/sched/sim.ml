@@ -241,11 +241,7 @@ let run ?metrics ~oracle ~policy specs =
   let last_finish = ref (if n = 0 then 0 else first_arrival) in
   let peak_queue = ref 0 in
   while not (Des.Event_heap.is_empty st.heap) do
-    let t =
-      match Des.Event_heap.peek_time st.heap with
-      | Some t -> t
-      | None -> assert false
-    in
+    let t = Des.Event_heap.min_time st.heap in
     (* Capacity that sat free while the head was blocked over
        [last_t, t): external fragmentation. *)
     st.wasted_core_ticks <- st.wasted_core_ticks + (st.blocked_free * (t - st.last_t));
@@ -254,17 +250,13 @@ let run ?metrics ~oracle ~policy specs =
        before arrivals queue, and each class goes in job-id order, so
        simultaneous events replay identically everywhere. *)
     let ids = ref [] in
-    let rec drain () =
-      match Des.Event_heap.peek_time st.heap with
-      | Some t' when t' = t -> (
-          match Des.Event_heap.pop st.heap with
-          | Some (_, id) ->
-              ids := id :: !ids;
-              drain ()
-          | None -> ())
-      | _ -> ()
-    in
-    drain ();
+    while
+      (not (Des.Event_heap.is_empty st.heap))
+      && Des.Event_heap.min_time st.heap = t
+    do
+      ids := Des.Event_heap.min_id st.heap :: !ids;
+      Des.Event_heap.remove_min st.heap
+    done;
     let ids = List.sort compare !ids in
     let finishes = List.filter (fun id -> id >= n) ids in
     let arrivals = List.filter (fun id -> id < n) ids in

@@ -181,6 +181,29 @@ let test_localised_beats_scattered () =
   check_bool "near-MC placement has lower network latency" true
     (near.stats.Machine.Stats.net_latency < far.stats.Machine.Stats.net_latency)
 
+(* The engine's per-access and per-event path allocates nothing: what
+   a run allocates on the minor heap is per phase (each core's list of
+   sets) and setup, not per access. mxm at full scale issues ~3.5M
+   accesses, so a single word per access would show as ~1 word here. *)
+let test_allocation_budget () =
+  let trace = (Harness.Experiment.prepare_name ~scale:1.0 "mxm").trace in
+  List.iter
+    (fun cfg ->
+      let schedule = Locmap.Mapper.default_schedule cfg trace in
+      let before = Gc.minor_words () in
+      let r = Machine.Engine.run_single cfg ~trace ~schedule () in
+      let words = Gc.minor_words () -. before in
+      let accesses = r.stats.Machine.Stats.accesses in
+      check_bool "workload is large enough to measure" true
+        (accesses > 1_000_000);
+      let per_access = words /. float_of_int accesses in
+      check_bool
+        (Printf.sprintf "%s LLC: %.3f minor words per access"
+           (Cache.Llc.to_string cfg.Machine.Config.llc_org)
+           per_access)
+        true (per_access < 0.1))
+    [ cfg; shared_cfg ]
+
 let () =
   Alcotest.run "engine"
     [
@@ -203,5 +226,10 @@ let () =
       ( "physics",
         [
           Alcotest.test_case "distance matters" `Quick test_localised_beats_scattered;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "nothing allocated per access" `Quick
+            test_allocation_budget;
         ] );
     ]

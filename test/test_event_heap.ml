@@ -7,13 +7,23 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* One pop: the minimum's (time, id), then its removal. *)
+let pop h =
+  let ev = (Des.Event_heap.min_time h, Des.Event_heap.min_id h) in
+  Des.Event_heap.remove_min h;
+  ev
+
 let drain h =
   let rec go acc =
-    match Des.Event_heap.pop h with
-    | None -> List.rev acc
-    | Some ev -> go (ev :: acc)
+    if Des.Event_heap.is_empty h then List.rev acc else go (pop h :: acc)
   in
   go []
+
+let raises_invalid f =
+  try
+    ignore (f ());
+    false
+  with Invalid_argument _ -> true
 
 let test_ordering () =
   let h = Des.Event_heap.create ~capacity:4 in
@@ -34,15 +44,19 @@ let test_interleaved_ordering () =
   let h = Des.Event_heap.create ~capacity:2 in
   Des.Event_heap.push h ~time:4 ~id:0;
   Des.Event_heap.push h ~time:2 ~id:1;
-  check_bool "min first" true (Des.Event_heap.pop h = Some (2, 1));
+  check_bool "min first" true (pop h = (2, 1));
   Des.Event_heap.push h ~time:1 ~id:2;
   Des.Event_heap.push h ~time:7 ~id:3;
-  check_bool "new min" true (Des.Event_heap.pop h = Some (1, 2));
-  check_bool "then 4" true (Des.Event_heap.pop h = Some (4, 0));
-  check_bool "then 7" true (Des.Event_heap.pop h = Some (7, 3));
+  check_bool "new min" true (pop h = (1, 2));
+  check_bool "then 4" true (pop h = (4, 0));
+  check_bool "then 7" true (pop h = (7, 3));
   check_bool "empty" true (Des.Event_heap.is_empty h);
-  check_bool "pop empty" true (Des.Event_heap.pop h = None);
-  check_bool "peek empty" true (Des.Event_heap.peek_time h = None)
+  check_bool "remove_min empty" true
+    (raises_invalid (fun () -> Des.Event_heap.remove_min h));
+  check_bool "min_time empty" true
+    (raises_invalid (fun () -> Des.Event_heap.min_time h));
+  check_bool "min_id empty" true
+    (raises_invalid (fun () -> Des.Event_heap.min_id h))
 
 let test_determinism () =
   (* The heap is a pure sequential structure: replaying a push/pop
@@ -59,7 +73,9 @@ let test_determinism () =
       (fun ev ->
         match ev with
         | Some (time, id) -> Des.Event_heap.push h ~time ~id
-        | None -> out := Des.Event_heap.pop h :: !out)
+        | None ->
+            let ev = if Des.Event_heap.is_empty h then None else Some (pop h) in
+            out := ev :: !out)
       script;
     List.rev_append !out (drain h |> List.map Option.some)
   in
@@ -85,10 +101,7 @@ let test_sorted_reference () =
 let test_negative_time () =
   let h = Des.Event_heap.create ~capacity:1 in
   check_bool "negative time rejected" true
-    (try
-       Des.Event_heap.push h ~time:(-1) ~id:0;
-       false
-     with Invalid_argument _ -> true)
+    (raises_invalid (fun () -> Des.Event_heap.push h ~time:(-1) ~id:0))
 
 let () =
   Alcotest.run "event_heap"

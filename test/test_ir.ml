@@ -190,7 +190,8 @@ let test_trace_fill_matches_iter_range () =
   let l = Ir.Layout.allocate ~page_size:2048 p in
   let t = Ir.Trace.create p l in
   let buf = Array.make (Ir.Trace.accesses_per_par_iter t ~nest:0) 0 in
-  let n = Ir.Trace.fill_iteration t ~nest:0 ~iter:3 ~buf in
+  let vals = Ir.Trace.loop_vars t in
+  let n = Ir.Trace.fill_iteration t ~vals ~step:0 ~nest:0 ~iter:3 ~buf in
   let via_range = ref [] in
   Ir.Trace.iter_range t ~nest:0 ~lo:3 ~hi:4 (fun ~addr ~write ->
       via_range := (addr, write) :: !via_range);

@@ -157,16 +157,12 @@ let test_event_heap_ordering () =
     (fun (t, id) -> Des.Event_heap.push h ~time:t ~id)
     [ (5, 0); (1, 1); (9, 2); (1, 3); (0, 4) ];
   check_int "size" 5 (Des.Event_heap.size h);
-  check_bool "peek" true (Des.Event_heap.peek_time h = Some 0);
+  check_bool "peek" true (Des.Event_heap.min_time h = 0);
   let times = ref [] in
-  let rec drain () =
-    match Des.Event_heap.pop h with
-    | Some (t, _) ->
-        times := t :: !times;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Des.Event_heap.is_empty h) do
+    times := Des.Event_heap.min_time h :: !times;
+    Des.Event_heap.remove_min h
+  done;
   Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 5; 9 ] (List.rev !times);
   check_bool "empty" true (Des.Event_heap.is_empty h)
 
@@ -177,9 +173,11 @@ let qcheck_heap_sorted =
       let h = Des.Event_heap.create ~capacity:4 in
       List.iteri (fun id t -> Des.Event_heap.push h ~time:t ~id) times;
       let rec drain last =
-        match Des.Event_heap.pop h with
-        | None -> true
-        | Some (t, _) -> t >= last && drain t
+        Des.Event_heap.is_empty h
+        ||
+        let t = Des.Event_heap.min_time h in
+        Des.Event_heap.remove_min h;
+        t >= last && drain t
       in
       drain min_int)
 

@@ -183,6 +183,38 @@ let test_network_stats_and_reset () =
   check_int "reset clears packets" 0 (Noc.Network.packets_sent net);
   check_int "reset clears latency" 0 (Noc.Network.total_latency net)
 
+(* [send] walks precomputed route legs; for every (src, dst) on a mesh
+   and a torus it must charge exactly the links [Routing.path] lists:
+   one hop each, and [flits] busy cycles on each of them only. *)
+let test_network_routes_match_paths () =
+  List.iter
+    (fun topo ->
+      let net = Noc.Network.create ~router_overhead:3 topo in
+      let n = Noc.Topology.num_nodes topo in
+      let flits = 2 in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          let path = Noc.Routing.path topo ~src ~dst in
+          let hops = Noc.Network.total_hops net in
+          let busy = Noc.Network.link_busy net in
+          ignore (Noc.Network.send net ~now:0 ~src ~dst ~flits);
+          let pair = Printf.sprintf "%d->%d" src dst in
+          check_int ("hops " ^ pair) (List.length path)
+            (Noc.Network.total_hops net - hops);
+          let expected = Array.make (Array.length busy) 0 in
+          List.iter (fun l -> expected.(l) <- expected.(l) + flits) path;
+          let after = Noc.Network.link_busy net in
+          Alcotest.(check (array int))
+            ("link_busy " ^ pair) expected
+            (Array.mapi (fun l b -> b - busy.(l)) after)
+        done
+      done)
+    [
+      Noc.Topology.create ~rows:6 ~cols:6 Noc.Topology.Corners;
+      Noc.Topology.create ~kind:Noc.Topology.Torus ~rows:6 ~cols:6
+        Noc.Topology.Corners;
+    ]
+
 let qcheck_network_monotonic =
   QCheck.Test.make ~name:"network arrival is never before injection" ~count:200
     QCheck.(triple (int_bound 35) (int_bound 35) (int_range 1 8))
@@ -224,6 +256,8 @@ let () =
           Alcotest.test_case "ideal" `Quick test_network_ideal;
           Alcotest.test_case "self send" `Quick test_network_self_send;
           Alcotest.test_case "stats and reset" `Quick test_network_stats_and_reset;
+          Alcotest.test_case "routes match paths" `Quick
+            test_network_routes_match_paths;
           QCheck_alcotest.to_alcotest qcheck_network_monotonic;
         ] );
     ]

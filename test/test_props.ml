@@ -46,32 +46,79 @@ module Ref_cache = struct
           t.state.(set) <- entries;
           (false, None)
         end
+
+  let invalidate t ~addr =
+    let line = addr / t.line in
+    let set = line mod t.sets in
+    t.state.(set) <- List.remove_assoc line t.state.(set)
+
+  let reset t = Array.fill t.state 0 t.sets []
 end
+
+type cache_op =
+  | Access of int * bool
+  | Invalidate of int
+  | Reset
+
+(* Random accesses, plus runs of accesses to one line — the cache's
+   most-recently-used-way fast path — some of them with the line
+   invalidated mid-run, and the odd reset, so the fast path also meets
+   the ways it remembered going stale. *)
+let gen_cache_ops =
+  let open QCheck.Gen in
+  let access = map2 (fun a w -> [ Access (a, w) ]) (int_bound 8191) bool in
+  let run =
+    map3
+      (fun (a, n) cut w ->
+        let base = a / 64 * 64 in
+        List.concat
+          (List.init n (fun k ->
+               let acc = Access (base + (k * 24 mod 64), w && k mod 2 = 1) in
+               if k = cut then [ Invalidate (base + 8); acc ] else [ acc ])))
+      (pair (int_bound 8191) (int_range 2 8))
+      (int_bound 10) bool
+  in
+  let invalidate = map (fun a -> [ Invalidate a ]) (int_bound 8191) in
+  map List.concat
+    (list_size (int_range 50 300)
+       (frequency
+          [ (8, access); (4, run); (2, invalidate); (1, return [ Reset ]) ]))
+
+let print_cache_op = function
+  | Access (a, w) -> Printf.sprintf "%s %d" (if w then "W" else "R") a
+  | Invalidate a -> Printf.sprintf "I %d" a
+  | Reset -> "reset"
 
 let qcheck_cache_matches_reference =
   QCheck.Test.make ~name:"Sa_cache behaves like the naive LRU oracle"
     ~count:60
-    QCheck.(
-      list_of_size
-        Gen.(int_range 50 400)
-        (pair (int_bound 8191) bool))
-    (fun trace ->
+    (QCheck.make ~print:QCheck.Print.(list print_cache_op) gen_cache_ops)
+    (fun ops ->
       let c = Cache.Sa_cache.create ~size:1024 ~assoc:2 ~line_size:64 () in
       let r = Ref_cache.create ~size:1024 ~assoc:2 ~line_size:64 () in
       List.for_all
-        (fun (addr, write) ->
-          let hit = Cache.Sa_cache.access c ~addr ~write in
-          let hit_ref, victim_ref = Ref_cache.access r ~addr ~write in
-          let victim = Cache.Sa_cache.last_victim c in
-          hit = hit_ref
-          && (hit
-             ||
-             match victim_ref with
-             | None -> victim = -1
-             | Some (vline, vdirty) ->
-                 victim = vline * 64
-                 && Cache.Sa_cache.last_victim_dirty c = vdirty))
-        trace)
+        (function
+          | Access (addr, write) -> (
+              let hit = Cache.Sa_cache.access c ~addr ~write in
+              let hit_ref, victim_ref = Ref_cache.access r ~addr ~write in
+              let victim = Cache.Sa_cache.last_victim c in
+              hit = hit_ref
+              && (hit
+                 ||
+                 match victim_ref with
+                 | None -> victim = -1
+                 | Some (vline, vdirty) ->
+                     victim = vline * 64
+                     && Cache.Sa_cache.last_victim_dirty c = vdirty))
+          | Invalidate addr ->
+              Cache.Sa_cache.invalidate c ~addr;
+              Ref_cache.invalidate r ~addr;
+              not (Cache.Sa_cache.probe c ~addr)
+          | Reset ->
+              Cache.Sa_cache.reset c;
+              Ref_cache.reset r;
+              true)
+        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Focused Sa_cache properties, each against its own minimal tracking
