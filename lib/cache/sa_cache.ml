@@ -58,7 +58,7 @@ let line_of t addr =
 let set_of t line =
   if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
 
-let hit t w ~set ~write =
+let[@inline] hit t w ~set ~write =
   t.stamp.(w) <- t.clock;
   if write then Bytes.unsafe_set t.dirty w '\001';
   t.mru.(set) <- w;
@@ -80,19 +80,34 @@ let access t ~addr ~write =
   let m = t.mru.(set) in
   if t.tags.(m) = line then hit t m ~set ~write
   else begin
+    (* Search the set for a hit, stopping there, and otherwise
+       remember the LRU (or the last invalid) way as the victim. The
+       set's ways [base, last) lie inside the arrays, which hold
+       [sets * assoc] entries. *)
+    let tags = t.tags and stamp = t.stamp in
     let base = set * t.assoc in
-    (* Search the set for a hit, remembering the LRU (or an invalid)
-       way as the victim. *)
+    let last = base + t.assoc in
     let found = ref (-1) in
     let victim = ref (-1) in
     let oldest = ref max_int in
     let invalid = ref (-1) in
-    for w = base to base + t.assoc - 1 do
-      if t.tags.(w) = line then found := w
-      else if t.tags.(w) = -1 then invalid := w
-      else if t.stamp.(w) < !oldest then begin
-        oldest := t.stamp.(w);
-        victim := w
+    let w = ref base in
+    while !w < last do
+      let tag = Array.unsafe_get tags !w in
+      if tag = line then begin
+        found := !w;
+        w := last
+      end
+      else begin
+        if tag = -1 then invalid := !w
+        else begin
+          let s = Array.unsafe_get stamp !w in
+          if s < !oldest then begin
+            oldest := s;
+            victim := !w
+          end
+        end;
+        incr w
       end
     done;
     if !found >= 0 then hit t !found ~set ~write

@@ -16,24 +16,22 @@ let grow t =
   t.times <- times;
   t.ids <- ids
 
-let swap t i j =
-  let tt = t.times.(i) and ti = t.ids.(i) in
-  t.times.(i) <- t.times.(j);
-  t.ids.(i) <- t.ids.(j);
-  t.times.(j) <- tt;
-  t.ids.(j) <- ti
-
+(* Both sifts move a hole instead of swapping: each step copies one
+   entry, and the moved event lands where a swap chain would leave it,
+   so the array (and hence tie order) is the same. *)
 let push t ~time ~id =
   if time < 0 then invalid_arg "Event_heap.push: negative time";
   if t.len = Array.length t.times then grow t;
-  t.times.(t.len) <- time;
-  t.ids.(t.len) <- id;
   let i = ref t.len in
   t.len <- t.len + 1;
-  while !i > 0 && t.times.((!i - 1) / 2) > t.times.(!i) do
-    swap t !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
+  while !i > 0 && t.times.((!i - 1) / 2) > time do
+    let p = (!i - 1) / 2 in
+    t.times.(!i) <- t.times.(p);
+    t.ids.(!i) <- t.ids.(p);
+    i := p
+  done;
+  t.times.(!i) <- time;
+  t.ids.(!i) <- id
 
 let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
@@ -46,22 +44,27 @@ let min_id t =
 let remove_min t =
   if t.len = 0 then invalid_arg "Event_heap.remove_min: empty heap";
   t.len <- t.len - 1;
-  if t.len > 0 then begin
-    t.times.(0) <- t.times.(t.len);
-    t.ids.(0) <- t.ids.(t.len);
+  let n = t.len in
+  if n > 0 then begin
+    (* Sift the last entry down from the root. *)
+    let time = t.times.(n) and id = t.ids.(n) in
     let i = ref 0 in
     let continue = ref true in
     while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < t.len && t.times.(l) < t.times.(!smallest) then smallest := l;
-      if r < t.len && t.times.(r) < t.times.(!smallest) then smallest := r;
-      if !smallest <> !i then begin
-        swap t !i !smallest;
-        i := !smallest
+      let l = (2 * !i) + 1 in
+      let r = l + 1 in
+      let c =
+        if r < n && t.times.(r) < t.times.(l) then r else l
+      in
+      if c < n && t.times.(c) < time then begin
+        t.times.(!i) <- t.times.(c);
+        t.ids.(!i) <- t.ids.(c);
+        i := c
       end
       else continue := false
-    done
+    done;
+    t.times.(!i) <- time;
+    t.ids.(!i) <- id
   end
 
 let size t = t.len

@@ -202,15 +202,15 @@ let finish_phase_core st cs t =
 
 let num_core_ids st = Array.length st.cores
 
-(* A deferred stage's heap id is [num_core_ids + slot]. Slots are
-   recycled once their stage fires, so the table is bounded by the
-   transactions in flight, not by run length; the heap orders by time
-   alone, so which slot an event gets cannot change the pop order. *)
 let grow a fill =
   let bigger = Array.make (2 * Array.length a) fill in
   Array.blit a 0 bigger 0 (Array.length a);
   bigger
 
+(* A deferred stage's heap id is [num_core_ids + slot]. Slots are
+   recycled once their stage fires, so the table is bounded by the
+   transactions in flight, not by run length; the heap orders by time
+   alone, so which slot an event gets cannot change the pop order. *)
 let schedule_deferred st ~time stage ~src ~core ~aux =
   let slot =
     if st.num_free > 0 then begin
@@ -282,7 +282,7 @@ let bank_access st ~core t =
   let cs = st.cores.(core) in
   let pa = cs.pend_pa in
   let bank = Addr_map.bank_node_of st.amap pa in
-  let t1 = max t st.bank_free.(bank) in
+  let t1 = Int.max t st.bank_free.(bank) in
   let t2 = t1 + st.cfg.Config.l2_hit_lat in
   st.bank_free.(bank) <- t2;
   let l2 = st.l2.(bank) in
@@ -345,16 +345,17 @@ let park st cs c ~pa ~write =
 let advance_private st c t =
   let cs = st.cores.(c) in
   let trace = st.jobs.(cs.job).j.trace in
+  let l1 = st.l1.(c) in
   cs.time <- t;
   let continue = ref true in
   while !continue do
     if cs.buf_pos < cs.buf_len then begin
+      (* [Trace.fill_iteration]'s encoding, (addr lsl 1) lor write. *)
       let enc = cs.buf.(cs.buf_pos) in
-      let va = Ir.Trace.decode_addr enc in
-      let write = Ir.Trace.decode_write enc in
-      let pa = Addr_map.translate st.amap va in
+      let write = enc land 1 = 1 in
+      let pa = Addr_map.translate st.amap (enc lsr 1) in
       st.stats.Stats.accesses <- st.stats.Stats.accesses + 1;
-      if Cache.Sa_cache.access st.l1.(c) ~addr:pa ~write then begin
+      if Cache.Sa_cache.access l1 ~addr:pa ~write then begin
         st.stats.Stats.l1_hits <- st.stats.Stats.l1_hits + 1;
         cs.time <- cs.time + st.cfg.Config.l1_hit_lat;
         cs.buf_pos <- cs.buf_pos + 1

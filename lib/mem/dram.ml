@@ -58,7 +58,7 @@ let service t ~now ~addr =
      modulo would concentrate it onto a fraction of the banks. *)
   let bank = Address.mix row_id mod t.tm.num_banks in
   let row = row_id in
-  let start = max now t.bank_free.(bank) in
+  let start = Int.max now t.bank_free.(bank) in
   let window = t.open_rows.(bank) in
   let pos = ref (-1) in
   for k = 0 to open_window - 1 do
@@ -85,7 +85,7 @@ let service t ~now ~addr =
     end
   in
   (* The data burst serialises on the shared channel. *)
-  let data_start = max (start + access_lat) t.channel_free in
+  let data_start = Int.max (start + access_lat) t.channel_free in
   let finish = data_start + t.tm.burst in
   t.bank_free.(bank) <- finish;
   t.channel_free <- finish;

@@ -4,6 +4,8 @@ type t = {
   ideal : bool;
   cols : int;
   rows : int;
+  row_of : int array;  (** node -> its row, so [send] divides nothing *)
+  col_of : int array;  (** node -> its column *)
   legs : int array;  (** every route leg's directed links, back to back *)
   x_leg : int array;  (** [src * cols + dst_col] -> start in [legs]; +1 ends *)
   y_leg : int array;
@@ -50,12 +52,15 @@ let create ?(ideal = false) ~router_overhead topo =
   if router_overhead < 0 then
     invalid_arg "Network.create: negative router overhead";
   let legs, x_leg, y_leg = build_legs topo in
+  let cols = Topology.cols topo in
   {
     topo;
     router_overhead;
     ideal;
-    cols = Topology.cols topo;
+    cols;
     rows = Topology.rows topo;
+    row_of = Array.init (Topology.num_nodes topo) (fun n -> n / cols);
+    col_of = Array.init (Topology.num_nodes topo) (fun n -> n mod cols);
     legs;
     x_leg;
     y_leg;
@@ -74,7 +79,7 @@ let is_ideal t = t.ideal
 (* The packet's head crosses [link] no earlier than [time]: queue
    behind the link's earlier reservation, occupy it for [flits] cycles
    and return when the head reaches the next router. *)
-let hop t ~flits time link =
+let[@inline] hop t ~flits time link =
   let free = t.free_at.(link) in
   let start =
     if free > time then begin
@@ -91,9 +96,9 @@ let send t ~now ~src ~dst ~flits =
   if flits <= 0 then invalid_arg "Network.send: non-positive flit count";
   if t.ideal || src = dst then now
   else begin
-    let dst_col = dst mod t.cols in
+    let dst_col = t.col_of.(dst) in
     let x = (src * t.cols) + dst_col in
-    let y = (((dst_col * t.rows) + (src / t.cols)) * t.rows) + (dst / t.cols) in
+    let y = (((dst_col * t.rows) + t.row_of.(src)) * t.rows) + t.row_of.(dst) in
     let time = ref now in
     for k = t.x_leg.(x) to t.x_leg.(x + 1) - 1 do
       time := hop t ~flits !time t.legs.(k)
