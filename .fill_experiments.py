@@ -1,4 +1,6 @@
-# Fill EXPERIMENTS.md placeholders from bench_output.txt (run from /root/repo)
+# Fill EXPERIMENTS.md placeholders from bench_output.txt, the output of
+#   dune exec bin/locmap_cli.exe -- experiments > bench_output.txt
+# Run from the repository root.
 import re, sys
 
 out = open('bench_output.txt').read()

@@ -1,8 +1,6 @@
 # Convenience targets; `make check` is the tier-1 gate.
 
-.PHONY: all check test bench bench-service bench-service-smoke \
-        bench-resilience bench-resilience-smoke bench-verify \
-        bench-analysis bench-analysis-smoke bench-obs bench-obs-smoke \
+.PHONY: all check test bench-verify bench-analysis bench-analysis-smoke \
         bench-loadgen bench-loadgen-smoke bench-sched sched-smoke \
         serve-smoke \
         chaos chaos-net sweep lint fmt fmt-check verify clean
@@ -16,19 +14,6 @@ check:
 
 test: check
 
-# Paper tables/figures + micro-benchmarks.
-bench:
-	dune exec bench/main.exe
-
-# Serving-layer benchmark: pool throughput at 1/2/4/8 domains and
-# solution-cache hit rate under a Zipf-skewed request mix. The smoke
-# variant is the CI bit-rot gate (tiny inputs, domains 1,2).
-bench-service:
-	dune exec bench/service_bench.exe
-
-bench-service-smoke:
-	dune exec bench/service_bench.exe -- --smoke
-
 # Analysis fast-path benchmark: summary construction per registry
 # workload, seed sequential path vs the memoized fast path at 1/2/4/8
 # domains; writes BENCH_analysis.json (geomean CME speedup target:
@@ -39,25 +24,6 @@ bench-analysis:
 
 bench-analysis-smoke:
 	dune exec bench/analysis_bench.exe -- --smoke --out /dev/null
-
-# Resilience-layer cost: wrapper overhead with injection disabled
-# (p50/p99, target < 2%) and degraded-path vs full-pipeline latency.
-bench-resilience:
-	dune exec bench/resilience_bench.exe
-
-bench-resilience-smoke:
-	dune exec bench/resilience_bench.exe -- --smoke
-
-# Observability cost: the serving path with no caller handles (the
-# always-on private registry) vs a caller registry plus an enabled
-# tracer (target < 2%), plus ns/op for a counter increment and a
-# histogram observation. Exit code reflects only response
-# byte-equality across the two variants; timings are informational.
-bench-obs:
-	dune exec bench/obs_bench.exe
-
-bench-obs-smoke:
-	dune exec bench/obs_bench.exe -- --smoke
 
 # Network load benchmark: open-loop Poisson arrivals against a
 # self-hosted `lib/net` server — throughput, shed rate, served/shed

@@ -102,9 +102,9 @@ let args =
       " quick CI configuration (scale 0.05, 60 requests, 4 conns)" );
   ]
 
-(* Same universe and Zipf sampling as service_bench: every registry
-   workload on private and shared LLC, popularity decoupled from
-   registry order by a seeded permutation. *)
+(* Every registry workload on private and shared LLC, sampled by a
+   Zipf law whose popularity is decoupled from registry order by a
+   seeded permutation. *)
 let universe () =
   List.concat_map
     (fun llc ->

@@ -48,7 +48,7 @@ let () =
     (fun name ->
       let p = Harness.Experiment.prepare_name ~scale:!scale name in
       let run ~verify () =
-        Locmap.Mapper.map ~measure_error:false ~verify cfg
+        Locmap.Mapper.map ~verify cfg
           p.Harness.Experiment.trace
       in
       ignore (run ~verify:true ());

@@ -129,7 +129,7 @@ let map_cmd =
     | Ok entry ->
         let cfg = cfg_of llc in
         let p = Harness.Experiment.prepare ~scale entry in
-        let info = Locmap.Mapper.map cfg p.trace in
+        let info = Locmap.Mapper.map ~measure_error:true cfg p.trace in
         Printf.printf "estimation: %s\n"
           (match info.estimation with
           | Locmap.Mapper.Cme_estimate -> "compile-time CME"
@@ -218,7 +218,7 @@ let experiments_cmd =
                 match Harness.Figures.find id with
                 | Some f -> f
                 | None ->
-                    Printf.eprintf "unknown figure %S\n" id;
+                    Printf.eprintf "unknown figure %S (try --list)\n" id;
                     exit 2)
               ids
       in
@@ -359,7 +359,7 @@ let check_cmd =
       let cfg = cfg_of llc in
       let entry = List.hd Workloads.Registry.all in
       let p = Harness.Experiment.prepare ~scale entry in
-      let info = Locmap.Mapper.map ~measure_error:false cfg p.trace in
+      let info = Locmap.Mapper.map cfg p.trace in
       let n = Array.length info.Locmap.Mapper.sets in
       let drop a = Array.sub a 0 (n - 1) in
       let corrupted =

@@ -13,7 +13,7 @@ let improvement cfg trace =
       ~schedule:(Locmap.Mapper.default_schedule cfg trace)
       ()
   in
-  let info = Locmap.Mapper.map ~measure_error:false cfg trace in
+  let info = Locmap.Mapper.map cfg trace in
   let opt = Machine.Engine.run cfg [ Locmap.Mapper.job trace info ] in
   let pct a b = 100. *. (1. -. (float_of_int b /. float_of_int a)) in
   ( pct base.stats.net_latency opt.stats.net_latency,

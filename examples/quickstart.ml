@@ -41,7 +41,7 @@ let () =
   in
 
   (* 5. ...and the paper's location-aware mapping. *)
-  let info = Locmap.Mapper.map cfg trace in
+  let info = Locmap.Mapper.map ~measure_error:true cfg trace in
   let opt = Machine.Engine.run cfg [ Locmap.Mapper.job trace info ] in
 
   let pct a b = 100. *. (1. -. (float_of_int b /. float_of_int a)) in

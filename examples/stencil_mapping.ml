@@ -87,7 +87,7 @@ let () =
   show "after balancing " post;
 
   (* 4. The full pipeline and the simulated outcome. *)
-  let info = Locmap.Mapper.map cfg trace in
+  let info = Locmap.Mapper.map ~measure_error:true cfg trace in
   let base =
     Machine.Engine.run_single cfg ~trace
       ~schedule:(Locmap.Mapper.default_schedule cfg trace)

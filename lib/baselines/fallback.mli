@@ -14,8 +14,7 @@
 
     This is a quality floor, not a contender: it ignores MAI/CAI
     affinity entirely. Its one virtue is costing around three orders of
-    magnitude less than the pipeline (measured by
-    [bench/resilience_bench.exe]). *)
+    magnitude less than the pipeline. *)
 
 type t = {
   sets : Ir.Iter_set.t array;

@@ -106,7 +106,7 @@ let default_schedule ?fraction (cfg : Machine.Config.t) trace =
   let sets = Ir.Iter_set.partition (Ir.Trace.program trace) ~fraction in
   Machine.Schedule.round_robin ~num_cores:(Machine.Config.num_cores cfg) sets
 
-let map ?estimation ?fraction ?(measure_error = true) ?page_table ?cores
+let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
     ?(balance = true) ?alpha_override ?(on_phase = fun (_ : string) -> ())
     ?(verify = false) ?pool ?metrics (cfg : Machine.Config.t) trace =
   let prog = Ir.Trace.program trace in

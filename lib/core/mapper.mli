@@ -63,9 +63,10 @@ val map :
   info
 (** [estimation] defaults per program kind (regular → [Cme_estimate],
     irregular → [Inspector]); [fraction] overrides the configuration's
-    iteration-set size; [measure_error] (default [true]) additionally
-    replays the trace to measure estimation error — disable it in large
-    parameter sweeps. [cores] restricts placement to a core subset (a
+    iteration-set size; [measure_error] (default [false]) additionally
+    replays the trace to measure estimation error ([mai_error] and
+    [cai_error] stay 0 without it) — only callers that report the error
+    ask for it. [cores] restricts placement to a core subset (a
     multiprogrammed co-run): a region with no allowed core falls back
     to the allowed cores nearest to it. [balance] (default [true])
     disables the load-balancing pass when [false] and [alpha_override]

@@ -8,7 +8,7 @@ let run ?(rounds = 2) (cfg : Machine.Config.t) trace pt =
        round (they replace, not compose with, the previous ones). *)
     Baselines.Layout_opt.optimize cfg trace ~schedule:!schedule pt;
     (* Computation half-step: re-map against the new layout. *)
-    let i = Locmap.Mapper.map ~measure_error:false ~page_table:pt cfg trace in
+    let i = Locmap.Mapper.map ~page_table:pt cfg trace in
     info := Some i;
     schedule := i.Locmap.Mapper.schedule
   done;

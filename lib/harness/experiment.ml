@@ -99,8 +99,8 @@ let compute cfg prepared strategy =
   | La_oracle ->
       let pt = fresh_pt cfg in
       let info =
-        Locmap.Mapper.map ~estimation:Locmap.Mapper.Oracle
-          ~measure_error:false ~page_table:pt cfg trace
+        Locmap.Mapper.map ~estimation:Locmap.Mapper.Oracle ~page_table:pt cfg
+          trace
       in
       let r =
         Machine.Engine.run ~page_table:pt cfg [ Locmap.Mapper.job trace info ]

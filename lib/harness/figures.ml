@@ -624,7 +624,7 @@ let ablations ~scale =
     Report.geomean_reduction
       (List.map (fun n -> improvement cfg ~mapf (prep ~scale n)) sweep_apps)
   in
-  let full cfg t = Locmap.Mapper.map ~measure_error:false cfg t in
+  let full cfg t = Locmap.Mapper.map cfg t in
   let rows =
     [
       [ "private"; "full scheme";
@@ -632,7 +632,7 @@ let ablations ~scale =
       [ "private"; "without load balancing";
         Report.pct
           (geo private_cfg (fun cfg t ->
-               Locmap.Mapper.map ~measure_error:false ~balance:false cfg t)) ];
+               Locmap.Mapper.map ~balance:false cfg t)) ];
       [ "private"; "MAC tolerance 0";
         Report.pct
           (geo { private_cfg with Machine.Config.mac_tolerance = 0 } full) ];
@@ -644,15 +644,15 @@ let ablations ~scale =
       [ "shared"; "alpha = 0 (memory term only)";
         Report.pct
           (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~measure_error:false ~alpha_override:0.0 cfg t)) ];
+               Locmap.Mapper.map ~alpha_override:0.0 cfg t)) ];
       [ "shared"; "alpha = 1 (cache term only)";
         Report.pct
           (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~measure_error:false ~alpha_override:1.0 cfg t)) ];
+               Locmap.Mapper.map ~alpha_override:1.0 cfg t)) ];
       [ "shared"; "without load balancing";
         Report.pct
           (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~measure_error:false ~balance:false cfg t)) ];
+               Locmap.Mapper.map ~balance:false cfg t)) ];
       [ "private"; "torus topology (midpoint MCs)";
         Report.pct
           (geo

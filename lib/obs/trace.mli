@@ -27,7 +27,7 @@
     {b Cost}: a disabled tracer ([~enabled:false]) short-circuits
     every operation to a constant — spans become a zero-allocation
     dummy, hooks become [fun _ -> ()] — so instrumentation can stay
-    compiled in at ~0% cost (bench/obs_bench.exe measures this).
+    compiled in at ~0% cost.
 
     {b Thread safety}: {!root}, {!child}, {!finish} and {!to_jsonl}
     are thread-safe (the event buffer is mutex-protected; id counters

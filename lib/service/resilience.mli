@@ -44,8 +44,7 @@ val default : policy
 
 val off : policy
 (** No deadline, no retries, no degradation — {!Api} short-circuits the
-    whole resilience wrapper for this policy, which is what the
-    [resilience_bench] overhead comparison measures against. *)
+    whole resilience wrapper for this policy. *)
 
 val is_off : policy -> bool
 

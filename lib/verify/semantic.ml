@@ -220,8 +220,7 @@ let report ?(options = default_options) ~subject (cfg : Machine.Config.t)
             let info =
               Locmap.Mapper.map ?estimation:options.estimation
                 ?fraction:options.fraction ~balance:options.balance
-                ?alpha_override:options.alpha_override ~measure_error:false
-                ~verify:true cfg trace
+                ?alpha_override:options.alpha_override ~verify:true cfg trace
             in
             check_info ~where:(subject ^ "/pipeline")
               ~balanced:options.balance cfg prog info

@@ -91,6 +91,6 @@ val report :
   Ir.Program.t ->
   report
 (** Runs every check above for one (machine, program) pair, including
-    a [Mapper.map ~verify:true] pipeline run (with [measure_error]
-    off) and a fallback mapping. Pipeline exceptions are converted to
+    a [Mapper.map ~verify:true] pipeline run (without error replay) and
+    a fallback mapping. Pipeline exceptions are converted to
     diagnostics ([pipeline-crash]), never raised. *)

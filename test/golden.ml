@@ -42,7 +42,7 @@ let mapper () =
         (fun name ->
           let p = Harness.Experiment.prepare_name ~scale:0.2 name in
           let cfg = { Machine.Config.default with llc_org = org } in
-          print_info name llc (Locmap.Mapper.map cfg p.trace))
+          print_info name llc (Locmap.Mapper.map ~measure_error:true cfg p.trace))
         Workloads.Registry.names)
     llcs
 

@@ -262,12 +262,17 @@ let test_iter_body_line_blocks_counts () =
 let test_mapper_pool_identical () =
   let p = Harness.Experiment.prepare_name ~scale:0.1 "mxm" in
   let cfg = shared_cfg in
-  let without = Locmap.Mapper.map cfg p.Harness.Experiment.trace in
+  let without =
+    Locmap.Mapper.map ~measure_error:true cfg p.Harness.Experiment.trace
+  in
   let pool = Par.Pool.create ~num_domains:4 () in
   Fun.protect
     ~finally:(fun () -> Par.Pool.shutdown pool)
     (fun () ->
-      let with_pool = Locmap.Mapper.map ~pool cfg p.Harness.Experiment.trace in
+      let with_pool =
+        Locmap.Mapper.map ~measure_error:true ~pool cfg
+          p.Harness.Experiment.trace
+      in
       check_bool "schedules equal" true
         (without.schedule.core_of = with_pool.schedule.core_of);
       check_bool "regions equal" true

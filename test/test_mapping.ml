@@ -289,20 +289,17 @@ let test_mapper_oracle_mode () =
 let test_mapper_ablation_knobs () =
   let p = Lazy.force prepared in
   let no_balance =
-    Locmap.Mapper.map ~measure_error:false ~balance:false cfg
-      p.Harness.Experiment.trace
+    Locmap.Mapper.map ~balance:false cfg p.Harness.Experiment.trace
   in
   Alcotest.(check (float 1e-9)) "no balancing moves nothing" 0.
     no_balance.moved_fraction;
   Alcotest.(check (array int)) "pre = post without balancing"
     no_balance.pre_balance_region no_balance.region_of_set;
   let a0 =
-    Locmap.Mapper.map ~measure_error:false ~alpha_override:0.0 shared_cfg
-      p.Harness.Experiment.trace
+    Locmap.Mapper.map ~alpha_override:0.0 shared_cfg p.Harness.Experiment.trace
   in
   let a1 =
-    Locmap.Mapper.map ~measure_error:false ~alpha_override:1.0 shared_cfg
-      p.Harness.Experiment.trace
+    Locmap.Mapper.map ~alpha_override:1.0 shared_cfg p.Harness.Experiment.trace
   in
   check_bool "alpha extremes give different assignments" true
     (a0.pre_balance_region <> a1.pre_balance_region);
@@ -332,14 +329,14 @@ let test_mac_modes () =
 let test_placement_policies () =
   let p = Lazy.force prepared in
   let ll =
-    Locmap.Mapper.map ~measure_error:false
+    Locmap.Mapper.map
       { cfg with Machine.Config.placement = Machine.Config.Least_loaded }
       p.Harness.Experiment.trace
   in
   check_bool "least-loaded placement is valid" true
     (Machine.Schedule.validate ll.schedule ~num_cores:36 = Ok ());
   let ll2 =
-    Locmap.Mapper.map ~measure_error:false
+    Locmap.Mapper.map
       { cfg with Machine.Config.placement = Machine.Config.Least_loaded }
       p.Harness.Experiment.trace
   in
@@ -360,7 +357,9 @@ let test_cooptimize () =
 
 let test_mapper_shared_mode () =
   let p = Lazy.force prepared in
-  let info = Locmap.Mapper.map shared_cfg p.Harness.Experiment.trace in
+  let info =
+    Locmap.Mapper.map ~measure_error:true shared_cfg p.Harness.Experiment.trace
+  in
   check_bool "alpha in range" true
     (info.alpha_mean >= 0. && info.alpha_mean <= 1.);
   check_bool "cai error measured" true (info.cai_error >= 0.)

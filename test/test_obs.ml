@@ -289,7 +289,17 @@ let test_instrumented_batch_determinism () =
       check string_t
         (Printf.sprintf "trace bytes at %d domains" d)
         ref_trace trace)
-    [ 2; 4; 8 ]
+    [ 2; 4; 8 ];
+  (* Caller handles observe the serving path; they must not change a
+     single response byte against an Api with none. *)
+  let plain = Service.Api.create ~num_domains:1 () in
+  let plain_rs =
+    Service.Api.submit_batch plain (obs_requests ())
+    |> Array.map Service.Response.to_string
+  in
+  Service.Api.shutdown plain;
+  Alcotest.(check (array string)) "responses without caller handles" ref_rs
+    plain_rs
 
 let () =
   Alcotest.run "obs"

@@ -347,9 +347,8 @@ let qcheck_mapper_covers_all_sets =
       let p = Harness.Experiment.prepare_name ~scale:0.25 "fft" in
       let cfg = Machine.Config.default in
       let info =
-        Locmap.Mapper.map ~measure_error:false
-          ~fraction:(float_of_int pct /. 1000.)
-          cfg p.Harness.Experiment.trace
+        Locmap.Mapper.map ~fraction:(float_of_int pct /. 1000.) cfg
+          p.Harness.Experiment.trace
       in
       Machine.Schedule.validate info.schedule
         ~num_cores:(Machine.Config.num_cores cfg)

@@ -37,13 +37,8 @@ let test_verify_mode_is_transparent () =
   (* ~verify:true must assert, not alter: the mapping it returns is the
      byte-identical mapping of the default path. *)
   let p = Lazy.force prepared in
-  let off =
-    Locmap.Mapper.map ~measure_error:false cfg p.Harness.Experiment.trace
-  in
-  let on =
-    Locmap.Mapper.map ~measure_error:false ~verify:true cfg
-      p.Harness.Experiment.trace
-  in
+  let off = Locmap.Mapper.map cfg p.Harness.Experiment.trace in
+  let on = Locmap.Mapper.map ~verify:true cfg p.Harness.Experiment.trace in
   check_bool "same region assignment" true
     (off.Locmap.Mapper.region_of_set = on.Locmap.Mapper.region_of_set);
   check_bool "same core schedule" true
@@ -70,9 +65,7 @@ let corrupt_drop_last (info : Locmap.Mapper.info) =
 
 let test_dropped_set_rejected () =
   let p = Lazy.force prepared in
-  let info =
-    Locmap.Mapper.map ~measure_error:false cfg p.Harness.Experiment.trace
-  in
+  let info = Locmap.Mapper.map cfg p.Harness.Experiment.trace in
   let diags =
     Verify.check_info ~where:"moldyn/corrupted" cfg
       p.Harness.Experiment.prog (corrupt_drop_last info)
@@ -90,9 +83,7 @@ let test_dropped_set_rejected () =
 
 let test_wrong_region_rejected () =
   let p = Lazy.force prepared in
-  let info =
-    Locmap.Mapper.map ~measure_error:false cfg p.Harness.Experiment.trace
-  in
+  let info = Locmap.Mapper.map cfg p.Harness.Experiment.trace in
   let bad = Array.copy info.Locmap.Mapper.region_of_set in
   bad.(0) <- 99;
   check_bool "out-of-range region flagged" true
