@@ -2,7 +2,7 @@
 
 .PHONY: all check test bench-verify bench-analysis bench-analysis-smoke \
         bench-loadgen bench-loadgen-smoke bench-sched sched-smoke \
-        serve-smoke \
+        serve-smoke perf-smoke \
         chaos chaos-net sweep lint fmt fmt-check verify clean
 
 all:
@@ -83,6 +83,21 @@ serve-smoke:
 	  exit 1; \
 	fi; \
 	echo "serve-smoke ok: clean drain, zero admitted requests lost"
+
+# Engine output gate: one short perfbench `simulate` run (private and
+# shared LLC, default and location-aware mapping) must reproduce
+# perfbench/reference.txt with no failed operation. perfbench exits 0
+# even when a check fails, so the verdict is read from the JSON object
+# on the last line it prints.
+perf-smoke:
+	python3 perfbench/run.py --workload simulate --seed 1 --seconds 1 \
+	  --trace 0 | tail -n 1 | python3 -c '\
+	import json, sys; \
+	d = json.load(sys.stdin); \
+	ok = d["correct"] is True and d["failed"] == 0; \
+	print("perf-smoke", "ok:" if ok else "FAILED:", "correct", d["correct"], \
+	      "attempted", d["attempted"], "failed", d["failed"]); \
+	sys.exit(0 if ok else 1)'
 
 # Chaos gate: the resilience suite (fault matrix, deadlines, crash
 # isolation, 1/2/4/8-domain byte-determinism under injection) repeated

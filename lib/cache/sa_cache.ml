@@ -4,11 +4,11 @@ type t = {
   assoc : int;
   line_shift : int;  (* log2 line_size when pow2 geometry, else -1 *)
   set_mask : int;  (* sets - 1 when pow2 geometry *)
-  tags : int array;  (* sets * assoc; -1 = invalid; tag = line index *)
-  dirty : Bytes.t;
-  stamp : int array;  (* LRU timestamps *)
-  mru : int array;  (* per set: the way the set last touched *)
-  mutable clock : int;
+  bad_addr : int;  (* address bits the packed entry cannot hold *)
+  ways : int array;
+      (* sets * assoc entries, each set most recently used first: a
+         valid way holds (line lsl 1) lor dirty, an invalid way -1, and
+         invalid ways always follow the valid ones *)
   mutable hits : int;
   mutable misses : int;
   mutable writebacks : int;
@@ -40,11 +40,12 @@ let create ~size ~assoc ~line_size () =
     assoc;
     line_shift;
     set_mask = sets - 1;
-    tags = Array.make lines (-1);
-    dirty = Bytes.make lines '\000';
-    stamp = Array.make lines 0;
-    mru = Array.init sets (fun set -> set * assoc);
-    clock = 0;
+    (* A negative address sets the sign bit. With 1-byte lines the line
+       index is the address, and from 2^61 up its shift into the entry
+       would overflow (2^62 - 1 would pack to -1, the invalid mark), so
+       bit 61 is refused too. Wider lines keep every index below 2^61. *)
+    bad_addr = (if line_size = 1 then min_int lor (1 lsl 61) else min_int);
+    ways = Array.make lines (-1);
     hits = 0;
     misses = 0;
     writebacks = 0;
@@ -52,103 +53,97 @@ let create ~size ~assoc ~line_size () =
     last_victim_dirty = false;
   }
 
+let[@inline] check_addr t addr name =
+  if addr land t.bad_addr <> 0 then invalid_arg (name ^ ": address out of range")
+
 let line_of t addr =
   if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_size
 
 let set_of t line =
   if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
 
-let[@inline] hit t w ~set ~write =
-  t.stamp.(w) <- t.clock;
-  if write then Bytes.unsafe_set t.dirty w '\001';
-  t.mru.(set) <- w;
-  t.hits <- t.hits + 1;
-  true
+(* The position of [line] in the ways of the set starting at [base], or
+   the position of the set's first invalid way, or [base + assoc] when
+   the set is full without it. [key] is [(line lsl 1) lor 1]: an entry
+   holds the line iff it equals [key] once its dirty bit is set, which
+   -1 never does. *)
+let[@inline] find (ways : int array) ~base ~assoc ~key =
+  let last = base + assoc in
+  let p = ref base in
+  while
+    !p < last
+    &&
+    let e = Array.unsafe_get ways !p in
+    e lor 1 <> key && e <> -1
+  do
+    incr p
+  done;
+  !p
+
+(* Move the entries at [base, p) one position towards the tail and put
+   [e] at the front. A plain loop: a blit call per hit costs more than
+   the few moves it saves. *)
+let[@inline] to_front (ways : int array) ~base p e =
+  for q = p downto base + 1 do
+    Array.unsafe_set ways q (Array.unsafe_get ways (q - 1))
+  done;
+  Array.unsafe_set ways base e
 
 (* Returns the verdict as an unboxed bool and leaves the victim in
-   plain fields, so the access path allocates nothing. *)
+   plain fields, so the access path allocates nothing. All positions
+   touched lie in [base, base + assoc), inside [ways]. *)
 let access t ~addr ~write =
-  if addr < 0 then invalid_arg "Sa_cache.access: negative address";
+  check_addr t addr "Sa_cache.access";
   let line = line_of t addr in
-  let set = set_of t line in
-  t.clock <- t.clock + 1;
-  (* A line sits in at most one way of its set, so when the way the
-     set touched last holds it, the scan below would find that way:
-     the hit updates are the same and LRU stays exact. A stale entry
-     (the way since invalidated or reset) holds another tag or -1 and
-     falls through to the scan. *)
-  let m = t.mru.(set) in
-  if t.tags.(m) = line then hit t m ~set ~write
+  let ways = t.ways and assoc = t.assoc in
+  let base = set_of t line * assoc in
+  let entry = (line lsl 1) lor (if write then 1 else 0) in
+  let key = entry lor 1 in
+  let p = find ways ~base ~assoc ~key in
+  let last = base + assoc - 1 in
+  if p <= last && Array.unsafe_get ways p lor 1 = key then begin
+    to_front ways ~base p (Array.unsafe_get ways p lor (entry land 1));
+    t.hits <- t.hits + 1;
+    true
+  end
   else begin
-    (* Search the set for a hit, stopping there, and otherwise
-       remember the LRU (or the last invalid) way as the victim. The
-       set's ways [base, last) lie inside the arrays, which hold
-       [sets * assoc] entries. *)
-    let tags = t.tags and stamp = t.stamp in
-    let base = set * t.assoc in
-    let last = base + t.assoc in
-    let found = ref (-1) in
-    let victim = ref (-1) in
-    let oldest = ref max_int in
-    let invalid = ref (-1) in
-    let w = ref base in
-    while !w < last do
-      let tag = Array.unsafe_get tags !w in
-      if tag = line then begin
-        found := !w;
-        w := last
-      end
-      else begin
-        if tag = -1 then invalid := !w
-        else begin
-          let s = Array.unsafe_get stamp !w in
-          if s < !oldest then begin
-            oldest := s;
-            victim := !w
-          end
-        end;
-        incr w
-      end
-    done;
-    if !found >= 0 then hit t !found ~set ~write
-    else begin
-      let w = if !invalid >= 0 then !invalid else !victim in
-      let victim_tag = t.tags.(w) in
-      let victim_dirty =
-        victim_tag >= 0 && Bytes.unsafe_get t.dirty w = '\001'
-      in
-      if victim_dirty then t.writebacks <- t.writebacks + 1;
-      t.last_victim <- (if victim_tag >= 0 then victim_tag * t.line_size else -1);
-      t.last_victim_dirty <- victim_dirty;
-      t.tags.(w) <- line;
-      Bytes.unsafe_set t.dirty w (if write then '\001' else '\000');
-      t.stamp.(w) <- t.clock;
-      t.mru.(set) <- w;
-      t.misses <- t.misses + 1;
-      false
-    end
+    (* A miss: the line goes to the front of the set, and the tail
+       entry (the first invalid way, or else the LRU line) drops off. *)
+    let p = if p > last then last else p in
+    let victim = Array.unsafe_get ways p in
+    let victim_dirty = victim >= 0 && victim land 1 = 1 in
+    if victim_dirty then t.writebacks <- t.writebacks + 1;
+    t.last_victim <- (if victim >= 0 then (victim lsr 1) * t.line_size else -1);
+    t.last_victim_dirty <- victim_dirty;
+    to_front ways ~base p entry;
+    t.misses <- t.misses + 1;
+    false
   end
 
 let last_victim t = t.last_victim
 let last_victim_dirty t = t.last_victim_dirty
 
-let probe t ~addr =
+(* The position of the line containing [addr] in its set, or -1. *)
+let position t addr =
   let line = line_of t addr in
-  let set = set_of t line in
-  let base = set * t.assoc in
-  let rec go w = w < base + t.assoc && (t.tags.(w) = line || go (w + 1)) in
-  go base
+  let base = set_of t line * t.assoc in
+  let key = (line lsl 1) lor 1 in
+  let p = find t.ways ~base ~assoc:t.assoc ~key in
+  if p < base + t.assoc && t.ways.(p) lor 1 = key then p else -1
+
+let probe t ~addr =
+  check_addr t addr "Sa_cache.probe";
+  position t addr >= 0
 
 let invalidate t ~addr =
-  let line = line_of t addr in
-  let set = set_of t line in
-  let base = set * t.assoc in
-  for w = base to base + t.assoc - 1 do
-    if t.tags.(w) = line then begin
-      t.tags.(w) <- -1;
-      Bytes.unsafe_set t.dirty w '\000'
-    end
-  done
+  check_addr t addr "Sa_cache.invalidate";
+  let p = position t addr in
+  if p >= 0 then begin
+    (* Close the gap so the invalid way sits at the tail. *)
+    let last = (p / t.assoc * t.assoc) + t.assoc - 1 in
+    Array.blit t.ways (p + 1) t.ways p (last - p);
+    t.ways.(last) <- -1
+  end
 
 let line_size t = t.line_size
 let num_sets t = t.sets
@@ -156,10 +151,7 @@ let assoc t = t.assoc
 let capacity t = t.sets * t.assoc * t.line_size
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  Array.fill t.stamp 0 (Array.length t.stamp) 0;
-  t.clock <- 0;
+  Array.fill t.ways 0 (Array.length t.ways) (-1);
   t.hits <- 0;
   t.misses <- 0;
   t.writebacks <- 0;

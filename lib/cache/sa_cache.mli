@@ -22,8 +22,11 @@ val access : t -> addr:int -> write:bool -> bool
     returns [true] on a hit. A miss ([false]) installs the line
     (write-allocate) and records the evicted line in {!last_victim} and
     {!last_victim_dirty}; a write marks the line dirty. LRU state is
-    updated. A hit in the way its set touched last skips the way scan.
-    Allocates nothing. *)
+    updated. Each set keeps its lines most recently used first, so a
+    lookup scans from the line the set touched last and stops at the
+    line, at the first invalid way or at the LRU line. Allocates
+    nothing. Raises [Invalid_argument] if [addr] is negative or, with
+    1-byte lines, at least [2{^61}]. *)
 
 val last_victim : t -> int
 (** Base address of the line evicted by the most recent miss, [-1] if
@@ -36,11 +39,14 @@ val last_victim_dirty : t -> bool
 
 val probe : t -> addr:int -> bool
 (** [probe t ~addr] is [true] iff the line is resident. Does not update
-    LRU or statistics — for inspection only. *)
+    LRU or statistics — for inspection only. Rejects the addresses
+    {!access} rejects. *)
 
 val invalidate : t -> addr:int -> unit
 (** Drops the line containing [addr] if resident (dirtiness is
-    discarded; the caller is responsible for any writeback). *)
+    discarded; the caller is responsible for any writeback). The other
+    lines keep their recency order. Rejects the addresses {!access}
+    rejects. *)
 
 val line_size : t -> int
 

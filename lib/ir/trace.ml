@@ -203,31 +203,68 @@ let iter_range ?(step = 0) t ~nest ~lo ~hi f =
 let loop_vars t =
   Array.make (Array.fold_left (fun m cn -> max m cn.nvars) 0 t.nests) 0
 
+let[@inline] encode addr ca = (addr lsl 1) lor if is_write ca then 1 else 0
+
 (* Write the accesses of every inner-loop combination from depth [d]
    down into [buf] from position [n]; return the next free position.
    A top-level recursion rather than [walk]'s leaf closure, so a fill
-   allocates nothing. *)
+   allocates nothing.
+
+   The innermost loop is written reference by reference, each into the
+   slots program order gives it: iteration [k]'s access of reference
+   [b] goes to [n + k*nb + b]. An affine reference's address advances
+   by a fixed stride per iteration, so it costs one [addr_of] and then
+   an add per access; an index-array reference evaluates, and
+   bounds-checks, every access. Every slot written lies below the
+   nest's accesses per parallel iteration, which [fill_iteration]
+   checks [buf] holds. *)
 let rec fill_inner cn vals buf d n =
-  if d = Array.length cn.inner then begin
-    let n = ref n in
-    let body = cn.body in
-    for b = 0 to Array.length body - 1 do
+  let body = cn.body in
+  let nb = Array.length body in
+  let ninner = Array.length cn.inner in
+  if ninner = 0 then begin
+    for b = 0 to nb - 1 do
       let ca = Array.unsafe_get body b in
-      buf.(!n) <- (addr_of cn vals ca lsl 1) lor (if is_write ca then 1 else 0);
-      incr n
+      Array.unsafe_set buf (n + b) (encode (addr_of cn vals ca) ca)
     done;
-    !n
+    n + nb
   end
   else begin
     (* In bounds: d < ninner and vals has at least ninner + 2 cells. *)
     let l = Array.unsafe_get cn.inner d in
-    let n = ref n and v = ref l.lo in
-    while !v < l.hi do
-      Array.unsafe_set vals (d + 2) !v;
-      n := fill_inner cn vals buf (d + 1) !n;
-      v := !v + l.step
-    done;
-    !n
+    if d = ninner - 1 then begin
+      let trip = Loop_nest.trip l in
+      for b = 0 to nb - 1 do
+        let ca = Array.unsafe_get body b in
+        match ca with
+        | Cdirect { coeffs; _ } ->
+            Array.unsafe_set vals (d + 2) l.lo;
+            (* Encoded, the address sits one bit up. *)
+            let stride = 2 * Array.unsafe_get coeffs (d + 2) * l.step in
+            let e = ref (encode (addr_of cn vals ca) ca) in
+            for k = 0 to trip - 1 do
+              Array.unsafe_set buf (n + (k * nb) + b) !e;
+              e := !e + stride
+            done
+        | Cindirect _ ->
+            for k = 0 to trip - 1 do
+              Array.unsafe_set vals (d + 2) (l.lo + (k * l.step));
+              Array.unsafe_set buf
+                (n + (k * nb) + b)
+                (encode (addr_of cn vals ca) ca)
+            done
+      done;
+      n + (trip * nb)
+    end
+    else begin
+      let n = ref n and v = ref l.lo in
+      while !v < l.hi do
+        Array.unsafe_set vals (d + 2) !v;
+        n := fill_inner cn vals buf (d + 1) !n;
+        v := !v + l.step
+      done;
+      !n
+    end
   end
 
 let fill_iteration t ~vals ~step ~nest ~iter ~buf =

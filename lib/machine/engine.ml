@@ -350,18 +350,34 @@ let advance_private st c t =
   let continue = ref true in
   while !continue do
     if cs.buf_pos < cs.buf_len then begin
-      (* [Trace.fill_iteration]'s encoding, (addr lsl 1) lor write. *)
-      let enc = cs.buf.(cs.buf_pos) in
-      let write = enc land 1 = 1 in
-      let pa = Addr_map.translate st.amap (enc lsr 1) in
-      st.stats.Stats.accesses <- st.stats.Stats.accesses + 1;
-      if Cache.Sa_cache.access l1 ~addr:pa ~write then begin
-        st.stats.Stats.l1_hits <- st.stats.Stats.l1_hits + 1;
-        cs.time <- cs.time + st.cfg.Config.l1_hit_lat;
-        cs.buf_pos <- cs.buf_pos + 1
-      end
-      else begin
-        st.stats.Stats.l1_misses <- st.stats.Stats.l1_misses + 1;
+      (* Consume the run of L1 hits in locals, writing the counters and
+         the cursor back once per run; nothing reads them in between.
+         The loop stops at the end of the buffer or at the access that
+         missed, which L1 has then already installed. Entries use
+         [Trace.fill_iteration]'s encoding, (addr lsl 1) lor write. *)
+      let buf = cs.buf and len = cs.buf_len in
+      let start = cs.buf_pos in
+      let pos = ref start and pa = ref 0 and write = ref false in
+      while
+        !pos < len
+        &&
+        let enc = Array.unsafe_get buf !pos in
+        pa := Addr_map.translate st.amap (enc lsr 1);
+        write := enc land 1 = 1;
+        Cache.Sa_cache.access l1 ~addr:!pa ~write:!write
+      do
+        incr pos
+      done;
+      let hits = !pos - start in
+      let stats = st.stats in
+      stats.Stats.accesses <- stats.Stats.accesses + hits;
+      stats.Stats.l1_hits <- stats.Stats.l1_hits + hits;
+      cs.time <- cs.time + (hits * st.cfg.Config.l1_hit_lat);
+      cs.buf_pos <- !pos;
+      if !pos < len then begin
+        let pa = !pa and write = !write in
+        stats.Stats.accesses <- stats.Stats.accesses + 1;
+        stats.Stats.l1_misses <- stats.Stats.l1_misses + 1;
         if st.shared then begin
           (* Any L1 miss goes over the network to the home bank. *)
           park st cs c ~pa ~write;
@@ -369,12 +385,12 @@ let advance_private st c t =
         end
         (* Private LLC: probe the local bank without network. *)
         else if Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write then begin
-          st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
+          stats.Stats.llc_hits <- stats.Stats.llc_hits + 1;
           cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
           cs.buf_pos <- cs.buf_pos + 1
         end
         else begin
-          st.stats.Stats.llc_misses <- st.stats.Stats.llc_misses + 1;
+          stats.Stats.llc_misses <- stats.Stats.llc_misses + 1;
           park st cs c ~pa ~write;
           continue := false
         end

@@ -77,6 +77,36 @@ let test_invalidate () =
   Cache.Sa_cache.invalidate c ~addr:0;
   check_bool "gone" false (Cache.Sa_cache.probe c ~addr:0)
 
+(* The packed entry cannot hold a negative address, nor, with 1-byte
+   lines, one from 2^61 up; every lookup refuses them. *)
+let test_address_range () =
+  let c = small () in
+  let refused name f =
+    check_bool name true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  refused "access" (fun () -> ignore (Cache.Sa_cache.access c ~addr:(-1) ~write:false));
+  refused "probe" (fun () -> ignore (Cache.Sa_cache.probe c ~addr:(-64)));
+  refused "invalidate" (fun () -> Cache.Sa_cache.invalidate c ~addr:(-1));
+  let bytes = Cache.Sa_cache.create ~size:16 ~assoc:2 ~line_size:1 () in
+  refused "1-byte lines, 2^62 - 1" (fun () ->
+      ignore (Cache.Sa_cache.access bytes ~addr:max_int ~write:true));
+  refused "1-byte lines, 2^61" (fun () ->
+      ignore (Cache.Sa_cache.probe bytes ~addr:(1 lsl 61)));
+  let top = (1 lsl 61) - 1 in
+  check_bool "1-byte lines, 2^61 - 1 misses" false
+    (Cache.Sa_cache.access bytes ~addr:top ~write:true);
+  check_bool "and then hits" true
+    (Cache.Sa_cache.access bytes ~addr:top ~write:false);
+  check_bool "wide lines take max_int" false
+    (Cache.Sa_cache.access c ~addr:max_int ~write:true);
+  check_bool "and hit it" true (Cache.Sa_cache.probe c ~addr:max_int);
+  check_int "nothing counted for refused addresses" 2
+    (Cache.Sa_cache.accesses bytes)
+
 let test_reset () =
   let c = small () in
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:false);
@@ -128,6 +158,7 @@ let () =
           Alcotest.test_case "write hit dirties" `Quick test_write_hit_marks_dirty;
           Alcotest.test_case "probe is pure" `Quick test_probe_no_side_effect;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
+          Alcotest.test_case "address range" `Quick test_address_range;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "full-way residency" `Quick test_full_way_residency;
           QCheck_alcotest.to_alcotest qcheck_streaming_misses;

@@ -185,20 +185,68 @@ let test_trace_emission_order () =
     [ (16, false); (base_b + 16, true); (24, false); (base_b + 24, true) ]
     (List.rev !collected)
 
+(* Two inner loops, the innermost from 1 in steps of 3; a reference
+   whose address falls as that loop advances, a written one that also
+   moves with the timing step, and an index-array reference with an
+   affine offset. *)
+let prog_strided () =
+  Ir.Program.create ~name:"strided" ~kind:Ir.Program.Irregular
+    ~arrays:
+      [
+        { Ir.Program.name = "a"; elem_size = 8; length = 200 };
+        { Ir.Program.name = "b"; elem_size = 4; length = 32 };
+        { Ir.Program.name = "c"; elem_size = 8; length = 64 };
+      ]
+    ~index_tables:[ ("idx", Array.init 16 (fun k -> (k * 7) mod 40)) ]
+    ~time_steps:2
+    [
+      Ir.Loop_nest.make ~name:"n"
+        ~par:(Ir.Loop_nest.loop "i" ~hi:4)
+        ~inner:
+          [ Ir.Loop_nest.loop "j" ~hi:3; Ir.Loop_nest.loop "k" ~lo:1 ~step:3 ~hi:10 ]
+        [
+          Ir.Access.read "a"
+            (Ir.Access.direct
+               Ir.Affine.(
+                 add (const 100)
+                   (add (var ~coeff:5 "i")
+                      (add (var ~coeff:2 "j") (var ~coeff:(-3) "k")))));
+          Ir.Access.write "b"
+            (Ir.Access.direct
+               Ir.Affine.(
+                 add (var ~coeff:2 "k") (add (var "j") (var Ir.Trace.step_var))));
+          Ir.Access.read "c"
+            (Ir.Access.Indirect
+               {
+                 table = "idx";
+                 pos = Ir.Affine.(add (var "k") (var "i"));
+                 offset = Ir.Affine.var "j";
+               });
+        ];
+    ]
+
 let test_trace_fill_matches_iter_range () =
-  let p = prog_ab ~n:16 () in
-  let l = Ir.Layout.allocate ~page_size:2048 p in
-  let t = Ir.Trace.create p l in
-  let buf = Array.make (Ir.Trace.accesses_per_par_iter t ~nest:0) 0 in
-  let vals = Ir.Trace.loop_vars t in
-  let n = Ir.Trace.fill_iteration t ~vals ~step:0 ~nest:0 ~iter:3 ~buf in
-  let via_range = ref [] in
-  Ir.Trace.iter_range t ~nest:0 ~lo:3 ~hi:4 (fun ~addr ~write ->
-      via_range := (addr, write) :: !via_range);
-  let via_fill =
-    List.init n (fun k -> (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
-  in
-  Alcotest.(check (list (pair int bool))) "same accesses" (List.rev !via_range) via_fill
+  List.iter
+    (fun (p, iters, steps) ->
+      let l = Ir.Layout.allocate ~page_size:2048 p in
+      let t = Ir.Trace.create p l in
+      let buf = Array.make (Ir.Trace.accesses_per_par_iter t ~nest:0) 0 in
+      let vals = Ir.Trace.loop_vars t in
+      List.iter
+        (fun (iter, step) ->
+          let n = Ir.Trace.fill_iteration t ~vals ~step ~nest:0 ~iter ~buf in
+          let via_range = ref [] in
+          Ir.Trace.iter_range ~step t ~nest:0 ~lo:iter ~hi:(iter + 1)
+            (fun ~addr ~write -> via_range := (addr, write) :: !via_range);
+          let via_fill =
+            List.init n (fun k ->
+                (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
+          in
+          Alcotest.(check (list (pair int bool)))
+            (Printf.sprintf "%s, iteration %d, step %d" p.Ir.Program.name iter step)
+            (List.rev !via_range) via_fill)
+        (List.concat_map (fun i -> List.map (fun s -> (i, s)) steps) iters))
+    [ (prog_ab ~n:16 (), [ 3 ], [ 0 ]); (prog_strided (), [ 0; 1; 3 ], [ 0; 1 ]) ]
 
 let test_trace_step_variable () =
   let n = 16 in

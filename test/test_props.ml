@@ -60,42 +60,54 @@ type cache_op =
   | Invalidate of int
   | Reset
 
-(* Random accesses, plus runs of accesses to one line — the cache's
-   most-recently-used-way fast path — some of them with the line
-   invalidated mid-run, and the odd reset, so the fast path also meets
-   the ways it remembered going stale. *)
-let gen_cache_ops =
+(* Random accesses from [addr], plus runs of accesses to one line,
+   which hit at the front of their set, some of them with the line
+   invalidated mid-run, and the odd reset, so lookups also meet lines
+   invalidated or reset under them. *)
+let gen_cache_ops ~line addr =
   let open QCheck.Gen in
-  let access = map2 (fun a w -> [ Access (a, w) ]) (int_bound 8191) bool in
+  let access = map2 (fun a w -> [ Access (a, w) ]) addr bool in
   let run =
     map3
       (fun (a, n) cut w ->
-        let base = a / 64 * 64 in
+        let base = a / line * line in
         List.concat
           (List.init n (fun k ->
-               let acc = Access (base + (k * 24 mod 64), w && k mod 2 = 1) in
+               let acc = Access (base + (k * 24 mod line), w && k mod 2 = 1) in
                if k = cut then [ Invalidate (base + 8); acc ] else [ acc ])))
-      (pair (int_bound 8191) (int_range 2 8))
+      (pair addr (int_range 2 8))
       (int_bound 10) bool
   in
-  let invalidate = map (fun a -> [ Invalidate a ]) (int_bound 8191) in
+  let invalidate = map (fun a -> [ Invalidate a ]) addr in
   map List.concat
     (list_size (int_range 50 300)
        (frequency
           [ (8, access); (4, run); (2, invalidate); (1, return [ Reset ]) ]))
+
+(* Addresses in the first three sets (all of them, if fewer), over
+   twice as many lines per set as it has ways: hits land deep in the
+   recency order, and misses evict. *)
+let few_sets_addr ~size ~assoc ~line =
+  let sets = size / line / assoc in
+  QCheck.Gen.(
+    map3
+      (fun set tag off -> ((((tag * sets) + set) * line) + off))
+      (int_bound (min sets 3 - 1))
+      (int_bound ((2 * assoc) - 1))
+      (int_bound (line - 1)))
 
 let print_cache_op = function
   | Access (a, w) -> Printf.sprintf "%s %d" (if w then "W" else "R") a
   | Invalidate a -> Printf.sprintf "I %d" a
   | Reset -> "reset"
 
-let qcheck_cache_matches_reference =
-  QCheck.Test.make ~name:"Sa_cache behaves like the naive LRU oracle"
-    ~count:60
-    (QCheck.make ~print:QCheck.Print.(list print_cache_op) gen_cache_ops)
+let cache_matches_reference ~name ~size ~assoc ~line addr =
+  QCheck.Test.make ~name ~count:60
+    (QCheck.make ~print:QCheck.Print.(list print_cache_op)
+       (gen_cache_ops ~line addr))
     (fun ops ->
-      let c = Cache.Sa_cache.create ~size:1024 ~assoc:2 ~line_size:64 () in
-      let r = Ref_cache.create ~size:1024 ~assoc:2 ~line_size:64 () in
+      let c = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
+      let r = Ref_cache.create ~size ~assoc ~line_size:line () in
       List.for_all
         (function
           | Access (addr, write) -> (
@@ -108,7 +120,7 @@ let qcheck_cache_matches_reference =
                  match victim_ref with
                  | None -> victim = -1
                  | Some (vline, vdirty) ->
-                     victim = vline * 64
+                     victim = vline * line
                      && Cache.Sa_cache.last_victim_dirty c = vdirty))
           | Invalidate addr ->
               Cache.Sa_cache.invalidate c ~addr;
@@ -119,6 +131,22 @@ let qcheck_cache_matches_reference =
               Ref_cache.reset r;
               true)
         ops)
+
+(* The original 2-way geometry over uniform addresses; the engine's own
+   geometries (the default L1 and LLC bank); and a 3-way one whose sets
+   and ways are not powers of two. *)
+let qcheck_cache_matches_reference =
+  cache_matches_reference ~name:"Sa_cache behaves like the naive LRU oracle"
+    ~size:1024 ~assoc:2 ~line:64 (QCheck.Gen.int_bound 8191)
+  :: List.map
+       (fun (name, size, assoc, line) ->
+         cache_matches_reference ~name ~size ~assoc ~line
+           (few_sets_addr ~size ~assoc ~line))
+       [
+         ("LRU oracle: 8 ways, 32 B", 16 * 1024, 8, 32);
+         ("LRU oracle: 16 ways, 64 B", 512 * 1024, 16, 64);
+         ("LRU oracle: 3 ways, 5 sets", 960, 3, 64);
+       ]
 
 (* ------------------------------------------------------------------ *)
 (* Focused Sa_cache properties, each against its own minimal tracking
@@ -359,11 +387,11 @@ let () =
   Alcotest.run "props"
     [
       ( "reference models",
-        [
-          QCheck_alcotest.to_alcotest qcheck_cache_matches_reference;
-          QCheck_alcotest.to_alcotest qcheck_trace_matches_direct_eval;
-          QCheck_alcotest.to_alcotest qcheck_mapper_covers_all_sets;
-        ] );
+        List.map QCheck_alcotest.to_alcotest qcheck_cache_matches_reference
+        @ [
+            QCheck_alcotest.to_alcotest qcheck_trace_matches_direct_eval;
+            QCheck_alcotest.to_alcotest qcheck_mapper_covers_all_sets;
+          ] );
       ( "sa-cache properties",
         [
           seeded qcheck_invalid_ways_filled_first;

@@ -29,9 +29,27 @@ let test_paper_order () =
     [ "barnes"; "fmm"; "radiosity"; "raytrace"; "volrend"; "water" ]
     (List.filteri (fun k _ -> k < 6) Workloads.Registry.names)
 
+(* The simulator's per-iteration fill writes exactly what the walker
+   visits, access by access, in program order. *)
+let check_fill_matches_walker trace ~vals ~step ~nest ~iter =
+  let buf = Array.make (Ir.Trace.accesses_per_par_iter trace ~nest) (-1) in
+  let n = Ir.Trace.fill_iteration trace ~vals ~step ~nest ~iter ~buf in
+  let filled =
+    Array.init n (fun k ->
+        (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
+  in
+  let walked = ref [] in
+  Ir.Trace.iter_range ~step trace ~nest ~lo:iter ~hi:(iter + 1)
+    (fun ~addr ~write -> walked := (addr, write) :: !walked);
+  Alcotest.(check (array (pair int bool)))
+    (Printf.sprintf "fill = walk, nest %d step %d iteration %d" nest step iter)
+    (Array.of_list (List.rev !walked))
+    filled
+
 (* Every benchmark builds, compiles to a trace, and expands a sample of
    iterations at the first and last timing step without violating any
-   bounds check. *)
+   bounds check; the fill of its first two and last iterations matches
+   the walker. *)
 let test_one_benchmark (e : Workloads.Registry.entry) () =
   let prog = e.program ~scale:0.25 () in
   check_bool "kind matches registry" true (prog.Ir.Program.kind = e.kind);
@@ -41,6 +59,7 @@ let test_one_benchmark (e : Workloads.Registry.entry) () =
   let trace = Ir.Trace.create prog layout in
   let steps = prog.Ir.Program.time_steps in
   let count = ref 0 in
+  let vals = Ir.Trace.loop_vars trace in
   for nest = 0 to Ir.Trace.num_nests trace - 1 do
     let iters = Ir.Trace.iterations trace ~nest in
     List.iter
@@ -49,7 +68,10 @@ let test_one_benchmark (e : Workloads.Registry.entry) () =
           (fun ~addr ~write:_ ->
             incr count;
             check_bool "address in footprint" true
-              (addr >= 0 && addr < Ir.Layout.footprint layout)))
+              (addr >= 0 && addr < Ir.Layout.footprint layout));
+        List.iter
+          (fun iter -> check_fill_matches_walker trace ~vals ~step ~nest ~iter)
+          (List.sort_uniq compare [ 0; min 1 (iters - 1); iters - 1 ]))
       [ 0; steps - 1 ]
   done;
   check_bool "emitted accesses" true (!count > 0)
