@@ -84,20 +84,24 @@ serve-smoke:
 	fi; \
 	echo "serve-smoke ok: clean drain, zero admitted requests lost"
 
-# Engine output gate: one short perfbench `simulate` run (private and
-# shared LLC, default and location-aware mapping) must reproduce
-# perfbench/reference.txt with no failed operation. perfbench exits 0
-# even when a check fails, so the verdict is read from the JSON object
-# on the last line it prints.
+# Output gate: one short perfbench `simulate` run (private and shared
+# LLC, default and location-aware mapping) and one short `map` run (all
+# 21 programs under both LLCs, MAI/CAI error replay included) must each
+# reproduce perfbench/reference.txt with no failed operation. perfbench
+# exits 0 even when a check fails, so the verdict is read from the JSON
+# object on the last line it prints.
 perf-smoke:
-	python3 perfbench/run.py --workload simulate --seed 1 --seconds 1 \
-	  --trace 0 | tail -n 1 | python3 -c '\
+	@for w in simulate map; do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 0 | tail -n 1 | python3 -c '\
 	import json, sys; \
 	d = json.load(sys.stdin); \
 	ok = d["correct"] is True and d["failed"] == 0; \
-	print("perf-smoke", "ok:" if ok else "FAILED:", "correct", d["correct"], \
-	      "attempted", d["attempted"], "failed", d["failed"]); \
-	sys.exit(0 if ok else 1)'
+	print("perf-smoke", sys.argv[1], "ok:" if ok else "FAILED:", \
+	      "correct", d["correct"], "attempted", d["attempted"], \
+	      "failed", d["failed"]); \
+	sys.exit(0 if ok else 1)' $$w || exit 1; \
+	done
 
 # Chaos gate: the resilience suite (fault matrix, deadlines, crash
 # isolation, 1/2/4/8-domain byte-determinism under injection) repeated

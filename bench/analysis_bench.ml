@@ -22,7 +22,10 @@
    bench exits non-zero — in CI this runs as the --smoke gate.
 
    Results go to BENCH_analysis.json, including the geomean CME speedup
-   of the 8-domain fast path over the seed sequential path. *)
+   of the 8-domain fast path over the seed sequential path. Its header
+   records, as perfbench's does, the core count, the source commit, the
+   OCaml version, the scale and how many repetitions each time is the
+   best of. *)
 
 let scale = ref 0.35
 let domain_counts = ref [ 1; 2; 4; 8 ]
@@ -77,7 +80,10 @@ let args =
    observed paths use more repeats — they are the ones a regression
    gate compares, and small workloads finish in single-digit
    milliseconds where scheduler noise dominates a single run. *)
-let time ?(repeat = 3) f =
+let cme_repeat = 3
+let observed_repeat = 5
+
+let time ?(repeat = cme_repeat) f =
   let once () =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -91,13 +97,27 @@ let time ?(repeat = 3) f =
   done;
   (r, !best)
 
+(* The source revision for the header, as perfbench records it: the
+   git commit, suffixed "-dirty" when the work tree has uncommitted
+   changes, or "unknown" outside a checkout. *)
+let source_commit () =
+  match
+    Unix.open_process_in "git describe --always --dirty --abbrev=40 2>/dev/null"
+  with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown")
+
 (* Time two deterministic paths in alternation: back-to-back runs see
    the same machine conditions (core placement, frequency), so their
    minima stay comparable even when the absolute numbers wander — on
    millisecond-scale workloads, timing the paths in separate blocks can
    put them in different scheduling regimes entirely. The observed
    regression gate compares these. *)
-let time2 ?(repeat = 5) f g =
+let time2 ?(repeat = observed_repeat) f g =
   let once h =
     let t0 = Unix.gettimeofday () in
     let r = h () in
@@ -321,7 +341,7 @@ let () =
             pools
         in
         let seed_obs, obs_seed_ms, fast_obs, obs_fast_ms =
-          time2 ~repeat:5
+          time2
             (fun () -> seed_observed_summaries cfg amap trace ~sets)
             (fun () ->
               fst
@@ -399,15 +419,30 @@ let () =
   let json =
     Service.Json.Obj
       [
-        ("scale", Service.Json.Float !scale);
-        ( "llc",
-          Service.Json.String
-            (match !llc with Cache.Llc.Private -> "private" | _ -> "shared")
-        );
-        ( "domains",
-          Service.Json.List
-            (List.map (fun d -> Service.Json.Int d) !domain_counts) );
-        ("smoke", Service.Json.Bool !smoke);
+        ( "header",
+          Service.Json.Obj
+            [
+              ("bench", Service.Json.String "analysis");
+              ("nproc", Service.Json.Int (Domain.recommended_domain_count ()));
+              ("commit", Service.Json.String (source_commit ()));
+              ("ocaml", Service.Json.String Sys.ocaml_version);
+              ("scale", Service.Json.Float !scale);
+              ( "llc",
+                Service.Json.String
+                  (match !llc with
+                  | Cache.Llc.Private -> "private"
+                  | _ -> "shared") );
+              ( "domains",
+                Service.Json.List
+                  (List.map (fun d -> Service.Json.Int d) !domain_counts) );
+              ("smoke", Service.Json.Bool !smoke);
+              ( "repetitions",
+                Service.Json.Obj
+                  [
+                    ("cme_best_of", Service.Json.Int cme_repeat);
+                    ("observed_best_of", Service.Json.Int observed_repeat);
+                  ] );
+            ] );
         ( "workloads",
           Service.Json.List
             (List.map

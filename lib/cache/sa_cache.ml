@@ -91,13 +91,14 @@ let[@inline] to_front (ways : int array) ~base p e =
 
 (* Returns the verdict as an unboxed bool and leaves the victim in
    plain fields, so the access path allocates nothing. All positions
-   touched lie in [base, base + assoc), inside [ways]. *)
-let access t ~addr ~write =
+   touched lie in [base, base + assoc), inside [ways]. [wbit] is 1 for
+   a write, 0 for a read. Inlined into [access] and [hit_run]. *)
+let[@inline] lookup t ~addr ~wbit =
   check_addr t addr "Sa_cache.access";
   let line = line_of t addr in
   let ways = t.ways and assoc = t.assoc in
   let base = set_of t line * assoc in
-  let entry = (line lsl 1) lor (if write then 1 else 0) in
+  let entry = (line lsl 1) lor wbit in
   let key = entry lor 1 in
   let p = find ways ~base ~assoc ~key in
   let last = base + assoc - 1 in
@@ -119,6 +120,24 @@ let access t ~addr ~write =
     t.misses <- t.misses + 1;
     false
   end
+
+let access t ~addr ~write = lookup t ~addr ~wbit:(if write then 1 else 0)
+
+(* The entry's write bit is the lookup's, and its address is the rest,
+   so the kernel decodes nothing but a shift. *)
+let hit_run t (buf : int array) ~pos ~len =
+  if pos < 0 || pos > len || len > Array.length buf then
+    invalid_arg "Sa_cache.hit_run: range outside the buffer";
+  let p = ref pos in
+  while
+    !p < len
+    &&
+    let e = Array.unsafe_get buf !p in
+    lookup t ~addr:(e lsr 1) ~wbit:(e land 1)
+  do
+    incr p
+  done;
+  !p
 
 let last_victim t = t.last_victim
 let last_victim_dirty t = t.last_victim_dirty

@@ -28,6 +28,20 @@ val access : t -> addr:int -> write:bool -> bool
     nothing. Raises [Invalid_argument] if [addr] is negative or, with
     1-byte lines, at least [2{^61}]. *)
 
+val hit_run : t -> int array -> pos:int -> len:int -> int
+(** [hit_run t buf ~pos ~len] applies {!access} to the entries of [buf]
+    from [pos] up to [len], each encoded [(addr lsl 1) lor write_bit]
+    as [Ir.Trace.fill_iteration] writes them. It stops after the first
+    miss, which is installed and its victim recorded exactly as
+    {!access} does, and returns that entry's index; it returns [len]
+    when every entry hit. So [hit_run t buf ~pos ~len - pos] entries
+    hit, and the counters, recency order and victim fields end as a
+    loop of {!access} calls over the same entries leaves them. The
+    per-access work is the same as {!access}'s without a call per
+    entry: the simulator and the observed replay run their L1 through
+    it. Raises [Invalid_argument] unless [0 <= pos <= len <=
+    Array.length buf], and on an entry {!access} would reject. *)
+
 val last_victim : t -> int
 (** Base address of the line evicted by the most recent miss, [-1] if
     the victim way was invalid (or no miss happened since {!create} or

@@ -460,13 +460,15 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    accesses — across set boundaries (and, for the warm pass, across
    the cold pass too). Sharding sets would give each shard cold caches
    and change every outcome; the fast path here is therefore doing
-   strictly less work per access, never domains: the trace streams
-   through {!Ir.Trace.iter_range}, outcomes come from the
-   allocation-free {!Cache.Sa_cache.access} (the engine's cache
-   model), locations from the memo, and the address-translation branch is
-   hoisted out of the loop entirely when the layout has no remaps
-   ([pa = va]). The inner loop allocates nothing — the replay
-   allocation-budget test holds it to zero words per access. *)
+   strictly less work per access, never domains. It runs on the
+   simulator's own path: {!Ir.Trace.fill_range} writes a chunk of
+   parallel iterations into one buffer, the buffer is translated once
+   (not at all when the layout has no remaps), and
+   {!Cache.Sa_cache.hit_run} consumes each run of L1 hits in one call,
+   as [Engine.advance_private] does. Only the access that ended a run
+   goes on to the LLC, and locations come from the address map. The
+   loop allocates nothing per access — the replay allocation-budget
+   test holds it to a constant per call. *)
 
 let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
     trace ~sets =
@@ -493,7 +495,6 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
   in
   let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
   let identity = Line_memo.identity_translation memo in
-  let bank0 = banks.(0) in
   (* Locations are resolved arithmetically through the address map plus
      a 1-cell-per-node region table — NOT through the memo's per-line
      location array. The replay is the one consumer whose access
@@ -506,65 +507,57 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
     let regions = Region.create cfg in
     Array.init (Machine.Config.num_cores cfg) (Region.of_node regions)
   in
-  (* Four flat loops — (shared | private) x (identity | remapped
-     translation) — each a single closure over the set walk with every
-     per-access branch it can shed hoisted out. *)
+  (* One chunk buffer per call: a few thousand accesses, so the
+     per-chunk work is amortised, and never less than one parallel
+     iteration of any nest, which [fill_range] needs. *)
+  let buf =
+    let n = ref 4096 in
+    for nest = 0 to Ir.Trace.num_nests trace - 1 do
+      n := max !n (Ir.Trace.accesses_per_par_iter trace ~nest)
+    done;
+    Array.make !n 0
+  in
+  let vals = Ir.Trace.loop_vars trace in
+  (* Send the L1 miss in [e] (an entry of [buf]) down the LLC. *)
+  let llc_access sm e =
+    let pa = e lsr 1 and write = e land 1 = 1 in
+    if shared then begin
+      let node = Machine.Addr_map.bank_node_of amap pa in
+      let region = Array.unsafe_get region_of_node node in
+      if Cache.Sa_cache.access banks.(node) ~addr:pa ~write then
+        Summary.add_llc_hit sm ~region
+      else
+        Summary.add_llc_miss sm ~bank_region:region
+          ~mc:(Machine.Addr_map.mc_of amap pa)
+    end
+    else if Cache.Sa_cache.access banks.(0) ~addr:pa ~write then
+      Summary.add_llc_hit sm ~region:0
+    else
+      Summary.add_llc_miss sm ~bank_region:(-1)
+        ~mc:(Machine.Addr_map.mc_of amap pa)
+  in
   let replay ~step summaries =
-    Array.iteri
-      (fun k (s : Ir.Iter_set.t) ->
-        let sm = summaries.(k) in
-        if shared then
-          if identity then
-            Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
-              (fun ~addr ~write ->
-                if Cache.Sa_cache.access l1 ~addr ~write then
-                  Summary.add_l1_hit sm
-                else begin
-                  let node = Machine.Addr_map.bank_node_of amap addr in
-                  let region = Array.unsafe_get region_of_node node in
-                  if Cache.Sa_cache.access banks.(node) ~addr ~write then
-                    Summary.add_llc_hit sm ~region
-                  else
-                    Summary.add_llc_miss sm ~bank_region:region
-                      ~mc:(Machine.Addr_map.mc_of amap addr)
-                end)
-          else
-            Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
-              (fun ~addr ~write ->
-                let pa = Machine.Addr_map.translate amap addr in
-                if Cache.Sa_cache.access l1 ~addr:pa ~write then
-                  Summary.add_l1_hit sm
-                else begin
-                  let node = Machine.Addr_map.bank_node_of amap pa in
-                  let region = Array.unsafe_get region_of_node node in
-                  if Cache.Sa_cache.access banks.(node) ~addr:pa ~write
-                  then Summary.add_llc_hit sm ~region
-                  else
-                    Summary.add_llc_miss sm ~bank_region:region
-                      ~mc:(Machine.Addr_map.mc_of amap pa)
-                end)
-        else if identity then
-          Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
-            (fun ~addr ~write ->
-              if Cache.Sa_cache.access l1 ~addr ~write then
-                Summary.add_l1_hit sm
-              else if Cache.Sa_cache.access bank0 ~addr ~write then
-                Summary.add_llc_hit sm ~region:0
-              else
-                Summary.add_llc_miss sm ~bank_region:(-1)
-                  ~mc:(Machine.Addr_map.mc_of amap addr))
-        else
-          Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
-            (fun ~addr ~write ->
-              let pa = Machine.Addr_map.translate amap addr in
-              if Cache.Sa_cache.access l1 ~addr:pa ~write then
-                Summary.add_l1_hit sm
-              else if Cache.Sa_cache.access bank0 ~addr:pa ~write then
-                Summary.add_llc_hit sm ~region:0
-              else
-                Summary.add_llc_miss sm ~bank_region:(-1)
-                  ~mc:(Machine.Addr_map.mc_of amap pa)))
-      sets
+    for k = 0 to Array.length sets - 1 do
+      let s : Ir.Iter_set.t = sets.(k) and sm = summaries.(k) in
+      let appi = Ir.Trace.accesses_per_par_iter trace ~nest:s.nest in
+      let i = ref s.lo in
+      while !i < s.hi do
+        let next =
+          Ir.Trace.fill_range trace ~vals ~step ~nest:s.nest ~lo:!i ~hi:s.hi
+            ~buf
+        in
+        let len = (next - !i) * appi in
+        i := next;
+        if not identity then Machine.Addr_map.translate_entries amap buf ~len;
+        let pos = ref 0 in
+        while !pos < len do
+          let p = Cache.Sa_cache.hit_run l1 buf ~pos:!pos ~len in
+          Summary.add_l1_hits sm (p - !pos);
+          if p < len then llc_access sm (Array.unsafe_get buf p);
+          pos := p + 1
+        done
+      done
+    done
   in
   let cold = fresh_summaries cfg amap ~count:(Array.length sets) in
   replay ~step:0 cold;

@@ -28,11 +28,17 @@
     - {e traced} — index-array references have no closed form and
       expand their stream as line blocks.
 
-    The observed path streams the trace through {!Ir.Trace.iter_range}
-    and the allocation-free {!Cache.Sa_cache.access} — the walker and
-    cache model the simulator runs on — with the translation branch
-    hoisted out when the layout has no remaps; its inner loop allocates
-    zero words per access (enforced by the replay allocation-budget test).
+    The observed path runs on the simulator's own walker and cache
+    kernel. It is one loop: {!Ir.Trace.fill_range} writes a chunk of
+    whole parallel iterations into one buffer, the chunk is translated
+    once ({!Machine.Addr_map.translate_entries}; skipped when the
+    layout has no remaps), {!Cache.Sa_cache.hit_run} consumes each run
+    of L1 hits in one call, and only the access that ended a run goes
+    on to the shared or private LLC. There is no closure call per
+    access, and a call allocates a constant amount, nothing per access
+    (enforced by the replay allocation-budget test). The test suite
+    checks it against [Machine.Engine] run on one core with an ideal
+    network: L1 hits, LLC hits and LLC misses agree exactly.
     Callers that summarise the same trace more than once — {!Mapper.map}
     runs the CME path and up to two observed replays — should build the
     memo once and pass it to every call.

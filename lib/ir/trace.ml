@@ -207,6 +207,7 @@ let[@inline] encode addr ca = (addr lsl 1) lor if is_write ca then 1 else 0
 
 (* Write the accesses of every inner-loop combination from depth [d]
    down into [buf] from position [n]; return the next free position.
+   The nest has at least one inner loop ([fill_iters] handles the rest).
    A top-level recursion rather than [walk]'s leaf closure, so a fill
    allocates nothing.
 
@@ -215,57 +216,89 @@ let[@inline] encode addr ca = (addr lsl 1) lor if is_write ca then 1 else 0
    [b] goes to [n + k*nb + b]. An affine reference's address advances
    by a fixed stride per iteration, so it costs one [addr_of] and then
    an add per access; an index-array reference evaluates, and
-   bounds-checks, every access. Every slot written lies below the
-   nest's accesses per parallel iteration, which [fill_iteration]
-   checks [buf] holds. *)
+   bounds-checks, every access. Every slot written lies below [n] plus
+   the nest's accesses per parallel iteration, which the callers check
+   [buf] holds. *)
 let rec fill_inner cn vals buf d n =
   let body = cn.body in
   let nb = Array.length body in
-  let ninner = Array.length cn.inner in
-  if ninner = 0 then begin
+  (* In bounds: d < ninner and vals has at least ninner + 2 cells. *)
+  let l = Array.unsafe_get cn.inner d in
+  if d = Array.length cn.inner - 1 then begin
+    let trip = Loop_nest.trip l in
     for b = 0 to nb - 1 do
       let ca = Array.unsafe_get body b in
-      Array.unsafe_set buf (n + b) (encode (addr_of cn vals ca) ca)
+      match ca with
+      | Cdirect { coeffs; _ } ->
+          Array.unsafe_set vals (d + 2) l.lo;
+          (* Encoded, the address sits one bit up. *)
+          let stride = 2 * Array.unsafe_get coeffs (d + 2) * l.step in
+          let e = ref (encode (addr_of cn vals ca) ca) in
+          for k = 0 to trip - 1 do
+            Array.unsafe_set buf (n + (k * nb) + b) !e;
+            e := !e + stride
+          done
+      | Cindirect _ ->
+          for k = 0 to trip - 1 do
+            Array.unsafe_set vals (d + 2) (l.lo + (k * l.step));
+            Array.unsafe_set buf
+              (n + (k * nb) + b)
+              (encode (addr_of cn vals ca) ca)
+          done
     done;
-    n + nb
+    n + (trip * nb)
   end
   else begin
-    (* In bounds: d < ninner and vals has at least ninner + 2 cells. *)
-    let l = Array.unsafe_get cn.inner d in
-    if d = ninner - 1 then begin
-      let trip = Loop_nest.trip l in
-      for b = 0 to nb - 1 do
-        let ca = Array.unsafe_get body b in
-        match ca with
-        | Cdirect { coeffs; _ } ->
-            Array.unsafe_set vals (d + 2) l.lo;
-            (* Encoded, the address sits one bit up. *)
-            let stride = 2 * Array.unsafe_get coeffs (d + 2) * l.step in
-            let e = ref (encode (addr_of cn vals ca) ca) in
-            for k = 0 to trip - 1 do
-              Array.unsafe_set buf (n + (k * nb) + b) !e;
-              e := !e + stride
-            done
-        | Cindirect _ ->
-            for k = 0 to trip - 1 do
-              Array.unsafe_set vals (d + 2) (l.lo + (k * l.step));
-              Array.unsafe_set buf
-                (n + (k * nb) + b)
-                (encode (addr_of cn vals ca) ca)
-            done
-      done;
-      n + (trip * nb)
-    end
-    else begin
-      let n = ref n and v = ref l.lo in
-      while !v < l.hi do
-        Array.unsafe_set vals (d + 2) !v;
-        n := fill_inner cn vals buf (d + 1) !n;
-        v := !v + l.step
-      done;
-      !n
-    end
+    let n = ref n and v = ref l.lo in
+    while !v < l.hi do
+      Array.unsafe_set vals (d + 2) !v;
+      n := fill_inner cn vals buf (d + 1) !n;
+      v := !v + l.step
+    done;
+    !n
   end
+
+(* Write parallel iterations [lo, hi) into [buf] from position 0, with
+   [vals.(0)] already bound to the step. A nest with inner loops fills
+   one parallel iteration at a time. A nest without them has one access
+   per reference per parallel iteration, so the parallel loop is the
+   innermost one and is strength-reduced the same way: iteration [k]'s
+   access of reference [b] goes to [k*nb + b]. The callers check that
+   [buf] holds [(hi - lo)] iterations. *)
+let fill_iters cn vals buf ~lo ~hi =
+  let par = cn.par in
+  if Array.length cn.inner > 0 then begin
+    let n = ref 0 in
+    for i = lo to hi - 1 do
+      Array.unsafe_set vals 1 (par.lo + (i * par.step));
+      n := fill_inner cn vals buf 0 !n
+    done
+  end
+  else if hi > lo then begin
+    let body = cn.body in
+    let nb = Array.length body in
+    for b = 0 to nb - 1 do
+      let ca = Array.unsafe_get body b in
+      match ca with
+      | Cdirect { coeffs; _ } ->
+          Array.unsafe_set vals 1 (par.lo + (lo * par.step));
+          let stride = 2 * Array.unsafe_get coeffs 1 * par.step in
+          let e = ref (encode (addr_of cn vals ca) ca) in
+          for k = 0 to hi - lo - 1 do
+            Array.unsafe_set buf ((k * nb) + b) !e;
+            e := !e + stride
+          done
+      | Cindirect _ ->
+          for k = 0 to hi - lo - 1 do
+            Array.unsafe_set vals 1 (par.lo + ((lo + k) * par.step));
+            Array.unsafe_set buf ((k * nb) + b) (encode (addr_of cn vals ca) ca)
+          done
+    done
+  end
+
+let check_vals cn vals name =
+  if Array.length vals < cn.nvars then
+    invalid_arg (name ^ ": loop-variable vector too small")
 
 let fill_iteration t ~vals ~step ~nest ~iter ~buf =
   let cn = get_nest t nest in
@@ -273,11 +306,24 @@ let fill_iteration t ~vals ~step ~nest ~iter ~buf =
     invalid_arg "Trace.fill_iteration: iteration out of range";
   if Array.length buf < cn.appi then
     invalid_arg "Trace.fill_iteration: buffer too small";
-  if Array.length vals < cn.nvars then
-    invalid_arg "Trace.fill_iteration: loop-variable vector too small";
+  check_vals cn vals "Trace.fill_iteration";
   vals.(0) <- step;
-  vals.(1) <- cn.par.lo + (iter * cn.par.step);
-  fill_inner cn vals buf 0 0
+  fill_iters cn vals buf ~lo:iter ~hi:(iter + 1);
+  cn.appi
+
+let fill_range t ~vals ~step ~nest ~lo ~hi ~buf =
+  let cn = get_nest t nest in
+  if lo < 0 || hi > cn.iterations || lo > hi then
+    invalid_arg "Trace.fill_range: bad range";
+  if Array.length buf < cn.appi then
+    invalid_arg "Trace.fill_range: buffer smaller than one iteration";
+  check_vals cn vals "Trace.fill_range";
+  let hi =
+    if cn.appi = 0 then hi else min hi (lo + (Array.length buf / cn.appi))
+  in
+  vals.(0) <- step;
+  fill_iters cn vals buf ~lo ~hi;
+  hi
 
 (* Visit the accesses of one body reference whose per-reference
    execution counter is [first], [first + period], ... below [hi].

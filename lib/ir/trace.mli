@@ -48,10 +48,11 @@ val iter_range :
     parallel iterations [lo, hi) of [nest], in program order, with the
     step variable bound to [step] (default 0). A call allocates a
     constant amount (the loop-variable vector and the walker) and
-    nothing per access, so the observed replay can stream a whole
-    trace through it. Raises [Invalid_argument] on a range outside the
-    nest's iteration space, or if an indirection reads outside its
-    index table. *)
+    nothing per access. It is the reference walker: the fills below
+    must write exactly the stream it visits, and the tests check that
+    they do. Raises [Invalid_argument] on a range outside the nest's
+    iteration space, or if an indirection reads outside its index
+    table. *)
 
 val loop_vars : t -> int array
 (** A fresh loop-variable vector wide enough for every nest of the
@@ -67,6 +68,37 @@ val fill_iteration :
     elements; [vals] is caller-owned scratch from {!loop_vars}. A fill
     allocates nothing, so the simulator calls it once per parallel
     iteration. *)
+
+val fill_range :
+  t ->
+  vals:int array ->
+  step:int ->
+  nest:int ->
+  lo:int ->
+  hi:int ->
+  buf:int array ->
+  int
+(** [fill_range t ~vals ~step ~nest ~lo ~hi ~buf] writes the encoded
+    accesses of as many whole parallel iterations from [lo] on as [buf]
+    holds, stopping at [hi], and returns the first iteration it did not
+    write. The [(next - lo) * accesses_per_par_iter] entries start at
+    position 0, in {!iter_range}'s program order and in
+    {!fill_iteration}'s encoding, with the step variable bound to
+    [step]. A caller walks a range in chunks by calling it again from
+    the returned iteration until that is [hi]; the observed replay
+    does.
+
+    Both fills write an affine reference of the innermost loop with one
+    address evaluation and then a stride add per access. When the nest
+    has no inner loop the parallel loop is the innermost one, so its
+    affine references advance by their parallel stride across the
+    whole chunk. Index-array references are evaluated, and
+    bounds-checked, at every access. A fill allocates nothing.
+
+    Raises [Invalid_argument] on a range outside the nest's iteration
+    space, a [buf] smaller than one parallel iteration, a [vals]
+    shorter than {!loop_vars}', or an indirection outside its index
+    table. *)
 
 val iter_body_periodic :
   ?step:int ->

@@ -75,6 +75,16 @@ let topology t = t.topo
 
 let translate t va = if t.identity then va else Mem.Page_table.translate t.pt va
 
+let translate_entries t (buf : int array) ~len =
+  if len < 0 || len > Array.length buf then
+    invalid_arg "Addr_map.translate_entries: length outside the buffer";
+  if not t.identity then
+    for k = 0 to len - 1 do
+      let e = Array.unsafe_get buf k in
+      Array.unsafe_set buf k
+        ((Mem.Page_table.translate t.pt (e lsr 1) lsl 1) lor (e land 1))
+    done
+
 let num_mcs t = Array.length t.mc_nodes
 let num_nodes t = Noc.Topology.num_nodes t.topo
 

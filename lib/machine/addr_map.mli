@@ -20,6 +20,14 @@ val translate : t -> int -> int
 (** Virtual-to-physical translation (identity unless pages were
     remapped after creation — re-create the map after remapping). *)
 
+val translate_entries : t -> int array -> len:int -> unit
+(** [translate_entries t buf ~len] translates the first [len] entries
+    of [buf] in place. Each is encoded [(addr lsl 1) lor write_bit], as
+    [Ir.Trace]'s fills write them, and keeps its write bit. Does nothing
+    for an identity map, so the simulator and the observed replay call
+    it once per filled buffer instead of {!translate} once per access.
+    Raises [Invalid_argument] unless [0 <= len <= Array.length buf]. *)
+
 val mc_of : t -> int -> int
 (** MC id serving the page of a *physical* address. *)
 

@@ -350,32 +350,24 @@ let advance_private st c t =
   let continue = ref true in
   while !continue do
     if cs.buf_pos < cs.buf_len then begin
-      (* Consume the run of L1 hits in locals, writing the counters and
-         the cursor back once per run; nothing reads them in between.
-         The loop stops at the end of the buffer or at the access that
-         missed, which L1 has then already installed. Entries use
-         [Trace.fill_iteration]'s encoding, (addr lsl 1) lor write. *)
+      (* Consume the run of L1 hits in one kernel call, writing the
+         counters and the cursor back once per run; nothing reads them
+         in between. The run stops at the end of the buffer or at the
+         access that missed, which L1 has then already installed. The
+         buffer holds physical addresses in [Trace.fill_iteration]'s
+         encoding, (addr lsl 1) lor write. *)
       let buf = cs.buf and len = cs.buf_len in
       let start = cs.buf_pos in
-      let pos = ref start and pa = ref 0 and write = ref false in
-      while
-        !pos < len
-        &&
-        let enc = Array.unsafe_get buf !pos in
-        pa := Addr_map.translate st.amap (enc lsr 1);
-        write := enc land 1 = 1;
-        Cache.Sa_cache.access l1 ~addr:!pa ~write:!write
-      do
-        incr pos
-      done;
-      let hits = !pos - start in
+      let pos = Cache.Sa_cache.hit_run l1 buf ~pos:start ~len in
+      let hits = pos - start in
       let stats = st.stats in
       stats.Stats.accesses <- stats.Stats.accesses + hits;
       stats.Stats.l1_hits <- stats.Stats.l1_hits + hits;
       cs.time <- cs.time + (hits * st.cfg.Config.l1_hit_lat);
-      cs.buf_pos <- !pos;
-      if !pos < len then begin
-        let pa = !pa and write = !write in
+      cs.buf_pos <- pos;
+      if pos < len then begin
+        let enc = Array.unsafe_get buf pos in
+        let pa = enc lsr 1 and write = enc land 1 = 1 in
         stats.Stats.accesses <- stats.Stats.accesses + 1;
         stats.Stats.l1_misses <- stats.Stats.l1_misses + 1;
         if st.shared then begin
@@ -414,6 +406,7 @@ let advance_private st c t =
       cs.buf_len <-
         Ir.Trace.fill_iteration trace ~vals:cs.vals ~step:cs.step
           ~nest:cs.nest ~iter:cs.iter ~buf:cs.buf;
+      Addr_map.translate_entries st.amap cs.buf ~len:cs.buf_len;
       cs.buf_pos <- 0;
       cs.iter <- cs.iter + 1
     end

@@ -107,6 +107,31 @@ let test_address_range () =
   check_int "nothing counted for refused addresses" 2
     (Cache.Sa_cache.accesses bytes)
 
+(* [hit_run] reads only [buf.(pos) .. buf.(len - 1)] and refuses a
+   range outside the buffer. *)
+let test_hit_run_range () =
+  let c = small () in
+  let buf = [| 0 lsl 1; (64 lsl 1) lor 1; 0 lsl 1 |] in
+  let refused name ~pos ~len =
+    Alcotest.check_raises name
+      (Invalid_argument "Sa_cache.hit_run: range outside the buffer")
+      (fun () -> ignore (Cache.Sa_cache.hit_run c buf ~pos ~len))
+  in
+  refused "negative start" ~pos:(-1) ~len:2;
+  refused "start after end" ~pos:2 ~len:1;
+  refused "end beyond the buffer" ~pos:0 ~len:4;
+  check_int "empty run" 3 (Cache.Sa_cache.hit_run c buf ~pos:3 ~len:3);
+  check_int "nothing looked up" 0 (Cache.Sa_cache.accesses c);
+  check_int "cold miss stops the run" 0 (Cache.Sa_cache.hit_run c buf ~pos:0 ~len:3);
+  check_int "second line misses" 1 (Cache.Sa_cache.hit_run c buf ~pos:1 ~len:3);
+  check_int "then all hit" 3 (Cache.Sa_cache.hit_run c buf ~pos:2 ~len:3);
+  check_int "counted" 1 (Cache.Sa_cache.hits c);
+  (* Line 64 was written through the run: evicting it writes it back. *)
+  ignore (Cache.Sa_cache.access c ~addr:(64 + 512) ~write:false);
+  ignore (Cache.Sa_cache.access c ~addr:(64 + 1024) ~write:false);
+  check_int "written line evicted" 64 (Cache.Sa_cache.last_victim c);
+  check_bool "and dirty" true (Cache.Sa_cache.last_victim_dirty c)
+
 let test_reset () =
   let c = small () in
   ignore (Cache.Sa_cache.access c ~addr:0 ~write:false);
@@ -159,6 +184,7 @@ let () =
           Alcotest.test_case "probe is pure" `Quick test_probe_no_side_effect;
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "address range" `Quick test_address_range;
+          Alcotest.test_case "hit_run range" `Quick test_hit_run_range;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "full-way residency" `Quick test_full_way_residency;
           QCheck_alcotest.to_alcotest qcheck_streaming_misses;

@@ -204,6 +204,127 @@ let test_allocation_budget () =
         true (per_access < 0.1))
     [ cfg; shared_cfg ]
 
+(* ------------------------------------------------------------------ *)
+(* Engine against the observed replay. On one core, with an ideal
+   network and the replay's two timing steps, the engine runs the same
+   L1 and LLC models over the same access stream as
+   [Analysis.observed_summaries]: its L1 hits, LLC hits and LLC misses
+   must equal the replay's cold plus warm summaries summed over sets. *)
+
+let counts_of_summaries (a : Locmap.Summary.t array) =
+  Array.fold_left
+    (fun (l1, hit, miss) (s : Locmap.Summary.t) ->
+      (l1 + s.l1_hits, hit + s.llc_hits, miss + s.llc_misses))
+    (0, 0, 0) a
+
+let check_engine_matches_replay ?page_table cfg name =
+  let p = Harness.Experiment.prepare_name ~scale:0.1 name in
+  let trace = p.Harness.Experiment.trace in
+  let sets =
+    Ir.Iter_set.partition p.Harness.Experiment.prog
+      ~fraction:cfg.Machine.Config.iter_set_fraction
+  in
+  let schedule =
+    Machine.Schedule.make ~sets ~core_of:(Array.make (Array.length sets) 0)
+  in
+  let r =
+    Machine.Engine.run ~ideal_network:true ?page_table cfg
+      [
+        Machine.Engine.job ~steps:2 ~cores:[| 0 |] ~trace
+          ~schedule_of_step:(fun _ -> schedule)
+          ();
+      ]
+  in
+  let pt =
+    match page_table with
+    | Some pt -> pt
+    | None -> Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size ()
+  in
+  let amap = Machine.Addr_map.create cfg pt in
+  let cold, warm = Locmap.Analysis.observed_summaries cfg amap trace ~sets in
+  let l1c, hitc, missc = counts_of_summaries cold in
+  let l1w, hitw, missw = counts_of_summaries warm in
+  let label =
+    Printf.sprintf "%s, %s LLC, %d KiB banks%s" name
+      (Cache.Llc.to_string cfg.Machine.Config.llc_org)
+      (cfg.Machine.Config.l2_size / 1024)
+      (if page_table = None then "" else ", remapped pages")
+  in
+  let st = r.stats in
+  Alcotest.(check (triple int int int))
+    (label ^ ": L1 hits, LLC hits, LLC misses")
+    (l1c + l1w, hitc + hitw, missc + missw)
+    (st.Machine.Stats.l1_hits, st.Machine.Stats.llc_hits,
+     st.Machine.Stats.llc_misses);
+  (cold, warm)
+
+let replay_workloads = [ "jacobi-3d"; "radix"; "fft"; "moldyn"; "mxm" ]
+
+let replay_configs =
+  List.concat_map
+    (fun llc_org ->
+      [
+        { cfg with Machine.Config.llc_org };
+        { cfg with Machine.Config.llc_org; l2_size = 32 * 1024 };
+      ])
+    [ Cache.Llc.Private; Cache.Llc.Shared ]
+
+let test_engine_matches_replay () =
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun name -> ignore (check_engine_matches_replay cfg name))
+        replay_workloads)
+    replay_configs
+
+(* The same check with a few pages remapped before the address map is
+   built, so both sides take their translation path. The pages that
+   five iteration sets spread over the program touch first move past
+   the end of the footprint, one page further than its length so they
+   change MC and, under the shared LLC, home bank. The cold replay's
+   per-MC misses must then differ from the identity map's: the remap
+   reaches lines both sides read. *)
+let test_engine_matches_replay_remapped () =
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun name ->
+          let p = Harness.Experiment.prepare_name ~scale:0.1 name in
+          let trace = p.Harness.Experiment.trace in
+          let page = cfg.Machine.Config.page_size in
+          let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / page in
+          let sets =
+            Ir.Iter_set.partition p.Harness.Experiment.prog
+              ~fraction:cfg.Machine.Config.iter_set_fraction
+          in
+          let n = Array.length sets in
+          let first_page (s : Ir.Iter_set.t) =
+            let acc = ref [] in
+            Ir.Trace.iter_range trace ~nest:s.nest ~lo:s.lo ~hi:(s.lo + 1)
+              (fun ~addr ~write:_ -> acc := (addr / page) :: !acc);
+            List.hd (List.rev !acc)
+          in
+          let pt = Mem.Page_table.create ~page_size:page () in
+          List.iter
+            (fun vpage ->
+              Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + vpage + 1))
+            (List.sort_uniq compare
+               (List.map
+                  (fun k -> first_page sets.(k))
+                  [ 0; n / 4; n / 2; 3 * n / 4; n - 1 ]));
+          let mcs (a : Locmap.Summary.t array) =
+            Array.fold_left
+              (fun acc (s : Locmap.Summary.t) -> Array.map2 ( + ) acc s.mc_counts)
+              (Array.make (Array.length a.(0).mc_counts) 0)
+              a
+          in
+          let remapped, _ = check_engine_matches_replay ~page_table:pt cfg name in
+          let identity, _ = check_engine_matches_replay cfg name in
+          check_bool (name ^ ": the remap moves misses between MCs") false
+            (mcs remapped = mcs identity))
+        replay_workloads)
+    replay_configs
+
 let () =
   Alcotest.run "engine"
     [
@@ -226,6 +347,13 @@ let () =
       ( "physics",
         [
           Alcotest.test_case "distance matters" `Quick test_localised_beats_scattered;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "engine = observed replay" `Quick
+            test_engine_matches_replay;
+          Alcotest.test_case "engine = observed replay, remapped pages" `Quick
+            test_engine_matches_replay_remapped;
         ] );
       ( "allocation",
         [

@@ -248,6 +248,100 @@ let test_trace_fill_matches_iter_range () =
         (List.concat_map (fun i -> List.map (fun s -> (i, s)) steps) iters))
     [ (prog_ab ~n:16 (), [ 3 ], [ 0 ]); (prog_strided (), [ 0; 1; 3 ], [ 0; 1 ]) ]
 
+(* No inner loop, so the parallel loop is the innermost one: it runs
+   from 2 in steps of 3 over a falling affine reference, a write that
+   also moves with the timing step and an index-array reference with a
+   constant offset. *)
+let prog_flat () =
+  Ir.Program.create ~name:"flat" ~kind:Ir.Program.Irregular
+    ~arrays:
+      [
+        { Ir.Program.name = "a"; elem_size = 8; length = 200 };
+        { Ir.Program.name = "b"; elem_size = 4; length = 64 };
+        { Ir.Program.name = "c"; elem_size = 8; length = 64 };
+      ]
+    ~index_tables:[ ("idx", Array.init 32 (fun k -> (k * 5) mod 50)) ]
+    ~time_steps:2
+    [
+      Ir.Loop_nest.make ~name:"n"
+        ~par:(Ir.Loop_nest.loop "i" ~lo:2 ~step:3 ~hi:30)
+        [
+          Ir.Access.read "a"
+            (Ir.Access.direct Ir.Affine.(add (const 150) (var ~coeff:(-4) "i")));
+          Ir.Access.write "b"
+            (Ir.Access.direct
+               Ir.Affine.(add (var "i") (var ~coeff:2 Ir.Trace.step_var)));
+          Ir.Access.read "c"
+            (Ir.Access.Indirect
+               { table = "idx"; pos = Ir.Affine.var "i"; offset = Ir.Affine.const 3 });
+        ];
+    ]
+
+let encoded_range t ~step ~lo ~hi =
+  let acc = ref [] in
+  Ir.Trace.iter_range ~step t ~nest:0 ~lo ~hi (fun ~addr ~write ->
+      acc := ((addr lsl 1) lor Bool.to_int write) :: !acc);
+  List.rev !acc
+
+(* [fill_range] in chunks of a buffer of one iteration, of one that is
+   not a multiple of an iteration, and of one larger than the range
+   writes the walker's stream, one whole iteration count per chunk. *)
+let test_trace_fill_range_matches_iter_range () =
+  List.iter
+    (fun p ->
+      let t = Ir.Trace.create p (Ir.Layout.allocate ~page_size:2048 p) in
+      let appi = Ir.Trace.accesses_per_par_iter t ~nest:0 in
+      let iters = Ir.Trace.iterations t ~nest:0 in
+      let vals = Ir.Trace.loop_vars t in
+      List.iter
+        (fun (step, (lo, hi), size) ->
+          let buf = Array.make size (-1) in
+          let got = ref [] and i = ref lo in
+          while !i < hi do
+            let next = Ir.Trace.fill_range t ~vals ~step ~nest:0 ~lo:!i ~hi ~buf in
+            check_int "whole iterations that fit" (min hi (!i + (size / appi))) next;
+            got := !got @ Array.to_list (Array.sub buf 0 ((next - !i) * appi));
+            i := next
+          done;
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s, step %d, [%d, %d), buffer %d" p.Ir.Program.name
+               step lo hi size)
+            (encoded_range t ~step ~lo ~hi)
+            !got)
+        (List.concat_map
+           (fun step ->
+             List.concat_map
+               (fun range ->
+                 List.map
+                   (fun size -> (step, range, size))
+                   [ appi; (2 * appi) + 1; (iters * appi) + 3 ])
+               [ (0, iters); (3, iters - 1); (iters, iters) ])
+           [ 0; 1 ]))
+    [ prog_flat (); prog_strided () ]
+
+let test_trace_fill_range_errors () =
+  let p = prog_flat () in
+  let t = Ir.Trace.create p (Ir.Layout.allocate ~page_size:2048 p) in
+  let appi = Ir.Trace.accesses_per_par_iter t ~nest:0 in
+  let iters = Ir.Trace.iterations t ~nest:0 in
+  let vals = Ir.Trace.loop_vars t and buf = Array.make (4 * appi) 0 in
+  let fill ?(vals = vals) ?(buf = buf) lo hi () =
+    ignore (Ir.Trace.fill_range t ~vals ~step:0 ~nest:0 ~lo ~hi ~buf)
+  in
+  let bad_range = Invalid_argument "Trace.fill_range: bad range" in
+  Alcotest.check_raises "negative start" bad_range (fill (-1) 2);
+  Alcotest.check_raises "end beyond the nest" bad_range (fill 0 (iters + 1));
+  Alcotest.check_raises "start after end" bad_range (fill 3 2);
+  Alcotest.check_raises "buffer smaller than one iteration"
+    (Invalid_argument "Trace.fill_range: buffer smaller than one iteration")
+    (fill ~buf:(Array.make (appi - 1) 0) 0 1);
+  Alcotest.check_raises "short loop-variable vector"
+    (Invalid_argument "Trace.fill_range: loop-variable vector too small")
+    (fill ~vals:(Array.make (Array.length vals - 1) 0) 0 1);
+  Alcotest.check_raises "bad nest"
+    (Invalid_argument "Trace: nest index out of range") (fun () ->
+      ignore (Ir.Trace.fill_range t ~vals ~step:0 ~nest:1 ~lo:0 ~hi:1 ~buf))
+
 let test_trace_step_variable () =
   let n = 16 in
   let p =
@@ -342,6 +436,9 @@ let () =
         [
           Alcotest.test_case "emission order" `Quick test_trace_emission_order;
           Alcotest.test_case "fill = iter_range" `Quick test_trace_fill_matches_iter_range;
+          Alcotest.test_case "fill_range = iter_range" `Quick
+            test_trace_fill_range_matches_iter_range;
+          Alcotest.test_case "fill_range errors" `Quick test_trace_fill_range_errors;
           Alcotest.test_case "step variable" `Quick test_trace_step_variable;
           Alcotest.test_case "static bounds" `Quick test_trace_bounds_check;
           Alcotest.test_case "indirect bounds" `Quick test_trace_indirect_bounds;

@@ -148,6 +148,69 @@ let qcheck_cache_matches_reference =
          ("LRU oracle: 3 ways, 5 sets", 960, 3, 64);
        ]
 
+(* [hit_run] against a loop of [access] on a twin cache, over the
+   access stream of [gen_cache_ops] (runs of one line give long hit
+   runs). Each call must stop where the loop first misses and leave the
+   counters and the victim as the loop does; the stream is followed by
+   entries the kernel must not touch, and afterwards every line it
+   named is resident in both caches or in neither. *)
+let hit_run_matches_access ~name ~size ~assoc ~line addr =
+  QCheck.Test.make ~name ~count:60
+    (QCheck.make ~print:QCheck.Print.(list print_cache_op)
+       (gen_cache_ops ~line addr))
+    (fun ops ->
+      let stream =
+        List.filter_map
+          (function
+            | Access (a, w) -> Some ((a lsl 1) lor Bool.to_int w)
+            | Invalidate _ | Reset -> None)
+          ops
+      in
+      let len = List.length stream in
+      let buf = Array.of_list (stream @ [ 0; 2 * line; 1 ]) in
+      let run = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
+      let each = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
+      let rec first_miss p =
+        if p = len then len
+        else if
+          Cache.Sa_cache.access each ~addr:(buf.(p) lsr 1)
+            ~write:(buf.(p) land 1 = 1)
+        then first_miss (p + 1)
+        else p
+      in
+      let same_state () =
+        Cache.Sa_cache.hits run = Cache.Sa_cache.hits each
+        && Cache.Sa_cache.misses run = Cache.Sa_cache.misses each
+        && Cache.Sa_cache.writebacks run = Cache.Sa_cache.writebacks each
+        && Cache.Sa_cache.last_victim run = Cache.Sa_cache.last_victim each
+        && Cache.Sa_cache.last_victim_dirty run
+           = Cache.Sa_cache.last_victim_dirty each
+      in
+      let rec go pos =
+        pos >= len
+        ||
+        let got = Cache.Sa_cache.hit_run run buf ~pos ~len in
+        got = first_miss pos && same_state () && go (got + 1)
+      in
+      go 0
+      && Array.for_all
+           (fun e ->
+             Cache.Sa_cache.probe run ~addr:(e lsr 1)
+             = Cache.Sa_cache.probe each ~addr:(e lsr 1))
+           buf)
+
+(* The default L1 and LLC bank, and the 3-way, 5-set geometry. *)
+let qcheck_hit_run_matches_access =
+  List.map
+    (fun (name, size, assoc, line) ->
+      hit_run_matches_access ~name ~size ~assoc ~line
+        (few_sets_addr ~size ~assoc ~line))
+    [
+      ("hit_run = access loop: 8 ways, 32 B", 16 * 1024, 8, 32);
+      ("hit_run = access loop: 16 ways, 64 B", 512 * 1024, 16, 64);
+      ("hit_run = access loop: 3 ways, 5 sets", 960, 3, 64);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Focused Sa_cache properties, each against its own minimal tracking
    model. Seeded generator so failures reproduce. *)
@@ -387,7 +450,8 @@ let () =
   Alcotest.run "props"
     [
       ( "reference models",
-        List.map QCheck_alcotest.to_alcotest qcheck_cache_matches_reference
+        List.map QCheck_alcotest.to_alcotest
+          (qcheck_cache_matches_reference @ qcheck_hit_run_matches_access)
         @ [
             QCheck_alcotest.to_alcotest qcheck_trace_matches_direct_eval;
             QCheck_alcotest.to_alcotest qcheck_mapper_covers_all_sets;

@@ -249,7 +249,7 @@ let qcheck_affine_eval_decomposes =
 
 (* ------------------------------------------------------------------ *)
 (* Replay allocation budget: one observed replay allocates a constant
-   amount (caches, summaries, per-set walkers) — nothing per access.
+   amount (caches, summaries, one chunk buffer) — nothing per access.
    mxm at this scale streams ~1.8M accesses, so even one word per
    access would allocate ~14 MB; the budget below only covers the
    setup. *)
@@ -279,8 +279,8 @@ let test_replay_allocation_budget () =
        ~sets);
   let allocated = Gc.allocated_bytes () -. before in
   (* Setup for this configuration (one private bank, the summaries, a
-     loop-variable vector and closures per set) stays well under 2 MB;
-     a single word per access would exceed 14 MB. *)
+     loop-variable vector and the 4096-entry chunk buffer) stays well
+     under 2 MB; a single word per access would exceed 14 MB. *)
   check_bool
     (Printf.sprintf "replay allocated %.0f bytes for %d accesses" allocated
        accesses)

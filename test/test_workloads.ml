@@ -46,6 +46,31 @@ let check_fill_matches_walker trace ~vals ~step ~nest ~iter =
     (Array.of_list (List.rev !walked))
     filled
 
+(* [fill_range] walks iterations [lo, hi) in chunks of a [size]-entry
+   buffer: each call fills as many whole iterations as the buffer
+   holds, and the chunks together write what the walker visits. *)
+let check_fill_range_matches_walker trace ~vals ~step ~nest ~lo ~hi ~size =
+  let appi = Ir.Trace.accesses_per_par_iter trace ~nest in
+  let label =
+    Printf.sprintf "nest %d step %d [%d, %d) buffer %d" nest step lo hi size
+  in
+  let buf = Array.make size (-1) in
+  let filled = Array.make ((hi - lo) * appi) (-1) in
+  let i = ref lo in
+  while !i < hi do
+    let next = Ir.Trace.fill_range trace ~vals ~step ~nest ~lo:!i ~hi ~buf in
+    check_int (label ^ ": whole iterations that fit")
+      (min hi (!i + (size / appi)))
+      next;
+    Array.blit buf 0 filled ((!i - lo) * appi) ((next - !i) * appi);
+    i := next
+  done;
+  let walked = Array.make ((hi - lo) * appi) (-1) and n = ref 0 in
+  Ir.Trace.iter_range ~step trace ~nest ~lo ~hi (fun ~addr ~write ->
+      walked.(!n) <- (addr lsl 1) lor Bool.to_int write;
+      incr n);
+  check_bool (label ^ ": fill_range = walk") true (filled = walked)
+
 (* Every benchmark builds, compiles to a trace, and expands a sample of
    iterations at the first and last timing step without violating any
    bounds check; the fill of its first two and last iterations matches
@@ -74,7 +99,29 @@ let test_one_benchmark (e : Workloads.Registry.entry) () =
           (List.sort_uniq compare [ 0; min 1 (iters - 1); iters - 1 ]))
       [ 0; steps - 1 ]
   done;
-  check_bool "emitted accesses" true (!count > 0)
+  check_bool "emitted accesses" true (!count > 0);
+  (* The chunked fill over the first and last iteration set of every
+     nest, at steps 0 and 1, with a buffer of exactly one iteration, one
+     that is not a multiple of an iteration (when an iteration has more
+     than one access) and one larger than the set. *)
+  let sets = Ir.Iter_set.partition prog ~fraction:cfg.iter_set_fraction in
+  for nest = 0 to Ir.Trace.num_nests trace - 1 do
+    let mine =
+      List.filter (fun (s : Ir.Iter_set.t) -> s.nest = nest) (Array.to_list sets)
+    in
+    let appi = Ir.Trace.accesses_per_par_iter trace ~nest in
+    List.iter
+      (fun (s : Ir.Iter_set.t) ->
+        List.iter
+          (fun step ->
+            List.iter
+              (fun size ->
+                check_fill_range_matches_walker trace ~vals ~step ~nest
+                  ~lo:s.lo ~hi:s.hi ~size)
+              [ appi; (3 * appi) - 1; ((Ir.Iter_set.size s + 1) * appi) + 1 ])
+          [ 0; 1 ])
+      [ List.hd mine; List.nth mine (List.length mine - 1) ]
+  done
 
 let test_sets_give_enough_parallelism () =
   List.iter
