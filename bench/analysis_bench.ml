@@ -14,6 +14,8 @@
        with the symbolic tier on (the default);
      - the seed and fast observed paths, sequential by design (the
        replay threads shared cache state through the whole trace).
+   Each domain pool lives only while its own timing runs, so every
+   sequential timing sees no idle domains.
 
    It also records per-tier coverage (how many accesses the
    symbolic/periodic/traced CME tiers resolved) and enforces the
@@ -266,11 +268,6 @@ let () =
     else Workloads.Registry.names
   in
   let cfg = { Machine.Config.default with llc_org = !llc } in
-  let pools =
-    List.map
-      (fun d -> (d, Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) ()))
-      !domain_counts
-  in
   Printf.printf "analysis bench: scale %.2f, llc %s, %d workloads\n%!" !scale
     (match !llc with Cache.Llc.Private -> "private" | _ -> "shared")
     (List.length names);
@@ -323,13 +320,25 @@ let () =
             "FATAL: %s: symbolic-off CME summaries differ from seed\n" name;
           exit 1
         end;
+        (* A pool lives only while its own domain count is timed. In
+           OCaml 5 every live domain, idle or not, joins each
+           stop-the-world minor collection, so pools kept alive across
+           the run slowed every single-threaded timing here by a
+           varying amount, and the observed gate below could fail
+           without any change to the replay. *)
         let cme_ms =
           List.map
-            (fun (d, pool) ->
+            (fun d ->
+              let pool =
+                Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) ()
+              in
               let fast, ms =
-                time (fun () ->
-                    Locmap.Analysis.cme_summaries ~pool ~memo cfg amap trace
-                      ~sets)
+                Fun.protect
+                  ~finally:(fun () -> Par.Pool.shutdown pool)
+                  (fun () ->
+                    time (fun () ->
+                        Locmap.Analysis.cme_summaries ~pool ~memo cfg amap
+                          trace ~sets))
               in
               if not (summaries_equal seed_sum fast) then begin
                 Printf.eprintf
@@ -338,7 +347,7 @@ let () =
                 exit 1
               end;
               (d, ms))
-            pools
+            !domain_counts
         in
         let seed_obs, obs_seed_ms, fast_obs, obs_fast_ms =
           time2
@@ -363,7 +372,6 @@ let () =
          obs_fast_ms, tiers))
       names
   in
-  List.iter (fun (_, pool) -> Par.Pool.shutdown pool) pools;
   let max_domains = List.fold_left max 1 !domain_counts in
   let speedup_at_max (_, _, _, _, seed_ms, _, cme_ms, _, _, _) =
     seed_ms /. List.assoc max_domains cme_ms

@@ -70,10 +70,11 @@ let () =
 
   (* 3. Algorithm 1: best region per set, then location-aware balance. *)
   let tables = Locmap.Assign.create cfg regions in
-  let pre = Locmap.Assign.assign tables summaries in
+  let errors = Locmap.Assign.errors tables summaries in
+  let pre = Locmap.Assign.assign tables errors in
   let post =
     Locmap.Balance.balance ~regions
-      ~cost:(fun set r -> Locmap.Assign.error tables summaries.(set) ~region:r)
+      ~cost:(fun set r -> errors.(set).(r))
       ~region_of_set:pre
   in
   let show label a =

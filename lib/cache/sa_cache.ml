@@ -92,7 +92,7 @@ let[@inline] to_front (ways : int array) ~base p e =
 (* Returns the verdict as an unboxed bool and leaves the victim in
    plain fields, so the access path allocates nothing. All positions
    touched lie in [base, base + assoc), inside [ways]. [wbit] is 1 for
-   a write, 0 for a read. Inlined into [access] and [hit_run]. *)
+   a write, 0 for a read. Inlined into [access], [hit_run] and [filter]. *)
 let[@inline] lookup t ~addr ~wbit =
   check_addr t addr "Sa_cache.access";
   let line = line_of t addr in
@@ -138,6 +138,21 @@ let hit_run t (buf : int array) ~pos ~len =
     incr p
   done;
   !p
+
+(* The same inlined lookup over a whole chunk. Entry [k] is read before
+   [out.(m)], [m <= k], is written, so [out] may be [buf] itself. *)
+let filter t (buf : int array) ~len (out : int array) =
+  if len < 0 || len > Array.length buf || len > Array.length out then
+    invalid_arg "Sa_cache.filter: length outside a buffer";
+  let m = ref 0 in
+  for k = 0 to len - 1 do
+    let e = Array.unsafe_get buf k in
+    if not (lookup t ~addr:(e lsr 1) ~wbit:(e land 1)) then begin
+      Array.unsafe_set out !m e;
+      incr m
+    end
+  done;
+  !m
 
 let last_victim t = t.last_victim
 let last_victim_dirty t = t.last_victim_dirty

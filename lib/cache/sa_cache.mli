@@ -42,6 +42,20 @@ val hit_run : t -> int array -> pos:int -> len:int -> int
     it. Raises [Invalid_argument] unless [0 <= pos <= len <=
     Array.length buf], and on an entry {!access} would reject. *)
 
+val filter : t -> int array -> len:int -> int array -> int
+(** [filter t buf ~len out] applies {!access} to the first [len] entries
+    of [buf], encoded as for {!hit_run}, writes the entries that missed
+    to [out] from index 0 in their order, and returns how many missed.
+    The counters, recency order and victim fields end as a loop of
+    {!access} calls over the same entries leaves them; the victim
+    fields describe the last miss. [out] may be [buf] itself. The
+    observed replay runs each chunk through L1 and, on the private LLC,
+    the L1 misses through the bank with it: a consumer whose next level
+    never acts back on this cache sees the same outcomes as when it
+    interleaves the two levels access by access. Raises
+    [Invalid_argument] unless [0 <= len <= Array.length buf] and [len
+    <= Array.length out], and on an entry {!access} would reject. *)
+
 val last_victim : t -> int
 (** Base address of the line evicted by the most recent miss, [-1] if
     the victim way was invalid (or no miss happened since {!create} or

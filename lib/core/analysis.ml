@@ -460,15 +460,24 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    accesses — across set boundaries (and, for the warm pass, across
    the cold pass too). Sharding sets would give each shard cold caches
    and change every outcome; the fast path here is therefore doing
-   strictly less work per access, never domains. It runs on the
-   simulator's own path: {!Ir.Trace.fill_range} writes a chunk of
-   parallel iterations into one buffer, the buffer is translated once
-   (not at all when the layout has no remaps), and
-   {!Cache.Sa_cache.hit_run} consumes each run of L1 hits in one call,
-   as [Engine.advance_private] does. Only the access that ended a run
-   goes on to the LLC, and locations come from the address map. The
-   loop allocates nothing per access — the replay allocation-budget
-   test holds it to a constant per call. *)
+   strictly less work per access, never domains.
+
+   It works a chunk at a time. {!Ir.Trace.fill_range} writes whole
+   parallel iterations of one set into the buffer, which is translated
+   once (not at all when the layout has no remaps). Then each cache
+   level takes the chunk in one batch: {!Cache.Sa_cache.filter} runs it
+   through L1 and leaves the misses, in order, at the front of the same
+   buffer; on the private LLC the single bank filters those the same
+   way. That is exact because nothing in the replay acts back on L1
+   (no inclusion, no writeback into it), so L1 sees the same stream
+   whether or not the LLC accesses are interleaved with it, and each
+   bank sees its own misses in the same order; and a chunk never spans
+   two sets, so every count lands in the summary it did. Locations come
+   a chunk at a time from {!Machine.Addr_map.locate_entries}, which
+   reads the map's compiled one-period table. Only the shared LLC's
+   bank lookups stay one call per L1 miss: each goes to the bank the
+   table names. The loop allocates nothing per access — the replay
+   allocation-budget test holds it to a constant per call. *)
 
 let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
     trace ~sets =
@@ -495,46 +504,63 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
   in
   let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
   let identity = Line_memo.identity_translation memo in
-  (* Locations are resolved arithmetically through the address map plus
-     a 1-cell-per-node region table — NOT through the memo's per-line
-     location array. The replay is the one consumer whose access
-     pattern follows the program (an irregular workload replays random
-     lines), and there a multi-megabyte lookup table is itself a
-     cache-thrashing random read per miss, slower than recomputing the
-     interleave arithmetic. The memo still contributes the
-     identity-translation hoist. *)
   let region_of_node =
     let regions = Region.create cfg in
     Array.init (Machine.Config.num_cores cfg) (Region.of_node regions)
   in
   (* One chunk buffer per call: a few thousand accesses, so the
      per-chunk work is amortised, and never less than one parallel
-     iteration of any nest, which [fill_range] needs. *)
-  let buf =
+     iteration of any nest, which [fill_range] needs. The location
+     arrays run alongside it. *)
+  let n =
     let n = ref 4096 in
     for nest = 0 to Ir.Trace.num_nests trace - 1 do
       n := max !n (Ir.Trace.accesses_per_par_iter trace ~nest)
     done;
-    Array.make !n 0
+    !n
   in
+  let buf = Array.make n 0
+  and mcs = Array.make n 0
+  and nodes = Array.make n 0 in
   let vals = Ir.Trace.loop_vars trace in
-  (* Send the L1 miss in [e] (an entry of [buf]) down the LLC. *)
-  let llc_access sm e =
-    let pa = e lsr 1 and write = e land 1 = 1 in
+  (* The [m] L1 misses at the front of [buf] go down the LLC. *)
+  let llc sm m =
+    let mc_counts = sm.Summary.mc_counts in
     if shared then begin
-      let node = Machine.Addr_map.bank_node_of amap pa in
-      let region = Array.unsafe_get region_of_node node in
-      if Cache.Sa_cache.access banks.(node) ~addr:pa ~write then
-        Summary.add_llc_hit sm ~region
-      else
-        Summary.add_llc_miss sm ~bank_region:region
-          ~mc:(Machine.Addr_map.mc_of amap pa)
+      Machine.Addr_map.locate_entries amap buf ~len:m ~mcs ~banks:nodes;
+      let region_counts = sm.Summary.region_counts
+      and miss_region_counts = sm.Summary.miss_region_counts in
+      let hits = ref 0 in
+      for j = 0 to m - 1 do
+        let e = Array.unsafe_get buf j and node = Array.unsafe_get nodes j in
+        let region = Array.unsafe_get region_of_node node in
+        if
+          Cache.Sa_cache.access
+            (Array.unsafe_get banks node)
+            ~addr:(e lsr 1) ~write:(e land 1 = 1)
+        then begin
+          region_counts.(region) <- region_counts.(region) + 1;
+          incr hits
+        end
+        else begin
+          let mc = Array.unsafe_get mcs j in
+          mc_counts.(mc) <- mc_counts.(mc) + 1;
+          miss_region_counts.(region) <- miss_region_counts.(region) + 1
+        end
+      done;
+      sm.Summary.llc_hits <- sm.Summary.llc_hits + !hits;
+      sm.Summary.llc_misses <- sm.Summary.llc_misses + (m - !hits)
     end
-    else if Cache.Sa_cache.access banks.(0) ~addr:pa ~write then
-      Summary.add_llc_hit sm ~region:0
-    else
-      Summary.add_llc_miss sm ~bank_region:(-1)
-        ~mc:(Machine.Addr_map.mc_of amap pa)
+    else begin
+      let m2 = Cache.Sa_cache.filter banks.(0) buf ~len:m buf in
+      Summary.add_llc_hits sm ~region:0 (m - m2);
+      Machine.Addr_map.locate_entries amap buf ~len:m2 ~mcs ~banks:nodes;
+      for j = 0 to m2 - 1 do
+        let mc = Array.unsafe_get mcs j in
+        mc_counts.(mc) <- mc_counts.(mc) + 1
+      done;
+      sm.Summary.llc_misses <- sm.Summary.llc_misses + m2
+    end
   in
   let replay ~step summaries =
     for k = 0 to Array.length sets - 1 do
@@ -549,13 +575,9 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
         let len = (next - !i) * appi in
         i := next;
         if not identity then Machine.Addr_map.translate_entries amap buf ~len;
-        let pos = ref 0 in
-        while !pos < len do
-          let p = Cache.Sa_cache.hit_run l1 buf ~pos:!pos ~len in
-          Summary.add_l1_hits sm (p - !pos);
-          if p < len then llc_access sm (Array.unsafe_get buf p);
-          pos := p + 1
-        done
+        let m = Cache.Sa_cache.filter l1 buf ~len buf in
+        Summary.add_l1_hits sm (len - m);
+        if m > 0 then llc sm m
       done
     done
   in

@@ -11,9 +11,9 @@
     experiences. The gap between estimated (or cold) and warm summaries
     is exactly the MAI/CAI error the paper reports in Figures 7a/8a.
 
-    {b Fast path}: both functions resolve per-access locations through
+    {b Fast path}: the CME path resolves per-access locations through
     a {!Line_memo} (one array load instead of a
-    translate/bank/region/MC recomputation). The CME path dispatches
+    translate/bank/region/MC recomputation). It dispatches
     each (set, reference) to one of three tiers:
 
     - {e symbolic} — pure-affine references with a {!Cme.Symbolic.plan}
@@ -29,14 +29,18 @@
       expand their stream as line blocks.
 
     The observed path runs on the simulator's own walker and cache
-    kernel. It is one loop: {!Ir.Trace.fill_range} writes a chunk of
-    whole parallel iterations into one buffer, the chunk is translated
-    once ({!Machine.Addr_map.translate_entries}; skipped when the
-    layout has no remaps), {!Cache.Sa_cache.hit_run} consumes each run
-    of L1 hits in one call, and only the access that ended a run goes
-    on to the shared or private LLC. There is no closure call per
-    access, and a call allocates a constant amount, nothing per access
-    (enforced by the replay allocation-budget test). The test suite
+    kernel, a chunk at a time: {!Ir.Trace.fill_range} writes whole
+    parallel iterations of one set into one buffer, the chunk is
+    translated once ({!Machine.Addr_map.translate_entries}; skipped
+    when the layout has no remaps), {!Cache.Sa_cache.filter} runs it
+    through L1 and leaves the misses at the front of the buffer, and
+    the misses go down the LLC as a batch: the private LLC's bank
+    filters them the same way, the shared LLC looks each up in its
+    home bank in order. {!Machine.Addr_map.locate_entries} finds their
+    banks and MCs from the map's compiled location table. There is no
+    closure call per access, and a call allocates a constant amount,
+    nothing per access (enforced by the replay allocation-budget
+    test). The test suite
     checks it against [Machine.Engine] run on one core with an ideal
     network: L1 hits, LLC hits and LLC misses agree exactly.
     Callers that summarise the same trace more than once — {!Mapper.map}

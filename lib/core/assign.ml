@@ -19,11 +19,13 @@ let create ?alpha_override (cfg : Machine.Config.t) regions =
     alpha_override;
   }
 
-let error t summary ~region =
-  if region < 0 || region >= t.num_regions then
-    invalid_arg "Assign.error: region out of range";
-  if not t.shared then
-    Affinity.eta (Summary.mai summary) t.mac.(region)
+(* Set [summary]'s error in every region. The affinity vectors are
+   normalised once per set, not once per (set, region). *)
+let error_row t summary =
+  if not t.shared then begin
+    let mai = Summary.mai summary in
+    Array.init t.num_regions (fun r -> Affinity.eta mai t.mac.(r))
+  end
   else begin
     (* Algorithm 2: in S-NUCA a miss is requested from (and returns
        through) the line's home bank, so the set's "memory" affinity is
@@ -35,37 +37,42 @@ let error t summary ~region =
       | Some a -> a
       | None -> Summary.alpha summary
     in
-    let eta_c = Affinity.eta (Summary.cai summary) t.cac.(region) in
-    let eta_m =
-      Affinity.eta (Summary.mai_regions summary) t.cac.(region)
-    in
-    (alpha *. eta_c) +. ((1. -. alpha) *. eta_m)
+    let cai = Summary.cai summary and mai_llc = Summary.mai_regions summary in
+    Array.init t.num_regions (fun r ->
+        let eta_c = Affinity.eta cai t.cac.(r) in
+        let eta_m = Affinity.eta mai_llc t.cac.(r) in
+        (alpha *. eta_c) +. ((1. -. alpha) *. eta_m))
   end
 
-let best_region t summary =
-  let best = ref 0 in
-  let best_err = ref (error t summary ~region:0) in
-  for r = 1 to t.num_regions - 1 do
-    let e = error t summary ~region:r in
-    if e < !best_err then begin
-      best := r;
-      best_err := e
-    end
-  done;
-  (!best, !best_err)
+let errors t summaries = Array.map (error_row t) summaries
 
-let assign t summaries =
+let error t summary ~region =
+  if region < 0 || region >= t.num_regions then
+    invalid_arg "Assign.error: region out of range";
+  (error_row t summary).(region)
+
+let best_region t summary =
+  let row = error_row t summary in
+  let best = ref 0 in
+  for r = 1 to t.num_regions - 1 do
+    if row.(r) < row.(!best) then best := r
+  done;
+  (!best, row.(!best))
+
+let assign t errors =
   (* Ties (common for sets with near-uniform affinity) are broken
      towards the region with the fewest sets so far: the paper does not
      specify a tie order, and spreading ties keeps the subsequent load
      balancer from moving half the sets. *)
   let counts = Array.make t.num_regions 0 in
   Array.map
-    (fun s ->
+    (fun row ->
+      if Array.length row <> t.num_regions then
+        invalid_arg "Assign.assign: row length is not the region count";
       let best = ref 0 in
-      let best_err = ref (error t s ~region:0) in
+      let best_err = ref row.(0) in
       for r = 1 to t.num_regions - 1 do
-        let e = error t s ~region:r in
+        let e = row.(r) in
         if
           e < !best_err -. 1e-9
           || (Float.abs (e -. !best_err) <= 1e-9 && counts.(r) < counts.(!best))
@@ -76,7 +83,7 @@ let assign t summaries =
       done;
       counts.(!best) <- counts.(!best) + 1;
       !best)
-    summaries
+    errors
 
 let mac t r = t.mac.(r)
 let cac t r = t.cac.(r)

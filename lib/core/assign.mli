@@ -15,18 +15,28 @@ val create : ?alpha_override:float -> Machine.Config.t -> Region.t -> t
     it per set from the summary (an ablation knob: 0.0 uses only the
     memory term, 1.0 only the cache term). *)
 
+val errors : t -> Summary.t array -> float array array
+(** [errors t summaries] is the error matrix: row [k] holds set [k]'s
+    placement error in every region, under the configuration's LLC
+    organisation. Each set's MAI, CAI and MAI(LLC) are normalised once
+    for its whole row. {!assign} and the balancer's cost read it, so
+    neither recomputes an η. *)
+
 val error : t -> Summary.t -> region:int -> float
-(** Placement error of a summarised set in [region] under the
-    configuration's LLC organisation. *)
+(** Placement error of a summarised set in [region]: the [region] cell
+    of the set's {!errors} row, computed by the same function, so the
+    two agree bit for bit. *)
 
 val best_region : t -> Summary.t -> int * float
 (** Region with the smallest error (lowest id wins ties, matching the
     deterministic scan of Algorithm 1) and that error. *)
 
-val assign : t -> Summary.t array -> int array
-(** [assign t summaries] is the pre-balance region choice for every
-    set: minimum error, with ties broken towards the region holding the
-    fewest sets so far (the paper leaves tie order unspecified). *)
+val assign : t -> float array array -> int array
+(** [assign t errors] is the pre-balance region choice for every set,
+    given the {!errors} matrix: minimum error, with ties broken towards
+    the region holding the fewest sets so far (the paper leaves tie
+    order unspecified). Raises [Invalid_argument] on a row whose length
+    is not the region count. *)
 
 val mac : t -> int -> float array
 (** The MAC vector of a region (for inspection). *)

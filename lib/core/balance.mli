@@ -15,7 +15,7 @@ val balance :
   int array
 (** [balance ~regions ~cost ~region_of_set] returns the post-balance
     region per set. [cost set region] is the placement error of [set]
-    in [region] (typically {!Assign.error}). The input array is not
+    in [region] (typically a cell of {!Assign.errors}). The input array is not
     mutated. *)
 
 val counts : num_regions:int -> int array -> int array

@@ -27,7 +27,7 @@ let max_prefix_lines = 1 lsl 16
 
 type t = {
   amap : Machine.Addr_map.t;
-  regions : Region.t;
+  region_of_node : int array;
   line_size : int;
   line_shift : int;  (* log2 line_size: lookups shift, never divide *)
   num_lines : int;
@@ -53,9 +53,6 @@ type t = {
 let log2_of line_size =
   let rec go s = if 1 lsl s >= line_size then s else go (s + 1) in
   go 0
-
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-let lcm a b = a / gcd a b * b
 
 (* Builds prefix sums over [period] lines of [loc], assuming the caller
    verified (or will trivially satisfy, when [period = num_lines]) that
@@ -83,20 +80,16 @@ let build_prefix loc ~period ~num_mcs ~num_regions =
     region_tot = Array.map (fun pre -> pre.(period)) region_pre;
   }
 
-(* The location pattern of every structured address map is periodic in
-   the line index: bank interleaving cycles with the node count and MC
-   selection with [num_mcs] pages, so — under identity translation —
-   the candidate period is their lcm. Rather than trusting any per-map
-   derivation, the pattern is *verified* against the eager table; a map
-   that breaks it (hash-interleaved, remapped pages) just degrades to
-   the whole-footprint table or to no prefix at all. *)
-let make_prefix (cfg : Machine.Config.t) ~num_lines ~num_mcs ~num_regions
-    ~line_size loc =
-  let nodes = Machine.Config.num_cores cfg in
+(* The location pattern of the round-robin address maps is periodic in
+   the physical line, and under identity translation the virtual line
+   is the physical one, so the address map's period is the candidate.
+   Rather than trusting it, the pattern is *verified* against the eager
+   table; a footprint that breaks it (remapped pages) and a map without
+   a period just degrade to the whole-footprint table or to no prefix
+   at all. *)
+let make_prefix amap ~num_lines ~num_mcs ~num_regions loc =
   let candidate =
-    if cfg.page_size mod line_size = 0 then
-      lcm nodes (cfg.page_size / line_size * num_mcs)
-    else num_lines
+    Option.value (Machine.Addr_map.period amap) ~default:num_lines
   in
   let periodic_at p =
     p < num_lines
@@ -131,6 +124,9 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
   in
   let line_size = cfg.l2_line in
   let regions = Region.create cfg in
+  let region_of_node =
+    Array.init (Machine.Config.num_cores cfg) (Region.of_node regions)
+  in
   let footprint = Ir.Layout.footprint layout in
   let num_lines = (footprint + line_size - 1) / line_size in
   let pow2 = line_size > 0 && line_size land (line_size - 1) = 0 in
@@ -145,7 +141,7 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
   if not exact then
     {
       amap;
-      regions;
+      region_of_node;
       line_size;
       line_shift;
       num_lines = 0;
@@ -158,21 +154,33 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
       fallbacks;
     }
   else begin
+    (* The lines go through the address map a chunk at a time: one
+       translation pass and one location pass per chunk, read from the
+       map's location table where it has one. *)
     let loc = Array.make num_lines 0 in
     let identity = ref true in
-    for l = 0 to num_lines - 1 do
-      let pa = Machine.Addr_map.translate amap (l * line_size) in
-      let node = Machine.Addr_map.bank_node_of amap pa in
-      if pa <> l * line_size then identity := false;
-      loc.(l) <-
-        pack
-          ~mc:(Machine.Addr_map.mc_of amap pa)
-          ~region:(Region.of_node regions node)
-          ~node
+    let chunk = min num_lines 4096 in
+    let buf = Array.make chunk 0
+    and mcs = Array.make chunk 0
+    and nodes = Array.make chunk 0 in
+    let first = ref 0 in
+    while !first < num_lines do
+      let n = min chunk (num_lines - !first) in
+      for k = 0 to n - 1 do
+        buf.(k) <- ((!first + k) * line_size) lsl 1
+      done;
+      Machine.Addr_map.translate_entries amap buf ~len:n;
+      Machine.Addr_map.locate_entries amap buf ~len:n ~mcs ~banks:nodes;
+      for k = 0 to n - 1 do
+        let l = !first + k and node = nodes.(k) in
+        if buf.(k) lsr 1 <> l * line_size then identity := false;
+        loc.(l) <- pack ~mc:mcs.(k) ~region:region_of_node.(node) ~node
+      done;
+      first := !first + n
     done;
     {
       amap;
-      regions;
+      region_of_node;
       line_size;
       line_shift;
       num_lines;
@@ -181,7 +189,7 @@ let create ?metrics (cfg : Machine.Config.t) amap layout =
       identity = !identity;
       num_mcs;
       num_regions;
-      prefix = make_prefix cfg ~num_lines ~num_mcs ~num_regions ~line_size loc;
+      prefix = make_prefix amap ~num_lines ~num_mcs ~num_regions loc;
       fallbacks;
     }
   end
@@ -199,7 +207,7 @@ let loc_of t va =
     let node = Machine.Addr_map.bank_node_of t.amap pa in
     pack
       ~mc:(Machine.Addr_map.mc_of t.amap pa)
-      ~region:(Region.of_node t.regions node)
+      ~region:t.region_of_node.(node)
       ~node
   end
 

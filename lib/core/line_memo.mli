@@ -32,9 +32,13 @@ val create :
   Machine.Addr_map.t ->
   Ir.Layout.t ->
   t
-(** Precomputes the tables for every line of the layout's footprint.
-    Cost is one address-map evaluation per line — amortised over the
-    (far larger) number of trace accesses that reuse it. [metrics]
+(** Precomputes the tables for every line of the layout's footprint,
+    a chunk of lines at a time: one {!Machine.Addr_map.translate_entries}
+    and one {!Machine.Addr_map.locate_entries} call per chunk, which
+    read the map's location table where it has one, plus a per-node
+    region array. The location prefix tables span one
+    {!Machine.Addr_map.period} when the footprint repeats at it.
+    [metrics]
     registers [locmap_line_memo_fallback_lookups_total], counting
     lookups that bypassed the memo (degenerate config, oversized
     layout, or out-of-footprint address); the memo-hit path is never

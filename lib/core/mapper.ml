@@ -200,7 +200,8 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
     ];
   on_phase "summarise";
   let tables = Assign.create ?alpha_override cfg regions in
-  let pre_balance_region = Assign.assign tables summaries in
+  let errors = Assign.errors tables summaries in
+  let pre_balance_region = Assign.assign tables errors in
   vcheck "assign"
     [
       (fun where ->
@@ -234,8 +235,7 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
         let sub = Array.sub pre_balance_region lo len in
         let balanced =
           Balance.balance ~regions
-            ~cost:(fun local r ->
-              Assign.error tables summaries.(lo + local) ~region:r)
+            ~cost:(fun local r -> errors.(lo + local).(r))
             ~region_of_set:sub
         in
         Array.blit balanced 0 region_of_set lo len)

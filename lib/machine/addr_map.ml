@@ -7,7 +7,56 @@ type t = {
   quadrant_of : int array;  (* per node *)
   quadrant_nodes : int array array;
   mc_of_quad : int array;
+  line_shift : int;  (* log2 l2_line *)
+  period : int;  (* lines after which locations repeat; 0 = aperiodic *)
+  locs : int array Atomic.t;
+      (* per line of one period: (mc lsl 24) lor bank node; built by
+         the first [locate_entries] call, empty until then or when the
+         period exceeds [max_period] *)
 }
+
+(* A mesh has far fewer than 2^24 nodes. *)
+let node_bits = 24
+let node_mask = (1 lsl node_bits) - 1
+
+(* A table beyond this many lines would cost more to build and hold
+   than the arithmetic it replaces. *)
+let max_period = 1 lsl 15
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+let lcm a b = a / gcd a b * b
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let num_mcs t = Array.length t.mc_nodes
+let num_nodes t = Noc.Topology.num_nodes t.topo
+
+(* Under the round-robin maps a physical line's bank and MC depend only
+   on the line and its page, and both cycle: the bank with the node
+   count (in lines or pages), the MC with the MC count, or with the
+   bank under [Quadrant]. With a power-of-two line that divides the
+   page, page = line / lines-per-page, so one period of lines, the lcm
+   of the two cycles, holds every location. The hashed and
+   page-domain maps have no such period. [Line_memo] takes the same
+   period for its prefix tables. *)
+let period_lines t =
+  let c = t.cfg in
+  let line = c.l2_line and page = c.page_size in
+  let cycle g count =
+    match g with
+    | Mem.Distribution.Line_grain -> count
+    | Mem.Distribution.Page_grain -> page / line * count
+  in
+  let banks = cycle c.dist.llc_gran (num_nodes t) in
+  match c.dist.cluster with
+  | (Mem.Distribution.Mesh_default | Mem.Distribution.Quadrant)
+    when Mem.Address.is_pow2 line && page mod line = 0 ->
+      let p =
+        match c.dist.cluster with
+        | Mem.Distribution.Quadrant -> banks
+        | _ -> lcm banks (cycle c.dist.mem_gran (num_mcs t))
+      in
+      Some p
+  | _ -> None
 
 let create (cfg : Config.t) pt =
   (match Config.validate cfg with
@@ -58,17 +107,23 @@ let create (cfg : Config.t) pt =
         done;
         !best)
   in
-  {
-    cfg;
-    topo;
-    pt;
-    identity = Mem.Page_table.remapped_count pt = 0;
-    mc_nodes =
-      Array.init (Noc.Topology.num_mcs topo) (Noc.Topology.mc_node topo);
-    quadrant_of;
-    quadrant_nodes;
-    mc_of_quad;
-  }
+  let t =
+    {
+      cfg;
+      topo;
+      pt;
+      identity = Mem.Page_table.remapped_count pt = 0;
+      mc_nodes =
+        Array.init (Noc.Topology.num_mcs topo) (Noc.Topology.mc_node topo);
+      quadrant_of;
+      quadrant_nodes;
+      mc_of_quad;
+      line_shift = log2 cfg.l2_line;
+      period = 0;
+      locs = Atomic.make [||];
+    }
+  in
+  match period_lines t with None -> t | Some period -> { t with period }
 
 let config t = t.cfg
 let topology t = t.topo
@@ -84,9 +139,6 @@ let translate_entries t (buf : int array) ~len =
       Array.unsafe_set buf k
         ((Mem.Page_table.translate t.pt (e lsr 1) lsl 1) lor (e land 1))
     done
-
-let num_mcs t = Array.length t.mc_nodes
-let num_nodes t = Noc.Topology.num_nodes t.topo
 
 let mc_node t k = t.mc_nodes.(k)
 let quadrant_of_node t node = t.quadrant_of.(node)
@@ -120,3 +172,43 @@ let bank_node_of t pa =
       let q = snc4_domain t pa in
       let members = t.quadrant_nodes.(q) in
       members.(pa / t.cfg.l2_line mod Array.length members)
+
+let period t = if t.period > 0 then Some t.period else None
+
+(* Domains that race on the first call each build the same table, and
+   either one's stays. *)
+let table t =
+  let locs = Atomic.get t.locs in
+  if Array.length locs > 0 || t.period = 0 || t.period > max_period then locs
+  else begin
+    let line = t.cfg.l2_line in
+    let locs =
+      Array.init t.period (fun l ->
+          (mc_of t (l * line) lsl node_bits) lor bank_node_of t (l * line))
+    in
+    Atomic.set t.locs locs;
+    locs
+  end
+
+let locate_entries t (buf : int array) ~len ~(mcs : int array)
+    ~(banks : int array) =
+  if
+    len < 0
+    || len > Array.length buf
+    || len > Array.length mcs
+    || len > Array.length banks
+  then invalid_arg "Addr_map.locate_entries: length outside a buffer";
+  let locs = table t in
+  if Array.length locs > 0 then
+    for k = 0 to len - 1 do
+      let line = Array.unsafe_get buf k lsr (1 + t.line_shift) in
+      let c = Array.unsafe_get locs (line mod t.period) in
+      Array.unsafe_set mcs k (c lsr node_bits);
+      Array.unsafe_set banks k (c land node_mask)
+    done
+  else
+    for k = 0 to len - 1 do
+      let pa = Array.unsafe_get buf k lsr 1 in
+      Array.unsafe_set mcs k (mc_of t pa);
+      Array.unsafe_set banks k (bank_node_of t pa)
+    done

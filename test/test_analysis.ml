@@ -65,6 +65,121 @@ let test_parallel_matches_sequential () =
         [ Cache.Llc.Shared; Cache.Llc.Private ])
 
 (* ------------------------------------------------------------------ *)
+(* Address-map variants the replay and the memo must both get right:
+   the four cluster modes (two with a compiled location table, two
+   without), a page-grain LLC, remapped pages and an L1 whose set count
+   is not a power of two. Each is paired with a page table, built for
+   the trace so the remaps land on pages it touches. *)
+
+let with_dist (cfg : Machine.Config.t) f = { cfg with dist = f cfg.dist }
+
+let variants : (string * Machine.Config.t * bool) list =
+  let d = Machine.Config.default in
+  [
+    ("mesh-default", d, false);
+    ( "all-to-all",
+      with_dist d (fun x -> { x with cluster = Mem.Distribution.All_to_all }),
+      false );
+    ( "quadrant",
+      with_dist d (fun x -> { x with cluster = Mem.Distribution.Quadrant }),
+      false );
+    ( "snc4",
+      with_dist d (fun x -> { x with cluster = Mem.Distribution.Snc4 }),
+      false );
+    ( "page-grain llc",
+      with_dist d (fun x -> { x with llc_gran = Mem.Distribution.Page_grain }),
+      false );
+    ("remapped pages", d, true);
+    ("48-set L1", { d with l1_size = 12 * 1024 }, false);
+  ]
+
+(* Every third page of the footprint moves beyond it. *)
+let page_table_for (cfg : Machine.Config.t) trace ~remap =
+  let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+  (if remap then
+     let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / cfg.page_size in
+     for vpage = 0 to pages do
+       if vpage mod 3 = 0 then
+         Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
+     done);
+  pt
+
+(* The replay as it stood before the batched kernels: one
+   [Sa_cache.access] per access on L1 and, for each L1 miss, one on its
+   bank, with each location from its own address-map call. *)
+let reference_replay (cfg : Machine.Config.t) amap trace ~sets =
+  let shared = Cache.Llc.equal cfg.llc_org Cache.Llc.Shared in
+  let regions = Locmap.Region.create cfg in
+  let cache size assoc line_size =
+    Cache.Sa_cache.create ~size ~assoc ~line_size ()
+  in
+  let l1 = cache cfg.l1_size cfg.l1_assoc cfg.l1_line in
+  let banks =
+    Array.init
+      (if shared then Machine.Config.num_cores cfg else 1)
+      (fun _ -> cache cfg.l2_size cfg.l2_assoc cfg.l2_line)
+  in
+  let pass ~step =
+    Array.map
+      (fun (s : Ir.Iter_set.t) ->
+        let sm =
+          Locmap.Summary.create
+            ~num_mcs:(Machine.Addr_map.num_mcs amap)
+            ~num_regions:(Machine.Config.num_regions cfg)
+        in
+        Ir.Trace.iter_range ~step trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
+          (fun ~addr ~write ->
+            let pa = Machine.Addr_map.translate amap addr in
+            if Cache.Sa_cache.access l1 ~addr:pa ~write then
+              Locmap.Summary.add_l1_hit sm
+            else begin
+              let node =
+                if shared then Machine.Addr_map.bank_node_of amap pa else 0
+              in
+              let region =
+                if shared then Locmap.Region.of_node regions node else 0
+              in
+              if Cache.Sa_cache.access banks.(node) ~addr:pa ~write then
+                Locmap.Summary.add_llc_hit sm ~region
+              else
+                Locmap.Summary.add_llc_miss sm
+                  ~bank_region:(if shared then region else -1)
+                  ~mc:(Machine.Addr_map.mc_of amap pa)
+            end);
+        sm)
+      sets
+  in
+  let cold = pass ~step:0 in
+  let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
+  (cold, pass ~step:(min 1 (steps - 1)))
+
+let test_replay_matches_reference () =
+  List.iter
+    (fun (what, cfg, remap) ->
+      List.iter
+        (fun llc_org ->
+          let cfg = { cfg with Machine.Config.llc_org } in
+          List.iter
+            (fun name ->
+              let prog, trace = prepare name in
+              let pt = page_table_for cfg trace ~remap in
+              let amap = Machine.Addr_map.create cfg pt in
+              let sets = partition prog cfg in
+              let cold, warm =
+                Locmap.Analysis.observed_summaries cfg amap trace ~sets
+              in
+              let rcold, rwarm = reference_replay cfg amap trace ~sets in
+              let where =
+                Printf.sprintf "%s, %s, %s LLC" name what
+                  (Cache.Llc.to_string llc_org)
+              in
+              check_bool (where ^ ": cold") true (summaries_equal cold rcold);
+              check_bool (where ^ ": warm") true (summaries_equal warm rwarm))
+            [ "jacobi-3d"; "moldyn" ])
+        [ Cache.Llc.Private; Cache.Llc.Shared ])
+    variants
+
+(* ------------------------------------------------------------------ *)
 (* The memoized map answers exactly like the direct address map, on
    random addresses inside the layout and beyond it (the fallback
    path): the packed location decodes to the direct bank node, region
@@ -73,16 +188,18 @@ let test_parallel_matches_sequential () =
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
   List.iter
-    (fun name ->
+    (fun ((what, cfg, remap), name) ->
       let _, trace = prepare name in
+      let name = name ^ ", " ^ what in
       let layout = Ir.Trace.layout trace in
-      let cfg = shared_cfg in
-      let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+      let cfg = { cfg with Machine.Config.llc_org = Cache.Llc.Shared } in
+      let pt = page_table_for cfg trace ~remap in
       let amap = Machine.Addr_map.create cfg pt in
       let memo = Locmap.Line_memo.create cfg amap layout in
       let regions = Locmap.Region.create cfg in
       check_bool (name ^ ": memoized") true (Locmap.Line_memo.memoized memo);
       let identity = Locmap.Line_memo.identity_translation memo in
+      check_bool (name ^ ": identity iff no remaps") (not remap) identity;
       let footprint = Ir.Layout.footprint layout in
       for _ = 1 to 2000 do
         (* 10% of probes land beyond the layout to hit the fallback. *)
@@ -110,7 +227,10 @@ let test_line_memo_matches_addr_map () =
         check_int (Printf.sprintf "%s: mc_of %d" name va) mc
           (Locmap.Line_memo.mc_of memo va)
       done)
-    [ "mxm"; "jacobi-3d"; "moldyn" ]
+    (List.concat_map
+       (fun v ->
+         List.map (fun name -> (v, name)) [ "mxm"; "jacobi-3d"; "moldyn" ])
+       variants)
 
 (* ------------------------------------------------------------------ *)
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)
@@ -295,6 +415,11 @@ let () =
         [
           Alcotest.test_case "memo = direct address map" `Quick
             test_line_memo_matches_addr_map;
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "batched replay = per-access reference" `Quick
+            test_replay_matches_reference;
         ] );
       ( "invariants",
         [

@@ -107,6 +107,29 @@ let test_address_range () =
   check_int "nothing counted for refused addresses" 2
     (Cache.Sa_cache.accesses bytes)
 
+(* [filter] refuses a length outside either buffer, counts nothing
+   then, and writes each miss at the next free index of [out]. *)
+let test_filter_range () =
+  let c = small () in
+  let buf = [| 0 lsl 1; (64 lsl 1) lor 1; 0 lsl 1 |] in
+  let refused name ~len out =
+    Alcotest.check_raises name
+      (Invalid_argument "Sa_cache.filter: length outside a buffer")
+      (fun () -> ignore (Cache.Sa_cache.filter c buf ~len out))
+  in
+  refused "negative length" ~len:(-1) buf;
+  refused "beyond the input" ~len:4 (Array.make 8 0);
+  refused "beyond the output" ~len:3 (Array.make 2 0);
+  check_int "nothing looked up" 0 (Cache.Sa_cache.accesses c);
+  check_int "empty chunk" 0 (Cache.Sa_cache.filter c buf ~len:0 [||]);
+  let out = Array.make 3 (-1) in
+  check_int "two cold misses" 2 (Cache.Sa_cache.filter c buf ~len:3 out);
+  check_bool "misses in order" true (out = [| 0; (64 lsl 1) lor 1; -1 |]);
+  check_int "one hit" 1 (Cache.Sa_cache.hits c);
+  check_int "all hit now" 0 (Cache.Sa_cache.filter c buf ~len:3 buf);
+  check_bool "input untouched without misses" true
+    (buf = [| 0; (64 lsl 1) lor 1; 0 |])
+
 (* [hit_run] reads only [buf.(pos) .. buf.(len - 1)] and refuses a
    range outside the buffer. *)
 let test_hit_run_range () =
@@ -185,6 +208,7 @@ let () =
           Alcotest.test_case "invalidate" `Quick test_invalidate;
           Alcotest.test_case "address range" `Quick test_address_range;
           Alcotest.test_case "hit_run range" `Quick test_hit_run_range;
+          Alcotest.test_case "filter range" `Quick test_filter_range;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "full-way residency" `Quick test_full_way_residency;
           QCheck_alcotest.to_alcotest qcheck_streaming_misses;

@@ -101,6 +101,129 @@ let test_addr_map_translate_remap () =
   check_int "mc follows physical page" 1
     (Machine.Addr_map.mc_of am (Machine.Addr_map.translate am 5))
 
+(* The location table answers as the interleave arithmetic does,
+   through [mc_of], [bank_node_of] and [locate_entries], on random
+   physical addresses: for both periodic cluster modes, every pair of
+   MC and LLC grains, and three mesh sizes; and every answer repeats
+   one period on. A config whose period exceeds the table's cap and the
+   two maps without a period locate through the arithmetic. *)
+let test_addr_map_table () =
+  let rng = Random.State.make [| 0x7ab1e |] in
+  let with_dist ?(page_size = 2048) ~rows cluster mem_gran llc_gran =
+    {
+      cfg with
+      Machine.Config.rows;
+      cols = rows;
+      page_size;
+      dist = { Mem.Distribution.mem_gran; llc_gran; cluster };
+    }
+  in
+  let grains = Mem.Distribution.[ Page_grain; Line_grain ] in
+  List.iter
+    (fun cluster ->
+      List.iter
+        (fun rows ->
+          List.iter
+            (fun mem_gran ->
+              List.iter
+                (fun llc_gran ->
+                  let c = with_dist ~rows cluster mem_gran llc_gran in
+                  let am = Machine.Addr_map.create c (pt ()) in
+                  let where =
+                    Format.asprintf "%dx%d %a" rows rows Mem.Distribution.pp
+                      c.dist
+                  in
+                  let period =
+                    match Machine.Addr_map.period am with
+                    | Some p -> p
+                    | None -> Alcotest.failf "%s: no period" where
+                  in
+                  let expected pa =
+                    let bank =
+                      Mem.Distribution.interleave llc_gran
+                        ~page_size:c.page_size ~line_size:c.l2_line
+                        ~count:(rows * rows) pa
+                    in
+                    let mc =
+                      match cluster with
+                      | Mem.Distribution.Quadrant ->
+                          Machine.Addr_map.mc_of_quadrant am
+                            (Machine.Addr_map.quadrant_of_node am bank)
+                      | _ ->
+                          Mem.Distribution.interleave mem_gran
+                            ~page_size:c.page_size ~line_size:c.l2_line
+                            ~count:(Machine.Addr_map.num_mcs am) pa
+                    in
+                    (mc, bank)
+                  in
+                  let n = 500 in
+                  let pas =
+                    Array.init n (fun k ->
+                        if k < 8 then k * 61
+                        else
+                          (Random.State.bits rng * 1024)
+                          + Random.State.int rng 1024)
+                  in
+                  let buf =
+                    Array.map (fun pa -> (pa lsl 1) lor (pa land 1)) pas
+                  in
+                  let mcs = Array.make n (-1) and banks = Array.make n (-1) in
+                  Machine.Addr_map.locate_entries am buf ~len:n ~mcs ~banks;
+                  Array.iteri
+                    (fun k pa ->
+                      let mc, bank = expected pa in
+                      let at = Printf.sprintf "%s at %d" where pa in
+                      check_int (at ^ ": mc_of") mc
+                        (Machine.Addr_map.mc_of am pa);
+                      check_int (at ^ ": bank_node_of") bank
+                        (Machine.Addr_map.bank_node_of am pa);
+                      check_int (at ^ ": located mc") mc mcs.(k);
+                      check_int (at ^ ": located bank") bank banks.(k);
+                      let next = pa + (period * c.l2_line) in
+                      check_int (at ^ ": mc a period on") mc
+                        (Machine.Addr_map.mc_of am next);
+                      check_int (at ^ ": bank a period on") bank
+                        (Machine.Addr_map.bank_node_of am next))
+                    pas)
+                grains)
+            grains)
+        [ 4; 6; 8 ])
+    Mem.Distribution.[ Mesh_default; Quadrant ];
+  check_bool "default period" true
+    (Machine.Addr_map.period (Machine.Addr_map.create cfg (pt ())) = Some 1152);
+  let arithmetic what ~period c =
+    let am = Machine.Addr_map.create c (pt ()) in
+    check_bool (what ^ ": period") true (Machine.Addr_map.period am = period);
+    let n = 200 in
+    let pas = Array.init n (fun k -> (k * 7919) + (k * k * 1031)) in
+    let buf = Array.map (fun pa -> pa lsl 1) pas in
+    let mcs = Array.make n (-1) and banks = Array.make n (-1) in
+    Machine.Addr_map.locate_entries am buf ~len:n ~mcs ~banks;
+    Array.iteri
+      (fun k pa ->
+        let at = Printf.sprintf "%s at %d" what pa in
+        check_int (at ^ ": located mc") (Machine.Addr_map.mc_of am pa) mcs.(k);
+        check_int (at ^ ": located bank")
+          (Machine.Addr_map.bank_node_of am pa)
+          banks.(k))
+      pas
+  in
+  arithmetic "period over the cap" ~period:(Some (36 * 16384))
+    (with_dist ~page_size:(1 lsl 20) ~rows:6 Mem.Distribution.Mesh_default
+       Mem.Distribution.Page_grain Mem.Distribution.Page_grain);
+  arithmetic "all-to-all" ~period:None
+    (with_dist ~rows:6 Mem.Distribution.All_to_all Mem.Distribution.Page_grain
+       Mem.Distribution.Line_grain);
+  arithmetic "SNC-4" ~period:None
+    (with_dist ~rows:6 Mem.Distribution.Snc4 Mem.Distribution.Page_grain
+       Mem.Distribution.Line_grain);
+  let am = Machine.Addr_map.create cfg (pt ()) in
+  Alcotest.check_raises "locate beyond a buffer"
+    (Invalid_argument "Addr_map.locate_entries: length outside a buffer")
+    (fun () ->
+      Machine.Addr_map.locate_entries am (Array.make 4 0) ~len:4
+        ~mcs:(Array.make 4 0) ~banks:(Array.make 3 0))
+
 (* ------------------------------------------------------------------ *)
 
 let sets_of n =
@@ -209,6 +332,8 @@ let () =
           Alcotest.test_case "quadrants" `Quick test_addr_map_quadrants;
           Alcotest.test_case "KNL modes" `Quick test_addr_map_knl_modes;
           Alcotest.test_case "translate remap" `Quick test_addr_map_translate_remap;
+          Alcotest.test_case "location table = arithmetic" `Quick
+            test_addr_map_table;
         ] );
       ( "schedule",
         [

@@ -211,6 +211,74 @@ let qcheck_hit_run_matches_access =
       ("hit_run = access loop: 3 ways, 5 sets", 960, 3, 64);
     ]
 
+(* [filter] against a loop of [access] on a twin cache, over the same
+   stream cut into chunks of varying length (one chunk filtered in
+   place, as the replay does). The misses must come out in the loop's
+   order, the counters and victim fields must agree after every chunk,
+   and afterwards every line the stream named is resident in both
+   caches or in neither. *)
+let filter_matches_access ~name ~size ~assoc ~line addr =
+  QCheck.Test.make ~name ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list print_cache_op) int)
+       QCheck.Gen.(pair (gen_cache_ops ~line addr) (int_range 1 9)))
+    (fun (ops, chunk) ->
+      let stream =
+        Array.of_list
+          (List.filter_map
+             (function
+               | Access (a, w) -> Some ((a lsl 1) lor Bool.to_int w)
+               | Invalidate _ | Reset -> None)
+             ops)
+      in
+      let n = Array.length stream in
+      let batch = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
+      let each = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
+      let same_state () =
+        Cache.Sa_cache.hits batch = Cache.Sa_cache.hits each
+        && Cache.Sa_cache.misses batch = Cache.Sa_cache.misses each
+        && Cache.Sa_cache.writebacks batch = Cache.Sa_cache.writebacks each
+        && Cache.Sa_cache.last_victim batch = Cache.Sa_cache.last_victim each
+        && Cache.Sa_cache.last_victim_dirty batch
+           = Cache.Sa_cache.last_victim_dirty each
+      in
+      let rec go pos k =
+        pos >= n
+        ||
+        let len = min (chunk + (k mod 3)) (n - pos) in
+        let buf = Array.sub stream pos len in
+        let expected =
+          List.filter
+            (fun e ->
+              not
+                (Cache.Sa_cache.access each ~addr:(e lsr 1)
+                   ~write:(e land 1 = 1)))
+            (Array.to_list buf)
+        in
+        let out = if k mod 2 = 0 then buf else Array.make (len + 1) (-1) in
+        let m = Cache.Sa_cache.filter batch buf ~len out in
+        Array.to_list (Array.sub out 0 m) = expected
+        && same_state ()
+        && go (pos + len) (k + 1)
+      in
+      go 0 0
+      && Array.for_all
+           (fun e ->
+             Cache.Sa_cache.probe batch ~addr:(e lsr 1)
+             = Cache.Sa_cache.probe each ~addr:(e lsr 1))
+           stream)
+
+let qcheck_filter_matches_access =
+  List.map
+    (fun (name, size, assoc, line) ->
+      filter_matches_access ~name ~size ~assoc ~line
+        (few_sets_addr ~size ~assoc ~line))
+    [
+      ("filter = access loop: 8 ways, 32 B", 16 * 1024, 8, 32);
+      ("filter = access loop: 16 ways, 64 B", 512 * 1024, 16, 64);
+      ("filter = access loop: 3 ways, 5 sets", 960, 3, 64);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Focused Sa_cache properties, each against its own minimal tracking
    model. Seeded generator so failures reproduce. *)
@@ -451,7 +519,8 @@ let () =
     [
       ( "reference models",
         List.map QCheck_alcotest.to_alcotest
-          (qcheck_cache_matches_reference @ qcheck_hit_run_matches_access)
+          (qcheck_cache_matches_reference @ qcheck_hit_run_matches_access
+           @ qcheck_filter_matches_access)
         @ [
             QCheck_alcotest.to_alcotest qcheck_trace_matches_direct_eval;
             QCheck_alcotest.to_alcotest qcheck_mapper_covers_all_sets;
