@@ -99,20 +99,6 @@ let time ?(repeat = cme_repeat) f =
   done;
   (r, !best)
 
-(* The source revision for the header, as perfbench records it: the
-   git commit, suffixed "-dirty" when the work tree has uncommitted
-   changes, or "unknown" outside a checkout. *)
-let source_commit () =
-  match
-    Unix.open_process_in "git describe --always --dirty --abbrev=40 2>/dev/null"
-  with
-  | exception Unix.Unix_error _ -> "unknown"
-  | ic -> (
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown")
-
 (* Time two deterministic paths in alternation: back-to-back runs see
    the same machine conditions (core placement, frequency), so their
    minima stay comparable even when the absolute numbers wander — on
@@ -428,12 +414,8 @@ let () =
     Service.Json.Obj
       [
         ( "header",
-          Service.Json.Obj
+          Bench_header.make ~bench:"analysis"
             [
-              ("bench", Service.Json.String "analysis");
-              ("nproc", Service.Json.Int (Domain.recommended_domain_count ()));
-              ("commit", Service.Json.String (source_commit ()));
-              ("ocaml", Service.Json.String Sys.ocaml_version);
               ("scale", Service.Json.Float !scale);
               ( "llc",
                 Service.Json.String

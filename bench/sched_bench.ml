@@ -11,8 +11,9 @@
    be byte-identical across domain counts — the cluster-level extension
    of the analysis layer's determinism guarantee. All recorded numbers
    are modelled (ticks, counts, ratios), never wall times, so
-   BENCH_sched.json itself is byte-identical however many domains ran
-   the analysis.
+   BENCH_sched.json is byte-identical however many domains ran the
+   analysis, apart from its header (host core count, commit, OCaml
+   version and the bench's parameters).
 
    The acceptance gate: at >= 1 load point the locality-aware policy
    must beat BOTH fcfs and easy on mean stretch or on deadline-miss
@@ -173,15 +174,27 @@ let () =
   (* The artifact: modelled numbers only, so the file's bytes do not
      depend on how many domains ran the analysis. *)
   let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"bench\":\"sched\",";
+  let header =
+    Bench_header.make ~bench:"sched"
+      Service.Json.
+        [
+          ("scale", Float !scale);
+          ("jobs", Int !jobs);
+          ("seed", Int !seed);
+          ("zipf", Float !zipf_s);
+          ("beta", Float !beta);
+          ("smoke", Bool !smoke);
+          ("domains", List (List.map (fun d -> Int d) !domain_counts));
+          (* Each policy replays each load's trace once per domain
+             count; the replays must agree byte for byte. *)
+          ( "repetitions",
+            Obj [ ("replays_per_policy", Int (List.length !domain_counts)) ]
+          );
+        ]
+  in
   Buffer.add_string b
-    (Printf.sprintf
-       "\"scale\":%.6f,\"jobs\":%d,\"seed\":%d,\"zipf\":%.6f,\"beta\":%.6f,"
-       !scale !jobs !seed !zipf_s !beta);
-  Buffer.add_string b
-    (Printf.sprintf "\"smoke\":%b,\"domains\":[%s],\"deterministic\":true,"
-       !smoke
-       (String.concat "," (List.map string_of_int !domain_counts)));
+    (Printf.sprintf "{\"header\":%s,\"deterministic\":true,"
+       (Service.Json.to_string header));
   Buffer.add_string b
     (Printf.sprintf "\"workloads\":[%s],"
        (String.concat ","

@@ -52,11 +52,16 @@ let () =
           p.Harness.Experiment.trace
       in
       ignore (run ~verify:true ());
-      let sample verify =
-        median
-          (Array.init !rounds (fun _ -> time_ms (run ~verify)))
-      in
-      let off = sample false and on_ = sample true in
+      (* Off and on alternate within each round, in flipping order, so
+         heap growth and host drift land on both sides alike. *)
+      let offs_ms = Array.make !rounds 0. and ons_ms = Array.make !rounds 0. in
+      for r = 0 to !rounds - 1 do
+        let time_off () = offs_ms.(r) <- time_ms (run ~verify:false)
+        and time_on () = ons_ms.(r) <- time_ms (run ~verify:true) in
+        if r mod 2 = 0 then (time_off (); time_on ())
+        else (time_on (); time_off ())
+      done;
+      let off = median offs_ms and on_ = median ons_ms in
       let overhead = 100. *. ((on_ /. off) -. 1.) in
       if overhead > !worst then worst := overhead;
       offs := off :: !offs;

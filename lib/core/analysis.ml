@@ -38,9 +38,7 @@ let multiples_in p ~lo ~hi = ((hi + p - 1) / p) - ((lo + p - 1) / p)
 
 (* Fast-path accounting, accumulated as plain ints per shard range and
    flushed to sharded counters once per range — the hot loops never
-   touch an atomic. Location lookups through the memo are
-   [visited + line_blocks]; with [Line_memo]'s fallback counter this
-   yields the memo hit rate. *)
+   touch an atomic. *)
 type cme_stats = {
   (* One record per shard range, never shared across domains; flushed
      into the registry's sharded counters at range end. *)
@@ -164,10 +162,11 @@ let add_interior ~shared memo sm ~miss ~lo ~hi ~weight =
    accesses each. Single-line and aligned-stride shapes resolve in
    O(edges + location classes); the rest enumerate elements.
 
-   Symbolic plans only exist over a memoized (power-of-two line size)
-   memo, so every division and modulus by the line size is a shift or
-   mask — profiling showed the divisions were the single largest cost
-   of the whole tier once the prefix tables were in place. *)
+   Symbolic plans only exist over an exact memo (a power-of-two line
+   size that divides the page), so every division and modulus by the
+   line size is a shift or mask — profiling showed the divisions were
+   the single largest cost of the whole tier once the prefix tables
+   were in place. *)
 let resolve_aps ~shared memo sm (aps : Cme.Symbolic.aps) =
   let lsize = Line_memo.line_size memo in
   let lshift = Line_memo.line_shift memo in
@@ -249,7 +248,7 @@ let nest_ctx ~symbolic cfg prog layout memo trace ~nest =
   in
   let plans =
     Array.init nrefs (fun r ->
-        if symbolic && Line_memo.memoized memo then
+        if symbolic && Line_memo.exact memo then
           Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
             ~p2:(Cme.llc_period pred r) ~step:0
         else None)
@@ -326,15 +325,15 @@ let cme_set ~shared ~stats memo trace ctx aps (s : Ir.Iter_set.t) sm =
           (if ctx.direct.(r) then
              stats.st_periodic <- stats.st_periodic + total
            else stats.st_traced <- stats.st_traced + total);
-          if p1 = 1 && Cme.llc_period p r = 1 && Line_memo.memoized memo then
+          if p1 = 1 && Cme.llc_period p r = 1 && Line_memo.exact memo then
             (* Every execution is an LLC miss (wide streaming references
                beyond the plan caps, and all references of irregular
                nests). Outcomes are order-independent counts, so the set
                is walked in line blocks: consecutive parallel iterations
                on the same line share one location lookup and one bulk
-               summary update. Only sound when the memo is exact (one
-               location per line); otherwise the ordered walk below
-               handles it. *)
+               summary update. Only sound when the memo is exact (no
+               line straddles a page, so one location per line);
+               otherwise the ordered walk below handles it. *)
             Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
               ~hi:s.hi
               ~line:(Line_memo.line_size memo)
@@ -410,7 +409,7 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
   let memo =
     match memo with
     | Some m -> m
-    | None -> Line_memo.create ?metrics cfg amap layout
+    | None -> Line_memo.create cfg amap layout
   in
   let shared = is_shared cfg in
   let ci = Option.map cme_instruments metrics in
@@ -464,7 +463,7 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
 
    It works a chunk at a time. {!Ir.Trace.fill_range} writes whole
    parallel iterations of one set into the buffer, which is translated
-   once (not at all when the layout has no remaps). Then each cache
+   in one call (a no-op when the map has no remaps). Then each cache
    level takes the chunk in one batch: {!Cache.Sa_cache.filter} runs it
    through L1 and leaves the misses, in order, at the front of the same
    buffer; on the private LLC the single bank filters those the same
@@ -503,11 +502,7 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
       |]
   in
   let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
-  let identity = Line_memo.identity_translation memo in
-  let region_of_node =
-    let regions = Region.create cfg in
-    Array.init (Machine.Config.num_cores cfg) (Region.of_node regions)
-  in
+  let region_of_node = Line_memo.region_of_node memo in
   (* One chunk buffer per call: a few thousand accesses, so the
      per-chunk work is amortised, and never less than one parallel
      iteration of any nest, which [fill_range] needs. The location
@@ -574,7 +569,7 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
         in
         let len = (next - !i) * appi in
         i := next;
-        if not identity then Machine.Addr_map.translate_entries amap buf ~len;
+        Machine.Addr_map.translate_entries amap buf ~len;
         let m = Cache.Sa_cache.filter l1 buf ~len buf in
         Summary.add_l1_hits sm (len - m);
         if m > 0 then llc sm m

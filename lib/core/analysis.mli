@@ -12,15 +12,19 @@
     is exactly the MAI/CAI error the paper reports in Figures 7a/8a.
 
     {b Fast path}: the CME path resolves per-access locations through
-    a {!Line_memo} (one array load instead of a
-    translate/bank/region/MC recomputation). It dispatches
-    each (set, reference) to one of three tiers:
+    a {!Line_memo}: a read of one period of packed (MC, region, node)
+    records, with a translation only when pages are remapped, instead
+    of a translate/bank/region/MC recomputation. It dispatches each
+    (set, reference) to one of three tiers:
 
     - {e symbolic} — pure-affine references with a {!Cme.Symbolic.plan}
       never touch the trace: the set's LLC hits and misses are address
       arithmetic progressions resolved against the memo (and its
       location prefix tables), at cost independent of the execution
-      count;
+      count. Plans, and the line-block walk below, need an exact memo
+      ({!Line_memo.exact}: a power-of-two line that divides the page);
+      otherwise every affine reference takes the ordered periodic
+      walk;
     - {e periodic} — affine references beyond the plan caps bulk-count
       L1 hits arithmetically and visit only the LLC-reaching executions
       ({!Ir.Trace.iter_body_periodic}), or aggregate all-miss same-line
@@ -31,21 +35,23 @@
     The observed path runs on the simulator's own walker and cache
     kernel, a chunk at a time: {!Ir.Trace.fill_range} writes whole
     parallel iterations of one set into one buffer, the chunk is
-    translated once ({!Machine.Addr_map.translate_entries}; skipped
-    when the layout has no remaps), {!Cache.Sa_cache.filter} runs it
+    translated once ({!Machine.Addr_map.translate_entries}, a no-op
+    when the map has no remaps), {!Cache.Sa_cache.filter} runs it
     through L1 and leaves the misses at the front of the buffer, and
     the misses go down the LLC as a batch: the private LLC's bank
     filters them the same way, the shared LLC looks each up in its
     home bank in order. {!Machine.Addr_map.locate_entries} finds their
-    banks and MCs from the map's compiled location table. There is no
+    banks and MCs from the map's compiled location table, and the
+    memo's {!Line_memo.region_of_node} their regions. There is no
     closure call per access, and a call allocates a constant amount,
     nothing per access (enforced by the replay allocation-budget
     test). The test suite
     checks it against [Machine.Engine] run on one core with an ideal
     network: L1 hits, LLC hits and LLC misses agree exactly.
     Callers that summarise the same trace more than once — {!Mapper.map}
-    runs the CME path and up to two observed replays — should build the
-    memo once and pass it to every call.
+    runs the CME path and up to two observed replays — may build the
+    memo once and pass it to every call; building one costs O(period),
+    not O(footprint).
 
     [cme_summaries] additionally shards iteration sets across the
     domains of an optional {!Par.Pool}: summaries are additive per set
@@ -97,10 +103,7 @@ val cme_summaries :
     — accumulated as plain ints per shard range and flushed once per
     range, so the hot loops never touch an atomic and the results stay
     byte-identical with instrumentation on. Memo location lookups on
-    the walking tiers are [visited + line_blocks]; combined with
-    [locmap_line_memo_fallback_lookups_total] (registered on the memo
-    it builds, or by the caller on a passed-in memo) this gives the
-    memo hit rate [1 - fallbacks / lookups]. *)
+    the walking tiers are [visited + line_blocks]. *)
 
 val observed_summaries :
   ?warm_pass:bool ->

@@ -46,7 +46,7 @@ let partition ~where ~nest_iterations (sets : Ir.Iter_set.t array) =
             (diag ~where:(w s.nest) ~invariant:"partition-order"
                "set %d of nest %d appears after sets of nest %d" k s.nest
                !last_nest);
-        last_nest := max !last_nest s.nest;
+        last_nest := Int.max !last_nest s.nest;
         if s.hi <= s.lo then
           add
             (diag ~where:(w s.nest) ~invariant:"set-bounds"
@@ -70,7 +70,7 @@ let partition ~where ~nest_iterations (sets : Ir.Iter_set.t array) =
                k s.lo (min s.hi next.(s.nest))
                next.(s.nest));
         if s.nest >= 0 && s.nest < num_nests then
-          next.(s.nest) <- max next.(s.nest) s.hi
+          next.(s.nest) <- Int.max next.(s.nest) s.hi
       end)
     sets;
   for n = 0 to num_nests - 1 do
@@ -139,65 +139,68 @@ let summary_totals ~where ~shared ~expected_accesses (ss : Summary.t array) =
       (diag ~where ~invariant:"summary-totals"
          "%d summaries but %d expected access counts" (Array.length ss)
          (Array.length expected_accesses))
-  else
+  else begin
+    (* Helpers take the lazy location [w], so a clean set allocates
+       nothing but [w] itself. [checked_sum] flags negative entries and
+       returns the sum. *)
+    let checked_sum w name (a : int array) =
+      let t = ref 0 in
+      for j = 0 to Array.length a - 1 do
+        if a.(j) < 0 then
+          add
+            (diag ~where:(w ()) ~invariant:"summary-nonnegative"
+               "%s entry %d is negative (%d)" name j a.(j));
+        t := !t + a.(j)
+      done;
+      !t
+    in
+    let nonneg_count w name v =
+      if v < 0 then
+        add
+          (diag ~where:(w ()) ~invariant:"summary-nonnegative"
+             "%s is negative (%d)" name v)
+    in
     Array.iteri
       (fun k s ->
-        let w = Printf.sprintf "%s: set %d" where k in
-        let sum = Array.fold_left ( + ) 0 in
-        let nonneg name a =
-          Array.iteri
-            (fun j x ->
-              if x < 0 then
-                add
-                  (diag ~where:w ~invariant:"summary-nonnegative"
-                     "%s entry %d is negative (%d)" name j x))
-            a
+        let w () = Printf.sprintf "%s: set %d" where k in
+        let mcs = checked_sum w "mc_counts" s.Summary.mc_counts in
+        let rcs = checked_sum w "region_counts" s.Summary.region_counts in
+        let mrc =
+          checked_sum w "miss_region_counts" s.Summary.miss_region_counts
         in
-        nonneg "mc_counts" s.Summary.mc_counts;
-        nonneg "region_counts" s.Summary.region_counts;
-        nonneg "miss_region_counts" s.Summary.miss_region_counts;
-        List.iter
-          (fun (name, v) ->
-            if v < 0 then
-              add
-                (diag ~where:w ~invariant:"summary-nonnegative"
-                   "%s is negative (%d)" name v))
-          [
-            ("l1_hits", s.Summary.l1_hits);
-            ("llc_hits", s.Summary.llc_hits);
-            ("llc_misses", s.Summary.llc_misses);
-          ];
+        nonneg_count w "l1_hits" s.Summary.l1_hits;
+        nonneg_count w "llc_hits" s.Summary.llc_hits;
+        nonneg_count w "llc_misses" s.Summary.llc_misses;
         if Summary.accesses s <> expected_accesses.(k) then
           add
-            (diag ~where:w ~invariant:"summary-totals"
+            (diag ~where:(w ()) ~invariant:"summary-totals"
                "l1_hits + llc_hits + llc_misses = %d, but the set executes \
                 %d accesses"
                (Summary.accesses s) expected_accesses.(k));
-        if sum s.Summary.mc_counts <> s.Summary.llc_misses then
+        if mcs <> s.Summary.llc_misses then
           add
-            (diag ~where:w ~invariant:"summary-totals"
-               "mc_counts sum to %d but llc_misses = %d"
-               (sum s.Summary.mc_counts) s.Summary.llc_misses);
-        if sum s.Summary.region_counts <> s.Summary.llc_hits then
+            (diag ~where:(w ()) ~invariant:"summary-totals"
+               "mc_counts sum to %d but llc_misses = %d" mcs
+               s.Summary.llc_misses);
+        if rcs <> s.Summary.llc_hits then
           add
-            (diag ~where:w ~invariant:"summary-totals"
-               "region_counts sum to %d but llc_hits = %d"
-               (sum s.Summary.region_counts)
+            (diag ~where:(w ()) ~invariant:"summary-totals"
+               "region_counts sum to %d but llc_hits = %d" rcs
                s.Summary.llc_hits);
-        let mrc = sum s.Summary.miss_region_counts in
         if shared then begin
           if mrc <> s.Summary.llc_misses then
             add
-              (diag ~where:w ~invariant:"summary-totals"
+              (diag ~where:(w ()) ~invariant:"summary-totals"
                  "miss_region_counts sum to %d but llc_misses = %d (shared \
                   LLC)"
                  mrc s.Summary.llc_misses)
         end
         else if mrc <> 0 then
           add
-            (diag ~where:w ~invariant:"summary-totals"
+            (diag ~where:(w ()) ~invariant:"summary-totals"
                "miss_region_counts sum to %d on a private LLC" mrc))
-      ss;
+      ss
+  end;
   List.rev !bad
 
 let tables ~where ~num_regions t =

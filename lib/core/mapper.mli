@@ -99,7 +99,6 @@ val map :
     bench does.
 
     [metrics] instruments the summarisation fast path: it is passed to
-    the {!Line_memo} built here (fallback-lookup counter) and to
     {!Analysis.cme_summaries} (closed-form accounting — see its
     documentation for the [locmap_cme_*] counters). Metrics never
     change results: counts are accumulated outside the hot loops and

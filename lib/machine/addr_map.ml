@@ -36,8 +36,8 @@ let num_nodes t = Noc.Topology.num_nodes t.topo
    bank under [Quadrant]. With a power-of-two line that divides the
    page, page = line / lines-per-page, so one period of lines, the lcm
    of the two cycles, holds every location. The hashed and
-   page-domain maps have no such period. [Line_memo] takes the same
-   period for its prefix tables. *)
+   page-domain maps have no such period. [Line_memo] holds one period
+   of answers, and its prefix tables span it. *)
 let period_lines t =
   let c = t.cfg in
   let line = c.l2_line and page = c.page_size in
@@ -128,6 +128,7 @@ let create (cfg : Config.t) pt =
 let config t = t.cfg
 let topology t = t.topo
 
+let identity t = t.identity
 let translate t va = if t.identity then va else Mem.Page_table.translate t.pt va
 
 let translate_entries t (buf : int array) ~len =

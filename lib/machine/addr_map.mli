@@ -30,6 +30,10 @@ val translate : t -> int -> int
 (** Virtual-to-physical translation (identity unless pages were
     remapped after creation — re-create the map after remapping). *)
 
+val identity : t -> bool
+(** No page was remapped when the map was created: {!translate} and
+    {!translate_entries} change nothing. *)
+
 val translate_entries : t -> int array -> len:int -> unit
 (** [translate_entries t buf ~len] translates the first [len] entries
     of [buf] in place. Each is encoded [(addr lsl 1) lor write_bit], as
@@ -49,10 +53,10 @@ val locate_entries :
     table holds the MC and bank node of each line of one {!period}; the
     first call builds it, so code that never locates a batch never
     pays for it. A map without a period, or with one over 2{^15}
-    lines, keeps the arithmetic. The observed replay and [Line_memo]
-    locate a whole chunk with one call. Raises [Invalid_argument]
-    unless [0 <= len] and [len] is at most the length of each of the
-    three arrays. *)
+    lines, keeps the arithmetic. The observed replay locates a whole
+    chunk with one call, and [Line_memo] one period. Raises
+    [Invalid_argument] unless [0 <= len] and [len] is at most the
+    length of each of the three arrays. *)
 
 val period : t -> int option
 (** [Some p] when every location repeats after [p] physical lines:

@@ -180,10 +180,19 @@ let test_replay_matches_reference () =
     variants
 
 (* ------------------------------------------------------------------ *)
-(* The memoized map answers exactly like the direct address map, on
-   random addresses inside the layout and beyond it (the fallback
-   path): the packed location decodes to the direct bank node, region
-   and MC, and the identity flag holds wherever it is claimed. *)
+(* The memo answers exactly like the direct address map, on random
+   addresses inside the layout and beyond it: the packed location
+   decodes to the direct bank node, region and MC. Pages of 100 and 96
+   bytes, which a request may carry, split 64-byte lines across pages:
+   the memo must then not claim line-granular exactness. Where it has
+   prefix tables, their range counts equal counting line by line. *)
+
+let page_variants : (string * Machine.Config.t * bool) list =
+  let d = Machine.Config.default in
+  [
+    ("100-byte pages", { d with page_size = 100 }, false);
+    ("96-byte pages", { d with page_size = 96 }, false);
+  ]
 
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
@@ -197,12 +206,17 @@ let test_line_memo_matches_addr_map () =
       let amap = Machine.Addr_map.create cfg pt in
       let memo = Locmap.Line_memo.create cfg amap layout in
       let regions = Locmap.Region.create cfg in
-      check_bool (name ^ ": memoized") true (Locmap.Line_memo.memoized memo);
-      let identity = Locmap.Line_memo.identity_translation memo in
+      check_bool (name ^ ": exact iff lines tile pages")
+        (cfg.page_size mod cfg.l2_line = 0)
+        (Locmap.Line_memo.exact memo);
+      let identity = Machine.Addr_map.identity amap in
       check_bool (name ^ ": identity iff no remaps") (not remap) identity;
+      check_bool (name ^ ": prefix iff identity and a period")
+        (identity && Machine.Addr_map.period amap <> None)
+        (Locmap.Line_memo.prefix_available memo);
       let footprint = Ir.Layout.footprint layout in
       for _ = 1 to 2000 do
-        (* 10% of probes land beyond the layout to hit the fallback. *)
+        (* 10% of probes land beyond the layout. *)
         let inside = Random.State.int rng 10 <> 0 in
         let va =
           if inside then Random.State.int rng (max 1 footprint)
@@ -225,12 +239,40 @@ let test_line_memo_matches_addr_map () =
         check_int (Printf.sprintf "%s: mc of %d" name va) mc
           (Locmap.Line_memo.mc_of_loc loc);
         check_int (Printf.sprintf "%s: mc_of %d" name va) mc
-          (Locmap.Line_memo.mc_of memo va)
-      done)
+          (Locmap.Line_memo.mc_of memo va);
+        let line = va / cfg.l2_line in
+        check_int
+          (Printf.sprintf "%s: line %d" name line)
+          (Locmap.Line_memo.loc_of memo (line * cfg.l2_line))
+          (Locmap.Line_memo.loc_of_line memo line)
+      done;
+      if Locmap.Line_memo.prefix_available memo then begin
+        let lines = (footprint + cfg.l2_line - 1) / cfg.l2_line in
+        let num_mcs = Machine.Addr_map.num_mcs amap in
+        let num_regions = Locmap.Region.count regions in
+        for _ = 1 to 200 do
+          let lo = Random.State.int rng lines in
+          let hi = lo + Random.State.int rng (lines - lo + 1) in
+          let mcs = Array.make num_mcs 0 and rgs = Array.make num_regions 0 in
+          Locmap.Line_memo.add_mc_line_counts memo ~lo ~hi ~weight:3 mcs;
+          Locmap.Line_memo.add_region_line_counts memo ~lo ~hi ~weight:3 rgs;
+          let emcs = Array.make num_mcs 0 and ergs = Array.make num_regions 0 in
+          for l = lo to hi - 1 do
+            let loc = Locmap.Line_memo.loc_of_line memo l in
+            let m = Locmap.Line_memo.mc_of_loc loc
+            and r = Locmap.Line_memo.region_of_loc loc in
+            emcs.(m) <- emcs.(m) + 3;
+            ergs.(r) <- ergs.(r) + 3
+          done;
+          let where = Printf.sprintf "%s: lines [%d, %d)" name lo hi in
+          check_bool (where ^ " per MC") true (mcs = emcs);
+          check_bool (where ^ " per region") true (rgs = ergs)
+        done
+      end)
     (List.concat_map
        (fun v ->
          List.map (fun name -> (v, name)) [ "mxm"; "jacobi-3d"; "moldyn" ])
-       variants)
+       (variants @ page_variants))
 
 (* ------------------------------------------------------------------ *)
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)

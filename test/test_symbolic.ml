@@ -127,15 +127,48 @@ let test_plan_matches_classifier_law () =
 (* ------------------------------------------------------------------ *)
 (* The symbolic tier changes nothing: summaries with the tier on equal
    summaries with every affine reference forced onto the trace-walking
-   tiers, for every registry workload and both LLC organisations. *)
+   tiers, for every registry workload and both LLC organisations, and
+   for the regular workloads under the maps whose lookups differ:
+   pages of 100 and 96 bytes that split lines (no line-granular tier
+   may run), the cluster modes without a period (no prefix tables) or
+   with quadrant MCs (another period) and pages remapped by the layout
+   optimiser (lookups translate, interior lines are enumerated). *)
+
+let regular =
+  [ "art"; "cholesky"; "diff"; "fft"; "jacobi-3d"; "lu"; "lulesh";
+    "minighost"; "mxm"; "swim" ]
+
+let symbolic_configs =
+  let d = shared_cfg in
+  let cluster c = { d with dist = { d.dist with cluster = c } } in
+  List.map
+    (fun (cfg : Machine.Config.t) ->
+      (Cache.Llc.to_string cfg.llc_org, cfg, false, Workloads.Registry.names))
+    [ shared_cfg; private_cfg ]
+  @ List.map
+      (fun (what, cfg, remap) -> (what, cfg, remap, regular))
+      [
+        ("100-byte pages", { d with page_size = 100 }, false);
+        ("96-byte pages", { d with page_size = 96 }, false);
+        ("all-to-all", cluster Mem.Distribution.All_to_all, false);
+        ("snc4", cluster Mem.Distribution.Snc4, false);
+        ("quadrant", cluster Mem.Distribution.Quadrant, false);
+        ("layout-optimised pages", d, true);
+      ]
 
 let test_symbolic_equals_walkers () =
   List.iter
-    (fun cfg ->
+    (fun (what, cfg, remap, names) ->
+      let remapped = ref 0 in
       List.iter
         (fun name ->
           let prog, trace = prepare name in
           let pt = Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size () in
+          if remap then begin
+            let schedule = Locmap.Mapper.default_schedule cfg trace in
+            Baselines.Layout_opt.optimize cfg trace ~schedule pt;
+            remapped := !remapped + Mem.Page_table.remapped_count pt
+          end;
           let amap = Machine.Addr_map.create cfg pt in
           let sets = partition prog cfg in
           let sym = Locmap.Analysis.cme_summaries cfg amap trace ~sets in
@@ -143,11 +176,13 @@ let test_symbolic_equals_walkers () =
             Locmap.Analysis.cme_summaries ~symbolic:false cfg amap trace ~sets
           in
           check_bool
-            (Printf.sprintf "%s: symbolic = walkers" name)
+            (Printf.sprintf "%s, %s: symbolic = walkers" name what)
             true
             (summaries_equal sym walked))
-        Workloads.Registry.names)
-    [ shared_cfg; private_cfg ]
+        names;
+      if remap then
+        check_bool (what ^ ": pages were remapped") true (!remapped > 0))
+    symbolic_configs
 
 (* ------------------------------------------------------------------ *)
 (* Tier coverage accounting: the three tiers partition the accesses

@@ -110,6 +110,38 @@ let test_bad_distribution_rejected () =
           ~invariant:"mai-distribution"
           [| 1.2; -0.2 |]))
 
+(* [Mapper.map ~verify:true] runs [Invariant.summaries] only when
+   [summary_totals] reports something, so every summary [summaries]
+   rejects must be rejected by [summary_totals] too: a negative count
+   that leaves a positive sum, and a negative hit count that puts alpha
+   out of range. A negative sum normalises to the uniform vector, which
+   only the totals reject. *)
+let test_summaries_implied_by_totals () =
+  let summary mc =
+    let s = Locmap.Summary.create ~num_mcs:(Array.length mc) ~num_regions:2 in
+    Array.blit mc 0 s.Locmap.Summary.mc_counts 0 (Array.length mc);
+    s
+  in
+  let alpha = Locmap.Summary.create ~num_mcs:2 ~num_regions:2 in
+  Locmap.Summary.add_llc_misses alpha ~mc:0 ~bank_region:(-1) 1;
+  alpha.Locmap.Summary.llc_hits <- -3;
+  List.iter
+    (fun (what, invariant, (s : Locmap.Summary.t)) ->
+      let diags = Locmap.Invariant.summaries ~where:"w" [| s |] in
+      (match invariant with
+      | Some inv ->
+          check_bool (what ^ ": rejected") true (has_invariant inv diags)
+      | None -> check_int (what ^ ": accepted") 0 (List.length diags));
+      check_bool (what ^ ": rejected by the totals") true
+        (Locmap.Invariant.summary_totals ~where:"w" ~shared:false
+           ~expected_accesses:[| Locmap.Summary.accesses s |] [| s |]
+        <> []))
+    [
+      ("negative count", Some "mai-distribution", summary [| 5; -2; 0; 1 |]);
+      ("negative sum", None, summary [| 1; -3 |]);
+      ("alpha", Some "alpha-range", alpha);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* IR well-formedness.                                                 *)
 
@@ -193,6 +225,8 @@ let () =
           Alcotest.test_case "wrong region" `Quick test_wrong_region_rejected;
           Alcotest.test_case "bad distribution" `Quick
             test_bad_distribution_rejected;
+          Alcotest.test_case "summaries implied by totals" `Quick
+            test_summaries_implied_by_totals;
         ] );
       ( "ir",
         [
