@@ -126,37 +126,22 @@ let add_at ~shared sm ~miss loc n =
       ~region:(if shared then Line_memo.region_of_loc loc else 0)
       n
 
-(* Below this many interior lines, walking them beats the prefix
-   tables: a line costs ~3 reads and 2-3 bin writes, a prefix query
-   costs 2 divisions plus a multiply and 2 reads for every MC and
-   region bin regardless of the range. *)
-let interior_enum_cutoff = 8
-
-(* Interior lines [lo, hi) of a progression, [weight] accesses each:
-   O(num_mcs + num_regions) through the location prefix tables, line
-   enumeration when the range is short or the memo has no tables. *)
+(* Interior lines [lo, hi) of a progression, [weight] accesses each,
+   counted per location class by the memo: through its prefix tables
+   when it has them, else a page at a time. *)
 let add_interior ~shared memo sm ~miss ~lo ~hi ~weight =
-  if hi - lo <= interior_enum_cutoff || not (Line_memo.prefix_available memo)
-  then
-    for l = lo to hi - 1 do
-      add_at ~shared sm ~miss (Line_memo.loc_of_line memo l) weight
-    done
-  else begin
-    let n = weight * (hi - lo) in
-    if miss then begin
-      Line_memo.add_mc_line_counts memo ~lo ~hi ~weight sm.Summary.mc_counts;
-      if shared then
-        Line_memo.add_region_line_counts memo ~lo ~hi ~weight
-          sm.Summary.miss_region_counts;
-      sm.Summary.llc_misses <- sm.Summary.llc_misses + n
-    end
-    else if shared then begin
-      Line_memo.add_region_line_counts memo ~lo ~hi ~weight
-        sm.Summary.region_counts;
-      sm.Summary.llc_hits <- sm.Summary.llc_hits + n
-    end
-    else Summary.add_llc_hits sm ~region:0 n
+  let n = weight * (hi - lo) in
+  if miss then begin
+    Line_memo.add_line_counts memo ~lo ~hi ~weight ~mcs:sm.Summary.mc_counts
+      ~regions:(if shared then sm.Summary.miss_region_counts else [||]);
+    sm.Summary.llc_misses <- sm.Summary.llc_misses + n
   end
+  else if shared then begin
+    Line_memo.add_line_counts memo ~lo ~hi ~weight ~mcs:[||]
+      ~regions:sm.Summary.region_counts;
+    sm.Summary.llc_hits <- sm.Summary.llc_hits + n
+  end
+  else Summary.add_llc_hits sm ~region:0 n
 
 (* One progression: [count] elements at [a0 + k*stride], [mult]
    accesses each. Single-line and aligned-stride shapes resolve in

@@ -19,9 +19,10 @@
 
     - {e symbolic} — pure-affine references with a {!Cme.Symbolic.plan}
       never touch the trace: the set's LLC hits and misses are address
-      arithmetic progressions resolved against the memo (and its
-      location prefix tables), at cost independent of the execution
-      count. Plans, and the line-block walk below, need an exact memo
+      arithmetic progressions resolved against the memo, whose line
+      range counts ({!Line_memo.add_line_counts}) read prefix tables
+      under identity translation and walk a page at a time otherwise,
+      at cost independent of the execution count. Plans, and the line-block walk below, need an exact memo
       ({!Line_memo.exact}: a power-of-two line that divides the page);
       otherwise every affine reference takes the ordered periodic
       walk;

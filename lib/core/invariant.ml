@@ -125,6 +125,29 @@ let summaries ~where (ss : Summary.t array) =
     ss;
   all (List.rev !bad)
 
+(* Sum of [a], or -1 when an entry is negative. *)
+let nonneg_sum (a : int array) =
+  let t = ref 0 and neg = ref false in
+  for j = 0 to Array.length a - 1 do
+    let x = Array.unsafe_get a j in
+    if x < 0 then neg := true;
+    t := !t + x
+  done;
+  if !neg then -1 else !t
+
+(* Every total below holds for [s]: a clean set costs a few loads and
+   compares, and only a set that fails is taken apart into
+   diagnostics. *)
+let set_totals_hold ~shared (s : Summary.t) expected =
+  let mcs = nonneg_sum s.mc_counts
+  and rcs = nonneg_sum s.region_counts
+  and mrc = nonneg_sum s.miss_region_counts in
+  mcs >= 0 && rcs >= 0 && mrc >= 0 && s.l1_hits >= 0 && s.llc_hits >= 0
+  && s.llc_misses >= 0
+  && s.l1_hits + s.llc_hits + s.llc_misses = expected
+  && mcs = s.llc_misses && rcs = s.llc_hits
+  && mrc = if shared then s.llc_misses else 0
+
 (* Counting conservation over raw summaries. The distribution checks
    above only see normalised vectors; these see the integers, which is
    where a bulk-arithmetic tier (progression resolution, prefix-table
@@ -140,9 +163,7 @@ let summary_totals ~where ~shared ~expected_accesses (ss : Summary.t array) =
          "%d summaries but %d expected access counts" (Array.length ss)
          (Array.length expected_accesses))
   else begin
-    (* Helpers take the lazy location [w], so a clean set allocates
-       nothing but [w] itself. [checked_sum] flags negative entries and
-       returns the sum. *)
+    (* [checked_sum] flags negative entries and returns the sum. *)
     let checked_sum w name (a : int array) =
       let t = ref 0 in
       for j = 0 to Array.length a - 1 do
@@ -162,54 +183,78 @@ let summary_totals ~where ~shared ~expected_accesses (ss : Summary.t array) =
     in
     Array.iteri
       (fun k s ->
-        let w () = Printf.sprintf "%s: set %d" where k in
-        let mcs = checked_sum w "mc_counts" s.Summary.mc_counts in
-        let rcs = checked_sum w "region_counts" s.Summary.region_counts in
-        let mrc =
-          checked_sum w "miss_region_counts" s.Summary.miss_region_counts
-        in
-        nonneg_count w "l1_hits" s.Summary.l1_hits;
-        nonneg_count w "llc_hits" s.Summary.llc_hits;
-        nonneg_count w "llc_misses" s.Summary.llc_misses;
-        if Summary.accesses s <> expected_accesses.(k) then
-          add
-            (diag ~where:(w ()) ~invariant:"summary-totals"
-               "l1_hits + llc_hits + llc_misses = %d, but the set executes \
-                %d accesses"
-               (Summary.accesses s) expected_accesses.(k));
-        if mcs <> s.Summary.llc_misses then
-          add
-            (diag ~where:(w ()) ~invariant:"summary-totals"
-               "mc_counts sum to %d but llc_misses = %d" mcs
-               s.Summary.llc_misses);
-        if rcs <> s.Summary.llc_hits then
-          add
-            (diag ~where:(w ()) ~invariant:"summary-totals"
-               "region_counts sum to %d but llc_hits = %d" rcs
-               s.Summary.llc_hits);
-        if shared then begin
-          if mrc <> s.Summary.llc_misses then
+        if not (set_totals_hold ~shared s expected_accesses.(k)) then begin
+          let w () = Printf.sprintf "%s: set %d" where k in
+          let mcs = checked_sum w "mc_counts" s.Summary.mc_counts in
+          let rcs = checked_sum w "region_counts" s.Summary.region_counts in
+          let mrc =
+            checked_sum w "miss_region_counts" s.Summary.miss_region_counts
+          in
+          nonneg_count w "l1_hits" s.Summary.l1_hits;
+          nonneg_count w "llc_hits" s.Summary.llc_hits;
+          nonneg_count w "llc_misses" s.Summary.llc_misses;
+          if Summary.accesses s <> expected_accesses.(k) then
             add
               (diag ~where:(w ()) ~invariant:"summary-totals"
-                 "miss_region_counts sum to %d but llc_misses = %d (shared \
-                  LLC)"
-                 mrc s.Summary.llc_misses)
-        end
-        else if mrc <> 0 then
-          add
-            (diag ~where:(w ()) ~invariant:"summary-totals"
-               "miss_region_counts sum to %d on a private LLC" mrc))
+                 "l1_hits + llc_hits + llc_misses = %d, but the set executes \
+                  %d accesses"
+                 (Summary.accesses s) expected_accesses.(k));
+          if mcs <> s.Summary.llc_misses then
+            add
+              (diag ~where:(w ()) ~invariant:"summary-totals"
+                 "mc_counts sum to %d but llc_misses = %d" mcs
+                 s.Summary.llc_misses);
+          if rcs <> s.Summary.llc_hits then
+            add
+              (diag ~where:(w ()) ~invariant:"summary-totals"
+                 "region_counts sum to %d but llc_hits = %d" rcs
+                 s.Summary.llc_hits);
+          if shared then begin
+            if mrc <> s.Summary.llc_misses then
+              add
+                (diag ~where:(w ()) ~invariant:"summary-totals"
+                   "miss_region_counts sum to %d but llc_misses = %d (shared \
+                    LLC)"
+                   mrc s.Summary.llc_misses)
+          end
+          else if mrc <> 0 then
+            add
+              (diag ~where:(w ()) ~invariant:"summary-totals"
+                 "miss_region_counts sum to %d on a private LLC" mrc)
+        end)
       ss
   end;
   List.rev !bad
 
+(* Clean totals mean every count is non-negative, and non-negative
+   counts over non-empty vectors always normalise to distributions with
+   alpha in [0, 1]: [summaries] can only find something when the totals
+   do, or raise when a vector is empty, so only then does it take its
+   pass. *)
+let summary_checks ~where ~shared ~expected_accesses (ss : Summary.t array) =
+  let totals = summary_totals ~where ~shared ~expected_accesses ss in
+  let non_empty (s : Summary.t) =
+    Array.length s.mc_counts > 0
+    && Array.length s.region_counts > 0
+    && Array.length s.miss_region_counts > 0
+  in
+  match totals with
+  | [] when Array.for_all non_empty ss -> []
+  | _ -> summaries ~where ss @ totals
+
 let tables ~where ~num_regions t =
   let bad = ref [] in
   for r = 0 to num_regions - 1 do
-    let w = Printf.sprintf "%s: region %d" where r in
+    let check invariant v =
+      match distribution ~where ~invariant v with
+      | [] -> []
+      | _ ->
+          distribution ~where:(Printf.sprintf "%s: region %d" where r)
+            ~invariant v
+    in
     bad :=
-      distribution ~where:w ~invariant:"mac-distribution" (Assign.mac t r)
-      :: distribution ~where:w ~invariant:"cac-distribution" (Assign.cac t r)
+      check "mac-distribution" (Assign.mac t r)
+      :: check "cac-distribution" (Assign.cac t r)
       :: !bad
   done;
   (* eta is a metric on distributions; on valid MAC/CAC rows every
@@ -356,25 +401,25 @@ let balance ~where ~num_regions ~sets region_of_set =
       (List.map
          (fun (nest, lo, len) ->
            let slice = Array.sub region_of_set lo len in
-           match Balance.counts ~num_regions slice with
+           match Balance.is_balanced ~num_regions slice with
            | exception Invalid_argument _ ->
                (* Out-of-range regions are reported by [assignment]. *)
                []
-           | counts ->
-               if Balance.is_balanced ~num_regions slice then []
-               else
-                 let lo_b = len / num_regions in
-                 let hi_b = if len mod num_regions = 0 then lo_b else lo_b + 1 in
-                 [
-                   diag
-                     ~where:(Printf.sprintf "%s: nest %d" where nest)
-                     ~invariant:"balance-tolerance"
-                     "region set counts (%s) leave the declared tolerance \
-                      [%d, %d] for %d sets over %d regions"
-                     (String.concat ", "
-                        (Array.to_list (Array.map string_of_int counts)))
-                     lo_b hi_b len num_regions;
-                 ])
+           | true -> []
+           | false ->
+               let counts = Balance.counts ~num_regions slice in
+               let lo_b = len / num_regions in
+               let hi_b = if len mod num_regions = 0 then lo_b else lo_b + 1 in
+               [
+                 diag
+                   ~where:(Printf.sprintf "%s: nest %d" where nest)
+                   ~invariant:"balance-tolerance"
+                   "region set counts (%s) leave the declared tolerance \
+                    [%d, %d] for %d sets over %d regions"
+                   (String.concat ", "
+                      (Array.to_list (Array.map string_of_int counts)))
+                   lo_b hi_b len num_regions;
+               ])
          (nest_slices sets))
 
 let placement ~where ?(in_region = true) (cfg : Machine.Config.t) regions
@@ -382,6 +427,7 @@ let placement ~where ?(in_region = true) (cfg : Machine.Config.t) regions
   let bad = ref [] in
   let add d = bad := d :: !bad in
   let num_cores = Machine.Config.num_cores cfg in
+  let region_of_core = Array.init num_cores (Region.of_node regions) in
   if Array.length sched.Machine.Schedule.core_of <> Array.length sched.sets
   then
     add
@@ -406,13 +452,11 @@ let placement ~where ?(in_region = true) (cfg : Machine.Config.t) regions
         && k < Array.length region_of_set
         && region_of_set.(k) >= 0
         && region_of_set.(k) < Region.count regions
-        && Region.of_node regions c <> region_of_set.(k)
+        && region_of_core.(c) <> region_of_set.(k)
       then
         add
           (diag ~where ~invariant:"placement-core-region"
              "set %d placed on core %d (region %d) but assigned to region %d"
-             k c
-             (Region.of_node regions c)
-             region_of_set.(k)))
+             k c region_of_core.(c) region_of_set.(k)))
     sched.Machine.Schedule.core_of;
   List.rev !bad

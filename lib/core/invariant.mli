@@ -80,6 +80,19 @@ val summary_totals :
     accesses, so this is the check that catches a progression counted
     twice or an execution-0 reclassification gone negative. *)
 
+val summary_checks :
+  where:string ->
+  shared:bool ->
+  expected_accesses:int array ->
+  Summary.t array ->
+  diagnostic list
+(** The summarise phase's check: {!summaries} followed by
+    {!summary_totals}, with the same diagnostics (and the same
+    [Invalid_argument] when a count vector is empty). {!summaries} runs
+    only when the totals report something or a vector is empty, since
+    non-negative counts over non-empty vectors always normalise to
+    valid distributions. *)
+
 val tables : where:string -> num_regions:int -> Assign.t -> diagnostic list
 (** MAC and CAC of every region are distributions, and every pairwise
     η(MAC r, MAC r′) and η(CAC r, CAC r′) lies in [0, 1]. *)

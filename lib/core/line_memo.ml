@@ -5,10 +5,6 @@ let node_of_loc loc = loc land 0x1FFFFF
 let region_of_loc loc = (loc lsr 21) land 0x1FFFFF
 let mc_of_loc loc = loc lsr 42
 
-(* A table beyond this many lines would cost more to build and hold
-   than the address-map calls it replaces. *)
-let max_period = 1 lsl 16
-
 (* Per-MC and per-region running counts over one period of [locs]: the
    symbolic CME tier resolves a contiguous line range's per-class
    counts in O(1) per class instead of walking the lines. *)
@@ -30,6 +26,7 @@ type t = {
          location. Translation is page-granular, so without this a
          line's answer would not hold for all of its bytes. *)
   identity : bool;  (* the address map translates nothing *)
+  lines_per_page : int;  (* when [exact] *)
   period : int;  (* lines of [locs]; 0 when the map has no table *)
   locs : int array;  (* physical line mod period -> pack ~mc ~region ~node *)
   num_lines : int;  (* layout footprint in lines: bounds the prefix queries *)
@@ -75,9 +72,7 @@ let create (cfg : Machine.Config.t) amap layout =
   in
   let identity = Machine.Addr_map.identity amap in
   let period =
-    match Machine.Addr_map.period amap with
-    | Some p when p <= max_period -> p
-    | _ -> 0
+    Option.value (Machine.Addr_map.table_period amap) ~default:0
   in
   (* One period of physical lines, located in one batch. *)
   let locs =
@@ -95,6 +90,7 @@ let create (cfg : Machine.Config.t) amap layout =
     line_shift = (if exact then log2_of line_size else 0);
     exact;
     identity;
+    lines_per_page = (if exact then cfg.page_size / line_size else 1);
     period;
     locs;
     num_lines = (Ir.Layout.footprint layout + line_size - 1) / line_size;
@@ -137,30 +133,75 @@ let check_range t ~lo ~hi =
   if lo < 0 || hi < lo || hi > t.num_lines then
     invalid_arg "Line_memo: line range outside the layout footprint"
 
+(* Below this many lines, walking them beats the prefix tables: a line
+   costs a read and a bin write or two, a prefix query 2 divisions plus
+   a multiply and 2 reads for every MC and region bin whatever the
+   range. *)
+let enum_cutoff = 8
+
 (* The per-bin count over [lo, hi) is a prefix difference; the cycle
    quotients and remainders depend only on the boundaries, so they are
    computed once per call, not once per bin — these run per resolved
    progression in the symbolic tier, where a division per bin was the
    single largest cost. *)
-let add_line_counts t ~lo ~hi ~weight pres tots (into : int array) =
-  check_range t ~lo ~hi;
+let add_prefix_counts t ~lo ~hi ~weight pres tots (into : int array) =
   let cycles = (hi / t.period) - (lo / t.period) in
   let rhi = hi mod t.period and rlo = lo mod t.period in
-  for k = 0 to Array.length pres - 1 do
-    let pre = Array.unsafe_get pres k in
-    let n =
-      (cycles * Array.unsafe_get tots k)
-      + Array.unsafe_get pre rhi - Array.unsafe_get pre rlo
-    in
-    into.(k) <- into.(k) + (weight * n)
-  done
+  if Array.length into > 0 then
+    for k = 0 to Array.length pres - 1 do
+      let pre = Array.unsafe_get pres k in
+      let n =
+        (cycles * Array.unsafe_get tots k)
+        + Array.unsafe_get pre rhi - Array.unsafe_get pre rlo
+      in
+      into.(k) <- into.(k) + (weight * n)
+    done
 
-let add_mc_line_counts t ~lo ~hi ~weight into =
-  match t.prefix with
-  | None -> invalid_arg "Line_memo.add_mc_line_counts: no prefix tables"
-  | Some p -> add_line_counts t ~lo ~hi ~weight p.mc_pre p.mc_tot into
+let add_loc ~weight (mcs : int array) (regions : int array) loc =
+  if Array.length mcs > 0 then begin
+    let m = mc_of_loc loc in
+    mcs.(m) <- mcs.(m) + weight
+  end;
+  if Array.length regions > 0 then begin
+    let r = region_of_loc loc in
+    regions.(r) <- regions.(r) + weight
+  end
 
-let add_region_line_counts t ~lo ~hi ~weight into =
+(* A page's lines are consecutive physical lines, so each page is
+   translated once and its cells read with a running residue: one
+   modulo per page, not per line. *)
+let add_enumerated t ~lo ~hi ~weight mcs regions =
+  if t.period = 0 then
+    for l = lo to hi - 1 do
+      add_loc ~weight mcs regions (loc_of_line t l)
+    done
+  else begin
+    let l = ref lo in
+    while !l < hi do
+      let stop =
+        if t.identity then hi
+        else min hi (((!l / t.lines_per_page) + 1) * t.lines_per_page)
+      in
+      let pl =
+        if t.identity then !l
+        else
+          Machine.Addr_map.translate t.amap (!l lsl t.line_shift)
+          lsr t.line_shift
+      in
+      let r = ref (pl mod t.period) in
+      for _ = !l to stop - 1 do
+        add_loc ~weight mcs regions (Array.unsafe_get t.locs !r);
+        incr r;
+        if !r = t.period then r := 0
+      done;
+      l := stop
+    done
+  end
+
+let add_line_counts t ~lo ~hi ~weight ~mcs ~regions =
+  check_range t ~lo ~hi;
   match t.prefix with
-  | None -> invalid_arg "Line_memo.add_region_line_counts: no prefix tables"
-  | Some p -> add_line_counts t ~lo ~hi ~weight p.region_pre p.region_tot into
+  | Some p when hi - lo > enum_cutoff ->
+      add_prefix_counts t ~lo ~hi ~weight p.mc_pre p.mc_tot mcs;
+      add_prefix_counts t ~lo ~hi ~weight p.region_pre p.region_tot regions
+  | _ -> add_enumerated t ~lo ~hi ~weight mcs regions

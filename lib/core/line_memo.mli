@@ -3,13 +3,14 @@
     The CME summary path asks, for every access, where the line lives:
     its home LLC bank (and that bank's region) and its MC. This module
     answers from one period of the address map's location pattern
-    ({!Machine.Addr_map.period}), packed as (mc, region, node) in one
-    int per line and located in one {!Machine.Addr_map.locate_entries}
-    batch by {!create}. A lookup translates the address only when the
-    map has remapped pages, then reads the cell of its physical line
-    modulo the period. A map without a period (the hashed and
-    page-domain cluster modes), or with one over 2{^16} lines, is asked
-    through {!Machine.Addr_map.mc_of} and
+    ({!Machine.Addr_map.table_period}), packed as (mc, region, node) in
+    one int per line and located in one
+    {!Machine.Addr_map.locate_entries} batch by {!create}. A lookup
+    translates the address only when the map has remapped pages, then
+    reads the cell of its physical line modulo the period. A map
+    without a table period (the hashed cluster mode, [Snc4] with
+    assigned page domains, periods over the address map's cap) is
+    asked through {!Machine.Addr_map.mc_of} and
     {!Machine.Addr_map.bank_node_of} instead. Either way every answer
     is the address map's own, for any address.
 
@@ -64,27 +65,32 @@ val loc_of_line : t -> int -> int
 (** Packed location of virtual line index [l] (i.e. of address
     [l * line_size]), the symbolic tier's unit of lookup. *)
 
-(** {2 Location prefix tables}
+(** {2 Line-range counts}
 
     The symbolic CME tier reduces an iteration set's misses and hits to
     address arithmetic progressions. Resolving one progression needs
     the per-MC and per-region {e counts} of a contiguous line range,
     not each line's location. Under identity translation the virtual
-    line is the physical one, so counts over any range follow from
-    prefix sums over one period. A map with remapped pages or without
-    a period has no prefix ({!prefix_available} false), and callers
-    enumerate lines through {!loc_of_line} instead. *)
+    line is the physical one, so counts over a long range follow from
+    prefix sums over one period ({!prefix_available}). Otherwise the
+    range is walked a page at a time: a page is translated once and its
+    lines, consecutive physical lines, read from the period table with
+    a running residue. *)
 
 val prefix_available : t -> bool
 
-val add_mc_line_counts :
-  t -> lo:int -> hi:int -> weight:int -> int array -> unit
-(** [add_mc_line_counts t ~lo ~hi ~weight into] adds
+val add_line_counts :
+  t ->
+  lo:int ->
+  hi:int ->
+  weight:int ->
+  mcs:int array ->
+  regions:int array ->
+  unit
+(** [add_line_counts t ~lo ~hi ~weight ~mcs ~regions] adds
     [weight * (lines of line-index range [lo, hi) served by MC m)] into
-    [into.(m)], for every MC — O(num_mcs), independent of the range
-    length. Raises [Invalid_argument] when no prefix is available or
-    the range leaves the layout footprint. *)
-
-val add_region_line_counts :
-  t -> lo:int -> hi:int -> weight:int -> int array -> unit
-(** Same, per home-bank region. *)
+    [mcs.(m)] for every MC, and the same per home-bank region into
+    [regions]. An empty array skips its class. With prefix tables and
+    more than a few lines the cost is O(num_mcs + num_regions),
+    independent of the range length. Raises [Invalid_argument] when the
+    range leaves the layout footprint. *)

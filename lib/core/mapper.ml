@@ -186,25 +186,18 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
       (fun where ->
         (* Each set executes (iterations x accesses-per-iteration); the
            bulk-arithmetic CME tiers must conserve that count exactly. *)
+        let appi =
+          Array.init (Array.length (Lazy.force nest_iterations)) (fun nest ->
+              Ir.Trace.accesses_per_par_iter trace ~nest)
+        in
         let expected_accesses =
           Array.map
-            (fun (s : Ir.Iter_set.t) ->
-              Ir.Iter_set.size s
-              * Ir.Trace.accesses_per_par_iter trace ~nest:s.nest)
+            (fun (s : Ir.Iter_set.t) -> Ir.Iter_set.size s * appi.(s.nest))
             sets
         in
-        let totals =
-          Invariant.summary_totals ~where
-            ~shared:(Cache.Llc.equal cfg.llc_org Cache.Llc.Shared)
-            ~expected_accesses summaries
-        in
-        (* Clean totals mean every count is non-negative, and then the
-           distribution and alpha checks cannot fail: they get a pass
-           over the summaries only when the totals found something. *)
-        (match totals with
-        | [] -> []
-        | _ -> Invariant.summaries ~where summaries)
-        @ totals);
+        Invariant.summary_checks ~where
+          ~shared:(Cache.Llc.equal cfg.llc_org Cache.Llc.Shared)
+          ~expected_accesses summaries);
     ];
   on_phase "summarise";
   let tables = Assign.create ?alpha_override cfg regions in

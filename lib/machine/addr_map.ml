@@ -11,8 +11,8 @@ type t = {
   period : int;  (* lines after which locations repeat; 0 = aperiodic *)
   locs : int array Atomic.t;
       (* per line of one period: (mc lsl 24) lor bank node; built by
-         the first [locate_entries] call, empty until then or when the
-         period exceeds [max_period] *)
+         the first [locate_entries] call, empty until then or without a
+         [table_period] *)
 }
 
 (* A mesh has far fewer than 2^24 nodes. *)
@@ -33,11 +33,12 @@ let num_nodes t = Noc.Topology.num_nodes t.topo
 (* Under the round-robin maps a physical line's bank and MC depend only
    on the line and its page, and both cycle: the bank with the node
    count (in lines or pages), the MC with the MC count, or with the
-   bank under [Quadrant]. With a power-of-two line that divides the
-   page, page = line / lines-per-page, so one period of lines, the lcm
-   of the two cycles, holds every location. The hashed and
-   page-domain maps have no such period. [Line_memo] holds one period
-   of answers, and its prefix tables span it. *)
+   bank under [Quadrant]. Under [Snc4] the page's domain (page mod 4,
+   unless the page table assigns one) picks the MC and the quadrant
+   whose nodes the line cycles over. With a power-of-two line that
+   divides the page, page = line / lines-per-page, so one period of
+   lines, the lcm of the cycles, holds every location. The hashed map
+   and a page table with assigned domains have no such period. *)
 let period_lines t =
   let c = t.cfg in
   let line = c.l2_line and page = c.page_size in
@@ -47,16 +48,21 @@ let period_lines t =
     | Mem.Distribution.Page_grain -> page / line * count
   in
   let banks = cycle c.dist.llc_gran (num_nodes t) in
-  match c.dist.cluster with
-  | (Mem.Distribution.Mesh_default | Mem.Distribution.Quadrant)
-    when Mem.Address.is_pow2 line && page mod line = 0 ->
-      let p =
-        match c.dist.cluster with
-        | Mem.Distribution.Quadrant -> banks
-        | _ -> lcm banks (cycle c.dist.mem_gran (num_mcs t))
-      in
-      Some p
-  | _ -> None
+  if not (Mem.Address.is_pow2 line && page mod line = 0) then None
+  else
+    match c.dist.cluster with
+    | Mem.Distribution.Mesh_default ->
+        Some (lcm banks (cycle c.dist.mem_gran (num_mcs t)))
+    | Mem.Distribution.Quadrant -> Some banks
+    | Mem.Distribution.Snc4
+      when Mem.Page_table.domain_count t.pt = 0
+           && Array.for_all (fun m -> Array.length m > 0) t.quadrant_nodes ->
+        Some
+          (Array.fold_left
+             (fun p m -> lcm p (Array.length m))
+             (4 * (page / line))
+             t.quadrant_nodes)
+    | Mem.Distribution.Snc4 | Mem.Distribution.All_to_all -> None
 
 let create (cfg : Config.t) pt =
   (match Config.validate cfg with
@@ -176,11 +182,14 @@ let bank_node_of t pa =
 
 let period t = if t.period > 0 then Some t.period else None
 
+let table_period t =
+  if t.period > 0 && t.period <= max_period then Some t.period else None
+
 (* Domains that race on the first call each build the same table, and
    either one's stays. *)
 let table t =
   let locs = Atomic.get t.locs in
-  if Array.length locs > 0 || t.period = 0 || t.period > max_period then locs
+  if Array.length locs > 0 || Option.is_none (table_period t) then locs
   else begin
     let line = t.cfg.l2_line in
     let locs =

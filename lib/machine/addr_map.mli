@@ -50,10 +50,10 @@ val locate_entries :
     home bank node to [banks], at the entry's index. The answers are
     {!mc_of}'s and {!bank_node_of}'s, read from the location table when
     the map has one: a shift, one modulo and one load per entry. The
-    table holds the MC and bank node of each line of one {!period}; the
-    first call builds it, so code that never locates a batch never
-    pays for it. A map without a period, or with one over 2{^15}
-    lines, keeps the arithmetic. The observed replay locates a whole
+    table holds the MC and bank node of each line of one
+    {!table_period}; the first call builds it, so code that never
+    locates a batch never pays for it. A map without a table period
+    keeps the arithmetic. The observed replay locates a whole
     chunk with one call, and [Line_memo] one period. Raises
     [Invalid_argument] unless [0 <= len] and [len] is at most the
     length of each of the three arrays. *)
@@ -61,11 +61,18 @@ val locate_entries :
 val period : t -> int option
 (** [Some p] when every location repeats after [p] physical lines:
     [mc_of t (pa + p * l2_line) = mc_of t pa], and likewise for
-    {!bank_node_of}. That holds for the [Mesh_default] and [Quadrant]
-    cluster modes with a power-of-two [l2_line] that divides
-    [page_size]; [p] is the lcm of the LLC and MC interleave cycles, in
-    lines (1152 for the default config). [None] for [All_to_all],
-    [Snc4] and the other configs. *)
+    {!bank_node_of}. That holds for the [Mesh_default], [Quadrant] and
+    [Snc4] cluster modes with a power-of-two [l2_line] that divides
+    [page_size], except for [Snc4] when the page table given to
+    {!create} had pages with assigned domains (re-create the map after
+    assigning some). [p] is the lcm of the
+    cycles, in lines (1152 for the default config). [None] for
+    [All_to_all] and the other configs. *)
+
+val table_period : t -> int option
+(** {!period} when it is at most 2{^15} lines, else [None]: the period
+    of the table {!locate_entries} reads, and the one cap on how large
+    a one-period table is worth building. *)
 
 val mc_of : t -> int -> int
 (** MC id serving the page of a *physical* address. *)

@@ -66,42 +66,49 @@ let test_parallel_matches_sequential () =
 
 (* ------------------------------------------------------------------ *)
 (* Address-map variants the replay and the memo must both get right:
-   the four cluster modes (two with a compiled location table, two
-   without), a page-grain LLC, remapped pages and an L1 whose set count
-   is not a power of two. Each is paired with a page table, built for
-   the trace so the remaps land on pages it touches. *)
+   the four cluster modes (three with a compiled location table, one
+   without), SNC-4 with assigned page domains (no table), a page-grain
+   LLC, remapped pages and an L1 whose set count is not a power of
+   two. Each is paired with a page table, built for the trace so the
+   remaps and domains land on pages it touches. *)
 
 let with_dist (cfg : Machine.Config.t) f = { cfg with dist = f cfg.dist }
 
-let variants : (string * Machine.Config.t * bool) list =
+let snc4 d = with_dist d (fun x -> { x with cluster = Mem.Distribution.Snc4 })
+
+let variants :
+    (string * Machine.Config.t * [ `Fresh | `Remap | `Domains ]) list =
   let d = Machine.Config.default in
   [
-    ("mesh-default", d, false);
+    ("mesh-default", d, `Fresh);
     ( "all-to-all",
       with_dist d (fun x -> { x with cluster = Mem.Distribution.All_to_all }),
-      false );
+      `Fresh );
     ( "quadrant",
       with_dist d (fun x -> { x with cluster = Mem.Distribution.Quadrant }),
-      false );
-    ( "snc4",
-      with_dist d (fun x -> { x with cluster = Mem.Distribution.Snc4 }),
-      false );
+      `Fresh );
+    ("snc4", snc4 d, `Fresh);
+    ("snc4, assigned domains", snc4 d, `Domains);
     ( "page-grain llc",
       with_dist d (fun x -> { x with llc_gran = Mem.Distribution.Page_grain }),
-      false );
-    ("remapped pages", d, true);
-    ("48-set L1", { d with l1_size = 12 * 1024 }, false);
+      `Fresh );
+    ("remapped pages", d, `Remap);
+    ("48-set L1", { d with l1_size = 12 * 1024 }, `Fresh);
   ]
 
-(* Every third page of the footprint moves beyond it. *)
-let page_table_for (cfg : Machine.Config.t) trace ~remap =
+(* [`Remap]: every third page of the footprint moves beyond it.
+   [`Domains]: every fifth page gets a domain other than its default. *)
+let page_table_for (cfg : Machine.Config.t) trace ~kind =
   let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
-  (if remap then
-     let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / cfg.page_size in
-     for vpage = 0 to pages do
-       if vpage mod 3 = 0 then
-         Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
-     done);
+  let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / cfg.page_size in
+  for vpage = 0 to pages do
+    match kind with
+    | `Remap when vpage mod 3 = 0 ->
+        Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
+    | `Domains when vpage mod 5 = 0 ->
+        Mem.Page_table.set_domain pt ~vpage ((vpage + 1) mod 4)
+    | _ -> ()
+  done;
   pt
 
 (* The replay as it stood before the batched kernels: one
@@ -155,14 +162,14 @@ let reference_replay (cfg : Machine.Config.t) amap trace ~sets =
 
 let test_replay_matches_reference () =
   List.iter
-    (fun (what, cfg, remap) ->
+    (fun (what, cfg, kind) ->
       List.iter
         (fun llc_org ->
           let cfg = { cfg with Machine.Config.llc_org } in
           List.iter
             (fun name ->
               let prog, trace = prepare name in
-              let pt = page_table_for cfg trace ~remap in
+              let pt = page_table_for cfg trace ~kind in
               let amap = Machine.Addr_map.create cfg pt in
               let sets = partition prog cfg in
               let cold, warm =
@@ -184,25 +191,25 @@ let test_replay_matches_reference () =
    addresses inside the layout and beyond it: the packed location
    decodes to the direct bank node, region and MC. Pages of 100 and 96
    bytes, which a request may carry, split 64-byte lines across pages:
-   the memo must then not claim line-granular exactness. Where it has
-   prefix tables, their range counts equal counting line by line. *)
+   the memo must then not claim line-granular exactness. Range counts,
+   by prefix tables or a page at a time, equal counting line by line. *)
 
-let page_variants : (string * Machine.Config.t * bool) list =
+let page_variants : (string * Machine.Config.t * [ `Fresh | `Remap | `Domains ]) list =
   let d = Machine.Config.default in
   [
-    ("100-byte pages", { d with page_size = 100 }, false);
-    ("96-byte pages", { d with page_size = 96 }, false);
+    ("100-byte pages", { d with page_size = 100 }, `Fresh);
+    ("96-byte pages", { d with page_size = 96 }, `Fresh);
   ]
 
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
   List.iter
-    (fun ((what, cfg, remap), name) ->
+    (fun ((what, cfg, kind), name) ->
       let _, trace = prepare name in
       let name = name ^ ", " ^ what in
       let layout = Ir.Trace.layout trace in
       let cfg = { cfg with Machine.Config.llc_org = Cache.Llc.Shared } in
-      let pt = page_table_for cfg trace ~remap in
+      let pt = page_table_for cfg trace ~kind in
       let amap = Machine.Addr_map.create cfg pt in
       let memo = Locmap.Line_memo.create cfg amap layout in
       let regions = Locmap.Region.create cfg in
@@ -210,9 +217,9 @@ let test_line_memo_matches_addr_map () =
         (cfg.page_size mod cfg.l2_line = 0)
         (Locmap.Line_memo.exact memo);
       let identity = Machine.Addr_map.identity amap in
-      check_bool (name ^ ": identity iff no remaps") (not remap) identity;
-      check_bool (name ^ ": prefix iff identity and a period")
-        (identity && Machine.Addr_map.period amap <> None)
+      check_bool (name ^ ": identity iff no remaps") (kind <> `Remap) identity;
+      check_bool (name ^ ": prefix iff identity and a table period")
+        (identity && Machine.Addr_map.table_period amap <> None)
         (Locmap.Line_memo.prefix_available memo);
       let footprint = Ir.Layout.footprint layout in
       for _ = 1 to 2000 do
@@ -246,35 +253,39 @@ let test_line_memo_matches_addr_map () =
           (Locmap.Line_memo.loc_of memo (line * cfg.l2_line))
           (Locmap.Line_memo.loc_of_line memo line)
       done;
-      if Locmap.Line_memo.prefix_available memo then begin
-        let lines = (footprint + cfg.l2_line - 1) / cfg.l2_line in
-        let num_mcs = Machine.Addr_map.num_mcs amap in
-        let num_regions = Locmap.Region.count regions in
-        for _ = 1 to 200 do
-          let lo = Random.State.int rng lines in
-          let hi = lo + Random.State.int rng (lines - lo + 1) in
-          let mcs = Array.make num_mcs 0 and rgs = Array.make num_regions 0 in
-          Locmap.Line_memo.add_mc_line_counts memo ~lo ~hi ~weight:3 mcs;
-          Locmap.Line_memo.add_region_line_counts memo ~lo ~hi ~weight:3 rgs;
-          let emcs = Array.make num_mcs 0 and ergs = Array.make num_regions 0 in
-          for l = lo to hi - 1 do
-            let loc = Locmap.Line_memo.loc_of_line memo l in
-            let m = Locmap.Line_memo.mc_of_loc loc
-            and r = Locmap.Line_memo.region_of_loc loc in
-            emcs.(m) <- emcs.(m) + 3;
-            ergs.(r) <- ergs.(r) + 3
-          done;
-          let where = Printf.sprintf "%s: lines [%d, %d)" name lo hi in
-          check_bool (where ^ " per MC") true (mcs = emcs);
-          check_bool (where ^ " per region") true (rgs = ergs)
-        done
-      end)
+      let lines = (footprint + cfg.l2_line - 1) / cfg.l2_line in
+      let num_mcs = Machine.Addr_map.num_mcs amap in
+      let num_regions = Locmap.Region.count regions in
+      for k = 1 to 200 do
+        (* Odd draws stay short (the walked path), even ones span up to
+           a few thousand lines, several periods and pages. *)
+        let lo = Random.State.int rng lines in
+        let span = if k land 1 = 1 then 12 else 5000 in
+        let hi = lo + Random.State.int rng (min span (lines - lo) + 1) in
+        let mcs = Array.make num_mcs 0 and rgs = Array.make num_regions 0 in
+        Locmap.Line_memo.add_line_counts memo ~lo ~hi ~weight:3 ~mcs
+          ~regions:rgs;
+        let only_rgs = Array.make num_regions 0 in
+        Locmap.Line_memo.add_line_counts memo ~lo ~hi ~weight:3 ~mcs:[||]
+          ~regions:only_rgs;
+        let emcs = Array.make num_mcs 0 and ergs = Array.make num_regions 0 in
+        for l = lo to hi - 1 do
+          let loc = Locmap.Line_memo.loc_of_line memo l in
+          let m = Locmap.Line_memo.mc_of_loc loc
+          and r = Locmap.Line_memo.region_of_loc loc in
+          emcs.(m) <- emcs.(m) + 3;
+          ergs.(r) <- ergs.(r) + 3
+        done;
+        let where = Printf.sprintf "%s: lines [%d, %d)" name lo hi in
+        check_bool (where ^ " per MC") true (mcs = emcs);
+        check_bool (where ^ " per region") true (rgs = ergs);
+        check_bool (where ^ " per region alone") true (only_rgs = ergs)
+      done)
     (List.concat_map
        (fun v ->
          List.map (fun name -> (v, name)) [ "mxm"; "jacobi-3d"; "moldyn" ])
        (variants @ page_variants))
 
-(* ------------------------------------------------------------------ *)
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)
 
 let test_fast_path_summaries_invariants () =

@@ -106,7 +106,9 @@ let test_addr_map_translate_remap () =
    physical addresses: for both periodic cluster modes, every pair of
    MC and LLC grains, and three mesh sizes; and every answer repeats
    one period on. A config whose period exceeds the table's cap and the
-   two maps without a period locate through the arithmetic. *)
+   maps without a period (all-to-all, SNC-4 with an assigned page
+   domain) locate through the arithmetic; SNC-4's own period is
+   checked there too. *)
 let test_addr_map_table () =
   let rng = Random.State.make [| 0x7ab1e |] in
   let with_dist ?(page_size = 2048) ~rows cluster mem_gran llc_gran =
@@ -191,9 +193,12 @@ let test_addr_map_table () =
     Mem.Distribution.[ Mesh_default; Quadrant ];
   check_bool "default period" true
     (Machine.Addr_map.period (Machine.Addr_map.create cfg (pt ())) = Some 1152);
-  let arithmetic what ~period c =
-    let am = Machine.Addr_map.create c (pt ()) in
+  let arithmetic ?(page_table = pt ()) what ~period c =
+    let am = Machine.Addr_map.create c page_table in
     check_bool (what ^ ": period") true (Machine.Addr_map.period am = period);
+    check_bool (what ^ ": table period") true
+      (Machine.Addr_map.table_period am
+      = Option.bind period (fun p -> if p <= 1 lsl 15 then Some p else None));
     let n = 200 in
     let pas = Array.init n (fun k -> (k * 7919) + (k * k * 1031)) in
     let buf = Array.map (fun pa -> pa lsl 1) pas in
@@ -205,7 +210,15 @@ let test_addr_map_table () =
         check_int (at ^ ": located mc") (Machine.Addr_map.mc_of am pa) mcs.(k);
         check_int (at ^ ": located bank")
           (Machine.Addr_map.bank_node_of am pa)
-          banks.(k))
+          banks.(k);
+        Option.iter
+          (fun p ->
+            let next = pa + (p * c.l2_line) in
+            check_int (at ^ ": mc a period on") mcs.(k)
+              (Machine.Addr_map.mc_of am next);
+            check_int (at ^ ": bank a period on") banks.(k)
+              (Machine.Addr_map.bank_node_of am next))
+          period)
       pas
   in
   arithmetic "period over the cap" ~period:(Some (36 * 16384))
@@ -214,9 +227,18 @@ let test_addr_map_table () =
   arithmetic "all-to-all" ~period:None
     (with_dist ~rows:6 Mem.Distribution.All_to_all Mem.Distribution.Page_grain
        Mem.Distribution.Line_grain);
-  arithmetic "SNC-4" ~period:None
-    (with_dist ~rows:6 Mem.Distribution.Snc4 Mem.Distribution.Page_grain
-       Mem.Distribution.Line_grain);
+  (* SNC-4's default domain is the page mod 4, so the map cycles in
+     lcm(4 pages of 32 lines, 9 nodes per quadrant) lines; one assigned
+     domain breaks the cycle. *)
+  let snc4 =
+    with_dist ~rows:6 Mem.Distribution.Snc4 Mem.Distribution.Page_grain
+      Mem.Distribution.Line_grain
+  in
+  arithmetic "SNC-4" ~period:(Some 1152) snc4;
+  let domains = pt () in
+  Mem.Page_table.set_domain domains ~vpage:3 1;
+  arithmetic "SNC-4, an assigned domain" ~page_table:domains ~period:None
+    snc4;
   let am = Machine.Addr_map.create cfg (pt ()) in
   Alcotest.check_raises "locate beyond a buffer"
     (Invalid_argument "Addr_map.locate_entries: length outside a buffer")

@@ -130,9 +130,10 @@ let test_plan_matches_classifier_law () =
    tiers, for every registry workload and both LLC organisations, and
    for the regular workloads under the maps whose lookups differ:
    pages of 100 and 96 bytes that split lines (no line-granular tier
-   may run), the cluster modes without a period (no prefix tables) or
-   with quadrant MCs (another period) and pages remapped by the layout
-   optimiser (lookups translate, interior lines are enumerated). *)
+   may run), the cluster modes without a period (all-to-all, SNC-4
+   with assigned page domains: no tables) or with another period
+   (quadrant, SNC-4) and pages remapped by the layout optimiser
+   (lookups translate, interior lines are walked a page at a time). *)
 
 let regular =
   [ "art"; "cholesky"; "diff"; "fft"; "jacobi-3d"; "lu"; "lulesh";
@@ -143,32 +144,42 @@ let symbolic_configs =
   let cluster c = { d with dist = { d.dist with cluster = c } } in
   List.map
     (fun (cfg : Machine.Config.t) ->
-      (Cache.Llc.to_string cfg.llc_org, cfg, false, Workloads.Registry.names))
+      (Cache.Llc.to_string cfg.llc_org, cfg, `Fresh, Workloads.Registry.names))
     [ shared_cfg; private_cfg ]
   @ List.map
-      (fun (what, cfg, remap) -> (what, cfg, remap, regular))
+      (fun (what, cfg, kind) -> (what, cfg, kind, regular))
       [
-        ("100-byte pages", { d with page_size = 100 }, false);
-        ("96-byte pages", { d with page_size = 96 }, false);
-        ("all-to-all", cluster Mem.Distribution.All_to_all, false);
-        ("snc4", cluster Mem.Distribution.Snc4, false);
-        ("quadrant", cluster Mem.Distribution.Quadrant, false);
-        ("layout-optimised pages", d, true);
+        ("100-byte pages", { d with page_size = 100 }, `Fresh);
+        ("96-byte pages", { d with page_size = 96 }, `Fresh);
+        ("all-to-all", cluster Mem.Distribution.All_to_all, `Fresh);
+        ("snc4", cluster Mem.Distribution.Snc4, `Fresh);
+        ("snc4, assigned domains", cluster Mem.Distribution.Snc4, `Domains);
+        ("quadrant", cluster Mem.Distribution.Quadrant, `Fresh);
+        ("layout-optimised pages", d, `Layout_opt);
       ]
 
 let test_symbolic_equals_walkers () =
   List.iter
-    (fun (what, cfg, remap, names) ->
+    (fun (what, cfg, kind, names) ->
       let remapped = ref 0 in
       List.iter
         (fun name ->
           let prog, trace = prepare name in
-          let pt = Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size () in
-          if remap then begin
-            let schedule = Locmap.Mapper.default_schedule cfg trace in
-            Baselines.Layout_opt.optimize cfg trace ~schedule pt;
-            remapped := !remapped + Mem.Page_table.remapped_count pt
-          end;
+          let page_size = cfg.Machine.Config.page_size in
+          let pt = Mem.Page_table.create ~page_size () in
+          (match kind with
+          | `Layout_opt ->
+              let schedule = Locmap.Mapper.default_schedule cfg trace in
+              Baselines.Layout_opt.optimize cfg trace ~schedule pt;
+              remapped := !remapped + Mem.Page_table.remapped_count pt
+          | `Domains ->
+              (* Every fifth page away from its default domain. *)
+              let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / page_size in
+              for vpage = 0 to pages do
+                if vpage mod 5 = 0 then
+                  Mem.Page_table.set_domain pt ~vpage ((vpage + 1) mod 4)
+              done
+          | `Fresh -> ());
           let amap = Machine.Addr_map.create cfg pt in
           let sets = partition prog cfg in
           let sym = Locmap.Analysis.cme_summaries cfg amap trace ~sets in
@@ -180,7 +191,7 @@ let test_symbolic_equals_walkers () =
             true
             (summaries_equal sym walked))
         names;
-      if remap then
+      if kind = `Layout_opt then
         check_bool (what ^ ": pages were remapped") true (!remapped > 0))
     symbolic_configs
 

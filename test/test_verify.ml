@@ -110,37 +110,56 @@ let test_bad_distribution_rejected () =
           ~invariant:"mai-distribution"
           [| 1.2; -0.2 |]))
 
-(* [Mapper.map ~verify:true] runs [Invariant.summaries] only when
-   [summary_totals] reports something, so every summary [summaries]
-   rejects must be rejected by [summary_totals] too: a negative count
-   that leaves a positive sum, and a negative hit count that puts alpha
-   out of range. A negative sum normalises to the uniform vector, which
-   only the totals reject. *)
+(* [Invariant.summary_checks] runs [Invariant.summaries] only when
+   [summary_totals] reports something or a count vector is empty, so
+   every summary [summaries] rejects must be rejected by the combined
+   check too: a negative count that leaves a positive sum and a
+   negative hit count that puts alpha out of range. A negative sum
+   normalises to the uniform vector, which only the totals reject. A
+   set with no MC passes the totals, and normalising its empty vector
+   raises in the combined check as it does in [summaries]. *)
 let test_summaries_implied_by_totals () =
   let summary mc =
-    let s = Locmap.Summary.create ~num_mcs:(Array.length mc) ~num_regions:2 in
-    Array.blit mc 0 s.Locmap.Summary.mc_counts 0 (Array.length mc);
-    s
+    let s = Locmap.Summary.create ~num_mcs:1 ~num_regions:2 in
+    { s with Locmap.Summary.mc_counts = Array.copy mc }
   in
   let alpha = Locmap.Summary.create ~num_mcs:2 ~num_regions:2 in
   Locmap.Summary.add_llc_misses alpha ~mc:0 ~bank_region:(-1) 1;
   alpha.Locmap.Summary.llc_hits <- -3;
   List.iter
-    (fun (what, invariant, (s : Locmap.Summary.t)) ->
+    (fun (what, invariant, totals_clean, (s : Locmap.Summary.t)) ->
       let diags = Locmap.Invariant.summaries ~where:"w" [| s |] in
       (match invariant with
       | Some inv ->
           check_bool (what ^ ": rejected") true (has_invariant inv diags)
       | None -> check_int (what ^ ": accepted") 0 (List.length diags));
-      check_bool (what ^ ": rejected by the totals") true
-        (Locmap.Invariant.summary_totals ~where:"w" ~shared:false
-           ~expected_accesses:[| Locmap.Summary.accesses s |] [| s |]
-        <> []))
+      let expected_accesses = [| Locmap.Summary.accesses s |] in
+      let totals =
+        Locmap.Invariant.summary_totals ~where:"w" ~shared:false
+          ~expected_accesses [| s |]
+      in
+      check_bool (what ^ ": totals clean") totals_clean (totals = []);
+      check_bool (what ^ ": combined = summaries then totals") true
+        (Locmap.Invariant.summary_checks ~where:"w" ~shared:false
+           ~expected_accesses [| s |]
+        = diags @ totals))
     [
-      ("negative count", Some "mai-distribution", summary [| 5; -2; 0; 1 |]);
-      ("negative sum", None, summary [| 1; -3 |]);
-      ("alpha", Some "alpha-range", alpha);
-    ]
+      ("negative count", Some "mai-distribution", false,
+       summary [| 5; -2; 0; 1 |]);
+      ("negative sum", None, false, summary [| 1; -3 |]);
+      ("alpha", Some "alpha-range", false, alpha);
+    ];
+  let no_mc = summary [||] in
+  let expected_accesses = [| 0 |] in
+  check_int "no MC: totals clean" 0
+    (List.length
+       (Locmap.Invariant.summary_totals ~where:"w" ~shared:false
+          ~expected_accesses [| no_mc |]));
+  Alcotest.check_raises "no MC: combined raises"
+    (Invalid_argument "Affinity.normalize: empty vector") (fun () ->
+      ignore
+        (Locmap.Invariant.summary_checks ~where:"w" ~shared:false
+           ~expected_accesses [| no_mc |]))
 
 (* ------------------------------------------------------------------ *)
 (* IR well-formedness.                                                 *)
