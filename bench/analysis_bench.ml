@@ -13,7 +13,10 @@
      - [Analysis.cme_summaries] at each domain count (1 = no pool),
        with the symbolic tier on (the default);
      - the seed and fast observed paths, sequential by design (the
-       replay threads shared cache state through the whole trace).
+       replay threads shared cache state through the whole trace);
+     - the two-pass observed replay against [Analysis.warm_summaries],
+       which warms the caches with step 0 only where step 1 can hit a
+       step-0 line.
    Each domain pool lives only while its own timing runs, so every
    sequential timing sees no idle domains.
 
@@ -21,7 +24,9 @@
    symbolic/periodic/traced CME tiers resolved) and enforces the
    observed-path regression gate: the fast replay must not be slower
    than the seed replay on any workload (with a noise margin), or the
-   bench exits non-zero — in CI this runs as the --smoke gate.
+   bench exits non-zero — in CI this runs as the --smoke gate. It also
+   exits non-zero when [warm_summaries] differs from the two-pass
+   replay's warm view on any workload.
 
    Results go to BENCH_analysis.json, including the geomean CME speedup
    of the 8-domain fast path over the seed sequential path. Its header
@@ -257,11 +262,11 @@ let () =
   Printf.printf "analysis bench: scale %.2f, llc %s, %d workloads\n%!" !scale
     (match !llc with Cache.Llc.Private -> "private" | _ -> "shared")
     (List.length names);
-  Printf.printf "%-12s %9s | %9s %s | %9s %9s\n" "workload" "accesses"
-    "cme-seed"
+  Printf.printf "%-12s %9s | %9s %s | %9s %9s | %9s %9s\n" "workload"
+    "accesses" "cme-seed"
     (String.concat " "
        (List.map (fun d -> Printf.sprintf "cme-%dd" d) !domain_counts))
-    "obs-seed" "obs-fast";
+    "obs-seed" "obs-fast" "two-pass" "warm";
   let rows =
     List.map
       (fun name ->
@@ -348,18 +353,33 @@ let () =
             "FATAL: %s: fast observed summaries differ from seed\n" name;
           exit 1
         end;
-        Printf.printf "%-12s %9d | %8.1fms %s | %8.1fms %8.1fms\n%!" name
-          accesses cme_seed_ms
+        let two_pass, two_pass_ms, warm, warm_ms =
+          time2
+            (fun () ->
+              snd
+                (Locmap.Analysis.observed_summaries ~warm_pass:true ~memo cfg
+                   amap trace ~sets))
+            (fun () ->
+              Locmap.Analysis.warm_summaries ~memo cfg amap trace ~sets)
+        in
+        if not (summaries_equal two_pass warm) then begin
+          Printf.eprintf
+            "FATAL: %s: warm_summaries differ from the two-pass replay\n" name;
+          exit 1
+        end;
+        Printf.printf
+          "%-12s %9d | %8.1fms %s | %8.1fms %8.1fms | %8.1fms %8.1fms\n%!"
+          name accesses cme_seed_ms
           (String.concat " "
              (List.map (fun (_, ms) -> Printf.sprintf "%7.1fms" ms) cme_ms))
-          obs_seed_ms obs_fast_ms;
+          obs_seed_ms obs_fast_ms two_pass_ms warm_ms;
         (name, p.Harness.Experiment.entry.Workloads.Registry.kind, accesses,
          Array.length sets, cme_seed_ms, cme_pr4_ms, cme_ms, obs_seed_ms,
-         obs_fast_ms, tiers))
+         obs_fast_ms, tiers, (two_pass_ms, warm_ms)))
       names
   in
   let max_domains = List.fold_left max 1 !domain_counts in
-  let speedup_at_max (_, _, _, _, seed_ms, _, cme_ms, _, _, _) =
+  let speedup_at_max (_, _, _, _, seed_ms, _, cme_ms, _, _, _, _) =
     seed_ms /. List.assoc max_domains cme_ms
   in
   let geomean =
@@ -376,7 +396,7 @@ let () =
   let geomean_regular_vs_pr4 =
     let logs =
       List.filter_map
-        (fun (_, kind, _, _, _, pr4_ms, cme_ms, _, _, _) ->
+        (fun (_, kind, _, _, _, pr4_ms, cme_ms, _, _, _, _) ->
           match (kind, List.assoc_opt 1 cme_ms) with
           | Ir.Program.Regular, Some ms1 -> Some (log (pr4_ms /. ms1))
           | _ -> None)
@@ -396,13 +416,13 @@ let () =
   let obs_margin = if !smoke then 1.5 else 1.15 in
   let regressions =
     List.filter
-      (fun (_, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _) ->
+      (fun (_, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
         obs_fast_ms > (obs_seed_ms *. obs_margin) +. 1.0)
       rows
   in
   if regressions <> [] then begin
     List.iter
-      (fun (name, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _) ->
+      (fun (name, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
         Printf.eprintf
           "FATAL: %s: observed fast path %.1fms slower than seed %.1fms \
            (margin %.2fx)\n"
@@ -437,7 +457,8 @@ let () =
           Service.Json.List
             (List.map
                (fun (name, kind, accesses, nsets, cme_seed_ms, cme_pr4_ms,
-                     cme_ms, obs_seed_ms, obs_fast_ms, (t_sym, t_per, t_tr)) ->
+                     cme_ms, obs_seed_ms, obs_fast_ms, (t_sym, t_per, t_tr),
+                     (two_pass_ms, warm_ms)) ->
                  Service.Json.Obj
                    [
                      ("name", Service.Json.String name);
@@ -461,6 +482,8 @@ let () =
                          (cme_seed_ms /. List.assoc max_domains cme_ms) );
                      ("observed_seed_ms", Service.Json.Float obs_seed_ms);
                      ("observed_fast_ms", Service.Json.Float obs_fast_ms);
+                     ("observed_two_pass_ms", Service.Json.Float two_pass_ms);
+                     ("observed_warm_ms", Service.Json.Float warm_ms);
                      ( "tier_accesses",
                        Service.Json.Obj
                          [

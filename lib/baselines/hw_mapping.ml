@@ -29,7 +29,9 @@ let schedule ?fraction (cfg : Machine.Config.t) trace =
   let amap = Machine.Addr_map.create cfg pt in
   (* Observe per-thread memory intensity under the default grouping
      (thread t owns sets t, t+P, t+2P, ...). *)
-  let cold, _ = Locmap.Analysis.observed_summaries cfg amap trace ~sets in
+  let cold, _ =
+    Locmap.Analysis.observed_summaries ~warm_pass:false cfg amap trace ~sets
+  in
   let misses = Array.make num_cores 0 in
   let accesses = Array.make num_cores 0 in
   Array.iteri

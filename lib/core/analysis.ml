@@ -438,13 +438,13 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
 (* ------------------------------------------------------------------ *)
 (* Observed path.
 
-   The replay is inherently sequential: one L1 and one set of bank
-   caches model the machine's state as the whole trace streams
-   through, so every access's hit/miss outcome depends on all earlier
-   accesses — across set boundaries (and, for the warm pass, across
-   the cold pass too). Sharding sets would give each shard cold caches
-   and change every outcome; the fast path here is therefore doing
-   strictly less work per access, never domains.
+   One L1 and one set of bank caches model the machine's state as the
+   whole trace streams through, so an access's hit/miss outcome depends
+   on the earlier accesses to its cache sets — across set boundaries
+   and, for the warm pass, across the step-0 pass too. Sharding sets
+   would give each shard cold caches and change outcomes; the fast path
+   here does strictly less work per access, never domains. The one
+   split that is exact is by address class, below.
 
    It works a chunk at a time. {!Ir.Trace.fill_range} writes whole
    parallel iterations of one set into the buffer, which is translated
@@ -461,10 +461,130 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    reads the map's compiled one-period table. Only the shared LLC's
    bank lookups stay one call per L1 miss: each goes to the bank the
    table names. The loop allocates nothing per access — the replay
-   allocation-budget test holds it to a constant per call. *)
+   allocation-budget test holds it to a constant per call.
 
-let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
-    trace ~sets =
+   {b Warming by class} ([warm_summaries]). The executor's view is the
+   step-1 pass on caches the step-0 pass left behind. Most programs
+   slice every array per step, so step 1 never touches a line step 0
+   did, and the step-0 pass changes no step-1 outcome. Three facts make
+   that exact, class by class:
+
+   (a) An LRU set that starts from contents σ and only ever sees lines
+       outside σ makes the same hit/miss decisions as an empty set: by
+       induction its list is the empty run's list followed by a suffix
+       of σ, and a line outside σ is found in the one iff in the other.
+
+   (b) With power-of-two geometries, the address bits the L1 and LLC
+       set indices share, [log2 max(line sizes), min(L1 index top, LLC
+       index top)), define the address classes: bits 6..10, 32 classes,
+       on the default config. Every L1 set and every LLC bank set lies
+       inside one class, and L1 misses of a class go only to bank sets
+       of that class, so the replay splits exactly by class: a class's
+       sets see the same accesses, in the same order, whether or not
+       the other classes' accesses are replayed.
+
+   (c) Each direct reference's addresses at one step lie in a hull,
+       exact interval arithmetic over its compiled coefficients
+       ({!Ir.Trace.direct_ref}) and the constant loop bounds. Every line
+       both steps touch lies in the overlap of some step-0 hull with
+       some step-1 hull (over every pair of references, across arrays).
+       A class is tainted iff such an overlap reaches it.
+
+   So replaying step 0 only for the tainted classes, to warm the caches
+   and count nothing, leaves every tainted class's sets as the full
+   pass does (b), and the untainted classes' sets empty where the full
+   pass leaves lines that step 1 never asks for (a, c): the step-1 pass
+   then decides every access as it does after the full step-0 pass.
+   Every class is tainted — the full step-0 pass — with an index-array
+   reference (no hull), remapped pages (the classes are of physical
+   addresses, the hulls of virtual ones) or a single step (step 1 is
+   step 0). A geometry that is not a power of two has one class, which
+   (a) still covers. *)
+
+(* [shift] is the class's lowest address bit, [count] the number of
+   classes (a power of two). *)
+type classes = { shift : int; count : int }
+
+let log2_exact n =
+  if n <= 0 || n land (n - 1) <> 0 then None
+  else
+    let rec go k = if 1 lsl k = n then k else go (k + 1) in
+    Some (go 0)
+
+let classes_of (cfg : Machine.Config.t) =
+  let top ~size ~assoc ~line =
+    match (log2_exact line, log2_exact (size / line / assoc)) with
+    | Some l, Some s -> Some (l, l + s)
+    | _ -> None
+  in
+  match
+    ( top ~size:cfg.l1_size ~assoc:cfg.l1_assoc ~line:cfg.l1_line,
+      top ~size:cfg.l2_size ~assoc:cfg.l2_assoc ~line:cfg.l2_line )
+  with
+  | Some (l1, t1), Some (l2, t2) ->
+      let shift = max l1 l2 in
+      { shift; count = 1 lsl max 0 (min t1 t2 - shift) }
+  | _ -> { shift = 0; count = 1 }
+
+(* Byte hull [lo, hi] of a direct reference's addresses at [step]. *)
+let ref_hull trace ~nest ~step (d : Ir.Trace.direct) =
+  let lo = ref (d.dbase + (d.dcoeffs.(0) * step)) in
+  let hi = ref !lo in
+  let span c (l : Ir.Loop_nest.loop) =
+    let a = c * l.lo and b = c * (l.lo + ((Ir.Loop_nest.trip l - 1) * l.step)) in
+    lo := !lo + min a b;
+    hi := !hi + max a b
+  in
+  span d.dcoeffs.(1) (Ir.Trace.par_loop trace ~nest);
+  Array.iteri
+    (fun i l -> span d.dcoeffs.(i + 2) l)
+    (Ir.Trace.inner_loops trace ~nest);
+  (!lo, !hi)
+
+let tainted_classes (cfg : Machine.Config.t) amap trace =
+  let cl = classes_of cfg in
+  let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
+  let refs =
+    List.concat_map
+      (fun nest ->
+        List.init (Ir.Trace.num_body_refs trace ~nest) (fun body ->
+            (nest, Ir.Trace.direct_ref trace ~nest ~body)))
+      (List.init (Ir.Trace.num_nests trace) Fun.id)
+  in
+  if
+    steps <= 1
+    || (not (Machine.Addr_map.identity amap))
+    || List.exists (fun (_, d) -> Option.is_none d) refs
+  then Array.make cl.count true
+  else begin
+    let tainted = Array.make cl.count false in
+    (* Hulls in units of a class block, the largest line. *)
+    let hulls step =
+      List.map
+        (fun (nest, d) ->
+          let lo, hi = ref_hull trace ~nest ~step (Option.get d) in
+          (lo asr cl.shift, hi asr cl.shift))
+        refs
+    in
+    let h1 = hulls 1 in
+    List.iter
+      (fun (lo0, hi0) ->
+        List.iter
+          (fun (lo1, hi1) ->
+            let lo = max lo0 lo1 and hi = min hi0 hi1 in
+            for b = lo to min hi (lo + cl.count - 1) do
+              tainted.(b land (cl.count - 1)) <- true
+            done)
+          h1)
+      (hulls 0);
+    tainted
+  end
+
+(* The caches, the chunk buffer and the batched levels one observed
+   replay threads through its passes: [replay] counts a pass into
+   summaries, [warm] only runs the entries [keep] retains of each chunk
+   through the caches. *)
+let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
   let memo =
     match memo with
     | Some m -> m
@@ -486,7 +606,6 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
           ~line_size:cfg.l2_line ();
       |]
   in
-  let steps = (Ir.Trace.program trace).Ir.Program.time_steps in
   let region_of_node = Line_memo.region_of_node memo in
   (* One chunk buffer per call: a few thousand accesses, so the
      per-chunk work is amortised, and never less than one parallel
@@ -542,9 +661,25 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
       sm.Summary.llc_misses <- sm.Summary.llc_misses + m2
     end
   in
-  let replay ~step summaries =
+  (* The same levels with nothing counted: only the shared LLC's bank
+     choice is looked up. *)
+  let llc_warm m =
+    if shared then begin
+      Machine.Addr_map.locate_entries amap buf ~len:m ~mcs ~banks:nodes;
+      for j = 0 to m - 1 do
+        let e = Array.unsafe_get buf j in
+        ignore
+          (Cache.Sa_cache.access
+             (Array.unsafe_get banks (Array.unsafe_get nodes j))
+             ~addr:(e lsr 1) ~write:(e land 1 = 1))
+      done
+    end
+    else ignore (Cache.Sa_cache.filter banks.(0) buf ~len:m buf)
+  in
+  (* [chunk k len] takes each filled, translated chunk of set [k]. *)
+  let walk ~step chunk =
     for k = 0 to Array.length sets - 1 do
-      let s : Ir.Iter_set.t = sets.(k) and sm = summaries.(k) in
+      let s : Ir.Iter_set.t = sets.(k) in
       let appi = Ir.Trace.accesses_per_par_iter trace ~nest:s.nest in
       let i = ref s.lo in
       while !i < s.hi do
@@ -555,12 +690,30 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
         let len = (next - !i) * appi in
         i := next;
         Machine.Addr_map.translate_entries amap buf ~len;
-        let m = Cache.Sa_cache.filter l1 buf ~len buf in
-        Summary.add_l1_hits sm (len - m);
-        if m > 0 then llc sm m
+        chunk k len
       done
     done
   in
+  let replay ~step summaries =
+    walk ~step (fun k len ->
+        let sm = summaries.(k) in
+        let m = Cache.Sa_cache.filter l1 buf ~len buf in
+        Summary.add_l1_hits sm (len - m);
+        if m > 0 then llc sm m)
+  in
+  let warm ~step keep =
+    walk ~step (fun _ len ->
+        let m = Cache.Sa_cache.filter l1 buf ~len:(keep buf len) buf in
+        if m > 0 then llc_warm m)
+  in
+  (replay, warm)
+
+let second_step trace =
+  min 1 ((Ir.Trace.program trace).Ir.Program.time_steps - 1)
+
+let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
+    trace ~sets =
+  let replay, _ = replayer ?memo cfg amap trace ~sets in
   let cold = fresh_summaries cfg amap ~count:(Array.length sets) in
   replay ~step:0 cold;
   if not warm_pass then (cold, cold)
@@ -569,9 +722,66 @@ let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
        advance through per-step data slices, with the next step's
        addresses: the executor's view. *)
     let warm = fresh_summaries cfg amap ~count:(Array.length sets) in
-    replay ~step:(min 1 (steps - 1)) warm;
+    replay ~step:(second_step trace) warm;
     (cold, warm)
   end
+
+(* Moves the entries of the tainted classes to the front of [buf], in
+   order, and returns how many there are. *)
+let keep_tainted ~shift ~mask (tainted : bool array) (buf : int array) len =
+  let m = ref 0 in
+  for j = 0 to len - 1 do
+    let e = Array.unsafe_get buf j in
+    if Array.unsafe_get tainted ((e lsr shift) land mask) then begin
+      Array.unsafe_set buf !m e;
+      incr m
+    end
+  done;
+  !m
+
+let warm_summaries ?memo ?metrics (cfg : Machine.Config.t) amap trace ~sets =
+  let replay, warm = replayer ?memo cfg amap trace ~sets in
+  let tainted = tainted_classes cfg amap trace in
+  let count = Array.length tainted in
+  let ntainted = Array.fold_left (fun n t -> if t then n + 1 else n) 0 tainted in
+  (* Step-0 accesses run through the caches, and those skipped. *)
+  let replayed = ref 0 and skipped = ref 0 in
+  if ntainted = 0 then
+    Array.iter
+      (fun (s : Ir.Iter_set.t) ->
+        skipped :=
+          !skipped
+          + (Ir.Iter_set.size s * Ir.Trace.accesses_per_par_iter trace ~nest:s.nest))
+      sets
+  else if ntainted = count then
+    warm ~step:0 (fun _ len ->
+        replayed := !replayed + len;
+        len)
+  else begin
+    (* The entry keeps its write bit below the address. *)
+    let shift = (classes_of cfg).shift + 1 and mask = count - 1 in
+    warm ~step:0 (fun buf len ->
+        let m = keep_tainted ~shift ~mask tainted buf len in
+        replayed := !replayed + m;
+        skipped := !skipped + (len - m);
+        m)
+  end;
+  Option.iter
+    (fun im ->
+      Obs.Metrics.add
+        (Obs.Metrics.counter im
+           ~help:"step-0 accesses replayed to warm the caches"
+           "locmap_replay_warmup_accesses_total")
+        !replayed;
+      Obs.Metrics.add
+        (Obs.Metrics.counter im
+           ~help:"step-0 accesses the warm-up skipped (untainted classes)"
+           "locmap_replay_warmup_skipped_total")
+        !skipped)
+    metrics;
+  let summaries = fresh_summaries cfg amap ~count:(Array.length sets) in
+  replay ~step:(second_step trace) summaries;
+  summaries
 
 let mean_error proj est truth =
   let n = Array.length est in

@@ -61,8 +61,11 @@
     byte-identical to the sequential walk at any domain count (the
     determinism tests check 1/2/4/8). The observed path never uses the
     pool: its replay threads one L1 and one set of bank caches through
-    the whole trace, so every outcome depends on all earlier accesses
-    and sharding would change the answers.
+    the whole trace, so an outcome depends on the earlier accesses to
+    its cache sets and sharding by iteration set would change the
+    answers. It splits exactly only by address class
+    ({!tainted_classes}), which [warm_summaries] uses to skip step-0
+    work.
 
     {b Thread safety}: both functions only read the trace, address map
     and memo (all immutable here) and write summaries they allocate
@@ -117,6 +120,42 @@ val observed_summaries :
 (** [(cold, warm)] summaries, one per set. [warm_pass:false] (default
     [true]) skips the second replay and returns the cold summaries in
     both positions — for callers that only need the inspector view. *)
+
+val warm_summaries :
+  ?memo:Line_memo.t ->
+  ?metrics:Obs.Metrics.t ->
+  Machine.Config.t ->
+  Machine.Addr_map.t ->
+  Ir.Trace.t ->
+  sets:Ir.Iter_set.t array ->
+  Summary.t array
+(** The warm summaries alone: exactly [snd (observed_summaries cfg amap
+    trace ~sets)], for callers that drop the cold view ({!Mapper.map}'s
+    error replay and its oracle). The step-0 pass only warms the caches,
+    so it counts nothing and runs only the step-0 accesses of the
+    {!tainted_classes}: the other classes' cache sets never see a line
+    in step 1 that step 0 left there, and an LRU set that only sees
+    lines it does not hold decides as an empty one does. Programs that
+    slice every array per step skip the step-0 pass entirely. The
+    step-1 pass is [observed_summaries]' own.
+
+    [metrics] receives [locmap_replay_warmup_accesses_total] (step-0
+    accesses run through the caches) and
+    [locmap_replay_warmup_skipped_total] (step-0 accesses left out),
+    counted in plain ints and added once per call. *)
+
+val tainted_classes :
+  Machine.Config.t -> Machine.Addr_map.t -> Ir.Trace.t -> bool array
+(** One flag per address class: the classes where step 1 can touch a
+    line step 0 touched, so [warm_summaries] replays their step-0
+    accesses. With power-of-two cache geometries a class is a value of
+    the address bits the L1 and LLC set indices share, bits [log2
+    max(l1_line, l2_line)] up to the lower of the two index tops (32
+    classes, bits 6..10, on the default config); otherwise there is one
+    class. A class is tainted iff the line hull of some direct
+    reference at step 0 overlaps the hull of some reference at step
+    [min 1 (steps - 1)] there. Every class is tainted under an
+    index-array reference, remapped pages or a single time step. *)
 
 val mean_error :
   (Summary.t -> float array) -> Summary.t array -> Summary.t array -> float

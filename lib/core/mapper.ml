@@ -159,8 +159,8 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
           Analysis.cme_summaries ?pool ~memo ?metrics cfg amap trace ~sets
         in
         if measure_error then begin
-          let _, warm =
-            Analysis.observed_summaries ~memo cfg amap trace ~sets
+          let warm =
+            Analysis.warm_summaries ~memo ?metrics cfg amap trace ~sets
           in
           ( est,
             Analysis.mean_error Summary.mai est warm,
@@ -178,7 +178,9 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
             Analysis.mean_error Summary.cai cold warm )
         else (cold, 0., 0.)
     | Oracle ->
-        let _, warm = Analysis.observed_summaries ~memo cfg amap trace ~sets in
+        let warm =
+          Analysis.warm_summaries ~memo ?metrics cfg amap trace ~sets
+        in
         (warm, 0., 0.)
   in
   vcheck "summarise"

@@ -100,7 +100,11 @@ val map :
 
     [metrics] instruments the summarisation fast path: it is passed to
     {!Analysis.cme_summaries} (closed-form accounting — see its
-    documentation for the [locmap_cme_*] counters). Metrics never
+    documentation for the [locmap_cme_*] counters) and to
+    {!Analysis.warm_summaries}, which the error replay and [Oracle]
+    run ([locmap_replay_warmup_accesses_total] and
+    [locmap_replay_warmup_skipped_total] show how much of the step-0
+    warm-up a program needed). Metrics never
     change results: counts are accumulated outside the hot loops and
     the pipeline's outputs are byte-identical with instrumentation on,
     off, or absent. Phase {e timing} is not collected here — the

@@ -181,10 +181,139 @@ let test_replay_matches_reference () =
                   (Cache.Llc.to_string llc_org)
               in
               check_bool (where ^ ": cold") true (summaries_equal cold rcold);
-              check_bool (where ^ ": warm") true (summaries_equal warm rwarm))
-            [ "jacobi-3d"; "moldyn" ])
+              check_bool (where ^ ": warm") true (summaries_equal warm rwarm);
+              check_bool (where ^ ": warm_summaries") true
+                (summaries_equal rwarm
+                   (Locmap.Analysis.warm_summaries cfg amap trace ~sets)))
+            [ "jacobi-3d"; "mxm"; "moldyn" ])
         [ Cache.Llc.Private; Cache.Llc.Shared ])
     variants
+
+(* ------------------------------------------------------------------ *)
+(* The class-restricted warm-up: [warm_summaries] is the two-pass
+   replay's warm view on every registry program, and on synthetic
+   programs built to take each path: a step-1 hull that partly overlaps
+   step 0, a single time step, and a geometry that is not a power of
+   two (one class). The address-map variants, remapped pages included,
+   check it against the per-access reference above. *)
+
+let count_tainted t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t
+
+let test_warm_matches_two_pass () =
+  List.iter
+    (fun llc_org ->
+      let cfg = { Machine.Config.default with llc_org } in
+      List.iter
+        (fun name ->
+          let prog, trace = prepare name in
+          let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+          let amap = Machine.Addr_map.create cfg pt in
+          let sets = partition prog cfg in
+          let _, warm = Locmap.Analysis.observed_summaries cfg amap trace ~sets in
+          check_bool
+            (Printf.sprintf "%s, %s LLC" name (Cache.Llc.to_string llc_org))
+            true
+            (summaries_equal warm
+               (Locmap.Analysis.warm_summaries cfg amap trace ~sets)))
+        Workloads.Registry.names)
+    [ Cache.Llc.Private; Cache.Llc.Shared ]
+
+(* [a] advances 4000 elements a step over 4096-iteration sweeps, so
+   steps 0 and 1 share 96 of its elements (12 class blocks), touched
+   last in step 0 and first in step 1; [b] is sliced per step; [c] is
+   an unsliced 64-byte table read by every step. *)
+let overlap_prog ~time_steps =
+  let arr name length = { Ir.Program.name; elem_size = 8; length } in
+  let i = Ir.Affine.var "i" and t = Ir.Affine.var Ir.Trace.step_var in
+  let rd a e = Ir.Access.read a (Ir.Access.direct e)
+  and wr a e = Ir.Access.write a (Ir.Access.direct e) in
+  Ir.Program.create ~name:"overlap" ~kind:Ir.Program.Regular ~time_steps
+    ~arrays:[ arr "a" (4096 * 3); arr "b" (4096 * 3); arr "c" 8 ]
+    [
+      Ir.Loop_nest.make ~name:"sweep"
+        ~par:(Ir.Loop_nest.loop "i" ~hi:4096)
+        [
+          rd "b" Ir.Affine.(i + scale 4096 t);
+          wr "a" Ir.Affine.(i + scale 4000 t);
+        ];
+      Ir.Loop_nest.make ~name:"table"
+        ~par:(Ir.Loop_nest.loop "i" ~hi:512)
+        ~inner:[ Ir.Loop_nest.loop "k" ~hi:8 ]
+        [
+          rd "c" (Ir.Affine.var "k");
+          wr "b" Ir.Affine.(scale 8 i + var "k" + scale 4096 t);
+        ];
+    ]
+
+let test_warm_synthetic () =
+  let d = Machine.Config.default in
+  List.iter
+    (fun (what, (cfg : Machine.Config.t), time_steps, expect) ->
+      List.iter
+        (fun llc_org ->
+          let cfg = { cfg with llc_org } in
+          let prog = overlap_prog ~time_steps in
+          let trace =
+            Ir.Trace.create prog (Ir.Layout.allocate ~page_size:cfg.page_size prog)
+          in
+          let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+          let amap = Machine.Addr_map.create cfg pt in
+          let sets = partition prog cfg in
+          let where = Printf.sprintf "%s, %s LLC" what (Cache.Llc.to_string llc_org) in
+          let tainted = Locmap.Analysis.tainted_classes cfg amap trace in
+          let n = count_tainted tainted and count = Array.length tainted in
+          check_bool (where ^ ": tainted classes") true (expect n count);
+          let _, warm = Locmap.Analysis.observed_summaries cfg amap trace ~sets in
+          let _, rwarm = reference_replay cfg amap trace ~sets in
+          check_bool (where ^ ": two-pass = reference") true
+            (summaries_equal warm rwarm);
+          check_bool (where ^ ": warm = two-pass") true
+            (summaries_equal warm
+               (Locmap.Analysis.warm_summaries cfg amap trace ~sets)))
+        [ Cache.Llc.Private; Cache.Llc.Shared ])
+    [
+      ("partial overlap", d, 3, fun n count -> count = 32 && 0 < n && n < count);
+      ("one step", d, 1, fun n count -> n = count);
+      ( "48-set L1",
+        { d with l1_size = 12 * 1024 },
+        3,
+        fun n count -> count = 1 && n = 1 );
+    ]
+
+(* Programs that slice every array per step taint no class; mxm's [B]
+   tile and art's [xin] taint 8 of the 32, minighost's buffers all. *)
+let test_tainted_class_counts () =
+  let cfg = Machine.Config.default in
+  List.iter
+    (fun (name, expected) ->
+      let _, trace = prepare name in
+      let amap =
+        Machine.Addr_map.create cfg
+          (Mem.Page_table.create ~page_size:cfg.page_size ())
+      in
+      let tainted = Locmap.Analysis.tainted_classes cfg amap trace in
+      check_int (name ^ ": classes") 32 (Array.length tainted);
+      check_int (name ^ ": tainted") expected (count_tainted tainted))
+    [ ("swim", 0); ("mxm", 8); ("art", 8); ("minighost", 32) ]
+
+(* The warm-up counters: every step-0 access is either replayed or
+   skipped, and Mapper.map reports them through its registry. *)
+let test_warmup_counters () =
+  let cfg = Machine.Config.default in
+  List.iter
+    (fun (name, skips, replays) ->
+      let prog, trace = prepare name in
+      let im = Obs.Metrics.create () in
+      ignore (Locmap.Mapper.map ~measure_error:true ~metrics:im cfg trace);
+      let v n = Obs.Metrics.counter_value (Obs.Metrics.counter im n) in
+      let replayed = v "locmap_replay_warmup_accesses_total"
+      and skipped = v "locmap_replay_warmup_skipped_total" in
+      check_int (name ^ ": replayed + skipped = one step")
+        (Ir.Program.total_accesses_per_step prog)
+        (replayed + skipped);
+      check_bool (name ^ ": skipped some") skips (skipped > 0);
+      check_bool (name ^ ": replayed some") replays (replayed > 0))
+    [ ("swim", true, false); ("mxm", true, true); ("minighost", false, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* The memo answers exactly like the direct address map, on random
@@ -473,6 +602,13 @@ let () =
         [
           Alcotest.test_case "batched replay = per-access reference" `Quick
             test_replay_matches_reference;
+          Alcotest.test_case "warm_summaries = two-pass (all workloads)"
+            `Quick test_warm_matches_two_pass;
+          Alcotest.test_case "warm_summaries on synthetic programs" `Quick
+            test_warm_synthetic;
+          Alcotest.test_case "tainted class counts" `Quick
+            test_tainted_class_counts;
+          Alcotest.test_case "warm-up counters" `Quick test_warmup_counters;
         ] );
       ( "invariants",
         [

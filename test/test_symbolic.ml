@@ -294,9 +294,10 @@ let qcheck_affine_eval_decomposes =
             0 (Ir.Affine.vars a))
 
 (* ------------------------------------------------------------------ *)
-(* Replay allocation budget: one observed replay allocates a constant
-   amount (caches, summaries, one chunk buffer and its two location
-   arrays) — nothing per access.
+(* Replay allocation budget: one observed replay, and one
+   class-restricted warm replay, allocates a constant amount (caches,
+   summaries, one chunk buffer and its two location arrays) — nothing
+   per access.
    mxm at this scale streams ~1.8M accesses, so even one word per
    access would allocate ~14 MB; the budget below only covers the
    setup. *)
@@ -332,6 +333,17 @@ let test_replay_allocation_budget () =
   check_bool
     (Printf.sprintf "replay allocated %.0f bytes for %d accesses" allocated
        accesses)
+    true
+    (allocated < 2_097_152.);
+  (* The class-restricted warm-up adds the hulls and the class flags,
+     a few words per reference and per class; mxm takes its filtering
+     path (8 of 32 classes tainted). *)
+  let before = Gc.allocated_bytes () in
+  ignore (Locmap.Analysis.warm_summaries ~memo cfg amap trace ~sets);
+  let allocated = Gc.allocated_bytes () -. before in
+  check_bool
+    (Printf.sprintf "warm replay allocated %.0f bytes for %d accesses"
+       allocated accesses)
     true
     (allocated < 2_097_152.)
 
