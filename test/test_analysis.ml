@@ -219,9 +219,10 @@ let test_warm_matches_two_pass () =
     [ Cache.Llc.Private; Cache.Llc.Shared ]
 
 (* [a] advances 4000 elements a step over 4096-iteration sweeps, so
-   steps 0 and 1 share 96 of its elements (12 class blocks), touched
-   last in step 0 and first in step 1; [b] is sliced per step; [c] is
-   an unsliced 64-byte table read by every step. *)
+   steps 0 and 1 share 96 of its elements (12 or 13 class blocks),
+   the last of step 0's sweep and the first of step 1's, which the LLC
+   still holds; [b] is sliced per step; [c] is an unsliced 64-byte
+   table read by every step. *)
 let overlap_prog ~time_steps =
   let arr name length = { Ir.Program.name; elem_size = 8; length } in
   let i = Ir.Affine.var "i" and t = Ir.Affine.var Ir.Trace.step_var in
