@@ -345,8 +345,8 @@ let () =
             (fun () -> seed_observed_summaries cfg amap trace ~sets)
             (fun () ->
               fst
-                (Locmap.Analysis.observed_summaries ~warm_pass:false ~memo cfg
-                   amap trace ~sets))
+                (Locmap.Analysis.observed_summaries ~warm_pass:false cfg amap
+                   trace ~sets))
         in
         if not (summaries_equal seed_obs fast_obs) then begin
           Printf.eprintf
@@ -357,10 +357,8 @@ let () =
           time2
             (fun () ->
               snd
-                (Locmap.Analysis.observed_summaries ~warm_pass:true ~memo cfg
-                   amap trace ~sets))
-            (fun () ->
-              Locmap.Analysis.warm_summaries ~memo cfg amap trace ~sets)
+                (Locmap.Analysis.observed_summaries cfg amap trace ~sets))
+            (fun () -> Locmap.Analysis.warm_summaries cfg amap trace ~sets)
         in
         if not (summaries_equal two_pass warm) then begin
           Printf.eprintf

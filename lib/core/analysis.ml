@@ -88,7 +88,7 @@ let cme_instruments im =
         "locmap_cme_visited_total";
     ci_line_blocks =
       Obs.Metrics.counter im
-        ~help:"bulk line-block summary updates (one memo lookup each)"
+        ~help:"bulk line-block summary updates (one location lookup each)"
         "locmap_cme_line_block_updates_total";
     ci_symbolic =
       Obs.Metrics.counter im
@@ -115,29 +115,66 @@ let flush_stats ci st =
 
 (* ---- Symbolic tier: progression resolution against the memo ---- *)
 
-(* [n] accesses, all on the line [loc] describes. *)
-let add_at ~shared sm ~miss loc n =
-  if miss then
+(* The line geometry of the line-granular tiers, which run only when
+   lines tile pages ({!Machine.Config.line_shift}): log2 of the line
+   size and, for every stride up to the line size, its log2, or -1 when
+   it is not a power of two. *)
+type lines = { lshift : int; stride_shift : int array }
+
+let lines_of (cfg : Machine.Config.t) =
+  Option.map
+    (fun lshift ->
+      {
+        lshift;
+        stride_shift =
+          Array.init
+            ((1 lsl lshift) + 1)
+            (fun s -> Option.value (Mem.Address.log2_exact s) ~default:(-1));
+      })
+    (Machine.Config.line_shift cfg)
+
+(* What the CME tiers locate with, fixed for one [cme_summaries] call. *)
+type where = {
+  amap : Machine.Addr_map.t;
+  identity : bool;  (* the map translates nothing, so skip the call *)
+  shared : bool;
+  memo : Line_memo.t;
+  lines : lines option;
+}
+
+(* The packed location of a virtual address. *)
+let locate w va =
+  Machine.Addr_map.locate w.amap
+    (if w.identity then va else Machine.Addr_map.translate w.amap va)
+
+(* [n] accesses, all on the line of virtual address [va]. A hit on the
+   private LLC needs no location. *)
+let add_at w sm ~miss va n =
+  if miss then begin
+    let loc = locate w va in
     Summary.add_llc_misses sm
-      ~bank_region:(if shared then Line_memo.region_of_loc loc else -1)
-      ~mc:(Line_memo.mc_of_loc loc) n
-  else
+      ~bank_region:(if w.shared then Machine.Addr_map.region_of_loc loc else -1)
+      ~mc:(Machine.Addr_map.mc_of_loc loc) n
+  end
+  else if w.shared then
     Summary.add_llc_hits sm
-      ~region:(if shared then Line_memo.region_of_loc loc else 0)
+      ~region:(Machine.Addr_map.region_of_loc (locate w va))
       n
+  else Summary.add_llc_hits sm ~region:0 n
 
 (* Interior lines [lo, hi) of a progression, [weight] accesses each,
    counted per location class by the memo: through its prefix tables
    when it has them, else a page at a time. *)
-let add_interior ~shared memo sm ~miss ~lo ~hi ~weight =
+let add_interior w sm ~miss ~lo ~hi ~weight =
   let n = weight * (hi - lo) in
   if miss then begin
-    Line_memo.add_line_counts memo ~lo ~hi ~weight ~mcs:sm.Summary.mc_counts
-      ~regions:(if shared then sm.Summary.miss_region_counts else [||]);
+    Line_memo.add_line_counts w.memo ~lo ~hi ~weight
+      ~mcs:sm.Summary.mc_counts
+      ~regions:(if w.shared then sm.Summary.miss_region_counts else [||]);
     sm.Summary.llc_misses <- sm.Summary.llc_misses + n
   end
-  else if shared then begin
-    Line_memo.add_line_counts memo ~lo ~hi ~weight ~mcs:[||]
+  else if w.shared then begin
+    Line_memo.add_line_counts w.memo ~lo ~hi ~weight ~mcs:[||]
       ~regions:sm.Summary.region_counts;
     sm.Summary.llc_hits <- sm.Summary.llc_hits + n
   end
@@ -147,14 +184,13 @@ let add_interior ~shared memo sm ~miss ~lo ~hi ~weight =
    accesses each. Single-line and aligned-stride shapes resolve in
    O(edges + location classes); the rest enumerate elements.
 
-   Symbolic plans only exist over an exact memo (a power-of-two line
-   size that divides the page), so every division and modulus by the
-   line size is a shift or mask — profiling showed the divisions were
-   the single largest cost of the whole tier once the prefix tables
-   were in place. *)
-let resolve_aps ~shared memo sm (aps : Cme.Symbolic.aps) =
-  let lsize = Line_memo.line_size memo in
-  let lshift = Line_memo.line_shift memo in
+   Symbolic plans only exist when lines tile pages, so every division
+   and modulus by the line size is a shift or mask — profiling showed
+   the divisions were the single largest cost of the whole tier once
+   the prefix tables were in place. *)
+let resolve_aps w ~lines sm (aps : Cme.Symbolic.aps) =
+  let lshift = lines.lshift in
+  let lsize = 1 lsl lshift in
   let lmask = lsize - 1 in
   for j = 0 to aps.Cme.Symbolic.n - 1 do
     let a0 = Array.unsafe_get aps.Cme.Symbolic.ap_a0 j
@@ -169,52 +205,37 @@ let resolve_aps ~shared memo sm (aps : Cme.Symbolic.aps) =
     let aend = a0 + ((count - 1) * s) in
     let l0 = a0 asr lshift in
     let l1 = aend asr lshift in
-    if l0 = l1 then
-      add_at ~shared sm ~miss (Line_memo.loc_of_line memo l0) (count * mult)
-    else if s <= lsize && s land (s - 1) = 0 then begin
+    if l0 = l1 then add_at w sm ~miss a0 (count * mult)
+    else if s <= lsize && Array.unsafe_get lines.stride_shift s >= 0 then begin
       (* Boundary-aligned walk: a power-of-two stride divides the line
          size, so after a partial first line every interior line
          carries exactly [lsize / s] elements. *)
-      let sshift =
-        let k = ref 0 in
-        while 1 lsl !k < s do
-          incr k
-        done;
-        !k
-      in
+      let sshift = Array.unsafe_get lines.stride_shift s in
       let n_first = (lsize - (a0 land lmask) + s - 1) asr sshift in
       let n_last = ((aend land lmask) asr sshift) + 1 in
-      add_at ~shared sm ~miss (Line_memo.loc_of_line memo l0) (n_first * mult);
-      add_at ~shared sm ~miss (Line_memo.loc_of_line memo l1) (n_last * mult);
+      add_at w sm ~miss a0 (n_first * mult);
+      add_at w sm ~miss aend (n_last * mult);
       if l1 - l0 > 1 then
-        add_interior ~shared memo sm ~miss ~lo:(l0 + 1) ~hi:l1
+        add_interior w sm ~miss ~lo:(l0 + 1) ~hi:l1
           ~weight:((lsize asr sshift) * mult)
-    end
-    else if s land lmask = 0 then begin
-      let d = s asr lshift in
-      for k = 0 to count - 1 do
-        add_at ~shared sm ~miss (Line_memo.loc_of_line memo (l0 + (k * d))) mult
-      done
     end
     else
       for k = 0 to count - 1 do
-        add_at ~shared sm ~miss
-          (Line_memo.loc_of_line memo ((a0 + (k * s)) asr lshift))
-          mult
+        add_at w sm ~miss (a0 + (k * s)) mult
       done
   done
 
 (* An LLC-cold-only reference's progressions are all hit classes;
    execution 0 — the one access that did go to memory — was counted as
    a hit on its own line and is reclassified here. *)
-let flip_exec0 ~shared memo sm plan =
-  let loc = Line_memo.loc_of memo (Cme.Symbolic.exec0_addr plan) in
-  let region = if shared then Line_memo.region_of_loc loc else 0 in
+let flip_exec0 w sm plan =
+  let loc = locate w (Cme.Symbolic.exec0_addr plan) in
+  let region = if w.shared then Machine.Addr_map.region_of_loc loc else 0 in
   sm.Summary.region_counts.(region) <- sm.Summary.region_counts.(region) - 1;
   sm.Summary.llc_hits <- sm.Summary.llc_hits - 1;
   Summary.add_llc_miss sm
-    ~bank_region:(if shared then region else -1)
-    ~mc:(Line_memo.mc_of_loc loc)
+    ~bank_region:(if w.shared then region else -1)
+    ~mc:(Machine.Addr_map.mc_of_loc loc)
 
 (* Per-nest dispatch context: the predictor plus one symbolic plan per
    reference (None = irregular, over the plan caps, or symbolic tier
@@ -225,7 +246,7 @@ type nest_ctx = {
   direct : bool array;
 }
 
-let nest_ctx ~symbolic cfg prog layout memo trace ~nest =
+let nest_ctx ~symbolic cfg prog layout trace ~nest =
   let pred = Cme.create cfg prog layout ~nest in
   let nrefs = Cme.num_refs pred in
   let direct =
@@ -233,43 +254,21 @@ let nest_ctx ~symbolic cfg prog layout memo trace ~nest =
   in
   let plans =
     Array.init nrefs (fun r ->
-        if symbolic && Line_memo.exact memo then
+        if symbolic && Machine.Config.line_shift cfg <> None then
           Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
             ~p2:(Cme.llc_period pred r) ~step:0
         else None)
   in
   { pred; plans; direct }
 
-let cme_set ~shared ~stats memo trace ctx aps (s : Ir.Iter_set.t) sm =
+let cme_set w ~stats trace ctx aps
+    (s : Ir.Iter_set.t) sm =
   let p = ctx.pred in
   let inner_trip = Cme.inner_trip p in
   let c0 = s.lo * inner_trip and c1 = s.hi * inner_trip in
   let total = c1 - c0 in
-  (* The [shared] branch, hoisted out of every loop. *)
-  let add_hit, add_miss, add_misses =
-    if shared then
-      ( (fun addr ->
-          let loc = Line_memo.loc_of memo addr in
-          Summary.add_llc_hit sm ~region:(Line_memo.region_of_loc loc)),
-        (fun addr ->
-          let loc = Line_memo.loc_of memo addr in
-          Summary.add_llc_miss sm
-            ~bank_region:(Line_memo.region_of_loc loc)
-            ~mc:(Line_memo.mc_of_loc loc)),
-        fun addr count ->
-          let loc = Line_memo.loc_of memo addr in
-          Summary.add_llc_misses sm
-            ~bank_region:(Line_memo.region_of_loc loc)
-            ~mc:(Line_memo.mc_of_loc loc) count )
-    else
-      ( (fun _addr -> Summary.add_llc_hit sm ~region:0),
-        (fun addr ->
-          Summary.add_llc_miss sm ~bank_region:(-1)
-            ~mc:(Line_memo.mc_of memo addr)),
-        fun addr count ->
-          Summary.add_llc_misses sm ~bank_region:(-1)
-            ~mc:(Line_memo.mc_of memo addr) count )
-  in
+  let add_hit addr = add_at w sm ~miss:false addr 1
+  and add_miss addr = add_at w sm ~miss:true addr 1 in
   for r = 0 to Cme.num_refs p - 1 do
     stats.st_accesses <- stats.st_accesses + total;
     let p1 = Cme.l1_period p r in
@@ -300,31 +299,31 @@ let cme_set ~shared ~stats memo trace ctx aps (s : Ir.Iter_set.t) sm =
           if nmiss > 0 then begin
             Cme.Symbolic.decompose plan ~lo:s.lo ~hi:s.hi aps;
             assert (Cme.Symbolic.visited_total aps = nmiss);
-            resolve_aps ~shared memo sm aps;
+            resolve_aps w ~lines:(Option.get w.lines) sm aps;
             (* LLC cold-only: the classes above are all hits; execution
                0, when in range, is the one memory access. *)
             if Cme.Symbolic.flips_exec0 plan && c0 = 0 then
-              flip_exec0 ~shared memo sm plan
+              flip_exec0 w sm plan
           end
       | None ->
           (if ctx.direct.(r) then
              stats.st_periodic <- stats.st_periodic + total
            else stats.st_traced <- stats.st_traced + total);
-          if p1 = 1 && Cme.llc_period p r = 1 && Line_memo.exact memo then
+          if p1 = 1 && Cme.llc_period p r = 1 && w.lines <> None then
             (* Every execution is an LLC miss (wide streaming references
                beyond the plan caps, and all references of irregular
                nests). Outcomes are order-independent counts, so the set
                is walked in line blocks: consecutive parallel iterations
                on the same line share one location lookup and one bulk
-               summary update. Only sound when the memo is exact (no
-               line straddles a page, so one location per line);
-               otherwise the ordered walk below handles it. *)
+               summary update. Only sound when lines tile pages (no line
+               straddles a page, so one location per line); otherwise
+               the ordered walk below handles it. *)
             Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
               ~hi:s.hi
-              ~line:(Line_memo.line_size memo)
+              ~line:(1 lsl (Option.get w.lines).lshift)
               (fun ~addr ~count ->
                 stats.st_line_blocks <- stats.st_line_blocks + 1;
-                add_misses addr count)
+                add_at w sm ~miss:true addr count)
           else begin
             let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
             Summary.add_l1_hits sm (total - nmiss);
@@ -391,18 +390,24 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
     (cfg : Machine.Config.t) amap trace ~sets =
   let prog = Ir.Trace.program trace in
   let layout = Ir.Trace.layout trace in
-  let memo =
-    match memo with
-    | Some m -> m
-    | None -> Line_memo.create cfg amap layout
+  let w =
+    {
+      amap;
+      identity = Machine.Addr_map.identity amap;
+      shared = is_shared cfg;
+      memo =
+        (match memo with
+        | Some m -> m
+        | None -> Line_memo.create cfg amap layout);
+      lines = lines_of cfg;
+    }
   in
-  let shared = is_shared cfg in
   let ci = Option.map cme_instruments metrics in
   (* Summaries for the contiguous set range [a, b): the unit of work a
      shard executes. Each range carries its own predictors, plans and
      progression scratch — and its own plain-int stats, flushed to the
      shared counters once at the end — so ranges share nothing but the
-     immutable memo/trace. *)
+     immutable map, memo and trace. *)
   let run_range (a, b) =
     let out = fresh_summaries cfg amap ~count:(b - a) in
     let stats = fresh_stats () in
@@ -413,9 +418,9 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
       let s : Ir.Iter_set.t = sets.(k) in
       if s.nest <> !current_nest then begin
         current_nest := s.nest;
-        ctx := Some (nest_ctx ~symbolic cfg prog layout memo trace ~nest:s.nest)
+        ctx := Some (nest_ctx ~symbolic cfg prog layout trace ~nest:s.nest)
       end;
-      cme_set ~shared ~stats memo trace (Option.get !ctx) aps s out.(k - a)
+      cme_set w ~stats trace (Option.get !ctx) aps s out.(k - a)
     done;
     (match ci with Some ci -> flush_stats ci stats | None -> ());
     out
@@ -458,10 +463,11 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    bank sees its own misses in the same order; and a chunk never spans
    two sets, so every count lands in the summary it did. Locations come
    a chunk at a time from {!Machine.Addr_map.locate_entries}, which
-   reads the map's compiled one-period table. Only the shared LLC's
-   bank lookups stay one call per L1 miss: each goes to the bank the
-   table names. The loop allocates nothing per access — the replay
-   allocation-budget test holds it to a constant per call.
+   reads the map's one-period table, packed as the CME tiers read them.
+   Only the shared LLC's bank lookups stay one call per L1 miss: each
+   goes to the bank the table names. The loop allocates nothing per
+   access — the replay allocation-budget test holds it to a constant
+   per call.
 
    {b Warming by class} ([warm_summaries]). The executor's view is the
    step-1 pass on caches the step-0 pass left behind. Most programs
@@ -505,15 +511,10 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    classes (a power of two). *)
 type classes = { shift : int; count : int }
 
-let log2_exact n =
-  if n <= 0 || n land (n - 1) <> 0 then None
-  else
-    let rec go k = if 1 lsl k = n then k else go (k + 1) in
-    Some (go 0)
-
 let classes_of (cfg : Machine.Config.t) =
   let top ~size ~assoc ~line =
-    match (log2_exact line, log2_exact (size / line / assoc)) with
+    let log2 = Mem.Address.log2_exact in
+    match (log2 line, log2 (size / line / assoc)) with
     | Some l, Some s -> Some (l, l + s)
     | _ -> None
   in
@@ -584,12 +585,7 @@ let tainted_classes (cfg : Machine.Config.t) amap trace =
    replay threads through its passes: [replay] counts a pass into
    summaries, [warm] only runs the entries [keep] retains of each chunk
    through the caches. *)
-let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
-  let memo =
-    match memo with
-    | Some m -> m
-    | None -> Line_memo.create cfg amap (Ir.Trace.layout trace)
-  in
+let replayer (cfg : Machine.Config.t) amap trace ~sets =
   let shared = is_shared cfg in
   let l1 =
     Cache.Sa_cache.create ~size:cfg.l1_size ~assoc:cfg.l1_assoc
@@ -606,11 +602,10 @@ let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
           ~line_size:cfg.l2_line ();
       |]
   in
-  let region_of_node = Line_memo.region_of_node memo in
   (* One chunk buffer per call: a few thousand accesses, so the
      per-chunk work is amortised, and never less than one parallel
      iteration of any nest, which [fill_range] needs. The location
-     arrays run alongside it. *)
+     array runs alongside it. *)
   let n =
     let n = ref 4096 in
     for nest = 0 to Ir.Trace.num_nests trace - 1 do
@@ -618,31 +613,29 @@ let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
     done;
     !n
   in
-  let buf = Array.make n 0
-  and mcs = Array.make n 0
-  and nodes = Array.make n 0 in
+  let buf = Array.make n 0 and locs = Array.make n 0 in
   let vals = Ir.Trace.loop_vars trace in
   (* The [m] L1 misses at the front of [buf] go down the LLC. *)
   let llc sm m =
     let mc_counts = sm.Summary.mc_counts in
     if shared then begin
-      Machine.Addr_map.locate_entries amap buf ~len:m ~mcs ~banks:nodes;
+      Machine.Addr_map.locate_entries amap buf ~len:m locs;
       let region_counts = sm.Summary.region_counts
       and miss_region_counts = sm.Summary.miss_region_counts in
       let hits = ref 0 in
       for j = 0 to m - 1 do
-        let e = Array.unsafe_get buf j and node = Array.unsafe_get nodes j in
-        let region = Array.unsafe_get region_of_node node in
+        let e = Array.unsafe_get buf j and loc = Array.unsafe_get locs j in
+        let region = Machine.Addr_map.region_of_loc loc in
         if
           Cache.Sa_cache.access
-            (Array.unsafe_get banks node)
+            (Array.unsafe_get banks (Machine.Addr_map.node_of_loc loc))
             ~addr:(e lsr 1) ~write:(e land 1 = 1)
         then begin
           region_counts.(region) <- region_counts.(region) + 1;
           incr hits
         end
         else begin
-          let mc = Array.unsafe_get mcs j in
+          let mc = Machine.Addr_map.mc_of_loc loc in
           mc_counts.(mc) <- mc_counts.(mc) + 1;
           miss_region_counts.(region) <- miss_region_counts.(region) + 1
         end
@@ -653,9 +646,9 @@ let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
     else begin
       let m2 = Cache.Sa_cache.filter banks.(0) buf ~len:m buf in
       Summary.add_llc_hits sm ~region:0 (m - m2);
-      Machine.Addr_map.locate_entries amap buf ~len:m2 ~mcs ~banks:nodes;
+      Machine.Addr_map.locate_entries amap buf ~len:m2 locs;
       for j = 0 to m2 - 1 do
-        let mc = Array.unsafe_get mcs j in
+        let mc = Machine.Addr_map.mc_of_loc (Array.unsafe_get locs j) in
         mc_counts.(mc) <- mc_counts.(mc) + 1
       done;
       sm.Summary.llc_misses <- sm.Summary.llc_misses + m2
@@ -665,12 +658,13 @@ let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
      choice is looked up. *)
   let llc_warm m =
     if shared then begin
-      Machine.Addr_map.locate_entries amap buf ~len:m ~mcs ~banks:nodes;
+      Machine.Addr_map.locate_entries amap buf ~len:m locs;
       for j = 0 to m - 1 do
         let e = Array.unsafe_get buf j in
         ignore
           (Cache.Sa_cache.access
-             (Array.unsafe_get banks (Array.unsafe_get nodes j))
+             (Array.unsafe_get banks
+                (Machine.Addr_map.node_of_loc (Array.unsafe_get locs j)))
              ~addr:(e lsr 1) ~write:(e land 1 = 1))
       done
     end
@@ -711,9 +705,9 @@ let replayer ?memo (cfg : Machine.Config.t) amap trace ~sets =
 let second_step trace =
   min 1 ((Ir.Trace.program trace).Ir.Program.time_steps - 1)
 
-let observed_summaries ?(warm_pass = true) ?memo (cfg : Machine.Config.t) amap
-    trace ~sets =
-  let replay, _ = replayer ?memo cfg amap trace ~sets in
+let observed_summaries ?(warm_pass = true) ?memo:_ (cfg : Machine.Config.t)
+    amap trace ~sets =
+  let replay, _ = replayer cfg amap trace ~sets in
   let cold = fresh_summaries cfg amap ~count:(Array.length sets) in
   replay ~step:0 cold;
   if not warm_pass then (cold, cold)
@@ -739,8 +733,8 @@ let keep_tainted ~shift ~mask (tainted : bool array) (buf : int array) len =
   done;
   !m
 
-let warm_summaries ?memo ?metrics (cfg : Machine.Config.t) amap trace ~sets =
-  let replay, warm = replayer ?memo cfg amap trace ~sets in
+let warm_summaries ?metrics (cfg : Machine.Config.t) amap trace ~sets =
+  let replay, warm = replayer cfg amap trace ~sets in
   let tainted = tainted_classes cfg amap trace in
   let count = Array.length tainted in
   let ntainted = Array.fold_left (fun n t -> if t then n + 1 else n) 0 tainted in

@@ -11,21 +11,23 @@
     experiences. The gap between estimated (or cold) and warm summaries
     is exactly the MAI/CAI error the paper reports in Figures 7a/8a.
 
-    {b Fast path}: the CME path resolves per-access locations through
-    a {!Line_memo}: a read of one period of packed (MC, region, node)
-    records, with a translation only when pages are remapped, instead
-    of a translate/bank/region/MC recomputation. It dispatches each
-    (set, reference) to one of three tiers:
+    {b Fast path}: both paths locate a line with
+    {!Machine.Addr_map.locate}, one read of the map's one-period table
+    of packed (MC, region, node) cells, with a translation only when
+    pages are remapped, instead of a translate/bank/region/MC
+    recomputation. The CME path dispatches each (set, reference) to one
+    of three tiers:
 
     - {e symbolic} — pure-affine references with a {!Cme.Symbolic.plan}
       never touch the trace: the set's LLC hits and misses are address
-      arithmetic progressions resolved against the memo, whose line
-      range counts ({!Line_memo.add_line_counts}) read prefix tables
-      under identity translation and walk a page at a time otherwise,
-      at cost independent of the execution count. Plans, and the line-block walk below, need an exact memo
-      ({!Line_memo.exact}: a power-of-two line that divides the page);
-      otherwise every affine reference takes the ordered periodic
-      walk;
+      arithmetic progressions, whose interior line ranges are counted
+      per MC and region by a {!Line_memo}
+      ({!Line_memo.add_line_counts}: prefix tables under identity
+      translation, a page at a time otherwise), at cost independent of
+      the execution count. Plans, and the line-block walk below, need
+      lines that tile pages ({!Machine.Config.line_shift}: a
+      power-of-two line that divides the page); otherwise every affine
+      reference takes the ordered periodic walk;
     - {e periodic} — affine references beyond the plan caps bulk-count
       L1 hits arithmetically and visit only the LLC-reaching executions
       ({!Ir.Trace.iter_body_periodic}), or aggregate all-miss same-line
@@ -42,17 +44,12 @@
     the misses go down the LLC as a batch: the private LLC's bank
     filters them the same way, the shared LLC looks each up in its
     home bank in order. {!Machine.Addr_map.locate_entries} finds their
-    banks and MCs from the map's compiled location table, and the
-    memo's {!Line_memo.region_of_node} their regions. There is no
+    packed banks, regions and MCs in the same table. There is no
     closure call per access, and a call allocates a constant amount,
     nothing per access (enforced by the replay allocation-budget
     test). The test suite
     checks it against [Machine.Engine] run on one core with an ideal
     network: L1 hits, LLC hits and LLC misses agree exactly.
-    Callers that summarise the same trace more than once — {!Mapper.map}
-    runs the CME path and up to two observed replays — may build the
-    memo once and pass it to every call; building one costs O(period),
-    not O(footprint).
 
     [cme_summaries] additionally shards iteration sets across the
     domains of an optional {!Par.Pool}: summaries are additive per set
@@ -86,13 +83,14 @@ val cme_summaries :
   sets:Ir.Iter_set.t array ->
   Summary.t array
 (** [memo], when given, must have been built from the same config,
-    address map and layout (as {!Mapper.map} does); the default builds
-    a fresh one. [pool], when given with more than one domain, shards
-    sets across its workers. [symbolic:false] (default [true]) disables
-    the trace-free tier, forcing every affine reference onto the
-    periodic walkers — the results are byte-identical either way (the
-    equivalence tests check this); the flag exists for that cross-check
-    and for timing the tiers against each other.
+    address map and layout; the default builds a fresh one, which costs
+    O(period × (MCs + regions)). [pool], when given with more than one
+    domain, shards sets across its workers. [symbolic:false] (default
+    [true]) disables the trace-free tier, forcing every affine
+    reference onto the periodic walkers — the results are
+    byte-identical either way (the equivalence tests check this); the
+    flag exists for that cross-check and for timing the tiers against
+    each other.
 
     [metrics] feeds the fast-path counters —
     [locmap_cme_accesses_total] (executions folded by the closed form),
@@ -106,7 +104,7 @@ val cme_summaries :
     exactly one tier, so the three sum to [locmap_cme_accesses_total])
     — accumulated as plain ints per shard range and flushed once per
     range, so the hot loops never touch an atomic and the results stay
-    byte-identical with instrumentation on. Memo location lookups on
+    byte-identical with instrumentation on. Location lookups on
     the walking tiers are [visited + line_blocks]. *)
 
 val observed_summaries :
@@ -119,10 +117,12 @@ val observed_summaries :
   Summary.t array * Summary.t array
 (** [(cold, warm)] summaries, one per set. [warm_pass:false] (default
     [true]) skips the second replay and returns the cold summaries in
-    both positions — for callers that only need the inspector view. *)
+    both positions — for callers that only need the inspector view.
+    [memo] is ignored: the replay locates through the address map
+    alone. It stays only because the benchmark harness passes it, and
+    goes at the next change to the benchmark. *)
 
 val warm_summaries :
-  ?memo:Line_memo.t ->
   ?metrics:Obs.Metrics.t ->
   Machine.Config.t ->
   Machine.Addr_map.t ->

@@ -138,9 +138,6 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
     | None -> Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size ()
   in
   let amap = Machine.Addr_map.create cfg pt in
-  (* One line memo serves every summarisation below: the CME pass and
-     up to two observed replays resolve locations for the same layout. *)
-  let memo = Line_memo.create cfg amap (Ir.Trace.layout trace) in
   let regions = Region.create cfg in
   let sets = Ir.Iter_set.partition prog ~fraction in
   vcheck "partition"
@@ -156,12 +153,10 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
     match estimation with
     | Cme_estimate ->
         let est =
-          Analysis.cme_summaries ?pool ~memo ?metrics cfg amap trace ~sets
+          Analysis.cme_summaries ?pool ?metrics cfg amap trace ~sets
         in
         if measure_error then begin
-          let warm =
-            Analysis.warm_summaries ~memo ?metrics cfg amap trace ~sets
-          in
+          let warm = Analysis.warm_summaries ?metrics cfg amap trace ~sets in
           ( est,
             Analysis.mean_error Summary.mai est warm,
             Analysis.mean_error Summary.cai est warm )
@@ -169,8 +164,8 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
         else (est, 0., 0.)
     | Inspector ->
         let cold, warm =
-          Analysis.observed_summaries ~warm_pass:measure_error ~memo cfg amap
-            trace ~sets
+          Analysis.observed_summaries ~warm_pass:measure_error cfg amap trace
+            ~sets
         in
         if measure_error then
           ( cold,
@@ -178,10 +173,7 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
             Analysis.mean_error Summary.cai cold warm )
         else (cold, 0., 0.)
     | Oracle ->
-        let warm =
-          Analysis.warm_summaries ~memo ?metrics cfg amap trace ~sets
-        in
-        (warm, 0., 0.)
+        (Analysis.warm_summaries ?metrics cfg amap trace ~sets, 0., 0.)
   in
   vcheck "summarise"
     [

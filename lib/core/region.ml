@@ -18,12 +18,7 @@ let count t = t.grid_rows * t.grid_cols
 let grid_rows t = t.grid_rows
 let grid_cols t = t.grid_cols
 
-let of_node t node =
-  let row = node / t.cfg.Machine.Config.cols in
-  let col = node mod t.cfg.Machine.Config.cols in
-  let rr = row / t.cfg.Machine.Config.region_h in
-  let rc = col / t.cfg.Machine.Config.region_w in
-  (rr * t.grid_cols) + rc
+let of_node t node = Machine.Config.region_of_node t.cfg node
 
 let grid_coord t r = (r / t.grid_cols, r mod t.grid_cols)
 

@@ -7,17 +7,19 @@ type t = {
   quadrant_of : int array;  (* per node *)
   quadrant_nodes : int array array;
   mc_of_quad : int array;
-  line_shift : int;  (* log2 l2_line *)
+  line_shift : int;  (* log2 l2_line when lines tile pages *)
   period : int;  (* lines after which locations repeat; 0 = aperiodic *)
-  locs : int array Atomic.t;
-      (* per line of one period: (mc lsl 24) lor bank node; built by
-         the first [locate_entries] call, empty until then or without a
-         [table_period] *)
+  locs : int array;
+      (* per line of one [table_period]: its packed location; empty
+         without one *)
 }
 
-(* A mesh has far fewer than 2^24 nodes. *)
-let node_bits = 24
-let node_mask = (1 lsl node_bits) - 1
+(* Packed locations. A mesh has well under 2^21 nodes, regions and MCs,
+   so one 63-bit OCaml int holds all three fields. *)
+let pack ~mc ~region ~node = (mc lsl 42) lor (region lsl 21) lor node
+let node_of_loc loc = loc land 0x1FFFFF
+let region_of_loc loc = (loc lsr 21) land 0x1FFFFF
+let mc_of_loc loc = loc lsr 42
 
 (* A table beyond this many lines would cost more to build and hold
    than the arithmetic it replaces. *)
@@ -25,7 +27,6 @@ let max_period = 1 lsl 15
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 let lcm a b = a / gcd a b * b
-let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
 let num_mcs t = Array.length t.mc_nodes
 let num_nodes t = Noc.Topology.num_nodes t.topo
@@ -41,14 +42,14 @@ let num_nodes t = Noc.Topology.num_nodes t.topo
    and a page table with assigned domains have no such period. *)
 let period_lines t =
   let c = t.cfg in
-  let line = c.l2_line and page = c.page_size in
+  let lines_per_page = c.page_size / c.l2_line in
   let cycle g count =
     match g with
     | Mem.Distribution.Line_grain -> count
-    | Mem.Distribution.Page_grain -> page / line * count
+    | Mem.Distribution.Page_grain -> lines_per_page * count
   in
   let banks = cycle c.dist.llc_gran (num_nodes t) in
-  if not (Mem.Address.is_pow2 line && page mod line = 0) then None
+  if Option.is_none (Config.line_shift c) then None
   else
     match c.dist.cluster with
     | Mem.Distribution.Mesh_default ->
@@ -60,9 +61,63 @@ let period_lines t =
         Some
           (Array.fold_left
              (fun p m -> lcm p (Array.length m))
-             (4 * (page / line))
+             (4 * lines_per_page)
              t.quadrant_nodes)
     | Mem.Distribution.Snc4 | Mem.Distribution.All_to_all -> None
+
+let config t = t.cfg
+let topology t = t.topo
+
+let identity t = t.identity
+let translate t va = if t.identity then va else Mem.Page_table.translate t.pt va
+
+let translate_entries t (buf : int array) ~len =
+  if len < 0 || len > Array.length buf then
+    invalid_arg "Addr_map.translate_entries: length outside the buffer";
+  if not t.identity then
+    for k = 0 to len - 1 do
+      let e = Array.unsafe_get buf k in
+      Array.unsafe_set buf k
+        ((Mem.Page_table.translate t.pt (e lsr 1) lsl 1) lor (e land 1))
+    done
+
+let mc_node t k = t.mc_nodes.(k)
+let quadrant_of_node t node = t.quadrant_of.(node)
+let mc_of_quadrant t q = t.mc_of_quad.(q)
+
+let default_bank t pa =
+  Mem.Distribution.interleave t.cfg.dist.llc_gran ~page_size:t.cfg.page_size
+    ~line_size:t.cfg.l2_line ~count:(num_nodes t) pa
+
+let snc4_domain t pa =
+  Mem.Page_table.domain t.pt ~addr:pa ~default:(pa / t.cfg.page_size mod 4)
+
+let mc_of t pa =
+  match t.cfg.dist.cluster with
+  | Mem.Distribution.Mesh_default ->
+      Mem.Distribution.interleave t.cfg.dist.mem_gran
+        ~page_size:t.cfg.page_size ~line_size:t.cfg.l2_line ~count:(num_mcs t)
+        pa
+  | Mem.Distribution.All_to_all ->
+      Mem.Distribution.hashed ~page_size:t.cfg.page_size ~count:(num_mcs t) pa
+  | Mem.Distribution.Quadrant -> t.mc_of_quad.(t.quadrant_of.(default_bank t pa))
+  | Mem.Distribution.Snc4 -> t.mc_of_quad.(snc4_domain t pa)
+
+let bank_node_of t pa =
+  match t.cfg.dist.cluster with
+  | Mem.Distribution.Mesh_default | Mem.Distribution.Quadrant ->
+      default_bank t pa
+  | Mem.Distribution.All_to_all ->
+      Mem.Address.mix (pa / t.cfg.l2_line) mod num_nodes t
+  | Mem.Distribution.Snc4 ->
+      let q = snc4_domain t pa in
+      let members = t.quadrant_nodes.(q) in
+      members.(pa / t.cfg.l2_line mod Array.length members)
+
+(* The location the interleave arithmetic gives a physical address. *)
+let arithmetic t pa =
+  let node = bank_node_of t pa in
+  pack ~mc:(mc_of t pa) ~region:(Config.region_of_node t.cfg node) ~node
 
 let create (cfg : Config.t) pt =
   (match Config.validate cfg with
@@ -124,101 +179,37 @@ let create (cfg : Config.t) pt =
       quadrant_of;
       quadrant_nodes;
       mc_of_quad;
-      line_shift = log2 cfg.l2_line;
+      line_shift = Option.value (Config.line_shift cfg) ~default:0;
       period = 0;
-      locs = Atomic.make [||];
+      locs = [||];
     }
   in
-  match period_lines t with None -> t | Some period -> { t with period }
-
-let config t = t.cfg
-let topology t = t.topo
-
-let identity t = t.identity
-let translate t va = if t.identity then va else Mem.Page_table.translate t.pt va
-
-let translate_entries t (buf : int array) ~len =
-  if len < 0 || len > Array.length buf then
-    invalid_arg "Addr_map.translate_entries: length outside the buffer";
-  if not t.identity then
-    for k = 0 to len - 1 do
-      let e = Array.unsafe_get buf k in
-      Array.unsafe_set buf k
-        ((Mem.Page_table.translate t.pt (e lsr 1) lsl 1) lor (e land 1))
-    done
-
-let mc_node t k = t.mc_nodes.(k)
-let quadrant_of_node t node = t.quadrant_of.(node)
-let mc_of_quadrant t q = t.mc_of_quad.(q)
-
-let default_bank t pa =
-  Mem.Distribution.interleave t.cfg.dist.llc_gran ~page_size:t.cfg.page_size
-    ~line_size:t.cfg.l2_line ~count:(num_nodes t) pa
-
-let snc4_domain t pa =
-  Mem.Page_table.domain t.pt ~addr:pa ~default:(pa / t.cfg.page_size mod 4)
-
-let mc_of t pa =
-  match t.cfg.dist.cluster with
-  | Mem.Distribution.Mesh_default ->
-      Mem.Distribution.interleave t.cfg.dist.mem_gran
-        ~page_size:t.cfg.page_size ~line_size:t.cfg.l2_line ~count:(num_mcs t)
-        pa
-  | Mem.Distribution.All_to_all ->
-      Mem.Distribution.hashed ~page_size:t.cfg.page_size ~count:(num_mcs t) pa
-  | Mem.Distribution.Quadrant -> t.mc_of_quad.(t.quadrant_of.(default_bank t pa))
-  | Mem.Distribution.Snc4 -> t.mc_of_quad.(snc4_domain t pa)
-
-let bank_node_of t pa =
-  match t.cfg.dist.cluster with
-  | Mem.Distribution.Mesh_default | Mem.Distribution.Quadrant ->
-      default_bank t pa
-  | Mem.Distribution.All_to_all ->
-      Mem.Address.mix (pa / t.cfg.l2_line) mod num_nodes t
-  | Mem.Distribution.Snc4 ->
-      let q = snc4_domain t pa in
-      let members = t.quadrant_nodes.(q) in
-      members.(pa / t.cfg.l2_line mod Array.length members)
+  let t = { t with period = Option.value (period_lines t) ~default:0 } in
+  if t.period = 0 || t.period > max_period then t
+  else
+    {
+      t with
+      locs = Array.init t.period (fun l -> arithmetic t (l lsl t.line_shift));
+    }
 
 let period t = if t.period > 0 then Some t.period else None
+let table_period t = if Array.length t.locs > 0 then Some t.period else None
+let table t = t.locs
 
-let table_period t =
-  if t.period > 0 && t.period <= max_period then Some t.period else None
+let locate t pa =
+  if Array.length t.locs > 0 then
+    Array.unsafe_get t.locs ((pa lsr t.line_shift) mod t.period)
+  else arithmetic t pa
 
-(* Domains that race on the first call each build the same table, and
-   either one's stays. *)
-let table t =
-  let locs = Atomic.get t.locs in
-  if Array.length locs > 0 || Option.is_none (table_period t) then locs
-  else begin
-    let line = t.cfg.l2_line in
-    let locs =
-      Array.init t.period (fun l ->
-          (mc_of t (l * line) lsl node_bits) lor bank_node_of t (l * line))
-    in
-    Atomic.set t.locs locs;
-    locs
-  end
-
-let locate_entries t (buf : int array) ~len ~(mcs : int array)
-    ~(banks : int array) =
-  if
-    len < 0
-    || len > Array.length buf
-    || len > Array.length mcs
-    || len > Array.length banks
-  then invalid_arg "Addr_map.locate_entries: length outside a buffer";
-  let locs = table t in
-  if Array.length locs > 0 then
+let locate_entries t (buf : int array) ~len (locs : int array) =
+  if len < 0 || len > Array.length buf || len > Array.length locs then
+    invalid_arg "Addr_map.locate_entries: length outside a buffer";
+  if Array.length t.locs > 0 then
     for k = 0 to len - 1 do
       let line = Array.unsafe_get buf k lsr (1 + t.line_shift) in
-      let c = Array.unsafe_get locs (line mod t.period) in
-      Array.unsafe_set mcs k (c lsr node_bits);
-      Array.unsafe_set banks k (c land node_mask)
+      Array.unsafe_set locs k (Array.unsafe_get t.locs (line mod t.period))
     done
   else
     for k = 0 to len - 1 do
-      let pa = Array.unsafe_get buf k lsr 1 in
-      Array.unsafe_set mcs k (mc_of t pa);
-      Array.unsafe_set banks k (bank_node_of t pa)
+      Array.unsafe_set locs k (arithmetic t (Array.unsafe_get buf k lsr 1))
     done

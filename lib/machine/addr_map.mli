@@ -2,21 +2,23 @@
 
     [Addr_map] answers, for any address, which MC serves its page and
     which LLC bank homes its line, under the configuration's
-    data-distribution policy (including the KNL cluster modes). Where
-    the policy is periodic in the physical line ({!period}), the first
-    {!locate_entries} call compiles one period of answers into a table
-    that later calls read; {!mc_of} and {!bank_node_of} compute the
-    interleave arithmetic. It is shared by the simulator, the
-    compile-time analysis and the runtime inspector — this *is* the
-    "architecture information exposed to the compiler" of the paper's
-    Figure 4, combined with the OS guarantee that virtual addresses
-    expose the interleaving bits (Section 4).
+    data-distribution policy (including the KNL cluster modes). It is
+    the one place that packs a line's location: {!locate} and
+    {!locate_entries} answer with one int holding the MC, the home
+    bank's node and that node's region ({!Config.region_of_node}),
+    decoded by {!mc_of_loc}, {!node_of_loc} and {!region_of_loc}.
+    Where the policy is periodic in the physical line ({!period}),
+    {!create} compiles one period of those answers into a table the
+    lookups read; {!mc_of} and {!bank_node_of} compute the interleave
+    arithmetic. It is shared by the simulator, the compile-time
+    analysis and the runtime inspector — this *is* the "architecture
+    information exposed to the compiler" of the paper's Figure 4,
+    combined with the OS guarantee that virtual addresses expose the
+    interleaving bits (Section 4).
 
-    {b Thread safety}: lookups may run from several domains at once.
-    The location table is published through an [Atomic]; domains that
-    race on the first {!locate_entries} each build the same table and
-    either one's stays. Mutating the page table given to {!create}
-    while other domains use the map is not safe. *)
+    {b Thread safety}: the map is immutable after {!create}, so lookups
+    may run from several domains at once. Mutating the page table
+    given to {!create} while other domains use the map is not safe. *)
 
 type t
 
@@ -42,28 +44,36 @@ val translate_entries : t -> int array -> len:int -> unit
     it once per filled buffer instead of {!translate} once per access.
     Raises [Invalid_argument] unless [0 <= len <= Array.length buf]. *)
 
-val locate_entries :
-  t -> int array -> len:int -> mcs:int array -> banks:int array -> unit
-(** [locate_entries t buf ~len ~mcs ~banks] writes, for each of the
-    first [len] entries of [buf] (encoded as for {!translate_entries},
-    holding physical addresses), its MC to [mcs] and its shared-LLC
-    home bank node to [banks], at the entry's index. The answers are
-    {!mc_of}'s and {!bank_node_of}'s, read from the location table when
-    the map has one: a shift, one modulo and one load per entry. The
-    table holds the MC and bank node of each line of one
-    {!table_period}; the first call builds it, so code that never
-    locates a batch never pays for it. A map without a table period
-    keeps the arithmetic. The observed replay locates a whole
-    chunk with one call, and [Line_memo] one period. Raises
-    [Invalid_argument] unless [0 <= len] and [len] is at most the
-    length of each of the three arrays. *)
+val locate : t -> int -> int
+(** [locate t pa] is the packed location of a *physical* address: the
+    MC {!mc_of} gives, the shared-LLC home bank node {!bank_node_of}
+    gives, and that node's region. With a {!table_period} it is read
+    from the location table, a shift, one modulo and one load;
+    otherwise it is computed by the arithmetic. *)
+
+val locate_entries : t -> int array -> len:int -> int array -> unit
+(** [locate_entries t buf ~len locs] writes {!locate}'s answer for each
+    of the first [len] entries of [buf] (encoded as for
+    {!translate_entries}, holding physical addresses) to [locs], at the
+    entry's index. The observed replay locates a whole chunk with one
+    call. Raises [Invalid_argument] unless [0 <= len] and [len] is at
+    most the length of both arrays. *)
+
+val mc_of_loc : int -> int
+(** The MC of a packed location. *)
+
+val node_of_loc : int -> int
+(** The shared-LLC home bank node of a packed location. *)
+
+val region_of_loc : int -> int
+(** The region of a packed location's bank node. *)
 
 val period : t -> int option
 (** [Some p] when every location repeats after [p] physical lines:
     [mc_of t (pa + p * l2_line) = mc_of t pa], and likewise for
     {!bank_node_of}. That holds for the [Mesh_default], [Quadrant] and
-    [Snc4] cluster modes with a power-of-two [l2_line] that divides
-    [page_size], except for [Snc4] when the page table given to
+    [Snc4] cluster modes when lines tile pages ({!Config.line_shift}),
+    except for [Snc4] when the page table given to
     {!create} had pages with assigned domains (re-create the map after
     assigning some). [p] is the lcm of the
     cycles, in lines (1152 for the default config). [None] for
@@ -71,8 +81,14 @@ val period : t -> int option
 
 val table_period : t -> int option
 (** {!period} when it is at most 2{^15} lines, else [None]: the period
-    of the table {!locate_entries} reads, and the one cap on how large
-    a one-period table is worth building. *)
+    of the table {!locate} reads, and the one cap on how large a
+    one-period table is worth building. *)
+
+val table : t -> int array
+(** The location table: entry [l] is {!locate}'s answer for physical
+    line [l] and every line congruent to it modulo {!table_period}.
+    Empty without a table period. The array itself is returned;
+    callers must not mutate it. *)
 
 val mc_of : t -> int -> int
 (** MC id serving the page of a *physical* address. *)

@@ -79,6 +79,15 @@ let region_cols t = (t.cols + t.region_w - 1) / t.region_w
 
 let num_regions t = region_rows t * region_cols t
 
+let region_of_node t node =
+  let row = node / t.cols and col = node mod t.cols in
+  (row / t.region_h * region_cols t) + (col / t.region_w)
+
+let line_shift t =
+  match Mem.Address.log2_exact t.l2_line with
+  | Some s when t.page_size mod t.l2_line = 0 -> Some s
+  | _ -> None
+
 let data_flits t = Noc.Packet.flits Noc.Packet.Data ~line_size:t.l2_line ~flit_bytes:t.flit_bytes
 
 let validate t =

@@ -74,6 +74,17 @@ val region_cols : t -> int
 
 val num_regions : t -> int
 
+val region_of_node : t -> int -> int
+(** The region of a mesh node: regions are numbered row-major over the
+    region grid. *)
+
+val line_shift : t -> int option
+(** [Some (log2 l2_line)] when lines tile pages: [l2_line] is a power
+    of two that divides [page_size]. Then no line straddles a page, so
+    every byte of a line has the line's location, which the address
+    map's period and the line-granular CME tiers need. [None]
+    otherwise: any [page_size] may arrive from a request. *)
+
 val data_flits : t -> int
 (** Flits of a cache-line-carrying packet. *)
 

@@ -14,6 +14,12 @@ let align_up n ~to_ =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+let log2_exact n =
+  if not (is_pow2 n) then None
+  else
+    let rec go k = if 1 lsl k = n then k else go (k + 1) in
+    Some (go 0)
+
 (* splitmix64-style finalizer, truncated to OCaml's int. *)
 let mix x =
   let x = x * 0x9E3779B97F4A7C1 in

@@ -22,6 +22,11 @@ val align_up : int -> to_:int -> int
 
 val is_pow2 : int -> bool
 
+val log2_exact : int -> int option
+(** [log2_exact n] is [Some k] when [n = 2{^k}], and [None] for any
+    [n] that is not a positive power of two (0 and negatives
+    included). *)
+
 val mix : int -> int
 (** A deterministic avalanche hash over an address-sized int, used by
     hashing interleaving modes (KNL all-to-all). *)

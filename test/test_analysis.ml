@@ -1,4 +1,4 @@
-(* Tests for the analysis fast path: line-memoized address maps,
+(* Tests for the analysis fast path: line-range location counts,
    the periodic/chunked trace walkers behind them, and domain-parallel
    CME summaries. The golden Mapper.map fixture that pins the public
    pipeline behaviour is checked by a diff rule (see golden.ml). *)
@@ -65,51 +65,15 @@ let test_parallel_matches_sequential () =
         [ Cache.Llc.Shared; Cache.Llc.Private ])
 
 (* ------------------------------------------------------------------ *)
-(* Address-map variants the replay and the memo must both get right:
-   the four cluster modes (three with a compiled location table, one
-   without), SNC-4 with assigned page domains (no table), a page-grain
-   LLC, remapped pages and an L1 whose set count is not a power of
-   two. Each is paired with a page table, built for the trace so the
-   remaps and domains land on pages it touches. *)
+(* The address-map variants of [Map_variants], each with a page table
+   built for the trace so the remaps and domains land on pages it
+   touches. *)
 
-let with_dist (cfg : Machine.Config.t) f = { cfg with dist = f cfg.dist }
+let variants = Map_variants.variants
 
-let snc4 d = with_dist d (fun x -> { x with cluster = Mem.Distribution.Snc4 })
-
-let variants :
-    (string * Machine.Config.t * [ `Fresh | `Remap | `Domains ]) list =
-  let d = Machine.Config.default in
-  [
-    ("mesh-default", d, `Fresh);
-    ( "all-to-all",
-      with_dist d (fun x -> { x with cluster = Mem.Distribution.All_to_all }),
-      `Fresh );
-    ( "quadrant",
-      with_dist d (fun x -> { x with cluster = Mem.Distribution.Quadrant }),
-      `Fresh );
-    ("snc4", snc4 d, `Fresh);
-    ("snc4, assigned domains", snc4 d, `Domains);
-    ( "page-grain llc",
-      with_dist d (fun x -> { x with llc_gran = Mem.Distribution.Page_grain }),
-      `Fresh );
-    ("remapped pages", d, `Remap);
-    ("48-set L1", { d with l1_size = 12 * 1024 }, `Fresh);
-  ]
-
-(* [`Remap]: every third page of the footprint moves beyond it.
-   [`Domains]: every fifth page gets a domain other than its default. *)
 let page_table_for (cfg : Machine.Config.t) trace ~kind =
-  let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
-  let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / cfg.page_size in
-  for vpage = 0 to pages do
-    match kind with
-    | `Remap when vpage mod 3 = 0 ->
-        Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
-    | `Domains when vpage mod 5 = 0 ->
-        Mem.Page_table.set_domain pt ~vpage ((vpage + 1) mod 4)
-    | _ -> ()
-  done;
-  pt
+  Map_variants.page_table cfg ~kind
+    ~pages:(Ir.Layout.footprint (Ir.Trace.layout trace) / cfg.page_size)
 
 (* The replay as it stood before the batched kernels: one
    [Sa_cache.access] per access on L1 and, for each L1 miss, one on its
@@ -317,19 +281,10 @@ let test_warmup_counters () =
     [ ("swim", true, false); ("mxm", true, true); ("minighost", false, true) ]
 
 (* ------------------------------------------------------------------ *)
-(* The memo answers exactly like the direct address map, on random
-   addresses inside the layout and beyond it: the packed location
-   decodes to the direct bank node, region and MC. Pages of 100 and 96
-   bytes, which a request may carry, split 64-byte lines across pages:
-   the memo must then not claim line-granular exactness. Range counts,
-   by prefix tables or a page at a time, equal counting line by line. *)
-
-let page_variants : (string * Machine.Config.t * [ `Fresh | `Remap | `Domains ]) list =
-  let d = Machine.Config.default in
-  [
-    ("100-byte pages", { d with page_size = 100 }, `Fresh);
-    ("96-byte pages", { d with page_size = 96 }, `Fresh);
-  ]
+(* The memo's range counts, by prefix tables or a page at a time, equal
+   counting line by line through the address map, on every address-map
+   variant (the per-address answers are [test_machine]'s location-table
+   test). *)
 
 let test_line_memo_matches_addr_map () =
   let rng = Random.State.make [| 0x11ce |] in
@@ -342,50 +297,15 @@ let test_line_memo_matches_addr_map () =
       let pt = page_table_for cfg trace ~kind in
       let amap = Machine.Addr_map.create cfg pt in
       let memo = Locmap.Line_memo.create cfg amap layout in
-      let regions = Locmap.Region.create cfg in
-      check_bool (name ^ ": exact iff lines tile pages")
-        (cfg.page_size mod cfg.l2_line = 0)
-        (Locmap.Line_memo.exact memo);
       let identity = Machine.Addr_map.identity amap in
       check_bool (name ^ ": identity iff no remaps") (kind <> `Remap) identity;
       check_bool (name ^ ": prefix iff identity and a table period")
         (identity && Machine.Addr_map.table_period amap <> None)
         (Locmap.Line_memo.prefix_available memo);
       let footprint = Ir.Layout.footprint layout in
-      for _ = 1 to 2000 do
-        (* 10% of probes land beyond the layout. *)
-        let inside = Random.State.int rng 10 <> 0 in
-        let va =
-          if inside then Random.State.int rng (max 1 footprint)
-          else footprint + Random.State.int rng 65536
-        in
-        let pa = Machine.Addr_map.translate amap va in
-        if inside && identity then
-          check_int (Printf.sprintf "%s: identity at %d" name va) va pa;
-        let loc = Locmap.Line_memo.loc_of memo va in
-        let node = Machine.Addr_map.bank_node_of amap pa in
-        check_int
-          (Printf.sprintf "%s: bank of %d" name va)
-          node
-          (Locmap.Line_memo.node_of_loc loc);
-        check_int
-          (Printf.sprintf "%s: region of %d" name va)
-          (Locmap.Region.of_node regions node)
-          (Locmap.Line_memo.region_of_loc loc);
-        let mc = Machine.Addr_map.mc_of amap pa in
-        check_int (Printf.sprintf "%s: mc of %d" name va) mc
-          (Locmap.Line_memo.mc_of_loc loc);
-        check_int (Printf.sprintf "%s: mc_of %d" name va) mc
-          (Locmap.Line_memo.mc_of memo va);
-        let line = va / cfg.l2_line in
-        check_int
-          (Printf.sprintf "%s: line %d" name line)
-          (Locmap.Line_memo.loc_of memo (line * cfg.l2_line))
-          (Locmap.Line_memo.loc_of_line memo line)
-      done;
       let lines = (footprint + cfg.l2_line - 1) / cfg.l2_line in
       let num_mcs = Machine.Addr_map.num_mcs amap in
-      let num_regions = Locmap.Region.count regions in
+      let num_regions = Machine.Config.num_regions cfg in
       for k = 1 to 200 do
         (* Odd draws stay short (the walked path), even ones span up to
            a few thousand lines, several periods and pages. *)
@@ -400,9 +320,12 @@ let test_line_memo_matches_addr_map () =
           ~regions:only_rgs;
         let emcs = Array.make num_mcs 0 and ergs = Array.make num_regions 0 in
         for l = lo to hi - 1 do
-          let loc = Locmap.Line_memo.loc_of_line memo l in
-          let m = Locmap.Line_memo.mc_of_loc loc
-          and r = Locmap.Line_memo.region_of_loc loc in
+          let pa = Machine.Addr_map.translate amap (l * cfg.l2_line) in
+          let m = Machine.Addr_map.mc_of amap pa
+          and r =
+            Machine.Config.region_of_node cfg
+              (Machine.Addr_map.bank_node_of amap pa)
+          in
           emcs.(m) <- emcs.(m) + 3;
           ergs.(r) <- ergs.(r) + 3
         done;
@@ -414,7 +337,7 @@ let test_line_memo_matches_addr_map () =
     (List.concat_map
        (fun v ->
          List.map (fun name -> (v, name)) [ "mxm"; "jacobi-3d"; "moldyn" ])
-       (variants @ page_variants))
+       (variants @ Map_variants.page_variants))
 
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)
 

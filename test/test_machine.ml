@@ -101,14 +101,31 @@ let test_addr_map_translate_remap () =
   check_int "mc follows physical page" 1
     (Machine.Addr_map.mc_of am (Machine.Addr_map.translate am 5))
 
+(* [expected] located at [pa]: the packed MC and bank node, and the
+   bank's region as [Region] numbers it, through both [locate] and the
+   entry [locs.(k)] that [locate_entries] wrote. *)
+let check_located am ~at ~locs ~k pa (mc, bank) =
+  let regions = Locmap.Region.create (Machine.Addr_map.config am) in
+  List.iter
+    (fun (how, loc) ->
+      check_int (at ^ ": " ^ how ^ " mc") mc (Machine.Addr_map.mc_of_loc loc);
+      check_int (at ^ ": " ^ how ^ " bank") bank
+        (Machine.Addr_map.node_of_loc loc);
+      check_int (at ^ ": " ^ how ^ " region")
+        (Locmap.Region.of_node regions bank)
+        (Machine.Addr_map.region_of_loc loc))
+    [ ("locate", Machine.Addr_map.locate am pa); ("located", locs.(k)) ]
+
 (* The location table answers as the interleave arithmetic does,
-   through [mc_of], [bank_node_of] and [locate_entries], on random
-   physical addresses: for both periodic cluster modes, every pair of
-   MC and LLC grains, and three mesh sizes; and every answer repeats
-   one period on. A config whose period exceeds the table's cap and the
-   maps without a period (all-to-all, SNC-4 with an assigned page
-   domain) locate through the arithmetic; SNC-4's own period is
-   checked there too. *)
+   through [mc_of], [bank_node_of], [locate] and [locate_entries], on
+   random physical addresses: for both periodic cluster modes, every
+   pair of MC and LLC grains, and three mesh sizes; and every answer
+   repeats one period on. A config whose period exceeds the table's cap
+   and the maps without a period (all-to-all, SNC-4 with an assigned
+   page domain) locate through the arithmetic; SNC-4's own period is
+   checked there too. Every address-map variant the analysis tests run
+   on (remapped pages and pages that split lines included) locates as
+   [mc_of] and [bank_node_of] do. *)
 let test_addr_map_table () =
   let rng = Random.State.make [| 0x7ab1e |] in
   let with_dist ?(page_size = 2048) ~rows cluster mem_gran llc_gran =
@@ -169,8 +186,8 @@ let test_addr_map_table () =
                   let buf =
                     Array.map (fun pa -> (pa lsl 1) lor (pa land 1)) pas
                   in
-                  let mcs = Array.make n (-1) and banks = Array.make n (-1) in
-                  Machine.Addr_map.locate_entries am buf ~len:n ~mcs ~banks;
+                  let locs = Array.make n (-1) in
+                  Machine.Addr_map.locate_entries am buf ~len:n locs;
                   Array.iteri
                     (fun k pa ->
                       let mc, bank = expected pa in
@@ -179,8 +196,7 @@ let test_addr_map_table () =
                         (Machine.Addr_map.mc_of am pa);
                       check_int (at ^ ": bank_node_of") bank
                         (Machine.Addr_map.bank_node_of am pa);
-                      check_int (at ^ ": located mc") mc mcs.(k);
-                      check_int (at ^ ": located bank") bank banks.(k);
+                      check_located am ~at ~locs ~k pa (mc, bank);
                       let next = pa + (period * c.l2_line) in
                       check_int (at ^ ": mc a period on") mc
                         (Machine.Addr_map.mc_of am next);
@@ -202,21 +218,20 @@ let test_addr_map_table () =
     let n = 200 in
     let pas = Array.init n (fun k -> (k * 7919) + (k * k * 1031)) in
     let buf = Array.map (fun pa -> pa lsl 1) pas in
-    let mcs = Array.make n (-1) and banks = Array.make n (-1) in
-    Machine.Addr_map.locate_entries am buf ~len:n ~mcs ~banks;
+    let locs = Array.make n (-1) in
+    Machine.Addr_map.locate_entries am buf ~len:n locs;
     Array.iteri
       (fun k pa ->
         let at = Printf.sprintf "%s at %d" what pa in
-        check_int (at ^ ": located mc") (Machine.Addr_map.mc_of am pa) mcs.(k);
-        check_int (at ^ ": located bank")
-          (Machine.Addr_map.bank_node_of am pa)
-          banks.(k);
+        let mc = Machine.Addr_map.mc_of am pa
+        and bank = Machine.Addr_map.bank_node_of am pa in
+        check_located am ~at ~locs ~k pa (mc, bank);
         Option.iter
           (fun p ->
             let next = pa + (p * c.l2_line) in
-            check_int (at ^ ": mc a period on") mcs.(k)
+            check_int (at ^ ": mc a period on") mc
               (Machine.Addr_map.mc_of am next);
-            check_int (at ^ ": bank a period on") banks.(k)
+            check_int (at ^ ": bank a period on") bank
               (Machine.Addr_map.bank_node_of am next))
           period)
       pas
@@ -239,12 +254,39 @@ let test_addr_map_table () =
   Mem.Page_table.set_domain domains ~vpage:3 1;
   arithmetic "SNC-4, an assigned domain" ~page_table:domains ~period:None
     snc4;
+  (* 512 KB of pages, probed over four times that so the remapped
+     pages' targets are covered too. *)
+  List.iter
+    (fun (what, (c : Machine.Config.t), kind) ->
+      let pages = (512 * 1024) / c.page_size in
+      let am =
+        Machine.Addr_map.create c (Map_variants.page_table c ~pages ~kind)
+      in
+      check_bool (what ^ ": a table only when lines tile pages") true
+        (Machine.Addr_map.table_period am = None
+        || c.page_size mod c.l2_line = 0);
+      let n = 2000 in
+      let pas =
+        Array.init n (fun _ -> Random.State.int rng (4 * pages * c.page_size))
+      in
+      let locs = Array.make n (-1) in
+      Machine.Addr_map.locate_entries am
+        (Array.map (fun pa -> (pa lsl 1) lor (pa land 1)) pas)
+        ~len:n locs;
+      Array.iteri
+        (fun k pa ->
+          check_located am
+            ~at:(Printf.sprintf "%s at %d" what pa)
+            ~locs ~k pa
+            (Machine.Addr_map.mc_of am pa, Machine.Addr_map.bank_node_of am pa))
+        pas)
+    (Map_variants.variants @ Map_variants.page_variants);
   let am = Machine.Addr_map.create cfg (pt ()) in
   Alcotest.check_raises "locate beyond a buffer"
     (Invalid_argument "Addr_map.locate_entries: length outside a buffer")
     (fun () ->
       Machine.Addr_map.locate_entries am (Array.make 4 0) ~len:4
-        ~mcs:(Array.make 4 0) ~banks:(Array.make 3 0))
+        (Array.make 3 0))
 
 (* ------------------------------------------------------------------ *)
 

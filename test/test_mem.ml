@@ -17,6 +17,17 @@ let test_address_helpers () =
   check_bool "pow2 no" false (Mem.Address.is_pow2 48);
   check_bool "pow2 zero" false (Mem.Address.is_pow2 0)
 
+let test_address_log2_exact () =
+  let check_log2 what expected n =
+    Alcotest.(check (option int)) what expected (Mem.Address.log2_exact n)
+  in
+  for k = 0 to 61 do
+    check_log2 (Printf.sprintf "2^%d" k) (Some k) (1 lsl k)
+  done;
+  List.iter
+    (fun n -> check_log2 (Printf.sprintf "%d" n) None n)
+    [ 0; -1; -2; -64; min_int; 3; 6; 48; 96; 100; 1000; max_int ]
+
 let test_address_mix () =
   check_int "mix deterministic" (Mem.Address.mix 42) (Mem.Address.mix 42);
   check_bool "mix scatters" true (Mem.Address.mix 1 <> Mem.Address.mix 2);
@@ -140,6 +151,7 @@ let () =
         [
           Alcotest.test_case "helpers" `Quick test_address_helpers;
           Alcotest.test_case "mix" `Quick test_address_mix;
+          Alcotest.test_case "log2_exact" `Quick test_address_log2_exact;
         ] );
       ( "page_table",
         [

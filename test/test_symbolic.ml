@@ -296,8 +296,8 @@ let qcheck_affine_eval_decomposes =
 (* ------------------------------------------------------------------ *)
 (* Replay allocation budget: one observed replay, and one
    class-restricted warm replay, allocates a constant amount (caches,
-   summaries, one chunk buffer and its two location arrays) — nothing
-   per access.
+   summaries, one chunk buffer and its location array) — nothing per
+   access.
    mxm at this scale streams ~1.8M accesses, so even one word per
    access would allocate ~14 MB; the budget below only covers the
    setup. *)
@@ -307,7 +307,6 @@ let test_replay_allocation_budget () =
   let cfg = private_cfg in
   let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
   let amap = Machine.Addr_map.create cfg pt in
-  let memo = Locmap.Line_memo.create cfg amap (Ir.Trace.layout trace) in
   let sets = partition prog cfg in
   let accesses =
     Array.fold_left
@@ -319,16 +318,14 @@ let test_replay_allocation_budget () =
   check_bool "workload is large enough to measure" true (accesses > 1_000_000);
   (* Warm once so one-time lazy setup does not bill the measured run. *)
   ignore
-    (Locmap.Analysis.observed_summaries ~warm_pass:false ~memo cfg amap trace
-       ~sets);
+    (Locmap.Analysis.observed_summaries ~warm_pass:false cfg amap trace ~sets);
   let before = Gc.allocated_bytes () in
   ignore
-    (Locmap.Analysis.observed_summaries ~warm_pass:false ~memo cfg amap trace
-       ~sets);
+    (Locmap.Analysis.observed_summaries ~warm_pass:false cfg amap trace ~sets);
   let allocated = Gc.allocated_bytes () -. before in
   (* Setup for this configuration (one private bank, the summaries, a
-     loop-variable vector, the 4096-entry chunk buffer and its two
-     location arrays) stays well under 2 MB; a single word per access
+     loop-variable vector, the 4096-entry chunk buffer and its location
+     array) stays well under 2 MB; a single word per access
      would exceed 14 MB. *)
   check_bool
     (Printf.sprintf "replay allocated %.0f bytes for %d accesses" allocated
@@ -339,7 +336,7 @@ let test_replay_allocation_budget () =
      a few words per reference and per class; mxm takes its filtering
      path (8 of 32 classes tainted). *)
   let before = Gc.allocated_bytes () in
-  ignore (Locmap.Analysis.warm_summaries ~memo cfg amap trace ~sets);
+  ignore (Locmap.Analysis.warm_summaries cfg amap trace ~sets);
   let allocated = Gc.allocated_bytes () -. before in
   check_bool
     (Printf.sprintf "warm replay allocated %.0f bytes for %d accesses"
