@@ -115,37 +115,19 @@ let flush_stats ci st =
 
 (* ---- Symbolic tier: progression resolution against the memo ---- *)
 
-(* The line geometry of the line-granular tiers, which run only when
-   lines tile pages ({!Machine.Config.line_shift}): log2 of the line
-   size and, for every stride up to the line size, its log2, or -1 when
-   it is not a power of two. *)
-type lines = { lshift : int; stride_shift : int array }
-
-let lines_of (cfg : Machine.Config.t) =
-  Option.map
-    (fun lshift ->
-      {
-        lshift;
-        stride_shift =
-          Array.init
-            ((1 lsl lshift) + 1)
-            (fun s -> Option.value (Mem.Address.log2_exact s) ~default:(-1));
-      })
-    (Machine.Config.line_shift cfg)
-
-(* What the CME tiers locate with, fixed for one [cme_summaries] call. *)
+(* What the CME tiers locate with, fixed for one [cme_summaries] call.
+   The line-granular tiers run only when lines tile pages, with [lshift]
+   the log2 of the line size ({!Machine.Config.line_shift}). *)
 type where = {
   amap : Machine.Addr_map.t;
-  identity : bool;  (* the map translates nothing, so skip the call *)
   shared : bool;
   memo : Line_memo.t;
-  lines : lines option;
+  lshift : int option;
 }
 
 (* The packed location of a virtual address. *)
 let locate w va =
-  Machine.Addr_map.locate w.amap
-    (if w.identity then va else Machine.Addr_map.translate w.amap va)
+  Machine.Addr_map.locate w.amap (Machine.Addr_map.translate w.amap va)
 
 (* [n] accesses, all on the line of virtual address [va]. A hit on the
    private LLC needs no location. *)
@@ -188,8 +170,7 @@ let add_interior w sm ~miss ~lo ~hi ~weight =
    and modulus by the line size is a shift or mask — profiling showed
    the divisions were the single largest cost of the whole tier once
    the prefix tables were in place. *)
-let resolve_aps w ~lines sm (aps : Cme.Symbolic.aps) =
-  let lshift = lines.lshift in
+let resolve_aps w ~lshift sm (aps : Cme.Symbolic.aps) =
   let lsize = 1 lsl lshift in
   let lmask = lsize - 1 in
   for j = 0 to aps.Cme.Symbolic.n - 1 do
@@ -206,23 +187,23 @@ let resolve_aps w ~lines sm (aps : Cme.Symbolic.aps) =
     let l0 = a0 asr lshift in
     let l1 = aend asr lshift in
     if l0 = l1 then add_at w sm ~miss a0 (count * mult)
-    else if s <= lsize && Array.unsafe_get lines.stride_shift s >= 0 then begin
-      (* Boundary-aligned walk: a power-of-two stride divides the line
-         size, so after a partial first line every interior line
-         carries exactly [lsize / s] elements. *)
-      let sshift = Array.unsafe_get lines.stride_shift s in
-      let n_first = (lsize - (a0 land lmask) + s - 1) asr sshift in
-      let n_last = ((aend land lmask) asr sshift) + 1 in
-      add_at w sm ~miss a0 (n_first * mult);
-      add_at w sm ~miss aend (n_last * mult);
-      if l1 - l0 > 1 then
-        add_interior w sm ~miss ~lo:(l0 + 1) ~hi:l1
-          ~weight:((lsize asr sshift) * mult)
-    end
     else
-      for k = 0 to count - 1 do
-        add_at w sm ~miss (a0 + (k * s)) mult
-      done
+      match if s <= lsize then Mem.Address.log2_exact s else None with
+      | Some sshift ->
+          (* Boundary-aligned walk: a power-of-two stride divides the
+             line size, so after a partial first line every interior
+             line carries exactly [lsize / s] elements. *)
+          let n_first = (lsize - (a0 land lmask) + s - 1) asr sshift in
+          let n_last = ((aend land lmask) asr sshift) + 1 in
+          add_at w sm ~miss a0 (n_first * mult);
+          add_at w sm ~miss aend (n_last * mult);
+          if l1 - l0 > 1 then
+            add_interior w sm ~miss ~lo:(l0 + 1) ~hi:l1
+              ~weight:((lsize asr sshift) * mult)
+      | None ->
+          for k = 0 to count - 1 do
+            add_at w sm ~miss (a0 + (k * s)) mult
+          done
   done
 
 (* An LLC-cold-only reference's progressions are all hit classes;
@@ -246,7 +227,7 @@ type nest_ctx = {
   direct : bool array;
 }
 
-let nest_ctx ~symbolic cfg prog layout trace ~nest =
+let nest_ctx ~symbolic w cfg prog layout trace ~nest =
   let pred = Cme.create cfg prog layout ~nest in
   let nrefs = Cme.num_refs pred in
   let direct =
@@ -254,7 +235,7 @@ let nest_ctx ~symbolic cfg prog layout trace ~nest =
   in
   let plans =
     Array.init nrefs (fun r ->
-        if symbolic && Machine.Config.line_shift cfg <> None then
+        if symbolic && w.lshift <> None then
           Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
             ~p2:(Cme.llc_period pred r) ~step:0
         else None)
@@ -299,7 +280,7 @@ let cme_set w ~stats trace ctx aps
           if nmiss > 0 then begin
             Cme.Symbolic.decompose plan ~lo:s.lo ~hi:s.hi aps;
             assert (Cme.Symbolic.visited_total aps = nmiss);
-            resolve_aps w ~lines:(Option.get w.lines) sm aps;
+            resolve_aps w ~lshift:(Option.get w.lshift) sm aps;
             (* LLC cold-only: the classes above are all hits; execution
                0, when in range, is the one memory access. *)
             if Cme.Symbolic.flips_exec0 plan && c0 = 0 then
@@ -309,7 +290,7 @@ let cme_set w ~stats trace ctx aps
           (if ctx.direct.(r) then
              stats.st_periodic <- stats.st_periodic + total
            else stats.st_traced <- stats.st_traced + total);
-          if p1 = 1 && Cme.llc_period p r = 1 && w.lines <> None then
+          if p1 = 1 && Cme.llc_period p r = 1 && w.lshift <> None then
             (* Every execution is an LLC miss (wide streaming references
                beyond the plan caps, and all references of irregular
                nests). Outcomes are order-independent counts, so the set
@@ -320,7 +301,7 @@ let cme_set w ~stats trace ctx aps
                the ordered walk below handles it. *)
             Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
               ~hi:s.hi
-              ~line:(1 lsl (Option.get w.lines).lshift)
+              ~line:(1 lsl Option.get w.lshift)
               (fun ~addr ~count ->
                 stats.st_line_blocks <- stats.st_line_blocks + 1;
                 add_at w sm ~miss:true addr count)
@@ -393,13 +374,12 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
   let w =
     {
       amap;
-      identity = Machine.Addr_map.identity amap;
       shared = is_shared cfg;
       memo =
         (match memo with
         | Some m -> m
         | None -> Line_memo.create cfg amap layout);
-      lines = lines_of cfg;
+      lshift = Machine.Config.line_shift cfg;
     }
   in
   let ci = Option.map cme_instruments metrics in
@@ -418,7 +398,7 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
       let s : Ir.Iter_set.t = sets.(k) in
       if s.nest <> !current_nest then begin
         current_nest := s.nest;
-        ctx := Some (nest_ctx ~symbolic cfg prog layout trace ~nest:s.nest)
+        ctx := Some (nest_ctx ~symbolic w cfg prog layout trace ~nest:s.nest)
       end;
       cme_set w ~stats trace (Option.get !ctx) aps s out.(k - a)
     done;

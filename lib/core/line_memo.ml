@@ -12,6 +12,7 @@ type t = {
   amap : Machine.Addr_map.t;
   identity : bool;  (* the address map translates nothing *)
   line_size : int;
+  line_shift : int;  (* log2 [line_size] when [period > 0] *)
   lines_per_page : int;  (* when [period > 0], so lines tile pages *)
   period : int;  (* of the map's table; 0 when it has none *)
   num_lines : int;  (* layout footprint in lines: bounds the queries *)
@@ -50,6 +51,7 @@ let create (cfg : Machine.Config.t) amap layout =
     amap;
     identity;
     line_size;
+    line_shift = Option.value (Machine.Config.line_shift cfg) ~default:0;
     lines_per_page = (if period > 0 then cfg.page_size / line_size else 1);
     period;
     num_lines = (Ir.Layout.footprint layout + line_size - 1) / line_size;
@@ -105,7 +107,8 @@ let pa_of_line t l = Machine.Addr_map.translate t.amap (l * t.line_size)
 
 (* A page's lines are consecutive physical lines, so each page is
    translated once and its cells read with a running residue: one
-   modulo per page, not per line. *)
+   modulo per page, not per line. Under identity the virtual line is
+   the physical one, so the whole range is one run. *)
 let add_enumerated t ~lo ~hi ~weight mcs regions =
   if t.period = 0 then
     for l = lo to hi - 1 do
@@ -120,7 +123,11 @@ let add_enumerated t ~lo ~hi ~weight mcs regions =
         if t.identity then hi
         else min hi (((!l / t.lines_per_page) + 1) * t.lines_per_page)
       in
-      let r = ref (pa_of_line t !l / t.line_size mod t.period) in
+      let r =
+        ref
+          (if t.identity then !l mod t.period
+           else (pa_of_line t !l lsr t.line_shift) mod t.period)
+      in
       for _ = !l to stop - 1 do
         add_loc ~weight mcs regions (Array.unsafe_get table !r);
         incr r;

@@ -299,6 +299,9 @@ let test_line_memo_matches_addr_map () =
       let memo = Locmap.Line_memo.create cfg amap layout in
       let identity = Machine.Addr_map.identity amap in
       check_bool (name ^ ": identity iff no remaps") (kind <> `Remap) identity;
+      check_bool (name ^ ": line shift iff lines tile pages")
+        (cfg.page_size mod cfg.l2_line = 0)
+        (Machine.Config.line_shift cfg <> None);
       check_bool (name ^ ": prefix iff identity and a table period")
         (identity && Machine.Addr_map.table_period amap <> None)
         (Locmap.Line_memo.prefix_available memo);

@@ -31,6 +31,24 @@ let test_config_validate_errors () =
     | Error _ -> true
     | Ok () -> false)
 
+(* Lines tile pages when the line size is a power of two that divides
+   the page; the line-granular analysis tiers and the location table
+   both hang off this one test. *)
+let test_config_line_shift () =
+  let shift ~line ~page =
+    Machine.Config.line_shift
+      { cfg with Machine.Config.l2_line = line; page_size = page }
+  in
+  let check what expected got =
+    Alcotest.(check (option int)) what expected got
+  in
+  check "64-byte lines, 4 KB pages" (Some 6) (shift ~line:64 ~page:4096);
+  check "64-byte lines, 64-byte pages" (Some 6) (shift ~line:64 ~page:64);
+  check "32-byte lines, 96-byte pages" (Some 5) (shift ~line:32 ~page:96);
+  check "64-byte lines, 96-byte pages" None (shift ~line:64 ~page:96);
+  check "64-byte lines, 100-byte pages" None (shift ~line:64 ~page:100);
+  check "48-byte lines, 4800-byte pages" None (shift ~line:48 ~page:4800)
+
 (* ------------------------------------------------------------------ *)
 
 let pt () = Mem.Page_table.create ~page_size:cfg.page_size ()
@@ -262,9 +280,12 @@ let test_addr_map_table () =
       let am =
         Machine.Addr_map.create c (Map_variants.page_table c ~pages ~kind)
       in
+      check_bool (what ^ ": lines tile pages iff the page holds whole lines")
+        (c.page_size mod c.l2_line = 0)
+        (Machine.Config.line_shift c <> None);
       check_bool (what ^ ": a table only when lines tile pages") true
         (Machine.Addr_map.table_period am = None
-        || c.page_size mod c.l2_line = 0);
+        || Machine.Config.line_shift c <> None);
       let n = 2000 in
       let pas =
         Array.init n (fun _ -> Random.State.int rng (4 * pages * c.page_size))
@@ -389,6 +410,7 @@ let () =
         [
           Alcotest.test_case "defaults (Table 4)" `Quick test_config_default;
           Alcotest.test_case "validation" `Quick test_config_validate_errors;
+          Alcotest.test_case "lines tile pages" `Quick test_config_line_shift;
         ] );
       ( "addr_map",
         [
