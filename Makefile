@@ -165,8 +165,9 @@ fmt:
 	  echo "fmt: ocamlformat not installed, skipping"; \
 	fi
 
-# Verification-cost benchmark: Mapper.map with ~verify on vs off
-# (target: <= 5% overhead).
+# Verification-cost benchmark: Mapper.map with ~verify on vs off,
+# paired per round over >= 50 ms samples; exits non-zero when the
+# aggregate overhead passes the 5% budget. A CI step (about 35 s).
 bench-verify:
 	dune exec bench/verify_bench.exe
 

@@ -387,8 +387,7 @@ let () =
           max_inflight = !max_inflight;
           max_conns = !conns + 4;
           chaos;
-          breaker =
-            (if !breaker then Some Net.Breaker.default_config else None);
+          breaker = !breaker;
         }
       in
       let server = Net.Server.create ~config ~api () in

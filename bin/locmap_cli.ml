@@ -924,17 +924,10 @@ let serve_cmd =
     let svc = start_service serving in
     let quota =
       if quota_rate <= 0. then None
-      else
-        Some
-          {
-            Net.Quota.default_config with
-            Net.Quota.rate = quota_rate;
-            burst = quota_burst;
-          }
+      else Some { Net.Quota.rate = quota_rate; burst = quota_burst }
     in
     let config =
       {
-        Net.Server.default_config with
         Net.Server.host;
         port;
         max_conns;
@@ -942,7 +935,7 @@ let serve_cmd =
         drain_timeout_ms;
         idle_timeout_ms;
         quota;
-        breaker = (if breaker then Some Net.Breaker.default_config else None);
+        breaker;
         chaos;
       }
     in

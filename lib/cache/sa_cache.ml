@@ -9,9 +9,6 @@ type t = {
       (* sets * assoc entries, each set most recently used first: a
          valid way holds (line lsl 1) lor dirty, an invalid way -1, and
          invalid ways always follow the valid ones *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable writebacks : int;
   mutable last_victim : int;  (* base of the line the last miss evicted; -1 *)
   mutable last_victim_dirty : bool;
 }
@@ -46,9 +43,6 @@ let create ~size ~assoc ~line_size () =
        bit 61 is refused too. Wider lines keep every index below 2^61. *)
     bad_addr = (if line_size = 1 then min_int lor (1 lsl 61) else min_int);
     ways = Array.make lines (-1);
-    hits = 0;
-    misses = 0;
-    writebacks = 0;
     last_victim = -1;
     last_victim_dirty = false;
   }
@@ -104,7 +98,6 @@ let[@inline] lookup t ~addr ~wbit =
   let last = base + assoc - 1 in
   if p <= last && Array.unsafe_get ways p lor 1 = key then begin
     to_front ways ~base p (Array.unsafe_get ways p lor (entry land 1));
-    t.hits <- t.hits + 1;
     true
   end
   else begin
@@ -112,12 +105,9 @@ let[@inline] lookup t ~addr ~wbit =
        entry (the first invalid way, or else the LRU line) drops off. *)
     let p = if p > last then last else p in
     let victim = Array.unsafe_get ways p in
-    let victim_dirty = victim >= 0 && victim land 1 = 1 in
-    if victim_dirty then t.writebacks <- t.writebacks + 1;
     t.last_victim <- (if victim >= 0 then (victim lsr 1) * t.line_size else -1);
-    t.last_victim_dirty <- victim_dirty;
+    t.last_victim_dirty <- victim >= 0 && victim land 1 = 1;
     to_front ways ~base p entry;
-    t.misses <- t.misses + 1;
     false
   end
 
@@ -157,46 +147,15 @@ let filter t (buf : int array) ~len (out : int array) =
 let last_victim t = t.last_victim
 let last_victim_dirty t = t.last_victim_dirty
 
-(* The position of the line containing [addr] in its set, or -1. *)
-let position t addr =
+let probe t ~addr =
+  check_addr t addr "Sa_cache.probe";
   let line = line_of t addr in
   let base = set_of t line * t.assoc in
   let key = (line lsl 1) lor 1 in
   let p = find t.ways ~base ~assoc:t.assoc ~key in
-  if p < base + t.assoc && t.ways.(p) lor 1 = key then p else -1
-
-let probe t ~addr =
-  check_addr t addr "Sa_cache.probe";
-  position t addr >= 0
-
-let invalidate t ~addr =
-  check_addr t addr "Sa_cache.invalidate";
-  let p = position t addr in
-  if p >= 0 then begin
-    (* Close the gap so the invalid way sits at the tail. *)
-    let last = (p / t.assoc * t.assoc) + t.assoc - 1 in
-    Array.blit t.ways (p + 1) t.ways p (last - p);
-    t.ways.(last) <- -1
-  end
+  p < base + t.assoc && t.ways.(p) lor 1 = key
 
 let line_size t = t.line_size
 let num_sets t = t.sets
 let assoc t = t.assoc
 let capacity t = t.sets * t.assoc * t.line_size
-
-let reset t =
-  Array.fill t.ways 0 (Array.length t.ways) (-1);
-  t.hits <- 0;
-  t.misses <- 0;
-  t.writebacks <- 0;
-  t.last_victim <- -1;
-  t.last_victim_dirty <- false
-
-let hits t = t.hits
-let misses t = t.misses
-let writebacks t = t.writebacks
-let accesses t = t.hits + t.misses
-
-let hit_rate t =
-  let n = accesses t in
-  if n = 0 then 0. else float_of_int t.hits /. float_of_int n

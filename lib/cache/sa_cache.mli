@@ -35,10 +35,10 @@ val hit_run : t -> int array -> pos:int -> len:int -> int
     miss, which is installed and its victim recorded exactly as
     {!access} does, and returns that entry's index; it returns [len]
     when every entry hit. So [hit_run t buf ~pos ~len - pos] entries
-    hit, and the counters, recency order and victim fields end as a
-    loop of {!access} calls over the same entries leaves them. The
-    per-access work is the same as {!access}'s without a call per
-    entry: the simulator and the observed replay run their L1 through
+    hit, and the recency order and victim fields end as a loop of
+    {!access} calls over the same entries leaves them. The per-access
+    work is the same as {!access}'s without a call per entry: the
+    simulator and the observed replay run their L1 through
     it. Raises [Invalid_argument] unless [0 <= pos <= len <=
     Array.length buf], and on an entry {!access} would reject. *)
 
@@ -46,9 +46,9 @@ val filter : t -> int array -> len:int -> int array -> int
 (** [filter t buf ~len out] applies {!access} to the first [len] entries
     of [buf], encoded as for {!hit_run}, writes the entries that missed
     to [out] from index 0 in their order, and returns how many missed.
-    The counters, recency order and victim fields end as a loop of
-    {!access} calls over the same entries leaves them; the victim
-    fields describe the last miss. [out] may be [buf] itself. The
+    The recency order and victim fields end as a loop of {!access}
+    calls over the same entries leaves them; the victim fields describe
+    the last miss. [out] may be [buf] itself. The
     observed replay runs each chunk through L1 and, on the private LLC,
     the L1 misses through the bank with it: a consumer whose next level
     never acts back on this cache sees the same outcomes as when it
@@ -58,8 +58,8 @@ val filter : t -> int array -> len:int -> int array -> int
 
 val last_victim : t -> int
 (** Base address of the line evicted by the most recent miss, [-1] if
-    the victim way was invalid (or no miss happened since {!create} or
-    {!reset}). A hit leaves it unchanged. *)
+    the victim way was invalid (or no miss happened since {!create}).
+    A hit leaves it unchanged. *)
 
 val last_victim_dirty : t -> bool
 (** Whether the most recent miss evicted a dirty line, which must be
@@ -67,14 +67,8 @@ val last_victim_dirty : t -> bool
 
 val probe : t -> addr:int -> bool
 (** [probe t ~addr] is [true] iff the line is resident. Does not update
-    LRU or statistics — for inspection only. Rejects the addresses
-    {!access} rejects. *)
-
-val invalidate : t -> addr:int -> unit
-(** Drops the line containing [addr] if resident (dirtiness is
-    discarded; the caller is responsible for any writeback). The other
-    lines keep their recency order. Rejects the addresses {!access}
-    rejects. *)
+    LRU or the victim fields — for inspection only. Rejects the
+    addresses {!access} rejects. *)
 
 val line_size : t -> int
 
@@ -83,19 +77,3 @@ val num_sets : t -> int
 val assoc : t -> int
 
 val capacity : t -> int
-
-val reset : t -> unit
-(** Empties the cache and clears statistics. *)
-
-(** {2 Statistics} *)
-
-val hits : t -> int
-
-val misses : t -> int
-
-val writebacks : t -> int
-(** Dirty evictions performed so far. *)
-
-val accesses : t -> int
-
-val hit_rate : t -> float

@@ -43,9 +43,6 @@ type cme_stats = {
   (* One record per shard range, never shared across domains; flushed
      into the registry's sharded counters at range end. *)
   mutable st_accesses : int;  (* closed-form executions *)
-  mutable st_bulk_l1_hits : int;  (* L1 hits counted without visiting *)
-  mutable st_visited : int;  (* executions visited individually *)
-  mutable st_line_blocks : int;  (* bulk line-block summary updates *)
   mutable st_symbolic : int;  (* accesses resolved trace-free *)
   mutable st_periodic : int;  (* accesses on the periodic trace walkers *)
   mutable st_traced : int;  (* accesses of index-array references *)
@@ -54,9 +51,6 @@ type cme_stats = {
 let fresh_stats () =
   {
     st_accesses = 0;
-    st_bulk_l1_hits = 0;
-    st_visited = 0;
-    st_line_blocks = 0;
     st_symbolic = 0;
     st_periodic = 0;
     st_traced = 0;
@@ -64,9 +58,6 @@ let fresh_stats () =
 
 type cme_instruments = {
   ci_accesses : Obs.Metrics.counter;
-  ci_bulk_l1_hits : Obs.Metrics.counter;
-  ci_visited : Obs.Metrics.counter;
-  ci_line_blocks : Obs.Metrics.counter;
   ci_symbolic : Obs.Metrics.counter;
   ci_periodic : Obs.Metrics.counter;
   ci_traced : Obs.Metrics.counter;
@@ -78,18 +69,6 @@ let cme_instruments im =
       Obs.Metrics.counter im
         ~help:"accesses classified by the CME closed form"
         "locmap_cme_accesses_total";
-    ci_bulk_l1_hits =
-      Obs.Metrics.counter im
-        ~help:"L1 hits bulk-counted without visiting the access"
-        "locmap_cme_bulk_l1_hits_total";
-    ci_visited =
-      Obs.Metrics.counter im
-        ~help:"accesses visited individually for location lookup"
-        "locmap_cme_visited_total";
-    ci_line_blocks =
-      Obs.Metrics.counter im
-        ~help:"bulk line-block summary updates (one location lookup each)"
-        "locmap_cme_line_block_updates_total";
     ci_symbolic =
       Obs.Metrics.counter im
         ~help:"accesses resolved by the trace-free symbolic tier"
@@ -106,9 +85,6 @@ let cme_instruments im =
 
 let flush_stats ci st =
   Obs.Metrics.add ci.ci_accesses st.st_accesses;
-  Obs.Metrics.add ci.ci_bulk_l1_hits st.st_bulk_l1_hits;
-  Obs.Metrics.add ci.ci_visited st.st_visited;
-  Obs.Metrics.add ci.ci_line_blocks st.st_line_blocks;
   Obs.Metrics.add ci.ci_symbolic st.st_symbolic;
   Obs.Metrics.add ci.ci_periodic st.st_periodic;
   Obs.Metrics.add ci.ci_traced st.st_traced
@@ -259,8 +235,6 @@ let cme_set w ~stats trace ctx aps
          trivially closed-form, so the symbolic tier. *)
       let nmiss = if c0 = 0 && c1 > 0 then 1 else 0 in
       Summary.add_l1_hits sm (total - nmiss);
-      stats.st_bulk_l1_hits <- stats.st_bulk_l1_hits + (total - nmiss);
-      stats.st_visited <- stats.st_visited + nmiss;
       stats.st_symbolic <- stats.st_symbolic + total;
       if nmiss = 1 then
         Ir.Trace.iter_body_periodic trace ~nest:s.nest ~body:r ~first:0 ~hi:1
@@ -276,7 +250,6 @@ let cme_set w ~stats trace ctx aps
           stats.st_symbolic <- stats.st_symbolic + total;
           let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
           Summary.add_l1_hits sm (total - nmiss);
-          stats.st_bulk_l1_hits <- stats.st_bulk_l1_hits + (total - nmiss);
           if nmiss > 0 then begin
             Cme.Symbolic.decompose plan ~lo:s.lo ~hi:s.hi aps;
             assert (Cme.Symbolic.visited_total aps = nmiss);
@@ -302,14 +275,10 @@ let cme_set w ~stats trace ctx aps
             Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
               ~hi:s.hi
               ~line:(1 lsl Option.get w.lshift)
-              (fun ~addr ~count ->
-                stats.st_line_blocks <- stats.st_line_blocks + 1;
-                add_at w sm ~miss:true addr count)
+              (fun ~addr ~count -> add_at w sm ~miss:true addr count)
           else begin
             let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
             Summary.add_l1_hits sm (total - nmiss);
-            stats.st_bulk_l1_hits <- stats.st_bulk_l1_hits + (total - nmiss);
-            stats.st_visited <- stats.st_visited + nmiss;
             if nmiss > 0 then begin
               let first = (c0 + p1 - 1) / p1 * p1 in
               let p2 = Cme.llc_period p r in

@@ -93,19 +93,15 @@ val cme_summaries :
     each other.
 
     [metrics] feeds the fast-path counters —
-    [locmap_cme_accesses_total] (executions folded by the closed form),
-    [locmap_cme_bulk_l1_hits_total] (L1 hits counted without visiting),
-    [locmap_cme_visited_total] (executions visited individually),
-    [locmap_cme_line_block_updates_total] (bulk line-block updates) and
-    the per-tier coverage counters
+    [locmap_cme_accesses_total] (executions folded by the closed form)
+    and the per-tier coverage counters
     [locmap_cme_tier_symbolic_accesses_total],
     [locmap_cme_tier_periodic_accesses_total] and
     [locmap_cme_tier_traced_accesses_total] (every access lands in
     exactly one tier, so the three sum to [locmap_cme_accesses_total])
     — accumulated as plain ints per shard range and flushed once per
     range, so the hot loops never touch an atomic and the results stay
-    byte-identical with instrumentation on. Location lookups on
-    the walking tiers are [visited + line_blocks]. *)
+    byte-identical with instrumentation on. *)
 
 val observed_summaries :
   ?warm_pass:bool ->

@@ -369,26 +369,6 @@ let assignment ~where ~num_regions region_of_set =
     region_of_set;
   List.rev !bad
 
-(* Nest boundaries as (lo, len) slices of a set array, mirroring the
-   per-nest slicing of [Mapper.map]. *)
-let nest_slices (sets : Ir.Iter_set.t array) =
-  let slices = ref [] in
-  let start = ref 0 in
-  Array.iteri
-    (fun k (s : Ir.Iter_set.t) ->
-      if k > 0 && s.nest <> sets.(k - 1).Ir.Iter_set.nest then begin
-        slices := (sets.(k - 1).Ir.Iter_set.nest, !start, k - !start) :: !slices;
-        start := k
-      end)
-    sets;
-  if Array.length sets > 0 then
-    slices :=
-      ( sets.(Array.length sets - 1).Ir.Iter_set.nest,
-        !start,
-        Array.length sets - !start )
-      :: !slices;
-  List.rev !slices
-
 let balance ~where ~num_regions ~sets region_of_set =
   if Array.length sets <> Array.length region_of_set then
     [
@@ -420,7 +400,7 @@ let balance ~where ~num_regions ~sets region_of_set =
                       (Array.to_list (Array.map string_of_int counts)))
                    lo_b hi_b len num_regions;
                ])
-         (nest_slices sets))
+         (Ir.Iter_set.nest_slices sets))
 
 let placement ~where ?(in_region = true) (cfg : Machine.Config.t) regions
     ~region_of_set (sched : Machine.Schedule.t) =

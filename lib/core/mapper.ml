@@ -209,24 +209,11 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
   (* Algorithm 1 runs once per parallel loop nest: balancing (and the
      in-region placement below) must level each nest's load separately,
      because nests are barrier-separated phases. *)
-  let nest_slices =
-    let slices = ref [] in
-    let start = ref 0 in
-    Array.iteri
-      (fun k (s : Ir.Iter_set.t) ->
-        if k > 0 && s.nest <> sets.(k - 1).Ir.Iter_set.nest then begin
-          slices := (!start, k - !start) :: !slices;
-          start := k
-        end)
-      sets;
-    if Array.length sets > 0 then
-      slices := (!start, Array.length sets - !start) :: !slices;
-    List.rev !slices
-  in
+  let nest_slices = Ir.Iter_set.nest_slices sets in
   let region_of_set = Array.copy pre_balance_region in
   if balance then
     List.iter
-      (fun (lo, len) ->
+      (fun (_, lo, len) ->
         let sub = Array.sub pre_balance_region lo len in
         let balanced =
           Balance.balance ~regions
@@ -275,7 +262,7 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
   in
   let core_of = Array.make (Array.length sets) 0 in
   List.iter
-    (fun (lo, len) ->
+    (fun (_, lo, len) ->
       let sub_core =
         place_within_regions cfg regions rng ~allowed
           ~region_of_set:(Array.sub region_of_set lo len)

@@ -67,8 +67,10 @@ let key cfg prepared strategy =
 let fresh_pt (cfg : Machine.Config.t) =
   Mem.Page_table.create ~page_size:cfg.page_size ()
 
-(* Estimation-error measurement costs two extra functional replays per
-   mapping; only the Figure 7a/8a configurations report it. *)
+(* Estimation-error measurement costs one extra functional replay per
+   mapping (the warm replay, which re-runs only the step-0 accesses of
+   the address classes step 1 can hit); only the Figure 7a/8a
+   configurations report it. *)
 let wants_error_measurement (cfg : Machine.Config.t) =
   cfg = Machine.Config.default
   || cfg = { Machine.Config.default with llc_org = Cache.Llc.Shared }

@@ -23,4 +23,14 @@ let partition (p : Program.t) ~fraction =
          partition_nest ~iterations:(Loop_nest.iterations n) ~nest ~fraction)
   |> Array.concat
 
+let nest_slices (sets : t array) =
+  let n = Array.length sets in
+  let rec go k start acc =
+    if k = n then List.rev acc
+    else if k + 1 = n || sets.(k + 1).nest <> sets.(k).nest then
+      go (k + 1) (k + 1) ((sets.(k).nest, start, k + 1 - start) :: acc)
+    else go (k + 1) start acc
+  in
+  go 0 0 []
+
 let pp ppf t = Format.fprintf ppf "set(nest %d, [%d,%d))" t.nest t.lo t.hi

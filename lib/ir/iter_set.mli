@@ -24,4 +24,11 @@ val partition : Program.t -> fraction:float -> t array
 val partition_nest : iterations:int -> nest:int -> fraction:float -> t array
 (** Single-nest variant of {!partition}. *)
 
+val nest_slices : t array -> (int * int * int) list
+(** [nest_slices sets] cuts [sets] where the nest changes, as
+    [(nest, lo, len)] slices in order: [sets.(lo)] to
+    [sets.(lo + len - 1)] are consecutive sets of [nest]. Mapping
+    balances and places each slice on its own, since nests are
+    barrier-separated phases. Empty for no sets. *)
+
 val pp : Format.formatter -> t -> unit

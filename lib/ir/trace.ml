@@ -39,11 +39,7 @@ let step_var = "t"
 let compile_coeffs vars e =
   Array.map (fun v -> Affine.coeff e v) vars
 
-(* Static bounds check: the extreme element indices of an affine
-   reference over the loop (and step) ranges must stay inside the
-   array. *)
-let check_direct_bounds prog (n : Loop_nest.t) (a : Access.t) e =
-  let decl = Program.array_decl prog a.array_name in
+let affine_range prog (n : Loop_nest.t) e =
   let ranges =
     (step_var, 0, prog.Program.time_steps - 1)
     :: List.map
@@ -51,15 +47,20 @@ let check_direct_bounds prog (n : Loop_nest.t) (a : Access.t) e =
            (l.var, l.lo, l.lo + ((Loop_nest.trip l - 1) * l.step)))
          (n.par :: n.inner)
   in
-  let lo, hi =
-    List.fold_left
-      (fun (lo, hi) (v, vlo, vhi) ->
-        let c = Affine.coeff e v in
-        if c >= 0 then (lo + (c * vlo), hi + (c * vhi))
-        else (lo + (c * vhi), hi + (c * vlo)))
-      (Affine.constant_part e, Affine.constant_part e)
-      ranges
-  in
+  List.fold_left
+    (fun (lo, hi) (v, vlo, vhi) ->
+      let c = Affine.coeff e v in
+      if c >= 0 then (lo + (c * vlo), hi + (c * vhi))
+      else (lo + (c * vhi), hi + (c * vlo)))
+    (Affine.constant_part e, Affine.constant_part e)
+    ranges
+
+(* Static bounds check: the extreme element indices of an affine
+   reference over the loop (and step) ranges must stay inside the
+   array. *)
+let check_direct_bounds prog (n : Loop_nest.t) (a : Access.t) e =
+  let decl = Program.array_decl prog a.array_name in
+  let lo, hi = affine_range prog n e in
   if lo < 0 || hi >= decl.length then
     invalid_arg
       (Printf.sprintf

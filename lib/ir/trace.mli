@@ -36,6 +36,14 @@ val step_var : string
     it to address per-step data slices; it is bound to the timing-loop
     index during expansion. *)
 
+val affine_range : Program.t -> Loop_nest.t -> Affine.t -> int * int
+(** [affine_range prog nest e] is the interval [(lo, hi)], both
+    inclusive, that [e] takes over [nest]'s loop ranges and the
+    program's timing steps ({!step_var} from 0 to [time_steps - 1]):
+    each variable contributes its coefficient times its first or last
+    value, whichever bounds the sum. {!create} checks every direct
+    reference's index against its array with it. *)
+
 val iter_range :
   ?step:int ->
   t ->

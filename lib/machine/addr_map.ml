@@ -34,12 +34,11 @@ let num_nodes t = Noc.Topology.num_nodes t.topo
 (* Under the round-robin maps a physical line's bank and MC depend only
    on the line and its page, and both cycle: the bank with the node
    count (in lines or pages), the MC with the MC count, or with the
-   bank under [Quadrant]. Under [Snc4] the page's domain (page mod 4,
-   unless the page table assigns one) picks the MC and the quadrant
-   whose nodes the line cycles over. With a power-of-two line that
-   divides the page, page = line / lines-per-page, so one period of
-   lines, the lcm of the cycles, holds every location. The hashed map
-   and a page table with assigned domains have no such period. *)
+   bank under [Quadrant]. Under [Snc4] the page's domain (page mod 4)
+   picks the MC and the quadrant whose nodes the line cycles over. With
+   a power-of-two line that divides the page, page = line /
+   lines-per-page, so one period of lines, the lcm of the cycles, holds
+   every location. The hashed map has no such period. *)
 let period_lines t =
   let c = t.cfg in
   let lines_per_page = c.page_size / c.l2_line in
@@ -56,8 +55,7 @@ let period_lines t =
         Some (lcm banks (cycle c.dist.mem_gran (num_mcs t)))
     | Mem.Distribution.Quadrant -> Some banks
     | Mem.Distribution.Snc4
-      when Mem.Page_table.domain_count t.pt = 0
-           && Array.for_all (fun m -> Array.length m > 0) t.quadrant_nodes ->
+      when Array.for_all (fun m -> Array.length m > 0) t.quadrant_nodes ->
         Some
           (Array.fold_left
              (fun p m -> lcm p (Array.length m))
@@ -89,8 +87,7 @@ let default_bank t pa =
   Mem.Distribution.interleave t.cfg.dist.llc_gran ~page_size:t.cfg.page_size
     ~line_size:t.cfg.l2_line ~count:(num_nodes t) pa
 
-let snc4_domain t pa =
-  Mem.Page_table.domain t.pt ~addr:pa ~default:(pa / t.cfg.page_size mod 4)
+let snc4_domain t pa = pa / t.cfg.page_size mod 4
 
 let mc_of t pa =
   match t.cfg.dist.cluster with

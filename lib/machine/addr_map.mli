@@ -72,12 +72,9 @@ val period : t -> int option
 (** [Some p] when every location repeats after [p] physical lines:
     [mc_of t (pa + p * l2_line) = mc_of t pa], and likewise for
     {!bank_node_of}. That holds for the [Mesh_default], [Quadrant] and
-    [Snc4] cluster modes when lines tile pages ({!Config.line_shift}),
-    except for [Snc4] when the page table given to
-    {!create} had pages with assigned domains (re-create the map after
-    assigning some). [p] is the lcm of the
-    cycles, in lines (1152 for the default config). [None] for
-    [All_to_all] and the other configs. *)
+    [Snc4] cluster modes when lines tile pages ({!Config.line_shift}).
+    [p] is the lcm of the cycles, in lines (1152 for the default
+    config). [None] for [All_to_all] and the other configs. *)
 
 val table_period : t -> int option
 (** {!period} when it is at most 2{^15} lines, else [None]: the period

@@ -19,7 +19,6 @@ let job ?steps ?(cores = [||]) ?(step_overhead = fun _ -> 0) ~trace
 type result = {
   stats : Stats.t;
   job_finish : int array;
-  net_latency_histogram : int array;
   link_busy : int array;
 }
 
@@ -569,7 +568,6 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
   {
     stats = st.stats;
     job_finish;
-    net_latency_histogram = Noc.Network.latency_histogram st.net;
     link_busy = Noc.Network.link_busy st.net;
   }
 

@@ -50,8 +50,6 @@ val job :
 type result = {
   stats : Stats.t;
   job_finish : int array;  (** completion cycle of each job *)
-  net_latency_histogram : int array;
-      (** bucket [k] counts packets with latency in [2^k, 2^(k+1)) *)
   link_busy : int array;  (** cumulative occupancy per directed link *)
 }
 

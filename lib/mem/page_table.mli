@@ -7,10 +7,7 @@
     model that contract directly: translation is the identity unless a
     page has been explicitly remapped, and remapping is the mechanism
     the data-layout-optimisation baseline uses to move pages between
-    MCs.
-
-    The table also records an optional NUMA *domain* per page, used by
-    the KNL SNC-4 cluster mode (domain = quadrant owning the page). *)
+    MCs. *)
 
 type t
 
@@ -30,15 +27,5 @@ val remap_page : t -> vpage:int -> ppage:int -> unit
 val mapped_page : t -> vpage:int -> int
 (** Physical page currently backing [vpage] (identity by default). *)
 
-val set_domain : t -> vpage:int -> int -> unit
-(** Assigns a NUMA domain (e.g. KNL quadrant) to a page. *)
-
-val domain : t -> addr:int -> default:int -> int
-(** Domain of the page containing the *virtual* address [addr];
-    [default] when unset. *)
-
 val remapped_count : t -> int
 (** Number of pages with a non-identity mapping. *)
-
-val domain_count : t -> int
-(** Number of pages given a domain with {!set_domain}. *)

@@ -5,20 +5,14 @@ let state_name = function
   | Open -> "open"
   | Half_open -> "half_open"
 
-type config = {
-  window : int;
-  min_events : int;
-  trip_ratio : float;
-  open_ms : float;
-  probes : int;
-}
-
-let default_config =
-  { window = 64; min_events = 16; trip_ratio = 0.5; open_ms = 1_000.;
-    probes = 3 }
+(* The one policy: a window of 64 outcomes, tripping once it holds 16
+   and half of them are bad, a 1 s brownout dwell and 3 probes. *)
+let window = 64
+let min_events = 16
+let open_ms = 1_000.
+let probes = 3
 
 type t = {
-  cfg : config;
   now : unit -> int64;
   lock : Mutex.t;  (** guards every mutable field below *)
   ring : bool array;  (** [true] = bad outcome; a sliding window *)
@@ -35,15 +29,7 @@ type t = {
 
 let gauge_of_state = function Closed -> 0 | Half_open -> 1 | Open -> 2
 
-let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
-  if cfg.window < 1 then invalid_arg "Breaker.create: window must be >= 1";
-  if cfg.min_events < 1 then
-    invalid_arg "Breaker.create: min_events must be >= 1";
-  if not (cfg.trip_ratio > 0. && cfg.trip_ratio <= 1.) then
-    invalid_arg "Breaker.create: trip_ratio must be in (0, 1]";
-  if cfg.open_ms <= 0. then
-    invalid_arg "Breaker.create: open_ms must be positive";
-  if cfg.probes < 1 then invalid_arg "Breaker.create: probes must be >= 1";
+let create ?metrics ?(now = Obs.Clock.now_ns) () =
   let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   (* Registration order is snapshot order. *)
   let trips =
@@ -55,10 +41,9 @@ let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
       "locmap_net_breaker_state"
   in
   {
-    cfg;
     now;
     lock = Mutex.create ();
-    ring = Array.make cfg.window false;
+    ring = Array.make window false;
     next = 0;
     filled = 0;
     bad = 0;
@@ -98,7 +83,7 @@ let allow t =
           let elapsed_ms =
             Obs.Clock.ns_to_ms (Int64.sub (t.now ()) t.opened_at)
           in
-          if elapsed_ms >= t.cfg.open_ms then begin
+          if elapsed_ms >= open_ms then begin
             set_state t Half_open;
             t.probes_out <- 1;
             t.probes_ok <- 0;
@@ -106,7 +91,7 @@ let allow t =
           end
           else false
       | Half_open ->
-          if t.probes_out < t.cfg.probes then begin
+          if t.probes_out < probes then begin
             t.probes_out <- t.probes_out + 1;
             true
           end
@@ -119,7 +104,7 @@ let record t ~ok =
       | Half_open ->
           if ok then begin
             t.probes_ok <- t.probes_ok + 1;
-            if t.probes_ok >= t.cfg.probes then begin
+            if t.probes_ok >= probes then begin
               clear_window t;
               set_state t Closed
             end
@@ -127,18 +112,14 @@ let record t ~ok =
           else trip t
       | Closed ->
           let slot = t.next in
-          t.next <- (slot + 1) mod t.cfg.window;
-          if t.filled = t.cfg.window then begin
+          t.next <- (slot + 1) mod window;
+          if t.filled = window then begin
             if t.ring.(slot) then t.bad <- t.bad - 1
           end
           else t.filled <- t.filled + 1;
           t.ring.(slot) <- not ok;
           if not ok then t.bad <- t.bad + 1;
-          if
-            t.filled >= t.cfg.min_events
-            && float_of_int t.bad
-               >= t.cfg.trip_ratio *. float_of_int t.filled
-          then trip t)
+          if t.filled >= min_events && 2 * t.bad >= t.filled then trip t)
 
 let state t = Mutex.protect t.lock (fun () -> t.st)
 let trips_total t = Obs.Metrics.counter_value t.trips

@@ -11,16 +11,16 @@
     The breaker is that state machine:
 
     - {b Closed} (healthy): outcomes of fresh compute — served ok vs
-      shed/faulted — stream into a sliding window. When the window
-      holds at least [min_events] outcomes and the bad fraction
-      reaches [trip_ratio], the breaker {e trips} to Open.
+      shed/faulted — stream into a sliding window of the last 64. When
+      the window holds at least 16 outcomes and at least half of them
+      are bad, the breaker {e trips} to Open.
     - {b Open} (brownout): {!allow} refuses fresh compute; the server
       answers from cache or with the cheap fallback mapping, shedding
       the rest with a retryable [Fault.Overload] (scope ["brownout"]).
-      After [open_ms] the breaker moves to Half-open.
-    - {b Half-open} (probing): {!allow} lets through up to [probes]
-      requests. [probes] consecutive successes close the breaker; any
-      failure reopens it (and restarts the [open_ms] clock).
+      After 1 s the breaker moves to Half-open.
+    - {b Half-open} (probing): {!allow} lets through up to 3 requests.
+      3 consecutive successes close the breaker; any failure reopens
+      it (and restarts the 1 s clock).
 
     The clock is injectable ([?now]) so every transition is exactly
     testable — [test/test_net.ml] drives a full
@@ -36,33 +36,22 @@ val state_name : state -> string
 (** ["closed"], ["open"], ["half_open"] — the health-surface JSON
     rendering. *)
 
-type config = {
-  window : int;  (** sliding window of recent outcomes, >= 1 *)
-  min_events : int;  (** outcomes required before tripping, >= 1 *)
-  trip_ratio : float;  (** bad fraction that trips, in (0, 1] *)
-  open_ms : float;  (** brownout dwell before probing, > 0 *)
-  probes : int;  (** consecutive successes to close, >= 1 *)
-}
-
-val default_config : config
-(** Window 64, min 16 events, trip at 50% bad, 1 s open, 3 probes. *)
-
 type t
 
-val create : ?metrics:Obs.Metrics.t -> ?now:(unit -> int64) -> config -> t
-(** Raises [Invalid_argument] on an out-of-range field. Registers
-    [locmap_net_breaker_state] (gauge: 0 closed, 1 half-open, 2 open)
-    and [locmap_net_breaker_trips_total] (counter, read by
-    {!trips_total}) in [metrics], or in a private registry.
+val create : ?metrics:Obs.Metrics.t -> ?now:(unit -> int64) -> unit -> t
+(** A closed breaker. Registers [locmap_net_breaker_state] (gauge: 0
+    closed, 1 half-open, 2 open) and [locmap_net_breaker_trips_total]
+    (counter, read by {!trips_total}) in [metrics], or in a private
+    registry.
     Registration is idempotent, so two breakers created on one
     registry share these instruments. [now] supplies monotonic
     nanoseconds. *)
 
 val allow : t -> bool
-(** May fresh compute proceed? Closed: always. Open: [false] until
-    [open_ms] has elapsed, at which point the breaker flips to
+(** May fresh compute proceed? Closed: always. Open: [false] until the
+    1 s dwell has elapsed, at which point the breaker flips to
     Half-open and this call is the first probe. Half-open: [true] for
-    up to [probes] outstanding probes, [false] beyond. *)
+    up to 3 outstanding probes, [false] beyond. *)
 
 val record : t -> ok:bool -> unit
 (** The outcome of one allowed request: [ok = true] for a served

@@ -1,10 +1,10 @@
 type config = {
   rate : float;
   burst : float;
-  max_clients : int;
 }
 
-let default_config = { rate = 50.; burst = 25.; max_clients = 1024 }
+let default_config = { rate = 50.; burst = 25. }
+let max_clients = 1024
 
 type bucket = {
   mutable tokens : float;  (* guarded by [t.lock] *)
@@ -24,8 +24,6 @@ type t = {
 let create ?metrics ?(now = Obs.Clock.now_ns) cfg =
   if cfg.rate <= 0. then invalid_arg "Quota.create: rate must be positive";
   if cfg.burst < 1. then invalid_arg "Quota.create: burst must be >= 1";
-  if cfg.max_clients < 1 then
-    invalid_arg "Quota.create: max_clients must be positive";
   let im = match metrics with Some m -> m | None -> Obs.Metrics.create () in
   (* Registration order is snapshot order. *)
   let clients_gauge =
@@ -90,7 +88,7 @@ let try_take t client =
               false
             end
         | None ->
-            if Hashtbl.length t.buckets >= t.cfg.max_clients then
+            if Hashtbl.length t.buckets >= max_clients then
               evict_oldest t;
             Hashtbl.replace t.buckets client
               { tokens = t.cfg.burst -. 1.; last_ns = now };

@@ -10,7 +10,7 @@
     [Fault.Overload] (scope ["quota"]) {e before} it can touch the
     shared admission budget.
 
-    The client table is bounded ([max_clients]): admitting a new
+    The client table is bounded ({!max_clients}): admitting a new
     client past the bound evicts the longest-idle one (its bucket
     restarts full if it returns — a brief amnesty, which errs on the
     side of serving). Evictions are counted; a production deployment
@@ -28,17 +28,19 @@
 type config = {
   rate : float;  (** sustained tokens (requests) per second, > 0 *)
   burst : float;  (** bucket capacity — the tolerated burst, >= 1 *)
-  max_clients : int;  (** bound on tracked clients, >= 1 *)
 }
 
 val default_config : config
-(** 50 req/s sustained, burst 25, 1024 tracked clients. *)
+(** 50 req/s sustained, burst 25. *)
+
+val max_clients : int
+(** The bound on tracked clients: 1024. *)
 
 type t
 
 val create : ?metrics:Obs.Metrics.t -> ?now:(unit -> int64) -> config -> t
-(** Raises [Invalid_argument] on a non-positive [rate], a [burst]
-    below 1, or a non-positive [max_clients]. Registers
+(** Raises [Invalid_argument] on a non-positive [rate] or a [burst]
+    below 1. Registers
     [locmap_net_quota_denied_total], [locmap_net_quota_evictions_total]
     (counters, read by {!denied_total} and {!evictions_total}) and
     [locmap_net_quota_clients] (gauge) in [metrics], or in a private
@@ -52,7 +54,7 @@ val try_take : t -> string -> bool
     starts with a full bucket. *)
 
 val clients : t -> int
-(** Clients currently tracked (<= [max_clients]). *)
+(** Clients currently tracked (<= {!max_clients}). *)
 
 val denied_total : t -> int
 

@@ -1,18 +1,12 @@
 type config = {
   host : string;
   port : int;
-  backlog : int;
   max_conns : int;
   max_inflight : int;
   drain_timeout_ms : float;
-  max_line_bytes : int;
-  poll_interval_ms : float;
   idle_timeout_ms : float;
-  write_timeout_ms : float;
   quota : Quota.config option;
-  quota_per_conn : bool;
-  breaker : Breaker.config option;
-  brownout_degrade : bool;
+  breaker : bool;
   chaos : Chaos.plan;
 }
 
@@ -20,20 +14,21 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 0;
-    backlog = 64;
     max_conns = 32;
     max_inflight = 8;
     drain_timeout_ms = 5_000.;
-    max_line_bytes = Frame.default_max_line_bytes;
-    poll_interval_ms = 50.;
     idle_timeout_ms = 60_000.;
-    write_timeout_ms = 10_000.;
     quota = None;
-    quota_per_conn = false;
-    breaker = None;
-    brownout_degrade = true;
+    breaker = false;
     chaos = Chaos.none;
   }
+
+(* The select granularity: the latency bound on noticing a stop request
+   or a newly readable or writable socket. *)
+let poll_s = 0.05
+
+(* How long a response write may wait on a peer that stops reading. *)
+let write_timeout_ns = 10_000_000_000L
 
 type stats = {
   conns_accepted : int;
@@ -300,7 +295,7 @@ let handle t ~conn_id ~peer fd =
     | Some c -> Chaos.write c fd buf pos len
     | None -> Unix.write fd buf pos len
   in
-  let reader = Frame.create ~max_line_bytes:cfg.max_line_bytes () in
+  let reader = Frame.create () in
   let buf = Bytes.create 16384 in
   let raw_line = ref 0 in
   let next_id = ref 0 in
@@ -317,25 +312,15 @@ let handle t ~conn_id ~peer fd =
   let write_all s =
     let b = Bytes.unsafe_of_string s in
     let n = Bytes.length b in
-    let deadline =
-      if cfg.write_timeout_ms > 0. then
-        Some
-          (Int64.add (Obs.Clock.now_ns ())
-             (Int64.of_float (cfg.write_timeout_ms *. 1_000_000.)))
-      else None
-    in
+    let deadline = Int64.add (Obs.Clock.now_ns ()) write_timeout_ns in
     let rec go off =
       if off < n then begin
-        (match deadline with
-        | Some d when Obs.Clock.now_ns () > d -> raise Write_timed_out
-        | _ -> ());
+        if Obs.Clock.now_ns () > deadline then raise Write_timed_out;
         match chaos_write fd b off (n - off) with
         | w -> go (off + w)
         | exception Unix.Unix_error (EINTR, _, _) -> go off
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
-            (match
-               Unix.select [] [ fd ] [] (cfg.poll_interval_ms /. 1000.)
-             with
+            (match Unix.select [] [ fd ] [] poll_s with
             | exception Unix.Unix_error (EINTR, _, _) -> ()
             | _ -> ());
             go off
@@ -430,12 +415,9 @@ let handle t ~conn_id ~peer fd =
                     Service.Fault.Overload
                       { scope = "brownout"; limit = cfg.max_inflight }
                   in
-                  let fallback =
-                    if cfg.brownout_degrade then
-                      Service.Api.fallback_response t.api ~id ~fault req
-                    else None
-                  in
-                  match fallback with
+                  match
+                    Service.Api.fallback_response t.api ~id ~fault req
+                  with
                   | Some resp ->
                       Obs.Metrics.incr t.obs.i_brownout_degraded;
                       respond resp
@@ -494,7 +476,7 @@ let handle t ~conn_id ~peer fd =
       (Service.Response.error ~id ~hash:""
          (Service.Fault.Invalid_request
             (Printf.sprintf "line %d: line of %d bytes exceeds the %d-byte limit"
-               !raw_line n cfg.max_line_bytes)))
+               !raw_line n Frame.default_max_line_bytes)))
   in
   (* The slowloris defense: a connection that completes no frame
      within the idle deadline — whether silent or trickling one byte
@@ -527,7 +509,7 @@ let handle t ~conn_id ~peer fd =
             alive := false
           end
           else begin
-            (match Unix.select [ fd ] [] [] (cfg.poll_interval_ms /. 1000.) with
+            (match Unix.select [ fd ] [] [] poll_s with
             | exception Unix.Unix_error (EINTR, _, _) -> ()
             | exception Unix.Unix_error (EBADF, _, _) -> alive := false
             | [], _, _ -> ()
@@ -579,19 +561,15 @@ let reap t =
   in
   List.iter Domain.join finished
 
-let peer_key t sockaddr =
-  match sockaddr with
-  | Unix.ADDR_INET (a, p) ->
-      if t.cfg.quota_per_conn then
-        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
-      else Unix.string_of_inet_addr a
+let peer_key = function
+  | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
   | Unix.ADDR_UNIX s -> s
 
 let acceptor_loop t () =
   let rec loop () =
     reap t;
     if not (Atomic.get t.stop) then begin
-      (match Unix.select [ t.lfd ] [] [] (t.cfg.poll_interval_ms /. 1000.) with
+      (match Unix.select [ t.lfd ] [] [] poll_s with
       | exception Unix.Unix_error (EINTR, _, _) -> ()
       | [], _, _ -> ()
       | _ -> (
@@ -625,7 +603,7 @@ let acceptor_loop t () =
                 (* Spawn and register under one lock so the handler's
                    completion notice (also under [t.lock]) can never
                    precede registration. *)
-                let peer = peer_key t sockaddr in
+                let peer = peer_key sockaddr in
                 Mutex.protect t.lock (fun () ->
                     let id = t.next_conn_id in
                     t.next_conn_id <- id + 1;
@@ -648,12 +626,8 @@ let acceptor_loop t () =
 let create ?(config = default_config) ?metrics ?tracer ~api () =
   if config.max_conns < 1 then
     invalid_arg "Server.create: max_conns must be positive";
-  if config.poll_interval_ms <= 0. then
-    invalid_arg "Server.create: poll_interval_ms must be positive";
   if config.idle_timeout_ms < 0. then
     invalid_arg "Server.create: idle_timeout_ms must be >= 0";
-  if config.write_timeout_ms < 0. then
-    invalid_arg "Server.create: write_timeout_ms must be >= 0";
   (* A dead peer must surface as a write error, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
@@ -663,7 +637,7 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
       Unix.setsockopt lfd Unix.SO_REUSEADDR true;
       Unix.bind lfd
         (Unix.ADDR_INET (Unix.inet_addr_of_string config.host, config.port));
-      Unix.listen lfd config.backlog;
+      Unix.listen lfd 64;
       match Unix.getsockname lfd with
       | Unix.ADDR_INET (_, p) -> p
       | _ -> assert false
@@ -677,7 +651,9 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
   (* Registration order is exposition order: the server's instruments,
      then the breaker's, the quota's and admission's. *)
   let obs = instruments metrics in
-  let breaker = Option.map (Breaker.create ~metrics) config.breaker in
+  let breaker =
+    if config.breaker then Some (Breaker.create ~metrics ()) else None
+  in
   let quota = Option.map (Quota.create ~metrics) config.quota in
   let admission = Admission.create ~metrics ~limit:config.max_inflight () in
   let t =
@@ -768,7 +744,7 @@ let drain t =
                   with Unix.Unix_error _ -> ())
                 remaining
             end
-            else Unix.sleepf (t.cfg.poll_interval_ms /. 1000.);
+            else Unix.sleepf poll_s;
             wait ()
       in
       wait ();
@@ -780,7 +756,7 @@ let drain t =
 
 let run t =
   while not (Atomic.get t.stop) do
-    try Unix.sleepf (t.cfg.poll_interval_ms /. 1000.)
+    try Unix.sleepf poll_s
     with Unix.Unix_error (EINTR, _, _) -> ()
   done;
   drain t

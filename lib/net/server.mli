@@ -17,9 +17,10 @@
     client gets one [Fault.Overload] line and a close), and spawns one
     {e handler domain} per connection. Handlers speak the exact
     JSON-lines wire format of [locmap batch]: frames come from
-    {!Frame} (partial reads, CRLF/LF, oversized lines), blank and
-    [#]-comment lines are skipped, a malformed line is answered with a
-    per-line [Invalid_request] response — never a dropped connection —
+    {!Frame} (partial reads, CRLF/LF, lines over
+    {!Frame.default_max_line_bytes}), blank and [#]-comment lines are
+    skipped, a malformed line is answered with a per-line
+    [Invalid_request] response — never a dropped connection —
     and response [id]s number the processed lines per connection, so a
     client that pipelines a file over one connection gets byte-for-byte
     the lines [locmap batch] would have produced.
@@ -74,23 +75,23 @@
       reclaiming its handler domain. The clock restarts on every
       complete frame, so a legitimate slow-but-working client is never
       cut off mid-conversation.
-    - {e Write deadline} ([write_timeout_ms]): a peer that stops
-      reading cannot wedge a handler mid-response; the write loop
-      waits for writability in poll-sized slices and gives up at the
-      deadline (counted as a write error, connection dropped).
+    - {e Write deadline} (10 s): a peer that stops reading cannot
+      wedge a handler mid-response; the write loop waits for
+      writability in 50 ms slices and gives up at the deadline
+      (counted as a write error, connection dropped).
     - {e Per-client quota} ([quota], {!Quota}): a token bucket per
       peer address, checked {e before} the shared admission budget, so
       one greedy client is shed (scope ["quota"]) without starving the
-      rest. [quota_per_conn] keys by [ip:port] instead of [ip] —
-      for tests and trusted-proxy setups where all peers share an IP.
+      rest. The key is the peer's IP address, so all connections from
+      one host share a bucket.
 
     {b Brownout} ([breaker], {!Breaker}): a circuit breaker watches
     fresh-compute outcomes (shed-for-capacity and faulted/degraded
     responses are "bad"). Tripped, the server stops fresh compute:
     cache hits are still served, cache misses get the cheap fallback
     mapping ([Service.Api.fallback_response], a degraded response
-    carrying scope ["brownout"]) when [brownout_degrade] is on, and a
-    retryable [Overload] (scope ["brownout"]) otherwise. Brownout
+    carrying scope ["brownout"]) where one exists, and a retryable
+    [Overload] (scope ["brownout"]) otherwise. Brownout
     outcomes do not feed the breaker; recovery happens via half-open
     probes (see {!Breaker}). Quota and draining sheds never feed the
     breaker either — they are client or lifecycle conditions, not
@@ -119,39 +120,22 @@
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
   port : int;  (** 0 = ephemeral; see {!port} for the actual one *)
-  backlog : int;
   max_conns : int;  (** connection cap (each holds a handler domain) *)
   max_inflight : int;  (** admission budget fed to {!Admission} *)
   drain_timeout_ms : float;
       (** how long {!drain} waits for idle connections before
           force-closing them; in-flight computation always completes *)
-  max_line_bytes : int;  (** per-line cap fed to {!Frame} *)
-  poll_interval_ms : float;
-      (** select granularity — the latency bound on noticing a stop
-          request or a newly readable socket *)
   idle_timeout_ms : float;
       (** close a connection that completes no frame within this
           deadline (slowloris defense); 0 disables *)
-  write_timeout_ms : float;
-      (** give up on a response write the peer will not drain within
-          this deadline; 0 disables (writes may then block on select
-          forever against a stuck peer) *)
   quota : Quota.config option;  (** per-client token bucket; [None] = off *)
-  quota_per_conn : bool;
-      (** key quotas by [ip:port] instead of [ip] (tests, proxies) *)
-  breaker : Breaker.config option;
-      (** circuit breaker / brownout; [None] = off *)
-  brownout_degrade : bool;
-      (** in brownout, answer cache misses with the fallback mapping
-          (degraded) instead of shedding them *)
+  breaker : bool;  (** circuit breaker / brownout ({!Breaker}) *)
   chaos : Chaos.plan;  (** socket fault injection; {!Chaos.none} = off *)
 }
 
 val default_config : config
-(** 127.0.0.1:0 (ephemeral), backlog 64, 32 connections, 8 in flight,
-    5 s drain timeout, {!Frame.default_max_line_bytes}, 50 ms poll,
-    60 s idle deadline, 10 s write deadline, quota and breaker off,
-    [brownout_degrade = true], {!Chaos.none}. *)
+(** 127.0.0.1:0 (ephemeral), 32 connections, 8 in flight, 5 s drain
+    timeout, 60 s idle deadline, quota and breaker off, {!Chaos.none}. *)
 
 type stats = {
   conns_accepted : int;

@@ -1,5 +1,4 @@
 type t = {
-  topo : Topology.t;
   router_overhead : int;
   ideal : bool;
   cols : int;
@@ -12,7 +11,6 @@ type t = {
       (** [(col * rows + src_row) * rows + dst_row] -> start in [legs] *)
   free_at : int array;  (** per directed link: first cycle it is free *)
   busy : int array;  (** per directed link: cumulative occupancy cycles *)
-  lat_hist : int array;  (** per-packet latency histogram, log2 buckets *)
   mutable total_latency : int;
   mutable total_queueing : int;
   mutable packets : int;
@@ -54,7 +52,6 @@ let create ?(ideal = false) ~router_overhead topo =
   let legs, x_leg, y_leg = build_legs topo in
   let cols = Topology.cols topo in
   {
-    topo;
     router_overhead;
     ideal;
     cols;
@@ -66,15 +63,11 @@ let create ?(ideal = false) ~router_overhead topo =
     y_leg;
     free_at = Array.make (Routing.num_links topo) 0;
     busy = Array.make (Routing.num_links topo) 0;
-    lat_hist = Array.make 24 0;
     total_latency = 0;
     total_queueing = 0;
     packets = 0;
     hops = 0;
   }
-
-let topology t = t.topo
-let is_ideal t = t.ideal
 
 (* The packet's head crosses [link] no earlier than [time]: queue
    behind the link's earlier reservation, occupy it for [flits] cycles
@@ -108,31 +101,14 @@ let send t ~now ~src ~dst ~flits =
     done;
     (* Tail flits arrive [flits - 1] cycles after the head. *)
     let arrival = !time + flits - 1 in
-    let lat = arrival - now in
-    let bucket =
-      let rec go b v = if v <= 1 || b = 23 then b else go (b + 1) (v / 2) in
-      go 0 lat
-    in
-    t.lat_hist.(bucket) <- t.lat_hist.(bucket) + 1;
-    t.total_latency <- t.total_latency + lat;
+    t.total_latency <- t.total_latency + (arrival - now);
     t.packets <- t.packets + 1;
     t.hops <-
       t.hops + (t.x_leg.(x + 1) - t.x_leg.(x)) + (t.y_leg.(y + 1) - t.y_leg.(y));
     arrival
   end
 
-let latency_histogram t = Array.copy t.lat_hist
-
 let link_busy t = Array.copy t.busy
-
-let reset t =
-  Array.fill t.free_at 0 (Array.length t.free_at) 0;
-  Array.fill t.busy 0 (Array.length t.busy) 0;
-  Array.fill t.lat_hist 0 (Array.length t.lat_hist) 0;
-  t.total_latency <- 0;
-  t.total_queueing <- 0;
-  t.packets <- 0;
-  t.hops <- 0
 
 let total_latency t = t.total_latency
 let total_queueing t = t.total_queueing

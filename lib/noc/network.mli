@@ -24,18 +24,11 @@ val create : ?ideal:bool -> router_overhead:int -> Topology.t -> t
     (source, destination column) and a Y leg per (column, source row,
     destination row), so {!send} allocates nothing. *)
 
-val topology : t -> Topology.t
-
-val is_ideal : t -> bool
-
 val send : t -> now:int -> src:int -> dst:int -> flits:int -> int
 (** [send t ~now ~src ~dst ~flits] injects a packet at cycle [now] and
     returns its arrival cycle at [dst]. Link occupancy state is updated;
     statistics accumulate the packet's total latency and its queueing
     component. [src = dst] transfers instantly. *)
-
-val reset : t -> unit
-(** Clears link occupancy and statistics. *)
 
 (** {2 Statistics} *)
 
@@ -51,10 +44,6 @@ val total_hops : t -> int
 
 val avg_latency : t -> float
 (** Mean packet latency in cycles; [0.] if nothing was sent. *)
-
-val latency_histogram : t -> int array
-(** Per-packet latency histogram: bucket [k] counts packets with
-    latency in [2^k, 2^(k+1)). *)
 
 val link_busy : t -> int array
 (** Cumulative occupancy cycles per directed link id. *)

@@ -19,8 +19,6 @@ let default =
     degrade = false;
   }
 
-let off = { default with max_retries = 0; degrade = false }
-
 let is_off p = p.deadline_ms = None && p.max_retries = 0 && not p.degrade
 
 let now_ms () = Int64.to_float (Monotonic_clock.now ()) /. 1e6

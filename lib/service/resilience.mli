@@ -42,11 +42,9 @@ val default : policy
 (** No deadline, 2 retries, 5 ms base backoff doubling per attempt,
     ±50% jitter, seed 0, [degrade = false]. *)
 
-val off : policy
-(** No deadline, no retries, no degradation — {!Api} short-circuits the
-    whole resilience wrapper for this policy. *)
-
 val is_off : policy -> bool
+(** No deadline, no retries, no degradation — {!Api} short-circuits the
+    whole resilience wrapper for such a policy. *)
 
 val now_ms : unit -> float
 (** Monotonic milliseconds (CLOCK_MONOTONIC via bechamel); meaningful

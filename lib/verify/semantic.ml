@@ -48,24 +48,6 @@ let check_config ~where (cfg : Machine.Config.t) =
 (* ------------------------------------------------------------------ *)
 (* IR well-formedness.                                                 *)
 
-(* The affine range of [e] over the loop-domain ranges [(var, lo, hi)]
-   (hi inclusive — the last value the variable actually takes). *)
-let affine_range e ranges =
-  List.fold_left
-    (fun (lo, hi) (v, vlo, vhi) ->
-      let c = Ir.Affine.coeff e v in
-      if c >= 0 then (lo + (c * vlo), hi + (c * vhi))
-      else (lo + (c * vhi), hi + (c * vlo)))
-    (Ir.Affine.constant_part e, Ir.Affine.constant_part e)
-    ranges
-
-let loop_ranges (prog : Ir.Program.t) (n : Ir.Loop_nest.t) =
-  (Ir.Trace.step_var, 0, prog.Ir.Program.time_steps - 1)
-  :: List.map
-       (fun (l : Ir.Loop_nest.loop) ->
-         (l.var, l.lo, l.lo + ((Ir.Loop_nest.trip l - 1) * l.step)))
-       (n.par :: n.inner)
-
 let check_loop ~where (l : Ir.Loop_nest.loop) =
   if l.step <= 0 then
     [
@@ -81,10 +63,9 @@ let check_loop ~where (l : Ir.Loop_nest.loop) =
 
 let check_access ~where prog n (a : Ir.Access.t) =
   let decl = Ir.Program.array_decl prog a.Ir.Access.array_name in
-  let ranges = loop_ranges prog n in
   match a.Ir.Access.index with
   | Ir.Access.Direct e ->
-      let lo, hi = affine_range e ranges in
+      let lo, hi = Ir.Trace.affine_range prog n e in
       if lo < 0 || hi >= decl.Ir.Program.length then
         [
           diag ~where ~invariant:"affine-bounds"
@@ -95,7 +76,7 @@ let check_access ~where prog n (a : Ir.Access.t) =
       else []
   | Ir.Access.Indirect { table; pos; offset } ->
       let tbl = Ir.Program.find_table prog table in
-      let plo, phi = affine_range pos ranges in
+      let plo, phi = Ir.Trace.affine_range prog n pos in
       let pos_bad =
         if plo < 0 || phi >= Array.length tbl then
           [
@@ -111,7 +92,7 @@ let check_access ~where prog n (a : Ir.Access.t) =
         else begin
           let tmin = Array.fold_left min tbl.(0) tbl in
           let tmax = Array.fold_left max tbl.(0) tbl in
-          let olo, ohi = affine_range offset ranges in
+          let olo, ohi = Ir.Trace.affine_range prog n offset in
           if tmin + olo < 0 || tmax + ohi >= decl.Ir.Program.length then
             [
               diag ~where ~invariant:"indirect-bounds"

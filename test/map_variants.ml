@@ -1,13 +1,13 @@
 (* Address-map variants the replay, the location table and the line
    memo must all get right: the four cluster modes (three with a
-   compiled location table, one without), SNC-4 with assigned page
-   domains (no table), a page-grain LLC, remapped pages and an L1 whose
-   set count is not a power of two; and, in [page_variants], pages of
-   100 and 96 bytes, which a request may carry and which split 64-byte
-   lines across pages (no table either). Each is paired with a page
-   table whose remaps and domains land on the pages a test touches. *)
+   compiled location table, one without), a page-grain LLC, remapped
+   pages and an L1 whose set count is not a power of two; and, in
+   [page_variants], pages of 100 and 96 bytes, which a request may
+   carry and which split 64-byte lines across pages (no table either).
+   Each is paired with a page table whose remaps land on the pages a
+   test touches. *)
 
-type kind = [ `Fresh | `Remap | `Domains ]
+type kind = [ `Fresh | `Remap ]
 
 let with_dist (cfg : Machine.Config.t) f = { cfg with dist = f cfg.dist }
 
@@ -24,7 +24,6 @@ let variants : (string * Machine.Config.t * kind) list =
       with_dist d (fun x -> { x with cluster = Mem.Distribution.Quadrant }),
       `Fresh );
     ("snc4", snc4 d, `Fresh);
-    ("snc4, assigned domains", snc4 d, `Domains);
     ( "page-grain llc",
       with_dist d (fun x -> { x with llc_gran = Mem.Distribution.Page_grain }),
       `Fresh );
@@ -39,16 +38,11 @@ let page_variants : (string * Machine.Config.t * kind) list =
     ("96-byte pages", { d with page_size = 96 }, `Fresh);
   ]
 
-(* [`Remap]: every third of pages [0, pages] moves beyond them.
-   [`Domains]: every fifth gets a domain other than its default. *)
+(* [`Remap]: every third of pages [0, pages] moves beyond them. *)
 let page_table (cfg : Machine.Config.t) ~pages ~(kind : kind) =
   let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
   for vpage = 0 to pages do
-    match kind with
-    | `Remap when vpage mod 3 = 0 ->
-        Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
-    | `Domains when vpage mod 5 = 0 ->
-        Mem.Page_table.set_domain pt ~vpage ((vpage + 1) mod 4)
-    | _ -> ()
+    if kind = `Remap && vpage mod 3 = 0 then
+      Mem.Page_table.remap_page pt ~vpage ~ppage:(pages + (2 * vpage) + 1)
   done;
   pt

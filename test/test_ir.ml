@@ -160,6 +160,19 @@ let test_iter_set_partition () =
     sets;
   check_bool "exact cover" true (Array.for_all (( = ) 1) seen)
 
+(* Nest slices cut where the nest changes, including a nest that
+   reappears later, and cover the array in order. *)
+let test_iter_set_nest_slices () =
+  let set nest = { Ir.Iter_set.nest; lo = 0; hi = 1 } in
+  let slices = Ir.Iter_set.nest_slices in
+  Alcotest.(check (list (triple int int int))) "none" [] (slices [||]);
+  Alcotest.(check (list (triple int int int)))
+    "one nest" [ (3, 0, 2) ] (slices [| set 3; set 3 |]);
+  Alcotest.(check (list (triple int int int)))
+    "nests in order"
+    [ (0, 0, 2); (1, 2, 1); (0, 3, 3) ]
+    (slices (Array.map set [| 0; 0; 1; 0; 0; 0 |]))
+
 let qcheck_partition_cover =
   QCheck.Test.make ~name:"partition covers iterations exactly once" ~count:100
     QCheck.(pair (int_range 1 500) (int_range 1 100))
@@ -430,6 +443,7 @@ let () =
       ( "iter_set",
         [
           Alcotest.test_case "partition" `Quick test_iter_set_partition;
+          Alcotest.test_case "nest slices" `Quick test_iter_set_nest_slices;
           QCheck_alcotest.to_alcotest qcheck_partition_cover;
         ] );
       ( "trace",

@@ -139,9 +139,8 @@ let check_located am ~at ~locs ~k pa (mc, bank) =
    random physical addresses: for both periodic cluster modes, every
    pair of MC and LLC grains, and three mesh sizes; and every answer
    repeats one period on. A config whose period exceeds the table's cap
-   and the maps without a period (all-to-all, SNC-4 with an assigned
-   page domain) locate through the arithmetic; SNC-4's own period is
-   checked there too. Every address-map variant the analysis tests run
+   and the map without a period (all-to-all) locate through the
+   arithmetic; SNC-4's own period is checked there too. Every address-map variant the analysis tests run
    on (remapped pages and pages that split lines included) locates as
    [mc_of] and [bank_node_of] do. *)
 let test_addr_map_table () =
@@ -227,8 +226,8 @@ let test_addr_map_table () =
     Mem.Distribution.[ Mesh_default; Quadrant ];
   check_bool "default period" true
     (Machine.Addr_map.period (Machine.Addr_map.create cfg (pt ())) = Some 1152);
-  let arithmetic ?(page_table = pt ()) what ~period c =
-    let am = Machine.Addr_map.create c page_table in
+  let arithmetic what ~period c =
+    let am = Machine.Addr_map.create c (pt ()) in
     check_bool (what ^ ": period") true (Machine.Addr_map.period am = period);
     check_bool (what ^ ": table period") true
       (Machine.Addr_map.table_period am
@@ -260,18 +259,11 @@ let test_addr_map_table () =
   arithmetic "all-to-all" ~period:None
     (with_dist ~rows:6 Mem.Distribution.All_to_all Mem.Distribution.Page_grain
        Mem.Distribution.Line_grain);
-  (* SNC-4's default domain is the page mod 4, so the map cycles in
-     lcm(4 pages of 32 lines, 9 nodes per quadrant) lines; one assigned
-     domain breaks the cycle. *)
-  let snc4 =
-    with_dist ~rows:6 Mem.Distribution.Snc4 Mem.Distribution.Page_grain
-      Mem.Distribution.Line_grain
-  in
-  arithmetic "SNC-4" ~period:(Some 1152) snc4;
-  let domains = pt () in
-  Mem.Page_table.set_domain domains ~vpage:3 1;
-  arithmetic "SNC-4, an assigned domain" ~page_table:domains ~period:None
-    snc4;
+  (* SNC-4's domain is the page mod 4, so the map cycles in lcm(4 pages
+     of 32 lines, 9 nodes per quadrant) lines. *)
+  arithmetic "SNC-4" ~period:(Some 1152)
+    (with_dist ~rows:6 Mem.Distribution.Snc4 Mem.Distribution.Page_grain
+       Mem.Distribution.Line_grain);
   (* 512 KB of pages, probed over four times that so the remapped
      pages' targets are covered too. *)
   List.iter

@@ -51,14 +51,6 @@ let test_page_table_remap () =
   Mem.Page_table.remap_page pt ~vpage:3 ~ppage:3;
   check_int "identity remap removed" 0 (Mem.Page_table.remapped_count pt)
 
-let test_page_table_domain () =
-  let pt = Mem.Page_table.create ~page_size:2048 () in
-  check_int "default domain" 9 (Mem.Page_table.domain pt ~addr:4096 ~default:9);
-  Mem.Page_table.set_domain pt ~vpage:2 3;
-  check_int "set domain" 3 (Mem.Page_table.domain pt ~addr:4096 ~default:9);
-  check_int "same page any offset" 3
-    (Mem.Page_table.domain pt ~addr:(4096 + 2047) ~default:9)
-
 (* ------------------------------------------------------------------ *)
 
 let test_distribution_interleave () =
@@ -157,7 +149,6 @@ let () =
         [
           Alcotest.test_case "identity" `Quick test_page_table_identity;
           Alcotest.test_case "remap" `Quick test_page_table_remap;
-          Alcotest.test_case "domain" `Quick test_page_table_domain;
         ] );
       ( "distribution",
         [

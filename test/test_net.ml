@@ -425,13 +425,11 @@ let test_roundtrip_equivalence_chaos () =
 (* ------------------------------------------------------------------ *)
 (* Oversized wire lines                                                *)
 
+(* The server caps a line at [Frame.default_max_line_bytes] (1 MiB). *)
 let test_oversized_line_on_wire () =
-  let config =
-    { Net.Server.default_config with Net.Server.max_line_bytes = 1024 }
-  in
-  with_server ~config (fun server ->
+  with_server (fun server ->
       let fd = connect (Net.Server.port server) in
-      send_string fd (String.make 4000 'x');
+      send_string fd (String.make (Net.Frame.default_max_line_bytes + 4000) 'x');
       send_string fd "\n";
       send_string fd (req "moldyn" ^ "\n");
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
@@ -440,11 +438,13 @@ let test_oversized_line_on_wire () =
           check string_t "oversize is invalid_request" "invalid_request"
             (json_member_string first [ "error"; "kind" ]);
           let msg = json_member_string first [ "error"; "message" ] in
-          if
-            not
-              (String.length msg >= 7
-              && String.sub msg 0 7 = "line 1:")
-          then Alcotest.failf "unexpected message %S" msg;
+          let expected =
+            Printf.sprintf "line 1: line of %d bytes exceeds the %d-byte limit"
+              (Net.Frame.default_max_line_bytes + 4000)
+              Net.Frame.default_max_line_bytes
+          in
+          check string_t "names the line, its length and the limit" expected
+            msg;
           check bool_t "connection survives, next line served" true
             (response_is_ok second)
       | other ->
@@ -864,10 +864,7 @@ let test_chaos_determinism () =
 let test_quota_clock () =
   let now = ref 0L in
   let clock () = !now in
-  let q =
-    Net.Quota.create ~now:clock
-      { Net.Quota.rate = 10.; burst = 2.; max_clients = 2 }
-  in
+  let q = Net.Quota.create ~now:clock { Net.Quota.rate = 10.; burst = 2. } in
   check bool_t "first" true (Net.Quota.try_take q "a");
   check bool_t "second (burst)" true (Net.Quota.try_take q "a");
   check bool_t "third is over quota" false (Net.Quota.try_take q "a");
@@ -876,16 +873,27 @@ let test_quota_clock () =
   now := 100_000_000L;
   check bool_t "refilled after 100ms" true (Net.Quota.try_take q "a");
   check bool_t "but only one token" false (Net.Quota.try_take q "a");
-  (* A second client gets its own bucket; a third evicts the
-     longest-idle one. *)
+  (* A second client gets its own bucket; once the table is full, a
+     new client evicts the longest-idle one, [a]. *)
   now := 200_000_000L;
   check bool_t "client b admitted" true (Net.Quota.try_take q "b");
   check int_t "two clients tracked" 2 (Net.Quota.clients q);
+  for k = 3 to Net.Quota.max_clients do
+    now := Int64.add !now 1_000L;
+    ignore (Net.Quota.try_take q (string_of_int k))
+  done;
+  check int_t "table full" Net.Quota.max_clients (Net.Quota.clients q);
+  check int_t "no eviction yet" 0 (Net.Quota.evictions_total q);
   now := 300_000_000L;
-  check bool_t "client c evicts the oldest" true (Net.Quota.try_take q "c");
-  check int_t "table stays bounded" 2 (Net.Quota.clients q);
+  check bool_t "a new client evicts the oldest" true
+    (Net.Quota.try_take q "new");
+  check int_t "table stays bounded" Net.Quota.max_clients (Net.Quota.clients q);
   check int_t "eviction counted" 1 (Net.Quota.evictions_total q);
-  match Net.Quota.create { Net.Quota.rate = 0.; burst = 2.; max_clients = 2 } with
+  (* [a] was evicted, so it returns with a full bucket of 2. *)
+  check bool_t "evicted client starts full" true (Net.Quota.try_take q "a");
+  check bool_t "with its whole burst" true (Net.Quota.try_take q "a");
+  check bool_t "and no more" false (Net.Quota.try_take q "a");
+  match Net.Quota.create { Net.Quota.rate = 0.; burst = 2. } with
   | _ -> Alcotest.fail "rate 0 must raise"
   | exception Invalid_argument _ -> ()
 
@@ -897,7 +905,7 @@ let test_server_quota_shed () =
     {
       Net.Server.default_config with
       Net.Server.quota =
-        Some { Net.Quota.rate = 0.01; burst = 2.; max_clients = 8 };
+        Some { Net.Quota.rate = 0.01; burst = 2. };
     }
   in
   with_server ~config ~domains:1 (fun server ->
@@ -924,79 +932,64 @@ let test_server_quota_shed () =
 (* ------------------------------------------------------------------ *)
 (* Breaker                                                             *)
 
+(* The one policy on a fake clock: a window of 64 outcomes that trips
+   once it holds 16 and half are bad, a 1 s dwell, 3 probes. *)
 let test_breaker_cycle () =
   let now = ref 0L in
   let clock () = !now in
   let ms x = Int64.of_int (x * 1_000_000) in
-  let b =
-    Net.Breaker.create ~now:clock
-      {
-        Net.Breaker.window = 8;
-        min_events = 4;
-        trip_ratio = 0.5;
-        open_ms = 100.;
-        probes = 2;
-      }
+  let b = Net.Breaker.create ~now:clock () in
+  let record ~ok n =
+    for _ = 1 to n do
+      Net.Breaker.record b ~ok
+    done
   in
+  let closed () = Net.Breaker.state b = Net.Breaker.Closed in
   check bool_t "closed allows" true (Net.Breaker.allow b);
-  Net.Breaker.record b ~ok:true;
-  Net.Breaker.record b ~ok:true;
-  Net.Breaker.record b ~ok:false;
-  check bool_t "still closed below min_events" (* 3 events *) true
-    (Net.Breaker.state b = Net.Breaker.Closed);
-  Net.Breaker.record b ~ok:false;
-  (* 4 events, 2 bad = 50% — trips. *)
-  check bool_t "tripped" true (Net.Breaker.state b = Net.Breaker.Open);
+  record ~ok:false 15;
+  check bool_t "15 bad outcomes are below min_events" true (closed ());
+  record ~ok:false 1;
+  check bool_t "the 16th trips" true (Net.Breaker.state b = Net.Breaker.Open);
   check int_t "one trip" 1 (Net.Breaker.trips_total b);
   check bool_t "open refuses" false (Net.Breaker.allow b);
-  now := ms 99;
+  now := ms 999;
   check bool_t "still open before the dwell" false (Net.Breaker.allow b);
-  now := ms 100;
+  now := ms 1000;
   check bool_t "first probe allowed" true (Net.Breaker.allow b);
   check bool_t "half-open" true (Net.Breaker.state b = Net.Breaker.Half_open);
   check bool_t "second probe allowed" true (Net.Breaker.allow b);
+  check bool_t "third probe allowed" true (Net.Breaker.allow b);
   check bool_t "probe budget exhausted" false (Net.Breaker.allow b);
-  Net.Breaker.record b ~ok:true;
-  check bool_t "one success is not enough" true
+  record ~ok:true 2;
+  check bool_t "two successes are not enough" true
     (Net.Breaker.state b = Net.Breaker.Half_open);
-  Net.Breaker.record b ~ok:true;
-  check bool_t "probes close the breaker" true
-    (Net.Breaker.state b = Net.Breaker.Closed);
+  record ~ok:true 1;
+  check bool_t "probes close the breaker" true (closed ());
+  (* Closing cleared the window: under half bad never trips, half does. *)
+  record ~ok:true 9;
+  record ~ok:false 8;
+  check bool_t "8 bad of 17 stays closed" true (closed ());
+  record ~ok:false 1;
+  check int_t "9 bad of 18 trips" 2 (Net.Breaker.trips_total b);
   (* A half-open failure reopens immediately and restarts the dwell. *)
-  Net.Breaker.record b ~ok:true;
-  Net.Breaker.record b ~ok:true;
-  Net.Breaker.record b ~ok:false;
-  Net.Breaker.record b ~ok:false;
-  check int_t "second trip" 2 (Net.Breaker.trips_total b);
-  now := ms 200;
+  now := ms 2000;
   check bool_t "probe after second dwell" true (Net.Breaker.allow b);
   Net.Breaker.record b ~ok:false;
   check bool_t "failed probe reopens" true
     (Net.Breaker.state b = Net.Breaker.Open);
   check int_t "third trip" 3 (Net.Breaker.trips_total b);
+  now := ms 2999;
+  check bool_t "dwell restarted" false (Net.Breaker.allow b);
   check string_t "state names" "half_open"
     (Net.Breaker.state_name Net.Breaker.Half_open)
 
 let test_brownout () =
   (* Trip the breaker with real sheds, then verify the brownout
-     contract: cache hits still served, cache misses answered with the
-     degraded fallback, the health line says "open", and the books
-     still balance after drain. *)
+     contract within its 1 s dwell: cache hits still served, cache
+     misses answered with the degraded fallback, the health line says
+     "open", and the books still balance after drain. *)
   let config =
-    {
-      Net.Server.default_config with
-      Net.Server.max_inflight = 1;
-      breaker =
-        Some
-          {
-            Net.Breaker.window = 4;
-            min_events = 4;
-            trip_ratio = 0.5;
-            open_ms = 60_000.;
-            probes = 1;
-          };
-      brownout_degrade = true;
-    }
+    { Net.Server.default_config with Net.Server.max_inflight = 1; breaker = true }
   in
   let injection =
     Service.Fault_injection.create
@@ -1016,22 +1009,22 @@ let test_brownout () =
       send_string a (req ~scale:0.06 "fmm" ^ "\n");
       wait_until "slot held" (fun () ->
           (Net.Server.stats server).Net.Server.admitted = 2);
-      (* ...and hammer three more requests into it: three inflight
-         sheds = three bad outcomes, tripping the 4-event window. *)
+      (* ...and hammer 15 more requests into it: with the warm-up's good
+         outcome, 15 inflight sheds make the 16 outcomes the breaker
+         needs, 15 of them bad, so the last shed trips it. *)
       let b = connect port in
       send_string b
         (String.concat "\n"
-           [ req ~scale:0.07 "swim"; req ~scale:0.08 "swim";
-             req ~scale:0.09 "swim" ]
+           (List.init 15 (fun k ->
+                req ~scale:(0.07 +. (0.01 *. float_of_int k)) "swim"))
         ^ "\n");
-      (match read_lines ~expect:3 b with
-      | [ r1; r2; r3 ] ->
-          List.iter
-            (fun r ->
-              check string_t "shed while the slot is held" "inflight"
-                (json_member_string r [ "error"; "scope" ]))
-            [ r1; r2; r3 ]
-      | _ -> assert false);
+      let shed = read_lines ~expect:15 b in
+      check int_t "15 answers" 15 (List.length shed);
+      List.iter
+        (fun r ->
+          check string_t "shed while the slot is held" "inflight"
+            (json_member_string r [ "error"; "scope" ]))
+        shed;
       check bool_t "breaker tripped" true
         (Net.Server.breaker_state server = Some Net.Breaker.Open);
       (* Brownout: the cached request is still served for real... *)
@@ -1058,7 +1051,7 @@ let test_brownout () =
       | [ line ] ->
           check string_t "health reports the open breaker" "open"
             (json_member_string line [ "health"; "breaker"; "state" ]);
-          check int_t "health counts the inflight sheds" 3
+          check int_t "health counts the inflight sheds" 15
             (json_member_int line [ "health"; "shed"; "inflight" ])
       | _ -> assert false);
       (* The in-flight request still completes (recorded as a
@@ -1073,7 +1066,7 @@ let test_brownout () =
       check int_t "brownout cache hit counted" 1 st.Net.Server.brownout_cached;
       check int_t "brownout fallback counted" 1
         st.Net.Server.brownout_degraded;
-      check int_t "inflight sheds counted" 3 st.Net.Server.shed_inflight)
+      check int_t "inflight sheds counted" 15 st.Net.Server.shed_inflight)
 
 (* ------------------------------------------------------------------ *)
 (* Slowloris reclaim                                                   *)
@@ -1088,7 +1081,6 @@ let test_slowloris_reclaim () =
       Net.Server.default_config with
       Net.Server.max_conns = 3;
       idle_timeout_ms = 300.;
-      poll_interval_ms = 10.;
     }
   in
   with_server ~config ~domains:1 (fun server ->
@@ -1188,8 +1180,8 @@ let stats_session ?metrics () =
       Net.Server.default_config with
       Net.Server.quota =
         Some
-          { Net.Quota.default_config with Net.Quota.rate = 1e4; burst = 1e4 };
-      breaker = Some Net.Breaker.default_config;
+          { Net.Quota.rate = 1e4; burst = 1e4 };
+      breaker = true;
     }
   in
   let server = Net.Server.create ~config ?metrics ~api () in

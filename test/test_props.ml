@@ -47,42 +47,25 @@ module Ref_cache = struct
           (false, None)
         end
 
-  let invalidate t ~addr =
+  let resident t ~addr =
     let line = addr / t.line in
-    let set = line mod t.sets in
-    t.state.(set) <- List.remove_assoc line t.state.(set)
-
-  let reset t = Array.fill t.state 0 t.sets []
+    List.mem_assoc line t.state.(line mod t.sets)
 end
 
-type cache_op =
-  | Access of int * bool
-  | Invalidate of int
-  | Reset
-
-(* Random accesses from [addr], plus runs of accesses to one line,
-   which hit at the front of their set, some of them with the line
-   invalidated mid-run, and the odd reset, so lookups also meet lines
-   invalidated or reset under them. *)
+(* Random accesses [(addr, write)] from [addr], plus runs of accesses to
+   one line, which hit at the front of their set. *)
 let gen_cache_ops ~line addr =
   let open QCheck.Gen in
-  let access = map2 (fun a w -> [ Access (a, w) ]) addr bool in
+  let access = map2 (fun a w -> [ (a, w) ]) addr bool in
   let run =
-    map3
-      (fun (a, n) cut w ->
+    map2
+      (fun (a, n) w ->
         let base = a / line * line in
-        List.concat
-          (List.init n (fun k ->
-               let acc = Access (base + (k * 24 mod line), w && k mod 2 = 1) in
-               if k = cut then [ Invalidate (base + 8); acc ] else [ acc ])))
+        List.init n (fun k -> (base + (k * 24 mod line), w && k mod 2 = 1)))
       (pair addr (int_range 2 8))
-      (int_bound 10) bool
+      bool
   in
-  let invalidate = map (fun a -> [ Invalidate a ]) addr in
-  map List.concat
-    (list_size (int_range 50 300)
-       (frequency
-          [ (8, access); (4, run); (2, invalidate); (1, return [ Reset ]) ]))
+  map List.concat (list_size (int_range 50 300) (frequency [ (8, access); (4, run) ]))
 
 (* Addresses in the first three sets (all of them, if fewer), over
    twice as many lines per set as it has ways: hits land deep in the
@@ -96,10 +79,7 @@ let few_sets_addr ~size ~assoc ~line =
       (int_bound ((2 * assoc) - 1))
       (int_bound (line - 1)))
 
-let print_cache_op = function
-  | Access (a, w) -> Printf.sprintf "%s %d" (if w then "W" else "R") a
-  | Invalidate a -> Printf.sprintf "I %d" a
-  | Reset -> "reset"
+let print_cache_op (a, w) = Printf.sprintf "%s %d" (if w then "W" else "R") a
 
 let cache_matches_reference ~name ~size ~assoc ~line addr =
   QCheck.Test.make ~name ~count:60
@@ -109,28 +89,23 @@ let cache_matches_reference ~name ~size ~assoc ~line addr =
       let c = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
       let r = Ref_cache.create ~size ~assoc ~line_size:line () in
       List.for_all
-        (function
-          | Access (addr, write) -> (
-              let hit = Cache.Sa_cache.access c ~addr ~write in
-              let hit_ref, victim_ref = Ref_cache.access r ~addr ~write in
-              let victim = Cache.Sa_cache.last_victim c in
-              hit = hit_ref
-              && (hit
-                 ||
-                 match victim_ref with
-                 | None -> victim = -1
-                 | Some (vline, vdirty) ->
-                     victim = vline * line
-                     && Cache.Sa_cache.last_victim_dirty c = vdirty))
-          | Invalidate addr ->
-              Cache.Sa_cache.invalidate c ~addr;
-              Ref_cache.invalidate r ~addr;
-              not (Cache.Sa_cache.probe c ~addr)
-          | Reset ->
-              Cache.Sa_cache.reset c;
-              Ref_cache.reset r;
-              true)
-        ops)
+        (fun (addr, write) ->
+          let hit = Cache.Sa_cache.access c ~addr ~write in
+          let hit_ref, victim_ref = Ref_cache.access r ~addr ~write in
+          let victim = Cache.Sa_cache.last_victim c in
+          hit = hit_ref
+          && (hit
+             ||
+             match victim_ref with
+             | None -> victim = -1
+             | Some (vline, vdirty) ->
+                 victim = vline * line
+                 && Cache.Sa_cache.last_victim_dirty c = vdirty))
+        ops
+      && List.for_all
+           (fun (addr, _) ->
+             Cache.Sa_cache.probe c ~addr = Ref_cache.resident r ~addr)
+           ops)
 
 (* The original 2-way geometry over uniform addresses; the engine's own
    geometries (the default L1 and LLC bank); and a 3-way one whose sets
@@ -150,22 +125,17 @@ let qcheck_cache_matches_reference =
 
 (* [hit_run] against a loop of [access] on a twin cache, over the
    access stream of [gen_cache_ops] (runs of one line give long hit
-   runs). Each call must stop where the loop first misses and leave the
-   counters and the victim as the loop does; the stream is followed by
-   entries the kernel must not touch, and afterwards every line it
-   named is resident in both caches or in neither. *)
+   runs). Each call must stop where the loop first misses, so every
+   entry gets the loop's verdict, and leave the victim as the loop
+   does; the stream is followed by entries the kernel must not touch,
+   and afterwards every line it named is resident in both caches or in
+   neither. *)
 let hit_run_matches_access ~name ~size ~assoc ~line addr =
   QCheck.Test.make ~name ~count:60
     (QCheck.make ~print:QCheck.Print.(list print_cache_op)
        (gen_cache_ops ~line addr))
     (fun ops ->
-      let stream =
-        List.filter_map
-          (function
-            | Access (a, w) -> Some ((a lsl 1) lor Bool.to_int w)
-            | Invalidate _ | Reset -> None)
-          ops
-      in
+      let stream = List.map (fun (a, w) -> (a lsl 1) lor Bool.to_int w) ops in
       let len = List.length stream in
       let buf = Array.of_list (stream @ [ 0; 2 * line; 1 ]) in
       let run = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
@@ -179,10 +149,7 @@ let hit_run_matches_access ~name ~size ~assoc ~line addr =
         else p
       in
       let same_state () =
-        Cache.Sa_cache.hits run = Cache.Sa_cache.hits each
-        && Cache.Sa_cache.misses run = Cache.Sa_cache.misses each
-        && Cache.Sa_cache.writebacks run = Cache.Sa_cache.writebacks each
-        && Cache.Sa_cache.last_victim run = Cache.Sa_cache.last_victim each
+        Cache.Sa_cache.last_victim run = Cache.Sa_cache.last_victim each
         && Cache.Sa_cache.last_victim_dirty run
            = Cache.Sa_cache.last_victim_dirty each
       in
@@ -213,10 +180,10 @@ let qcheck_hit_run_matches_access =
 
 (* [filter] against a loop of [access] on a twin cache, over the same
    stream cut into chunks of varying length (one chunk filtered in
-   place, as the replay does). The misses must come out in the loop's
-   order, the counters and victim fields must agree after every chunk,
-   and afterwards every line the stream named is resident in both
-   caches or in neither. *)
+   place, as the replay does). The misses, which are the entries whose
+   verdict was a miss, must come out in the loop's order, the victim
+   fields must agree after every chunk, and afterwards every line the
+   stream named is resident in both caches or in neither. *)
 let filter_matches_access ~name ~size ~assoc ~line addr =
   QCheck.Test.make ~name ~count:60
     (QCheck.make
@@ -224,21 +191,13 @@ let filter_matches_access ~name ~size ~assoc ~line addr =
        QCheck.Gen.(pair (gen_cache_ops ~line addr) (int_range 1 9)))
     (fun (ops, chunk) ->
       let stream =
-        Array.of_list
-          (List.filter_map
-             (function
-               | Access (a, w) -> Some ((a lsl 1) lor Bool.to_int w)
-               | Invalidate _ | Reset -> None)
-             ops)
+        Array.of_list (List.map (fun (a, w) -> (a lsl 1) lor Bool.to_int w) ops)
       in
       let n = Array.length stream in
       let batch = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
       let each = Cache.Sa_cache.create ~size ~assoc ~line_size:line () in
       let same_state () =
-        Cache.Sa_cache.hits batch = Cache.Sa_cache.hits each
-        && Cache.Sa_cache.misses batch = Cache.Sa_cache.misses each
-        && Cache.Sa_cache.writebacks batch = Cache.Sa_cache.writebacks each
-        && Cache.Sa_cache.last_victim batch = Cache.Sa_cache.last_victim each
+        Cache.Sa_cache.last_victim batch = Cache.Sa_cache.last_victim each
         && Cache.Sa_cache.last_victim_dirty batch
            = Cache.Sa_cache.last_victim_dirty each
       in
@@ -376,49 +335,47 @@ let qcheck_lru_victim_order =
           ok)
         trace)
 
-(* Writebacks count exactly the dirty victims: a line is dirty iff some
-   access wrote it since it was (re)installed. *)
+(* Writebacks are exactly the dirty victims: a victim is dirty iff
+   some access wrote its line since it was (re)installed, and every
+   line written and not evicted since is still resident at the end. *)
 let qcheck_writebacks_dirty_victims_only =
   QCheck.Test.make ~name:"Sa_cache writebacks = dirty victims" ~count:80
     gen_trace (fun trace ->
       let c = fresh_cache () in
       let _, _, line = cache_geometry in
       let dirty = Hashtbl.create 16 in
-      let expected = ref 0 in
-      List.iter
+      List.for_all
         (fun (addr, write) ->
-          let l = addr / line in
-          (match outcome c ~addr ~write with
-          | None -> ()
-          | Some (victim_line_addr, victim_dirty) ->
-              if victim_line_addr >= 0 then begin
+          let ok =
+            match outcome c ~addr ~write with
+            | None -> true
+            | Some (victim_line_addr, victim_dirty) ->
+                victim_line_addr < 0
+                ||
                 let v = victim_line_addr / line in
                 let was_dirty = Hashtbl.mem dirty v in
-                if victim_dirty <> was_dirty then
-                  QCheck.Test.fail_report "victim dirtiness disagrees";
-                if victim_dirty then incr expected;
-                Hashtbl.remove dirty v
-              end);
-          if write then Hashtbl.replace dirty l ())
-        trace;
-      Cache.Sa_cache.writebacks c = !expected)
+                Hashtbl.remove dirty v;
+                victim_dirty = was_dirty
+          in
+          if write then Hashtbl.replace dirty (addr / line) ();
+          ok)
+        trace
+      && Hashtbl.fold
+           (fun l () ok -> ok && Cache.Sa_cache.probe c ~addr:(l * line))
+           dirty true)
 
-(* hits + misses always equals the number of accesses issued, and both
-   match a replay's own classification. *)
-let qcheck_counter_consistency =
-  QCheck.Test.make ~name:"Sa_cache hit/miss counters are consistent"
+(* An access hits iff its line was resident just before it, and leaves
+   the line resident. *)
+let qcheck_hits_are_resident_lines =
+  QCheck.Test.make ~name:"Sa_cache hits exactly the resident lines"
     ~count:80 gen_trace (fun trace ->
       let c = fresh_cache () in
-      let hits = ref 0 and misses = ref 0 in
-      List.iter
+      List.for_all
         (fun (addr, write) ->
-          match outcome c ~addr ~write with
-          | None -> incr hits
-          | Some _ -> incr misses)
-        trace;
-      Cache.Sa_cache.hits c = !hits
-      && Cache.Sa_cache.misses c = !misses
-      && Cache.Sa_cache.accesses c = List.length trace)
+          let resident = Cache.Sa_cache.probe c ~addr in
+          let hit = Cache.Sa_cache.access c ~addr ~write in
+          hit = resident && Cache.Sa_cache.probe c ~addr)
+        trace)
 
 (* ------------------------------------------------------------------ *)
 (* Random small affine programs: trace expansion must equal direct
@@ -530,6 +487,6 @@ let () =
           seeded qcheck_invalid_ways_filled_first;
           seeded qcheck_lru_victim_order;
           seeded qcheck_writebacks_dirty_victims_only;
-          seeded qcheck_counter_consistency;
+          seeded qcheck_hits_are_resident_lines;
         ] );
     ]

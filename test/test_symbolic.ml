@@ -130,9 +130,8 @@ let test_plan_matches_classifier_law () =
    tiers, for every registry workload and both LLC organisations, and
    for the regular workloads under the maps whose lookups differ:
    pages of 100 and 96 bytes that split lines (no line-granular tier
-   may run), the cluster modes without a period (all-to-all, SNC-4
-   with assigned page domains: no tables) or with another period
-   (quadrant, SNC-4) and pages remapped by the layout optimiser
+   may run), the cluster mode without a period (all-to-all: no
+   tables) or with another period (quadrant, SNC-4) and pages remapped by the layout optimiser
    (lookups translate, interior lines are walked a page at a time). *)
 
 let regular =
@@ -153,7 +152,6 @@ let symbolic_configs =
         ("96-byte pages", { d with page_size = 96 }, `Fresh);
         ("all-to-all", cluster Mem.Distribution.All_to_all, `Fresh);
         ("snc4", cluster Mem.Distribution.Snc4, `Fresh);
-        ("snc4, assigned domains", cluster Mem.Distribution.Snc4, `Domains);
         ("quadrant", cluster Mem.Distribution.Quadrant, `Fresh);
         ("layout-optimised pages", d, `Layout_opt);
       ]
@@ -172,13 +170,6 @@ let test_symbolic_equals_walkers () =
               let schedule = Locmap.Mapper.default_schedule cfg trace in
               Baselines.Layout_opt.optimize cfg trace ~schedule pt;
               remapped := !remapped + Mem.Page_table.remapped_count pt
-          | `Domains ->
-              (* Every fifth page away from its default domain. *)
-              let pages = Ir.Layout.footprint (Ir.Trace.layout trace) / page_size in
-              for vpage = 0 to pages do
-                if vpage mod 5 = 0 then
-                  Mem.Page_table.set_domain pt ~vpage ((vpage + 1) mod 4)
-              done
           | `Fresh -> ());
           let amap = Machine.Addr_map.create cfg pt in
           let sets = partition prog cfg in
