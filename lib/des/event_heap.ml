@@ -37,12 +37,9 @@ let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.times.(0)
 
-let min_id t =
-  if t.len = 0 then invalid_arg "Event_heap.min_id: empty heap";
-  t.ids.(0)
-
-let remove_min t =
-  if t.len = 0 then invalid_arg "Event_heap.remove_min: empty heap";
+let pop t =
+  if t.len = 0 then invalid_arg "Event_heap.pop: empty heap";
+  let top = t.ids.(0) in
   t.len <- t.len - 1;
   let n = t.len in
   if n > 0 then begin
@@ -65,7 +62,8 @@ let remove_min t =
     done;
     t.times.(!i) <- time;
     t.ids.(!i) <- id
-  end
+  end;
+  top
 
 let size t = t.len
 let is_empty t = t.len = 0

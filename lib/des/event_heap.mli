@@ -7,20 +7,23 @@
     arrivals and completions. Both care about the same two properties,
     which the direct unit tests ([test/test_event_heap.ml]) pin:
 
-    - {e ordering}: [min_time]/[min_id] always name a minimum-time
-      event, so the sequence of removed times is non-decreasing
-      whatever the interleaving of pushes and removals;
+    - {e ordering}: [pop] always removes a minimum-time event, the one
+      [min_time] reports, so the sequence of removed times is
+      non-decreasing whatever the interleaving of pushes and removals;
     - {e determinism}: the heap is a pure sequential structure — the
-      same sequence of [push]/[remove_min] calls always yields the same
+      same sequence of [push]/[pop] calls always yields the same
       sequence of results. Ties ({e equal} times) are popped in an
       {e unspecified but reproducible} order; a caller that needs a
       total order across simultaneous events must impose its own
       tie-break on the ids it popped (the cluster scheduler drains all
-      events of the current time and sorts them by id).
+      events of the current time and sorts them by id). The engine
+      takes ties in the heap's own order, so its golden statistics
+      rest on it; the unit tests pin it against a copy of the sift
+      code the fixtures were recorded with.
 
-    Specialised to unboxed ints for speed. Popping is the three calls
-    [min_time], [min_id], [remove_min]: none of them allocates, so a
-    drain loop costs no garbage per event.
+    Specialised to unboxed ints for speed. A drain loop reads
+    [min_time] and then calls [pop] for the id: neither allocates, so
+    it costs no garbage per event.
 
     {b Thread safety}: not thread-safe. A heap is private to the event
     loop that allocated it and is mutated without locks. *)
@@ -37,12 +40,8 @@ val min_time : t -> int
 (** Time of a minimum-time event. Raises [Invalid_argument] when the
     heap is empty. *)
 
-val min_id : t -> int
-(** Id of the same event {!min_time} reports. Raises [Invalid_argument]
-    when the heap is empty. *)
-
-val remove_min : t -> unit
-(** Removes the event {!min_time} and {!min_id} report. Raises
+val pop : t -> int
+(** Removes the event {!min_time} reports and returns its id. Raises
     [Invalid_argument] when the heap is empty. *)
 
 val size : t -> int

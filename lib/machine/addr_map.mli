@@ -10,7 +10,9 @@
     Where the policy is periodic in the physical line ({!period}),
     {!create} compiles one period of those answers into a table the
     lookups read; {!mc_of} and {!bank_node_of} compute the interleave
-    arithmetic. It is shared by the simulator, the compile-time
+    arithmetic, the reference the tests hold the table to. The
+    simulator locates each miss and each writeback with {!locate}. It is
+    shared by the simulator, the compile-time
     analysis and the runtime inspector — this *is* the "architecture
     information exposed to the compiler" of the paper's Figure 4,
     combined with the OS guarantee that virtual addresses expose the

@@ -22,7 +22,15 @@ type result = {
   link_busy : int array;
 }
 
-(* Per-core execution cursor. *)
+(* Per-core execution cursor and miss tape. A refill runs the core's
+   private work ahead: it fills a chunk of parallel iterations, sends
+   it through L1 (and, on the private LLC, the core's own bank) and
+   keeps one record per access that must go beyond them. Record [k] is
+   the private cycles since the previous record ([tape.(2k)]), the
+   missed entry ([chunk.(k)], compacted to the front of the chunk it
+   was read from) and the dirty victim that miss evicted, or -1
+   ([tape.(2k+1)]). A refill that finds no miss before the phase's
+   work runs out ends the phase, [carry] cycles after the last record. *)
 type core_state = {
   mutable job : int;  (* -1 = idle *)
   mutable sets : Ir.Iter_set.t list;  (* remaining sets of current phase *)
@@ -31,12 +39,12 @@ type core_state = {
   mutable iter : int;  (* next parallel iteration of current set *)
   mutable iter_hi : int;  (* end of current set *)
   mutable vals : int array;  (* loop-variable vector for the fill *)
-  mutable buf : int array;  (* current iteration's encoded accesses *)
-  mutable buf_len : int;
-  mutable buf_pos : int;
-  mutable pend_pa : int;  (* physical address of pending shared tx; -1 *)
-  mutable pend_write : bool;
-  mutable time : int;
+  mutable chunk : int array;  (* encoded accesses, then the tape's misses *)
+  mutable tape : int array;  (* per record: cycles, then victim *)
+  mutable tape_len : int;  (* miss records on the tape *)
+  mutable tape_pos : int;  (* next record to consume *)
+  mutable carry : int;  (* cycles after the last record, for the next *)
+  mutable pend : int;  (* encoded entry of the pending shared tx; -1 *)
 }
 
 type job_state = {
@@ -64,7 +72,8 @@ type stage =
   | Resp_to_core  (* data packet src->core node, then the core resumes *)
   | Resp_via_bank  (* S-NUCA fill: data MC (src)->bank (aux), then
                       bank->core *)
-  | Bank_access  (* the core's request reached the home bank *)
+  | Bank_access  (* the core's request reached the home bank; aux is the
+                    line's packed location ([Addr_map.locate]) *)
   | Wb_to_mc  (* fire-and-forget dirty writeback of line aux from src
                  towards its MC *)
   | Wb_to_bank  (* fire-and-forget L1 victim aux from src towards its
@@ -86,7 +95,8 @@ type state = {
   data_flits : int;
   shared : bool;
   (* Deferred stages by slot: what fires, the node its packet leaves
-     from, the core it serves and a bank or victim address. *)
+     from, the core it serves and a bank, a victim address or a packed
+     location. *)
   mutable d_stage : stage array;
   mutable d_src : int array;
   mutable d_core : int array;
@@ -105,13 +115,18 @@ let new_core_state () =
     iter = 0;
     iter_hi = 0;
     vals = [||];
-    buf = [||];
-    buf_len = 0;
-    buf_pos = 0;
-    pend_pa = -1;
-    pend_write = false;
-    time = 0;
+    chunk = [||];
+    tape = [||];
+    tape_len = 0;
+    tape_pos = 0;
+    carry = 0;
+    pend = -1;
   }
+
+(* Accesses a core's chunk holds at least: enough whole iterations of a
+   few-access nest that the per-chunk fill and translate calls are
+   amortised, while every core's chunk and tape stay small. *)
+let chunk_entries = 256
 
 let max_appi trace =
   let m = ref 1 in
@@ -142,16 +157,12 @@ let start_phase st js t0 =
       cs.step <- js.step;
       cs.nest <- js.nest;
       cs.sets <- Schedule.sets_of_core_nest sched ~core ~nest:js.nest;
-      cs.buf_len <- 0;
-      cs.buf_pos <- 0;
-      cs.pend_pa <- -1;
       (* The barrier release itself propagates over the NoC: cores
          farther from the releasing node start a few cycles later. *)
       let skew =
         Noc.Routing.hop_count st.topo ~src:0 ~dst:core
         * (st.cfg.Config.router_overhead + 1)
       in
-      cs.time <- t0 + skew;
       if next_set cs then begin
         incr with_work;
         Des.Event_heap.push st.heap ~time:(t0 + skew) ~id:core
@@ -236,29 +247,26 @@ let schedule_deferred st ~time stage ~src ~core ~aux =
   st.d_aux.(slot) <- aux;
   Des.Event_heap.push st.heap ~time ~id:(num_core_ids st + slot)
 
-(* The core's pending access completed: consume it and resume. *)
+(* The core's pending access completed: resume at its next record. *)
 let resume_core st core t =
-  let cs = st.cores.(core) in
-  cs.pend_pa <- -1;
-  cs.buf_pos <- cs.buf_pos + 1;
-  cs.time <- t;
+  st.cores.(core).pend <- -1;
   Des.Event_heap.push st.heap ~time:t ~id:core
 
 (* Execute the first stage of core [c]'s pending transaction at time
    [t]: inject the request and schedule the later stages at their own
-   times. The core has been blocked since the miss that parked it, so
-   its private caches still report that miss's victim. *)
+   times. The transaction's record, the last one consumed, carries the
+   victim its miss evicted. *)
 let execute_shared st c t =
   let cs = st.cores.(c) in
-  let pa = cs.pend_pa in
+  let pa = cs.pend lsr 1 in
+  let victim = cs.tape.((2 * cs.tape_pos) - 1) in
+  let loc = Addr_map.locate st.amap pa in
   let node = c in
   if not st.shared then begin
     (* Private LLC: the local bank already missed; fetch from memory. *)
-    let l2 = st.l2.(c) in
-    if Cache.Sa_cache.last_victim_dirty l2 then
-      schedule_deferred st ~time:t Wb_to_mc ~src:node ~core:0
-        ~aux:(Cache.Sa_cache.last_victim l2);
-    let mc = Addr_map.mc_of st.amap pa in
+    if victim >= 0 then
+      schedule_deferred st ~time:t Wb_to_mc ~src:node ~core:0 ~aux:victim;
+    let mc = Addr_map.mc_of_loc loc in
     let mcn = Addr_map.mc_node st.amap mc in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:mcn ~flits:1 in
     let t2 = Mem.Dram.service st.drams.(mc) ~now:t1 ~addr:pa in
@@ -267,25 +275,24 @@ let execute_shared st c t =
   else begin
     (* Shared LLC (S-NUCA): the L1 victim (if dirty) flows to its own
        home bank; the request travels to the line's home bank. *)
-    let l1 = st.l1.(c) in
-    if Cache.Sa_cache.last_victim_dirty l1 then
-      schedule_deferred st ~time:t Wb_to_bank ~src:node ~core:0
-        ~aux:(Cache.Sa_cache.last_victim l1);
-    let bank = Addr_map.bank_node_of st.amap pa in
+    if victim >= 0 then
+      schedule_deferred st ~time:t Wb_to_bank ~src:node ~core:0 ~aux:victim;
+    let bank = Addr_map.node_of_loc loc in
     let t1 = Noc.Network.send st.net ~now:t ~src:node ~dst:bank ~flits:1 in
-    schedule_deferred st ~time:t1 Bank_access ~src:0 ~core:c ~aux:0
+    schedule_deferred st ~time:t1 Bank_access ~src:0 ~core:c ~aux:loc
   end
 
-(* The request of [core]'s pending transaction reached the home bank. *)
-let bank_access st ~core t =
-  let cs = st.cores.(core) in
-  let pa = cs.pend_pa in
-  let bank = Addr_map.bank_node_of st.amap pa in
+(* The request of [core]'s pending transaction reached the home bank
+   of location [loc]. *)
+let bank_access st ~core ~loc t =
+  let e = st.cores.(core).pend in
+  let pa = e lsr 1 in
+  let bank = Addr_map.node_of_loc loc in
   let t1 = Int.max t st.bank_free.(bank) in
   let t2 = t1 + st.cfg.Config.l2_hit_lat in
   st.bank_free.(bank) <- t2;
   let l2 = st.l2.(bank) in
-  if Cache.Sa_cache.access l2 ~addr:pa ~write:cs.pend_write then begin
+  if Cache.Sa_cache.access l2 ~addr:pa ~write:(e land 1 = 1) then begin
     st.stats.Stats.llc_hits <- st.stats.Stats.llc_hits + 1;
     schedule_deferred st ~time:t2 Resp_to_core ~src:bank ~core ~aux:0
   end
@@ -294,7 +301,7 @@ let bank_access st ~core t =
     if Cache.Sa_cache.last_victim_dirty l2 then
       schedule_deferred st ~time:t2 Wb_to_mc ~src:bank ~core:0
         ~aux:(Cache.Sa_cache.last_victim l2);
-    let mc = Addr_map.mc_of st.amap pa in
+    let mc = Addr_map.mc_of_loc loc in
     let mcn = Addr_map.mc_node st.amap mc in
     let t3 = Noc.Network.send st.net ~now:t2 ~src:bank ~dst:mcn ~flits:1 in
     let t4 = Mem.Dram.service st.drams.(mc) ~now:t3 ~addr:pa in
@@ -315,10 +322,10 @@ let run_deferred st stage ~src ~core ~aux t =
         Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits
       in
       schedule_deferred st ~time:arrive Resp_to_core ~src:bank ~core ~aux:0
-  | Bank_access -> bank_access st ~core t
+  | Bank_access -> bank_access st ~core ~loc:aux t
   | Wb_to_mc ->
       let victim = aux in
-      let mc = Addr_map.mc_of st.amap victim in
+      let mc = Addr_map.mc_of_loc (Addr_map.locate st.amap victim) in
       let arrive =
         Noc.Network.send st.net ~now:t ~src
           ~dst:(Addr_map.mc_node st.amap mc) ~flits:st.data_flits
@@ -327,100 +334,136 @@ let run_deferred st stage ~src ~core ~aux t =
       st.stats.Stats.writebacks <- st.stats.Stats.writebacks + 1
   | Wb_to_bank ->
       let victim = aux in
-      let bank = Addr_map.bank_node_of st.amap victim in
+      let bank = Addr_map.node_of_loc (Addr_map.locate st.amap victim) in
       ignore
         (Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits);
       st.stats.Stats.writebacks <- st.stats.Stats.writebacks + 1
 
-(* Park core [c]'s missed access as a pending shared transaction. *)
-let park st cs c ~pa ~write =
-  cs.pend_pa <- pa;
-  cs.pend_write <- write;
-  Des.Event_heap.push st.heap ~time:cs.time ~id:c
+(* The compute cycles of parallel iterations [lo, hi) of core [c]'s
+   current nest: each charges the nest's arithmetic with a
+   deterministic +/-12.5% per-(core, iteration) variation. Real cores
+   never stay in exact cycle lockstep (variable instruction paths, OS
+   noise); without the variation, barrier-synchronised cores issue
+   their misses in perfectly simultaneous convoys and congestion is
+   grossly overstated. *)
+let compute_cycles ~compute ~core ~nest ~lo ~hi =
+  let sum = ref ((hi - lo) * compute) in
+  if compute >= 8 then
+    for i = lo to hi - 1 do
+      let h = Mem.Address.mix ((core * 0x9E3779B9) + (i * 31) + nest) in
+      sum := !sum + (h mod (compute / 4)) - (compute / 8)
+    done;
+  !sum
 
-(* Run core [c] forward from time [t] through private-level work until
-   it needs a shared resource, exhausts its phase, or parks a pending
-   transaction. *)
-let advance_private st c t =
-  let cs = st.cores.(c) in
-  let trace = st.jobs.(cs.job).j.trace in
-  let l1 = st.l1.(c) in
-  cs.time <- t;
-  let continue = ref true in
-  while !continue do
-    if cs.buf_pos < cs.buf_len then begin
-      (* Consume the run of L1 hits in one kernel call, writing the
-         counters and the cursor back once per run; nothing reads them
-         in between. The run stops at the end of the buffer or at the
-         access that missed, which L1 has then already installed. The
-         buffer holds physical addresses in [Trace.fill_iteration]'s
-         encoding, (addr lsl 1) lor write. *)
-      let buf = cs.buf and len = cs.buf_len in
-      let start = cs.buf_pos in
-      let pos = Cache.Sa_cache.hit_run l1 buf ~pos:start ~len in
-      let hits = pos - start in
-      let stats = st.stats in
-      stats.Stats.accesses <- stats.Stats.accesses + hits;
-      stats.Stats.l1_hits <- stats.Stats.l1_hits + hits;
-      cs.time <- cs.time + (hits * st.cfg.Config.l1_hit_lat);
-      cs.buf_pos <- pos;
-      if pos < len then begin
-        let enc = Array.unsafe_get buf pos in
-        let pa = enc lsr 1 and write = enc land 1 = 1 in
-        stats.Stats.accesses <- stats.Stats.accesses + 1;
-        stats.Stats.l1_misses <- stats.Stats.l1_misses + 1;
-        if st.shared then begin
-          (* Any L1 miss goes over the network to the home bank. *)
-          park st cs c ~pa ~write;
-          continue := false
-        end
-        (* Private LLC: probe the local bank without network. *)
-        else if Cache.Sa_cache.access st.l2.(c) ~addr:pa ~write then begin
-          stats.Stats.llc_hits <- stats.Stats.llc_hits + 1;
-          cs.time <- cs.time + st.cfg.Config.l2_hit_lat;
-          cs.buf_pos <- cs.buf_pos + 1
+(* The line the last miss of [cache] evicted if it was dirty, else -1. *)
+let dirty_victim cache =
+  if Cache.Sa_cache.last_victim_dirty cache then Cache.Sa_cache.last_victim cache
+  else -1
+
+(* Write core [c]'s next tape: fill chunks of its phase's iterations
+   until one holds an access that misses its private levels, or the
+   phase's work runs out. Only the core's own cursor, L1 and (private
+   LLC) bank change, and [Stats] totals that are read once the run
+   ends, so running them ahead of the event loop changes no outcome.
+   An iteration's compute cycles go to the first record at or after
+   its start, as they went to the first miss after it when the core
+   advanced one iteration per event. *)
+let refill st c cs =
+  let trace = st.jobs.(cs.job).j.trace and nest = cs.nest in
+  let l1 = st.l1.(c) and l2 = st.l2.(c) in
+  let compute = Ir.Trace.compute_cycles_per_par_iter trace ~nest in
+  let appi = Ir.Trace.accesses_per_par_iter trace ~nest in
+  let l1_lat = st.cfg.Config.l1_hit_lat and l2_lat = st.cfg.Config.l2_hit_lat in
+  let chunk = cs.chunk in
+  let stats = st.stats in
+  let acc = ref cs.carry in
+  let m = ref 0 in
+  while !m = 0 && (cs.iter < cs.iter_hi || next_set cs) do
+    let lo = cs.iter in
+    let next =
+      Ir.Trace.fill_range trace ~vals:cs.vals ~step:cs.step ~nest ~lo
+        ~hi:cs.iter_hi ~buf:chunk
+    in
+    let len = (next - lo) * appi in
+    cs.iter <- next;
+    Addr_map.translate_entries st.amap chunk ~len;
+    (* Runs of L1 hits go through in one kernel call each. A run
+       stops at the end of the chunk or at the access that missed,
+       which L1 has then already installed. *)
+    let charged = ref lo and pos = ref 0 and misses = ref 0 in
+    while !pos < len do
+      let p = Cache.Sa_cache.hit_run l1 chunk ~pos:!pos ~len in
+      acc := !acc + ((p - !pos) * l1_lat);
+      if p < len then begin
+        let upto = lo + (p / appi) + 1 in
+        acc :=
+          !acc + compute_cycles ~compute ~core:c ~nest ~lo:!charged ~hi:upto;
+        charged := upto;
+        incr misses;
+        let e = Array.unsafe_get chunk p in
+        (* On the shared LLC any L1 miss goes over the network to the
+           home bank; on the private LLC the local bank is probed
+           without network, and only its misses leave the core. *)
+        if
+          st.shared
+          || not
+               (Cache.Sa_cache.access l2 ~addr:(e lsr 1) ~write:(e land 1 = 1))
+        then begin
+          let victim =
+            if st.shared then dirty_victim l1
+            else begin
+              stats.Stats.llc_misses <- stats.Stats.llc_misses + 1;
+              dirty_victim l2
+            end
+          in
+          let k = !m in
+          cs.tape.(2 * k) <- !acc;
+          cs.tape.((2 * k) + 1) <- victim;
+          Array.unsafe_set chunk k e;
+          acc := 0;
+          m := k + 1
         end
         else begin
-          stats.Stats.llc_misses <- stats.Stats.llc_misses + 1;
-          park st cs c ~pa ~write;
-          continue := false
-        end
+          stats.Stats.llc_hits <- stats.Stats.llc_hits + 1;
+          acc := !acc + l2_lat
+        end;
+        pos := p + 1
       end
-    end
-    else if cs.iter < cs.iter_hi then begin
-      (* Charge the iteration's arithmetic — with a deterministic
-         +/-12.5% per-(core, iteration) variation. Real cores never stay
-         in exact cycle lockstep (variable instruction paths, OS noise);
-         without the variation, barrier-synchronised cores issue their
-         misses in perfectly simultaneous convoys and congestion is
-         grossly overstated. Then expand the iteration's accesses. *)
-      let compute = Ir.Trace.compute_cycles_per_par_iter trace ~nest:cs.nest in
-      let jitter =
-        if compute >= 8 then
-          let h = Mem.Address.mix ((c * 0x9E3779B9) + (cs.iter * 31) + cs.nest) in
-          (h mod (compute / 4)) - (compute / 8)
-        else 0
-      in
-      cs.time <- cs.time + compute + jitter;
-      cs.buf_len <-
-        Ir.Trace.fill_iteration trace ~vals:cs.vals ~step:cs.step
-          ~nest:cs.nest ~iter:cs.iter ~buf:cs.buf;
-      Addr_map.translate_entries st.amap cs.buf ~len:cs.buf_len;
-      cs.buf_pos <- 0;
-      cs.iter <- cs.iter + 1
-    end
-    else if next_set cs then ()
-    else begin
-      finish_phase_core st cs cs.time;
-      continue := false
-    end
-  done
+      else pos := len
+    done;
+    acc := !acc + compute_cycles ~compute ~core:c ~nest ~lo:!charged ~hi:next;
+    stats.Stats.accesses <- stats.Stats.accesses + len;
+    stats.Stats.l1_hits <- stats.Stats.l1_hits + len - !misses;
+    stats.Stats.l1_misses <- stats.Stats.l1_misses + !misses
+  done;
+  cs.carry <- !acc;
+  cs.tape_len <- !m;
+  cs.tape_pos <- 0
+
+(* Core [c] runs from time [t] to its next record, refilling the tape
+   once it is consumed: a miss parks the core as a pending shared
+   transaction at the record's time; an empty tape finishes its phase
+   after the carried cycles, and leaves the core with nothing on its
+   tape or carried for the next phase. *)
+let advance st c t =
+  let cs = st.cores.(c) in
+  if cs.tape_pos = cs.tape_len then refill st c cs;
+  let k = cs.tape_pos in
+  if k < cs.tape_len then begin
+    cs.tape_pos <- k + 1;
+    cs.pend <- Array.unsafe_get cs.chunk k;
+    Des.Event_heap.push st.heap ~time:(t + cs.tape.(2 * k)) ~id:c
+  end
+  else begin
+    let t = t + cs.carry in
+    cs.carry <- 0;
+    finish_phase_core st cs t
+  end
 
 let process st id t =
   if id < num_core_ids st then begin
-    let cs = st.cores.(id) in
-    if cs.pend_pa >= 0 then execute_shared st id t
-    else advance_private st id t
+    if st.cores.(id).pend >= 0 then execute_shared st id t
+    else advance st id t
   end
   else begin
     let slot = id - num_core_ids st in
@@ -531,14 +574,16 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
       num_slots = 0;
     }
   in
-  (* Size each core's iteration buffer and loop variables for its job. *)
+  (* Size each core's chunk, tape and loop variables for its job. *)
   Array.iter
     (fun js ->
-      let appi = max_appi js.j.trace in
+      let len = Int.max chunk_entries (max_appi js.j.trace) in
       Array.iter
         (fun c ->
-          st.cores.(c).buf <- Array.make appi 0;
-          st.cores.(c).vals <- Ir.Trace.loop_vars js.j.trace)
+          let cs = st.cores.(c) in
+          cs.chunk <- Array.make len 0;
+          cs.tape <- Array.make (2 * len) 0;
+          cs.vals <- Ir.Trace.loop_vars js.j.trace)
         js.j.cores)
     st.jobs;
   Array.iter
@@ -547,9 +592,7 @@ let run ?(ideal_network = false) ?page_table cfg jobs =
     st.jobs;
   while not (Des.Event_heap.is_empty st.heap) do
     let t = Des.Event_heap.min_time st.heap in
-    let id = Des.Event_heap.min_id st.heap in
-    Des.Event_heap.remove_min st.heap;
-    process st id t
+    process st (Des.Event_heap.pop st.heap) t
   done;
   (* Fold shared-resource statistics into the result. *)
   st.stats.Stats.net_latency <- Noc.Network.total_latency st.net;

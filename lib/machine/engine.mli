@@ -10,6 +10,24 @@
     nests [steps] times with warm caches — the structure the
     inspector–executor scheme relies on.
 
+    Each core runs its private work ahead of the event loop into a
+    small {e miss tape}. A refill fills a chunk of the phase's parallel
+    iterations ({!Ir.Trace.fill_range}), translates it once, runs it
+    through the core's L1 and, on the private LLC, its own bank, and
+    charges each iteration's compute cycles. It keeps one record per
+    access that leaves the core: the private cycles since the previous
+    record, the missed entry, and the dirty line its miss evicted, if
+    any. The event loop then takes one record per shared transaction,
+    and a refill with no record ends the core's phase. Running ahead is
+    exact. The refill touches only the core's own cursor, its L1, its
+    private-LLC bank and {!Stats} totals that are read after the run,
+    and no shared event ever reads or changes them. The one value a
+    later event reads, the victim, travels in the record. The heap sees
+    the same pushes and pops in the same order as when each core
+    advanced one iteration per event, so ties resolve as before.
+    Each miss is located once, by {!Addr_map.locate}, which reads the
+    address map's location table where the map has one.
+
     Latency model per L1 miss:
     - private LLC: local bank probe; on a bank miss, request packet
       core→MC, DRAM service, data packet MC→core (plus fire-and-forget

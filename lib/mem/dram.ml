@@ -27,6 +27,8 @@ type t = {
   k : kind;
   tm : timing;
   row_buffer : int;
+  row_shift : int;  (* log2 row_buffer when a power of two, else -1 *)
+  bank_mask : int;  (* num_banks - 1: both kinds have 2^k banks *)
   open_rows : int array array;  (* per bank, LRU window; -1 = closed *)
   bank_free : int array;
   mutable channel_free : int;
@@ -41,6 +43,8 @@ let create ?(kind = Ddr3_1333) ~row_buffer () =
     k = kind;
     tm;
     row_buffer;
+    row_shift = Option.value (Address.log2_exact row_buffer) ~default:(-1);
+    bank_mask = tm.num_banks - 1;
     open_rows = Array.init tm.num_banks (fun _ -> Array.make open_window (-1));
     bank_free = Array.make tm.num_banks 0;
     channel_free = 0;
@@ -52,12 +56,14 @@ let kind t = t.k
 
 let service t ~now ~addr =
   if addr < 0 then invalid_arg "Dram.service: negative address";
-  let row_id = addr / t.row_buffer in
+  let row =
+    if t.row_shift >= 0 then addr lsr t.row_shift else addr / t.row_buffer
+  in
   (* Bank-address hashing (standard in modern controllers): page-level
      MC interleaving leaves each MC a strided row-id space, and a plain
-     modulo would concentrate it onto a fraction of the banks. *)
-  let bank = Address.mix row_id mod t.tm.num_banks in
-  let row = row_id in
+     modulo would concentrate it onto a fraction of the banks. The hash
+     is non-negative, so the mask is that modulo. *)
+  let bank = Address.mix row land t.bank_mask in
   let start = Int.max now t.bank_free.(bank) in
   let window = t.open_rows.(bank) in
   let pos = ref (-1) in
@@ -91,20 +97,8 @@ let service t ~now ~addr =
   t.channel_free <- finish;
   finish
 
-let reset t =
-  Array.iter (fun w -> Array.fill w 0 open_window (-1)) t.open_rows;
-  Array.fill t.bank_free 0 (Array.length t.bank_free) 0;
-  t.channel_free <- 0;
-  t.hits <- 0;
-  t.misses <- 0
-
 let row_hits t = t.hits
 let row_misses t = t.misses
-let accesses t = t.hits + t.misses
-
-let row_hit_rate t =
-  let n = accesses t in
-  if n = 0 then 0. else float_of_int t.hits /. float_of_int n
 
 let pp_kind ppf = function
   | Ddr3_1333 -> Format.pp_print_string ppf "DDR3-1333"

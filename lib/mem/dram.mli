@@ -28,16 +28,10 @@ val service : t -> now:int -> addr:int -> int
     [now] and returns its completion cycle. Updates open-row, bank and
     channel occupancy state. *)
 
-val reset : t -> unit
-
 (** {2 Statistics} *)
 
 val row_hits : t -> int
 
 val row_misses : t -> int
-
-val accesses : t -> int
-
-val row_hit_rate : t -> float
 
 val pp_kind : Format.formatter -> kind -> unit

@@ -114,6 +114,3 @@ let total_latency t = t.total_latency
 let total_queueing t = t.total_queueing
 let packets_sent t = t.packets
 let total_hops t = t.hops
-
-let avg_latency t =
-  if t.packets = 0 then 0. else float_of_int t.total_latency /. float_of_int t.packets

@@ -42,8 +42,5 @@ val packets_sent : t -> int
 
 val total_hops : t -> int
 
-val avg_latency : t -> float
-(** Mean packet latency in cycles; [0.] if nothing was sent. *)
-
 val link_busy : t -> int array
 (** Cumulative occupancy cycles per directed link id. *)

@@ -254,8 +254,7 @@ let run ?metrics ~oracle ~policy specs =
       (not (Des.Event_heap.is_empty st.heap))
       && Des.Event_heap.min_time st.heap = t
     do
-      ids := Des.Event_heap.min_id st.heap :: !ids;
-      Des.Event_heap.remove_min st.heap
+      ids := Des.Event_heap.pop st.heap :: !ids
     done;
     let ids = List.sort compare !ids in
     let finishes = List.filter (fun id -> id >= n) ids in

@@ -115,6 +115,57 @@ let test_multiprogrammed_jobs () =
   check_int "two finish times" 2 (Array.length r.job_finish);
   check_bool "both finish" true (Array.for_all (fun t -> t > 0) r.job_finish)
 
+(* Three registry programs at once on interleaved core subsets, one of
+   them with a step overhead, so barriers open at different times and
+   each core's run-ahead restarts at every phase of its own job. The
+   expected counters and finish times were recorded with the engine
+   that advanced each core one parallel iteration per event; both LLC
+   organisations must reproduce them exactly. *)
+let multi_job_stats cfg =
+  let n = Machine.Config.num_cores cfg in
+  let job ?step_overhead name residue =
+    let p = Harness.Experiment.prepare_name ~scale:0.1 name in
+    let cores =
+      Array.of_list (List.filter (fun c -> c mod 3 = residue) (List.init n Fun.id))
+    in
+    let sets =
+      Ir.Iter_set.partition p.Harness.Experiment.prog
+        ~fraction:cfg.Machine.Config.iter_set_fraction
+    in
+    let schedule = Machine.Schedule.round_robin ~cores ~num_cores:n sets in
+    Machine.Engine.job ~cores ?step_overhead ~trace:p.Harness.Experiment.trace
+      ~schedule_of_step:(fun _ -> schedule)
+      ()
+  in
+  let r =
+    Machine.Engine.run cfg
+      [
+        job "jacobi-3d" 0;
+        job ~step_overhead:(fun step -> 100 * (step + 1)) "radix" 1;
+        job "mxm" 2;
+      ]
+  in
+  let s = r.Machine.Engine.stats in
+  Printf.sprintf
+    "cycles %d overhead %d accesses %d l1 %d/%d llc %d/%d net %d/%d/%d/%d \
+     dram %d/%d wb %d finish %s"
+    s.cycles s.overhead_cycles s.accesses s.l1_hits s.l1_misses s.llc_hits
+    s.llc_misses s.net_latency s.net_queueing s.net_packets s.net_hops
+    s.dram_row_hits s.dram_row_misses s.writebacks
+    (String.concat "," (Array.to_list (Array.map string_of_int r.job_finish)))
+
+let test_multi_job_stats () =
+  Alcotest.(check string) "private LLC"
+    ("cycles 2140243 overhead 3600 accesses 4348368 l1 3860326/488042 "
+    ^ "llc 239386/248656 net 12076905/704537/531534/2699825 "
+    ^ "dram 274058/16132 wb 41534 finish 613050,1432861,2140243")
+    (multi_job_stats cfg);
+  Alcotest.(check string) "shared LLC"
+    ("cycles 2345275 overhead 3600 accesses 4348368 l1 3860326/488042 "
+    ^ "llc 441954/46088 net 23677234/2173788/1241510/5014136 "
+    ^ "dram 44517/1571 wb 211676 finish 1020185,1233597,2345275")
+    (multi_job_stats shared_cfg)
+
 let test_overlapping_jobs_rejected () =
   let prog = vadd ~n:2048 () in
   let layout = Ir.Layout.allocate ~page_size:cfg.Machine.Config.page_size prog in
@@ -202,6 +253,30 @@ let test_allocation_budget () =
            (Cache.Llc.to_string cfg.Machine.Config.llc_org)
            per_access)
         true (per_access < 0.1))
+    [ cfg; shared_cfg ]
+
+(* A miss-heavy run: radix misses L1 on 63% of its accesses, so a word
+   allocated per miss, or per refill of a core's miss tape, would show
+   here where mxm's 2.6% miss share hides it. What the engine does
+   allocate on this run, about 0.37 words per miss, is each phase's
+   list of sets (0.35) and, once, each core's chunk buffer. *)
+let test_allocation_per_miss () =
+  let trace = (Harness.Experiment.prepare_name ~scale:1.0 "radix").trace in
+  List.iter
+    (fun cfg ->
+      let schedule = Locmap.Mapper.default_schedule cfg trace in
+      let before = Gc.minor_words () in
+      let r = Machine.Engine.run_single cfg ~trace ~schedule () in
+      let words = Gc.minor_words () -. before in
+      let misses = r.stats.Machine.Stats.l1_misses in
+      check_bool "workload misses often enough to measure" true
+        (misses > 100_000);
+      let per_miss = words /. float_of_int misses in
+      check_bool
+        (Printf.sprintf "%s LLC: %.3f minor words per L1 miss"
+           (Cache.Llc.to_string cfg.Machine.Config.llc_org)
+           per_miss)
+        true (per_miss <= 0.4))
     [ cfg; shared_cfg ]
 
 (* ------------------------------------------------------------------ *)
@@ -340,6 +415,7 @@ let () =
         [
           Alcotest.test_case "step overhead" `Quick test_step_overhead_charged;
           Alcotest.test_case "multiprogrammed" `Quick test_multiprogrammed_jobs;
+          Alcotest.test_case "multiprogrammed stats" `Quick test_multi_job_stats;
           Alcotest.test_case "overlap rejected" `Quick test_overlapping_jobs_rejected;
           Alcotest.test_case "foreign cores rejected" `Quick
             test_schedule_outside_job_cores_rejected;
@@ -359,5 +435,7 @@ let () =
         [
           Alcotest.test_case "nothing allocated per access" `Quick
             test_allocation_budget;
+          Alcotest.test_case "nothing allocated per miss" `Quick
+            test_allocation_per_miss;
         ] );
     ]

@@ -361,7 +361,7 @@ let test_event_heap_ordering () =
   let times = ref [] in
   while not (Des.Event_heap.is_empty h) do
     times := Des.Event_heap.min_time h :: !times;
-    Des.Event_heap.remove_min h
+    ignore (Des.Event_heap.pop h)
   done;
   Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 5; 9 ] (List.rev !times);
   check_bool "empty" true (Des.Event_heap.is_empty h)
@@ -376,7 +376,7 @@ let qcheck_heap_sorted =
         Des.Event_heap.is_empty h
         ||
         let t = Des.Event_heap.min_time h in
-        Des.Event_heap.remove_min h;
+        ignore (Des.Event_heap.pop h);
         t >= last && drain t
       in
       drain min_int)

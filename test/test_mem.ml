@@ -123,18 +123,24 @@ let test_dram_kinds () =
   let t4 = Mem.Dram.service d4 ~now:0 ~addr:0 in
   check_bool "ddr4 faster burst" true (t4 < t3)
 
-let test_dram_reset () =
+let test_dram_fresh_is_cold () =
+  (* Each device keeps its own rows: opening one on [d] leaves a new
+     device idle and cold, with nothing counted. *)
   let d = Mem.Dram.create ~row_buffer:2048 () in
   ignore (Mem.Dram.service d ~now:0 ~addr:0);
-  Mem.Dram.reset d;
-  check_int "accesses cleared" 0 (Mem.Dram.accesses d);
-  check_int "cold again after reset" 34 (Mem.Dram.service d ~now:0 ~addr:0)
+  let fresh = Mem.Dram.create ~row_buffer:2048 () in
+  check_int "no hits counted" 0 (Mem.Dram.row_hits fresh);
+  check_int "no misses counted" 0 (Mem.Dram.row_misses fresh);
+  check_int "cold on a fresh device" 34 (Mem.Dram.service fresh ~now:0 ~addr:0);
+  check_int "open on the used one" 120 (Mem.Dram.service d ~now:100 ~addr:0)
 
 let test_dram_rate () =
+  (* A miss opens the row, a later access to it hits: one of each. *)
   let d = Mem.Dram.create ~row_buffer:2048 () in
   ignore (Mem.Dram.service d ~now:0 ~addr:0);
   ignore (Mem.Dram.service d ~now:500 ~addr:8);
-  Alcotest.(check (float 1e-9)) "hit rate" 0.5 (Mem.Dram.row_hit_rate d)
+  check_int "row hits" 1 (Mem.Dram.row_hits d);
+  check_int "row misses" 1 (Mem.Dram.row_misses d)
 
 let () =
   Alcotest.run "mem"
@@ -162,7 +168,7 @@ let () =
           Alcotest.test_case "channel serialises" `Quick test_dram_channel_serialises;
           Alcotest.test_case "fr-fcfs window" `Quick test_dram_frfcfs_window;
           Alcotest.test_case "ddr3 vs ddr4" `Quick test_dram_kinds;
-          Alcotest.test_case "reset" `Quick test_dram_reset;
+          Alcotest.test_case "fresh device is cold" `Quick test_dram_fresh_is_cold;
           Alcotest.test_case "hit rate" `Quick test_dram_rate;
         ] );
     ]
