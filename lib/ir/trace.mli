@@ -74,8 +74,7 @@ val fill_iteration :
     encodes [(addr lsl 1) lor write_bit] — see {!decode_addr} and
     {!decode_write}. [buf] must hold at least [accesses_per_par_iter]
     elements; [vals] is caller-owned scratch from {!loop_vars}. A fill
-    allocates nothing, so the simulator calls it once per parallel
-    iteration. *)
+    allocates nothing. *)
 
 val fill_range :
   t ->
@@ -94,7 +93,7 @@ val fill_range :
     {!fill_iteration}'s encoding, with the step variable bound to
     [step]. A caller walks a range in chunks by calling it again from
     the returned iteration until that is [hi]; the observed replay
-    does.
+    does, and so does the simulator's per-core refill.
 
     Both fills write an affine reference of the innermost loop with one
     address evaluation and then a stride add per access. When the nest

@@ -123,10 +123,12 @@ let new_core_state () =
     pend = -1;
   }
 
-(* Accesses a core's chunk holds at least: enough whole iterations of a
-   few-access nest that the per-chunk fill and translate calls are
-   amortised, while every core's chunk and tape stay small. *)
-let chunk_entries = 256
+(* Accesses a core's chunk holds at least. A chunk of 64 already spreads
+   the per-refill fill and translate calls over several misses, and it
+   keeps each core's chunk and tape (64 and 128 words) small blocks. A
+   256-access chunk ran at most a few percent faster in interleaved
+   runs and raised perfbench's peak_heap_mb by 3-10%. *)
+let chunk_entries = 64
 
 let max_appi trace =
   let m = ref 1 in

@@ -259,7 +259,7 @@ let test_allocation_budget () =
    allocated per miss, or per refill of a core's miss tape, would show
    here where mxm's 2.6% miss share hides it. What the engine does
    allocate on this run, about 0.37 words per miss, is each phase's
-   list of sets (0.35) and, once, each core's chunk buffer. *)
+   list of sets (0.35) and, once per run, each core's chunk and tape. *)
 let test_allocation_per_miss () =
   let trace = (Harness.Experiment.prepare_name ~scale:1.0 "radix").trace in
   List.iter
