@@ -341,8 +341,8 @@ let run_deferred st stage ~src ~core ~aux t =
         (Noc.Network.send st.net ~now:t ~src ~dst:bank ~flits:st.data_flits);
       st.stats.Stats.writebacks <- st.stats.Stats.writebacks + 1
 
-(* The compute cycles of parallel iterations [lo, hi) of core [c]'s
-   current nest: each charges the nest's arithmetic with a
+(* The compute cycles of parallel iterations [lo, hi) of [nest] on
+   [core]: each charges the nest's arithmetic with a
    deterministic +/-12.5% per-(core, iteration) variation. Real cores
    never stay in exact cycle lockstep (variable instruction paths, OS
    noise); without the variation, barrier-synchronised cores issue
