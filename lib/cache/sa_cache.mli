@@ -31,7 +31,7 @@ val access : t -> addr:int -> write:bool -> bool
 val hit_run : t -> int array -> pos:int -> len:int -> int
 (** [hit_run t buf ~pos ~len] applies {!access} to the entries of [buf]
     from [pos] up to [len], each encoded [(addr lsl 1) lor write_bit]
-    as [Ir.Trace.fill_iteration] writes them. It stops after the first
+    as [Ir.Trace.fill_range] writes them. It stops after the first
     miss, which is installed and its victim recorded exactly as
     {!access} does, and returns that entry's index; it returns [len]
     when every entry hit. So [hit_run t buf ~pos ~len - pos] entries

@@ -37,32 +37,35 @@ let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.times.(0)
 
+(* The sift-down picks the smaller child without a branch: the vacated
+   slot [n] holds [max_int], so a missing right child never wins, and
+   every index read is at most [n], below the old length. The picks are
+   the reference's, a strict [<] with the left child winning ties, so
+   the array after every pop is the same. *)
 let pop t =
-  if t.len = 0 then invalid_arg "Event_heap.pop: empty heap";
-  let top = t.ids.(0) in
-  t.len <- t.len - 1;
-  let n = t.len in
-  if n > 0 then begin
-    (* Sift the last entry down from the root. *)
-    let time = t.times.(n) and id = t.ids.(n) in
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 in
-      let r = l + 1 in
-      let c =
-        if r < n && t.times.(r) < t.times.(l) then r else l
-      in
-      if c < n && t.times.(c) < time then begin
-        t.times.(!i) <- t.times.(c);
-        t.ids.(!i) <- t.ids.(c);
-        i := c
-      end
-      else continue := false
-    done;
-    t.times.(!i) <- time;
-    t.ids.(!i) <- id
-  end;
+  let n = t.len - 1 in
+  if n < 0 then invalid_arg "Event_heap.pop: empty heap";
+  let times = t.times and ids = t.ids in
+  let top = Array.unsafe_get ids 0 in
+  let time = Array.unsafe_get times n and id = Array.unsafe_get ids n in
+  t.len <- n;
+  Array.unsafe_set times n max_int;
+  let i = ref 0 and l = ref 1 in
+  while !l < n do
+    let l' = !l in
+    let c =
+      l' + Bool.to_int (Array.unsafe_get times (l' + 1) < Array.unsafe_get times l')
+    in
+    if Array.unsafe_get times c < time then begin
+      Array.unsafe_set times !i (Array.unsafe_get times c);
+      Array.unsafe_set ids !i (Array.unsafe_get ids c);
+      i := c;
+      l := (2 * c) + 1
+    end
+    else l := n
+  done;
+  Array.unsafe_set times !i time;
+  Array.unsafe_set ids !i id;
   top
 
 let size t = t.len

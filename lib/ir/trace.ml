@@ -264,7 +264,7 @@ let rec fill_inner cn vals buf d n =
    one parallel iteration at a time. A nest without them has one access
    per reference per parallel iteration, so the parallel loop is the
    innermost one and is strength-reduced the same way: iteration [k]'s
-   access of reference [b] goes to [k*nb + b]. The callers check that
+   access of reference [b] goes to [k*nb + b]. The caller checks that
    [buf] holds [(hi - lo)] iterations. *)
 let fill_iters cn vals buf ~lo ~hi =
   let par = cn.par in
@@ -300,17 +300,6 @@ let fill_iters cn vals buf ~lo ~hi =
 let check_vals cn vals name =
   if Array.length vals < cn.nvars then
     invalid_arg (name ^ ": loop-variable vector too small")
-
-let fill_iteration t ~vals ~step ~nest ~iter ~buf =
-  let cn = get_nest t nest in
-  if iter < 0 || iter >= cn.iterations then
-    invalid_arg "Trace.fill_iteration: iteration out of range";
-  if Array.length buf < cn.appi then
-    invalid_arg "Trace.fill_iteration: buffer too small";
-  check_vals cn vals "Trace.fill_iteration";
-  vals.(0) <- step;
-  fill_iters cn vals buf ~lo:iter ~hi:(iter + 1);
-  cn.appi
 
 let fill_range t ~vals ~step ~nest ~lo ~hi ~buf =
   let cn = get_nest t nest in

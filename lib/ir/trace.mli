@@ -64,17 +64,7 @@ val iter_range :
 
 val loop_vars : t -> int array
 (** A fresh loop-variable vector wide enough for every nest of the
-    trace, for {!fill_iteration}. *)
-
-val fill_iteration :
-  t -> vals:int array -> step:int -> nest:int -> iter:int -> buf:int array -> int
-(** [fill_iteration t ~vals ~step ~nest ~iter ~buf] writes the encoded
-    accesses of one parallel iteration into [buf], with the step
-    variable bound to [step], and returns their count. Each element
-    encodes [(addr lsl 1) lor write_bit] — see {!decode_addr} and
-    {!decode_write}. [buf] must hold at least [accesses_per_par_iter]
-    elements; [vals] is caller-owned scratch from {!loop_vars}. A fill
-    allocates nothing. *)
+    trace, for {!fill_range}. *)
 
 val fill_range :
   t ->
@@ -89,13 +79,15 @@ val fill_range :
     accesses of as many whole parallel iterations from [lo] on as [buf]
     holds, stopping at [hi], and returns the first iteration it did not
     write. The [(next - lo) * accesses_per_par_iter] entries start at
-    position 0, in {!iter_range}'s program order and in
-    {!fill_iteration}'s encoding, with the step variable bound to
-    [step]. A caller walks a range in chunks by calling it again from
-    the returned iteration until that is [hi]; the observed replay
-    does, and so does the simulator's per-core refill.
+    position 0, in {!iter_range}'s program order, with the step
+    variable bound to [step]. Each entry encodes
+    [(addr lsl 1) lor write_bit]: see {!decode_addr} and
+    {!decode_write}. [vals] is caller-owned scratch from
+    {!loop_vars}. A caller walks a range in chunks by calling it again
+    from the returned iteration until that is [hi]; the observed
+    replay does, and so does the simulator's per-core refill.
 
-    Both fills write an affine reference of the innermost loop with one
+    The fill writes an affine reference of the innermost loop with one
     address evaluation and then a stride add per access. When the nest
     has no inner loop the parallel loop is the innermost one, so its
     affine references advance by their parallel stride across the
@@ -127,7 +119,7 @@ val iter_body_periodic :
     the CME classifier keys its miss periods on. [f] receives the
     execution counter and the access's virtual address.
 
-    This is the sparse complement of {!fill_iteration}: when only every
+    This is the sparse complement of {!fill_range}: when only every
     [period]-th execution of a reference needs an address (because the
     rest are classified L1 hits arithmetically), visiting just those is
     asymptotically cheaper than expanding the whole stream. Raises

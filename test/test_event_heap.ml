@@ -207,6 +207,93 @@ let test_reference_tie_order () =
       true (!got = !want)
   done
 
+let ref_pop r =
+  let time = Reference.min_time r in
+  let id = Reference.min_id r in
+  Reference.remove_min r;
+  (time, id)
+
+(* Push [events] into a fresh heap and a fresh reference, both of
+   capacity 1 so that every doubling happens, and drain both: the
+   (time, id) sequences must be equal, and the heap must end empty. *)
+let drains_like_reference events =
+  let h = Des.Event_heap.create ~capacity:1 in
+  let r = Reference.create ~capacity:1 in
+  List.iter
+    (fun (time, id) ->
+      Des.Event_heap.push h ~time ~id;
+      Reference.push r ~time ~id)
+    events;
+  let want = List.init (List.length events) (fun _ -> ref_pop r) in
+  drain h = want && Des.Event_heap.is_empty h
+
+let test_drain_every_size () =
+  (* A drain to empty from every size 1..70: the sentinel slot just
+     past the shrinking heap is left and right children in turn, and
+     the sizes cross each doubling of the capacity. *)
+  let rng = Random.State.make [| 70 |] in
+  for n = 1 to 70 do
+    let events = List.init n (fun id -> (Random.State.int rng 8, id)) in
+    check_bool
+      (Printf.sprintf "size %d drains as the reference does" n)
+      true (drains_like_reference events)
+  done
+
+let test_max_int_times () =
+  (* Events at [max_int], the sentinel's own value: a real child at
+     [max_int] must still be taken, as the reference takes it, and
+     never the vacated slot, whose id is stale. *)
+  let rng = Random.State.make [| 31 |] in
+  let near = [| 0; 1; max_int - 1; max_int; max_int |] in
+  for n = 1 to 40 do
+    let all_max = List.init n (fun id -> (max_int, id)) in
+    let mixed =
+      List.init n (fun id -> (near.(Random.State.int rng (Array.length near)), id))
+    in
+    check_bool (Printf.sprintf "%d events at max_int" n) true
+      (drains_like_reference all_max);
+    check_bool (Printf.sprintf "%d events near max_int" n) true
+      (drains_like_reference mixed)
+  done;
+  (* Interleaved: the slot a pop fills with the sentinel is the one the
+     next push writes. *)
+  let h = Des.Event_heap.create ~capacity:1 in
+  let r = Reference.create ~capacity:1 in
+  let push time id =
+    Des.Event_heap.push h ~time ~id;
+    Reference.push r ~time ~id
+  in
+  push max_int 0;
+  push max_int 1;
+  push 3 2;
+  check_bool "3 first" true (pop h = ref_pop r);
+  push max_int 3;
+  check_bool "then the max_int events in the reference's order" true
+    (drain h = List.init 3 (fun _ -> ref_pop r))
+
+let test_ordering_small () =
+  let h = Des.Event_heap.create ~capacity:2 in
+  List.iter
+    (fun (t, id) -> Des.Event_heap.push h ~time:t ~id)
+    [ (5, 0); (1, 1); (9, 2); (1, 3); (0, 4) ];
+  check_int "size" 5 (Des.Event_heap.size h);
+  check_bool "peek" true (Des.Event_heap.min_time h = 0);
+  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 5; 9 ] (List.map fst (drain h));
+  check_bool "empty" true (Des.Event_heap.is_empty h)
+
+(* Sparse times, up to 200 events: the popped (time, id) sequence is
+   non-decreasing in time and equals the reference heap's. *)
+let qcheck_heap_sorted =
+  QCheck.Test.make ~name:"heap pops in non-decreasing time order" ~count:100
+    QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 10_000))
+    (fun times ->
+      let events = List.mapi (fun id time -> (time, id)) times in
+      let h = Des.Event_heap.create ~capacity:4 in
+      List.iter (fun (time, id) -> Des.Event_heap.push h ~time ~id) events;
+      let popped = List.map fst (drain h) in
+      List.for_all2 ( <= ) popped (List.tl popped @ [ max_int ])
+      && drains_like_reference events)
+
 let test_negative_time () =
   let h = Des.Event_heap.create ~capacity:1 in
   check_bool "negative time rejected" true
@@ -223,6 +310,14 @@ let () =
           Alcotest.test_case "sorted reference" `Quick test_sorted_reference;
           Alcotest.test_case "reference tie order" `Quick
             test_reference_tie_order;
+          Alcotest.test_case "drain from every size" `Quick
+            test_drain_every_size;
+          Alcotest.test_case "times at max_int" `Quick test_max_int_times;
           Alcotest.test_case "negative time" `Quick test_negative_time;
+        ] );
+      ( "event_heap",
+        [
+          Alcotest.test_case "ordering" `Quick test_ordering_small;
+          QCheck_alcotest.to_alcotest qcheck_heap_sorted;
         ] );
     ]

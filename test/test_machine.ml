@@ -1,5 +1,5 @@
 (* Tests for machine description: configuration, address mapping,
-   schedules, stats and the event heap. *)
+   schedules and stats. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -351,38 +351,6 @@ let test_schedule_validate_errors () =
 
 (* ------------------------------------------------------------------ *)
 
-let test_event_heap_ordering () =
-  let h = Des.Event_heap.create ~capacity:2 in
-  List.iter
-    (fun (t, id) -> Des.Event_heap.push h ~time:t ~id)
-    [ (5, 0); (1, 1); (9, 2); (1, 3); (0, 4) ];
-  check_int "size" 5 (Des.Event_heap.size h);
-  check_bool "peek" true (Des.Event_heap.min_time h = 0);
-  let times = ref [] in
-  while not (Des.Event_heap.is_empty h) do
-    times := Des.Event_heap.min_time h :: !times;
-    ignore (Des.Event_heap.pop h)
-  done;
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 5; 9 ] (List.rev !times);
-  check_bool "empty" true (Des.Event_heap.is_empty h)
-
-let qcheck_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in non-decreasing time order" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 10_000))
-    (fun times ->
-      let h = Des.Event_heap.create ~capacity:4 in
-      List.iteri (fun id t -> Des.Event_heap.push h ~time:t ~id) times;
-      let rec drain last =
-        Des.Event_heap.is_empty h
-        ||
-        let t = Des.Event_heap.min_time h in
-        ignore (Des.Event_heap.pop h);
-        t >= last && drain t
-      in
-      drain min_int)
-
-(* ------------------------------------------------------------------ *)
-
 let test_stats_ratios () =
   let s = Machine.Stats.create () in
   s.Machine.Stats.l1_hits <- 3;
@@ -420,11 +388,6 @@ let () =
           Alcotest.test_case "per-nest ordering" `Quick test_schedule_sets_of_core_nest;
           Alcotest.test_case "moved fraction" `Quick test_schedule_moved_fraction;
           Alcotest.test_case "validation" `Quick test_schedule_validate_errors;
-        ] );
-      ( "event_heap",
-        [
-          Alcotest.test_case "ordering" `Quick test_event_heap_ordering;
-          QCheck_alcotest.to_alcotest qcheck_heap_sorted;
         ] );
       ("stats", [ Alcotest.test_case "ratios" `Quick test_stats_ratios ]);
     ]

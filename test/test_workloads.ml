@@ -29,11 +29,13 @@ let test_paper_order () =
     [ "barnes"; "fmm"; "radiosity"; "raytrace"; "volrend"; "water" ]
     (List.filteri (fun k _ -> k < 6) Workloads.Registry.names)
 
-(* The simulator's per-iteration fill writes exactly what the walker
-   visits, access by access, in program order. *)
+(* A one-iteration fill writes exactly what the walker visits, access
+   by access, in program order. *)
 let check_fill_matches_walker trace ~vals ~step ~nest ~iter =
-  let buf = Array.make (Ir.Trace.accesses_per_par_iter trace ~nest) (-1) in
-  let n = Ir.Trace.fill_iteration trace ~vals ~step ~nest ~iter ~buf in
+  let n = Ir.Trace.accesses_per_par_iter trace ~nest in
+  let buf = Array.make n (-1) in
+  check_int "one iteration fits" (iter + 1)
+    (Ir.Trace.fill_range trace ~vals ~step ~nest ~lo:iter ~hi:(iter + 1) ~buf);
   let filled =
     Array.init n (fun k ->
         (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
