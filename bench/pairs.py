@@ -1,33 +1,23 @@
 #!/usr/bin/env python3
 """Time a change against a parent revision with perfbench, in pairs.
 
-    python3 bench/pairs.py --parent REV --name NAME \
-        [--workload simulate] [--seed 1] [--pairs 10] [--seconds 20] \
-        [--claim METRIC ...] [--check-workloads map,serve] [--check-pairs 3]
+    python3 bench/pairs.py --parent REV --name NAME [--workload simulate]
+        [--seed 1] [--pairs 10] [--seconds 20] [--claim METRIC ...]
+        [--check-workloads map,serve] [--check-pairs 3]
 
-Run from the root of a locmap git checkout: the working tree is the
-change. The parent revision is exported with `git archive` into a
-temporary directory, so the repository's own state is never touched.
-Each pair runs
+Run from the root of a locmap git checkout; the working tree is the
+change. The parent is exported with `git archive` into a temporary
+directory, so the repository itself is left alone. Both trees are
+built first; then each pair runs `perfbench/run.py --workload W --seed
+S --seconds T --trace 0` in both, alternating which runs first, since
+the host drifts between minutes.
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
-
-once in the parent's tree and once in the working tree, one after the
-other, alternating which side runs first; the host drifts between
-minutes, so only pairs are compared. Both trees are built before the
-first pair, so no run pays for a build.
-
-Writes BENCH_<name>.json: for every claimed metric the medians,
-quartiles (statistics.quantiles, n=4, inclusive) and runs of both
-sides, the pairs the change won, and a verdict under the rule "the
-change wins at least 9 of 10 pairs (the same share of any count) and
-the gap between the medians exceeds the parent's interquartile
-range"; the medians and ranges of the other end-to-end metrics; the
-output checks (every run correct, no failed operation, the exact
-metrics equal on every run of both sides); and the same medians over
-a few pairs of each check workload. Exits 1 unless every claimed
-metric passes and every check holds. perfbench/ is only run, never
-edited.
+Writes BENCH_<name>.json: each claimed metric's medians, quartiles
+(statistics.quantiles, n=4, inclusive), runs, pairs won and verdict
+under RULE; the other end-to-end medians and ranges; the output checks
+(every run correct, nothing failed, the EXACT metrics equal on every
+run); and the same medians and checks over a few pairs of each check
+workload. Exits 1 unless every claim passes and every check holds.
 """
 
 import argparse
@@ -41,8 +31,8 @@ import tempfile
 
 EXACT = ["la_net_latency_reduction_pct", "la_exec_time_reduction_pct",
          "mai_error_mean", "ok_ratio"]
-RULE = ("change wins >= 9/10 pairs and |median(change) - median(parent)| "
-        "> parent IQR")
+RULE = ("the change wins >= 9/10 of the pairs, and its median is better "
+        "than the parent's by more than the parent's IQR")
 
 
 def log(msg):
@@ -158,14 +148,6 @@ def medians(runs, names, units):
     return out
 
 
-def ocaml_version():
-    try:
-        return subprocess.run(["ocamlfind", "ocamlopt", "-version"],
-                              capture_output=True, text=True).stdout.strip()
-    except OSError:
-        return None
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare to")
@@ -194,6 +176,7 @@ def main():
     others = [m["name"] for m in declared if m["name"] not in claims]
 
     parent = git("rev-parse", args.parent)
+    change = git("describe", "--always", "--dirty")
     scratch = tempfile.mkdtemp(prefix="locmap-pairs-")
     try:
         export(parent, scratch)
@@ -212,9 +195,10 @@ def main():
                     "ran first" % args.workload,
             "command": command % (args.workload, args.seed, args.seconds),
             "parent_commit": parent,
-            "change_commit": git("describe", "--always", "--dirty"),
+            "change_commit": change,
             "nproc": os.cpu_count(),
-            "ocaml": ocaml_version(),
+            "ocaml": subprocess.run(["ocamlopt", "-version"], capture_output=True,
+                                    text=True).stdout.strip(),
             "quartiles": "Python statistics.quantiles(n=4, method='inclusive')",
             "pairs": args.pairs,
             "order": order,

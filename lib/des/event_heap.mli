@@ -18,8 +18,9 @@
       tie-break on the ids it popped (the cluster scheduler drains all
       events of the current time and sorts them by id). The engine
       takes ties in the heap's own order, so its golden statistics
-      rest on it; the unit tests pin it against a copy of the sift
-      code the fixtures were recorded with.
+      rest on it. That order is the pinned reference's: the unit tests
+      check every pop against a verbatim copy of the sift code the
+      fixtures were recorded with.
 
     Specialised to unboxed ints for speed. A drain loop reads
     [min_time] and then calls [pop] for the id: neither allocates, so
@@ -42,7 +43,10 @@ val min_time : t -> int
 
 val pop : t -> int
 (** Removes the event {!min_time} reports and returns its id. Raises
-    [Invalid_argument] when the heap is empty. *)
+    [Invalid_argument] when the heap is empty. During its sift-down
+    the slot just past the new {!size} holds a sentinel, [max_int], so
+    a missing right child is read without a bounds test and never
+    chosen. *)
 
 val size : t -> int
 
