@@ -177,10 +177,10 @@ def main():
 
     parent = git("rev-parse", args.parent)
     change = git("describe", "--always", "--dirty")
-    scratch = tempfile.mkdtemp(prefix="locmap-pairs-")
+    parent_tree = tempfile.mkdtemp(prefix="locmap-pairs-")
     try:
-        export(parent, scratch)
-        trees = {"parent": scratch, "change": os.getcwd()}
+        export(parent, parent_tree)
+        trees = {"parent": parent_tree, "change": os.getcwd()}
         for side in ("parent", "change"):
             log("building the %s" % side)
             build(trees[side])
@@ -217,7 +217,7 @@ def main():
                 "checks": checks(wruns),
             }
     finally:
-        shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(parent_tree, ignore_errors=True)
 
     all_checks = [result["checks"]] + [
         o["checks"] for o in result["other_workloads"].values()]
