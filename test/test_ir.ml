@@ -238,6 +238,35 @@ let prog_strided () =
         ];
     ]
 
+(* One iteration filled into a one-iteration buffer decodes to the
+   walker's accesses for that iteration and step. *)
+let test_trace_fill_matches_iter_range () =
+  List.iter
+    (fun (p, iters, steps) ->
+      let l = Ir.Layout.allocate ~page_size:2048 p in
+      let t = Ir.Trace.create p l in
+      let appi = Ir.Trace.accesses_per_par_iter t ~nest:0 in
+      let buf = Array.make appi 0 in
+      let vals = Ir.Trace.loop_vars t in
+      List.iter
+        (fun (iter, step) ->
+          let next =
+            Ir.Trace.fill_range t ~vals ~step ~nest:0 ~lo:iter ~hi:(iter + 1) ~buf
+          in
+          check_int "one iteration filled" (iter + 1) next;
+          let via_range = ref [] in
+          Ir.Trace.iter_range ~step t ~nest:0 ~lo:iter ~hi:(iter + 1)
+            (fun ~addr ~write -> via_range := (addr, write) :: !via_range);
+          let via_fill =
+            List.init appi (fun k ->
+                (Ir.Trace.decode_addr buf.(k), Ir.Trace.decode_write buf.(k)))
+          in
+          Alcotest.(check (list (pair int bool)))
+            (Printf.sprintf "%s, iteration %d, step %d" p.Ir.Program.name iter step)
+            (List.rev !via_range) via_fill)
+        (List.concat_map (fun i -> List.map (fun s -> (i, s)) steps) iters))
+    [ (prog_ab ~n:16 (), [ 3 ], [ 0 ]); (prog_strided (), [ 0; 1; 3 ], [ 0; 1 ]) ]
+
 (* No inner loop, so the parallel loop is the innermost one: it runs
    from 2 in steps of 3 over a falling affine reference, a write that
    also moves with the timing step and an index-array reference with a
@@ -426,6 +455,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "emission order" `Quick test_trace_emission_order;
+          Alcotest.test_case "fill = iter_range" `Quick test_trace_fill_matches_iter_range;
           Alcotest.test_case "fill_range = iter_range" `Quick
             test_trace_fill_range_matches_iter_range;
           Alcotest.test_case "fill_range errors" `Quick test_trace_fill_range_errors;
