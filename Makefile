@@ -103,21 +103,20 @@ perf-smoke:
 	sys.exit(0 if ok else 1)' $$w || exit 1; \
 	done
 
-# Change against parent: perfbench runs of the working tree and of
-# revision PARENT, alternating which runs first, for PAIRS pairs (at
-# least 10), then a few pairs of map and serve for the other metrics;
+# Change against parent: 20-second perfbench runs of the working tree
+# and of revision PARENT, alternating which runs first, for 10 pairs of
+# WORKLOAD, then 3 pairs of each other workload for the other metrics;
 # writes BENCH_$(NAME).json with the 9-of-10 verdict (bench/pairs.py).
-# About 10 minutes at the defaults; keep the host otherwise idle.
+# About 20 minutes; keep the host otherwise idle.
 WORKLOAD ?= simulate
 SEED ?= 1
-PAIRS ?= 10
 CLAIM ?= sim_shared_maccess_per_s
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(NAME)" || \
 	  { echo "usage: make bench-pairs PARENT=<rev> NAME=<name>"; exit 2; }
 	python3 bench/pairs.py --parent $(PARENT) --name $(NAME) \
-	  --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) \
-	  $(foreach c,$(CLAIM),--claim $(c)) --check-workloads map,serve
+	  --workload $(WORKLOAD) --seed $(SEED) \
+	  $(foreach c,$(CLAIM),--claim $(c))
 
 # Chaos gate: the resilience suite (fault matrix, deadlines, crash
 # isolation, 1/2/4/8-domain byte-determinism under injection) repeated

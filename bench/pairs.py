@@ -2,21 +2,21 @@
 """Time a change against a parent revision with perfbench, in pairs.
 
     python3 bench/pairs.py --parent REV --name NAME [--workload simulate]
-        [--seed 1] [--pairs 10] [--seconds 20] [--claim METRIC ...]
-        [--check-workloads map,serve] [--check-pairs 3]
+        [--seed 1] [--claim METRIC ...]
 
 Run from the root of a locmap git checkout; the working tree is the
 change. The parent is exported with `git archive` into a temporary
-directory, so the repository itself is left alone. Both trees are
-built first; then each pair runs `perfbench/run.py --workload W --seed
-S --seconds T --trace 0` in both, alternating which runs first, since
-the host drifts between minutes.
+directory, so the repository itself is left alone. Each pair runs
+`perfbench/run.py --workload W --seed S --seconds 20 --trace 0`, which
+builds its tree before it runs, in both trees, alternating which runs
+first, since the host drifts between minutes. The claimed workload
+gets 10 pairs, each of the other workloads 3.
 
 Writes BENCH_<name>.json: each claimed metric's medians, quartiles
 (statistics.quantiles, n=4, inclusive), runs, pairs won and verdict
 under RULE; the other end-to-end medians and ranges; the output checks
 (every run correct, nothing failed, the EXACT metrics equal on every
-run); and the same medians and checks over a few pairs of each check
+run); and the same medians and checks over the pairs of each other
 workload. Exits 1 unless every claim passes and every check holds.
 """
 
@@ -29,6 +29,10 @@ import subprocess
 import sys
 import tempfile
 
+WORKLOADS = ["simulate", "map", "serve"]
+SECONDS = 20
+PAIRS = 10
+CHECK_PAIRS = 3
 EXACT = ["la_net_latency_reduction_pct", "la_exec_time_reduction_pct",
          "mai_error_mean", "ok_ratio"]
 RULE = ("the change wins >= 9/10 of the pairs, and its median is better "
@@ -53,19 +57,11 @@ def export(rev, dest):
         sys.exit("pairs: git archive %s failed" % rev)
 
 
-def build(tree):
-    env = dict(os.environ, DUNE_CACHE="disabled")
-    subprocess.run(["dune", "build", "--root", ".",
-                    "./perfbench/perfbench.exe", "./bin/locmap_cli.exe"],
-                   cwd=tree, env=env, check=True,
-                   stdout=sys.stderr, stderr=sys.stderr)
-
-
-def run(tree, workload, seed, seconds):
+def run(tree, workload, seed):
     """One perfbench run: its end-to-end values and output checks."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True).stdout
     rec = json.loads(out.strip().splitlines()[-1])
     values = {k: v["value"] for k, v in rec["metrics"].items()}
@@ -81,14 +77,14 @@ def r4(x):
     return round(x, 4)
 
 
-def run_pairs(trees, workload, seed, seconds, pairs):
+def run_pairs(trees, workload, seed, pairs):
     """[pairs] alternating pairs; returns the order and each side's runs."""
     order, runs = [], {"parent": [], "change": []}
     for k in range(pairs):
         sides = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         order.append(sides)
         for side in sides:
-            runs[side].append(run(trees[side], workload, seed, seconds))
+            runs[side].append(run(trees[side], workload, seed))
             log("%s pair %d/%d %s done" % (workload, k + 1, pairs, side))
     return order, runs
 
@@ -152,20 +148,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare to")
     ap.add_argument("--name", required=True, help="writes BENCH_<name>.json")
-    ap.add_argument("--workload", default="simulate",
-                    choices=["simulate", "map", "serve"])
+    ap.add_argument("--workload", default="simulate", choices=WORKLOADS)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--claim", action="append",
                     help="end-to-end metric the verdict covers (repeatable; "
                          "default sim_shared_maccess_per_s)")
-    ap.add_argument("--check-workloads", default="",
-                    help="comma-separated workloads run for the other medians")
-    ap.add_argument("--check-pairs", type=int, default=3)
     args = ap.parse_args()
-    if args.pairs < 10:
-        sys.exit("pairs: at least 10 pairs are needed for the 9/10 rule")
     claims = args.claim or ["sim_shared_maccess_per_s"]
     declared = json.load(open("BENCHMARK.json"))["end_to_end"]
     units = {m["name"]: m["unit"] for m in declared}
@@ -181,38 +169,35 @@ def main():
     try:
         export(parent, parent_tree)
         trees = {"parent": parent_tree, "change": os.getcwd()}
-        for side in ("parent", "change"):
-            log("building the %s" % side)
-            build(trees[side])
         command = ("python3 perfbench/run.py --workload %s --seed %d "
-                   "--seconds %g --trace 0")
-        order, runs = run_pairs(trees, args.workload, args.seed,
-                                args.seconds, args.pairs)
+                   "--seconds " + str(SECONDS) + " --trace 0")
+        order, runs = run_pairs(trees, args.workload, args.seed, PAIRS)
         metrics = {n: claimed(runs, n, units[n], betters[n]) for n in claims}
         result = {
             "bench": args.name,
             "what": "perfbench %s, parent vs change, alternating which side "
                     "ran first" % args.workload,
-            "command": command % (args.workload, args.seed, args.seconds),
+            "command": command % (args.workload, args.seed),
             "parent_commit": parent,
             "change_commit": change,
             "nproc": os.cpu_count(),
             "ocaml": subprocess.run(["ocamlopt", "-version"], capture_output=True,
                                     text=True).stdout.strip(),
             "quartiles": "Python statistics.quantiles(n=4, method='inclusive')",
-            "pairs": args.pairs,
+            "pairs": PAIRS,
             "order": order,
             "metrics": metrics,
             "other_end_to_end_medians": medians(runs, others, units),
             "checks": checks(runs),
             "other_workloads": {},
         }
-        for w in filter(None, args.check_workloads.split(",")):
-            _, wruns = run_pairs(trees, w, args.seed, args.seconds,
-                                 args.check_pairs)
+        for w in WORKLOADS:
+            if w == args.workload:
+                continue
+            _, wruns = run_pairs(trees, w, args.seed, CHECK_PAIRS)
             result["other_workloads"][w] = {
-                "command": command % (w, args.seed, args.seconds),
-                "pairs": args.check_pairs,
+                "command": command % (w, args.seed),
+                "pairs": CHECK_PAIRS,
                 "medians": medians(wruns, list(units), units),
                 "checks": checks(wruns),
             }
@@ -239,7 +224,7 @@ def main():
         log("%s: %s -> %s (%+.1f%%), won %d/%d, median gap %.4g vs parent "
             "IQR %.4g: %s" % (n, m["parent"]["median"], m["change"]["median"],
                               m["median_gain_pct"] or 0, m["change_won_pairs"],
-                              args.pairs, abs(m["median_diff"]),
+                              PAIRS, abs(m["median_diff"]),
                               m["parent_iqr"], m["verdict"]))
     log("checks %s; wrote %s" % ("hold" if checks_hold else "FAIL", path))
     sys.exit(0 if result["verdict"]["pass"] else 1)

@@ -37,11 +37,13 @@ let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.times.(0)
 
-(* The sift-down picks the smaller child without a branch: the vacated
-   slot [n] holds [max_int], so a missing right child never wins, and
-   every index read is at most [n], below the old length. The picks are
-   the reference's, a strict [<] with the left child winning ties, so
-   the array after every pop is the same. *)
+(* The sift-down picks the smaller child without a branch. A left
+   child [l < n] has its right sibling at [l + 1 <= n], below the old
+   length. Slot [n] still holds the moving [time], so when it is the
+   only right child and is picked, [times.(n) < time] fails and the
+   sift stops, where the reference, seeing no right child, also stops.
+   The picks are the reference's, a strict [<] with the left child
+   winning ties, so the array after every pop is the same. *)
 let pop t =
   let n = t.len - 1 in
   if n < 0 then invalid_arg "Event_heap.pop: empty heap";
@@ -49,7 +51,6 @@ let pop t =
   let top = Array.unsafe_get ids 0 in
   let time = Array.unsafe_get times n and id = Array.unsafe_get ids n in
   t.len <- n;
-  Array.unsafe_set times n max_int;
   let i = ref 0 and l = ref 1 in
   while !l < n do
     let l' = !l in

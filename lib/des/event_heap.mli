@@ -43,10 +43,7 @@ val min_time : t -> int
 
 val pop : t -> int
 (** Removes the event {!min_time} reports and returns its id. Raises
-    [Invalid_argument] when the heap is empty. During its sift-down
-    the slot just past the new {!size} holds a sentinel, [max_int], so
-    a missing right child is read without a bounds test and never
-    chosen. *)
+    [Invalid_argument] when the heap is empty. *)
 
 val size : t -> int
 

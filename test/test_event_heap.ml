@@ -228,9 +228,10 @@ let drains_like_reference events =
   drain h = want && Des.Event_heap.is_empty h
 
 let test_drain_every_size () =
-  (* A drain to empty from every size 1..70: the sentinel slot just
-     past the shrinking heap is left and right children in turn, and
-     the sizes cross each doubling of the capacity. *)
+  (* A drain to empty from every size 1..70: the vacated slot just
+     past the shrinking heap, which still holds the moving time, is a
+     left and a right child in turn, and the sizes cross each doubling
+     of the capacity. *)
   let rng = Random.State.make [| 70 |] in
   for n = 1 to 70 do
     let events = List.init n (fun id -> (Random.State.int rng 8, id)) in
@@ -240,7 +241,7 @@ let test_drain_every_size () =
   done
 
 let test_max_int_times () =
-  (* Events at [max_int], the sentinel's own value: a real child at
+  (* Events at and near [max_int], the largest time: a real child at
      [max_int] must still be taken, as the reference takes it, and
      never the vacated slot, whose id is stale. *)
   let rng = Random.State.make [| 31 |] in
@@ -255,8 +256,8 @@ let test_max_int_times () =
     check_bool (Printf.sprintf "%d events near max_int" n) true
       (drains_like_reference mixed)
   done;
-  (* Interleaved: the slot a pop fills with the sentinel is the one the
-     next push writes. *)
+  (* Interleaved: the slot a pop vacates is the one the next push
+     writes. *)
   let h = Des.Event_heap.create ~capacity:1 in
   let r = Reference.create ~capacity:1 in
   let push time id =
