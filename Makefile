@@ -3,7 +3,7 @@
 .PHONY: all check test bench-verify bench-analysis bench-analysis-smoke \
         bench-loadgen bench-loadgen-smoke bench-sched sched-smoke \
         serve-smoke perf-smoke bench-pairs \
-        chaos chaos-net sweep lint fmt fmt-check verify clean
+        chaos chaos-net sweep lint fmt fmt-check verify loc clean
 
 all:
 	dune build
@@ -185,6 +185,20 @@ fmt:
 # aggregate overhead passes the 5% budget. A CI step (about 35 s).
 bench-verify:
 	dune exec bench/verify_bench.exe
+
+# Net line delta against revision BASE (default HEAD) under lib/,
+# bin/, bench/ and test/, from `git diff --numstat`: added, deleted and
+# net lines per directory, then the total. New files count once they
+# are in the index (`git add`).
+BASE ?= HEAD
+loc:
+	@git diff --numstat --no-renames $(BASE) -- lib bin bench test | awk ' \
+	  { split($$3, p, "/"); a[p[1]] += $$1; d[p[1]] += $$2 } \
+	  END { n = split("lib bin bench test", ds, " "); \
+	    for (i = 1; i <= n; i++) { \
+	      k = ds[i]; ta += a[k]; td += d[k]; \
+	      printf "%-6s +%d -%d net %+d\n", k, a[k], d[k], a[k] - d[k] } \
+	    printf "%-6s +%d -%d net %+d\n", "total", ta, td, ta - td }'
 
 clean:
 	dune clean

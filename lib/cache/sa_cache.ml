@@ -2,8 +2,8 @@ type t = {
   line_size : int;
   sets : int;
   assoc : int;
-  line_shift : int;  (* log2 line_size when pow2 geometry, else -1 *)
-  set_mask : int;  (* sets - 1 when pow2 geometry *)
+  line_shift : int;  (* log2 line_size *)
+  set_mask : int;  (* sets - 1 *)
   bad_addr : int;  (* address bits the packed entry cannot hold *)
   ways : int array;
       (* sets * assoc entries, each set most recently used first: a
@@ -20,22 +20,17 @@ let create ~size ~assoc ~line_size () =
   if lines = 0 || lines mod assoc <> 0 then
     invalid_arg "Sa_cache.create: size not divisible into sets";
   let sets = lines / assoc in
-  (* Real geometries are powers of two; shift/mask then replaces the
-     division and modulo on every lookup. A degenerate hand-built
-     geometry keeps the arithmetic path. *)
-  let pow2 n = n > 0 && n land (n - 1) = 0 in
-  let line_shift =
-    if pow2 line_size && pow2 sets then begin
-      let rec log2 s = if 1 lsl s >= line_size then s else log2 (s + 1) in
-      log2 0
-    end
-    else -1
-  in
+  (* Machine.Config.validate admits only power-of-two lines and set
+     counts, so every lookup shifts and masks instead of dividing. *)
+  let pow2 n = n land (n - 1) = 0 in
+  if not (pow2 line_size && pow2 sets) then
+    invalid_arg "Sa_cache.create: line size or set count not a power of two";
+  let rec log2 s = if 1 lsl s = line_size then s else log2 (s + 1) in
   {
     line_size;
     sets;
     assoc;
-    line_shift;
+    line_shift = log2 0;
     set_mask = sets - 1;
     (* A negative address sets the sign bit. With 1-byte lines the line
        index is the address, and from 2^61 up its shift into the entry
@@ -50,11 +45,8 @@ let create ~size ~assoc ~line_size () =
 let[@inline] check_addr t addr name =
   if addr land t.bad_addr <> 0 then invalid_arg (name ^ ": address out of range")
 
-let line_of t addr =
-  if t.line_shift >= 0 then addr lsr t.line_shift else addr / t.line_size
-
-let set_of t line =
-  if t.line_shift >= 0 then line land t.set_mask else line mod t.sets
+let line_of t addr = addr lsr t.line_shift
+let set_of t line = line land t.set_mask
 
 (* The position of [line] in the ways of the set starting at [base], or
    the position of the set's first invalid way, or [base + assoc] when

@@ -15,7 +15,10 @@ val create : size:int -> assoc:int -> line_size:int -> unit -> t
 (** [create ~size ~assoc ~line_size ()] builds an empty cache of [size]
     bytes, [assoc] ways and [line_size]-byte lines. Raises
     [Invalid_argument] if the geometry is inconsistent (size not
-    divisible into at least one set of [assoc] lines). *)
+    divisible into at least one set of [assoc] lines) or if the line
+    size or the set count is not a power of two, which
+    [Machine.Config.validate] also rejects. Any associativity is
+    valid. *)
 
 val access : t -> addr:int -> write:bool -> bool
 (** [access t ~addr ~write] looks up the line containing [addr] and

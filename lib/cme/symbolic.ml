@@ -258,7 +258,6 @@ let plan trace ~nest ~body ~p1 ~p2 ~step =
 let exec0_addr p = p.a0
 let flips_exec0 p = p.flip0
 let l1_period p = p.p1
-let num_entries p = Array.length p.entries
 
 let decompose p ~lo ~hi aps =
   aps.n <- 0;

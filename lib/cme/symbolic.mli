@@ -56,13 +56,6 @@ val flips_exec0 : plan -> bool
 
 val l1_period : plan -> int
 
-val num_entries : plan -> int
-(** Merged (class, inner-combination) entries — the per-set
-    instantiation cost. Inner combinations whose offsets form a
-    uniform ladder at equal multiplicity collapse into a single run
-    entry, so a reference swept by an inner loop it is affine in
-    costs O(1) entries rather than O(inner trip). *)
-
 (** {2 Instantiated progressions} *)
 
 (** A growable scratch of address progressions: element [k] of
@@ -84,8 +77,11 @@ val make_aps : unit -> aps
 val decompose : plan -> lo:int -> hi:int -> aps -> unit
 (** Fills [aps] (resetting it) with the progressions covering exactly
     the visited executions — every [p1]-th one — of parallel iterations
-    [lo, hi). Cost is O({!num_entries}); the progressions' counts sum
-    to the visited-execution count of the range. *)
+    [lo, hi). Cost is linear in the plan's merged (class,
+    inner-combination) entries, not in the inner trip: inner
+    combinations whose offsets form a uniform ladder at equal
+    multiplicity are one run entry. The progressions' counts sum to
+    the visited-execution count of the range. *)
 
 val visited_total : aps -> int
 (** Σ count·mult over the live progressions — the executions the

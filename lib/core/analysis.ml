@@ -92,13 +92,12 @@ let flush_stats ci st =
 (* ---- Symbolic tier: progression resolution against the memo ---- *)
 
 (* What the CME tiers locate with, fixed for one [cme_summaries] call.
-   The line-granular tiers run only when lines tile pages, with [lshift]
-   the log2 of the line size ({!Machine.Config.line_shift}). *)
+   [lshift] is the log2 of the line size ({!Machine.Config.line_shift}). *)
 type where = {
   amap : Machine.Addr_map.t;
   shared : bool;
   memo : Line_memo.t;
-  lshift : int option;
+  lshift : int;
 }
 
 (* The packed location of a virtual address. *)
@@ -142,11 +141,12 @@ let add_interior w sm ~miss ~lo ~hi ~weight =
    accesses each. Single-line and aligned-stride shapes resolve in
    O(edges + location classes); the rest enumerate elements.
 
-   Symbolic plans only exist when lines tile pages, so every division
-   and modulus by the line size is a shift or mask — profiling showed
-   the divisions were the single largest cost of the whole tier once
-   the prefix tables were in place. *)
-let resolve_aps w ~lshift sm (aps : Cme.Symbolic.aps) =
+   Lines are powers of two, so every division and modulus by the line
+   size is a shift or mask — profiling showed the divisions were the
+   single largest cost of the whole tier once the prefix tables were in
+   place. *)
+let resolve_aps w sm (aps : Cme.Symbolic.aps) =
+  let lshift = w.lshift in
   let lsize = 1 lsl lshift in
   let lmask = lsize - 1 in
   for j = 0 to aps.Cme.Symbolic.n - 1 do
@@ -203,7 +203,7 @@ type nest_ctx = {
   direct : bool array;
 }
 
-let nest_ctx ~symbolic w cfg prog layout trace ~nest =
+let nest_ctx ~symbolic cfg prog layout trace ~nest =
   let pred = Cme.create cfg prog layout ~nest in
   let nrefs = Cme.num_refs pred in
   let direct =
@@ -211,7 +211,7 @@ let nest_ctx ~symbolic w cfg prog layout trace ~nest =
   in
   let plans =
     Array.init nrefs (fun r ->
-        if symbolic && w.lshift <> None then
+        if symbolic then
           Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
             ~p2:(Cme.llc_period pred r) ~step:0
         else None)
@@ -253,7 +253,7 @@ let cme_set w ~stats trace ctx aps
           if nmiss > 0 then begin
             Cme.Symbolic.decompose plan ~lo:s.lo ~hi:s.hi aps;
             assert (Cme.Symbolic.visited_total aps = nmiss);
-            resolve_aps w ~lshift:(Option.get w.lshift) sm aps;
+            resolve_aps w sm aps;
             (* LLC cold-only: the classes above are all hits; execution
                0, when in range, is the one memory access. *)
             if Cme.Symbolic.flips_exec0 plan && c0 = 0 then
@@ -263,18 +263,17 @@ let cme_set w ~stats trace ctx aps
           (if ctx.direct.(r) then
              stats.st_periodic <- stats.st_periodic + total
            else stats.st_traced <- stats.st_traced + total);
-          if p1 = 1 && Cme.llc_period p r = 1 && w.lshift <> None then
+          if p1 = 1 && Cme.llc_period p r = 1 then
             (* Every execution is an LLC miss (wide streaming references
                beyond the plan caps, and all references of irregular
                nests). Outcomes are order-independent counts, so the set
                is walked in line blocks: consecutive parallel iterations
                on the same line share one location lookup and one bulk
-               summary update. Only sound when lines tile pages (no line
-               straddles a page, so one location per line); otherwise
-               the ordered walk below handles it. *)
+               summary update. Sound because lines tile pages: no line
+               straddles a page, so a line has one location. *)
             Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
               ~hi:s.hi
-              ~line:(1 lsl Option.get w.lshift)
+              ~line:(1 lsl w.lshift)
               (fun ~addr ~count -> add_at w sm ~miss:true addr count)
           else begin
             let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
@@ -367,7 +366,7 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
       let s : Ir.Iter_set.t = sets.(k) in
       if s.nest <> !current_nest then begin
         current_nest := s.nest;
-        ctx := Some (nest_ctx ~symbolic w cfg prog layout trace ~nest:s.nest)
+        ctx := Some (nest_ctx ~symbolic cfg prog layout trace ~nest:s.nest)
       end;
       cme_set w ~stats trace (Option.get !ctx) aps s out.(k - a)
     done;
@@ -429,9 +428,9 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
        induction its list is the empty run's list followed by a suffix
        of σ, and a line outside σ is found in the one iff in the other.
 
-   (b) With power-of-two geometries, the address bits the L1 and LLC
-       set indices share, [log2 max(line sizes), min(L1 index top, LLC
-       index top)), define the address classes: bits 6..10, 32 classes,
+   (b) The geometry is a power of two, so the address bits the L1 and
+       LLC set indices share, [log2 max(line sizes), min(L1 index top,
+       LLC index top)), define the address classes: bits 6..10, 32 classes,
        on the default config. Every L1 set and every LLC bank set lies
        inside one class, and L1 misses of a class go only to bank sets
        of that class, so the replay splits exactly by class: a class's
@@ -453,28 +452,22 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
    Every class is tainted — the full step-0 pass — with an index-array
    reference (no hull), remapped pages (the classes are of physical
    addresses, the hulls of virtual ones) or a single step (step 1 is
-   step 0). A geometry that is not a power of two has one class, which
-   (a) still covers. *)
+   step 0). *)
 
 (* [shift] is the class's lowest address bit, [count] the number of
    classes (a power of two). *)
 type classes = { shift : int; count : int }
 
 let classes_of (cfg : Machine.Config.t) =
-  let top ~size ~assoc ~line =
-    let log2 = Mem.Address.log2_exact in
-    match (log2 line, log2 (size / line / assoc)) with
-    | Some l, Some s -> Some (l, l + s)
-    | _ -> None
+  let log2 n = Option.get (Mem.Address.log2_exact n) in
+  let top ~size ~assoc ~line = log2 line + log2 (size / line / assoc) in
+  let shift = max (log2 cfg.l1_line) (log2 cfg.l2_line) in
+  let top =
+    min
+      (top ~size:cfg.l1_size ~assoc:cfg.l1_assoc ~line:cfg.l1_line)
+      (top ~size:cfg.l2_size ~assoc:cfg.l2_assoc ~line:cfg.l2_line)
   in
-  match
-    ( top ~size:cfg.l1_size ~assoc:cfg.l1_assoc ~line:cfg.l1_line,
-      top ~size:cfg.l2_size ~assoc:cfg.l2_assoc ~line:cfg.l2_line )
-  with
-  | Some (l1, t1), Some (l2, t2) ->
-      let shift = max l1 l2 in
-      { shift; count = 1 lsl max 0 (min t1 t2 - shift) }
-  | _ -> { shift = 0; count = 1 }
+  { shift; count = 1 lsl max 0 (top - shift) }
 
 (* Byte hull [lo, hi] of a direct reference's addresses at [step]. *)
 let ref_hull trace ~nest ~step (d : Ir.Trace.direct) =

@@ -24,10 +24,7 @@
       per MC and region by a {!Line_memo}
       ({!Line_memo.add_line_counts}: prefix tables under identity
       translation, a page at a time otherwise), at cost independent of
-      the execution count. Plans, and the line-block walk below, need
-      lines that tile pages ({!Machine.Config.line_shift}: a
-      power-of-two line that divides the page); otherwise every affine
-      reference takes the ordered periodic walk;
+      the execution count;
     - {e periodic} — affine references beyond the plan caps bulk-count
       L1 hits arithmetically and visit only the LLC-reaching executions
       ({!Ir.Trace.iter_body_periodic}), or aggregate all-miss same-line
@@ -144,11 +141,10 @@ val tainted_classes :
   Machine.Config.t -> Machine.Addr_map.t -> Ir.Trace.t -> bool array
 (** One flag per address class: the classes where step 1 can touch a
     line step 0 touched, so [warm_summaries] replays their step-0
-    accesses. With power-of-two cache geometries a class is a value of
-    the address bits the L1 and LLC set indices share, bits [log2
-    max(l1_line, l2_line)] up to the lower of the two index tops (32
-    classes, bits 6..10, on the default config); otherwise there is one
-    class. A class is tainted iff the line hull of some direct
+    accesses. A class is a value of the address bits the L1 and LLC set
+    indices share, bits [log2 max(l1_line, l2_line)] up to the lower of
+    the two index tops (32 classes, bits 6..10, on the default config).
+    A class is tainted iff the line hull of some direct
     reference at step 0 overlaps the hull of some reference at step
     [min 1 (steps - 1)] there. Every class is tainted under an
     index-array reference, remapped pages or a single time step. *)

@@ -12,8 +12,8 @@ type t = {
   amap : Machine.Addr_map.t;
   identity : bool;  (* the address map translates nothing *)
   line_size : int;
-  line_shift : int;  (* log2 [line_size] when [period > 0] *)
-  lines_per_page : int;  (* when [period > 0], so lines tile pages *)
+  line_shift : int;  (* log2 [line_size] *)
+  lines_per_page : int;
   period : int;  (* of the map's table; 0 when it has none *)
   num_lines : int;  (* layout footprint in lines: bounds the queries *)
   prefix : prefix option;  (* over the table; only under identity *)
@@ -51,8 +51,8 @@ let create (cfg : Machine.Config.t) amap layout =
     amap;
     identity;
     line_size;
-    line_shift = Option.value (Machine.Config.line_shift cfg) ~default:0;
-    lines_per_page = (if period > 0 then cfg.page_size / line_size else 1);
+    line_shift = Machine.Config.line_shift cfg;
+    lines_per_page = cfg.page_size / line_size;
     period;
     num_lines = (Ir.Layout.footprint layout + line_size - 1) / line_size;
     prefix =

@@ -7,10 +7,11 @@ type prepared = {
 
 let prepare ?(scale = 1.0) (entry : Workloads.Registry.entry) =
   let prog = entry.program ~scale () in
-  (* The layout uses the default page size; experiments that change the
-     page size only affect interleaving, and layouts stay page-aligned
-     for any power-of-two page size below 8 KB because arrays are 8 KB
-     aligned. *)
+  (* The layout uses the default page size, so arrays start on 2 KB
+     boundaries; experiments that change the page size only affect
+     interleaving. Pages are powers of two (Config.validate), so arrays
+     stay page-aligned for every page size up to 2 KB; under larger
+     pages (Figure 9's 8 KB) an array may start inside a page. *)
   let layout =
     Ir.Layout.allocate ~page_size:Machine.Config.default.page_size prog
   in

@@ -7,7 +7,7 @@ type t = {
   quadrant_of : int array;  (* per node *)
   quadrant_nodes : int array array;
   mc_of_quad : int array;
-  line_shift : int;  (* log2 l2_line when lines tile pages *)
+  line_shift : int;  (* log2 l2_line *)
   period : int;  (* lines after which locations repeat; 0 = aperiodic *)
   locs : int array;
       (* per line of one [table_period]: its packed location; empty
@@ -35,10 +35,10 @@ let num_nodes t = Noc.Topology.num_nodes t.topo
    on the line and its page, and both cycle: the bank with the node
    count (in lines or pages), the MC with the MC count, or with the
    bank under [Quadrant]. Under [Snc4] the page's domain (page mod 4)
-   picks the MC and the quadrant whose nodes the line cycles over. With
-   a power-of-two line that divides the page, page = line /
-   lines-per-page, so one period of lines, the lcm of the cycles, holds
-   every location. The hashed map has no such period. *)
+   picks the MC and the quadrant whose nodes the line cycles over. Lines
+   tile pages ({!Config.validate}), so page = line / lines-per-page, and
+   one period of lines, the lcm of the cycles, holds every location.
+   The hashed map has no such period. *)
 let period_lines t =
   let c = t.cfg in
   let lines_per_page = c.page_size / c.l2_line in
@@ -48,20 +48,18 @@ let period_lines t =
     | Mem.Distribution.Page_grain -> lines_per_page * count
   in
   let banks = cycle c.dist.llc_gran (num_nodes t) in
-  if Option.is_none (Config.line_shift c) then None
-  else
-    match c.dist.cluster with
-    | Mem.Distribution.Mesh_default ->
-        Some (lcm banks (cycle c.dist.mem_gran (num_mcs t)))
-    | Mem.Distribution.Quadrant -> Some banks
-    | Mem.Distribution.Snc4
-      when Array.for_all (fun m -> Array.length m > 0) t.quadrant_nodes ->
-        Some
-          (Array.fold_left
-             (fun p m -> lcm p (Array.length m))
-             (4 * lines_per_page)
-             t.quadrant_nodes)
-    | Mem.Distribution.Snc4 | Mem.Distribution.All_to_all -> None
+  match c.dist.cluster with
+  | Mem.Distribution.Mesh_default ->
+      Some (lcm banks (cycle c.dist.mem_gran (num_mcs t)))
+  | Mem.Distribution.Quadrant -> Some banks
+  | Mem.Distribution.Snc4
+    when Array.for_all (fun m -> Array.length m > 0) t.quadrant_nodes ->
+      Some
+        (Array.fold_left
+           (fun p m -> lcm p (Array.length m))
+           (4 * lines_per_page)
+           t.quadrant_nodes)
+  | Mem.Distribution.Snc4 | Mem.Distribution.All_to_all -> None
 
 let config t = t.cfg
 let topology t = t.topo
@@ -176,7 +174,7 @@ let create (cfg : Config.t) pt =
       quadrant_of;
       quadrant_nodes;
       mc_of_quad;
-      line_shift = Option.value (Config.line_shift cfg) ~default:0;
+      line_shift = Config.line_shift cfg;
       period = 0;
       locs = [||];
     }

@@ -25,6 +25,8 @@
 type t
 
 val create : Config.t -> Mem.Page_table.t -> t
+(** The map of a configuration that passes {!Config.validate}: its
+    lines tile its pages. *)
 
 val config : t -> Config.t
 
@@ -73,10 +75,10 @@ val region_of_loc : int -> int
 val period : t -> int option
 (** [Some p] when every location repeats after [p] physical lines:
     [mc_of t (pa + p * l2_line) = mc_of t pa], and likewise for
-    {!bank_node_of}. That holds for the [Mesh_default], [Quadrant] and
-    [Snc4] cluster modes when lines tile pages ({!Config.line_shift}).
-    [p] is the lcm of the cycles, in lines (1152 for the default
-    config). [None] for [All_to_all] and the other configs. *)
+    {!bank_node_of}. That holds for the [Mesh_default] and [Quadrant]
+    cluster modes, and for [Snc4] while every quadrant has a node. [p]
+    is the lcm of the cycles, in lines (1152 for the default config).
+    [None] for [All_to_all] and an [Snc4] map with an empty quadrant. *)
 
 val table_period : t -> int option
 (** {!period} when it is at most 2{^15} lines, else [None]: the period

@@ -85,24 +85,36 @@ let region_of_node t node =
 
 let line_shift t =
   match Mem.Address.log2_exact t.l2_line with
-  | Some s when t.page_size mod t.l2_line = 0 -> Some s
-  | _ -> None
+  | Some s -> s
+  | None -> invalid_arg "Config.line_shift: l2_line is not a power of two"
 
 let data_flits t = Noc.Packet.flits Noc.Packet.Data ~line_size:t.l2_line ~flit_bytes:t.flit_bytes
 
 let validate t =
   let err fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let pow2 = Mem.Address.is_pow2 in
+  let sets_ok size line assoc =
+    size mod (line * assoc) = 0 && pow2 (size / (line * assoc))
+  in
   if t.rows <= 0 || t.cols <= 0 then err "non-positive mesh dimensions"
   else if t.region_h <= 0 || t.region_w <= 0 then err "non-positive region size"
   else if t.rows mod t.region_h <> 0 || t.cols mod t.region_w <> 0 then
     err "regions (%dx%d) do not tile the %dx%d mesh" t.region_h t.region_w
       t.rows t.cols
   else if t.l1_size <= 0 || t.l2_size <= 0 then err "non-positive cache size"
-  else if t.l1_size mod (t.l1_line * t.l1_assoc) <> 0 then
-    err "L1 geometry inconsistent"
-  else if t.l2_size mod (t.l2_line * t.l2_assoc) <> 0 then
-    err "L2 geometry inconsistent"
-  else if t.page_size <= 0 || t.row_buffer <= 0 then err "non-positive page/row size"
+  else if t.l1_assoc <= 0 || t.l2_assoc <= 0 then err "non-positive associativity"
+  else if not (pow2 t.l1_line && pow2 t.l2_line) then
+    err "line sizes (L1 %d B, L2 %d B) must be powers of two" t.l1_line
+      t.l2_line
+  else if not (sets_ok t.l1_size t.l1_line t.l1_assoc) then
+    err "L1 size is not a power-of-two number of sets"
+  else if not (sets_ok t.l2_size t.l2_line t.l2_assoc) then
+    err "L2 size is not a power-of-two number of sets"
+  else if not (pow2 t.page_size && pow2 t.row_buffer) then
+    err "page (%d B) and row buffer (%d B) must be powers of two" t.page_size
+      t.row_buffer
+  else if t.l2_line > t.page_size then
+    err "L2 lines (%d B) exceed the page (%d B)" t.l2_line t.page_size
   else if t.iter_set_fraction <= 0. || t.iter_set_fraction > 1. then
     err "iteration-set fraction out of (0,1]"
   else if t.l1_hit_lat < 0 || t.l2_hit_lat < 0 || t.router_overhead < 0 then

@@ -78,19 +78,24 @@ val region_of_node : t -> int -> int
 (** The region of a mesh node: regions are numbered row-major over the
     region grid. *)
 
-val line_shift : t -> int option
-(** [Some (log2 l2_line)] when lines tile pages: [l2_line] is a power
-    of two that divides [page_size]. Then no line straddles a page, so
-    every byte of a line has the line's location, which the address
-    map's period and the line-granular CME tiers need. [None]
-    otherwise: any [page_size] may arrive from a request. *)
+val line_shift : t -> int
+(** [log2 l2_line]. A configuration that passes {!validate} has
+    power-of-two lines no larger than its power-of-two page, so lines
+    tile pages: no line straddles a page, and every byte of a line has
+    the line's location. Raises [Invalid_argument] when [l2_line] is not
+    a power of two. *)
 
 val data_flits : t -> int
 (** Flits of a cache-line-carrying packet. *)
 
 val validate : t -> (unit, string) result
-(** Checks internal consistency (positive sizes, regions that tile the
-    mesh, power-of-two-free constraints the caches need). *)
+(** Checks internal consistency: positive sizes and associativities,
+    regions that tile the mesh, and the machine geometry every module
+    below relies on. [l1_line], [l2_line], both caches' set counts
+    ([size / (line * assoc)]), [page_size] and [row_buffer] are powers
+    of two, and [l2_line <= page_size]. Associativity is free. Requests
+    are checked here, and {!Cache.Sa_cache.create} and
+    {!Mem.Dram.create} reject what this rejects. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints the configuration as a Table-4-style listing. *)

@@ -19,7 +19,6 @@ let round_robin ?cores ~num_cores sets =
   let core_of = Array.init (Array.length sets) (fun k -> pool.(k mod Array.length pool)) in
   { sets; core_of }
 
-let num_sets t = Array.length t.sets
 
 let sets_of_core t ~core =
   let acc = ref [] in

@@ -19,8 +19,6 @@ val round_robin : ?cores:int array -> num_cores:int -> Ir.Iter_set.t array -> t
     assignment to an explicit core list (multiprogrammed runs); it
     defaults to cores [0 .. num_cores-1]. *)
 
-val num_sets : t -> int
-
 val sets_of_core : t -> core:int -> Ir.Iter_set.t list
 (** Sets assigned to [core], in set-id order. *)
 

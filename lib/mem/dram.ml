@@ -26,8 +26,7 @@ let open_window = 4
 type t = {
   k : kind;
   tm : timing;
-  row_buffer : int;
-  row_shift : int;  (* log2 row_buffer when a power of two, else -1 *)
+  row_shift : int;  (* log2 row_buffer *)
   bank_mask : int;  (* num_banks - 1: both kinds have 2^k banks *)
   open_rows : int array array;  (* per bank, LRU window; -1 = closed *)
   bank_free : int array;
@@ -37,13 +36,16 @@ type t = {
 }
 
 let create ?(kind = Ddr3_1333) ~row_buffer () =
-  if row_buffer <= 0 then invalid_arg "Dram.create: bad row-buffer size";
+  let row_shift =
+    match Address.log2_exact row_buffer with
+    | Some s -> s
+    | None -> invalid_arg "Dram.create: row-buffer size not a power of two"
+  in
   let tm = timing_of kind in
   {
     k = kind;
     tm;
-    row_buffer;
-    row_shift = Option.value (Address.log2_exact row_buffer) ~default:(-1);
+    row_shift;
     bank_mask = tm.num_banks - 1;
     open_rows = Array.init tm.num_banks (fun _ -> Array.make open_window (-1));
     bank_free = Array.make tm.num_banks 0;
@@ -56,9 +58,7 @@ let kind t = t.k
 
 let service t ~now ~addr =
   if addr < 0 then invalid_arg "Dram.service: negative address";
-  let row =
-    if t.row_shift >= 0 then addr lsr t.row_shift else addr / t.row_buffer
-  in
+  let row = addr lsr t.row_shift in
   (* Bank-address hashing (standard in modern controllers): page-level
      MC interleaving leaves each MC a strided row-id space, and a plain
      modulo would concentrate it onto a fraction of the banks. The hash

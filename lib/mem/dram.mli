@@ -19,7 +19,8 @@ type t
 val create : ?kind:kind -> row_buffer:int -> unit -> t
 (** [create ~row_buffer ()] builds an idle device. [row_buffer] is the
     row-buffer (page) size in bytes — 2 KB in Table 4. Default kind is
-    {!Ddr3_1333}. *)
+    {!Ddr3_1333}. Raises [Invalid_argument] unless [row_buffer] is a
+    power of two, which [Machine.Config.validate] also requires. *)
 
 val kind : t -> kind
 

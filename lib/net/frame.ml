@@ -5,7 +5,6 @@ type frame =
 (* Connection-confined by contract (see the .mli): one handler domain
    owns each framer, so the mutable state below needs no lock. *)
 type t = {
-  max_line : int;
   acc : Buffer.t;  (** the current incomplete line *)
   pending : frame Queue.t;  (** complete frames not yet taken *)
   mutable discarded : int;  (* connection-confined, see .mli *)
@@ -15,11 +14,8 @@ type t = {
 
 let default_max_line_bytes = 1 lsl 20
 
-let create ?(max_line_bytes = default_max_line_bytes) () =
-  if max_line_bytes <= 0 then
-    invalid_arg "Frame.create: max_line_bytes must be positive";
+let create () =
   {
-    max_line = max_line_bytes;
     acc = Buffer.create 256;
     pending = Queue.create ();
     discarded = 0;
@@ -60,7 +56,7 @@ let feed t buf pos len =
     else if c = '\n' then emit_line t
     else begin
       Buffer.add_char t.acc c;
-      if Buffer.length t.acc > t.max_line then begin
+      if Buffer.length t.acc > default_max_line_bytes then begin
         t.discarded <- Buffer.length t.acc;
         t.discarding <- true;
         Buffer.clear t.acc

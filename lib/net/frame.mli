@@ -18,10 +18,10 @@
       final unterminated line is still a frame (delivered by
       {!close}), matching how [locmap batch] treats a file whose last
       line has no newline.
-    - {b Oversized lines}: a line exceeding [max_line_bytes] becomes a
-      {!Too_long} frame carrying its total length. The overflow is
-      discarded as it streams through — memory stays bounded by
-      [max_line_bytes] — and framing resynchronises at the next
+    - {b Oversized lines}: a line exceeding {!default_max_line_bytes}
+      becomes a {!Too_long} frame carrying its total length. The
+      overflow is discarded as it streams through — memory stays
+      bounded by that cap — and framing resynchronises at the next
       terminator, so one hostile line never kills the connection.
 
     The framer never looks inside a line: malformed JSON is the
@@ -48,9 +48,8 @@ val default_max_line_bytes : int
 (** 1 MiB — generous for mapping requests (a few hundred bytes each)
     while bounding per-connection buffering. *)
 
-val create : ?max_line_bytes:int -> unit -> t
-(** A fresh framer. Raises [Invalid_argument] on a non-positive
-    [max_line_bytes] (construction-time caller contract). *)
+val create : unit -> t
+(** A fresh framer, capping lines at {!default_max_line_bytes}. *)
 
 val feed : t -> bytes -> int -> int -> unit
 (** [feed t buf pos len] appends [len] bytes of [buf] starting at

@@ -116,9 +116,9 @@ let plain_compute ~metrics ~on_phase (req : Request.t) :
         | Ok () -> (
             try
               let prog = entry.program ~scale:req.scale () in
-              (* Layouts are 8 KB-aligned, so the default page size keeps
-                 them page-aligned for any configured size below 8 KB —
-                 same convention as [Harness.Experiment.prepare]. *)
+              (* The default page size, whatever the machine's, as
+                 [Harness.Experiment.prepare] does: arrays start on 2 KB
+                 boundaries. *)
               let layout =
                 Ir.Layout.allocate
                   ~page_size:Machine.Config.default.Machine.Config.page_size

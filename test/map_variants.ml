@@ -1,11 +1,10 @@
 (* Address-map variants the replay, the location table and the line
    memo must all get right: the four cluster modes (three with a
-   compiled location table, one without), a page-grain LLC, remapped
-   pages and an L1 whose set count is not a power of two; and, in
-   [page_variants], pages of 100 and 96 bytes, which a request may
-   carry and which split 64-byte lines across pages (no table either).
-   Each is paired with a page table whose remaps land on the pages a
-   test touches. *)
+   compiled location table, one without), a page-grain LLC and remapped
+   pages. Each is paired with a page table whose remaps land on the
+   pages a test touches. [rejected] holds geometries
+   [Machine.Config.validate] refuses: pages of 100 and 96 bytes, which
+   would split 64-byte lines across pages, and a 48-set L1. *)
 
 type kind = [ `Fresh | `Remap ]
 
@@ -28,14 +27,14 @@ let variants : (string * Machine.Config.t * kind) list =
       with_dist d (fun x -> { x with llc_gran = Mem.Distribution.Page_grain }),
       `Fresh );
     ("remapped pages", d, `Remap);
-    ("48-set L1", { d with l1_size = 12 * 1024 }, `Fresh);
   ]
 
-let page_variants : (string * Machine.Config.t * kind) list =
+let rejected : (string * Machine.Config.t) list =
   let d = Machine.Config.default in
   [
-    ("100-byte pages", { d with page_size = 100 }, `Fresh);
-    ("96-byte pages", { d with page_size = 96 }, `Fresh);
+    ("100-byte pages", { d with page_size = 100 });
+    ("96-byte pages", { d with page_size = 96 });
+    ("48-set L1", { d with l1_size = 12 * 1024 });
   ]
 
 (* [`Remap]: every third of pages [0, pages] moves beyond them. *)

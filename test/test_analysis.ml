@@ -157,9 +157,9 @@ let test_replay_matches_reference () =
 (* The class-restricted warm-up: [warm_summaries] is the two-pass
    replay's warm view on every registry program, and on synthetic
    programs built to take each path: a step-1 hull that partly overlaps
-   step 0, a single time step, and a geometry that is not a power of
-   two (one class). The address-map variants, remapped pages included,
-   check it against the per-access reference above. *)
+   step 0, a single time step, and a 3-way, 32-set L1, whose lower
+   index top halves the classes. The address-map variants, remapped
+   pages included, check it against the per-access reference above. *)
 
 let count_tainted t = Array.fold_left (fun n b -> if b then n + 1 else n) 0 t
 
@@ -239,10 +239,10 @@ let test_warm_synthetic () =
     [
       ("partial overlap", d, 3, fun n count -> count = 32 && 0 < n && n < count);
       ("one step", d, 1, fun n count -> n = count);
-      ( "48-set L1",
-        { d with l1_size = 12 * 1024 },
+      ( "3-way, 32-set L1",
+        { d with l1_assoc = 3; l1_size = 3 * 32 * 32 },
         3,
-        fun n count -> count = 1 && n = 1 );
+        fun n count -> count = 16 && 0 < n && n < count );
     ]
 
 (* Programs that slice every array per step taint no class; mxm's [B]
@@ -299,9 +299,6 @@ let test_line_memo_matches_addr_map () =
       let memo = Locmap.Line_memo.create cfg amap layout in
       let identity = Machine.Addr_map.identity amap in
       check_bool (name ^ ": identity iff no remaps") (kind <> `Remap) identity;
-      check_bool (name ^ ": line shift iff lines tile pages")
-        (cfg.page_size mod cfg.l2_line = 0)
-        (Machine.Config.line_shift cfg <> None);
       check_bool (name ^ ": prefix iff identity and a table period")
         (identity && Machine.Addr_map.table_period amap <> None)
         (Locmap.Line_memo.prefix_available memo);
@@ -340,7 +337,7 @@ let test_line_memo_matches_addr_map () =
     (List.concat_map
        (fun v ->
          List.map (fun name -> (v, name)) [ "mxm"; "jacobi-3d"; "moldyn" ])
-       (variants @ Map_variants.page_variants))
+       variants)
 
 (* Fast-path summaries satisfy the semantic verifier's invariants. *)
 

@@ -20,7 +20,22 @@ let test_geometry_errors () =
     (fun () -> ignore (Cache.Sa_cache.create ~size:100 ~assoc:3 ~line_size:64 ()));
   Alcotest.check_raises "non-positive"
     (Invalid_argument "Sa_cache.create: non-positive geometry") (fun () ->
-      ignore (Cache.Sa_cache.create ~size:0 ~assoc:1 ~line_size:64 ()))
+      ignore (Cache.Sa_cache.create ~size:0 ~assoc:1 ~line_size:64 ()));
+  (* The geometries Machine.Config.validate rejects. *)
+  List.iter
+    (fun (what, size, assoc, line_size) ->
+      Alcotest.check_raises what
+        (Invalid_argument
+           "Sa_cache.create: line size or set count not a power of two")
+        (fun () -> ignore (Cache.Sa_cache.create ~size ~assoc ~line_size ())))
+    [
+      ("48-byte lines", 48 * 2 * 8, 2, 48);
+      ("48 sets", 12 * 1024, 8, 32);
+      ("3 ways, 5 sets", 960, 3, 64);
+    ];
+  check_int "3 ways, 4 sets" 4
+    (Cache.Sa_cache.num_sets
+       (Cache.Sa_cache.create ~size:768 ~assoc:3 ~line_size:64 ()))
 
 let test_miss_then_hit () =
   let c = small () in

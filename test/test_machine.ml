@@ -14,40 +14,79 @@ let test_config_default () =
   check_int "data flits" 3 (Machine.Config.data_flits cfg);
   check_bool "valid" true (Machine.Config.validate cfg = Ok ())
 
-let test_config_validate_errors () =
-  let bad = { cfg with Machine.Config.region_h = 4 } in
-  check_bool "regions must tile" true
-    (match Machine.Config.validate bad with
-    | Error _ -> true
-    | Ok () -> false);
-  let bad = { cfg with Machine.Config.l1_size = 1000 } in
-  check_bool "cache geometry" true
-    (match Machine.Config.validate bad with
-    | Error _ -> true
-    | Ok () -> false);
-  let bad = { cfg with Machine.Config.iter_set_fraction = 0. } in
-  check_bool "fraction bounds" true
-    (match Machine.Config.validate bad with
-    | Error _ -> true
-    | Ok () -> false)
+let rejects (c : Machine.Config.t) =
+  match Machine.Config.validate c with Error _ -> true | Ok () -> false
 
-(* Lines tile pages when the line size is a power of two that divides
-   the page; the line-granular analysis tiers and the location table
-   both hang off this one test. *)
+(* One entry per rule: each config breaks exactly one. The geometry
+   rows are the power-of-two invariant; [Map_variants.rejected] holds
+   the geometries the analysis tests used to build. *)
+let test_config_validate_errors () =
+  List.iter
+    (fun (what, c) -> check_bool what true (rejects c))
+    ([
+       ("regions must tile", { cfg with region_h = 4 });
+       ("cache geometry", { cfg with l1_size = 1000 });
+       ("fraction bounds", { cfg with iter_set_fraction = 0. });
+       ("zero-way L1", { cfg with l1_assoc = 0 });
+       ("48-byte L1 lines", { cfg with l1_line = 48; l1_size = 48 * 8 * 64 });
+       ("96-byte L2 lines", { cfg with l2_line = 96; l2_size = 96 * 16 * 512 });
+       ("48 L1 sets", { cfg with l1_size = 48 * 8 * 32 });
+       ("768 L2 sets", { cfg with l2_size = 768 * 16 * 64 });
+       ("3 KB pages", { cfg with page_size = 3072 });
+       ("3 KB row buffer", { cfg with row_buffer = 3072 });
+       ("L2 lines longer than a page", { cfg with page_size = 32 });
+     ]
+    @ Map_variants.rejected)
+
+(* Associativity stays free, and the machines [Harness.Figures] and
+   examples/custom_topology.ml build are valid. *)
+let test_config_validate_ok () =
+  let knl cluster =
+    {
+      cfg with
+      l2_size = 1024 * 1024;
+      dist = { Mem.Distribution.default with cluster };
+    }
+  in
+  List.iter
+    (fun (what, c) -> check_bool what true (Machine.Config.validate c = Ok ()))
+    [
+      ("default", cfg);
+      ("3-way L1", { cfg with l1_assoc = 3; l1_size = 3 * 64 * 32 });
+      ("12-way LLC", { cfg with l2_assoc = 12; l2_size = 12 * 512 * 64 });
+      ("pages of one L2 line", { cfg with page_size = 64 });
+      ("8x8 mesh", { cfg with rows = 8; cols = 8 });
+      ("1 MB LLC banks", { cfg with l2_size = 1024 * 1024 });
+      ("8 KB pages", { cfg with page_size = 8192 });
+      ("mesh-default", knl Mem.Distribution.Mesh_default);
+      ("all-to-all", knl Mem.Distribution.All_to_all);
+      ("quadrant", knl Mem.Distribution.Quadrant);
+      ("SNC-4", knl Mem.Distribution.Snc4);
+      ( "torus, edge-midpoint MCs",
+        {
+          cfg with
+          topology_kind = Noc.Topology.Torus;
+          mc_placement = Noc.Topology.Edge_midpoints;
+        } );
+      ( "edge-midpoint MCs",
+        { cfg with mc_placement = Noc.Topology.Edge_midpoints } );
+      ("3x2 regions", { cfg with region_h = 3; region_w = 2 });
+    ]
+
+(* Valid lines tile pages; the line-granular analysis tiers and the
+   location table both shift by [line_shift]. *)
 let test_config_line_shift () =
-  let shift ~line ~page =
-    Machine.Config.line_shift
-      { cfg with Machine.Config.l2_line = line; page_size = page }
-  in
-  let check what expected got =
-    Alcotest.(check (option int)) what expected got
-  in
-  check "64-byte lines, 4 KB pages" (Some 6) (shift ~line:64 ~page:4096);
-  check "64-byte lines, 64-byte pages" (Some 6) (shift ~line:64 ~page:64);
-  check "32-byte lines, 96-byte pages" (Some 5) (shift ~line:32 ~page:96);
-  check "64-byte lines, 96-byte pages" None (shift ~line:64 ~page:96);
-  check "64-byte lines, 100-byte pages" None (shift ~line:64 ~page:100);
-  check "48-byte lines, 4800-byte pages" None (shift ~line:48 ~page:4800)
+  List.iter
+    (fun (line, page, shift) ->
+      let c = { cfg with Machine.Config.l2_line = line; page_size = page } in
+      let what = Printf.sprintf "%d-byte lines, %d-byte pages" line page in
+      check_bool (what ^ ": valid") true (Machine.Config.validate c = Ok ());
+      check_int what shift (Machine.Config.line_shift c))
+    [ (64, 4096, 6); (64, 64, 6); (32, 2048, 5); (128, 8192, 7) ];
+  Alcotest.check_raises "96-byte lines"
+    (Invalid_argument "Config.line_shift: l2_line is not a power of two")
+    (fun () ->
+      ignore (Machine.Config.line_shift { cfg with Machine.Config.l2_line = 96 }))
 
 (* ------------------------------------------------------------------ *)
 
@@ -272,12 +311,6 @@ let test_addr_map_table () =
       let am =
         Machine.Addr_map.create c (Map_variants.page_table c ~pages ~kind)
       in
-      check_bool (what ^ ": lines tile pages iff the page holds whole lines")
-        (c.page_size mod c.l2_line = 0)
-        (Machine.Config.line_shift c <> None);
-      check_bool (what ^ ": a table only when lines tile pages") true
-        (Machine.Addr_map.table_period am = None
-        || Machine.Config.line_shift c <> None);
       let n = 2000 in
       let pas =
         Array.init n (fun _ -> Random.State.int rng (4 * pages * c.page_size))
@@ -293,7 +326,7 @@ let test_addr_map_table () =
             ~locs ~k pa
             (Machine.Addr_map.mc_of am pa, Machine.Addr_map.bank_node_of am pa))
         pas)
-    (Map_variants.variants @ Map_variants.page_variants);
+    Map_variants.variants;
   let am = Machine.Addr_map.create cfg (pt ()) in
   Alcotest.check_raises "locate beyond a buffer"
     (Invalid_argument "Addr_map.locate_entries: length outside a buffer")
@@ -370,6 +403,7 @@ let () =
         [
           Alcotest.test_case "defaults (Table 4)" `Quick test_config_default;
           Alcotest.test_case "validation" `Quick test_config_validate_errors;
+          Alcotest.test_case "valid machines" `Quick test_config_validate_ok;
           Alcotest.test_case "lines tile pages" `Quick test_config_line_shift;
         ] );
       ( "addr_map",

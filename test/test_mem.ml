@@ -88,6 +88,14 @@ let qcheck_interleave_range =
 
 (* ------------------------------------------------------------------ *)
 
+let test_dram_row_buffer () =
+  List.iter
+    (fun row_buffer ->
+      Alcotest.check_raises (Printf.sprintf "%d-byte row buffer" row_buffer)
+        (Invalid_argument "Dram.create: row-buffer size not a power of two")
+        (fun () -> ignore (Mem.Dram.create ~row_buffer ())))
+    [ 3072; 96; 0; -2048 ]
+
 let test_dram_cold_then_hit () =
   let d = Mem.Dram.create ~row_buffer:2048 () in
   let t1 = Mem.Dram.service d ~now:0 ~addr:0 in
@@ -164,6 +172,7 @@ let () =
         ] );
       ( "dram",
         [
+          Alcotest.test_case "row buffer" `Quick test_dram_row_buffer;
           Alcotest.test_case "cold then hit" `Quick test_dram_cold_then_hit;
           Alcotest.test_case "channel serialises" `Quick test_dram_channel_serialises;
           Alcotest.test_case "fr-fcfs window" `Quick test_dram_frfcfs_window;

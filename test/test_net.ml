@@ -14,8 +14,8 @@ let string_t = Alcotest.string
 (* ------------------------------------------------------------------ *)
 (* Frame                                                               *)
 
-let frames_of_feeds ?max_line_bytes feeds =
-  let t = Net.Frame.create ?max_line_bytes () in
+let frames_of_feeds feeds =
+  let t = Net.Frame.create () in
   let out = ref [] in
   let drain () =
     let rec go () =
@@ -71,15 +71,24 @@ let test_frame_split_points () =
     (frames_of_feeds [ "a\rb\n" ])
 
 let test_frame_oversized () =
+  let max = Net.Frame.default_max_line_bytes in
   (* An oversized line is swallowed, reported with its full length, and
-     the framer resyncs on the next newline. *)
+     the framer resyncs on the next newline, also when the line arrives
+     in several chunks. *)
   check (Alcotest.list frame_t) "oversize then resync"
-    [ Net.Frame.Too_long 10; Net.Frame.Line "ok" ]
-    (frames_of_feeds ~max_line_bytes:8 [ "0123456789\nok\n" ]);
+    [ Net.Frame.Too_long (max + 2); Net.Frame.Line "ok" ]
+    (frames_of_feeds [ String.make (max + 2) 'x' ^ "\nok\n" ]);
+  check (Alcotest.list frame_t) "oversize across chunks"
+    [ Net.Frame.Too_long (max + 1); Net.Frame.Line "ok" ]
+    (frames_of_feeds [ String.make max 'x'; "y"; "\nok\n" ]);
+  (* A line of exactly the cap is still a line. *)
+  check (Alcotest.list frame_t) "line at the cap"
+    [ Net.Frame.Line (String.make max 'x') ]
+    (frames_of_feeds [ String.make max 'x' ^ "\n" ]);
   (* EOF in the middle of an oversized line still reports it. *)
   check (Alcotest.list frame_t) "oversize cut by EOF"
-    [ Net.Frame.Too_long 12 ]
-    (frames_of_feeds ~max_line_bytes:8 [ "0123456789AB" ]);
+    [ Net.Frame.Too_long (max + 4) ]
+    (frames_of_feeds [ String.make (max + 4) 'x' ]);
   check int_t "buffered bytes visible"
     3
     (let t = Net.Frame.create () in
@@ -92,9 +101,6 @@ let test_frame_contract () =
   check bool_t "closed" true (Net.Frame.is_closed t);
   (match Net.Frame.feed t (Bytes.of_string "x") 0 1 with
   | () -> Alcotest.fail "feed after close must raise"
-  | exception Invalid_argument _ -> ());
-  (match Net.Frame.create ~max_line_bytes:0 () with
-  | _ -> Alcotest.fail "max_line_bytes 0 must raise"
   | exception Invalid_argument _ -> ());
   let t = Net.Frame.create () in
   match Net.Frame.feed t (Bytes.of_string "xy") 1 2 with
@@ -696,12 +702,16 @@ let test_frame_fuzz () =
     | None -> 0xf00d
   in
   let rng = Random.State.make [| seed |] in
-  let max_line = 48 in
+  let max_line = Net.Frame.default_max_line_bytes in
   for iter = 1 to 200 do
     let b = Buffer.create 256 in
     let nlines = 1 + Random.State.int rng 6 in
     for _ = 1 to nlines do
-      let len = Random.State.int rng 80 in
+      (* One line in ten ends within 16 bytes of the cap, on either
+         side: a run of filler, then random bytes. *)
+      let near_cap = Random.State.int rng 10 = 0 in
+      if near_cap then Buffer.add_string b (String.make (max_line - 16) 'x');
+      let len = Random.State.int rng (if near_cap then 32 else 80) in
       for _ = 1 to len do
         Buffer.add_char b
           (match Random.State.int rng 6 with
@@ -716,22 +726,22 @@ let test_frame_fuzz () =
     done;
     let stream = Buffer.contents b in
     let expect = frame_reference stream max_line in
-    (* Random split points, including empty chunks. *)
+    (* Random split points: mostly a few bytes, some up to 64 KiB so
+       that a line near the cap takes tens of chunks, not a million. *)
     let feeds = ref [] in
     let i = ref 0 in
     while !i < String.length stream do
-      let n =
-        min (String.length stream - !i) (1 + Random.State.int rng 8)
-      in
+      let most = if Random.State.int rng 4 = 0 then 65536 else 8 in
+      let n = min (String.length stream - !i) (1 + Random.State.int rng most) in
       feeds := String.sub stream !i n :: !feeds;
       i := !i + n
     done;
-    let got = frames_of_feeds ~max_line_bytes:max_line (List.rev !feeds) in
+    let got = frames_of_feeds (List.rev !feeds) in
     if got <> expect then
       Alcotest.failf
-        "frame fuzz mismatch (seed %d, iter %d, stream %S): rerun with \
-         FRAME_FUZZ_SEED=%d"
-        seed iter stream seed
+        "frame fuzz mismatch (seed %d, iter %d, stream of %d bytes): rerun \
+         with FRAME_FUZZ_SEED=%d"
+        seed iter (String.length stream) seed
   done
 
 (* ------------------------------------------------------------------ *)

@@ -108,8 +108,8 @@ let cache_matches_reference ~name ~size ~assoc ~line addr =
            ops)
 
 (* The original 2-way geometry over uniform addresses; the engine's own
-   geometries (the default L1 and LLC bank); and a 3-way one whose sets
-   and ways are not powers of two. *)
+   geometries (the default L1 and LLC bank); and a 3-way one, since
+   associativity need not be a power of two. *)
 let qcheck_cache_matches_reference =
   cache_matches_reference ~name:"Sa_cache behaves like the naive LRU oracle"
     ~size:1024 ~assoc:2 ~line:64 (QCheck.Gen.int_bound 8191)
@@ -120,7 +120,7 @@ let qcheck_cache_matches_reference =
        [
          ("LRU oracle: 8 ways, 32 B", 16 * 1024, 8, 32);
          ("LRU oracle: 16 ways, 64 B", 512 * 1024, 16, 64);
-         ("LRU oracle: 3 ways, 5 sets", 960, 3, 64);
+         ("LRU oracle: 3 ways, 4 sets", 768, 3, 64);
        ]
 
 (* [hit_run] against a loop of [access] on a twin cache, over the
@@ -166,7 +166,7 @@ let hit_run_matches_access ~name ~size ~assoc ~line addr =
              = Cache.Sa_cache.probe each ~addr:(e lsr 1))
            buf)
 
-(* The default L1 and LLC bank, and the 3-way, 5-set geometry. *)
+(* The default L1 and LLC bank, and the 3-way, 4-set geometry. *)
 let qcheck_hit_run_matches_access =
   List.map
     (fun (name, size, assoc, line) ->
@@ -175,7 +175,7 @@ let qcheck_hit_run_matches_access =
     [
       ("hit_run = access loop: 8 ways, 32 B", 16 * 1024, 8, 32);
       ("hit_run = access loop: 16 ways, 64 B", 512 * 1024, 16, 64);
-      ("hit_run = access loop: 3 ways, 5 sets", 960, 3, 64);
+      ("hit_run = access loop: 3 ways, 4 sets", 768, 3, 64);
     ]
 
 (* [filter] against a loop of [access] on a twin cache, over the same
@@ -235,7 +235,7 @@ let qcheck_filter_matches_access =
     [
       ("filter = access loop: 8 ways, 32 B", 16 * 1024, 8, 32);
       ("filter = access loop: 16 ways, 64 B", 512 * 1024, 16, 64);
-      ("filter = access loop: 3 ways, 5 sets", 960, 3, 64);
+      ("filter = access loop: 3 ways, 4 sets", 768, 3, 64);
     ]
 
 (* ------------------------------------------------------------------ *)

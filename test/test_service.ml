@@ -147,6 +147,29 @@ let test_request_json_errors () =
         (Service.Request.equal r (Service.Request.make "fft"))
   | Error e -> Alcotest.failf "minimal request rejected: %s" e
 
+(* A page of 96 bytes would split 64-byte lines. The wire decoder and
+   [Api.submit] both reject it through [Config.validate], as they do a
+   region grid that does not tile the mesh. *)
+let test_request_non_power_of_two_page () =
+  (match
+     Service.Request.of_string {|{"workload":"fft","machine":{"page_size":96}}|}
+   with
+  | Ok _ -> Alcotest.fail "a 96-byte page must not decode"
+  | Error e ->
+      check string_t "names the rule"
+        "machine: page (96 B) and row buffer (2048 B) must be powers of two" e);
+  let api = Service.Api.create ~num_domains:1 () in
+  let machine = { Machine.Config.default with page_size = 96 } in
+  (match
+     (Service.Api.submit api (Service.Request.make ~scale:0.1 ~machine "fft"))
+       .result
+   with
+  | Error (Service.Fault.Invalid_request _) -> ()
+  | Error f ->
+      Alcotest.failf "expected invalid_request, got %s" (Service.Fault.kind f)
+  | Ok _ -> Alcotest.fail "a 96-byte page must be rejected");
+  Service.Api.shutdown api
+
 (* ------------------------------------------------------------------ *)
 (* Solution_cache                                                      *)
 
@@ -345,6 +368,8 @@ let () =
           Alcotest.test_case "json roundtrip" `Quick
             test_request_json_roundtrip;
           Alcotest.test_case "json errors" `Quick test_request_json_errors;
+          Alcotest.test_case "96-byte page is invalid_request" `Quick
+            test_request_non_power_of_two_page;
         ] );
       ( "solution-cache",
         [

@@ -128,11 +128,11 @@ let test_plan_matches_classifier_law () =
 (* The symbolic tier changes nothing: summaries with the tier on equal
    summaries with every affine reference forced onto the trace-walking
    tiers, for every registry workload and both LLC organisations, and
-   for the regular workloads under the maps whose lookups differ:
-   pages of 100 and 96 bytes that split lines (no line-granular tier
-   may run), the cluster mode without a period (all-to-all: no
-   tables) or with another period (quadrant, SNC-4) and pages remapped by the layout optimiser
-   (lookups translate, interior lines are walked a page at a time). *)
+   for the regular workloads under the maps whose lookups differ: the
+   cluster mode without a period (all-to-all: no tables) or with
+   another period (quadrant, SNC-4) and pages remapped by the layout
+   optimiser (lookups translate, interior lines are walked a page at a
+   time). *)
 
 let regular =
   [ "art"; "cholesky"; "diff"; "fft"; "jacobi-3d"; "lu"; "lulesh";
@@ -148,8 +148,6 @@ let symbolic_configs =
   @ List.map
       (fun (what, cfg, kind) -> (what, cfg, kind, regular))
       [
-        ("100-byte pages", { d with page_size = 100 }, `Fresh);
-        ("96-byte pages", { d with page_size = 96 }, `Fresh);
         ("all-to-all", cluster Mem.Distribution.All_to_all, `Fresh);
         ("snc4", cluster Mem.Distribution.Snc4, `Fresh);
         ("quadrant", cluster Mem.Distribution.Quadrant, `Fresh);
