@@ -10,8 +10,7 @@
        pre-fast-path code (per-access closure via [Trace.iter_range],
        direct [Addr_map] translate/bank/MC calls, one streamed
        predictor) — the baseline the speedup targets are against;
-     - [Analysis.cme_summaries] at each domain count (1 = no pool),
-       with the symbolic tier on (the default);
+     - [Analysis.cme_summaries] at each domain count (1 = no pool);
      - the seed and fast observed paths, sequential by design (the
        replay threads shared cache state through the whole trace);
      - the two-pass observed replay against [Analysis.warm_summaries],
@@ -20,11 +19,12 @@
    Each domain pool lives only while its own timing runs, so every
    sequential timing sees no idle domains.
 
-   It also records per-tier coverage (how many accesses the
-   symbolic/periodic/traced CME tiers resolved) and enforces the
-   observed-path regression gate: the fast replay must not be slower
-   than the seed replay on any workload (with a noise margin), or the
-   bench exits non-zero — in CI this runs as the --smoke gate. It also
+   It also records per-tier coverage (how many accesses the symbolic
+   and the walked CME tiers resolved; the smoke run's barnes covers the
+   walked tier) and enforces the observed-path regression gate: the
+   fast replay must not be slower than the seed replay on any workload
+   (with a noise margin), or the bench exits non-zero — in CI this
+   runs as the --smoke gate. It also
    exits non-zero when [warm_summaries] differs from the two-pass
    replay's warm view on any workload.
 
@@ -289,28 +289,11 @@ let () =
                ~sets);
           let v n = Obs.Metrics.counter_value (Obs.Metrics.counter im n) in
           ( v "locmap_cme_tier_symbolic_accesses_total",
-            v "locmap_cme_tier_periodic_accesses_total",
             v "locmap_cme_tier_traced_accesses_total" )
         in
         let seed_sum, cme_seed_ms =
           time (fun () -> seed_cme_summaries cfg amap trace ~sets)
         in
-        (* The PR-4 fast path, measured in-run: the same code with the
-           symbolic tier disabled falls back to the periodic/traced
-           walkers, which is exactly what shipped before the symbolic
-           tier. Sequential, so the comparison against the 1-domain
-           symbolic time isolates the algorithmic win from pool
-           scaling. *)
-        let pr4_sum, cme_pr4_ms =
-          time (fun () ->
-              Locmap.Analysis.cme_summaries ~memo ~symbolic:false cfg amap
-                trace ~sets)
-        in
-        if not (summaries_equal seed_sum pr4_sum) then begin
-          Printf.eprintf
-            "FATAL: %s: symbolic-off CME summaries differ from seed\n" name;
-          exit 1
-        end;
         (* A pool lives only while its own domain count is timed. In
            OCaml 5 every live domain, idle or not, joins each
            stop-the-world minor collection, so pools kept alive across
@@ -372,12 +355,12 @@ let () =
              (List.map (fun (_, ms) -> Printf.sprintf "%7.1fms" ms) cme_ms))
           obs_seed_ms obs_fast_ms two_pass_ms warm_ms;
         (name, p.Harness.Experiment.entry.Workloads.Registry.kind, accesses,
-         Array.length sets, cme_seed_ms, cme_pr4_ms, cme_ms, obs_seed_ms,
+         Array.length sets, cme_seed_ms, cme_ms, obs_seed_ms,
          obs_fast_ms, tiers, (two_pass_ms, warm_ms)))
       names
   in
   let max_domains = List.fold_left max 1 !domain_counts in
-  let speedup_at_max (_, _, _, _, seed_ms, _, cme_ms, _, _, _, _) =
+  let speedup_at_max (_, _, _, _, seed_ms, cme_ms, _, _, _, _) =
     seed_ms /. List.assoc max_domains cme_ms
   in
   let geomean =
@@ -387,25 +370,6 @@ let () =
   Printf.printf
     "geomean cme_summaries speedup (%d domains vs seed sequential): %.2fx\n"
     max_domains geomean;
-  (* Symbolic-tier win in isolation: regular workloads only (100%
-     symbolic coverage), sequential 1-domain symbolic time vs the
-     in-run PR-4 walker time, so neither cross-run machine drift nor
-     pool scaling pollutes the ratio. *)
-  let geomean_regular_vs_pr4 =
-    let logs =
-      List.filter_map
-        (fun (_, kind, _, _, _, pr4_ms, cme_ms, _, _, _, _) ->
-          match (kind, List.assoc_opt 1 cme_ms) with
-          | Ir.Program.Regular, Some ms1 -> Some (log (pr4_ms /. ms1))
-          | _ -> None)
-        rows
-    in
-    if logs = [] then 1.0
-    else exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length logs))
-  in
-  Printf.printf
-    "geomean symbolic-vs-pr4 speedup (regular workloads, 1 domain): %.2fx\n"
-    geomean_regular_vs_pr4;
   (* Observed-path regression gate: the fast replay does strictly less
      work per access than the seed replay, so it must not measure
      slower — a relative margin plus a 1 ms absolute allowance absorbs
@@ -414,13 +378,13 @@ let () =
   let obs_margin = if !smoke then 1.5 else 1.15 in
   let regressions =
     List.filter
-      (fun (_, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
+      (fun (_, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
         obs_fast_ms > (obs_seed_ms *. obs_margin) +. 1.0)
       rows
   in
   if regressions <> [] then begin
     List.iter
-      (fun (name, _, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
+      (fun (name, _, _, _, _, _, obs_seed_ms, obs_fast_ms, _, _) ->
         Printf.eprintf
           "FATAL: %s: observed fast path %.1fms slower than seed %.1fms \
            (margin %.2fx)\n"
@@ -454,8 +418,8 @@ let () =
         ( "workloads",
           Service.Json.List
             (List.map
-               (fun (name, kind, accesses, nsets, cme_seed_ms, cme_pr4_ms,
-                     cme_ms, obs_seed_ms, obs_fast_ms, (t_sym, t_per, t_tr),
+               (fun (name, kind, accesses, nsets, cme_seed_ms, cme_ms,
+                     obs_seed_ms, obs_fast_ms, (t_sym, t_walked),
                      (two_pass_ms, warm_ms)) ->
                  Service.Json.Obj
                    [
@@ -468,7 +432,6 @@ let () =
                      ("accesses", Service.Json.Int accesses);
                      ("sets", Service.Json.Int nsets);
                      ("cme_seed_ms", Service.Json.Float cme_seed_ms);
-                     ("cme_pr4_ms", Service.Json.Float cme_pr4_ms);
                      ( "cme_ms",
                        Service.Json.Obj
                          (List.map
@@ -486,14 +449,11 @@ let () =
                        Service.Json.Obj
                          [
                            ("symbolic", Service.Json.Int t_sym);
-                           ("periodic", Service.Json.Int t_per);
-                           ("traced", Service.Json.Int t_tr);
+                           ("walked", Service.Json.Int t_walked);
                          ] );
                    ])
                rows) );
         ("geomean_cme_speedup_max_domains_vs_seed", Service.Json.Float geomean);
-        ( "geomean_regular_symbolic_vs_pr4_1d",
-          Service.Json.Float geomean_regular_vs_pr4 );
       ]
   in
   let oc = open_out !out_file in

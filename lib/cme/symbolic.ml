@@ -93,11 +93,11 @@ let push aps ~a0 ~stride ~count ~mult ~miss =
   aps.ap_miss.(k) <- miss;
   aps.n <- k + 1
 
-(* Caps keeping plan construction and per-set instantiation cheap: a
-   shape beyond them falls back to the trace-walking tiers. *)
-let max_classes = 64
+(* The one cap: the entry count before merging, one per (class,
+   qualifying inner combination), is what a plan costs to build and to
+   hold. A reference beyond it gets no plan, and the analysis walks it
+   in trace chunks instead. *)
 let max_entries = 2048
-let max_inner_trip = 1 lsl 16
 
 (* [Cme.cold_only]'s value, restated here because [Cme] re-exports this
    module (the dependency runs Cme -> Symbolic). *)
@@ -125,16 +125,15 @@ let plan trace ~nest ~body ~p1 ~p2 ~step =
       let it = Array.fold_left ( * ) 1 trips in
       let cold = cold_only in
       if p1 = cold || p1 <= 0 || p2 <= 0 then None
-      else if p2 <> cold && p2 > max_classes then None
-      else if it > max_inner_trip then None
       else begin
         let m = if p2 = cold then p1 else p1 * p2 in
         let g = gcd it m in
         let mstride = m / g in
         (* One entry per (class, qualifying inner combination) before
-           merging; reject oversized shapes up front. *)
+           merging; reject oversized shapes up front, in a form that
+           cannot overflow. *)
         let nclasses = if p2 = cold then 1 else p2 in
-        if nclasses * (it / g) > max_entries then None
+        if it / g > max_entries / nclasses then None
         else begin
           let a0 =
             ref (dbase + (dcoeffs.(0) * step) + (dcoeffs.(1) * par.lo))

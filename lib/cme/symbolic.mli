@@ -17,9 +17,11 @@
     instantiates it for any parallel range [lo, hi) in
     O(entries) — independent of the range's execution count. The
     analysis tier dispatch ({!Locmap.Analysis}) resolves the resulting
-    progressions against its line memo; references whose shape exceeds
-    the plan caps (huge inner trips, > 64 hit classes) simply get no
-    plan and stay on the trace-walking tiers.
+    progressions against its line memo. A plan has one cap: its entry
+    count before merging, one per (class, qualifying inner
+    combination), at most 2048, which is what it costs to build and to
+    hold. A reference beyond it gets no plan, and the analysis walks it
+    in trace chunks instead.
 
     {b Thread safety}: plans are immutable after construction and may
     be shared across domains; an {!aps} scratch is private mutable
@@ -39,10 +41,10 @@ val plan :
     [body]'s visited-execution classes for the given CME periods
     ([Cme.cold_only] accepted for [p2]; a cold-only [p1] has a single
     trivial execution and needs no plan). [None] when the reference is
-    irregular (index-array), [p1] is cold-only, or the class structure
-    exceeds the construction caps. [step] is the timing-step value the
-    addresses are taken at. Raises [Invalid_argument] on a bad nest or
-    body index. *)
+    irregular (index-array), [p1] is cold-only, or the plan would have
+    more than 2048 entries before merging. [step] is the timing-step
+    value the addresses are taken at. Raises [Invalid_argument] on a
+    bad nest or body index. *)
 
 val exec0_addr : plan -> int
 (** Address of execution 0 — where the one cold miss of an

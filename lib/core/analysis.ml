@@ -14,24 +14,23 @@ let fresh_summaries cfg amap ~count =
    (iff [c = 0] when cold-only), and that miss reaches memory iff
    [c / p1] is a multiple of [p2]. Summaries are commutative counters,
    so instead of streaming every access through [Cme.classify] the set
-   is folded per reference, through a three-tier dispatch:
+   is folded per reference, in one of two tiers:
 
-   - {e symbolic}: pure-affine references with a {!Cme.Symbolic.plan}
-     never touch the trace at all — the set's misses and hits are
-     address arithmetic progressions instantiated in O(plan entries)
-     and resolved against the memo's location prefix tables, so the
-     cost is independent of the set's execution count;
-   - {e periodic}: affine references whose shape exceeded the plan caps
-     bulk-count L1 hits and visit only the LLC-reaching executions
-     ({!Ir.Trace.iter_body_periodic}) or walk same-line blocks
-     ({!Ir.Trace.iter_body_line_blocks});
-   - {e traced}: index-array references have no closed form and expand
-     their stream (as one-execution line blocks).
+   - {e symbolic}: affine references with a {!Cme.Symbolic.plan}, and
+     L1-cold-only ones, never touch the trace — the set's misses and
+     hits are address arithmetic progressions instantiated in O(plan
+     entries) and resolved against the memo's location prefix tables,
+     so the cost is independent of the set's execution count;
+   - {e walked}: index-array references, which have no closed form, and
+     affine ones beyond the plan's entry cap. The set is filled in
+     {!Ir.Trace.fill_range} chunks, the walked references' L1-missing
+     executions are kept at the front of each chunk, and those are
+     located a chunk at a time, as the observed replay does.
 
-   Every tier is byte-identical to the streamed walk (the analysis
-   bench and test suite cross-check this), and a set's summary depends
-   only on the set itself, which is what makes sharding sets across
-   domains byte-identical too. *)
+   Both tiers are byte-identical to the streamed classifier (the test
+   suite cross-checks this), and a set's summary depends only on the
+   set itself, which is what makes sharding sets across domains
+   byte-identical too. *)
 
 (* Multiples of [p] in [lo, hi), for 0 <= lo <= hi. *)
 let multiples_in p ~lo ~hi = ((hi + p - 1) / p) - ((lo + p - 1) / p)
@@ -44,23 +43,15 @@ type cme_stats = {
      into the registry's sharded counters at range end. *)
   mutable st_accesses : int;  (* closed-form executions *)
   mutable st_symbolic : int;  (* accesses resolved trace-free *)
-  mutable st_periodic : int;  (* accesses on the periodic trace walkers *)
-  mutable st_traced : int;  (* accesses of index-array references *)
+  mutable st_walked : int;  (* accesses of walked references *)
 }
 
-let fresh_stats () =
-  {
-    st_accesses = 0;
-    st_symbolic = 0;
-    st_periodic = 0;
-    st_traced = 0;
-  }
+let fresh_stats () = { st_accesses = 0; st_symbolic = 0; st_walked = 0 }
 
 type cme_instruments = {
   ci_accesses : Obs.Metrics.counter;
   ci_symbolic : Obs.Metrics.counter;
-  ci_periodic : Obs.Metrics.counter;
-  ci_traced : Obs.Metrics.counter;
+  ci_walked : Obs.Metrics.counter;
 }
 
 let cme_instruments im =
@@ -73,21 +64,16 @@ let cme_instruments im =
       Obs.Metrics.counter im
         ~help:"accesses resolved by the trace-free symbolic tier"
         "locmap_cme_tier_symbolic_accesses_total";
-    ci_periodic =
+    ci_walked =
       Obs.Metrics.counter im
-        ~help:"accesses resolved by the periodic trace-walking tier"
-        "locmap_cme_tier_periodic_accesses_total";
-    ci_traced =
-      Obs.Metrics.counter im
-        ~help:"accesses of index-array references (full trace expansion)"
+        ~help:"accesses of references walked in trace chunks (no plan)"
         "locmap_cme_tier_traced_accesses_total";
   }
 
 let flush_stats ci st =
   Obs.Metrics.add ci.ci_accesses st.st_accesses;
   Obs.Metrics.add ci.ci_symbolic st.st_symbolic;
-  Obs.Metrics.add ci.ci_periodic st.st_periodic;
-  Obs.Metrics.add ci.ci_traced st.st_traced
+  Obs.Metrics.add ci.ci_walked st.st_walked
 
 (* ---- Symbolic tier: progression resolution against the memo ---- *)
 
@@ -194,42 +180,164 @@ let flip_exec0 w sm plan =
     ~bank_region:(if w.shared then region else -1)
     ~mc:(Machine.Addr_map.mc_of_loc loc)
 
-(* Per-nest dispatch context: the predictor plus one symbolic plan per
-   reference (None = irregular, over the plan caps, or symbolic tier
-   disabled) and each reference's regularity for tier accounting. *)
+(* ---- Walked tier: chunked fills of the references without a plan ---- *)
+
+(* A walked reference: its body index, its periods, and the countdowns
+   of the period law. *)
+type walked = {
+  body : int;
+  p1 : int;
+  p2 : int;
+  mutable until_l1 : int;  (* executions to its next L1 miss *)
+  mutable until_mem : int;  (* L1 misses to its next memory access *)
+}
+
+(* A nest's walked references, ascending, and the chunk buffers: never
+   less than one parallel iteration, which [fill_range] needs. *)
+type walk = {
+  refs : walked array;
+  buf : int array;
+  locs : int array;
+  vals : int array;
+}
+
+(* Moves the L1-missing executions of the walked references among the
+   first [execs] executions of the chunk to the front of [buf], in
+   order, and returns how many there are. Execution [j] of body
+   reference [r] sits at [j * nb + r]. Bit 0 of a kept entry, the write
+   bit, which nothing here counts, is set for an access that goes to
+   memory. No write overtakes a read: the [m]-th kept entry came from
+   position [m] or later. *)
+let keep_l1_misses wk ~nb ~execs =
+  let buf = wk.buf and refs = wk.refs in
+  let m = ref 0 in
+  for j = 0 to execs - 1 do
+    for x = 0 to Array.length refs - 1 do
+      let r = Array.unsafe_get refs x in
+      if r.until_l1 > 0 then r.until_l1 <- r.until_l1 - 1
+      else begin
+        r.until_l1 <- r.p1 - 1;
+        let mem =
+          if r.until_mem > 0 then begin
+            r.until_mem <- r.until_mem - 1;
+            0
+          end
+          else begin
+            r.until_mem <- r.p2 - 1;
+            1
+          end
+        in
+        let e = Array.unsafe_get buf ((j * nb) + r.body) in
+        Array.unsafe_set buf !m (e land lnot 1 lor mem);
+        incr m
+      end
+    done
+  done;
+  !m
+
+(* The walked references' LLC hits and misses over set [s], whose
+   first execution is [c0], [it] executions per parallel iteration. The
+   countdowns start from the period law at [c0] and carry over from
+   chunk to chunk; each chunk's kept entries are translated, located
+   and counted as the observed replay counts its misses. *)
+let walk_set w trace wk (s : Ir.Iter_set.t) ~c0 ~it sm =
+  let nb = Ir.Trace.num_body_refs trace ~nest:s.nest in
+  Array.iter
+    (fun r ->
+      r.until_l1 <- (r.p1 - (c0 mod r.p1)) mod r.p1;
+      r.until_mem <- (r.p2 - ((c0 + r.until_l1) / r.p1 mod r.p2)) mod r.p2)
+    wk.refs;
+  let i = ref s.lo in
+  while !i < s.hi do
+    let next =
+      Ir.Trace.fill_range trace ~vals:wk.vals ~step:0 ~nest:s.nest ~lo:!i
+        ~hi:s.hi ~buf:wk.buf
+    in
+    let m = keep_l1_misses wk ~nb ~execs:((next - !i) * it) in
+    i := next;
+    Machine.Addr_map.translate_entries w.amap wk.buf ~len:m;
+    Machine.Addr_map.locate_entries w.amap wk.buf ~len:m wk.locs;
+    for j = 0 to m - 1 do
+      let loc = wk.locs.(j) in
+      let region = if w.shared then Machine.Addr_map.region_of_loc loc else 0 in
+      if wk.buf.(j) land 1 = 1 then
+        Summary.add_llc_miss sm ~mc:(Machine.Addr_map.mc_of_loc loc)
+          ~bank_region:(if w.shared then region else -1)
+      else Summary.add_llc_hit sm ~region
+    done
+  done
+
+(* Address of execution 0 of an L1-cold-only reference, every loop at
+   its first value, at step 0, from its affine form: only direct
+   references are L1-cold-only, {!Cme} gives index-array ones
+   [p1 = 1]. *)
+let exec0_addr trace ~nest ~body =
+  let d = Option.get (Ir.Trace.direct_ref trace ~nest ~body) in
+  let par = Ir.Trace.par_loop trace ~nest in
+  let a = ref (d.dbase + (d.dcoeffs.(1) * par.lo)) in
+  Array.iteri
+    (fun i (l : Ir.Loop_nest.loop) -> a := !a + (d.dcoeffs.(i + 2) * l.lo))
+    (Ir.Trace.inner_loops trace ~nest);
+  !a
+
+(* Per-nest dispatch context: the predictor, one symbolic plan per
+   reference (None for an L1-cold-only reference, which needs none, and
+   for a walked one), and the walked references' state. *)
 type nest_ctx = {
   pred : Cme.t;
   plans : Cme.Symbolic.plan option array;
-  direct : bool array;
+  walk : walk option;
 }
 
-let nest_ctx ~symbolic cfg prog layout trace ~nest =
+let nest_ctx cfg prog layout trace ~nest =
   let pred = Cme.create cfg prog layout ~nest in
   let nrefs = Cme.num_refs pred in
-  let direct =
-    Array.init nrefs (fun r -> Ir.Trace.direct_ref trace ~nest ~body:r <> None)
-  in
   let plans =
     Array.init nrefs (fun r ->
-        if symbolic then
-          Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
-            ~p2:(Cme.llc_period pred r) ~step:0
-        else None)
+        Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period pred r)
+          ~p2:(Cme.llc_period pred r) ~step:0)
   in
-  { pred; plans; direct }
+  let walked =
+    List.filter_map
+      (fun body ->
+        if
+          Cme.l1_period pred body = Cme.cold_only
+          || Option.is_some plans.(body)
+        then None
+        else
+          Some
+            {
+              body;
+              p1 = Cme.l1_period pred body;
+              p2 = Cme.llc_period pred body;
+              until_l1 = 0;
+              until_mem = 0;
+            })
+      (List.init nrefs Fun.id)
+  in
+  let walk =
+    if walked = [] then None
+    else
+      let n = max 4096 (Ir.Trace.accesses_per_par_iter trace ~nest) in
+      Some
+        {
+          refs = Array.of_list walked;
+          buf = Array.make n 0;
+          locs = Array.make n 0;
+          vals = Ir.Trace.loop_vars trace;
+        }
+  in
+  { pred; plans; walk }
 
-let cme_set w ~stats trace ctx aps
-    (s : Ir.Iter_set.t) sm =
+let cme_set w ~stats trace ctx aps (s : Ir.Iter_set.t) sm =
   let p = ctx.pred in
   let inner_trip = Cme.inner_trip p in
   let c0 = s.lo * inner_trip and c1 = s.hi * inner_trip in
   let total = c1 - c0 in
-  let add_hit addr = add_at w sm ~miss:false addr 1
-  and add_miss addr = add_at w sm ~miss:true addr 1 in
   for r = 0 to Cme.num_refs p - 1 do
     stats.st_accesses <- stats.st_accesses + total;
     let p1 = Cme.l1_period p r in
-    if p1 = max_int then begin
+    if p1 = Cme.cold_only then begin
       (* Cold-only at L1: the single miss is execution 0, and with no
          prior L1 misses the classifier always sends it to memory —
          trivially closed-form, so the symbolic tier. *)
@@ -237,10 +345,11 @@ let cme_set w ~stats trace ctx aps
       Summary.add_l1_hits sm (total - nmiss);
       stats.st_symbolic <- stats.st_symbolic + total;
       if nmiss = 1 then
-        Ir.Trace.iter_body_periodic trace ~nest:s.nest ~body:r ~first:0 ~hi:1
-          ~period:1 (fun ~exec:_ ~addr -> add_miss addr)
+        add_at w sm ~miss:true (exec0_addr trace ~nest:s.nest ~body:r) 1
     end
-    else
+    else begin
+      let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
+      Summary.add_l1_hits sm (total - nmiss);
       match ctx.plans.(r) with
       | Some plan ->
           (* Symbolic tier: the set's LLC-reaching executions are the
@@ -248,8 +357,6 @@ let cme_set w ~stats trace ctx aps
              address progressions resolved against the memo without
              touching the trace. *)
           stats.st_symbolic <- stats.st_symbolic + total;
-          let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
-          Summary.add_l1_hits sm (total - nmiss);
           if nmiss > 0 then begin
             Cme.Symbolic.decompose plan ~lo:s.lo ~hi:s.hi aps;
             assert (Cme.Symbolic.visited_total aps = nmiss);
@@ -259,53 +366,10 @@ let cme_set w ~stats trace ctx aps
             if Cme.Symbolic.flips_exec0 plan && c0 = 0 then
               flip_exec0 w sm plan
           end
-      | None ->
-          (if ctx.direct.(r) then
-             stats.st_periodic <- stats.st_periodic + total
-           else stats.st_traced <- stats.st_traced + total);
-          if p1 = 1 && Cme.llc_period p r = 1 then
-            (* Every execution is an LLC miss (wide streaming references
-               beyond the plan caps, and all references of irregular
-               nests). Outcomes are order-independent counts, so the set
-               is walked in line blocks: consecutive parallel iterations
-               on the same line share one location lookup and one bulk
-               summary update. Sound because lines tile pages: no line
-               straddles a page, so a line has one location. *)
-            Ir.Trace.iter_body_line_blocks trace ~nest:s.nest ~body:r ~lo:s.lo
-              ~hi:s.hi
-              ~line:(1 lsl w.lshift)
-              (fun ~addr ~count -> add_at w sm ~miss:true addr count)
-          else begin
-            let nmiss = multiples_in p1 ~lo:c0 ~hi:c1 in
-            Summary.add_l1_hits sm (total - nmiss);
-            if nmiss > 0 then begin
-              let first = (c0 + p1 - 1) / p1 * p1 in
-              let p2 = Cme.llc_period p r in
-              if p2 = max_int then
-                (* Cold-only at LLC: only L1-miss index 0, i.e.
-                   execution 0. *)
-                Ir.Trace.iter_body_periodic trace ~nest:s.nest ~body:r ~first
-                  ~hi:c1 ~period:p1 (fun ~exec ~addr ->
-                    if exec = 0 then add_miss addr else add_hit addr)
-              else begin
-                (* The visited executions have L1-miss indices first/p1,
-                   first/p1 + 1, ...; every [p2]-th of those is an LLC
-                   miss. A countdown avoids a division per visit. *)
-                let until_miss = ref ((p2 - (first / p1 mod p2)) mod p2) in
-                Ir.Trace.iter_body_periodic trace ~nest:s.nest ~body:r ~first
-                  ~hi:c1 ~period:p1 (fun ~exec:_ ~addr ->
-                    if !until_miss = 0 then begin
-                      add_miss addr;
-                      until_miss := p2 - 1
-                    end
-                    else begin
-                      add_hit addr;
-                      decr until_miss
-                    end)
-              end
-            end
-          end
-  done
+      | None -> stats.st_walked <- stats.st_walked + total
+    end
+  done;
+  Option.iter (fun wk -> walk_set w trace wk s ~c0 ~it:inner_trip sm) ctx.walk
 
 (* Contiguous set ranges with roughly equal access counts, so every
    domain gets comparable work no matter how set sizes vary. *)
@@ -335,8 +399,8 @@ let shard_ranges trace sets ~nshards =
   if !start < n then ranges := (!start, n) :: !ranges;
   Array.of_list (List.rev !ranges)
 
-let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
-    (cfg : Machine.Config.t) amap trace ~sets =
+let cme_summaries ?pool ?memo ?metrics (cfg : Machine.Config.t) amap trace
+    ~sets =
   let prog = Ir.Trace.program trace in
   let layout = Ir.Trace.layout trace in
   let w =
@@ -366,7 +430,7 @@ let cme_summaries ?pool ?memo ?metrics ?(symbolic = true)
       let s : Ir.Iter_set.t = sets.(k) in
       if s.nest <> !current_nest then begin
         current_nest := s.nest;
-        ctx := Some (nest_ctx ~symbolic cfg prog layout trace ~nest:s.nest)
+        ctx := Some (nest_ctx cfg prog layout trace ~nest:s.nest)
       end;
       cme_set w ~stats trace (Option.get !ctx) aps s out.(k - a)
     done;

@@ -15,22 +15,23 @@
     {!Machine.Addr_map.locate}, one read of the map's one-period table
     of packed (MC, region, node) cells, with a translation only when
     pages are remapped, instead of a translate/bank/region/MC
-    recomputation. The CME path dispatches each (set, reference) to one
-    of three tiers:
+    recomputation. The CME path sends each (set, reference) to one of
+    two tiers:
 
-    - {e symbolic} — pure-affine references with a {!Cme.Symbolic.plan}
-      never touch the trace: the set's LLC hits and misses are address
-      arithmetic progressions, whose interior line ranges are counted
-      per MC and region by a {!Line_memo}
+    - {e symbolic} — affine references with a {!Cme.Symbolic.plan},
+      and L1-cold-only ones, never touch the trace: the set's LLC hits
+      and misses are address arithmetic progressions, whose interior
+      line ranges are counted per MC and region by a {!Line_memo}
       ({!Line_memo.add_line_counts}: prefix tables under identity
       translation, a page at a time otherwise), at cost independent of
       the execution count;
-    - {e periodic} — affine references beyond the plan caps bulk-count
-      L1 hits arithmetically and visit only the LLC-reaching executions
-      ({!Ir.Trace.iter_body_periodic}), or aggregate all-miss same-line
-      runs into bulk updates ({!Ir.Trace.iter_body_line_blocks});
-    - {e traced} — index-array references have no closed form and
-      expand their stream as line blocks.
+    - {e walked} — index-array references, which have no closed form,
+      and affine ones beyond the plan's entry cap: the set is filled in
+      {!Ir.Trace.fill_range} chunks, their L1-missing executions (by
+      the period law, {!Cme.l1_period}) are kept at the front of each
+      chunk and located with {!Machine.Addr_map.locate_entries}, as the
+      observed path below does. A buffer is allocated only for a nest
+      that has such a reference.
 
     The observed path runs on the simulator's own walker and cache
     kernel, a chunk at a time: {!Ir.Trace.fill_range} writes whole
@@ -73,7 +74,6 @@ val cme_summaries :
   ?pool:Par.Pool.t ->
   ?memo:Line_memo.t ->
   ?metrics:Obs.Metrics.t ->
-  ?symbolic:bool ->
   Machine.Config.t ->
   Machine.Addr_map.t ->
   Ir.Trace.t ->
@@ -82,23 +82,18 @@ val cme_summaries :
 (** [memo], when given, must have been built from the same config,
     address map and layout; the default builds a fresh one, which costs
     O(period × (MCs + regions)). [pool], when given with more than one
-    domain, shards sets across its workers. [symbolic:false] (default
-    [true]) disables the trace-free tier, forcing every affine
-    reference onto the periodic walkers — the results are
-    byte-identical either way (the equivalence tests check this); the
-    flag exists for that cross-check and for timing the tiers against
-    each other.
+    domain, shards sets across its workers.
 
     [metrics] feeds the fast-path counters —
     [locmap_cme_accesses_total] (executions folded by the closed form)
     and the per-tier coverage counters
-    [locmap_cme_tier_symbolic_accesses_total],
-    [locmap_cme_tier_periodic_accesses_total] and
-    [locmap_cme_tier_traced_accesses_total] (every access lands in
-    exactly one tier, so the three sum to [locmap_cme_accesses_total])
-    — accumulated as plain ints per shard range and flushed once per
-    range, so the hot loops never touch an atomic and the results stay
-    byte-identical with instrumentation on. *)
+    [locmap_cme_tier_symbolic_accesses_total] and
+    [locmap_cme_tier_traced_accesses_total] (the walked tier; every
+    access lands in exactly one tier, so the two sum to
+    [locmap_cme_accesses_total]) — accumulated as plain ints per shard
+    range and flushed once per range, so the hot loops never touch an
+    atomic and the results stay byte-identical with instrumentation
+    on. *)
 
 val observed_summaries :
   ?warm_pass:bool ->

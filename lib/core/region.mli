@@ -29,9 +29,6 @@ val nodes_of : t -> int -> int array
 val center : t -> int -> float * float
 (** Geometric centre (row, col) of a region's nodes. *)
 
-val grid_coord : t -> int -> int * int
-(** (row, col) of a region within the region grid. *)
-
 val grid_distance : t -> int -> int -> int
 (** Manhattan distance between two regions in the region grid — the
     proximity order used by the load balancer (Section 3.5). *)

@@ -158,16 +158,26 @@ let addr_of cn vals = function
 let is_write = function
   | Cdirect { write; _ } | Cindirect { write; _ } -> write
 
-(* The range walker: for each parallel iteration in [lo, hi),
-   bind the parallel variable, walk the inner loops (outermost first)
-   and call [leaf ()] once per complete inner-iteration combination.
-   The recursion is built once per call, not once per parallel
-   iteration, so a walk allocates per range and nothing per access.
-   The per-iteration fill below has its own closure-free recursion. *)
-let walk cn vals ~lo ~hi leaf =
+(* The reference walker: for each parallel iteration in [lo, hi), bind
+   the parallel variable, walk the inner loops (outermost first) and
+   visit the body once per complete inner-iteration combination. The
+   recursion is built once per call, not once per parallel iteration,
+   so a walk allocates per range and nothing per access. The fill below
+   has its own closure-free recursion. *)
+let iter_range ?(step = 0) t ~nest ~lo ~hi f =
+  let cn = get_nest t nest in
+  if lo < 0 || hi > cn.iterations || lo > hi then
+    invalid_arg "Trace.iter_range: bad range";
+  let vals = Array.make cn.nvars 0 in
+  vals.(0) <- step;
+  let body = cn.body in
   let ninner = Array.length cn.inner in
   let rec go d =
-    if d = ninner then leaf ()
+    if d = ninner then
+      for b = 0 to Array.length body - 1 do
+        let ca = Array.unsafe_get body b in
+        f ~addr:(addr_of cn vals ca) ~write:(is_write ca)
+      done
     else begin
       (* In bounds: d < ninner and vals has ninner + 2 cells. *)
       let l = Array.unsafe_get cn.inner d in
@@ -184,23 +194,6 @@ let walk cn vals ~lo ~hi leaf =
     go 0
   done
 
-let fresh_vals cn step =
-  let vals = Array.make cn.nvars 0 in
-  vals.(0) <- step;
-  vals
-
-let iter_range ?(step = 0) t ~nest ~lo ~hi f =
-  let cn = get_nest t nest in
-  if lo < 0 || hi > cn.iterations || lo > hi then
-    invalid_arg "Trace.iter_range: bad range";
-  let vals = fresh_vals cn step in
-  let body = cn.body in
-  walk cn vals ~lo ~hi (fun () ->
-      for b = 0 to Array.length body - 1 do
-        let ca = Array.unsafe_get body b in
-        f ~addr:(addr_of cn vals ca) ~write:(is_write ca)
-      done)
-
 let loop_vars t =
   Array.make (Array.fold_left (fun m cn -> max m cn.nvars) 0 t.nests) 0
 
@@ -209,7 +202,7 @@ let[@inline] encode addr ca = (addr lsl 1) lor if is_write ca then 1 else 0
 (* Write the accesses of every inner-loop combination from depth [d]
    down into [buf] from position [n]; return the next free position.
    The nest has at least one inner loop ([fill_iters] handles the rest).
-   A top-level recursion rather than [walk]'s leaf closure, so a fill
+   A top-level recursion rather than [iter_range]'s closure, so a fill
    allocates nothing.
 
    The innermost loop is written reference by reference, each into the
@@ -314,113 +307,6 @@ let fill_range t ~vals ~step ~nest ~lo ~hi ~buf =
   vals.(0) <- step;
   fill_iters cn vals buf ~lo ~hi;
   hi
-
-(* Visit the accesses of one body reference whose per-reference
-   execution counter is [first], [first + period], ... below [hi].
-   Execution counters order a single reference's executions: one per
-   complete inner-iteration combination, [inner_trip] per parallel
-   iteration. The CME fast path uses this to touch only the accesses
-   whose miss period fires, instead of expanding the whole stream. *)
-let iter_body_periodic ?(step = 0) t ~nest ~body ~first ~hi ~period f =
-  let cn = get_nest t nest in
-  if body < 0 || body >= Array.length cn.body then
-    invalid_arg "Trace.iter_body_periodic: body reference out of range";
-  if period <= 0 then
-    invalid_arg "Trace.iter_body_periodic: non-positive period";
-  if first < 0 then invalid_arg "Trace.iter_body_periodic: negative start";
-  let inner_trip =
-    Array.fold_left (fun acc l -> acc * Loop_nest.trip l) 1 cn.inner
-  in
-  if hi > cn.iterations * inner_trip then
-    invalid_arg "Trace.iter_body_periodic: range beyond nest executions";
-  let ca = cn.body.(body) in
-  let vals = fresh_vals cn step in
-  if period = 1 then begin
-    (* Dense: nested-loop walk from the enclosing iteration boundary,
-       guarded by two compares per execution — no decode divisions. *)
-    let c = ref (first / inner_trip * inner_trip) in
-    try
-      walk cn vals ~lo:(first / inner_trip) ~hi:cn.iterations (fun () ->
-          let cc = !c in
-          if cc >= hi then raise Exit;
-          if cc >= first then f ~exec:cc ~addr:(addr_of cn vals ca);
-          incr c)
-    with Exit -> ()
-  end
-  else begin
-    (* Sparse: decode each firing execution counter into loop-variable
-       values directly (innermost inner loop varies fastest). *)
-    let trips = Array.map Loop_nest.trip cn.inner in
-    let c = ref first in
-    while !c < hi do
-      let cc = !c in
-      vals.(1) <- cn.par.lo + (cc / inner_trip * cn.par.step);
-      let rem = ref (cc mod inner_trip) in
-      for d = Array.length cn.inner - 1 downto 0 do
-        let l = cn.inner.(d) in
-        vals.(d + 2) <- l.lo + (!rem mod trips.(d) * l.step);
-        rem := !rem / trips.(d)
-      done;
-      f ~exec:cc ~addr:(addr_of cn vals ca);
-      c := cc + period
-    done
-  end
-
-(* Visit every execution of one body reference over parallel iterations
-   [lo, hi), grouped into blocks of consecutive parallel iterations that
-   fall on the same [line]-byte line for a fixed inner combination. The
-   visit order is NOT program order (inner combinations are walked in
-   the outer position, parallel iterations innermost) — callers must
-   only aggregate order-independent counts. Affine references advance by
-   a fixed byte stride per parallel iteration, so a block's length is
-   one boundary computation; indirect references degrade to
-   one-execution blocks. *)
-let iter_body_line_blocks ?(step = 0) t ~nest ~body ~lo ~hi ~line f =
-  let cn = get_nest t nest in
-  if body < 0 || body >= Array.length cn.body then
-    invalid_arg "Trace.iter_body_line_blocks: body reference out of range";
-  if lo < 0 || hi > cn.iterations || lo > hi then
-    invalid_arg "Trace.iter_body_line_blocks: bad range";
-  if line <= 0 then invalid_arg "Trace.iter_body_line_blocks: bad line size";
-  let ca = cn.body.(body) in
-  let vals = fresh_vals cn step in
-  let at_leaf =
-    match ca with
-    | Cindirect _ ->
-        fun () ->
-          for i = lo to hi - 1 do
-            vals.(1) <- cn.par.lo + (i * cn.par.step);
-            f ~addr:(addr_of cn vals ca) ~count:1
-          done
-    | Cdirect { coeffs; _ } ->
-        let sp = coeffs.(1) * cn.par.step in
-        fun () ->
-          vals.(1) <- cn.par.lo + (lo * cn.par.step);
-          let a_lo = addr_of cn vals ca in
-          let n = hi - lo in
-          if n = 0 then ()
-          else if sp = 0 then f ~addr:a_lo ~count:n
-          else begin
-            let a = ref a_lo in
-            let remaining = ref n in
-            while !remaining > 0 do
-              let a0 = !a in
-              let room =
-                if sp > 0 then
-                  let next = ((a0 / line) + 1) * line in
-                  (next - a0 + sp - 1) / sp
-                else (a0 - (a0 / line * line)) / -sp + 1
-              in
-              let cnt = min room !remaining in
-              f ~addr:a0 ~count:cnt;
-              a := a0 + (cnt * sp);
-              remaining := !remaining - cnt
-            done
-          end
-  in
-  (* The leaf walks the parallel iterations itself, innermost, so the
-     walker makes a single pass of its parallel loop. *)
-  walk cn vals ~lo:0 ~hi:1 at_leaf
 
 let decode_addr enc = enc lsr 1
 let decode_write enc = enc land 1 = 1

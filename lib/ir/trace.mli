@@ -85,7 +85,8 @@ val fill_range :
     {!decode_write}. [vals] is caller-owned scratch from
     {!loop_vars}. A caller walks a range in chunks by calling it again
     from the returned iteration until that is [hi]; the observed
-    replay does, and so does the simulator's per-core refill.
+    replay, the CME's walked tier and the simulator's per-core refill
+    do.
 
     The fill writes an affine reference of the innermost loop with one
     address evaluation and then a stride add per access. When the nest
@@ -98,61 +99,6 @@ val fill_range :
     space, a [buf] smaller than one parallel iteration, a [vals]
     shorter than {!loop_vars}', or an indirection outside its index
     table. *)
-
-val iter_body_periodic :
-  ?step:int ->
-  t ->
-  nest:int ->
-  body:int ->
-  first:int ->
-  hi:int ->
-  period:int ->
-  (exec:int -> addr:int -> unit) ->
-  unit
-(** [iter_body_periodic t ~nest ~body ~first ~hi ~period f] calls [f]
-    for the accesses of body reference [body] (its index in the nest's
-    body list) whose per-reference execution counter is [first],
-    [first + period], [first + 2*period], ... strictly below [hi].
-    Execution counters number a single reference's executions in
-    program order: one per complete inner-iteration combination,
-    [inner_trip] of them per parallel iteration — exactly the counter
-    the CME classifier keys its miss periods on. [f] receives the
-    execution counter and the access's virtual address.
-
-    This is the sparse complement of {!fill_range}: when only every
-    [period]-th execution of a reference needs an address (because the
-    rest are classified L1 hits arithmetically), visiting just those is
-    asymptotically cheaper than expanding the whole stream. Raises
-    [Invalid_argument] on a bad body index, non-positive period,
-    negative [first], or [hi] beyond the nest's execution count. *)
-
-val iter_body_line_blocks :
-  ?step:int ->
-  t ->
-  nest:int ->
-  body:int ->
-  lo:int ->
-  hi:int ->
-  line:int ->
-  (addr:int -> count:int -> unit) ->
-  unit
-(** [iter_body_line_blocks t ~nest ~body ~lo ~hi ~line f] visits every
-    execution of body reference [body] over parallel iterations
-    [lo, hi), grouped into blocks of consecutive parallel iterations
-    whose accesses fall on the same [line]-byte cache line for a fixed
-    inner-iteration combination; [f] receives the block's first address
-    and its execution count. Affine references advance by a fixed byte
-    stride per parallel iteration, so block lengths come from one
-    boundary computation — small strides (unit-stride parallel loops)
-    collapse [line / stride] executions into one visit. Indirect
-    references degrade to one-execution blocks.
-
-    {b The visit order is not program order} (inner combinations are
-    walked outermost, parallel iterations innermost): callers must only
-    aggregate order-independent counts from it, as the CME fast path
-    does for references whose every execution misses. Raises
-    [Invalid_argument] on a bad body index, bad range, or non-positive
-    line size. *)
 
 val decode_addr : int -> int
 
@@ -179,7 +125,7 @@ type direct = {
 val direct_ref : t -> nest:int -> body:int -> direct option
 (** The compiled form of body reference [body] of [nest], or [None] for
     an index-array (irregular) reference — those have no affine closed
-    form and stay on the trace-walking tiers. The coefficient array is
+    form, and the CME walks them in {!fill_range} chunks. The coefficient array is
     a fresh copy. Raises [Invalid_argument] on a bad body index. *)
 
 val num_body_refs : t -> nest:int -> int

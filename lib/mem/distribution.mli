@@ -44,7 +44,3 @@ val hashed : page_size:int -> count:int -> int -> int
     (All_to_all). *)
 
 val pp : Format.formatter -> t -> unit
-
-val pp_granularity : Format.formatter -> granularity -> unit
-
-val pp_cluster : Format.formatter -> cluster_mode -> unit

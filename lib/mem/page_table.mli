@@ -24,8 +24,5 @@ val translate : t -> int -> int
 val remap_page : t -> vpage:int -> ppage:int -> unit
 (** Redirects virtual page [vpage] to physical page [ppage]. *)
 
-val mapped_page : t -> vpage:int -> int
-(** Physical page currently backing [vpage] (identity by default). *)
-
 val remapped_count : t -> int
 (** Number of pages with a non-identity mapping. *)

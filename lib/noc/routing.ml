@@ -12,11 +12,6 @@ let direction_index = function
 
 let num_links t = 4 * Topology.num_nodes t
 
-let link_id t ~node dir =
-  if node < 0 || node >= Topology.num_nodes t then
-    invalid_arg "Routing.link_id: node out of range";
-  (node * 4) + direction_index dir
-
 let path t ~src ~dst =
   let cols = Topology.cols t and rows = Topology.rows t in
   let torus = Topology.kind t = Topology.Torus in

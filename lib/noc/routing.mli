@@ -19,9 +19,6 @@ val num_links : Topology.t -> int
 (** Upper bound on directed-link identifiers: every node has one
     outgoing link per direction (border links exist but are unused). *)
 
-val link_id : Topology.t -> node:int -> direction -> int
-(** Identifier of the directed link leaving [node] in [direction]. *)
-
 val path : Topology.t -> src:int -> dst:int -> int list
 (** [path t ~src ~dst] is the ordered list of directed links an X-Y
     routed packet traverses from node [src] to node [dst] (on a torus,

@@ -57,8 +57,6 @@ let create ?(shards = 8) () =
   let shards = min 256 (pow2_ceil shards 1) in
   { lock = Mutex.create (); tbl = Hashtbl.create 64; order = []; shards }
 
-let num_shards t = t.shards
-
 (* What a registration asks for, compared against an existing metric
    without building a fresh instrument. *)
 type spec = Scounter | Sgauge | Shistogram of float array

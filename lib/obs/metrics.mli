@@ -50,8 +50,6 @@ val create : ?shards:int -> unit -> t
     number of per-domain cells each sharded instrument carries. Raises
     [Invalid_argument] on [shards < 1]. *)
 
-val num_shards : t -> int
-
 (** {2 Instruments}
 
     Registration is idempotent: asking for an existing (name, labels)
@@ -90,11 +88,6 @@ val add_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
-val default_buckets : float array
-(** Latency buckets in milliseconds, 0.05 ms to 5 s in a 1–2.5–5
-    progression — the buckets every obs histogram in this repo uses
-    unless it asks for its own. *)
-
 val histogram :
   t ->
   ?help:string ->
@@ -104,7 +97,8 @@ val histogram :
   histogram
 (** [buckets] are upper bounds (inclusive, Prometheus [le] semantics),
     strictly increasing and finite; an overflow (+Inf) bucket is
-    implicit. Raises [Invalid_argument] on an empty or non-increasing
+    implicit. They default to latency buckets in milliseconds, 0.05 ms
+    to 5 s in a 1–2.5–5 progression. Raises [Invalid_argument] on an empty or non-increasing
     bucket array. *)
 
 val observe : histogram -> float -> unit

@@ -46,7 +46,6 @@ let create ?deterministic ?(enabled = true) () =
   }
 
 let is_enabled t = t.enabled
-let is_deterministic t = t.det <> None
 
 let now t = match t.det with Some _ -> 0L | None -> Clock.now_ns ()
 

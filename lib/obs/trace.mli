@@ -47,8 +47,6 @@ val create : ?deterministic:int -> ?enabled:bool -> unit -> t
 
 val is_enabled : t -> bool
 
-val is_deterministic : t -> bool
-
 val root : t -> ?trace_id:string -> string -> span
 (** Starts a new trace. Without [trace_id] an id is generated: seeded
     and reproducible in deterministic mode (per (seed, name,

@@ -50,14 +50,12 @@ exception Crash of string
     stack (as [Fault.Crash]) and the analysis fast path share one
     extension constructor. *)
 
-val default_domains : unit -> int
-(** [min 8 (Domain.recommended_domain_count () - 1)], at least 1 — a
-    sensible worker count that leaves the submitting domain a core. *)
-
 val create : ?num_domains:int -> ?metrics:Obs.Metrics.t -> unit -> t
-(** Defaults to {!default_domains}. Raises [Invalid_argument] on a
-    negative count (construction-time caller contract — never reachable
-    from request data, hence not a {!Fault}). [metrics] receives the
+(** [num_domains] defaults to [min 8 (Domain.recommended_domain_count
+    () - 1)], at least 1 — a worker count that leaves the submitting
+    domain a core. Raises [Invalid_argument] on a negative count
+    (construction-time caller contract — never reachable from request
+    data, hence not a {!Fault}). [metrics] receives the
     pool instruments described above (default: a private registry).
     Registration is idempotent, so pools sharing a registry share
     (aggregate into) the same counters — {!crashes} included. *)

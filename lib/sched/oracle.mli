@@ -2,8 +2,8 @@
     one level up.
 
     For each workload the oracle runs the existing fast CME path
-    ({!Locmap.Analysis.cme_summaries} — symbolic/periodic/traced
-    tiers, optionally sharded over a {!Par.Pool}) once, merges the
+    ({!Locmap.Analysis.cme_summaries} — symbolic and walked tiers,
+    optionally sharded over a {!Par.Pool}) once, merges the
     per-set summaries, and keeps the aggregate affinity facts the
     cluster scheduler needs to price a candidate placement:
 

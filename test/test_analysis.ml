@@ -1,7 +1,7 @@
-(* Tests for the analysis fast path: line-range location counts,
-   the periodic/chunked trace walkers behind them, and domain-parallel
-   CME summaries. The golden Mapper.map fixture that pins the public
-   pipeline behaviour is checked by a diff rule (see golden.ml). *)
+(* Tests for the analysis fast path: line-range location counts, the
+   batched observed replay, and domain-parallel CME summaries. The
+   golden Mapper.map fixture that pins the public pipeline behaviour is
+   checked by a diff rule (see golden.ml). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -393,95 +393,87 @@ let test_seek_equals_streaming () =
       Cme.seek (Cme.create cfg prog layout ~nest:0) ~iteration:(-1))
 
 (* ------------------------------------------------------------------ *)
-(* Trace walkers: the flat buffer, the periodic per-reference walk and
-   the line-block walk must all agree with the closure-based
-   program-order enumeration. *)
+(* An affine reference beyond the plan's entry cap is walked, and the
+   walk keeps its L1-missing executions by the period law. The inner
+   trip 4099 is prime, so it shares no factor with [p1 * p2] and the
+   plan would need one entry per inner combination. [a] streams (p1 =
+   8 on 64-byte lines), [b] is re-read by every parallel iteration. The
+   summaries must equal the streamed classifier's, located by the
+   address map's arithmetic, on both LLC organisations. *)
 
-let collect_range trace ~nest ~lo ~hi =
-  let out = ref [] in
-  Ir.Trace.iter_range trace ~nest ~lo ~hi (fun ~addr ~write ->
-      out := (addr, write) :: !out);
-  List.rev !out
+let wide_prog () =
+  let arr name length = { Ir.Program.name; elem_size = 8; length } in
+  let i = Ir.Affine.var "i" and k = Ir.Affine.var "k" in
+  let rd a e = Ir.Access.read a (Ir.Access.direct e)
+  and wr a e = Ir.Access.write a (Ir.Access.direct e) in
+  Ir.Program.create ~name:"wide" ~kind:Ir.Program.Regular ~time_steps:1
+    ~arrays:[ arr "a" (32 * 4099); arr "b" 4099 ]
+    [
+      Ir.Loop_nest.make ~name:"wide"
+        ~par:(Ir.Loop_nest.loop "i" ~hi:32)
+        ~inner:[ Ir.Loop_nest.loop "k" ~hi:4099 ]
+        [ wr "a" Ir.Affine.(scale 4099 i + k); rd "b" k ];
+    ]
 
-(* Program-order accesses of one body reference with its execution
-   counter, derived from the full stream: accesses cycle through the
-   body references, so reference [r] owns stream positions r, r+nbody,
-   r+2*nbody, ... *)
-let body_stream trace ~nest ~body ~nbody ~hi =
-  let all = collect_range trace ~nest ~lo:0 ~hi:(Ir.Trace.iterations trace ~nest) in
-  List.filteri (fun i _ -> i mod nbody = body) all
-  |> List.filteri (fun exec _ -> exec < hi)
-  |> List.mapi (fun exec (addr, _) -> (exec, addr))
-
-let test_iter_body_periodic_matches_stream () =
-  let prog, trace = prepare ~scale:0.05 "mxm" in
-  let cfg = shared_cfg in
+let streamed_summaries (cfg : Machine.Config.t) amap trace ~sets =
+  let prog = Ir.Trace.program trace in
   let layout = Ir.Trace.layout trace in
-  let p = Cme.create cfg prog layout ~nest:0 in
-  let nbody = Cme.num_refs p in
-  let inner_trip = Cme.inner_trip p in
-  let hi = min (8 * inner_trip) (Ir.Trace.iterations trace ~nest:0 * inner_trip) in
-  for body = 0 to nbody - 1 do
-    List.iter
-      (fun (first, period) ->
-        let got = ref [] in
-        Ir.Trace.iter_body_periodic trace ~nest:0 ~body ~first ~hi ~period
-          (fun ~exec ~addr -> got := (exec, addr) :: !got);
-        let expected =
-          body_stream trace ~nest:0 ~body ~nbody ~hi
-          |> List.filter (fun (exec, _) ->
-                 exec >= first && (exec - first) mod period = 0)
-        in
-        check_bool
-          (Printf.sprintf "body %d first %d period %d" body first period)
-          true
-          (List.rev !got = expected))
-      [ (0, 1); (0, 3); (5, 7); (inner_trip, inner_trip) ]
-  done
+  let shared = Cache.Llc.equal cfg.llc_org Cache.Llc.Shared in
+  let region pa =
+    Machine.Config.region_of_node cfg (Machine.Addr_map.bank_node_of amap pa)
+  in
+  Array.map
+    (fun (s : Ir.Iter_set.t) ->
+      let p = Cme.create cfg prog layout ~nest:s.nest in
+      Cme.seek p ~iteration:s.lo;
+      let sm =
+        Locmap.Summary.create
+          ~num_mcs:(Machine.Addr_map.num_mcs amap)
+          ~num_regions:(Machine.Config.num_regions cfg)
+      in
+      Ir.Trace.iter_range trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
+        (fun ~addr ~write:_ ->
+          let pa = Machine.Addr_map.translate amap addr in
+          match Cme.classify p with
+          | Cme.L1_hit -> Locmap.Summary.add_l1_hit sm
+          | Cme.Llc_hit ->
+              Locmap.Summary.add_llc_hit sm
+                ~region:(if shared then region pa else 0)
+          | Cme.Llc_miss ->
+              Locmap.Summary.add_llc_miss sm
+                ~bank_region:(if shared then region pa else -1)
+                ~mc:(Machine.Addr_map.mc_of amap pa));
+      sm)
+    sets
 
-let test_iter_body_line_blocks_counts () =
-  let prog, trace = prepare ~scale:0.05 "jacobi-3d" in
-  let cfg = shared_cfg in
-  let layout = Ir.Trace.layout trace in
-  let p = Cme.create cfg prog layout ~nest:0 in
-  let line = 64 in
-  let iters = Ir.Trace.iterations trace ~nest:0 in
-  let lo = 2 and hi = min iters 40 in
-  for body = 0 to Cme.num_refs p - 1 do
-    (* Per-line access counts from the block walk... *)
-    let blocks = Hashtbl.create 64 in
-    let total = ref 0 in
-    Ir.Trace.iter_body_line_blocks trace ~nest:0 ~body ~lo ~hi ~line
-      (fun ~addr ~count ->
-        check_bool "positive count" true (count > 0);
-        let l = addr / line in
-        Hashtbl.replace blocks l
-          (count + Option.value ~default:0 (Hashtbl.find_opt blocks l));
-        total := !total + count);
-    (* ...must equal the per-line counts of the dense program-order
-       enumeration restricted to this reference. *)
-    let expected = Hashtbl.create 64 in
-    let n = ref 0 in
-    let nbody = Cme.num_refs p in
-    List.iteri
-      (fun i (addr, _) ->
-        if i mod nbody = body then begin
-          let l = addr / line in
-          Hashtbl.replace expected l
-            (1 + Option.value ~default:0 (Hashtbl.find_opt expected l));
-          incr n
-        end)
-      (collect_range trace ~nest:0 ~lo ~hi);
-    check_int (Printf.sprintf "body %d total" body) !n !total;
-    check_int
-      (Printf.sprintf "body %d distinct lines" body)
-      (Hashtbl.length expected) (Hashtbl.length blocks);
-    Hashtbl.iter
-      (fun l c ->
-        check_int (Printf.sprintf "body %d line %d" body l) c
-          (Option.value ~default:(-1) (Hashtbl.find_opt blocks l)))
-      expected
-  done
+let test_walked_affine_equals_stream () =
+  List.iter
+    (fun llc_org ->
+      let cfg = { Machine.Config.default with llc_org } in
+      let where = Cache.Llc.to_string llc_org in
+      let prog = wide_prog () in
+      let layout = Ir.Layout.allocate ~page_size:cfg.page_size prog in
+      let trace = Ir.Trace.create prog layout in
+      let p = Cme.create cfg prog layout ~nest:0 in
+      let p1 = Cme.l1_period p 0 in
+      check_bool (where ^ ": a streams") true (p1 > 1 && p1 <> max_int);
+      check_bool (where ^ ": a has no plan") true
+        (Cme.Symbolic.plan trace ~nest:0 ~body:0 ~p1 ~p2:(Cme.llc_period p 0)
+           ~step:0
+        = None);
+      let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
+      let amap = Machine.Addr_map.create cfg pt in
+      let sets = partition prog cfg in
+      let im = Obs.Metrics.create () in
+      let cme = Locmap.Analysis.cme_summaries ~metrics:im cfg amap trace ~sets in
+      let walked =
+        Obs.Metrics.counter_value
+          (Obs.Metrics.counter im "locmap_cme_tier_traced_accesses_total")
+      in
+      check_bool (where ^ ": a was walked") true (walked >= 32 * 4099);
+      check_bool (where ^ ": CME = stream") true
+        (summaries_equal cme (streamed_summaries cfg amap trace ~sets)))
+    [ Cache.Llc.Private; Cache.Llc.Shared ]
 
 (* Mapper with a pool must also be byte-identical — the golden fixture
    covers the no-pool call; this covers the pooled one. *)
@@ -507,6 +499,9 @@ let test_mapper_pool_identical () =
       Alcotest.(check (float 0.)) "mai" without.mai_error with_pool.mai_error;
       Alcotest.(check (float 0.)) "cai" without.cai_error with_pool.cai_error)
 
+(* Alcotest cuts printed test names to a width set by the longest group
+   name (here "walked-affine"), so renaming groups changes the printed
+   names of tests elsewhere in the suite. *)
 let () =
   Alcotest.run "analysis"
     [
@@ -539,16 +534,14 @@ let () =
           Alcotest.test_case "fast-path summaries verify" `Quick
             test_fast_path_summaries_invariants;
         ] );
+      ( "walked-affine",
+        [
+          Alcotest.test_case "affine beyond the cap = stream" `Quick
+            test_walked_affine_equals_stream;
+        ] );
       ( "cme",
         [
           Alcotest.test_case "seek = streaming" `Quick
             test_seek_equals_streaming;
-        ] );
-      ( "trace-walkers",
-        [
-          Alcotest.test_case "iter_body_periodic = stream subsequence" `Quick
-            test_iter_body_periodic_matches_stream;
-          Alcotest.test_case "iter_body_line_blocks counts" `Quick
-            test_iter_body_line_blocks_counts;
         ] );
     ]

@@ -1,14 +1,18 @@
-(* Tests for the trace-free symbolic CME tier and the allocation-free
-   observed replay: plan decomposition against the brute-force
-   classifier law, symbolic-vs-walker equivalence over the whole
-   registry, tier coverage accounting, Affine algebra laws, and the
-   replay allocation budget. *)
+(* Tests for the CME path and the allocation-free observed replay: plan
+   decomposition against the brute-force classifier law, plan coverage
+   of every direct reference, the two-tier CME path against the
+   streamed classifier over the whole registry, tier coverage
+   accounting, Affine algebra laws, and the replay allocation budget. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 let shared_cfg = { Machine.Config.default with llc_org = Cache.Llc.Shared }
 let private_cfg = { Machine.Config.default with llc_org = Cache.Llc.Private }
+
+(* A valid machine whose periods are long: 16-byte L1 lines under
+   2 KB LLC lines give the streaming references 128 LLC classes. *)
+let long_lines cfg = { cfg with Machine.Config.l1_line = 16; l2_line = 2048 }
 
 let prepare ?(scale = 0.1) name =
   let p = Harness.Experiment.prepare_name ~scale name in
@@ -35,13 +39,17 @@ let multiples_in p ~lo ~hi = ((hi + p - 1) / p) - ((lo + p - 1) / p)
 (* ------------------------------------------------------------------ *)
 (* Plan decomposition = classifier law, brute-forced. For every plan
    the registry yields, and seeded random parallel subranges: the
-   progressions' (address, class) multiset must equal walking the
-   L1-miss executions through the trace and classifying each one with
-   the period law (LLC miss iff (c / p1) mod p2 = 0; for an LLC
-   cold-only reference every class is a hit and [flips_exec0] owns the
-   execution-0 correction). *)
+   progressions' (address, class) multiset must equal streaming the
+   range through [Ir.Trace.iter_range] and classifying each L1-missing
+   execution with the period law (LLC miss iff (c / p1) mod p2 = 0; for
+   an LLC cold-only reference every class is a hit and [flips_exec0]
+   owns the execution-0 correction). Two workloads also run on the
+   long-line machine, whose plans have 128 LLC classes. *)
 
-let bump tbl key n =
+(* Keyed by address and class in one int, which hashes faster than a
+   pair. *)
+let bump tbl addr ~miss n =
+  let key = (addr lsl 1) lor Bool.to_int miss in
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
 let tables_equal a b =
@@ -50,12 +58,29 @@ let tables_equal a b =
        (fun k n ok -> ok && Option.value ~default:(-1) (Hashtbl.find_opt b k) = n)
        a true
 
+(* The (address, LLC miss) multiset of each reference's L1-missing
+   executions over parallel iterations [lo, hi), from the stream:
+   accesses cycle through the body references in program order, each
+   reference's execution counter starting at [lo * it]. *)
+let streamed_classes trace p ~nest ~lo ~hi =
+  let nrefs = Cme.num_refs p in
+  let tables = Array.init nrefs (fun _ -> Hashtbl.create 64) in
+  let counters = Array.make nrefs (lo * Cme.inner_trip p) in
+  let r = ref 0 in
+  Ir.Trace.iter_range trace ~nest ~lo ~hi (fun ~addr ~write:_ ->
+      let c = counters.(!r) in
+      let p1 = Cme.l1_period p !r and p2 = Cme.llc_period p !r in
+      if p1 <> max_int && c mod p1 = 0 then
+        bump tables.(!r) addr ~miss:(p2 <> max_int && c / p1 mod p2 = 0) 1;
+      counters.(!r) <- c + 1;
+      r := if !r + 1 = nrefs then 0 else !r + 1);
+  tables
+
 let test_plan_matches_classifier_law () =
   let rng = Random.State.make [| 0x5eed; 0xcafe |] in
-  let cfg = shared_cfg in
   let plans_checked = ref 0 in
   List.iter
-    (fun name ->
+    (fun (cfg, name) ->
       let prog, trace = prepare ~scale:0.05 name in
       let layout = Ir.Trace.layout trace in
       let nnests = List.length prog.Ir.Program.nests in
@@ -63,76 +88,144 @@ let test_plan_matches_classifier_law () =
         let p = Cme.create cfg prog layout ~nest in
         let it = Cme.inner_trip p in
         let iters = Ir.Trace.iterations trace ~nest in
-        for r = 0 to Cme.num_refs p - 1 do
-          let p1 = Cme.l1_period p r in
-          let p2 = Cme.llc_period p r in
-          match Cme.Symbolic.plan trace ~nest ~body:r ~p1 ~p2 ~step:0 with
-          | None -> ()
-          | Some plan ->
-              incr plans_checked;
-              check_int
-                (Printf.sprintf "%s nest %d ref %d: plan p1" name nest r)
-                p1
-                (Cme.Symbolic.l1_period plan);
-              check_bool
-                (Printf.sprintf "%s nest %d ref %d: flip iff cold" name nest r)
-                (p2 = max_int)
-                (Cme.Symbolic.flips_exec0 plan);
-              let aps = Cme.Symbolic.make_aps () in
-              let ranges =
-                (0, iters)
-                :: List.init 6 (fun _ ->
-                       let lo = Random.State.int rng iters in
-                       let hi = lo + 1 + Random.State.int rng (iters - lo) in
-                       (lo, hi))
-              in
-              List.iter
-                (fun (lo, hi) ->
-                  let c0 = lo * it and c1 = hi * it in
-                  Cme.Symbolic.decompose plan ~lo ~hi aps;
-                  check_int
-                    (Printf.sprintf "%s nest %d ref %d [%d,%d): visited" name
-                       nest r lo hi)
-                    (multiples_in p1 ~lo:c0 ~hi:c1)
-                    (Cme.Symbolic.visited_total aps);
-                  (* Expected (address, class) multiset from the trace. *)
-                  let expected = Hashtbl.create 64 in
-                  let first = (c0 + p1 - 1) / p1 * p1 in
-                  Ir.Trace.iter_body_periodic trace ~nest ~body:r ~first
-                    ~hi:c1 ~period:p1 (fun ~exec ~addr ->
-                      let miss = p2 <> max_int && exec / p1 mod p2 = 0 in
-                      bump expected (addr, miss) 1);
-                  (* The plan's progressions, expanded. *)
-                  let got = Hashtbl.create 64 in
-                  for j = 0 to aps.Cme.Symbolic.n - 1 do
-                    for k = 0 to aps.Cme.Symbolic.ap_count.(j) - 1 do
-                      bump got
-                        ( aps.Cme.Symbolic.ap_a0.(j)
-                          + (k * aps.Cme.Symbolic.ap_stride.(j)),
-                          aps.Cme.Symbolic.ap_miss.(j) )
-                        aps.Cme.Symbolic.ap_mult.(j)
-                    done
-                  done;
-                  check_bool
-                    (Printf.sprintf "%s nest %d ref %d [%d,%d): multiset" name
-                       nest r lo hi)
-                    true
-                    (tables_equal expected got))
-                ranges
-        done
+        let plans =
+          Array.init (Cme.num_refs p) (fun r ->
+              Cme.Symbolic.plan trace ~nest ~body:r ~p1:(Cme.l1_period p r)
+                ~p2:(Cme.llc_period p r) ~step:0)
+        in
+        let ranges =
+          (0, iters)
+          :: List.init 6 (fun _ ->
+                 let lo = Random.State.int rng iters in
+                 let hi = lo + 1 + Random.State.int rng (iters - lo) in
+                 (lo, hi))
+        in
+        List.iter
+          (fun (lo, hi) ->
+            let expected = streamed_classes trace p ~nest ~lo ~hi in
+            Array.iteri
+              (fun r plan ->
+                match plan with
+                | None -> ()
+                | Some plan ->
+                    incr plans_checked;
+                    let p1 = Cme.l1_period p r and p2 = Cme.llc_period p r in
+                    let what =
+                      Printf.sprintf "%s nest %d ref %d [%d,%d)" name nest r lo
+                        hi
+                    in
+                    check_int (what ^ ": plan p1") p1
+                      (Cme.Symbolic.l1_period plan);
+                    check_bool (what ^ ": flip iff cold") (p2 = max_int)
+                      (Cme.Symbolic.flips_exec0 plan);
+                    let aps = Cme.Symbolic.make_aps () in
+                    Cme.Symbolic.decompose plan ~lo ~hi aps;
+                    check_int (what ^ ": visited")
+                      (multiples_in p1 ~lo:(lo * it) ~hi:(hi * it))
+                      (Cme.Symbolic.visited_total aps);
+                    (* The plan's progressions, expanded. *)
+                    let got = Hashtbl.create 64 in
+                    for j = 0 to aps.Cme.Symbolic.n - 1 do
+                      for k = 0 to aps.Cme.Symbolic.ap_count.(j) - 1 do
+                        bump got
+                          (aps.Cme.Symbolic.ap_a0.(j)
+                          + (k * aps.Cme.Symbolic.ap_stride.(j)))
+                          ~miss:aps.Cme.Symbolic.ap_miss.(j)
+                          aps.Cme.Symbolic.ap_mult.(j)
+                      done
+                    done;
+                    check_bool (what ^ ": multiset") true
+                      (tables_equal expected.(r) got))
+              plans)
+          ranges
       done)
-    [ "mxm"; "jacobi-3d"; "fft"; "cholesky"; "lu"; "swim" ];
+    (List.map
+       (fun name -> (shared_cfg, name))
+       [ "mxm"; "jacobi-3d"; "fft"; "cholesky"; "lu"; "swim" ]
+    @ List.map (fun name -> (long_lines shared_cfg, name)) [ "mxm"; "lu" ]);
   check_bool "registry yielded plans to check" true (!plans_checked > 0)
 
+(* Every direct reference that is not L1-cold-only (which needs no
+   plan) gets one, for every registry workload on both LLCs, on the
+   default machine and on the long-line one, at scales 0.1 to 16: the
+   walked tier is left with the index-array references. *)
+let test_every_direct_reference_planned () =
+  List.iter
+    (fun scale ->
+      List.iter
+        (fun name ->
+          let prog, trace = prepare ~scale name in
+          let layout = Ir.Trace.layout trace in
+          List.iter
+            (fun (what, (cfg : Machine.Config.t)) ->
+              for nest = 0 to List.length prog.Ir.Program.nests - 1 do
+                let p = Cme.create cfg prog layout ~nest in
+                for r = 0 to Cme.num_refs p - 1 do
+                  let p1 = Cme.l1_period p r in
+                  if
+                    p1 <> max_int
+                    && Ir.Trace.direct_ref trace ~nest ~body:r <> None
+                  then
+                    check_bool
+                      (Printf.sprintf "%s at %.2f, %s: nest %d ref %d" name
+                         scale what nest r)
+                      true
+                      (Cme.Symbolic.plan trace ~nest ~body:r ~p1
+                         ~p2:(Cme.llc_period p r) ~step:0
+                      <> None)
+                done
+              done)
+            [
+              ("shared", shared_cfg);
+              ("private", private_cfg);
+              ("shared, long lines", long_lines shared_cfg);
+              ("private, long lines", long_lines private_cfg);
+            ])
+        Workloads.Registry.names)
+    [ 0.1; 1.0; 4.0; 16.0 ]
+
 (* ------------------------------------------------------------------ *)
-(* The symbolic tier changes nothing: summaries with the tier on equal
-   summaries with every affine reference forced onto the trace-walking
-   tiers, for every registry workload and both LLC organisations, and
-   for the regular workloads under the maps whose lookups differ: the
-   cluster mode without a period (all-to-all: no tables) or with
-   another period (quadrant, SNC-4) and pages remapped by the layout
-   optimiser (lookups translate, interior lines are walked a page at a
-   time). *)
+(* The two-tier CME path changes nothing: its summaries equal the
+   streamed classifier's — [Cme.seek] to each set, [Ir.Trace.iter_range]
+   and [Cme.classify] per access, located by the address map's
+   arithmetic — for every registry workload and both LLC
+   organisations, and for the regular workloads under the maps whose
+   lookups differ: the cluster mode without a period (all-to-all: no
+   tables) or with another period (quadrant, SNC-4), pages remapped by
+   the layout optimiser (lookups translate, interior lines are walked a
+   page at a time), and the long-line machine, whose plans have 128
+   LLC classes. *)
+
+let streamed_summaries (cfg : Machine.Config.t) amap trace ~sets =
+  let prog = Ir.Trace.program trace in
+  let layout = Ir.Trace.layout trace in
+  let shared = Cache.Llc.equal cfg.llc_org Cache.Llc.Shared in
+  let region pa =
+    Machine.Config.region_of_node cfg (Machine.Addr_map.bank_node_of amap pa)
+  in
+  Array.map
+    (fun (s : Ir.Iter_set.t) ->
+      let p = Cme.create cfg prog layout ~nest:s.nest in
+      Cme.seek p ~iteration:s.lo;
+      let sm =
+        Locmap.Summary.create
+          ~num_mcs:(Machine.Addr_map.num_mcs amap)
+          ~num_regions:(Machine.Config.num_regions cfg)
+      in
+      Ir.Trace.iter_range trace ~nest:s.nest ~lo:s.lo ~hi:s.hi
+        (fun ~addr ~write:_ ->
+          let pa = Machine.Addr_map.translate amap addr in
+          match Cme.classify p with
+          | Cme.L1_hit -> Locmap.Summary.add_l1_hit sm
+          | Cme.Llc_hit ->
+              Locmap.Summary.add_llc_hit sm
+                ~region:(if shared then region pa else 0)
+          | Cme.Llc_miss ->
+              Locmap.Summary.add_llc_miss sm
+                ~bank_region:(if shared then region pa else -1)
+                ~mc:(Machine.Addr_map.mc_of amap pa));
+      sm)
+    sets
 
 let regular =
   [ "art"; "cholesky"; "diff"; "fft"; "jacobi-3d"; "lu"; "lulesh";
@@ -152,11 +245,14 @@ let symbolic_configs =
         ("snc4", cluster Mem.Distribution.Snc4, `Fresh);
         ("quadrant", cluster Mem.Distribution.Quadrant, `Fresh);
         ("layout-optimised pages", d, `Layout_opt);
+        ("long lines", long_lines d, `Fresh);
       ]
 
-let test_symbolic_equals_walkers () =
+let test_cme_equals_stream () =
   List.iter
     (fun (what, cfg, kind, names) ->
+      check_bool (what ^ ": valid machine") true
+        (Machine.Config.validate cfg = Ok ());
       let remapped = ref 0 in
       List.iter
         (fun name ->
@@ -171,23 +267,21 @@ let test_symbolic_equals_walkers () =
           | `Fresh -> ());
           let amap = Machine.Addr_map.create cfg pt in
           let sets = partition prog cfg in
-          let sym = Locmap.Analysis.cme_summaries cfg amap trace ~sets in
-          let walked =
-            Locmap.Analysis.cme_summaries ~symbolic:false cfg amap trace ~sets
-          in
           check_bool
-            (Printf.sprintf "%s, %s: symbolic = walkers" name what)
+            (Printf.sprintf "%s, %s: CME = stream" name what)
             true
-            (summaries_equal sym walked))
+            (summaries_equal
+               (Locmap.Analysis.cme_summaries cfg amap trace ~sets)
+               (streamed_summaries cfg amap trace ~sets)))
         names;
       if kind = `Layout_opt then
         check_bool (what ^ ": pages were remapped") true (!remapped > 0))
     symbolic_configs
 
 (* ------------------------------------------------------------------ *)
-(* Tier coverage accounting: the three tiers partition the accesses
+(* Tier coverage accounting: the two tiers partition the accesses
    (they sum to the total), a pure-affine workload runs fully
-   symbolic, and an index-array workload reports traced accesses. *)
+   symbolic, and an index-array workload reports walked accesses. *)
 
 let tier_counts name cfg =
   let prog, trace = prepare name in
@@ -199,17 +293,16 @@ let tier_counts name cfg =
   let v n = Obs.Metrics.counter_value (Obs.Metrics.counter im n) in
   ( v "locmap_cme_accesses_total",
     v "locmap_cme_tier_symbolic_accesses_total",
-    v "locmap_cme_tier_periodic_accesses_total",
     v "locmap_cme_tier_traced_accesses_total" )
 
 let test_tier_coverage () =
-  let total, sym, per, traced = tier_counts "mxm" shared_cfg in
-  check_int "mxm: tiers partition accesses" total (sym + per + traced);
-  check_int "mxm: nothing traced" 0 traced;
+  let total, sym, walked = tier_counts "mxm" shared_cfg in
+  check_int "mxm: tiers partition accesses" total (sym + walked);
+  check_int "mxm: nothing walked" 0 walked;
   check_bool "mxm: symbolic covers accesses" true (sym > 0);
-  let total, sym, per, traced = tier_counts "barnes" shared_cfg in
-  check_int "barnes: tiers partition accesses" total (sym + per + traced);
-  check_bool "barnes: index arrays are traced" true (traced > 0)
+  let total, sym, walked = tier_counts "barnes" shared_cfg in
+  check_int "barnes: tiers partition accesses" total (sym + walked);
+  check_bool "barnes: index arrays are walked" true (walked > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Affine algebra laws, seeded. *)
@@ -340,11 +433,13 @@ let () =
         [
           Alcotest.test_case "decomposition = classifier law" `Quick
             test_plan_matches_classifier_law;
+          Alcotest.test_case "every direct reference gets a plan" `Quick
+            test_every_direct_reference_planned;
         ] );
       ( "equivalence",
         [
           Alcotest.test_case "symbolic = walkers (all workloads, both LLCs)"
-            `Quick test_symbolic_equals_walkers;
+            `Quick test_cme_equals_stream;
           Alcotest.test_case "tier coverage partitions accesses" `Quick
             test_tier_coverage;
         ] );
