@@ -2,7 +2,7 @@
 
 .PHONY: all check test bench-verify bench-analysis bench-analysis-smoke \
         bench-loadgen bench-loadgen-smoke bench-sched sched-smoke \
-        serve-smoke perf-smoke bench-pairs \
+        serve-smoke perf-smoke bench-pairs experiments-diff \
         chaos chaos-net sweep lint fmt fmt-check verify loc clean
 
 all:
@@ -117,6 +117,29 @@ bench-pairs:
 	python3 bench/pairs.py --parent $(PARENT) --name $(NAME) \
 	  --workload $(WORKLOAD) --seed $(SEED) \
 	  $(foreach c,$(CLAIM),--claim $(c))
+
+# Figure output against revision BASE: BASE is exported with `git
+# archive` into a temporary directory and built there, then
+# `locmap experiments --list` and `locmap experiments` (every id, scale
+# 1.0) run in that copy and in the working tree, and the two outputs
+# are diffed; exits 1 on any difference. About 9 minutes per side on
+# two cores, so it is not a CI step.
+experiments-diff:
+	dune build bin/locmap_cli.exe
+	@tmp=$$(mktemp -d); mkdir $$tmp/base; \
+	git archive $(BASE) | tar -x -C $$tmp/base && \
+	(cd $$tmp/base && dune build --root . bin/locmap_cli.exe) || \
+	  { rm -rf $$tmp; exit 2; }; \
+	for side in base work; do \
+	  if [ $$side = base ]; then exe=$$tmp/base/_build/default/bin/locmap_cli.exe; \
+	  else exe=./_build/default/bin/locmap_cli.exe; fi; \
+	  $$exe experiments --list > $$tmp/$$side.txt && \
+	  $$exe experiments >> $$tmp/$$side.txt || { rm -rf $$tmp; exit 2; }; \
+	done; \
+	diff -u --label $(BASE) --label working-tree $$tmp/base.txt $$tmp/work.txt; \
+	status=$$?; rm -rf $$tmp; \
+	[ $$status -eq 0 ] && echo "experiments-diff: identical to $(BASE)"; \
+	exit $$status
 
 # Chaos gate: the resilience suite (fault matrix, deadlines, crash
 # isolation, 1/2/4/8-domain byte-determinism under injection) repeated

@@ -67,6 +67,16 @@ let find_bench name =
       Error
         (Printf.sprintf "unknown benchmark %S; try `locmap list'" name)
 
+(* Every line of FILE, or of standard input for "-"; a file that cannot
+   be read prints the system's message and exits 2. *)
+let read_lines file =
+  if file = "-" then In_channel.input_lines stdin
+  else
+    try In_channel.with_open_text file In_channel.input_lines
+    with Sys_error e ->
+      prerr_endline e;
+      exit 2
+
 (* ------------------------------------------------------------------ *)
 
 let list_cmd =
@@ -222,7 +232,10 @@ let experiments_cmd =
                     exit 2)
               ids
       in
-      List.iter (fun (f : Harness.Figures.fig) -> f.run ~scale) figs
+      List.iter
+        (fun (f : Harness.Figures.fig) ->
+          List.iter Harness.Report.print (f.run ~scale))
+        figs
     end
   in
   Cmd.v
@@ -284,21 +297,7 @@ let check_cmd =
     in
     (match batch with
     | Some file ->
-        let ic =
-          if file = "-" then stdin
-          else
-            try open_in file
-            with Sys_error e ->
-              prerr_endline e;
-              exit 2
-        in
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> if file <> "-" then close_in ic);
-        List.rev !lines
+        read_lines file
         |> List.mapi (fun i line -> (i + 1, line))
         |> List.filter (fun (_, line) ->
                let s = String.trim line in
@@ -611,21 +610,7 @@ let batch_cmd =
              answering it with a per-line error response.")
   in
   let run file output strict serving =
-    let ic =
-      if file = "-" then stdin
-      else
-        try open_in file
-        with Sys_error e ->
-          prerr_endline e;
-          exit 2
-    in
-    let lines = ref [] in
-    (try
-       while true do
-         lines := input_line ic :: !lines
-       done
-     with End_of_file -> if file <> "-" then close_in ic);
-    let lines = List.rev !lines in
+    let lines = read_lines file in
     (* Keep line order: a malformed line is skipped with an in-place
        error response naming its (1-based) file line, so one bad line
        never aborts the stream — unless --strict asks it to. *)
@@ -1246,14 +1231,7 @@ let sched_cmd =
       match trace with
       | None -> None
       | Some file -> (
-          let ic = open_in file in
-          let lines = ref [] in
-          (try
-             while true do
-               lines := input_line ic :: !lines
-             done
-           with End_of_file -> close_in ic);
-          match Sched.Job.of_lines (List.rev !lines) with
+          match Sched.Job.of_lines (read_lines file) with
           | Ok specs -> Some specs
           | Error e ->
               Printf.eprintf "%s: %s\n" file e;

@@ -17,8 +17,8 @@ let knl_apps =
   [ "fmm"; "cholesky"; "fft"; "lu"; "radix"; "mxm"; "hpccg"; "moldyn";
     "diff" ]
 
-(* Mutex-guarded like [Experiment]'s memo table, so figure drivers stay
-   usable from service worker domains. *)
+(* Mutex-guarded like [Experiment]'s memo table, so drivers may run
+   from any domain. *)
 let prepared_cache : (string * float, Experiment.prepared) Hashtbl.t =
   Hashtbl.create 64
 
@@ -37,23 +37,89 @@ let prep ~scale name =
       Mutex.unlock prepared_lock;
       p
 
-let exec_improvement cfg p strategy =
-  let base = Experiment.run cfg p Experiment.Default in
-  let opt = Experiment.run cfg p strategy in
-  snd (Experiment.reductions ~base opt)
-
 let both_reductions cfg p strategy =
   let base = Experiment.run cfg p Experiment.Default in
   let opt = Experiment.run cfg p strategy in
   Experiment.reductions ~base opt
 
+(* One row per application, then one row per aggregate, each applied
+   to every column. *)
+let app_table ~title ~headers ~fmt aggs rows =
+  let column j = List.map (fun (_, vs) -> List.nth vs j) rows in
+  Report.Table
+    {
+      title;
+      headers = "benchmark" :: headers;
+      rows =
+        List.map (fun (name, vs) -> name :: List.map fmt vs) rows
+        @ List.map
+            (fun (label, agg) ->
+              label :: List.mapi (fun j _ -> fmt (agg (column j))) headers)
+            aggs;
+    }
+
+let geomean = [ ("GEOMEAN", Report.geomean_reduction) ]
+let mean = [ ("MEAN", Report.mean) ]
+
+(* Execution-time improvement over the default mapping of each
+   (header, config, strategy) column, for every application. *)
+let per_app ~scale ~title cols =
+  app_table ~title ~headers:(List.map (fun (h, _, _) -> h) cols)
+    ~fmt:Report.pct geomean
+    (List.map
+       (fun name ->
+         let p = prep ~scale name in
+         ( name,
+           List.map (fun (_, cfg, strat) -> snd (both_reductions cfg p strat))
+             cols ))
+       all_apps)
+
+(* [per_app]'s "private LLC" and "shared LLC" columns of [strat] on
+   each organisation's machine transformed by [f]. *)
+let llc_cols f strat =
+  List.map (fun (org, cfg) -> (org ^ " LLC", f cfg, strat)) both_orgs
+
+let net_and_time = [ ("network latency", fst); ("execution time", snd) ]
+
+(* One row per (LLC organisation, labelled config transform): the
+   geomean over [sweep_apps], at half scale, of each chosen metric of
+   the location-aware mapping's reductions. *)
+let sweep ~scale ~title ~label metrics variants =
+  let scale = 0.5 *. scale in
+  let rows =
+    List.concat_map
+      (fun (org, base_cfg) ->
+        List.map
+          (fun (vlabel, f) ->
+            let cfg = f base_cfg in
+            let reds =
+              List.map
+                (fun name ->
+                  both_reductions cfg (prep ~scale name)
+                    Experiment.Location_aware)
+                sweep_apps
+            in
+            org :: vlabel
+            :: List.map
+                 (fun (_, pick) ->
+                   Report.pct (Report.geomean_reduction (List.map pick reds)))
+                 metrics)
+          variants)
+      both_orgs
+  in
+  Report.Table
+    { title; headers = "LLC" :: label :: List.map fst metrics; rows }
+
 (* -------------------------------------------------------------- *)
 
 let table4 ~scale:_ =
-  print_newline ();
-  print_endline "Table 4: system setup";
-  print_endline "---------------------";
-  Format.printf "%a@." Machine.Config.pp private_cfg
+  [
+    Report.Text
+      {
+        title = "Table 4: system setup";
+        body = Format.asprintf "%a" Machine.Config.pp private_cfg;
+      };
+  ]
 
 let table3 ~scale =
   let rows =
@@ -71,317 +137,149 @@ let table3 ~scale =
         ])
       all_apps
   in
-  Report.table ~title:"Table 3: benchmark properties"
-    ~headers:[ "benchmark"; "loop nests"; "arrays"; "iter sets"; "frac moved" ]
-    rows
+  [
+    Report.Table
+      {
+        title = "Table 3: benchmark properties";
+        headers =
+          [ "benchmark"; "loop nests"; "arrays"; "iter sets"; "frac moved" ];
+        rows;
+      };
+  ]
 
 let fig2 ~scale =
-  let per_org cfg p = exec_improvement cfg p Experiment.Ideal_network in
-  let rows =
+  [
+    per_app ~scale
+      ~title:
+        "Figure 2: potential execution-time improvement with an ideal \
+         network (%)"
+      (llc_cols Fun.id Experiment.Ideal_network);
+  ]
+
+(* Figures 7 and 8 for one LLC organisation: (a) estimation error,
+   (b) reductions and (c) runtime overheads of the location-aware
+   mapping, for every application. *)
+let fig7or8 ~scale n (org, (cfg : Machine.Config.t)) =
+  let shared = cfg.llc_org = Cache.Llc.Shared in
+  let details =
     List.map
       (fun name ->
         let p = prep ~scale name in
-        [
-          name;
-          Report.pct (per_org private_cfg p);
-          Report.pct (per_org shared_cfg p);
-        ])
+        let base = Experiment.run cfg p Experiment.Default in
+        let opt = Experiment.run cfg p Experiment.Location_aware in
+        let info = Option.get opt.info in
+        let net, time = Experiment.reductions ~base opt in
+        ( name,
+          (if shared then [ info.mai_error; info.cai_error ]
+           else [ info.mai_error ]),
+          [ net; time ],
+          [ 100. *. Machine.Stats.overhead_fraction opt.stats ] ))
       all_apps
   in
-  let geo org =
-    Report.geomean_reduction
-      (List.map (fun n -> per_org org (prep ~scale n)) all_apps)
-  in
-  Report.table
-    ~title:
-      "Figure 2: potential execution-time improvement with an ideal network \
-       (%)"
-    ~headers:[ "benchmark"; "private LLC"; "shared LLC" ]
-    (rows
-    @ [ [ "GEOMEAN"; Report.pct (geo private_cfg); Report.pct (geo shared_cfg) ] ])
+  let pick f = List.map (fun ((name, _, _, _) as d) -> (name, f d)) details in
+  [
+    app_table
+      ~title:
+        (Printf.sprintf
+           "Figure %sa: estimation error (mean eta, est vs observed)" n)
+      ~headers:
+        (if shared then [ "MAI error"; "CAI error" ] else [ "MAI error" ])
+      ~fmt:Report.f3 mean
+      (pick (fun (_, e, _, _) -> e));
+    app_table
+      ~title:
+        (Printf.sprintf
+           "Figure %sb (%s LLC): reduction in network latency and execution \
+            time (%%)"
+           n org)
+      ~headers:[ "network latency"; "execution time" ]
+      ~fmt:Report.pct geomean
+      (pick (fun (_, _, r, _) -> r));
+    app_table
+      ~title:(Printf.sprintf "Figure %sc: runtime overheads (%%)" n)
+      ~headers:[ "overhead" ] ~fmt:Report.pct mean
+      (pick (fun (_, _, _, o) -> o));
+  ]
 
-let per_app_details cfg ~scale =
-  List.map
-    (fun name ->
-      let p = prep ~scale name in
-      let base = Experiment.run cfg p Experiment.Default in
-      let opt = Experiment.run cfg p Experiment.Location_aware in
-      let info = Option.get opt.Experiment.info in
-      let net, time = Experiment.reductions ~base opt in
-      let overhead = 100. *. Machine.Stats.overhead_fraction opt.stats in
-      (name, info, net, time, overhead))
-    all_apps
-
-let fig7or8 ~scale ~cfg ~fig ~sub_err ~sub_red ~sub_ovh ~shared =
-  let details = per_app_details cfg ~scale in
-  let err_headers =
-    if shared then [ "benchmark"; "MAI error"; "CAI error" ]
-    else [ "benchmark"; "MAI error" ]
-  in
-  Report.table
-    ~title:
-      (Printf.sprintf "Figure %s: estimation error (mean eta, est vs observed)"
-         sub_err)
-    ~headers:err_headers
-    (List.map
-       (fun (name, (info : Locmap.Mapper.info), _, _, _) ->
-         if shared then
-           [ name; Report.f3 info.mai_error; Report.f3 info.cai_error ]
-         else [ name; Report.f3 info.mai_error ])
-       details
-    @ [
-        (let maes =
-           List.map (fun (_, (i : Locmap.Mapper.info), _, _, _) -> i.mai_error)
-             details
-         in
-         let caes =
-           List.map (fun (_, (i : Locmap.Mapper.info), _, _, _) -> i.cai_error)
-             details
-         in
-         if shared then
-           [ "MEAN"; Report.f3 (Report.mean maes); Report.f3 (Report.mean caes) ]
-         else [ "MEAN"; Report.f3 (Report.mean maes) ]);
-      ]);
-  Report.table
-    ~title:
-      (Printf.sprintf
-         "Figure %s (%s LLC): reduction in network latency and execution time \
-          (%%)"
-         sub_red fig)
-    ~headers:[ "benchmark"; "network latency"; "execution time" ]
-    (List.map
-       (fun (name, _, net, time, _) ->
-         [ name; Report.pct net; Report.pct time ])
-       details
-    @ [
-        [
-          "GEOMEAN";
-          Report.pct
-            (Report.geomean_reduction
-               (List.map (fun (_, _, n, _, _) -> n) details));
-          Report.pct
-            (Report.geomean_reduction
-               (List.map (fun (_, _, _, t, _) -> t) details));
-        ];
-      ]);
-  Report.table
-    ~title:(Printf.sprintf "Figure %s: runtime overheads (%%)" sub_ovh)
-    ~headers:[ "benchmark"; "overhead" ]
-    (List.map
-       (fun (name, _, _, _, ovh) -> [ name; Report.pct ovh ])
-       details
-    @ [
-        [
-          "MEAN";
-          Report.pct
-            (Report.mean (List.map (fun (_, _, _, _, o) -> o) details));
-        ];
-      ])
-
-let fig7 ~scale =
-  fig7or8 ~scale ~cfg:private_cfg ~fig:"private" ~sub_err:"7a" ~sub_red:"7b"
-    ~sub_ovh:"7c" ~shared:false
-
-let fig8 ~scale =
-  fig7or8 ~scale ~cfg:shared_cfg ~fig:"shared" ~sub_err:"8a" ~sub_red:"8b"
-    ~sub_ovh:"8c" ~shared:true
+let fig7 ~scale = fig7or8 ~scale "7" ("private", private_cfg)
+let fig8 ~scale = fig7or8 ~scale "8" ("shared", shared_cfg)
 
 let fig9 ~scale =
-  let scale = 0.5 *. scale in
-  let variants =
-    [
-      ("default parameters", fun (c : Machine.Config.t) -> c);
-      ( "8x8 network",
-        fun (c : Machine.Config.t) -> { c with rows = 8; cols = 8 } );
-      ( "1MB/core LLC",
-        fun (c : Machine.Config.t) -> { c with l2_size = 1024 * 1024 } );
-      ( "page size = 8KB",
-        fun (c : Machine.Config.t) -> { c with page_size = 8192 } );
-      ( "different MC placement",
-        fun (c : Machine.Config.t) ->
-          { c with mc_placement = Noc.Topology.Edge_midpoints } );
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (org, base_cfg) ->
-        List.map
-          (fun (label, f) ->
-            let cfg = f base_cfg in
-            let nets, times =
-              List.split
-                (List.map
-                   (fun name ->
-                     both_reductions cfg (prep ~scale name)
-                       Experiment.Location_aware)
-                   sweep_apps)
-            in
-            [
-              org;
-              label;
-              Report.pct (Report.geomean_reduction nets);
-              Report.pct (Report.geomean_reduction times);
-            ])
-          variants)
-      both_orgs
-  in
-  Report.table
-    ~title:
-      "Figure 9: sensitivity to hardware parameters (geomean %, 8-app subset \
-       at half scale)"
-    ~headers:[ "LLC"; "variant"; "network latency"; "execution time" ]
-    rows
+  [
+    sweep ~scale
+      ~title:
+        "Figure 9: sensitivity to hardware parameters (geomean %, 8-app \
+         subset at half scale)"
+      ~label:"variant" net_and_time
+      [
+        ("default parameters", fun (c : Machine.Config.t) -> c);
+        ("8x8 network", fun c -> { c with rows = 8; cols = 8 });
+        ("1MB/core LLC", fun c -> { c with l2_size = 1024 * 1024 });
+        ("page size = 8KB", fun c -> { c with page_size = 8192 });
+        ( "different MC placement",
+          fun c -> { c with mc_placement = Noc.Topology.Edge_midpoints } );
+      ];
+  ]
 
 let fig10 ~scale =
-  let scale = 0.5 *. scale in
-  let region_variants =
-    (* (label, region_h, region_w) on the 6x6 mesh, paper Figure 10a/b *)
-    [
-      ("4 (3x3)", 3, 3);
-      ("6 (3x2)", 3, 2);
-      ("9 (2x2)", 2, 2);
-      ("18 (2x1)", 2, 1);
-      ("36 (1x1)", 1, 1);
-    ]
-  in
-  let region_rows =
-    List.concat_map
-      (fun (org, base_cfg) ->
-        List.map
-          (fun (label, h, w) ->
-            let cfg =
-              { base_cfg with Machine.Config.region_h = h; region_w = w }
-            in
-            let nets, times =
-              List.split
-                (List.map
-                   (fun name ->
-                     both_reductions cfg (prep ~scale name)
-                       Experiment.Location_aware)
-                   sweep_apps)
-            in
-            [
-              org;
-              label;
-              Report.pct (Report.geomean_reduction nets);
-              Report.pct (Report.geomean_reduction times);
-            ])
-          region_variants)
-      both_orgs
-  in
-  Report.table
-    ~title:
-      "Figure 10a/b: sensitivity to the number of regions (geomean %, 8-app \
-       subset at half scale)"
-    ~headers:[ "LLC"; "regions (size)"; "network latency"; "execution time" ]
-    region_rows;
-  let fraction_variants =
-    [ 0.001; 0.0025; 0.005; 0.0075; 0.01; 0.02 ]
-  in
-  let frac_rows =
-    List.concat_map
-      (fun (org, base_cfg) ->
-        List.map
-          (fun f ->
-            let cfg = { base_cfg with Machine.Config.iter_set_fraction = f } in
-            let nets, times =
-              List.split
-                (List.map
-                   (fun name ->
-                     both_reductions cfg (prep ~scale name)
-                       Experiment.Location_aware)
-                   sweep_apps)
-            in
-            [
-              org;
-              Printf.sprintf "%.2f%%" (100. *. f);
-              Report.pct (Report.geomean_reduction nets);
-              Report.pct (Report.geomean_reduction times);
-            ])
-          fraction_variants)
-      both_orgs
-  in
-  Report.table
-    ~title:
-      "Figure 10c/d: sensitivity to iteration-set size (geomean %, 8-app \
-       subset at half scale)"
-    ~headers:[ "LLC"; "set size"; "network latency"; "execution time" ]
-    frac_rows
+  [
+    sweep ~scale
+      ~title:
+        "Figure 10a/b: sensitivity to the number of regions (geomean %, \
+         8-app subset at half scale)"
+      ~label:"regions (size)" net_and_time
+      (* region count (height x width) on the 6x6 mesh *)
+      [
+        ( "4 (3x3)",
+          fun (c : Machine.Config.t) -> { c with region_h = 3; region_w = 3 }
+        );
+        ("6 (3x2)", fun c -> { c with region_h = 3; region_w = 2 });
+        ("9 (2x2)", fun c -> { c with region_h = 2; region_w = 2 });
+        ("18 (2x1)", fun c -> { c with region_h = 2; region_w = 1 });
+        ("36 (1x1)", fun c -> { c with region_h = 1; region_w = 1 });
+      ];
+    sweep ~scale
+      ~title:
+        "Figure 10c/d: sensitivity to iteration-set size (geomean %, 8-app \
+         subset at half scale)"
+      ~label:"set size" net_and_time
+      (List.map
+         (fun f ->
+           ( Printf.sprintf "%.2f%%" (100. *. f),
+             fun (c : Machine.Config.t) -> { c with iter_set_fraction = f } ))
+         [ 0.001; 0.0025; 0.005; 0.0075; 0.01; 0.02 ]);
+  ]
 
 let fig11 ~scale =
-  let scale = 0.5 *. scale in
-  let combos =
-    [
-      ("(page mem, line LLC) [default]", Mem.Distribution.Page_grain,
-       Mem.Distribution.Line_grain);
-      ("(line mem, line LLC)", Mem.Distribution.Line_grain,
-       Mem.Distribution.Line_grain);
-      ("(page mem, page LLC)", Mem.Distribution.Page_grain,
-       Mem.Distribution.Page_grain);
-      ("(line mem, page LLC)", Mem.Distribution.Line_grain,
-       Mem.Distribution.Page_grain);
-    ]
-  in
-  let rows =
-    List.concat_map
-      (fun (org, base_cfg) ->
-        List.map
-          (fun (label, mem_gran, llc_gran) ->
-            let cfg =
-              {
-                base_cfg with
-                Machine.Config.dist =
-                  { base_cfg.Machine.Config.dist with mem_gran; llc_gran };
-              }
-            in
-            let times =
-              List.map
-                (fun name ->
-                  exec_improvement cfg (prep ~scale name)
-                    Experiment.Location_aware)
-                sweep_apps
-            in
-            [ org; label; Report.pct (Report.geomean_reduction times) ])
-          combos)
-      both_orgs
-  in
-  Report.table
-    ~title:
-      "Figure 11: physical-address distribution combinations (geomean \
-       execution-time improvement %, subset)"
-    ~headers:[ "LLC"; "(memory, cache) distribution"; "execution time" ]
-    rows
+  [
+    sweep ~scale
+      ~title:
+        "Figure 11: physical-address distribution combinations (geomean \
+         execution-time improvement %, subset)"
+      ~label:"(memory, cache) distribution"
+      [ ("execution time", snd) ]
+      (List.map
+         (fun (label, mem_gran, llc_gran) ->
+           ( label,
+             fun (c : Machine.Config.t) ->
+               { c with dist = { c.dist with mem_gran; llc_gran } } ))
+         Mem.Distribution.
+           [
+             ("(page mem, line LLC) [default]", Page_grain, Line_grain);
+             ("(line mem, line LLC)", Line_grain, Line_grain);
+             ("(page mem, page LLC)", Page_grain, Page_grain);
+             ("(line mem, page LLC)", Line_grain, Page_grain);
+           ]);
+  ]
 
 let fig12 ~scale =
-  let ddr4 (c : Machine.Config.t) =
-    { c with dram_kind = Mem.Dram.Ddr4_2400 }
-  in
-  let rows =
-    List.map
-      (fun name ->
-        let p = prep ~scale name in
-        [
-          name;
-          Report.pct
-            (exec_improvement (ddr4 private_cfg) p Experiment.Location_aware);
-          Report.pct
-            (exec_improvement (ddr4 shared_cfg) p Experiment.Location_aware);
-        ])
-      all_apps
-  in
-  let geo cfg =
-    Report.geomean_reduction
-      (List.map
-         (fun n ->
-           exec_improvement (ddr4 cfg) (prep ~scale n)
-             Experiment.Location_aware)
-         all_apps)
-  in
-  Report.table
-    ~title:"Figure 12: execution-time improvement with DDR-4 (%)"
-    ~headers:[ "benchmark"; "private LLC"; "shared LLC" ]
-    (rows
-    @ [ [ "GEOMEAN"; Report.pct (geo private_cfg); Report.pct (geo shared_cfg) ] ])
+  [
+    per_app ~scale ~title:"Figure 12: execution-time improvement with DDR-4 (%)"
+      (llc_cols
+         (fun (c : Machine.Config.t) ->
+           { c with dram_kind = Mem.Dram.Ddr4_2400 })
+         Experiment.Location_aware);
+  ]
 
 let fig13 ~scale =
   let apps = [ "jacobi-3d"; "lulesh"; "minighost"; "swim"; "mxm"; "art" ] in
@@ -391,82 +289,46 @@ let fig13 ~scale =
         List.map
           (fun name ->
             let p = prep ~scale name in
-            let la = exec_improvement cfg p Experiment.Location_aware in
-            let don = exec_improvement cfg p Experiment.Data_opt in
-            let both = exec_improvement cfg p Experiment.La_plus_do in
-            [ org; name; Report.pct la; Report.pct don; Report.pct both ])
+            org :: name
+            :: List.map
+                 (fun strat -> Report.pct (snd (both_reductions cfg p strat)))
+                 Experiment.[ Location_aware; Data_opt; La_plus_do ])
           apps)
       both_orgs
   in
-  Report.table
-    ~title:
-      "Figure 13: comparison against data-layout reorganisation (execution-\
-       time improvement %)"
-    ~headers:[ "LLC"; "benchmark"; "LA"; "DO"; "LA+DO" ]
-    rows
+  [
+    Report.Table
+      {
+        title =
+          "Figure 13: comparison against data-layout reorganisation \
+           (execution-time improvement %)";
+        headers = [ "LLC"; "benchmark"; "LA"; "DO"; "LA+DO" ];
+        rows;
+      };
+  ]
 
 let fig14 ~scale =
-  let rows =
-    List.map
-      (fun name ->
-        let p = prep ~scale name in
-        [
-          name;
-          Report.pct (exec_improvement private_cfg p Experiment.Location_aware);
-          Report.pct (exec_improvement shared_cfg p Experiment.Location_aware);
-          Report.pct (exec_improvement private_cfg p Experiment.Hw_placement);
-          Report.pct (exec_improvement shared_cfg p Experiment.Hw_placement);
-        ])
-      all_apps
-  in
-  let geo cfg strat =
-    Report.geomean_reduction
-      (List.map
-         (fun n -> exec_improvement cfg (prep ~scale n) strat)
-         all_apps)
-  in
-  Report.table
-    ~title:
-      "Figure 14: compiler-based (ours) vs hardware-based computation \
-       placement (execution-time improvement %)"
-    ~headers:
-      [ "benchmark"; "LA private"; "LA shared"; "HW private"; "HW shared" ]
-    (rows
-    @ [
-        [
-          "GEOMEAN";
-          Report.pct (geo private_cfg Experiment.Location_aware);
-          Report.pct (geo shared_cfg Experiment.Location_aware);
-          Report.pct (geo private_cfg Experiment.Hw_placement);
-          Report.pct (geo shared_cfg Experiment.Hw_placement);
-        ];
-      ])
+  [
+    per_app ~scale
+      ~title:
+        "Figure 14: compiler-based (ours) vs hardware-based computation \
+         placement (execution-time improvement %)"
+      [
+        ("LA private", private_cfg, Experiment.Location_aware);
+        ("LA shared", shared_cfg, Experiment.Location_aware);
+        ("HW private", private_cfg, Experiment.Hw_placement);
+        ("HW shared", shared_cfg, Experiment.Hw_placement);
+      ];
+  ]
 
 let fig15 ~scale =
-  let rows =
-    List.map
-      (fun name ->
-        let p = prep ~scale name in
-        [
-          name;
-          Report.pct (exec_improvement private_cfg p Experiment.La_oracle);
-          Report.pct (exec_improvement shared_cfg p Experiment.La_oracle);
-        ])
-      all_apps
-  in
-  let geo cfg =
-    Report.geomean_reduction
-      (List.map
-         (fun n -> exec_improvement cfg (prep ~scale n) Experiment.La_oracle)
-         all_apps)
-  in
-  Report.table
-    ~title:
-      "Figure 15: perfect MAI/CAI and cache-miss estimation \
-       (execution-time improvement %)"
-    ~headers:[ "benchmark"; "private LLC"; "shared LLC" ]
-    (rows
-    @ [ [ "GEOMEAN"; Report.pct (geo private_cfg); Report.pct (geo shared_cfg) ] ])
+  [
+    per_app ~scale
+      ~title:
+        "Figure 15: perfect MAI/CAI and cache-miss estimation \
+         (execution-time improvement %)"
+      (llc_cols Fun.id Experiment.La_oracle);
+  ]
 
 (* KNL-like machine: bigger per-tile L2, cluster modes as address-
    mapping policies (see DESIGN.md substitutions). *)
@@ -513,41 +375,39 @@ let fig16 ~scale =
             ("optimized", Experiment.Location_aware) ])
       modes
   in
-  Report.table
-    ~title:
-      "Figure 16: KNL-style cluster modes (execution-time improvement over \
-       original all-to-all, %)"
-    ~headers:[ "configuration"; "improvement" ]
-    rows
+  [
+    Report.Table
+      {
+        title =
+          "Figure 16: KNL-style cluster modes (execution-time improvement over \
+           original all-to-all, %)";
+        headers = [ "configuration"; "improvement" ];
+        rows;
+      };
+  ]
 
 let fig17 ~scale =
-  let run_at mult name mode strat =
-    knl_exec_cycles ~scale:(scale *. mult) name mode strat
+  let cell name (mult, mode) =
+    let run strat = knl_exec_cycles ~scale:(scale *. mult) name mode strat in
+    Experiment.reduction ~base:(run Experiment.Default)
+      (run Experiment.Location_aware)
   in
-  let rows =
-    List.map
-      (fun name ->
-        let cell mult mode =
-          let base = run_at mult name mode Experiment.Default in
-          Report.pct
-            (Experiment.reduction ~base
-               (run_at mult name mode Experiment.Location_aware))
-        in
-        [
-          name;
-          cell 2.0 Mem.Distribution.Quadrant;
-          cell 2.0 Mem.Distribution.Snc4;
-          cell 4.0 Mem.Distribution.Quadrant;
-          cell 4.0 Mem.Distribution.Snc4;
-        ])
-      knl_apps
-  in
-  Report.table
-    ~title:
-      "Figure 17: KNL-style modes with larger inputs (execution-time \
-       improvement of optimized over original, %)"
-    ~headers:[ "benchmark"; "quad 2x"; "SNC-4 2x"; "quad 4x"; "SNC-4 4x" ]
-    rows
+  [
+    app_table
+      ~title:
+        "Figure 17: KNL-style modes with larger inputs (execution-time \
+         improvement of optimized over original, %)"
+      ~headers:[ "quad 2x"; "SNC-4 2x"; "quad 4x"; "SNC-4 4x" ]
+      ~fmt:Report.pct []
+      (List.map
+         (fun name ->
+           ( name,
+             List.map (cell name)
+               Mem.Distribution.
+                 [ (2.0, Quadrant); (2.0, Snc4); (4.0, Quadrant); (4.0, Snc4) ]
+           ))
+         knl_apps);
+  ]
 
 let multiprog ~scale =
   let apps = [ "jacobi-3d"; "moldyn"; "fft"; "swim" ] in
@@ -600,92 +460,112 @@ let multiprog ~scale =
         [ org; Report.pct (Report.geomean_reduction impr) ])
       both_orgs
   in
-  Report.table
-    ~title:
-      "Multiprogrammed: four co-running applications (geomean per-app \
-       execution-time improvement %)"
-    ~headers:[ "LLC"; "improvement" ]
-    rows
+  [
+    Report.Table
+      {
+        title =
+          "Multiprogrammed: four co-running applications (geomean per-app \
+           execution-time improvement %)";
+        headers = [ "LLC"; "improvement" ];
+        rows;
+      };
+  ]
 
 (* Ablations of the design choices DESIGN.md calls out: the load
    balancer, the α weighting of Algorithm 2, and the MAC tolerance that
    shapes the nearest-MC sets. *)
 let ablations ~scale =
-  let improvement cfg ~mapf p =
-    let base = Experiment.run cfg p Experiment.Default in
-    let info = mapf cfg p.Experiment.trace in
-    let r =
-      Machine.Engine.run cfg [ Locmap.Mapper.job p.Experiment.trace info ]
-    in
-    Experiment.reduction ~base:base.Experiment.stats.Machine.Stats.cycles
-      r.Machine.Engine.stats.Machine.Stats.cycles
-  in
   let geo cfg mapf =
     Report.geomean_reduction
-      (List.map (fun n -> improvement cfg ~mapf (prep ~scale n)) sweep_apps)
+      (List.map
+         (fun name ->
+           let p = prep ~scale name in
+           let base = Experiment.run cfg p Experiment.Default in
+           let job = Locmap.Mapper.job p.trace (mapf cfg p.trace) in
+           let r = Machine.Engine.run cfg [ job ] in
+           Experiment.reduction ~base:base.stats.cycles r.stats.cycles)
+         sweep_apps)
   in
   let full cfg t = Locmap.Mapper.map cfg t in
+  let no_balance cfg t = Locmap.Mapper.map ~balance:false cfg t in
+  let alpha a cfg t = Locmap.Mapper.map ~alpha_override:a cfg t in
   let rows =
-    [
-      [ "private"; "full scheme";
-        Report.pct (geo private_cfg full) ];
-      [ "private"; "without load balancing";
-        Report.pct
-          (geo private_cfg (fun cfg t ->
-               Locmap.Mapper.map ~balance:false cfg t)) ];
-      [ "private"; "MAC tolerance 0";
-        Report.pct
-          (geo { private_cfg with Machine.Config.mac_tolerance = 0 } full) ];
-      [ "private"; "MAC tolerance 4";
-        Report.pct
-          (geo { private_cfg with Machine.Config.mac_tolerance = 4 } full) ];
-      [ "shared"; "full scheme (adaptive alpha)";
-        Report.pct (geo shared_cfg full) ];
-      [ "shared"; "alpha = 0 (memory term only)";
-        Report.pct
-          (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~alpha_override:0.0 cfg t)) ];
-      [ "shared"; "alpha = 1 (cache term only)";
-        Report.pct
-          (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~alpha_override:1.0 cfg t)) ];
-      [ "shared"; "without load balancing";
-        Report.pct
-          (geo shared_cfg (fun cfg t ->
-               Locmap.Mapper.map ~balance:false cfg t)) ];
-      [ "private"; "torus topology (midpoint MCs)";
-        Report.pct
-          (geo
-             { private_cfg with
-               Machine.Config.topology_kind = Noc.Topology.Torus;
-               mc_placement = Noc.Topology.Edge_midpoints }
-             full) ];
-      [ "private"; "inverse-distance MAC";
-        Report.pct
-          (geo
-             { private_cfg with
-               Machine.Config.mac_mode = Machine.Config.Inverse_distance }
-             full) ];
-      [ "private"; "least-loaded placement";
-        Report.pct
-          (geo
-             { private_cfg with
-               Machine.Config.placement = Machine.Config.Least_loaded }
-             full) ];
-    ]
+    List.map
+      (fun (org, label, cfg, mapf) -> [ org; label; Report.pct (geo cfg mapf) ])
+      [
+        ("private", "full scheme", private_cfg, full);
+        ("private", "without load balancing", private_cfg, no_balance);
+        ( "private",
+          "MAC tolerance 0",
+          { private_cfg with Machine.Config.mac_tolerance = 0 },
+          full );
+        ( "private",
+          "MAC tolerance 4",
+          { private_cfg with Machine.Config.mac_tolerance = 4 },
+          full );
+        ("shared", "full scheme (adaptive alpha)", shared_cfg, full);
+        ("shared", "alpha = 0 (memory term only)", shared_cfg, alpha 0.0);
+        ("shared", "alpha = 1 (cache term only)", shared_cfg, alpha 1.0);
+        ("shared", "without load balancing", shared_cfg, no_balance);
+        ( "private",
+          "torus topology (midpoint MCs)",
+          {
+            private_cfg with
+            Machine.Config.topology_kind = Noc.Topology.Torus;
+            mc_placement = Noc.Topology.Edge_midpoints;
+          },
+          full );
+        ( "private",
+          "inverse-distance MAC",
+          {
+            private_cfg with
+            Machine.Config.mac_mode = Machine.Config.Inverse_distance;
+          },
+          full );
+        ( "private",
+          "least-loaded placement",
+          {
+            private_cfg with
+            Machine.Config.placement = Machine.Config.Least_loaded;
+          },
+          full );
+      ]
   in
-  Report.table
-    ~title:
-      "Ablations: design choices of the mapping scheme (geomean execution-       time improvement %, subset)"
-    ~headers:[ "LLC"; "variant"; "execution time" ]
-    rows
+  [
+    Report.Table
+      {
+        title =
+          "Ablations: design choices of the mapping scheme (geomean \
+           execution-time improvement %, subset)";
+        headers = [ "LLC"; "variant"; "execution time" ];
+        rows;
+      };
+  ]
 
 type fig = {
   id : string;
   title : string;
-  run : scale:float -> unit;
+  run : scale:float -> Report.t list;
 }
 
+(* In paper order. What each regenerates:
+   table3 nests, arrays, iteration sets and fraction of sets moved;
+   table4 the simulated system;
+   fig2 the improvement with an ideal (zero-latency) network;
+   fig7/fig8 private/shared LLC: (a) MAI (and CAI) estimation error,
+     (b) network-latency and execution-time reductions, (c) overheads;
+   fig9 mesh size, LLC capacity, page size and MC placement;
+   fig10 the number of regions and the iteration-set size;
+   fig11 (memory banks, cache banks) address-distribution combinations;
+   fig12 DDR-4 instead of DDR-3;
+   fig13 against and combined with data-layout optimisation;
+   fig14 against hardware-based computation placement;
+   fig15 perfect MAI/CAI/cache-miss estimation;
+   fig16 KNL-style cluster modes, original vs optimised;
+   fig17 the same with 2x and 4x inputs;
+   multiprog four multi-threaded applications co-running;
+   ablations design choices beyond the paper: load balancing off,
+     fixed alpha, MAC tolerance, topology, MAC mode and placement. *)
 let all =
   [
     { id = "table3"; title = "benchmark properties"; run = table3 };

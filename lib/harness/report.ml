@@ -1,31 +1,42 @@
-let table ~title ~headers rows =
-  let all = headers :: rows in
-  let cols =
-    List.fold_left (fun acc r -> max acc (List.length r)) 0 all
+type t =
+  | Table of { title : string; headers : string list; rows : string list list }
+  | Text of { title : string; body : string }
+
+let render_table headers rows =
+  let cell row c = Option.value (List.nth_opt row c) ~default:"" in
+  let widths =
+    List.mapi
+      (fun c _ ->
+        List.fold_left
+          (fun acc row -> max acc (String.length (cell row c)))
+          0 (headers :: rows))
+      headers
   in
-  let width c =
-    List.fold_left
-      (fun acc row ->
-        match List.nth_opt row c with
-        | Some cell -> max acc (String.length cell)
-        | None -> acc)
-      0 all
-  in
-  let widths = List.init cols width in
-  let pad s w = s ^ String.make (max 0 (w - String.length s)) ' ' in
   let render row =
-    List.mapi (fun c w ->
-        pad (Option.value (List.nth_opt row c) ~default:"") w)
+    List.mapi
+      (fun c w ->
+        let s = cell row c in
+        s ^ String.make (w - String.length s) ' ')
       widths
     |> String.concat "  "
   in
-  print_newline ();
-  print_endline title;
-  print_endline (String.make (String.length title) '-');
-  print_endline (render headers);
-  print_endline
-    (String.concat "  " (List.map (fun w -> String.make w '-') widths));
-  List.iter (fun r -> print_endline (render r)) rows;
+  String.concat "\n"
+    (render headers
+     :: String.concat "  " (List.map (fun w -> String.make w '-') widths)
+     :: List.map render rows)
+
+let to_string r =
+  let title, body =
+    match r with
+    | Table { title; headers; rows } -> (title, render_table headers rows)
+    | Text { title; body } -> (title, body)
+  in
+  Printf.sprintf "\n%s\n%s\n%s\n" title
+    (String.make (String.length title) '-')
+    body
+
+let print r =
+  print_string (to_string r);
   flush stdout
 
 let geomean_ratio ratios =

@@ -72,13 +72,39 @@ let test_mean_and_formats () =
   Alcotest.(check string) "pct" "12.3" (Harness.Report.pct 12.34);
   Alcotest.(check string) "f3" "0.123" (Harness.Report.f3 0.1234)
 
+(* Every column is padded to its widest cell, the last one included, so
+   rows carry trailing spaces; a short row gets empty cells. *)
+let test_render () =
+  Alcotest.(check string) "table"
+    "\nT\n-\nname    v   \n------  ----\nab      1.0 \nlonger  12.5\nx           \n"
+    (Harness.Report.to_string
+       (Harness.Report.Table
+          {
+            title = "T";
+            headers = [ "name"; "v" ];
+            rows = [ [ "ab"; "1.0" ]; [ "longer"; "12.5" ]; [ "x" ] ];
+          }));
+  Alcotest.(check string) "text" "\nAb\n--\nline 1\nline 2\n"
+    (Harness.Report.to_string
+       (Harness.Report.Text { title = "Ab"; body = "line 1\nline 2" }))
+
 let test_figures_registry () =
-  check_int "16 drivers" 16 (List.length Harness.Figures.all);
   check_bool "find fig7" true (Harness.Figures.find "fig7" <> None);
   check_bool "find unknown" true (Harness.Figures.find "fig99" = None);
-  check_bool "ids unique" true
-    (let ids = List.map (fun (f : Harness.Figures.fig) -> f.id) Harness.Figures.all in
-     List.length (List.sort_uniq compare ids) = List.length ids)
+  Alcotest.(check (list string)) "every id, in paper order"
+    [ "table3"; "table4"; "fig2"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
+      "fig12"; "fig13"; "fig14"; "fig15"; "fig16"; "fig17"; "multiprog";
+      "ablations" ]
+    (List.map (fun (f : Harness.Figures.fig) -> f.id) Harness.Figures.all)
+
+let test_table4 () =
+  match (Option.get (Harness.Figures.find "table4")).run ~scale:1.0 with
+  | [ Harness.Report.Text { title; body } ] ->
+      Alcotest.(check string) "title" "Table 4: system setup" title;
+      Alcotest.(check string) "body"
+        (Format.asprintf "%a" Machine.Config.pp Machine.Config.default)
+        body
+  | _ -> Alcotest.fail "table4 is one text block"
 
 let () =
   Alcotest.run "harness"
@@ -95,6 +121,11 @@ let () =
         [
           Alcotest.test_case "geomean" `Quick test_geomean;
           Alcotest.test_case "mean and formats" `Quick test_mean_and_formats;
+          Alcotest.test_case "render" `Quick test_render;
         ] );
-      ("figures", [ Alcotest.test_case "registry" `Quick test_figures_registry ]);
+      ( "figures",
+        [
+          Alcotest.test_case "registry" `Quick test_figures_registry;
+          Alcotest.test_case "table4" `Quick test_table4;
+        ] );
     ]
