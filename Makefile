@@ -141,9 +141,9 @@ experiments-diff:
 	[ $$status -eq 0 ] && echo "experiments-diff: identical to $(BASE)"; \
 	exit $$status
 
-# Chaos gate: the resilience suite (fault matrix, deadlines, crash
-# isolation, 1/2/4/8-domain byte-determinism under injection) repeated
-# under three fixed seeds that parameterise the injection plans.
+# Chaos gate: the resilience suite (fault matrix, deadlines,
+# 1/2/4/8-domain byte-determinism under injection) repeated under three
+# fixed seeds that parameterise the injection plans.
 chaos:
 	dune build test/test_resilience.exe
 	@for seed in 1 42 1337; do \

@@ -430,35 +430,21 @@ let deadline_arg =
            phase boundaries; an overrun fails (or, with $(b,--degrade), \
            degrades) the request.")
 
-let max_retries_arg =
-  Arg.(
-    value
-    & opt int Service.Resilience.default.Service.Resilience.max_retries
-    & info [ "max-retries" ] ~docv:"N"
-        ~doc:
-          "Retries (with exponential backoff) for transient faults, on \
-           top of the first attempt.")
-
 let degrade_arg =
   Arg.(
     value
     & flag
     & info [ "degrade" ]
         ~doc:
-          "On deadline overrun, worker crash or exhausted retries, \
-           answer with the cheap fallback mapping (flagged \
-           \"degraded\": true) instead of an error.")
+          "On deadline overrun or an internal fault, answer with the \
+           cheap fallback mapping (flagged \"degraded\": true) instead \
+           of an error.")
 
 let resilience_term =
-  let policy deadline_ms max_retries degrade =
-    {
-      Service.Resilience.default with
-      Service.Resilience.deadline_ms;
-      max_retries;
-      degrade;
-    }
+  let policy deadline_ms degrade =
+    { Service.Resilience.deadline_ms; degrade }
   in
-  Term.(const policy $ deadline_arg $ max_retries_arg $ degrade_arg)
+  Term.(const policy $ deadline_arg $ degrade_arg)
 
 (* Observability knobs shared by batch, serve and sched. *)
 
@@ -497,7 +483,7 @@ let trace_out_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Trace computed requests (one span per request, attempt and \
+          "Trace computed requests (one span per request and per \
            mapper phase) and write JSON lines here ($(b,-) writes to \
            standard output).")
 

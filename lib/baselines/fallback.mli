@@ -2,7 +2,7 @@
 
     When the serving layer cannot complete the full
     analyse→assign→balance pipeline within budget (deadline exceeded,
-    retries exhausted, worker crashed — see [Service.Resilience]), it
+    internal fault — see [Service.Resilience]), it
     still owes the caller {e a} mapping. This module produces one in
     O(sets + cores) with no trace compilation and no replay: iteration
     sets are dealt round-robin over the regions in row-major region

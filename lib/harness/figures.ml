@@ -208,7 +208,7 @@ let fig9 ~scale =
   [
     sweep ~scale
       ~title:
-        "Figure 9: sensitivity to hardware parameters (geomean %, 8-app \
+        "Figure 9: sensitivity to hardware parameters (geomean %, 7-app \
          subset at half scale)"
       ~label:"variant" net_and_time
       [
@@ -226,7 +226,7 @@ let fig10 ~scale =
     sweep ~scale
       ~title:
         "Figure 10a/b: sensitivity to the number of regions (geomean %, \
-         8-app subset at half scale)"
+         7-app subset at half scale)"
       ~label:"regions (size)" net_and_time
       (* region count (height x width) on the 6x6 mesh *)
       [
@@ -240,7 +240,7 @@ let fig10 ~scale =
       ];
     sweep ~scale
       ~title:
-        "Figure 10c/d: sensitivity to iteration-set size (geomean %, 8-app \
+        "Figure 10c/d: sensitivity to iteration-set size (geomean %, 7-app \
          subset at half scale)"
       ~label:"set size" net_and_time
       (List.map

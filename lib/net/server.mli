@@ -62,7 +62,7 @@
     only tallies: {!stats} and {!health_json} read them.
     [?tracer] opens one root span per connection (["conn"], trace id
     ["conn-<ordinal>"]) with one child ["frame"] span per processed
-    line; the per-request/attempt/phase spans of {!Service.Api} hang
+    line; the per-request and per-phase spans of {!Service.Api} hang
     off the request hash as usual.
 
     {b Edge hardening} (DESIGN.md §11). Sockets are nonblocking from

@@ -3,10 +3,10 @@
     A {e span} is a named interval with a parent; spans sharing a root
     form a trace identified by a [trace_id] string. The serving layer
     opens one root span per computed request (trace id = the request's
-    canonical hash prefix, so identical requests trace identically),
-    one child per retry attempt, and one grandchild per mapper pipeline
-    phase — the paper's CME → affinity → assignment → balance
-    breakdown, live instead of re-derived in benches (see DESIGN.md).
+    canonical hash prefix, so identical requests trace identically)
+    and one child per mapper pipeline phase — the paper's CME →
+    affinity → assignment → balance breakdown, live instead of
+    re-derived in benches (see DESIGN.md).
 
     Spans are timed with the monotonic clock and collected into an
     in-memory buffer; {!to_jsonl} drains a sorted JSON-lines view

@@ -1,14 +1,11 @@
-exception Crash of string
-
 (* The pool's counters, registered once per pool in the caller's
-   registry or a private one. They are the only tally: [crashes] reads
-   [icrashes]. Handles are shared across pools on the same registry
-   (registration is idempotent), so the metrics aggregate fleet-wide. *)
+   registry or a private one. Handles are shared across pools on the
+   same registry (registration is idempotent), so the metrics aggregate
+   fleet-wide. *)
 type instruments = {
   queue_depth : Obs.Metrics.gauge;
   tasks : Obs.Metrics.counter;
   busy_ns : Obs.Metrics.counter;
-  icrashes : Obs.Metrics.counter;
 }
 
 type t = {
@@ -17,21 +14,17 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  mutable target : int;
+  target : int;
   obs : instruments;
 }
 
 let default_domains () =
   max 1 (min 8 (Domain.recommended_domain_count () - 1))
 
-(* Worker domains run [loop] until shutdown. A job whose exception
-   escapes the per-task wrapper of [try_map] is a {e crash}: the task's
-   result has already been recorded (see [try_map]), so the worker's
-   only duties are to count the crash, respawn a replacement domain (so
-   the pool keeps its configured width and queued jobs still drain),
-   and die. The crash handler takes [pool.lock] only after the job has
-   released every lock it held, so no mutex is orphaned. *)
-let rec worker_loop pool () =
+(* Worker domains run [loop] until shutdown. Every job is built by
+   [try_map] around [run_job], which catches the task's exception, so a
+   job never raises here. *)
+let worker_loop pool () =
   let rec loop () =
     Mutex.lock pool.lock;
     while Queue.is_empty pool.queue && not pool.stop do
@@ -42,15 +35,8 @@ let rec worker_loop pool () =
       let job = Queue.pop pool.queue in
       Mutex.unlock pool.lock;
       Obs.Metrics.add_gauge pool.obs.queue_depth (-1);
-      match job () with
-      | () -> loop ()
-      | exception _ ->
-          Mutex.lock pool.lock;
-          Obs.Metrics.incr pool.obs.icrashes;
-          if not pool.stop then
-            pool.workers <- Domain.spawn (worker_loop pool) :: pool.workers;
-          Mutex.unlock pool.lock
-          (* fall off the end: this domain is dead *)
+      job ();
+      loop ()
     end
   in
   loop ()
@@ -77,9 +63,6 @@ let create ?num_domains ?metrics () =
       busy_ns =
         counter "worker nanoseconds spent inside jobs"
           "locmap_pool_busy_ns_total";
-      icrashes =
-        counter "worker domains that died and were replaced"
-          "locmap_pool_crashes_total";
     }
   in
   let pool =
@@ -98,8 +81,6 @@ let create ?num_domains ?metrics () =
   pool
 
 let num_domains t = t.target
-
-let crashes t = Obs.Metrics.counter_value t.obs.icrashes
 
 let submit t job =
   Mutex.lock t.lock;
@@ -127,9 +108,6 @@ let try_map t f xs =
   if n = 0 then [||]
   else if t.target = 0 then begin
     if t.stop then invalid_arg "Pool.map: pool is shut down";
-    (* Inline pool: the caller's domain cannot be allowed to die, so a
-       crash is contained here — producing the same per-task [Error] a
-       worker-backed pool records before its domain exits. *)
     Array.map (run_job t f) xs
   end
   else begin
@@ -144,19 +122,7 @@ let try_map t f xs =
       if !remaining = 0 then Condition.signal batch_done;
       Mutex.unlock batch_lock
     in
-    Array.iteri
-      (fun i x ->
-        submit t (fun () ->
-            let r = run_job t f x in
-            fill i r;
-            (* A simulated domain death must actually kill the worker so
-               the crash-isolation path (respawn, batch drain) is
-               exercised — but only after the slot is filled, so the
-               batch can never hang on a crashed task. *)
-            match r with
-            | Error (Crash _ as c) -> raise c
-            | _ -> ()))
-      xs;
+    Array.iteri (fun i x -> submit t (fun () -> fill i (run_job t f x))) xs;
     Mutex.lock batch_lock;
     while !remaining > 0 do
       Condition.wait batch_done batch_lock
@@ -177,19 +143,7 @@ let shutdown t =
     t.stop <- true;
     Condition.broadcast t.nonempty
   end;
+  let ws = t.workers in
+  t.workers <- [];
   Mutex.unlock t.lock;
-  (* A crashing worker may have spawned a replacement concurrently with
-     the stop flag being raised; respawns are decided under [t.lock]
-     after checking [stop], so draining the list until it is empty
-     joins every domain ever spawned. *)
-  let rec drain () =
-    Mutex.lock t.lock;
-    let ws = t.workers in
-    t.workers <- [];
-    Mutex.unlock t.lock;
-    if ws <> [] then begin
-      List.iter Domain.join ws;
-      drain ()
-    end
-  in
-  drain ()
+  List.iter Domain.join ws

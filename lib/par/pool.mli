@@ -10,19 +10,11 @@
     same pool (a job waiting on its own pool can deadlock once all
     workers are occupied).
 
-    {b Crash isolation}: exceptions raised by a job are caught on the
-    worker and recorded as that job's [Error] — one failing job never
-    wedges the pool or the batch. {!Crash} (simulated domain death, as
-    injected by the service's fault-injection plans, which re-export it
-    as [Fault.Crash]) goes one step further:
-    after the job's slot is recorded, the exception is re-raised past
-    the task wrapper, the worker domain counts the crash, spawns a
-    replacement domain so the pool keeps its configured width, and
-    dies. The batch always drains — the crashed task's result is
-    recorded {e before} the worker dies, the replacement keeps serving
-    the queue, and no mutex is held across the death. An inline pool
-    (no workers) contains [Fault.Crash] like any other job exception,
-    producing byte-identical results to the worker-backed path.
+    {b Fault containment}: an exception raised by a job is caught on
+    the worker and recorded as that job's [Error] — one failing job
+    never wedges the pool or the batch, and the worker keeps serving
+    the queue. An inline pool (no workers) contains job exceptions the
+    same way, producing the same per-slot results.
 
     A pool with [num_domains <= 1] spawns no domains at all and runs
     jobs inline in the caller; the sequential and parallel paths execute
@@ -34,21 +26,14 @@
     worker-list access is under the pool mutex, counters are atomic,
     and {!try_map} may be called concurrently from different domains.
 
-    {b Observability}: every pool counts its work in four metrics —
+    {b Observability}: every pool counts its work in three metrics —
     [locmap_pool_queue_depth] (gauge: submitted, not yet started),
-    [locmap_pool_tasks_total], [locmap_pool_busy_ns_total] (counters:
-    jobs completed and worker time inside jobs) and
-    [locmap_pool_crashes_total], which {!crashes} reads. They live in
+    [locmap_pool_tasks_total] and [locmap_pool_busy_ns_total]
+    (counters: jobs completed and worker time inside jobs). They live in
     the registry passed to {!create}, or in a private one. Metric
     updates never affect job results or ordering. *)
 
 type t
-
-exception Crash of string
-(** Simulated death of the executing domain (see crash isolation
-    above). Declared here, at the lowest layer, so both the serving
-    stack (as [Fault.Crash]) and the analysis fast path share one
-    extension constructor. *)
 
 val create : ?num_domains:int -> ?metrics:Obs.Metrics.t -> unit -> t
 (** [num_domains] defaults to [min 8 (Domain.recommended_domain_count
@@ -58,15 +43,10 @@ val create : ?num_domains:int -> ?metrics:Obs.Metrics.t -> unit -> t
     data, hence not a {!Fault}). [metrics] receives the
     pool instruments described above (default: a private registry).
     Registration is idempotent, so pools sharing a registry share
-    (aggregate into) the same counters — {!crashes} included. *)
+    (aggregate into) the same counters. *)
 
 val num_domains : t -> int
-(** Configured worker-domain count (0 for an inline pool); crash
-    respawns keep the live count at this width. *)
-
-val crashes : t -> int
-(** Worker domains that have died (and been replaced) since creation:
-    the value of [locmap_pool_crashes_total]. *)
+(** Configured worker-domain count (0 for an inline pool). *)
 
 val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Parallel [Array.map] with per-job fault containment, submission
@@ -80,5 +60,5 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val shutdown : t -> unit
 (** Drains nothing: waits only for already-running jobs, then joins the
-    workers (including crash replacements). Idempotent. Calling
-    {!map}/{!try_map} after shutdown raises [Invalid_argument]. *)
+    workers. Idempotent. Calling {!map}/{!try_map} after shutdown
+    raises [Invalid_argument]. *)

@@ -9,8 +9,6 @@ let fault_kinds =
     "invalid_request";
     "unknown_workload";
     "deadline_exceeded";
-    "worker_crashed";
-    "transient";
     "internal";
     "overload";
   ]
@@ -21,7 +19,6 @@ type instruments = {
   i_computed : Obs.Metrics.counter;
   i_errors : Obs.Metrics.counter;
   i_degraded : Obs.Metrics.counter;
-  i_retries : Obs.Metrics.counter;
   i_request_ms : Obs.Metrics.histogram;
   i_phase_ms : (string * Obs.Metrics.histogram) list;
   i_faults : (string * Obs.Metrics.counter) list;
@@ -39,8 +36,6 @@ let instruments im =
     i_errors = counter "error responses" "locmap_responses_error_total";
     i_degraded =
       counter "fallback-mapping responses" "locmap_responses_degraded_total";
-    i_retries =
-      counter "retry attempts spent on transient faults" "locmap_retries_total";
     i_request_ms =
       Obs.Metrics.histogram im ~help:"end-to-end compute latency (ms)"
         "locmap_request_ms";
@@ -57,7 +52,7 @@ let instruments im =
         (fun k ->
           ( k,
             Obs.Metrics.counter im ~labels:[ ("kind", k) ]
-              ~help:"faults by kind (final per attempt sequence)"
+              ~help:"faults by kind (counted before degradation)"
               "locmap_faults_total" ))
         fault_kinds;
   }
@@ -76,8 +71,6 @@ type stats = {
   errors : int;
   computed : int;
   degraded : int;
-  retried : int;
-  crashes : int;
   cache : Solution_cache.counters;
   cache_entries : int;
   cache_capacity : int;
@@ -138,12 +131,7 @@ let plain_compute ~metrics ~on_phase (req : Request.t) :
               match r.Response.result with
               | Ok p -> Ok p
               | Error _ -> assert false
-            with
-            | Fault.Crash _ as c ->
-                (* Simulated domain death must reach the pool's crash
-                   handler, not the per-request classifier. *)
-                raise c
-            | e -> Error (Fault.of_exn e)))
+            with e -> Error (Fault.of_exn e)))
 
 (* The obs side of a phase boundary: a per-phase duration observation
    plus, when tracing, a child span per phase under [parent]. Never
@@ -165,49 +153,28 @@ let obs_phase_hook (t : t) ~parent =
     | None -> ());
     last := now
 
-(* The resilience wrapper: injection points, per-request monotonic
-   deadline checked at phase boundaries, bounded retry for transient
-   faults. Returns the final result plus the retries spent. When the
-   policy is off and no plan is loaded this is bypassed entirely (obs
-   phase hooks still fire there), so the no-fault overhead is one
-   branch. [span] is the request's root span (None when not tracing);
-   each attempt gets a child span, and phase spans hang off the
-   attempt. *)
+(* One computed request: the deadline starts, fault injection fires at
+   "compute" and at each mapper phase boundary, and the deadline is
+   checked at each boundary. [span] is the request's root span (None
+   when not tracing); the phase spans hang off it. *)
 let compute (t : t) ~index ~hash ~span (req : Request.t) :
-    (Response.payload, Fault.t) result * int =
-  let metrics = t.obs.im in
-  if Resilience.is_off t.resilience && Fault_injection.is_none t.injection
-  then
-    let on_phase = obs_phase_hook t ~parent:span in
-    (plain_compute ~metrics ~on_phase req, 0)
-  else
-    let deadline = Resilience.Deadline.start t.resilience in
-    Resilience.with_retries t.resilience ~key:hash ~deadline (fun ~attempt ->
-        let attempt_body attempt_span =
-          try
-            Fault_injection.fire t.injection ~site:"compute" ~key:hash ~index
-              ~attempt;
-            Resilience.Deadline.check deadline ~phase:"start";
-            let obs_hook = obs_phase_hook t ~parent:attempt_span in
-            let on_phase phase =
-              (* Obs first: the phase just ended, so its span/duration
-                 is recorded even when injection or the deadline then
-                 kills the attempt. *)
-              obs_hook phase;
-              Fault_injection.fire t.injection ~site:("mapper." ^ phase)
-                ~key:hash ~index ~attempt;
-              Resilience.Deadline.check deadline ~phase
-            in
-            plain_compute ~metrics ~on_phase req
-          with
-          | Fault.Crash _ as c -> raise c
-          | Fault.Error f -> Error f
-        in
-        match (t.tracer, span) with
-        | Some tr, Some root when Obs.Trace.is_enabled tr ->
-            Obs.Trace.with_span tr ~parent:root "attempt" (fun sp ->
-                attempt_body (Some sp))
-        | _ -> attempt_body None)
+    (Response.payload, Fault.t) result =
+  let deadline = Resilience.Deadline.start t.resilience in
+  let obs_hook = obs_phase_hook t ~parent:span in
+  let on_phase phase =
+    (* Obs first: the phase just ended, so its span and duration are
+       recorded even when injection or the deadline then fails the
+       request. *)
+    obs_hook phase;
+    Fault_injection.fire t.injection ~site:("mapper." ^ phase) ~key:hash
+      ~index;
+    Resilience.Deadline.check deadline ~phase
+  in
+  try
+    Fault_injection.fire t.injection ~site:"compute" ~key:hash ~index;
+    Resilience.Deadline.check deadline ~phase:"start";
+    plain_compute ~metrics:t.obs.im ~on_phase req
+  with Fault.Error f -> Error f
 
 (* Graceful degradation: a cheap, analysis-free fallback mapping for a
    well-formed request whose pipeline run failed. Runs on the
@@ -260,12 +227,12 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
     Array.of_list (List.rev !todo) |> Array.mapi (fun k (i, h) -> (k, i, h))
   in
   (* Pass 2: fan the unique misses across the pool. [try_map] isolates
-     every task failure — including a worker-domain crash — to that
-     task's own slot, so the batch always drains. Each computed request
-     gets a root span whose trace id is its canonical hash prefix —
-     caller-supplied and order-independent, so traces stay
-     byte-reproducible in deterministic mode at any domain count — and
-     its end-to-end latency observed into the request histogram. *)
+     every task failure to that task's own slot, so the batch always
+     drains. Each computed request gets a root span whose trace id is
+     its canonical hash prefix — caller-supplied and order-independent,
+     so traces stay byte-reproducible in deterministic mode at any
+     domain count — and its end-to-end latency observed into the
+     request histogram. *)
   let run_one (k, i, h) =
     let computed () =
       match t.tracer with
@@ -277,24 +244,20 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
     Obs.Metrics.time t.obs.i_request_ms computed
   in
   let raw = Par.Pool.try_map t.pool run_one todo in
-  (* Pass 3 (sequential again): classify crashes, degrade if the policy
-     says so, store cacheable solutions, and assemble responses in
-     submission order. Degraded payloads are never cached: the cheap
-     fallback must not shadow the real solution once the fault clears. *)
-  let retried = ref 0 in
+  (* Pass 3 (sequential again): classify escaped exceptions, degrade if
+     the policy says so, store cacheable solutions, and assemble
+     responses in submission order. Degraded payloads are never cached:
+     the cheap fallback must not shadow the real solution once the
+     fault clears. *)
   let solved = Hashtbl.create 16 in
   Array.iter
     (fun (k, i, h) ->
       let result =
-        match raw.(k) with
-        | Ok (res, retries) ->
-            retried := !retried + retries;
-            res
-        | Error e -> Error (Fault.of_exn e)
+        match raw.(k) with Ok res -> res | Error e -> Error (Fault.of_exn e)
       in
       (* Fault accounting happens before degradation, so the faults
-         that degradation masks (deadline expiries, crashes) are still
-         visible in locmap_faults_total. *)
+         that degradation masks (deadline expiries, internal faults) are
+         still visible in locmap_faults_total. *)
       (match result with
       | Error f -> (
           match List.assoc_opt (Fault.kind f) t.obs.i_faults with
@@ -336,7 +299,6 @@ let submit_batch (t : t) (reqs : Request.t array) : Response.t array =
   Obs.Metrics.add t.obs.i_computed (Array.length todo);
   Obs.Metrics.add t.obs.i_errors !errors;
   Obs.Metrics.add t.obs.i_degraded !degraded;
-  Obs.Metrics.add t.obs.i_retries !retried;
   responses
 
 let submit (t : t) req =
@@ -365,8 +327,6 @@ let stats (t : t) =
     errors = v t.obs.i_errors;
     computed = v t.obs.i_computed;
     degraded = v t.obs.i_degraded;
-    retried = v t.obs.i_retries;
-    crashes = Par.Pool.crashes t.pool;
     cache = Solution_cache.counters t.cache;
     cache_entries = Solution_cache.length t.cache;
     cache_capacity = Solution_cache.capacity t.cache;
@@ -382,9 +342,8 @@ let pp_stats ppf s =
     else 100. *. float_of_int s.cache.hits /. float_of_int total
   in
   Format.fprintf ppf
-    "@[<v>served: %d (%d errors, %d degraded, %d computed, %d retries, %d \
-     worker crashes)@ cache: %d/%d entries, %d hits / %d misses (%.1f%% hit \
-     rate), %d evictions@ domains: %d@]"
-    s.served s.errors s.degraded s.computed s.retried s.crashes
-    s.cache_entries s.cache_capacity s.cache.hits s.cache.misses rate
-    s.cache.evictions s.num_domains
+    "@[<v>served: %d (%d errors, %d degraded, %d computed)@ cache: %d/%d \
+     entries, %d hits / %d misses (%.1f%% hit rate), %d evictions@ \
+     domains: %d@]"
+    s.served s.errors s.degraded s.computed s.cache_entries s.cache_capacity
+    s.cache.hits s.cache.misses rate s.cache.evictions s.num_domains

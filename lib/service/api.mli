@@ -6,18 +6,17 @@
     the cache, deduplicates the misses by canonical hash, fans the
     unique computations across the pool's domains — each worker
     independently runs workload synthesis, trace compilation and the
-    full analyse→assign→balance pipeline ({!Locmap.Mapper.map}) under
-    the resilience wrapper (deadline checks at phase boundaries,
-    bounded retry with deterministic backoff for transient faults) —
-    stores the solutions, and assembles responses in submission order.
+    full analyse→assign→balance pipeline ({!Locmap.Mapper.map}) with
+    the request's deadline checked at each phase boundary — stores the
+    solutions, and assembles responses in submission order.
 
-    {b Fault handling}: every failure is a structured {!Fault.t}. A
-    worker-domain death ({!Fault.Crash}) fails only its own task — the
-    pool records the slot, respawns the worker, and the batch drains.
-    With [resilience.degrade = true], degradable faults (deadline,
-    crash, exhausted retries, internal) are answered with the cheap
-    fallback mapping ([Baselines.Fallback]), flagged
-    [degraded = true] and carrying the triggering fault, so callers
+    {b Fault handling}: every failure is a structured {!Fault.t}, and
+    a failing task fails only its own slot — the pool records the
+    exception and the batch drains. No request is re-run. With
+    [resilience.degrade = true], degradable faults (deadline, internal)
+    are answered with the cheap fallback mapping
+    ([Baselines.Fallback]), flagged [degraded = true] and carrying the
+    triggering fault, so callers
     always get {e a} mapping for a well-formed request. Degraded
     solutions are {e never} cached — the fallback must not shadow the
     real solution once the fault clears. Caller errors
@@ -27,7 +26,7 @@
     {b Determinism}: the mapper is deterministic for a given request,
     cache and degradation passes run on the submitting domain in
     submission order, fault-injection decisions are pure functions of
-    [(seed, site, key, index, attempt)], and workers never share
+    [(seed, site, key, index)], and workers never share
     mutable state; so a batch's responses — including [degraded] flags
     and fault payloads — are byte-identical whether the pool runs 0 or
     8 worker domains. [test/test_resilience.ml] asserts this under
@@ -39,9 +38,9 @@
     ([locmap_cache_*]) and the pool ([locmap_pool_*]). The serving
     layer itself counts [locmap_requests_served_total],
     [locmap_requests_computed_total], [locmap_responses_error_total],
-    [locmap_responses_degraded_total], [locmap_retries_total],
+    [locmap_responses_degraded_total],
     [locmap_faults_total{kind}] (counted {e before} degradation, so
-    masked deadline expiries and crashes stay visible), the
+    masked deadline expiries and internal faults stay visible), the
     [locmap_request_ms] latency histogram and
     [locmap_mapper_phase_ms{phase}] per-pipeline-phase histograms; the
     registry is also passed to {!Locmap.Mapper.map}. {!stats} reads
@@ -49,8 +48,8 @@
     created on one registry share their counters, and each one's
     {!stats} reports the sum.
     [create ?tracer] opens one root span per {e computed} request
-    (trace id = the request hash's first 16 hex chars), a child span
-    per resilience attempt, and a ["phase.*"] span per mapper phase.
+    (trace id = the request hash's first 16 hex chars) and a child
+    ["phase.*"] span per mapper phase.
     Instrumentation never changes responses: in the tracer's
     deterministic-ID mode the exported trace of a batch is itself
     byte-identical at any domain count (trace ids come from request
@@ -66,8 +65,6 @@ type stats = {
   errors : int;  (** error responses among them *)
   computed : int;  (** pipeline executions (cache misses actually run) *)
   degraded : int;  (** fallback-mapping responses served *)
-  retried : int;  (** retry attempts spent on transient faults *)
-  crashes : int;  (** worker domains that died (and were replaced) *)
   cache : Solution_cache.counters;
   cache_entries : int;
   cache_capacity : int;
@@ -85,7 +82,7 @@ val create :
   t
 (** [cache_capacity] defaults to 512 solutions; [num_domains] to 1
     (inline execution, no spawned domains); [resilience] to
-    {!Resilience.default} (2 retries, no deadline, no degradation);
+    {!Resilience.default} (no deadline, no degradation);
     [injection] to {!Fault_injection.none}. [metrics] (default: a
     private registry) receives the instruments described above;
     [tracer] (off by default) enables tracing. The caller keeps the

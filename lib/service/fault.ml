@@ -2,32 +2,24 @@ type t =
   | Invalid_request of string
   | Unknown_workload of string
   | Deadline_exceeded of { phase : string; budget_ms : float }
-  | Worker_crashed of string
-  | Transient of string
   | Internal of string
   | Overload of { scope : string; limit : int }
 
 exception Error of t
 
-exception Crash = Par.Pool.Crash
-
-let retryable = function Transient _ | Overload _ -> true | _ -> false
-
 let degradable = function
-  | Deadline_exceeded _ | Worker_crashed _ | Transient _ | Internal _ -> true
+  | Deadline_exceeded _ | Internal _ -> true
   | Invalid_request _ | Unknown_workload _ | Overload _ -> false
 
 let kind = function
   | Invalid_request _ -> "invalid_request"
   | Unknown_workload _ -> "unknown_workload"
   | Deadline_exceeded _ -> "deadline_exceeded"
-  | Worker_crashed _ -> "worker_crashed"
-  | Transient _ -> "transient"
   | Internal _ -> "internal"
   | Overload _ -> "overload"
 
 let message = function
-  | Invalid_request m | Worker_crashed m | Transient m | Internal m -> m
+  | Invalid_request m | Internal m -> m
   | Unknown_workload w ->
       Printf.sprintf "unknown workload %S (see `locmap list')" w
   | Deadline_exceeded { phase; budget_ms } ->
@@ -70,7 +62,6 @@ let to_json f =
 
 let of_exn = function
   | Error f -> f
-  | Crash m -> Worker_crashed m
   | Invalid_argument m -> Invalid_request ("rejected by the pipeline: " ^ m)
   | Not_found -> Internal "pipeline raised Not_found"
   | Failure m -> Internal m

@@ -1,33 +1,30 @@
 (** Structured fault taxonomy for the serving layer.
 
-    Every service-reachable failure is classified into one of seven
-    kinds so that callers — and the {!Resilience} machinery — can decide
-    mechanically whether to retry, degrade, or report:
+    Every service-reachable failure is classified into one of five
+    kinds so that callers — and {!Api}'s degradation step — can decide
+    mechanically whether to degrade or report:
 
     {v
-    kind               retryable  degradable  typical source
-    -----------------  ---------  ----------  -------------------------------
-    Invalid_request    no         no          bad scale/config, parse errors
-    Unknown_workload   no         no          name not in Workloads.Registry
-    Deadline_exceeded  no         yes         per-request budget ran out
-    Worker_crashed     no         yes         a pool domain died mid-task
-    Transient          yes        yes         injected/externally flaky step
-    Internal           no         yes         invariant breach in the pipeline
-    Overload           yes        no          server shed the request (Net)
+    kind               degradable  typical source
+    -----------------  ----------  -----------------------------------
+    Invalid_request    no          bad scale/config, parse errors
+    Unknown_workload   no          name not in Workloads.Registry
+    Deadline_exceeded  yes         per-request budget ran out
+    Internal           yes         invariant breach in the pipeline
+    Overload           no          server shed the request (Net)
     v}
 
-    [retryable] faults are worth re-running unchanged (bounded retry with
-    backoff); [degradable] faults still admit a useful answer — the cheap
-    fallback mapping of {!Baselines.Fallback} — because the request itself
-    was well-formed. Caller errors ([Invalid_request],
-    [Unknown_workload]) are neither: no amount of retrying fixes them and
-    no fallback mapping exists for a workload we cannot even synthesise.
-    [Overload] is the odd one out: the request was fine, the {e server}
-    was not — [Net.Server] answers it without running (or degrading)
-    anything, because the whole point of shedding is that a rejection
-    costs microseconds. It is retryable {e by the client, after backing
-    off}, ideally against another replica; the server itself never
-    retries it.
+    [degradable] faults still admit a useful answer — the cheap
+    fallback mapping of {!Baselines.Fallback} — because the request
+    itself was well-formed. Caller errors ([Invalid_request],
+    [Unknown_workload]) do not: no fallback mapping exists for a
+    workload we cannot even synthesise. [Overload] is the odd one out:
+    the request was fine, the {e server} was not — [Net.Server] answers
+    it without running (or degrading) anything, because the whole point
+    of shedding is that a rejection costs microseconds. Its wire form
+    carries ["retryable": true]: the client may resubmit after backing
+    off, ideally against another replica. The service itself re-runs
+    nothing.
 
     {b Raise-site audit} (PR 2). Of the ~89 [failwith]/[invalid_arg]/
     [raise] sites in [lib/], the service-reachable ones funnel through
@@ -59,10 +56,6 @@ type t =
           boundary at which the overrun was observed. The payload
           deliberately excludes the measured elapsed time so that
           responses stay byte-deterministic. *)
-  | Worker_crashed of string
-      (** The pool domain running the task died mid-task. *)
-  | Transient of string
-      (** A transient fault: retrying the same request may succeed. *)
   | Internal of string
       (** An internal invariant failed; the request was well-formed. *)
   | Overload of { scope : string; limit : int }
@@ -78,12 +71,6 @@ exception Error of t
 (** Carrier for aborting a pipeline run from a phase hook or injection
     point; caught at the {!Api} per-request boundary. *)
 
-exception Crash of string
-(** Simulated death of the executing domain. Unlike {!Error}, [Crash]
-    deliberately escapes the per-task handler so that {!Par.Pool} exercises
-    its crash-isolation path (fail the task, respawn the worker). *)
-
-val retryable : t -> bool
 val degradable : t -> bool
 
 val kind : t -> string
@@ -102,7 +89,7 @@ val to_json : t -> Json.t
 
 val of_exn : exn -> t
 (** Classify an exception escaping the pipeline: [Error f] unwraps to
-    [f], [Crash m] to [Worker_crashed m], [Invalid_argument m] to
-    [Invalid_request], and anything else to [Internal]. *)
+    [f], [Invalid_argument m] to [Invalid_request], and anything else
+    to [Internal]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,8 +12,6 @@ let none = { seed = 0; sites = [] }
 
 let create ?(seed = 0) sites = { seed; sites }
 
-let is_none plan = plan.sites = []
-
 let seed plan = plan.seed
 
 let coin identity =
@@ -26,10 +24,10 @@ let coin identity =
   in
   float_of_int bits /. 1073741824.0 (* 2^30 *)
 
-let plan_coin plan ~site ~key ~attempt =
-  coin (Printf.sprintf "%d|%s|%s|%d" plan.seed site key attempt)
+let plan_coin plan ~site ~key =
+  coin (Printf.sprintf "%d|%s|%s" plan.seed site key)
 
-let fault_at plan ~site ~key ~index ~attempt =
+let fault_at plan ~site ~key ~index =
   if plan.sites = [] then None
   else
     List.fold_left
@@ -39,14 +37,14 @@ let fault_at plan ~site ~key ~index ~attempt =
         | None when s <> site -> None
         | None -> (
             match action with
-            | Fail_nth (n, f) when n = index && attempt = 0 -> Some f
+            | Fail_nth (n, f) when n = index -> Some f
             | Fail_nth _ -> None
-            | Fail_rate (p, f) when plan_coin plan ~site ~key ~attempt < p -> Some f
+            | Fail_rate (p, f) when plan_coin plan ~site ~key < p -> Some f
             | Fail_rate _ -> None
             | Slow _ -> None))
       None plan.sites
 
-let fire plan ~site ~key ~index ~attempt =
+let fire plan ~site ~key ~index =
   if plan.sites <> [] then begin
     List.iter
       (fun (s, action) ->
@@ -54,8 +52,7 @@ let fire plan ~site ~key ~index ~attempt =
         | Slow ms when s = site && ms > 0. -> Unix.sleepf (ms /. 1000.)
         | _ -> ())
       plan.sites;
-    match fault_at plan ~site ~key ~index ~attempt with
+    match fault_at plan ~site ~key ~index with
     | None -> ()
-    | Some (Fault.Worker_crashed m) -> raise (Fault.Crash m)
     | Some f -> raise (Fault.Error f)
   end

@@ -5,11 +5,11 @@
     "mapper.place") — to actions. The pool's task wrapper and the
     mapper's phase hooks consult the plan at each site with the identity
     of the work at hand: the request's canonical [key] (its
-    {!Request.hash}), its [index] in the batch's deduplicated todo list,
-    and the retry [attempt] number.
+    {!Request.hash}) and its [index] in the batch's deduplicated todo
+    list.
 
     {b Determinism}: every decision is a {e pure function} of
-    [(seed, site, key, index, attempt)] — there are no shared counters,
+    [(seed, site, key, index)] — there are no shared counters,
     so the outcome does not depend on which domain runs the task or in
     what order tasks interleave. This is what makes a chaos batch's
     responses byte-identical at 1, 2, 4 and 8 domains (asserted by
@@ -21,17 +21,15 @@
     synchronisation. [Slow] sleeps on the calling domain only.
 
     Action semantics:
-    - [Fail_nth (n, f)] injects [f] on the {e first} attempt of the task
-      with todo-index [n] — so a retryable fault recovers on retry.
+    - [Fail_nth (n, f)] injects [f] into the task with todo-index [n].
     - [Fail_rate (p, f)] injects [f] with probability [p], decided by a
-      seeded coin over [(site, key, attempt)]; [p = 1.0] fires on every
-      attempt (the exhausted-retries path), [p = 0.0] never.
+      seeded coin over [(site, key)]; [p = 1.0] fires on every request,
+      [p = 0.0] never.
     - [Slow ms] sleeps [ms] milliseconds at the site before any fault
       decision — for exercising real deadline overruns.
 
-    A [Worker_crashed] fault is raised as {!Fault.Crash} (simulated
-    domain death, handled by {!Par.Pool}); every other fault is raised as
-    {!Fault.Error} and handled at the request boundary. *)
+    An injected fault is raised as {!Fault.Error} and handled at the
+    request boundary like any fault the pipeline raises. *)
 
 type action =
   | Fail_nth of int * Fault.t
@@ -48,21 +46,18 @@ val create : ?seed:int -> (string * action) list -> plan
     evaluated in list order, all [Slow]s apply, the first fault wins.
     [seed] defaults to 0. *)
 
-val is_none : plan -> bool
 val seed : plan -> int
 
-val fault_at :
-  plan -> site:string -> key:string -> index:int -> attempt:int ->
-  Fault.t option
+val fault_at : plan -> site:string -> key:string -> index:int -> Fault.t option
 (** Pure decision, no sleeping, no raising. *)
 
 val coin : string -> float
 (** The seeded coin behind every seeded decision in the serving stack
-    (fault injection, socket chaos, backoff jitter): a value in
+    (fault injection, socket chaos): a value in
     [[0, 1)] from the first 30 bits of the MD5 of [identity]. Pure, so
     a decision lands the same way whatever the scheduling; each caller
     formats its own identity string, seed included. *)
 
-val fire : plan -> site:string -> key:string -> index:int -> attempt:int -> unit
+val fire : plan -> site:string -> key:string -> index:int -> unit
 (** Applies [Slow] delays, then raises the injected fault, if any, as
-    {!Fault.Crash} ([Worker_crashed]) or {!Fault.Error} (others). *)
+    {!Fault.Error}. *)

@@ -169,7 +169,7 @@ let test_guard_wrapper_replay () =
   check_int ("non-blocking closure clean: " ^ pp ok) 0 (List.length ok)
 
 let test_async_sink_args_run_unlocked () =
-  (* Regression for the lib/par crash-respawn shape: [worker st] is a
+  (* Regression for a spawn-under-lock shape: [worker st] is a
      partial application handed to Domain.spawn — it runs on the new
      domain with no locks, not at the spawn site. *)
   let fs =

@@ -158,7 +158,6 @@ let test_admission_hammer () =
 
 let test_overload_fault () =
   let f = Service.Fault.Overload { scope = "inflight"; limit = 8 } in
-  check bool_t "retryable" true (Service.Fault.retryable f);
   check bool_t "never degradable" false (Service.Fault.degradable f);
   check string_t "kind" "overload" (Service.Fault.kind f);
   let j = Service.Json.to_string (Service.Fault.to_json f) in
@@ -367,8 +366,8 @@ let equivalence_lines () =
   ]
 
 (* Only index-independent injection actions: Fail_rate's coin is pure
-   in (site, key, attempt), so the serial per-line submits of the
-   server and the deduplicated batch submit draw identical outcomes.
+   in (site, key), so the serial per-line submits of the server and the
+   deduplicated batch submit draw identical outcomes.
    (Fail_nth keys on the batch todo index and would diverge by
    construction.) *)
 let chaos_injection () =
@@ -376,7 +375,7 @@ let chaos_injection () =
     [
       ( "compute",
         Service.Fault_injection.Fail_rate
-          (0.4, Service.Fault.Transient "injected chaos") );
+          (0.4, Service.Fault.Internal "injected chaos") );
       ("mapper.balance", Service.Fault_injection.Slow 1.);
     ]
 
@@ -420,12 +419,7 @@ let test_roundtrip_equivalence () =
 
 let test_roundtrip_equivalence_chaos () =
   run_equivalence ~injection:(chaos_injection ())
-    ~resilience:
-      {
-        Service.Resilience.default with
-        Service.Resilience.max_retries = 1;
-        degrade = true;
-      }
+    ~resilience:{ Service.Resilience.default with degrade = true }
     ()
 
 (* ------------------------------------------------------------------ *)
@@ -1279,8 +1273,6 @@ let test_stats_are_counters () =
       (a.errors, c "locmap_responses_error_total");
       (a.computed, c "locmap_requests_computed_total");
       (a.degraded, c "locmap_responses_degraded_total");
-      (a.retried, c "locmap_retries_total");
-      (a.crashes, c "locmap_pool_crashes_total");
       (a.cache.hits, c "locmap_cache_hits_total");
       (a.cache.misses, c "locmap_cache_misses_total");
       (a.cache.insertions, c "locmap_cache_insertions_total");
@@ -1303,13 +1295,10 @@ let test_server_fault_hammer () =
       [
         ( "compute",
           Service.Fault_injection.Fail_rate
-            (0.5, Service.Fault.Transient "injected") );
+            (0.5, Service.Fault.Internal "injected") );
       ]
   in
-  let resilience =
-    { Service.Resilience.default with Service.Resilience.max_retries = 0 }
-  in
-  with_server ~config ~injection ~resilience ~domains:4 (fun server ->
+  with_server ~config ~injection ~domains:4 (fun server ->
       let port = Net.Server.port server in
       let per_conn = 8 in
       let client c () =

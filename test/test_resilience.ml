@@ -1,7 +1,6 @@
 (* The resilience layer: fault taxonomy, deterministic fault injection,
-   deadlines, retry/backoff, pool crash isolation, graceful degradation
-   — and the chaos determinism guarantee (same seed => byte-identical
-   responses at 1/2/4/8 domains).
+   deadlines, graceful degradation — and the chaos determinism guarantee
+   (same seed => byte-identical responses at 1/2/4/8 domains).
 
    `make chaos` runs this suite under several CHAOS_SEED values; the
    seed parameterises the injection plans of the determinism group. *)
@@ -18,10 +17,6 @@ let chaos_seed =
 
 (* Small, fast requests (measure_error defaults to false). *)
 let req ?(scale = 0.12) name = Service.Request.make ~scale name
-
-(* Zero backoff so retry tests do not sleep. *)
-let fast_policy =
-  { Service.Resilience.default with Service.Resilience.backoff_base_ms = 0. }
 
 let lines api reqs =
   Service.Api.submit_batch api reqs |> Array.map Service.Response.to_string
@@ -44,11 +39,11 @@ let fault_kind (r : Service.Response.t) =
 
 let test_fault_taxonomy () =
   let open Service.Fault in
-  check bool_t "transient retryable" true (retryable (Transient "x"));
-  check bool_t "internal not retryable" false (retryable (Internal "x"));
   check bool_t "deadline degradable" true
     (degradable (Deadline_exceeded { phase = "assign"; budget_ms = 5. }));
-  check bool_t "crash degradable" true (degradable (Worker_crashed "x"));
+  check bool_t "internal degradable" true (degradable (Internal "x"));
+  check bool_t "overload not degradable" false
+    (degradable (Overload { scope = "inflight"; limit = 1 }));
   check bool_t "unknown workload not degradable" false
     (degradable (Unknown_workload "x"));
   check bool_t "invalid request not degradable" false
@@ -56,10 +51,8 @@ let test_fault_taxonomy () =
   check string_t "kind" "deadline_exceeded"
     (kind (Deadline_exceeded { phase = "p"; budget_ms = 1. }));
   (* of_exn classification *)
-  check string_t "unwrap Error" "transient"
-    (kind (of_exn (Error (Transient "t"))));
-  check string_t "crash -> worker_crashed" "worker_crashed"
-    (kind (of_exn (Crash "dead")));
+  check string_t "unwrap Error" "deadline_exceeded"
+    (kind (of_exn (Error (Deadline_exceeded { phase = "p"; budget_ms = 1. }))));
   check string_t "invalid_arg -> invalid_request" "invalid_request"
     (kind (of_exn (Invalid_argument "bad")));
   check string_t "failure -> internal" "internal" (kind (of_exn (Failure "f")));
@@ -78,83 +71,57 @@ let test_injection_determinism () =
   let plan =
     Service.Fault_injection.create ~seed:chaos_seed
       [
-        ("compute", Service.Fault_injection.Fail_rate (0.5, Service.Fault.Transient "t"));
+        ("compute", Service.Fault_injection.Fail_rate (0.5, Service.Fault.Invalid_request "r"));
         ("compute", Service.Fault_injection.Fail_nth (3, Service.Fault.Internal "i"));
       ]
   in
-  let decide key index attempt =
-    Service.Fault_injection.fault_at plan ~site:"compute" ~key ~index ~attempt
+  let decide key index =
+    Service.Fault_injection.fault_at plan ~site:"compute" ~key ~index
   in
   (* Pure: the same identity always decides the same way. *)
   for i = 0 to 20 do
     let k = Printf.sprintf "key%d" i in
-    check bool_t "repeatable" true (decide k i 0 = decide k i 0)
+    check bool_t "repeatable" true (decide k i = decide k i)
   done;
-  (* Fail_nth: index 3, first attempt only. *)
+  (* Fail_nth: index 3 only. *)
   check bool_t "nth fires" true
-    (match decide "whatever-key" 3 0 with
+    (match decide "whatever-key" 3 with
     | Some (Service.Fault.Internal _) -> true
-    | Some (Service.Fault.Transient _) ->
+    | Some (Service.Fault.Invalid_request _) ->
         true (* the 0.5 coin may fire first; both are injections *)
     | _ -> false);
-  check bool_t "nth not on retry" true
-    (match decide "miss" 3 1 with
+  check bool_t "nth only at its index" true
+    (match decide "whatever-key" 4 with
     | Some (Service.Fault.Internal _) -> false
     | _ -> true);
   (* Rate 0 and 1 are degenerate coins. *)
   let never =
     Service.Fault_injection.create ~seed:chaos_seed
-      [ ("compute", Service.Fault_injection.Fail_rate (0., Service.Fault.Transient "t")) ]
+      [ ("compute", Service.Fault_injection.Fail_rate (0., Service.Fault.Internal "t")) ]
   in
   let always =
     Service.Fault_injection.create ~seed:chaos_seed
-      [ ("compute", Service.Fault_injection.Fail_rate (1., Service.Fault.Transient "t")) ]
+      [ ("compute", Service.Fault_injection.Fail_rate (1., Service.Fault.Internal "t")) ]
   in
-  for a = 0 to 3 do
+  for i = 0 to 3 do
+    let key = Printf.sprintf "k%d" i in
     check bool_t "rate 0 never" true
-      (Service.Fault_injection.fault_at never ~site:"compute" ~key:"k" ~index:0
-         ~attempt:a
+      (Service.Fault_injection.fault_at never ~site:"compute" ~key ~index:i
       = None);
     check bool_t "rate 1 always" true
-      (Service.Fault_injection.fault_at always ~site:"compute" ~key:"k"
-         ~index:0 ~attempt:a
+      (Service.Fault_injection.fault_at always ~site:"compute" ~key ~index:i
       <> None)
   done;
   (* Wrong site never fires. *)
   check bool_t "site scoped" true
     (Service.Fault_injection.fault_at always ~site:"mapper.assign" ~key:"k"
-       ~index:0 ~attempt:0
+       ~index:0
     = None)
 
-let test_backoff_schedule () =
-  let p =
-    { Service.Resilience.default with
-      Service.Resilience.backoff_base_ms = 10.;
-      backoff_multiplier = 2.;
-      jitter = 0.5;
-      seed = chaos_seed;
-    }
-  in
-  let b0 = Service.Resilience.backoff_ms p ~key:"k" ~attempt:0 in
-  let b1 = Service.Resilience.backoff_ms p ~key:"k" ~attempt:1 in
-  let b2 = Service.Resilience.backoff_ms p ~key:"k" ~attempt:2 in
-  (* Deterministic. *)
-  check (Alcotest.float 0.) "deterministic" b1
-    (Service.Resilience.backoff_ms p ~key:"k" ~attempt:1);
-  (* Within the jitter envelope of base * mult^attempt. *)
-  List.iteri
-    (fun a b ->
-      let nominal = 10. *. (2. ** float_of_int a) in
-      check bool_t
-        (Printf.sprintf "attempt %d in envelope" a)
-        true
-        (b >= 0.5 *. nominal -. 1e-9 && b <= 1.5 *. nominal +. 1e-9))
-    [ b0; b1; b2 ]
-
 (* ------------------------------------------------------------------ *)
-(* Fault matrix: kind x retry outcome x degradation                    *)
+(* Fault matrix: kind x (no) retry x degradation                       *)
 
-let run_one ?injection ?(policy = fast_policy) r =
+let run_one ?injection ?(policy = Service.Resilience.default) r =
   let api = Service.Api.create ~num_domains:1 ?injection ~resilience:policy () in
   let resp = Service.Api.submit api r in
   let s = Service.Api.stats api in
@@ -166,9 +133,9 @@ let inject ?(site = "compute") action =
 
 let test_fault_matrix () =
   let r = req "fft" in
-  (* Caller errors: never retried, never degraded, even with degrade on. *)
-  let degrading = { fast_policy with Service.Resilience.degrade = true } in
-  let resp, s =
+  (* Caller errors: never degraded, even with degrade on. *)
+  let degrading = { Service.Resilience.default with degrade = true } in
+  let resp, _ =
     run_one ~policy:degrading
       ~injection:
         (inject (Service.Fault_injection.Fail_rate (1., Service.Fault.Invalid_request "synthetic")))
@@ -176,37 +143,23 @@ let test_fault_matrix () =
   in
   check string_t "invalid_request is terminal" "invalid_request"
     (fault_kind resp);
-  check int_t "no retries for caller errors" 0 s.Service.Api.retried;
   let resp, _ = run_one ~policy:degrading (req "no-such-workload") in
   check string_t "unknown workload is terminal" "unknown_workload"
     (fault_kind resp);
-  (* Transient + Fail_nth: fails on attempt 0 only => retry succeeds. *)
-  let resp, s =
-    run_one
-      ~injection:
-        (inject (Service.Fault_injection.Fail_nth (0, Service.Fault.Transient "blip")))
-      r
+  (* A fault injected into the one run of a request is final: the
+     service never re-runs it. *)
+  let once =
+    inject (Service.Fault_injection.Fail_nth (0, Service.Fault.Internal "once"))
   in
-  check string_t "transient recovered by retry" "ok" (fault_kind resp);
-  check int_t "one retry spent" 1 s.Service.Api.retried;
-  check bool_t "recovered response not degraded" false
-    (Service.Response.is_degraded resp);
-  (* Transient + Fail_rate 1.0: every attempt fails => retries exhaust. *)
-  let always_transient =
-    inject (Service.Fault_injection.Fail_rate (1., Service.Fault.Transient "flaky"))
+  let resp, s = run_one ~injection:once r in
+  check string_t "first-run fault is final" "internal" (fault_kind resp);
+  check int_t "computed once" 1 s.Service.Api.computed;
+  (* With degrade on, the caller still gets a mapping. *)
+  let internal =
+    inject (Service.Fault_injection.Fail_rate (1., Service.Fault.Internal "invariant"))
   in
-  let resp, s = run_one ~injection:always_transient r in
-  check string_t "exhausted retries surface the fault" "transient"
-    (fault_kind resp);
-  check int_t "all retries spent" fast_policy.Service.Resilience.max_retries
-    s.Service.Api.retried;
-  (* ... and with degrade on, the caller still gets a mapping. *)
-  let resp, s =
-    run_one ~policy:{ degrading with Service.Resilience.max_retries = 1 }
-      ~injection:always_transient r
-  in
-  check string_t "exhausted + degrade => fallback" "degraded:transient"
-    (fault_kind resp);
+  let resp, s = run_one ~policy:degrading ~injection:internal r in
+  check string_t "internal degrades" "degraded:internal" (fault_kind resp);
   check bool_t "response ok" true (Service.Response.is_ok resp);
   check int_t "degraded counted" 1 s.Service.Api.degraded;
   (match resp.result with
@@ -216,23 +169,15 @@ let test_fault_matrix () =
       check bool_t "mapping present" true
         (Array.length p.Service.Response.core_of > 0)
   | Error _ -> Alcotest.fail "expected degraded payload");
-  (* Internal: not retried, degradable. *)
-  let internal =
-    inject (Service.Fault_injection.Fail_rate (1., Service.Fault.Internal "invariant"))
+  (* A fault at a mapper phase boundary surfaces the same way. *)
+  let at_assign =
+    inject ~site:"mapper.assign"
+      (Service.Fault_injection.Fail_nth (0, Service.Fault.Internal "phase"))
   in
-  let resp, s = run_one ~injection:internal r in
-  check string_t "internal surfaces" "internal" (fault_kind resp);
-  check int_t "internal not retried" 0 s.Service.Api.retried;
-  let resp, _ = run_one ~policy:degrading ~injection:internal r in
-  check string_t "internal degrades" "degraded:internal" (fault_kind resp);
-  (* Worker crash (inline pool: contained in the caller). *)
-  let crash =
-    inject (Service.Fault_injection.Fail_nth (0, Service.Fault.Worker_crashed "chaos"))
-  in
-  let resp, _ = run_one ~injection:crash r in
-  check string_t "crash surfaces" "worker_crashed" (fault_kind resp);
-  let resp, _ = run_one ~policy:degrading ~injection:crash r in
-  check string_t "crash degrades" "degraded:worker_crashed" (fault_kind resp)
+  let resp, _ = run_one ~injection:at_assign r in
+  check string_t "phase fault surfaces" "internal" (fault_kind resp);
+  let resp, _ = run_one ~policy:degrading ~injection:at_assign r in
+  check string_t "phase fault degrades" "degraded:internal" (fault_kind resp)
 
 (* ------------------------------------------------------------------ *)
 (* Deadlines                                                           *)
@@ -240,7 +185,7 @@ let test_fault_matrix () =
 let test_deadline_immediate () =
   (* A zero budget expires at the first checkpoint, deterministically. *)
   let policy =
-    { fast_policy with Service.Resilience.deadline_ms = Some 0. }
+    { Service.Resilience.default with Service.Resilience.deadline_ms = Some 0. }
   in
   let resp, _ = run_one ~policy (req "fft") in
   (match resp.result with
@@ -261,7 +206,7 @@ let test_deadline_phase_boundary () =
      partition site must surface as Deadline_exceeded naming that
      phase. *)
   let policy =
-    { fast_policy with Service.Resilience.deadline_ms = Some 20. }
+    { Service.Resilience.default with Service.Resilience.deadline_ms = Some 20. }
   in
   let injection =
     inject ~site:"mapper.partition" (Service.Fault_injection.Slow 60.)
@@ -273,67 +218,13 @@ let test_deadline_phase_boundary () =
   | _ -> Alcotest.fail "expected Deadline_exceeded at partition"
 
 (* ------------------------------------------------------------------ *)
-(* Pool crash isolation                                                *)
-
-let test_pool_crash_isolation () =
-  let pool = Par.Pool.create ~num_domains:2 () in
-  let rs =
-    Par.Pool.try_map pool
-      (fun x -> if x = 2 then raise (Service.Fault.Crash "sim") else x * x)
-      [| 0; 1; 2; 3; 4; 5 |]
-  in
-  Array.iteri
-    (fun i r ->
-      match r with
-      | Ok v -> check int_t (Printf.sprintf "slot %d" i) (i * i) v
-      | Error (Service.Fault.Crash _) ->
-          check int_t "only the crashed slot failed" 2 i
-      | Error e -> Alcotest.failf "unexpected error: %s" (Printexc.to_string e))
-    rs;
-  check int_t "one domain died" 1 (Par.Pool.crashes pool);
-  check int_t "width restored" 2 (Par.Pool.num_domains pool);
-  (* The respawned worker keeps serving. *)
-  let ys = Par.Pool.map pool (fun x -> x + 1) [| 10; 20; 30 |] in
-  Alcotest.(check (array int)) "pool still works" [| 11; 21; 31 |] ys;
-  Par.Pool.shutdown pool
-
-let crash_drain_at domains () =
-  let reqs =
-    Array.map req [| "fft"; "lu"; "mxm"; "swim"; "art"; "diff" |]
-  in
-  let injection =
-    inject (Service.Fault_injection.Fail_nth (3, Service.Fault.Worker_crashed "chaos"))
-  in
-  let api = Service.Api.create ~num_domains:domains ~injection ~resilience:fast_policy () in
-  let rs = Service.Api.submit_batch api reqs in
-  check int_t "batch drained" (Array.length reqs) (Array.length rs);
-  Array.iteri
-    (fun i r ->
-      if i = 3 then
-        check string_t "crashed task failed alone" "worker_crashed"
-          (fault_kind r)
-      else check string_t (Printf.sprintf "task %d ok" i) "ok" (fault_kind r))
-    rs;
-  let s = Service.Api.stats api in
-  check int_t "crash counted" (if domains > 1 then 1 else 0)
-    s.Service.Api.crashes;
-  (* The pool survives: a follow-up batch is served — the cached request
-     hits, and the crashed one recomputes cleanly (its new todo index is
-     0, so the Fail_nth(3) plan no longer matches it). *)
-  let rs2 = Service.Api.submit_batch api [| reqs.(0); reqs.(3) |] in
-  check string_t "cached request ok" "ok" (fault_kind rs2.(0));
-  check string_t "crashed request recovers on resubmit" "ok"
-    (fault_kind rs2.(1));
-  Service.Api.shutdown api
-
-(* ------------------------------------------------------------------ *)
 (* Chaos determinism: byte-identical responses at 1/2/4/8 domains      *)
 
 let chaos_plan () =
   Service.Fault_injection.create ~seed:chaos_seed
     [
-      ("compute", Service.Fault_injection.Fail_rate (0.35, Service.Fault.Transient "chaos-transient"));
-      ("compute", Service.Fault_injection.Fail_nth (2, Service.Fault.Worker_crashed "chaos-crash"));
+      ("compute", Service.Fault_injection.Fail_rate (0.35, Service.Fault.Internal "chaos-rate"));
+      ("compute", Service.Fault_injection.Fail_nth (2, Service.Fault.Internal "chaos-pin"));
       ("mapper.assign", Service.Fault_injection.Fail_rate (0.15, Service.Fault.Internal "chaos-internal"));
     ]
 
@@ -350,13 +241,7 @@ let chaos_requests () =
   |]
 
 let test_chaos_determinism () =
-  let policy =
-    { fast_policy with
-      Service.Resilience.max_retries = 1;
-      degrade = true;
-      seed = chaos_seed;
-    }
-  in
+  let policy = { Service.Resilience.default with degrade = true } in
   let serve domains =
     let api =
       Service.Api.create ~num_domains:domains ~injection:(chaos_plan ())
@@ -368,7 +253,7 @@ let test_chaos_determinism () =
   in
   let reference = serve 1 in
   (* The plan must actually be doing something under this seed — at
-     least the pinned crash at todo index 2. *)
+     least the pinned fault at todo index 2. *)
   check bool_t "plan injects" true
     (Array.exists
        (fun l ->
@@ -392,7 +277,6 @@ let () =
         [
           Alcotest.test_case "deterministic decisions" `Quick
             test_injection_determinism;
-          Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
         ] );
       ( "matrix",
         [ Alcotest.test_case "fault x retry x degrade" `Slow test_fault_matrix ] );
@@ -402,17 +286,6 @@ let () =
             test_deadline_immediate;
           Alcotest.test_case "honored within one phase boundary" `Quick
             test_deadline_phase_boundary;
-        ] );
-      ( "crash",
-        [
-          Alcotest.test_case "pool isolates and respawns" `Quick
-            test_pool_crash_isolation;
-          Alcotest.test_case "batch drains (2 domains)" `Slow
-            (crash_drain_at 2);
-          Alcotest.test_case "batch drains (4 domains)" `Slow
-            (crash_drain_at 4);
-          Alcotest.test_case "batch drains (8 domains)" `Slow
-            (crash_drain_at 8);
         ] );
       ( "determinism",
         [

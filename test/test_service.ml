@@ -226,6 +226,35 @@ let test_pool_map () =
     ys
 
 let test_pool_exception () =
+  (* Per-slot containment: one raising job fails its own slot only, on
+     an inline pool and on a worker-backed one, and the pool keeps
+     serving afterwards. *)
+  List.iter
+    (fun nd ->
+      let pool = Par.Pool.create ~num_domains:nd () in
+      let rs =
+        Par.Pool.try_map pool
+          (fun x -> if x = 2 then failwith "boom" else x * x)
+          [| 0; 1; 2; 3; 4; 5 |]
+      in
+      Array.iteri
+        (fun i r ->
+          match r with
+          | Ok v ->
+              check int_t (Printf.sprintf "slot %d ok (%d domains)" i nd)
+                (i * i) v
+          | Error (Failure msg) ->
+              check int_t "only the raising slot failed" 2 i;
+              check string_t "slot carries the exception" "boom" msg
+          | Error e ->
+              Alcotest.failf "unexpected error: %s" (Printexc.to_string e))
+        rs;
+      let ys = Par.Pool.map pool (fun x -> x + 1) [| 10; 20; 30 |] in
+      Alcotest.(check (array int))
+        (Printf.sprintf "pool serves the next map (%d domains)" nd)
+        [| 11; 21; 31 |] ys;
+      Par.Pool.shutdown pool)
+    [ 1; 2 ];
   let pool = Par.Pool.create ~num_domains:2 () in
   (match
      Par.Pool.map pool
@@ -316,24 +345,18 @@ let test_batch_coalescing_and_errors () =
   Service.Api.shutdown api
 
 let test_degraded_never_cached () =
-  (* Every pipeline attempt fails transiently; degradation answers the
-     request with the fallback mapping — which must never enter the
-     cache, so a resubmission recomputes. *)
+  (* Every pipeline run fails; degradation answers the request with the
+     fallback mapping — which must never enter the cache, so a
+     resubmission recomputes. *)
   let api =
     Service.Api.create ~num_domains:1
-      ~resilience:
-        {
-          Service.Resilience.default with
-          max_retries = 0;
-          backoff_base_ms = 0.;
-          degrade = true;
-        }
+      ~resilience:{ Service.Resilience.default with degrade = true }
       ~injection:
         (Service.Fault_injection.create
            [
              ( "compute",
                Service.Fault_injection.Fail_rate
-                 (1., Service.Fault.Transient "always") );
+                 (1., Service.Fault.Internal "always") );
            ])
       ()
   in
