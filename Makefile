@@ -15,9 +15,9 @@ check:
 test: check
 
 # Analysis fast-path benchmark: summary construction per registry
-# workload, seed sequential path vs the memoized fast path at 1/2/4/8
-# domains; writes BENCH_analysis.json (geomean CME speedup target:
-# >= 3x). The smoke variant is the CI bit-rot gate: 3 workloads at
+# workload, seed path vs the memoized fast path; writes
+# BENCH_analysis.json (geomean CME speedup target: >= 3x). The smoke
+# variant is the CI bit-rot gate: 3 workloads at
 # scale 0.1, and it cross-checks fast = seed summaries byte-for-byte.
 bench-analysis:
 	dune exec bench/analysis_bench.exe
@@ -37,11 +37,11 @@ bench-loadgen-smoke:
 # Cluster-scheduler benchmark: fcfs vs EASY backfilling vs
 # locality-aware contiguous placement over the 21-workload registry at
 # a sweep of offered loads; writes BENCH_sched.json (modelled numbers
-# only, byte-stable across domain counts) and exits non-zero unless
-# the locality-aware policy beats both baselines on mean stretch or
+# only, byte-stable run to run) and exits non-zero unless the
+# locality-aware policy beats both baselines on mean stretch or
 # deadline-miss rate somewhere while keeping utilization within 5% of
-# EASY. The smoke variant is the CI gate: 6 workloads, one load,
-# domains 1,2 — it also pins cross-domain schedule byte-determinism.
+# EASY. The smoke variant is the CI gate: 6 workloads, 60 jobs, one
+# load.
 bench-sched:
 	dune exec bench/sched_bench.exe
 

@@ -1,6 +1,5 @@
 (* Analysis fast-path benchmark: summary construction per registry
-   workload, sequential seed path vs the tiered fast path at
-   1/2/4/8 domains.
+   workload, seed path vs the tiered fast path.
 
      dune exec bench/analysis_bench.exe                # or: make bench-analysis
      dune exec bench/analysis_bench.exe -- --smoke     # CI bit-rot gate
@@ -10,14 +9,11 @@
        pre-fast-path code (per-access closure via [Trace.iter_range],
        direct [Addr_map] translate/bank/MC calls, one streamed
        predictor) — the baseline the speedup targets are against;
-     - [Analysis.cme_summaries] at each domain count (1 = no pool);
-     - the seed and fast observed paths, sequential by design (the
-       replay threads shared cache state through the whole trace);
+     - [Analysis.cme_summaries];
+     - the seed and fast observed paths;
      - the two-pass observed replay against [Analysis.warm_summaries],
        which warms the caches with step 0 only where step 1 can hit a
        step-0 line.
-   Each domain pool lives only while its own timing runs, so every
-   sequential timing sees no idle domains.
 
    It also records per-tier coverage (how many accesses the symbolic
    and the walked CME tiers resolved; the smoke run's barnes covers the
@@ -29,32 +25,26 @@
    replay's warm view on any workload.
 
    Results go to BENCH_analysis.json, including the geomean CME speedup
-   of the 8-domain fast path over the seed sequential path. Its header
+   of the fast path over the seed path. Its header
    records, as perfbench's does, the core count, the source commit, the
    OCaml version, the scale and how many repetitions each time is the
    best of. *)
 
 let scale = ref 0.35
-let domain_counts = ref [ 1; 2; 4; 8 ]
 let smoke = ref false
 let out_file = ref "BENCH_analysis.json"
 let llc = ref Cache.Llc.Shared
 let only = ref []
 
 let usage =
-  "analysis_bench.exe [--scale S] [--domains 1,2,4,8] [--llc private|shared] \
-   [--out FILE] [--smoke]"
+  "analysis_bench.exe [--scale S] [--llc private|shared] [--out FILE] \
+   [--smoke]"
 
 let args =
   [
     ( "--scale",
       Arg.Set_float scale,
       "S workload input-size scale (default 0.35)" );
-    ( "--domains",
-      Arg.String
-        (fun s ->
-          domain_counts := String.split_on_char ',' s |> List.map int_of_string),
-      "LIST domain counts (default 1,2,4,8)" );
     ( "--llc",
       Arg.String
         (fun s ->
@@ -74,12 +64,11 @@ let args =
         (fun () ->
           smoke := true;
           scale := 0.1;
-          domain_counts := [ 1; 2 ];
           (* Keep the committed full-run artifact out of smoke's way:
              a CI smoke run must not dirty BENCH_analysis.json. *)
           if !out_file = "BENCH_analysis.json" then
             out_file := "BENCH_analysis_smoke.json"),
-      " quick CI variant: 3 workloads, scale 0.1, domains 1,2" );
+      " quick CI variant: 3 workloads, scale 0.1" );
   ]
 
 (* Best of [repeat] runs: each path is deterministic, so the minimum is
@@ -262,11 +251,8 @@ let () =
   Printf.printf "analysis bench: scale %.2f, llc %s, %d workloads\n%!" !scale
     (match !llc with Cache.Llc.Private -> "private" | _ -> "shared")
     (List.length names);
-  Printf.printf "%-12s %9s | %9s %s | %9s %9s | %9s %9s\n" "workload"
-    "accesses" "cme-seed"
-    (String.concat " "
-       (List.map (fun d -> Printf.sprintf "cme-%dd" d) !domain_counts))
-    "obs-seed" "obs-fast" "two-pass" "warm";
+  Printf.printf "%-12s %9s | %9s %9s | %9s %9s | %9s %9s\n" "workload"
+    "accesses" "cme-seed" "cme-fast" "obs-seed" "obs-fast" "two-pass" "warm";
   let rows =
     List.map
       (fun name ->
@@ -294,35 +280,15 @@ let () =
         let seed_sum, cme_seed_ms =
           time (fun () -> seed_cme_summaries cfg amap trace ~sets)
         in
-        (* A pool lives only while its own domain count is timed. In
-           OCaml 5 every live domain, idle or not, joins each
-           stop-the-world minor collection, so pools kept alive across
-           the run slowed every single-threaded timing here by a
-           varying amount, and the observed gate below could fail
-           without any change to the replay. *)
-        let cme_ms =
-          List.map
-            (fun d ->
-              let pool =
-                Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) ()
-              in
-              let fast, ms =
-                Fun.protect
-                  ~finally:(fun () -> Par.Pool.shutdown pool)
-                  (fun () ->
-                    time (fun () ->
-                        Locmap.Analysis.cme_summaries ~pool ~memo cfg amap
-                          trace ~sets))
-              in
-              if not (summaries_equal seed_sum fast) then begin
-                Printf.eprintf
-                  "FATAL: %s: %d-domain fast CME summaries differ from seed\n"
-                  name d;
-                exit 1
-              end;
-              (d, ms))
-            !domain_counts
+        let fast, cme_ms =
+          time (fun () ->
+              Locmap.Analysis.cme_summaries ~memo cfg amap trace ~sets)
         in
+        if not (summaries_equal seed_sum fast) then begin
+          Printf.eprintf "FATAL: %s: fast CME summaries differ from seed\n"
+            name;
+          exit 1
+        end;
         let seed_obs, obs_seed_ms, fast_obs, obs_fast_ms =
           time2
             (fun () -> seed_observed_summaries cfg amap trace ~sets)
@@ -349,27 +315,24 @@ let () =
           exit 1
         end;
         Printf.printf
-          "%-12s %9d | %8.1fms %s | %8.1fms %8.1fms | %8.1fms %8.1fms\n%!"
-          name accesses cme_seed_ms
-          (String.concat " "
-             (List.map (fun (_, ms) -> Printf.sprintf "%7.1fms" ms) cme_ms))
-          obs_seed_ms obs_fast_ms two_pass_ms warm_ms;
+          "%-12s %9d | %8.1fms %8.1fms | %8.1fms %8.1fms | %8.1fms %8.1fms\n%!"
+          name accesses cme_seed_ms cme_ms obs_seed_ms obs_fast_ms two_pass_ms
+          warm_ms;
         (name, p.Harness.Experiment.entry.Workloads.Registry.kind, accesses,
          Array.length sets, cme_seed_ms, cme_ms, obs_seed_ms,
          obs_fast_ms, tiers, (two_pass_ms, warm_ms)))
       names
   in
-  let max_domains = List.fold_left max 1 !domain_counts in
-  let speedup_at_max (_, _, _, _, seed_ms, cme_ms, _, _, _, _) =
-    seed_ms /. List.assoc max_domains cme_ms
-  in
   let geomean =
-    let logs = List.map (fun r -> log (speedup_at_max r)) rows in
+    let logs =
+      List.map
+        (fun (_, _, _, _, seed_ms, cme_ms, _, _, _, _) -> log (seed_ms /. cme_ms))
+        rows
+    in
     exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length logs))
   in
-  Printf.printf
-    "geomean cme_summaries speedup (%d domains vs seed sequential): %.2fx\n"
-    max_domains geomean;
+  Printf.printf "geomean cme_summaries speedup (fast vs seed): %.2fx\n"
+    geomean;
   (* Observed-path regression gate: the fast replay does strictly less
      work per access than the seed replay, so it must not measure
      slower — a relative margin plus a 1 ms absolute allowance absorbs
@@ -404,9 +367,6 @@ let () =
                   (match !llc with
                   | Cache.Llc.Private -> "private"
                   | _ -> "shared") );
-              ( "domains",
-                Service.Json.List
-                  (List.map (fun d -> Service.Json.Int d) !domain_counts) );
               ("smoke", Service.Json.Bool !smoke);
               ( "repetitions",
                 Service.Json.Obj
@@ -432,15 +392,9 @@ let () =
                      ("accesses", Service.Json.Int accesses);
                      ("sets", Service.Json.Int nsets);
                      ("cme_seed_ms", Service.Json.Float cme_seed_ms);
-                     ( "cme_ms",
-                       Service.Json.Obj
-                         (List.map
-                            (fun (d, ms) ->
-                              (string_of_int d, Service.Json.Float ms))
-                            cme_ms) );
-                     ( "cme_speedup_max_domains",
-                       Service.Json.Float
-                         (cme_seed_ms /. List.assoc max_domains cme_ms) );
+                     ("cme_ms", Service.Json.Float cme_ms);
+                     ( "cme_speedup",
+                       Service.Json.Float (cme_seed_ms /. cme_ms) );
                      ("observed_seed_ms", Service.Json.Float obs_seed_ms);
                      ("observed_fast_ms", Service.Json.Float obs_fast_ms);
                      ("observed_two_pass_ms", Service.Json.Float two_pass_ms);
@@ -453,7 +407,7 @@ let () =
                          ] );
                    ])
                rows) );
-        ("geomean_cme_speedup_max_domains_vs_seed", Service.Json.Float geomean);
+        ("geomean_cme_speedup_vs_seed", Service.Json.Float geomean);
       ]
   in
   let oc = open_out !out_file in

@@ -6,14 +6,11 @@
      dune exec bench/sched_bench.exe -- --smoke      # CI bit-rot gate
 
    For every offered load the bench synthesises one Poisson/Zipf job
-   trace (fixed seed) and replays it under each policy at every
-   requested domain count, requiring the full per-job schedule dumps to
-   be byte-identical across domain counts — the cluster-level extension
-   of the analysis layer's determinism guarantee. All recorded numbers
-   are modelled (ticks, counts, ratios), never wall times, so
-   BENCH_sched.json is byte-identical however many domains ran the
-   analysis, apart from its header (host core count, commit, OCaml
-   version and the bench's parameters).
+   trace (fixed seed) and replays it under each policy. All recorded
+   numbers are modelled (ticks, counts, ratios), never wall times, so
+   BENCH_sched.json is byte-identical from run to run, apart from its
+   header (host core count, commit, OCaml version and the bench's
+   parameters).
 
    The acceptance gate: at >= 1 load point the locality-aware policy
    must beat BOTH fcfs and easy on mean stretch or on deadline-miss
@@ -26,15 +23,13 @@ let seed = ref 0xC0DE
 let zipf_s = ref 1.1
 let beta = ref 0.8
 let loads = ref [ 0.5; 0.7; 0.9; 1.1 ]
-let domain_counts = ref [ 1; 2; 4; 8 ]
 let out_file = ref "BENCH_sched.json"
 let smoke = ref false
 let only = ref []
 
 let usage =
   "sched_bench.exe [--scale S] [--jobs N] [--seed N] [--zipf S] [--beta B] \
-   [--loads 0.5,0.9] [--domains 1,2,4,8] [--workloads W1,W2] [--out FILE] \
-   [--smoke]"
+   [--loads 0.5,0.9] [--workloads W1,W2] [--out FILE] [--smoke]"
 
 let args =
   [
@@ -48,11 +43,6 @@ let args =
         (fun s ->
           loads := String.split_on_char ',' s |> List.map float_of_string),
       "LIST offered loads (default 0.5,0.7,0.9,1.1)" );
-    ( "--domains",
-      Arg.String
-        (fun s ->
-          domain_counts := String.split_on_char ',' s |> List.map int_of_string),
-      "LIST domain counts for the oracle analysis (default 1,2,4,8)" );
     ( "--workloads",
       Arg.String (fun s -> only := String.split_on_char ',' s),
       "LIST restrict the mix to these workloads" );
@@ -63,10 +53,9 @@ let args =
           smoke := true;
           jobs := 60;
           loads := [ 0.9 ];
-          domain_counts := [ 1; 2 ];
           if !out_file = "BENCH_sched.json" then
             out_file := "BENCH_sched_smoke.json"),
-      " quick CI variant: 6 workloads, 60 jobs, one load, domains 1,2" );
+      " quick CI variant: 6 workloads, 60 jobs, one load" );
   ]
 
 let () =
@@ -80,54 +69,18 @@ let () =
   let cfg = Machine.Config.default in
   Printf.printf "sched bench: %d workloads, %d jobs/trace, seed %#x, beta %.2f\n%!"
     (List.length names) !jobs !seed !beta;
-  (* One oracle per domain count. Every downstream number must agree
-     byte-for-byte across these — the dumps are compared below. *)
-  let oracles =
-    List.map
-      (fun d ->
-        let pool = Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) () in
-        let oracle =
-          Sched.Oracle.build ~pool ~beta:!beta ~scale:!scale cfg names
-        in
-        Par.Pool.shutdown pool;
-        (d, oracle))
-      !domain_counts
-  in
-  let reference_oracle = snd (List.hd oracles) in
+  let oracle = Sched.Oracle.build ~beta:!beta ~scale:!scale cfg names in
   let rows =
     List.map
       (fun load ->
-        (* (dump bytes, results) per domain count; results are reused
-           from the first entry once the dumps are proven identical. *)
-        let per_domain =
-          List.map
-            (fun (d, oracle) ->
-              let specs =
-                Sched.Synth.jobs ~zipf_s:!zipf_s ~oracle ~seed:!seed ~load
-                  ~n:!jobs ()
-              in
-              let results =
-                List.map
-                  (fun policy -> Sched.Sim.run ~oracle ~policy specs)
-                  Sched.Policy.all
-              in
-              let dump =
-                String.concat "" (List.map Sched.Sim.render results)
-              in
-              (d, dump, results))
-            oracles
+        let specs =
+          Sched.Synth.jobs ~zipf_s:!zipf_s ~oracle ~seed:!seed ~load ~n:!jobs ()
         in
-        let ref_d, ref_dump, results = List.hd per_domain in
-        List.iter
-          (fun (d, dump, _) ->
-            if dump <> ref_dump then begin
-              Printf.eprintf
-                "FATAL: load %.2f: %d-domain schedule differs from \
-                 %d-domain schedule\n"
-                load d ref_d;
-              exit 1
-            end)
-          per_domain;
+        let results =
+          List.map
+            (fun policy -> Sched.Sim.run ~oracle ~policy specs)
+            Sched.Policy.all
+        in
         Printf.printf "\noffered load %.2f:\n%!" load;
         List.iter
           (fun (r : Sched.Sim.result) ->
@@ -136,7 +89,6 @@ let () =
         (load, List.map (fun (r : Sched.Sim.result) -> r.Sched.Sim.totals) results))
       !loads
   in
-  ignore reference_oracle;
   (* Acceptance: locality-aware must win somewhere, without giving up
      utilization against easy. *)
   let find_policy totals name =
@@ -172,7 +124,7 @@ let () =
     verdicts;
   let passed = List.exists (fun (_, _, _, _, p) -> p) verdicts in
   (* The artifact: modelled numbers only, so the file's bytes do not
-     depend on how many domains ran the analysis. *)
+     depend on the host's speed. *)
   let b = Buffer.create 4096 in
   let header =
     Bench_header.make ~bench:"sched"
@@ -184,12 +136,7 @@ let () =
           ("zipf", Float !zipf_s);
           ("beta", Float !beta);
           ("smoke", Bool !smoke);
-          ("domains", List (List.map (fun d -> Int d) !domain_counts));
-          (* Each policy replays each load's trace once per domain
-             count; the replays must agree byte for byte. *)
-          ( "repetitions",
-            Obj [ ("replays_per_policy", Int (List.length !domain_counts)) ]
-          );
+          ("repetitions", Obj [ ("replays_per_policy", Int 1) ]);
         ]
   in
   Buffer.add_string b
@@ -235,9 +182,6 @@ let () =
        miss rate with utilization within 5%% of easy\n";
     exit 1
   end;
-  Printf.printf
-    "acceptance ok: local wins at %d/%d load points; schedules byte-identical \
-     across domains [%s]\n"
+  Printf.printf "acceptance ok: local wins at %d/%d load points\n"
     (List.length (List.filter (fun (_, _, _, _, p) -> p) verdicts))
     (List.length verdicts)
-    (String.concat ";" (List.map string_of_int !domain_counts))

@@ -1194,12 +1194,11 @@ let sched_cmd =
       & info [ "dump" ] ~docv:"FILE"
           ~doc:
             "Write the full per-job schedule of every policy run ($(b,-) \
-             for standard output); byte-identical across $(b,-d) values \
-             for a fixed seed — the determinism suites compare these \
-             files.")
+             for standard output); byte-identical across runs for a \
+             fixed seed — the determinism suites compare these files.")
   in
   let run policy_s jobs load zipf seed beta llc scale workloads trace
-      emit_trace dump domains metrics_out =
+      emit_trace dump metrics_out =
     let policies =
       if policy_s = "all" then Sched.Policy.all
       else
@@ -1247,9 +1246,7 @@ let sched_cmd =
         end)
       names;
     let cfg = cfg_of llc in
-    let pool = Par.Pool.create ~num_domains:domains () in
-    let oracle = Sched.Oracle.build ~pool ~beta ~scale cfg names in
-    Par.Pool.shutdown pool;
+    let oracle = Sched.Oracle.build ~beta ~scale cfg names in
     let specs =
       match trace_specs with
       | Some specs -> specs
@@ -1283,7 +1280,7 @@ let sched_cmd =
     Term.(
       const run $ policy_arg $ jobs_arg $ load_arg $ zipf_arg $ seed_arg
       $ beta_arg $ llc_arg $ sched_scale_arg $ workloads_arg $ trace_arg
-      $ emit_trace_arg $ dump_arg $ domains_arg $ metrics_term)
+      $ emit_trace_arg $ dump_arg $ metrics_term)
 
 let () =
   let doc = "location-aware computation-to-core mapping (PLDI'18 reproduction)" in

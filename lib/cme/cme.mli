@@ -53,10 +53,9 @@ val seek : t -> iteration:int -> unit
     [0, iteration) (each reference's execution counter advances by the
     nest's inner trip count per parallel iteration, and the body cursor
     returns to 0 at every iteration boundary). This makes
-    classification restartable at any iteration-set boundary, which is
-    what lets the analysis fast path shard sets across domains and
-    still produce byte-identical summaries. Raises [Invalid_argument]
-    on a negative iteration. *)
+    classification restartable at any iteration-set boundary: a
+    streamed reference can classify one set without streaming the sets
+    before it. Raises [Invalid_argument] on a negative iteration. *)
 
 val num_refs : t -> int
 (** Number of body references in the nest. *)

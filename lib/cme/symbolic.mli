@@ -25,7 +25,7 @@
 
     {b Thread safety}: plans are immutable after construction and may
     be shared across domains; an {!aps} scratch is private mutable
-    state of one analysis shard — build one per domain, never share. *)
+    state of one analysis call — build one per call, never share. *)
 
 type plan
 

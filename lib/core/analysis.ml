@@ -28,19 +28,15 @@ let fresh_summaries cfg amap ~count =
      located a chunk at a time, as the observed replay does.
 
    Both tiers are byte-identical to the streamed classifier (the test
-   suite cross-checks this), and a set's summary depends only on the
-   set itself, which is what makes sharding sets across domains
-   byte-identical too. *)
+   suite cross-checks this). *)
 
 (* Multiples of [p] in [lo, hi), for 0 <= lo <= hi. *)
 let multiples_in p ~lo ~hi = ((hi + p - 1) / p) - ((lo + p - 1) / p)
 
-(* Fast-path accounting, accumulated as plain ints per shard range and
-   flushed to sharded counters once per range — the hot loops never
-   touch an atomic. *)
+(* Fast-path accounting, accumulated as plain ints and flushed to the
+   registry's counters once per call — the hot loops never touch an
+   atomic. *)
 type cme_stats = {
-  (* One record per shard range, never shared across domains; flushed
-     into the registry's sharded counters at range end. *)
   mutable st_accesses : int;  (* closed-form executions *)
   mutable st_symbolic : int;  (* accesses resolved trace-free *)
   mutable st_walked : int;  (* accesses of walked references *)
@@ -371,36 +367,7 @@ let cme_set w ~stats trace ctx aps (s : Ir.Iter_set.t) sm =
   done;
   Option.iter (fun wk -> walk_set w trace wk s ~c0 ~it:inner_trip sm) ctx.walk
 
-(* Contiguous set ranges with roughly equal access counts, so every
-   domain gets comparable work no matter how set sizes vary. *)
-let shard_ranges trace sets ~nshards =
-  let n = Array.length sets in
-  let cost k =
-    let s : Ir.Iter_set.t = sets.(k) in
-    Ir.Iter_set.size s * Ir.Trace.accesses_per_par_iter trace ~nest:s.nest
-  in
-  let total = ref 0 in
-  for k = 0 to n - 1 do
-    total := !total + cost k
-  done;
-  let ranges = ref [] in
-  let start = ref 0 in
-  let acc = ref 0 in
-  let shard = ref 0 in
-  for k = 0 to n - 1 do
-    acc := !acc + cost k;
-    let boundary = !total * (!shard + 1) / nshards in
-    if !acc >= boundary && k + 1 > !start && !shard < nshards - 1 then begin
-      ranges := (!start, k + 1) :: !ranges;
-      start := k + 1;
-      incr shard
-    end
-  done;
-  if !start < n then ranges := (!start, n) :: !ranges;
-  Array.of_list (List.rev !ranges)
-
-let cme_summaries ?pool ?memo ?metrics (cfg : Machine.Config.t) amap trace
-    ~sets =
+let cme_summaries ?memo ?metrics (cfg : Machine.Config.t) amap trace ~sets =
   let prog = Ir.Trace.program trace in
   let layout = Ir.Trace.layout trace in
   let w =
@@ -414,43 +381,21 @@ let cme_summaries ?pool ?memo ?metrics (cfg : Machine.Config.t) amap trace
       lshift = Machine.Config.line_shift cfg;
     }
   in
-  let ci = Option.map cme_instruments metrics in
-  (* Summaries for the contiguous set range [a, b): the unit of work a
-     shard executes. Each range carries its own predictors, plans and
-     progression scratch — and its own plain-int stats, flushed to the
-     shared counters once at the end — so ranges share nothing but the
-     immutable map, memo and trace. *)
-  let run_range (a, b) =
-    let out = fresh_summaries cfg amap ~count:(b - a) in
-    let stats = fresh_stats () in
-    let aps = Cme.Symbolic.make_aps () in
-    let ctx = ref None in
-    let current_nest = ref (-1) in
-    for k = a to b - 1 do
-      let s : Ir.Iter_set.t = sets.(k) in
+  let out = fresh_summaries cfg amap ~count:(Array.length sets) in
+  let stats = fresh_stats () in
+  let aps = Cme.Symbolic.make_aps () in
+  let ctx = ref None in
+  let current_nest = ref (-1) in
+  Array.iteri
+    (fun k (s : Ir.Iter_set.t) ->
       if s.nest <> !current_nest then begin
         current_nest := s.nest;
         ctx := Some (nest_ctx cfg prog layout trace ~nest:s.nest)
       end;
-      cme_set w ~stats trace (Option.get !ctx) aps s out.(k - a)
-    done;
-    (match ci with Some ci -> flush_stats ci stats | None -> ());
-    out
-  in
-  let nsets = Array.length sets in
-  let domains =
-    match pool with Some p -> Par.Pool.num_domains p | None -> 0
-  in
-  if domains <= 1 || nsets <= 1 then run_range (0, nsets)
-  else begin
-    let nshards = min nsets (4 * domains) in
-    let ranges = shard_ranges trace sets ~nshards in
-    let slices = Par.Pool.map (Option.get pool) run_range ranges in
-    (* Deterministic merge: shards are contiguous ranges concatenated
-       back in set order, so the result is positionally identical to
-       the sequential walk. *)
-    Array.concat (Array.to_list slices)
-  end
+      cme_set w ~stats trace (Option.get !ctx) aps s out.(k))
+    sets;
+  Option.iter (fun im -> flush_stats (cme_instruments im) stats) metrics;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Observed path.
@@ -458,10 +403,10 @@ let cme_summaries ?pool ?memo ?metrics (cfg : Machine.Config.t) amap trace
    One L1 and one set of bank caches model the machine's state as the
    whole trace streams through, so an access's hit/miss outcome depends
    on the earlier accesses to its cache sets — across set boundaries
-   and, for the warm pass, across the step-0 pass too. Sharding sets
-   would give each shard cold caches and change outcomes; the fast path
-   here does strictly less work per access, never domains. The one
-   split that is exact is by address class, below.
+   and, for the warm pass, across the step-0 pass too. Splitting the
+   walk by iteration set would start each piece on cold caches and
+   change outcomes; the one split that is exact is by address class,
+   below.
 
    It works a chunk at a time. {!Ir.Trace.fill_range} writes whole
    parallel iterations of one set into the buffer, which is translated

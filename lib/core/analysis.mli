@@ -49,29 +49,18 @@
     checks it against [Machine.Engine] run on one core with an ideal
     network: L1 hits, LLC hits and LLC misses agree exactly.
 
-    [cme_summaries] additionally shards iteration sets across the
-    domains of an optional {!Par.Pool}: summaries are additive per set
-    and {!Cme.seek} re-derives the classifier state at any set
-    boundary, so per-shard results merged in set order are
-    byte-identical to the sequential walk at any domain count (the
-    determinism tests check 1/2/4/8). The observed path never uses the
-    pool: its replay threads one L1 and one set of bank caches through
-    the whole trace, so an outcome depends on the earlier accesses to
-    its cache sets and sharding by iteration set would change the
-    answers. It splits exactly only by address class
-    ({!tainted_classes}), which [warm_summaries] uses to skip step-0
-    work.
+    The observed path splits exactly only by address class
+    ({!tainted_classes}): its replay threads one L1 and one set of bank
+    caches through the whole trace, so an outcome depends on the
+    earlier accesses to its cache sets. [warm_summaries] uses the split
+    to skip step-0 work.
 
     {b Thread safety}: both functions only read the trace, address map
     and memo (all immutable here) and write summaries they allocate
     themselves, so concurrent calls — including from inside Pool
-    workers, as the serving layer does — are safe. Do not pass the pool
-    that is executing the current job (a job fanning out into its own
-    pool can deadlock); give the analysis its own pool, as
-    {!Mapper.map} documents. *)
+    workers, as the serving layer does — are safe. *)
 
 val cme_summaries :
-  ?pool:Par.Pool.t ->
   ?memo:Line_memo.t ->
   ?metrics:Obs.Metrics.t ->
   Machine.Config.t ->
@@ -81,8 +70,7 @@ val cme_summaries :
   Summary.t array
 (** [memo], when given, must have been built from the same config,
     address map and layout; the default builds a fresh one, which costs
-    O(period × (MCs + regions)). [pool], when given with more than one
-    domain, shards sets across its workers.
+    O(period × (MCs + regions)).
 
     [metrics] feeds the fast-path counters —
     [locmap_cme_accesses_total] (executions folded by the closed form)
@@ -90,10 +78,9 @@ val cme_summaries :
     [locmap_cme_tier_symbolic_accesses_total] and
     [locmap_cme_tier_traced_accesses_total] (the walked tier; every
     access lands in exactly one tier, so the two sum to
-    [locmap_cme_accesses_total]) — accumulated as plain ints per shard
-    range and flushed once per range, so the hot loops never touch an
-    atomic and the results stay byte-identical with instrumentation
-    on. *)
+    [locmap_cme_accesses_total]) — accumulated as plain ints and
+    flushed once per call, so the hot loops never touch an atomic and
+    the results stay byte-identical with instrumentation on. *)
 
 val observed_summaries :
   ?warm_pass:bool ->

@@ -17,8 +17,8 @@
     nothing proportional to the layout footprint.
 
     {b Thread safety}: {!create} builds every table and nothing is
-    mutated afterwards, so a memo may be shared freely across domains;
-    the domain-parallel analysis reads one memo from all shards. *)
+    mutated afterwards, so a memo may be shared freely across domains
+    (the serving layer's concurrent requests may read one). *)
 
 type t
 

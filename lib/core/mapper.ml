@@ -108,7 +108,7 @@ let default_schedule ?fraction (cfg : Machine.Config.t) trace =
 
 let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
     ?(balance = true) ?alpha_override ?(on_phase = fun (_ : string) -> ())
-    ?(verify = false) ?pool ?metrics (cfg : Machine.Config.t) trace =
+    ?(verify = false) ?metrics (cfg : Machine.Config.t) trace =
   let prog = Ir.Trace.program trace in
   (* Debug mode: assert pipeline invariants just before each [on_phase]
      boundary. [verify = false] (the default) skips every check, so the
@@ -152,9 +152,7 @@ let map ?estimation ?fraction ?(measure_error = false) ?page_table ?cores
   let summaries, mai_error, cai_error =
     match estimation with
     | Cme_estimate ->
-        let est =
-          Analysis.cme_summaries ?pool ?metrics cfg amap trace ~sets
-        in
+        let est = Analysis.cme_summaries ?metrics cfg amap trace ~sets in
         if measure_error then begin
           let warm = Analysis.warm_summaries ?metrics cfg amap trace ~sets in
           ( est,

@@ -56,7 +56,6 @@ val map :
   ?alpha_override:float ->
   ?on_phase:(string -> unit) ->
   ?verify:bool ->
-  ?pool:Par.Pool.t ->
   ?metrics:Obs.Metrics.t ->
   Machine.Config.t ->
   Ir.Trace.t ->
@@ -87,16 +86,6 @@ val map :
     {!Invariant.Violation} with one structured diagnostic per broken
     invariant. With [verify = false] no check runs and the pipeline is
     byte-for-byte the non-verifying one.
-
-    [pool] parallelises the summarisation phase inside this one call:
-    {!Analysis.cme_summaries} shards iteration sets across the pool's
-    domains, with results byte-identical to the sequential path at any
-    domain count. Results, including every float in {!info}, are
-    identical with and without a pool. {b Never} pass the pool whose
-    worker is executing this very call (the serving layer's batch pool):
-    a job fanning out into its own pool deadlocks once all workers are
-    occupied — give the analysis a dedicated pool, as the analysis
-    bench does.
 
     [metrics] instruments the summarisation fast path: it is passed to
     {!Analysis.cme_summaries} (closed-form accounting — see its

@@ -1,13 +1,8 @@
-(* Sharded instruments: counters and histograms keep one cell (or one
-   bucket table) per domain-id slot, so concurrent updates from
-   different domains land on different cache lines and different
-   mutexes. The shard index is the domain id masked to the shard
-   count — collisions are possible (two domains may share a slot) and
-   harmless, because every cell is itself safe (atomic, or behind the
-   shard mutex); sharding is a contention optimisation, not a
-   correctness mechanism. *)
+(* A counter or gauge is one atomic cell; a histogram is one bucket
+   table behind its own mutex. *)
 
-type hist_shard = {
+type hist = {
+  upper : float array;
   hlock : Mutex.t;
   bucket_counts : int array;  (* per-bucket, last = overflow *)
   mutable hsum : float;
@@ -15,23 +10,21 @@ type hist_shard = {
 }
 
 type kind =
-  | Kcounter of int Atomic.t array  (* shard cells *)
+  | Kcounter of int Atomic.t
   | Kgauge of int Atomic.t
-  | Khistogram of { upper : float array; hshards : hist_shard array }
+  | Khistogram of hist
 
 type metric = {
   name : string;
   help : string;
   labels : (string * string) list;
   kind : kind;
-  mask : int;
 }
 
 type t = {
   lock : Mutex.t;  (* registration only *)
   tbl : (string, metric list) Hashtbl.t;  (* by name; one per label set *)
   mutable order : metric list;  (* reverse registration order *)
-  shards : int;
 }
 
 type counter = metric
@@ -50,12 +43,7 @@ let valid_name s =
   done;
   !ok
 
-let rec pow2_ceil n k = if k >= n then k else pow2_ceil n (2 * k)
-
-let create ?(shards = 8) () =
-  if shards < 1 then invalid_arg "Metrics.create: shards < 1";
-  let shards = min 256 (pow2_ceil shards 1) in
-  { lock = Mutex.create (); tbl = Hashtbl.create 64; order = []; shards }
+let create () = { lock = Mutex.create (); tbl = Hashtbl.create 64; order = [] }
 
 (* What a registration asks for, compared against an existing metric
    without building a fresh instrument. *)
@@ -67,22 +55,17 @@ let matches spec kind =
   | Shistogram u, Khistogram h -> u = h.upper
   | _ -> false
 
-let build t spec =
-  match spec with
-  | Scounter -> Kcounter (Array.init t.shards (fun _ -> Atomic.make 0))
+let build = function
+  | Scounter -> Kcounter (Atomic.make 0)
   | Sgauge -> Kgauge (Atomic.make 0)
   | Shistogram upper ->
       Khistogram
         {
           upper = Array.copy upper;
-          hshards =
-            Array.init t.shards (fun _ ->
-                {
-                  hlock = Mutex.create ();
-                  bucket_counts = Array.make (Array.length upper + 1) 0;
-                  hsum = 0.;
-                  hcount = 0;
-                });
+          hlock = Mutex.create ();
+          bucket_counts = Array.make (Array.length upper + 1) 0;
+          hsum = 0.;
+          hcount = 0;
         }
 
 let rec find_labels labels = function
@@ -117,8 +100,7 @@ let register t ~name ~help ~labels spec =
              "Metrics: %S already registered with a different kind" name);
       m
   | exception Not_found ->
-      let kind = build t spec in
-      let m = { name; help; labels; kind; mask = t.shards - 1 } in
+      let m = { name; help; labels; kind = build spec } in
       Hashtbl.replace t.tbl name (m :: same_name);
       t.order <- m :: t.order;
       Mutex.unlock t.lock;
@@ -147,24 +129,18 @@ let histogram t ?(help = "") ?(labels = []) ?(buckets = default_buckets) name =
   done;
   register t ~name ~help ~labels (Shistogram buckets)
 
-let shard_ix (m : metric) = (Domain.self () :> int) land m.mask
-
 let incr (m : counter) =
-  match m.kind with
-  | Kcounter cells -> Atomic.incr cells.(shard_ix m)
-  | _ -> assert false
+  match m.kind with Kcounter c -> Atomic.incr c | _ -> assert false
 
 let add (m : counter) n =
   if n < 0 then invalid_arg "Metrics.add: negative amount";
   if n > 0 then
     match m.kind with
-    | Kcounter cells -> ignore (Atomic.fetch_and_add cells.(shard_ix m) n)
+    | Kcounter c -> ignore (Atomic.fetch_and_add c n)
     | _ -> assert false
 
 let counter_value (m : counter) =
-  match m.kind with
-  | Kcounter cells -> Array.fold_left (fun a c -> a + Atomic.get c) 0 cells
-  | _ -> assert false
+  match m.kind with Kcounter c -> Atomic.get c | _ -> assert false
 
 let set_gauge (m : gauge) v =
   match m.kind with Kgauge c -> Atomic.set c v | _ -> assert false
@@ -191,9 +167,8 @@ let bucket_of upper v =
 
 let observe (m : histogram) v =
   match m.kind with
-  | Khistogram { upper; hshards } ->
-      let s = hshards.(shard_ix m) in
-      let b = bucket_of upper v in
+  | Khistogram s ->
+      let b = bucket_of s.upper v in
       Mutex.lock s.hlock;
       s.bucket_counts.(b) <- s.bucket_counts.(b) + 1;
       s.hsum <- s.hsum +. v;
@@ -231,29 +206,17 @@ let read_metric (m : metric) =
     match m.kind with
     | Kcounter _ -> Counter (counter_value m)
     | Kgauge c -> Gauge (Atomic.get c)
-    | Khistogram { upper; hshards } ->
-        let n = Array.length upper + 1 in
-        let merged = Array.make n 0 in
-        let sum = ref 0. in
-        let count = ref 0 in
-        Array.iter
-          (fun s ->
-            Mutex.lock s.hlock;
-            for i = 0 to n - 1 do
-              merged.(i) <- merged.(i) + s.bucket_counts.(i)
-            done;
-            sum := !sum +. s.hsum;
-            count := !count + s.hcount;
-            Mutex.unlock s.hlock)
-          hshards;
+    | Khistogram s ->
+        Mutex.lock s.hlock;
+        let counts = Array.copy s.bucket_counts in
+        let sum = s.hsum and count = s.hcount in
+        Mutex.unlock s.hlock;
         (* Cumulate in place: Prometheus [le] buckets are running
            totals, and the estimators below want them that way too. *)
-        for i = 1 to n - 1 do
-          merged.(i) <- merged.(i) + merged.(i - 1)
+        for i = 1 to Array.length counts - 1 do
+          counts.(i) <- counts.(i) + counts.(i - 1)
         done;
-        Histogram
-          { upper = Array.copy upper; counts = merged; sum = !sum;
-            count = !count }
+        Histogram { upper = Array.copy s.upper; counts; sum; count }
   in
   { name = m.name; help = m.help; labels = m.labels; value }
 

@@ -2,8 +2,8 @@
 
     This is the measurement half of the observability subsystem: the
     serving layer, the domain pool and the analysis fast path register
-    instruments here and bump them on their hot paths; a snapshot
-    merges everything into immutable samples for exposition as JSON
+    instruments here and bump them as they work; a snapshot copies
+    every instrument into immutable samples for exposition as JSON
     ({!to_json}, what [locmap batch --metrics] writes and [locmap
     stats] pretty-prints) or Prometheus text ({!to_prometheus}).
 
@@ -16,18 +16,14 @@
 
     {b Cost model}. Instruments are {e lock-cheap}:
 
-    - a counter is an array of per-domain shard cells ([int Atomic.t],
-      indexed by the calling domain's id), so concurrent increments
-      from different domains almost never contend — {!incr} is one
-      atomic fetch-and-add;
-    - a gauge is a single atomic cell (gauges are set, not
-      accumulated, so sharding would change their meaning);
-    - a histogram shards whole bucket tables per domain, each shard
-      behind its own mutex — an observation takes an uncontended lock,
-      bumps one bucket and the sum/count, and unlocks.
+    - a counter or a gauge is one atomic cell ([int Atomic.t]) —
+      {!incr} is one atomic fetch-and-add;
+    - a histogram is one bucket table behind its own mutex — an
+      observation takes the lock, bumps one bucket and the sum/count,
+      and unlocks.
 
-    Shards are merged only on {!snapshot}, so reads never stall
-    writers for more than one shard's critical section.
+    Every update happens once per request, job or call, never in a hot
+    loop, so one cell per instrument contends little.
 
     {b Determinism}. Counter and gauge values are exact whatever the
     domain count; {!to_json} and {!to_prometheus} print samples in
@@ -39,16 +35,13 @@
 
     {b Thread safety}: fully thread-safe. Registration takes the
     registry mutex; instrument updates are atomic (counters, gauges)
-    or per-domain-shard locked (histograms); {!snapshot} may run
+    or locked (histograms); {!snapshot} may run
     concurrently with updates and sees each instrument in a consistent
     (if instantaneously racy across instruments) state. *)
 
 type t
 
-val create : ?shards:int -> unit -> t
-(** [shards] (default 8, rounded up to a power of two, max 256) is the
-    number of per-domain cells each sharded instrument carries. Raises
-    [Invalid_argument] on [shards < 1]. *)
+val create : unit -> t
 
 (** {2 Instruments}
 
@@ -76,7 +69,6 @@ val add : counter -> int -> unit
     monotone). *)
 
 val counter_value : counter -> int
-(** Sum over shards — exact, since shard cells only grow. *)
 
 val gauge :
   t -> ?help:string -> ?labels:(string * string) list -> string -> gauge

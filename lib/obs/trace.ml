@@ -184,12 +184,6 @@ let num_spans t =
   Mutex.unlock t.lock;
   n
 
-let clear t =
-  Mutex.lock t.lock;
-  t.events <- [];
-  t.count <- 0;
-  Mutex.unlock t.lock
-
 let to_jsonl t =
   Mutex.lock t.lock;
   let events = t.events in

@@ -83,5 +83,3 @@ val to_jsonl : t -> string
     (epoch-relative) and ["dur_ns"] outside deterministic mode.
     Non-destructive; byte-deterministic in deterministic mode. *)
 
-val clear : t -> unit
-(** Drops the recorded spans (id generators keep advancing). *)

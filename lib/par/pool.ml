@@ -80,13 +80,13 @@ let create ?num_domains ?metrics () =
     pool.workers <- List.init n (fun _ -> Domain.spawn (worker_loop pool));
   pool
 
-let num_domains t = t.target
+let num_domains t = max 1 t.target
 
 let submit t job =
   Mutex.lock t.lock;
   if t.stop then begin
     Mutex.unlock t.lock;
-    invalid_arg "Pool.map: pool is shut down"
+    invalid_arg "Pool.try_map: pool is shut down"
   end;
   Queue.push job t.queue;
   Condition.signal t.nonempty;
@@ -107,7 +107,7 @@ let try_map t f xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else if t.target = 0 then begin
-    if t.stop then invalid_arg "Pool.map: pool is shut down";
+    if t.stop then invalid_arg "Pool.try_map: pool is shut down";
     Array.map (run_job t f) xs
   end
   else begin
@@ -132,10 +132,6 @@ let try_map t f xs =
       (function Some r -> r | None -> assert false (* all slots filled *))
       results
   end
-
-let map t f xs =
-  let results = try_map t f xs in
-  Array.map (function Ok r -> r | Error e -> raise e) results
 
 let shutdown t =
   Mutex.lock t.lock;

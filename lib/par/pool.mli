@@ -19,8 +19,7 @@
     A pool with [num_domains <= 1] spawns no domains at all and runs
     jobs inline in the caller; the sequential and parallel paths execute
     the same code in the same submission order, which is what makes the
-    determinism guarantees of the serving layer and of the
-    domain-parallel analysis checkable.
+    determinism guarantees of the serving layer checkable.
 
     {b Thread safety}: the pool itself is thread-safe — every queue and
     worker-list access is under the pool mutex, counters are atomic,
@@ -46,7 +45,8 @@ val create : ?num_domains:int -> ?metrics:Obs.Metrics.t -> unit -> t
     (aggregate into) the same counters. *)
 
 val num_domains : t -> int
-(** Configured worker-domain count (0 for an inline pool). *)
+(** Domains that run jobs: the worker count, or 1 for an inline pool,
+    whose caller runs them. *)
 
 val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
 (** Parallel [Array.map] with per-job fault containment, submission
@@ -54,11 +54,7 @@ val try_map : t -> ('a -> 'b) -> 'a array -> ('b, exn) result array
     different domains interleave their jobs in the shared queue. Never
     raises for job failures — each job's exception is its own [Error]. *)
 
-val map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [try_map] that re-raises the first-indexed job exception after the
-    whole batch has drained. *)
-
 val shutdown : t -> unit
 (** Drains nothing: waits only for already-running jobs, then joins the
-    workers. Idempotent. Calling {!map}/{!try_map} after shutdown
+    workers. Idempotent. Calling {!try_map} after shutdown
     raises [Invalid_argument]. *)

@@ -21,7 +21,7 @@ type t = {
 (* Raw access counts per scheduler tick. *)
 let work_unit = 64
 
-let analyse ?pool ?metrics cfg name ~scale =
+let analyse ?metrics cfg name ~scale =
   let entry_ = Workloads.Registry.find name in
   let p = Harness.Experiment.prepare ~scale entry_ in
   let pt = Mem.Page_table.create ~page_size:cfg.Machine.Config.page_size () in
@@ -31,7 +31,7 @@ let analyse ?pool ?metrics cfg name ~scale =
       ~fraction:cfg.Machine.Config.iter_set_fraction
   in
   let summaries =
-    Locmap.Analysis.cme_summaries ?pool ?metrics cfg amap
+    Locmap.Analysis.cme_summaries ?metrics cfg amap
       p.Harness.Experiment.trace ~sets
   in
   let merged =
@@ -50,7 +50,7 @@ let analyse ?pool ?metrics cfg name ~scale =
     alpha = Locmap.Summary.alpha merged;
   }
 
-let build ?pool ?metrics ?(beta = 0.8) ?(scale = 0.1) cfg names =
+let build ?metrics ?(beta = 0.8) ?(scale = 0.1) cfg names =
   if beta <= 0. then invalid_arg "Oracle.build: non-positive beta";
   if scale <= 0. then invalid_arg "Oracle.build: non-positive scale";
   let regions = Locmap.Region.create cfg in
@@ -81,8 +81,7 @@ let build ?pool ?metrics ?(beta = 0.8) ?(scale = 0.1) cfg names =
   List.iter
     (fun name ->
       if not (Hashtbl.mem entries name) then
-        Hashtbl.replace entries name
-          (analyse ?pool ?metrics cfg name ~scale))
+        Hashtbl.replace entries name (analyse ?metrics cfg name ~scale))
     names;
   { cfg; regions; beta; order = names; entries; rm_dist; d_mc; d_rr;
     region_of_core }

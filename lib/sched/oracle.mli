@@ -2,9 +2,8 @@
     one level up.
 
     For each workload the oracle runs the existing fast CME path
-    ({!Locmap.Analysis.cme_summaries} — symbolic and walked tiers,
-    optionally sharded over a {!Par.Pool}) once, merges the
-    per-set summaries, and keeps the aggregate affinity facts the
+    ({!Locmap.Analysis.cme_summaries} — symbolic and walked tiers)
+    once per distinct name, in order, merges the per-set summaries, and keeps the aggregate affinity facts the
     cluster scheduler needs to price a candidate placement:
 
     - [work] — total accesses, scaled into {e ticks} of serial service
@@ -31,15 +30,12 @@
     shortens jobs, and the upper bound [cost <= 1] gives every policy
     a safe runtime estimate for backfill reservations.
 
-    Summaries are byte-identical across pool domain counts (the PR-4
-    guarantee), and every cost/runtime here is derived from them by
-    the same float arithmetic, so scheduler results are too — the
-    cluster-level determinism tests check 1/2/4/8.
+    Every cost/runtime here is derived from the summaries by the same
+    float arithmetic on every run, so scheduler results are
+    deterministic.
 
     {b Thread safety}: an oracle is immutable after {!build}; all
-    queries are read-only and safe from any domain. [build] itself may
-    use the given pool (do not call it from inside that pool's own
-    workers). *)
+    queries are read-only and safe from any domain. *)
 
 type t
 
@@ -52,7 +48,6 @@ type entry = {
 }
 
 val build :
-  ?pool:Par.Pool.t ->
   ?metrics:Obs.Metrics.t ->
   ?beta:float ->
   ?scale:float ->
@@ -62,7 +57,7 @@ val build :
 (** [build cfg names] analyses each named registry workload at input
     scale [scale] (default 0.1) on machine [cfg]. [beta] (default 0.8)
     is the dilation strength; a tick of work is 64 raw accesses.
-    [pool] and [metrics] are passed through to
+    [metrics] is passed through to
     {!Locmap.Analysis.cme_summaries}. Raises [Not_found] on an unknown
     workload name and [Invalid_argument] on a non-positive [beta] or
     [scale]. *)

@@ -91,7 +91,6 @@ let create ?(cache_capacity = 512) ?(num_domains = 1)
   { cache; pool; resilience; injection; obs; tracer }
 
 let cache (t : t) = t.cache
-let resilience (t : t) = t.resilience
 
 (* One full pipeline run, on whichever domain the pool schedules it.
    Everything here is freshly allocated per call — see the thread-safety

@@ -68,7 +68,7 @@ type stats = {
   cache : Solution_cache.counters;
   cache_entries : int;
   cache_capacity : int;
-  num_domains : int;  (** worker domains in the pool *)
+  num_domains : int;  (** domains that run requests (1 for an inline pool) *)
 }
 
 val create :
@@ -115,8 +115,6 @@ val stats : t -> stats
 
 val cache : t -> Response.payload Solution_cache.t
 (** The underlying cache (shared, thread-safe). *)
-
-val resilience : t -> Resilience.policy
 
 val shutdown : t -> unit
 (** Joins the pool's domains. The cache stays readable; further

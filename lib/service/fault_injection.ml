@@ -12,8 +12,6 @@ let none = { seed = 0; sites = [] }
 
 let create ?(seed = 0) sites = { seed; sites }
 
-let seed plan = plan.seed
-
 let coin identity =
   let d = Digest.string identity in
   let bits =

@@ -46,8 +46,6 @@ val create : ?seed:int -> (string * action) list -> plan
     evaluated in list order, all [Slow]s apply, the first fault wins.
     [seed] defaults to 0. *)
 
-val seed : plan -> int
-
 val fault_at : plan -> site:string -> key:string -> index:int -> Fault.t option
 (** Pure decision, no sleeping, no raising. *)
 

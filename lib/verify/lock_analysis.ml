@@ -75,7 +75,7 @@ let is_async_sink parts =
   | _ -> (
       match List.rev parts with
       | "submit" :: _ -> true
-      | ("map" | "try_map") :: rest -> List.mem "Pool" rest
+      | "try_map" :: rest -> List.mem "Pool" rest
       | _ -> false)
 
 let is_closure e =

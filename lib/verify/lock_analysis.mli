@@ -49,7 +49,7 @@ val blocking_ops : string list
 val is_async_sink : string list -> bool
 (** Is this flattened callee path a task-submission sink whose literal
     closure arguments run on another domain ([Domain.spawn],
-    [Thread.create], [*.submit], [Pool.map]/[Pool.try_map])? Shared
+    [Thread.create], [*.submit], [Pool.try_map])? Shared
     with {!Escape_analysis}. *)
 
 val analyze : Callgraph.t -> Ast_source.finding list

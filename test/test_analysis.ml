@@ -1,5 +1,5 @@
 (* Tests for the analysis fast path: line-range location counts, the
-   batched observed replay, and domain-parallel CME summaries. The
+   batched observed replay, and the CME tiers. The
    golden Mapper.map fixture that pins the public pipeline behaviour is
    checked by a diff rule (see golden.ml). *)
 
@@ -27,42 +27,6 @@ let summaries_equal (a : Locmap.Summary.t array) (b : Locmap.Summary.t array)
          && x.llc_misses = y.llc_misses
          && x.l1_hits = y.l1_hits)
        a b
-
-(* ------------------------------------------------------------------ *)
-(* Parallel = sequential: every registry workload, every field, at
-   1/2/4/8 domains (1 = inline pool, no domains spawned). *)
-
-let test_parallel_matches_sequential () =
-  let pools =
-    List.map
-      (fun d -> (d, Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) ()))
-      [ 1; 2; 4; 8 ]
-  in
-  Fun.protect
-    ~finally:(fun () -> List.iter (fun (_, p) -> Par.Pool.shutdown p) pools)
-    (fun () ->
-      List.iter
-        (fun llc ->
-          let cfg = { Machine.Config.default with llc_org = llc } in
-          List.iter
-            (fun name ->
-              let prog, trace = prepare name in
-              let pt = Mem.Page_table.create ~page_size:cfg.page_size () in
-              let amap = Machine.Addr_map.create cfg pt in
-              let sets = partition prog cfg in
-              let seq = Locmap.Analysis.cme_summaries cfg amap trace ~sets in
-              List.iter
-                (fun (d, pool) ->
-                  let par =
-                    Locmap.Analysis.cme_summaries ~pool cfg amap trace ~sets
-                  in
-                  check_bool
-                    (Printf.sprintf "%s: %d domains = sequential" name d)
-                    true
-                    (summaries_equal seq par))
-                pools)
-            Workloads.Registry.names)
-        [ Cache.Llc.Shared; Cache.Llc.Private ])
 
 (* ------------------------------------------------------------------ *)
 (* The address-map variants of [Map_variants], each with a page table
@@ -475,43 +439,12 @@ let test_walked_affine_equals_stream () =
         (summaries_equal cme (streamed_summaries cfg amap trace ~sets)))
     [ Cache.Llc.Private; Cache.Llc.Shared ]
 
-(* Mapper with a pool must also be byte-identical — the golden fixture
-   covers the no-pool call; this covers the pooled one. *)
-let test_mapper_pool_identical () =
-  let p = Harness.Experiment.prepare_name ~scale:0.1 "mxm" in
-  let cfg = shared_cfg in
-  let without =
-    Locmap.Mapper.map ~measure_error:true cfg p.Harness.Experiment.trace
-  in
-  let pool = Par.Pool.create ~num_domains:4 () in
-  Fun.protect
-    ~finally:(fun () -> Par.Pool.shutdown pool)
-    (fun () ->
-      let with_pool =
-        Locmap.Mapper.map ~measure_error:true ~pool cfg
-          p.Harness.Experiment.trace
-      in
-      check_bool "schedules equal" true
-        (without.schedule.core_of = with_pool.schedule.core_of);
-      check_bool "regions equal" true
-        (without.region_of_set = with_pool.region_of_set);
-      Alcotest.(check (float 0.)) "alpha" without.alpha_mean with_pool.alpha_mean;
-      Alcotest.(check (float 0.)) "mai" without.mai_error with_pool.mai_error;
-      Alcotest.(check (float 0.)) "cai" without.cai_error with_pool.cai_error)
-
 (* Alcotest cuts printed test names to a width set by the longest group
    name (here "walked-affine"), so renaming groups changes the printed
    names of tests elsewhere in the suite. *)
 let () =
   Alcotest.run "analysis"
     [
-      ( "determinism",
-        [
-          Alcotest.test_case "parallel = sequential (all workloads, 1/2/4/8)"
-            `Quick test_parallel_matches_sequential;
-          Alcotest.test_case "mapper with pool identical" `Quick
-            test_mapper_pool_identical;
-        ] );
       ( "line-memo",
         [
           Alcotest.test_case "memo = direct address map" `Quick

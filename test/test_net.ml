@@ -1217,8 +1217,8 @@ let test_stats_are_counters () =
   let metrics = Obs.Metrics.create () in
   let resp_m, st_m, api_m, health_m = stats_session ~metrics () in
   let resp_p, st_p, api_p, health_p = stats_session () in
-  let pp_server = Fmt.to_to_string Net.Server.pp_stats in
-  let pp_api = Fmt.to_to_string Service.Api.pp_stats in
+  let pp_server = Format.asprintf "%a" Net.Server.pp_stats in
+  let pp_api = Format.asprintf "%a" Service.Api.pp_stats in
   check (Alcotest.list string_t) "same responses" resp_p resp_m;
   check string_t "same Server.stats" (pp_server st_p) (pp_server st_m);
   check bool_t "Server.stats structurally equal" true (st_p = st_m);

@@ -1,4 +1,5 @@
-(* lib/obs: histogram bucket semantics, per-domain shard merging,
+(* lib/obs: histogram bucket semantics, exact counts under concurrent
+   domains, consistent histogram snapshots,
    allocation-free re-registration, the tracer's off switch,
    deterministic-ID tracing, span nesting — and
    the end-to-end guarantee that a fully instrumented batch stays
@@ -62,7 +63,7 @@ let test_histogram_validation () =
   check int_t "idempotent registration" 2 (Obs.Metrics.counter_value c1)
 
 (* ------------------------------------------------------------------ *)
-(* Shard merging under real domains                                    *)
+(* Concurrent updates under real domains                               *)
 
 let test_shard_merge () =
   List.iter
@@ -82,8 +83,7 @@ let test_shard_merge () =
       in
       body ();
       List.iter Domain.join spawned;
-      (* Counters are exact whatever the interleaving: shard cells only
-         grow and the snapshot sums them all. *)
+      (* Counters are exact whatever the interleaving. *)
       check int_t
         (Printf.sprintf "counter exact at %d domains" domains)
         (domains * per_domain)
@@ -95,6 +95,35 @@ let test_shard_merge () =
             (domains * per_domain) v.Obs.Metrics.count
       | _ -> Alcotest.fail "expected a histogram sample")
     [ 1; 2; 4; 8 ]
+
+(* A snapshot reads a histogram's buckets, sum and count under its
+   lock, so one taken while domains observe is never torn: its count is
+   its last cumulative bucket. *)
+let test_histogram_snapshot_consistent () =
+  let m = Obs.Metrics.create () in
+  let h = Obs.Metrics.histogram m "snap_ms" in
+  let per_domain = 20_000 in
+  let running = Atomic.make 2 in
+  let body () =
+    for i = 1 to per_domain do
+      Obs.Metrics.observe h (float_of_int (i mod 11))
+    done;
+    Atomic.decr running
+  in
+  let spawned = List.init 2 (fun _ -> Domain.spawn body) in
+  let check_snapshot () =
+    match (find_sample "snap_ms" (Obs.Metrics.snapshot m)).value with
+    | Obs.Metrics.Histogram v ->
+        let last = v.Obs.Metrics.counts.(Array.length v.Obs.Metrics.counts - 1) in
+        check int_t "count = last cumulative bucket" last v.Obs.Metrics.count;
+        v.Obs.Metrics.count
+    | _ -> Alcotest.fail "expected a histogram sample"
+  in
+  while Atomic.get running > 0 do
+    ignore (check_snapshot ())
+  done;
+  List.iter Domain.join spawned;
+  check int_t "final count" (2 * per_domain) (check_snapshot ())
 
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
@@ -312,6 +341,8 @@ let () =
             test_histogram_validation;
           Alcotest.test_case "shard merge 1/2/4/8 domains" `Slow
             test_shard_merge;
+          Alcotest.test_case "histogram snapshot under 2 domains" `Quick
+            test_histogram_snapshot_consistent;
           Alcotest.test_case "re-registration allocation-free" `Quick
             test_reregister_allocation_free;
         ] );

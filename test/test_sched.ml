@@ -1,21 +1,18 @@
 (* Tests for lib/sched: the cluster-level job scheduler.
 
-   Pins the subsystem's contracts: byte-identical schedules however
-   many domains run the oracle's analysis, no two concurrent jobs
-   sharing a core, EASY reservations never delayed by backfill, every
+   Pins the subsystem's contracts: reproducible traces, no two
+   concurrent jobs sharing a core, EASY reservations never delayed by backfill, every
    admitted job terminating with an outcome, the trace-file round
    trip, and the locality policy never pricing a placement above
    first-fit. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-let check_string = Alcotest.(check string)
 
 let cfg = Machine.Config.default
 let mix = [ "barnes"; "jacobi-3d"; "mxm" ]
 
-(* One sequential oracle shared by most tests (the determinism test
-   builds its own per domain count). *)
+(* One oracle shared by the tests. *)
 let oracle = lazy (Sched.Oracle.build ~scale:0.05 cfg mix)
 
 let synth ?(load = 0.9) ?(n = 40) ?(seed = 42) () =
@@ -28,27 +25,6 @@ let run_all specs =
     Sched.Policy.all
 
 (* ------------------------------------------------------------------ *)
-
-let test_determinism_across_domains () =
-  (* The whole schedule — every byte of every policy's render — must
-     be identical whether the oracle's analysis ran inline or sharded
-     over 2, 4 or 8 domains. *)
-  let render_at d =
-    let pool = Par.Pool.create ~num_domains:(if d <= 1 then 0 else d) () in
-    let oracle = Sched.Oracle.build ~pool ~scale:0.05 cfg mix in
-    Par.Pool.shutdown pool;
-    let specs = Sched.Synth.jobs ~oracle ~seed:7 ~load:1.0 ~n:50 () in
-    String.concat ""
-      (List.map
-         (fun policy ->
-           Sched.Sim.render (Sched.Sim.run ~oracle ~policy specs))
-         Sched.Policy.all)
-  in
-  let reference = render_at 1 in
-  List.iter
-    (fun d ->
-      check_string (Printf.sprintf "%d domains" d) reference (render_at d))
-    [ 2; 4; 8 ]
 
 let test_synth_reproducible () =
   let a = synth () and b = synth () in
@@ -387,8 +363,6 @@ let () =
     [
       ( "determinism",
         [
-          Alcotest.test_case "1/2/4/8 domains byte-identical" `Quick
-            test_determinism_across_domains;
           Alcotest.test_case "synth reproducible" `Quick
             test_synth_reproducible;
         ] );

@@ -219,7 +219,9 @@ let test_cache_counters () =
 let test_pool_map () =
   let pool = Par.Pool.create ~num_domains:4 () in
   let xs = Array.init 100 Fun.id in
-  let ys = Par.Pool.map pool (fun x -> x * x) xs in
+  let ys =
+    Array.map Result.get_ok (Par.Pool.try_map pool (fun x -> x * x) xs)
+  in
   Par.Pool.shutdown pool;
   Alcotest.(check (array int)) "squares in submission order"
     (Array.map (fun x -> x * x) xs)
@@ -249,24 +251,15 @@ let test_pool_exception () =
           | Error e ->
               Alcotest.failf "unexpected error: %s" (Printexc.to_string e))
         rs;
-      let ys = Par.Pool.map pool (fun x -> x + 1) [| 10; 20; 30 |] in
+      let ys =
+        Array.map Result.get_ok
+          (Par.Pool.try_map pool (fun x -> x + 1) [| 10; 20; 30 |])
+      in
       Alcotest.(check (array int))
         (Printf.sprintf "pool serves the next map (%d domains)" nd)
         [| 11; 21; 31 |] ys;
       Par.Pool.shutdown pool)
-    [ 1; 2 ];
-  let pool = Par.Pool.create ~num_domains:2 () in
-  (match
-     Par.Pool.map pool
-       (fun x -> if x = 3 then failwith "boom" else x)
-       [| 1; 2; 3; 4 |]
-   with
-  | _ -> Alcotest.fail "expected exception"
-  | exception Failure msg -> check string_t "propagated" "boom" msg);
-  (* The pool survives a failing batch. *)
-  let ys = Par.Pool.map pool (fun x -> x + 1) [| 1; 2 |] in
-  Par.Pool.shutdown pool;
-  Alcotest.(check (array int)) "pool still works" [| 2; 3 |] ys
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Api                                                                 *)
@@ -375,6 +368,18 @@ let test_degraded_never_cached () =
   check int_t "nothing inserted" 0 s.cache.Service.Solution_cache.insertions;
   Service.Api.shutdown api
 
+let test_stats_num_domains () =
+  (* [num_domains] counts the domains that run requests: an inline pool
+     runs them on the caller's one. *)
+  List.iter
+    (fun nd ->
+      let api = Service.Api.create ~num_domains:nd () in
+      check int_t
+        (Printf.sprintf "num_domains:%d" nd)
+        nd (Service.Api.stats api).num_domains;
+      Service.Api.shutdown api)
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "service"
     [
@@ -413,5 +418,6 @@ let () =
             test_batch_coalescing_and_errors;
           Alcotest.test_case "degraded responses never cached" `Quick
             test_degraded_never_cached;
+          Alcotest.test_case "stats num_domains" `Quick test_stats_num_domains;
         ] );
     ]
