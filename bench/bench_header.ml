@@ -2,8 +2,11 @@
    own: the bench's name, the host's core count, the source commit and
    the OCaml version, then the bench's parameters. *)
 
-(* The git commit, suffixed "-dirty" when the work tree has uncommitted
-   changes, or "unknown" outside a checkout. *)
+(* The git commit of the checkout the bench ran in, suffixed "-dirty"
+   when the work tree has uncommitted changes, or "unknown" outside a
+   checkout. A file regenerated inside an uncommitted change therefore
+   names that change's parent with "-dirty", not the commit that later
+   holds the file. *)
 let source_commit () =
   match
     Unix.open_process_in "git describe --always --dirty --abbrev=40 2>/dev/null"

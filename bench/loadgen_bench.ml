@@ -26,10 +26,10 @@
    --tolerate-drain additionally accepts unsent/unanswered tails (for
    smoke tests that SIGTERM the server mid-burst on purpose).
 
-   Without --port the bench hosts the server in-process (--domains,
-   --max-inflight size it; --chaos and --breaker switch on socket
-   fault injection and the brownout breaker); with --port it drives an
-   already-running `locmap serve`. *)
+   Without --port the bench hosts the server in-process at the default
+   config (--domains and --max-inflight size it; --chaos switches on
+   socket fault injection); with --port it drives an already-running
+   `locmap serve`. *)
 
 let scale = ref 0.35
 let num_requests = ref 200
@@ -45,13 +45,12 @@ let tolerate_drain = ref false
 let tolerate_resets = ref false
 let max_reconnects = ref 5
 let chaos_spec = ref ""
-let breaker = ref false
 
 let usage =
   "loadgen_bench.exe [--smoke] [--port P] [--rate R] [--requests N] \
    [--conns C] [--zipf S] [--scale S] [--seed N] [--domains N] \
-   [--max-inflight N] [--reconnects N] [--chaos SPEC] [--breaker] \
-   [--tolerate-drain] [--tolerate-resets]"
+   [--max-inflight N] [--reconnects N] [--chaos SPEC] [--tolerate-drain] \
+   [--tolerate-resets]"
 
 let set_smoke () =
   (* CI bit-rot gate: tiny inputs, enough pressure to exercise the
@@ -88,9 +87,6 @@ let args =
       Arg.Set_string chaos_spec,
       "SPEC socket fault injection for the self-hosted server (see \
        Net.Chaos.of_spec, e.g. seed=1,short=0.3,reset=0.5)" );
-    ( "--breaker",
-      Arg.Set breaker,
-      " enable the brownout circuit breaker on the self-hosted server" );
     ( "--tolerate-drain",
       Arg.Set tolerate_drain,
       " count resets and unsent/unanswered tails as drained, not failed" );
@@ -136,7 +132,7 @@ let arrival_times rng n =
 type outcome =
   | Served
   | Degraded
-  | Shed of string  (* Overload, by scope: inflight/draining/quota/... *)
+  | Shed of string  (* Overload, by scope: inflight/draining/... *)
   | Failed of string
   | Reset  (* sent, but the connection died before the answer *)
   | Unsent  (* never sent: no live connection and no reconnect budget *)
@@ -387,7 +383,6 @@ let () =
           max_inflight = !max_inflight;
           max_conns = !conns + 4;
           chaos;
-          breaker = !breaker;
         }
       in
       let server = Net.Server.create ~config ~api () in
@@ -404,11 +399,10 @@ let () =
   (match hosted with
   | Some _ ->
       Printf.printf
-        "self-hosted server: %d domains, admission budget %d%s%s\n%!"
+        "self-hosted server: %d domains, admission budget %d%s\n%!"
         !domains !max_inflight
         (if Net.Chaos.is_none chaos then ""
          else Printf.sprintf ", chaos [%s]" !chaos_spec)
-        (if !breaker then ", breaker on" else "")
   | None -> Printf.printf "external server: %s:%d\n%!" !host !port);
 
   (* Shared latency histograms; the registry is thread-safe, so all
@@ -527,10 +521,6 @@ let () =
     match hosted with
     | None -> 0
     | Some (api, server) ->
-        (match Net.Server.breaker_state server with
-        | Some st ->
-            Printf.printf "%-22s %s\n" "breaker:" (Net.Breaker.state_name st)
-        | None -> ());
         Net.Server.request_stop server;
         let st = Net.Server.drain server in
         Format.printf "%a@." Net.Server.pp_stats st;

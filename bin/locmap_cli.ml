@@ -840,35 +840,6 @@ let serve_cmd =
              after answering with a retryable $(i,overload) line \
              (scope $(i,idle)). $(b,0) disables.")
   in
-  let quota_rate_arg =
-    Arg.(
-      value
-      & opt float 0.
-      & info [ "quota-rate" ] ~docv:"R"
-          ~doc:
-            "Per-client token-bucket rate (requests/second, keyed by \
-             peer address); a request over quota is shed with scope \
-             $(i,quota) before it can touch the admission budget. \
-             $(b,0) (default) disables quotas.")
-  in
-  let quota_burst_arg =
-    Arg.(
-      value
-      & opt float Net.Quota.default_config.Net.Quota.burst
-      & info [ "quota-burst" ] ~docv:"N"
-          ~doc:"Token-bucket capacity (tolerated burst) per client.")
-  in
-  let breaker_arg =
-    Arg.(
-      value & flag
-      & info [ "breaker" ]
-          ~doc:
-            "Enable the overload circuit breaker: under a sustained \
-             shed/fault rate the server trips into brownout — cache \
-             hits and cheap fallback mappings only, fresh compute \
-             fast-failed with scope $(i,brownout) — and probes its \
-             way back once the load drops.")
-  in
   let chaos_arg =
     Arg.(
       value
@@ -882,7 +853,7 @@ let serve_cmd =
              connection ordinal, so a chaos run replays exactly.")
   in
   let run host port max_conns max_inflight drain_timeout_ms port_file
-      idle_timeout_ms quota_rate quota_burst breaker chaos_spec serving =
+      idle_timeout_ms chaos_spec serving =
     let chaos =
       if chaos_spec = "" then Net.Chaos.none
       else
@@ -893,10 +864,6 @@ let serve_cmd =
             exit 2
     in
     let svc = start_service serving in
-    let quota =
-      if quota_rate <= 0. then None
-      else Some { Net.Quota.rate = quota_rate; burst = quota_burst }
-    in
     let config =
       {
         Net.Server.host;
@@ -905,8 +872,6 @@ let serve_cmd =
         max_inflight;
         drain_timeout_ms;
         idle_timeout_ms;
-        quota;
-        breaker;
         chaos;
       }
     in
@@ -948,8 +913,7 @@ let serve_cmd =
           drain on SIGTERM (see README, \"Network serving\").")
     Term.(
       const run $ host_arg $ port_arg $ max_conns_arg $ max_inflight_arg
-      $ drain_timeout_arg $ port_file_arg $ idle_timeout_arg
-      $ quota_rate_arg $ quota_burst_arg $ breaker_arg $ chaos_arg
+      $ drain_timeout_arg $ port_file_arg $ idle_timeout_arg $ chaos_arg
       $ serving_term)
 
 let sweep_cmd =

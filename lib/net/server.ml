@@ -5,8 +5,6 @@ type config = {
   max_inflight : int;
   drain_timeout_ms : float;
   idle_timeout_ms : float;
-  quota : Quota.config option;
-  breaker : bool;
   chaos : Chaos.plan;
 }
 
@@ -18,8 +16,6 @@ let default_config =
     max_inflight = 8;
     drain_timeout_ms = 5_000.;
     idle_timeout_ms = 60_000.;
-    quota = None;
-    breaker = false;
     chaos = Chaos.none;
   }
 
@@ -39,10 +35,6 @@ type stats = {
   admitted : int;
   shed_inflight : int;
   shed_draining : int;
-  shed_quota : int;
-  shed_brownout : int;
-  brownout_cached : int;
-  brownout_degraded : int;
   idle_closed : int;
   malformed : int;
   completed : int;
@@ -58,10 +50,6 @@ type instruments = {
   i_requests : Obs.Metrics.counter;
   i_shed_inflight : Obs.Metrics.counter;
   i_shed_draining : Obs.Metrics.counter;
-  i_shed_quota : Obs.Metrics.counter;
-  i_shed_brownout : Obs.Metrics.counter;
-  i_brownout_cached : Obs.Metrics.counter;
-  i_brownout_degraded : Obs.Metrics.counter;
   i_idle_closed : Obs.Metrics.counter;
   i_malformed : Obs.Metrics.counter;
   i_completed : Obs.Metrics.counter;
@@ -93,14 +81,6 @@ let instruments im =
         "locmap_net_requests_total";
     i_shed_inflight = shed "inflight";
     i_shed_draining = shed "draining";
-    i_shed_quota = shed "quota";
-    i_shed_brownout = shed "brownout";
-    i_brownout_cached =
-      counter "brownout requests answered from the solution cache"
-        "locmap_net_brownout_cached_total";
-    i_brownout_degraded =
-      counter "brownout requests answered with the fallback mapping"
-        "locmap_net_brownout_degraded_total";
     i_idle_closed =
       counter "connections closed by the idle/read deadline (slowloris)"
         "locmap_net_idle_closed_total";
@@ -127,8 +107,6 @@ type t = {
   lfd : Unix.file_descr;
   bound_port : int;
   admission : Admission.t;
-  quota : Quota.t option;
-  breaker : Breaker.t option;
   stop : bool Atomic.t;
   lock : Mutex.t;  (** guards [conns], [dead], [next_conn_id] *)
   drain_lock : Mutex.t;  (** guards [final] and [draining] *)
@@ -161,10 +139,6 @@ let stats t =
     admitted;
     shed_inflight = v i.i_shed_inflight;
     shed_draining = v i.i_shed_draining;
-    shed_quota = v i.i_shed_quota;
-    shed_brownout = v i.i_shed_brownout;
-    brownout_cached = v i.i_brownout_cached;
-    brownout_degraded = v i.i_brownout_degraded;
     idle_closed = v i.i_idle_closed;
     malformed = v i.i_malformed;
     completed;
@@ -176,40 +150,14 @@ let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>connections: %d accepted, %d rejected, %d active, %d idle-closed@ \
      requests: %d (%d frames), %d admitted, %d completed, %d lost@ shed: %d \
-     over capacity, %d draining, %d quota, %d brownout; %d malformed, %d \
-     write errors@ brownout served: %d cached, %d degraded@]"
+     over capacity, %d draining; %d malformed, %d write errors@]"
     s.conns_accepted s.conns_rejected s.conns_active s.idle_closed s.requests
     s.frames s.admitted s.completed s.lost s.shed_inflight s.shed_draining
-    s.shed_quota s.shed_brownout s.malformed s.write_errors s.brownout_cached
-    s.brownout_degraded
-
-let breaker_state t =
-  match t.breaker with None -> None | Some b -> Some (Breaker.state b)
+    s.malformed s.write_errors
 
 let health_json t =
   let s = stats t in
   let open Service.Json in
-  let breaker =
-    match t.breaker with
-    | None -> String "off"
-    | Some b ->
-        Obj
-          [
-            ("state", String (Breaker.state_name (Breaker.state b)));
-            ("trips", Int (Breaker.trips_total b));
-          ]
-  in
-  let quota =
-    match t.quota with
-    | None -> String "off"
-    | Some q ->
-        Obj
-          [
-            ("clients", Int (Quota.clients q));
-            ("denied", Int (Quota.denied_total q));
-            ("evictions", Int (Quota.evictions_total q));
-          ]
-  in
   to_string
     (Obj
        [
@@ -233,15 +181,11 @@ let health_json t =
                      ("limit", Int (Admission.limit t.admission));
                      ("admitted", Int s.admitted);
                    ] );
-               ("breaker", breaker);
-               ("quota", quota);
                ( "shed",
                  Obj
                    [
                      ("inflight", Int s.shed_inflight);
                      ("draining", Int s.shed_draining);
-                     ("quota", Int s.shed_quota);
-                     ("brownout", Int s.shed_brownout);
                    ] );
                ("completed", Int s.completed);
              ] );
@@ -270,7 +214,7 @@ let write_best_effort fd s =
 
 exception Write_timed_out
 
-let handle t ~conn_id ~peer fd =
+let handle t ~conn_id fd =
   let cfg = t.cfg in
   let conn_span =
     match t.tracer with
@@ -376,62 +320,8 @@ let handle t ~conn_id ~peer fd =
                 (overload_response ~id ~scope:"draining"
                    ~limit:cfg.max_inflight)
             end
-            else if
-              match t.quota with
-              | Some q -> not (Quota.try_take q peer)
-              | None -> false
-            then begin
-              (* Greedy client: shed before it can touch the shared
-                 admission budget. Not fed to the breaker — one
-                 client over its quota is not server overload. *)
-              Obs.Metrics.incr t.obs.i_shed_quota;
-              let limit =
-                match cfg.quota with
-                | Some q -> int_of_float q.Quota.burst
-                | None -> 0
-              in
-              respond (overload_response ~id ~scope:"quota" ~limit)
-            end
-            else if
-              match t.breaker with
-              | Some b -> not (Breaker.allow b)
-              | None -> false
-            then begin
-              (* Brownout: no fresh compute. Serve what is cheap — the
-                 cache, then the fallback mapping — and shed the rest
-                 with a retryable fault. None of these outcomes feed
-                 the breaker; only probes and fresh compute do. *)
-              let hash = Service.Request.hash req in
-              match
-                Service.Solution_cache.find
-                  (Service.Api.cache t.api)
-                  hash
-              with
-              | Some p ->
-                  Obs.Metrics.incr t.obs.i_brownout_cached;
-                  respond { Service.Response.id; hash; result = Ok p }
-              | None -> (
-                  let fault =
-                    Service.Fault.Overload
-                      { scope = "brownout"; limit = cfg.max_inflight }
-                  in
-                  match
-                    Service.Api.fallback_response t.api ~id ~fault req
-                  with
-                  | Some resp ->
-                      Obs.Metrics.incr t.obs.i_brownout_degraded;
-                      respond resp
-                  | None ->
-                      Obs.Metrics.incr t.obs.i_shed_brownout;
-                      respond
-                        (overload_response ~id ~scope:"brownout"
-                           ~limit:cfg.max_inflight))
-            end
             else if not (Admission.try_acquire t.admission) then begin
               Obs.Metrics.incr t.obs.i_shed_inflight;
-              (match t.breaker with
-              | Some b -> Breaker.record b ~ok:false
-              | None -> ());
               respond
                 (overload_response ~id ~scope:"inflight"
                    ~limit:cfg.max_inflight)
@@ -448,13 +338,6 @@ let handle t ~conn_id ~peer fd =
               in
               let r = Obs.Metrics.time t.obs.i_request_ms compute in
               Obs.Metrics.incr t.obs.i_completed;
-              (match t.breaker with
-              | Some b ->
-                  Breaker.record b
-                    ~ok:
-                      (Service.Response.is_ok r
-                      && not (Service.Response.is_degraded r))
-              | None -> ());
               respond { r with Service.Response.id }
             end
       in
@@ -561,10 +444,6 @@ let reap t =
   in
   List.iter Domain.join finished
 
-let peer_key = function
-  | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
-  | Unix.ADDR_UNIX s -> s
-
 let acceptor_loop t () =
   let rec loop () =
     reap t;
@@ -578,7 +457,7 @@ let acceptor_loop t () =
               Unix.Unix_error
                 ((EAGAIN | EWOULDBLOCK | ECONNABORTED | EINTR), _, _) ->
               ()
-          | fd, sockaddr ->
+          | fd, _ ->
               (try Unix.setsockopt fd Unix.TCP_NODELAY true
                with Unix.Unix_error _ -> ());
               (* Nonblocking from birth: the handler's read loop
@@ -603,12 +482,11 @@ let acceptor_loop t () =
                 (* Spawn and register under one lock so the handler's
                    completion notice (also under [t.lock]) can never
                    precede registration. *)
-                let peer = peer_key sockaddr in
                 Mutex.protect t.lock (fun () ->
                     let id = t.next_conn_id in
                     t.next_conn_id <- id + 1;
                     let dom =
-                      Domain.spawn (fun () -> handle t ~conn_id:id ~peer fd)
+                      Domain.spawn (fun () -> handle t ~conn_id:id fd)
                     in
                     Hashtbl.replace t.conns id { fd; dom })
               end));
@@ -649,12 +527,8 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
   (* Registration order is exposition order: the server's instruments,
-     then the breaker's, the quota's and admission's. *)
+     then admission's. *)
   let obs = instruments metrics in
-  let breaker =
-    if config.breaker then Some (Breaker.create ~metrics ()) else None
-  in
-  let quota = Option.map (Quota.create ~metrics) config.quota in
   let admission = Admission.create ~metrics ~limit:config.max_inflight () in
   let t =
     {
@@ -663,8 +537,6 @@ let create ?(config = default_config) ?metrics ?tracer ~api () =
       lfd;
       bound_port;
       admission;
-      quota;
-      breaker;
       stop = Atomic.make false;
       lock = Mutex.create ();
       drain_lock = Mutex.create ();

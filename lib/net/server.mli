@@ -33,7 +33,13 @@
     throttles a client that outruns its own connection; the admission
     budget bounds what reaches the {!Par.Pool} across connections, so
     accepted-request latency stays bounded at any offered load
-    (bench/loadgen_bench.exe demonstrates both effects).
+    (bench/loadgen_bench.exe demonstrates both effects). A parsed
+    request line passes draining (scope ["draining"]), then admission
+    (scope ["inflight"]), then compute; admission is the only overload
+    shed. The budget is shared and first-come, with no per-client
+    state: one client on many connections can take every admission
+    slot, and only the connection cap bounds how many connections that
+    is.
 
     {b Graceful drain}: {!request_stop} (async-signal-safe — the
     [SIGTERM] handler of [locmap serve] calls exactly this) flips one
@@ -51,12 +57,10 @@
     [locmap_net_conns_rejected_total], [locmap_net_conns_active]
     (gauge), [locmap_net_frames_total],
     [locmap_net_requests_total], [locmap_net_shed_total{reason}]
-    (["inflight"]/["draining"]/["quota"]/["brownout"]),
-    [locmap_net_brownout_cached_total],
-    [locmap_net_brownout_degraded_total],
+    (["inflight"]/["draining"]),
     [locmap_net_idle_closed_total], [locmap_net_malformed_total],
     [locmap_net_completed_total], [locmap_net_write_errors_total],
-    the instruments of {!Admission}, {!Quota} and {!Breaker}, and
+    the instruments of {!Admission}, and
     [locmap_net_request_ms] (admission-to-response latency histogram),
     all in the [?metrics] registry or in a private one. These are the
     only tallies: {!stats} and {!health_json} read them.
@@ -66,7 +70,8 @@
     off the request hash as usual.
 
     {b Edge hardening} (DESIGN.md §11). Sockets are nonblocking from
-    accept, which enables three defenses:
+    accept, which enables two defenses beside the connection cap and
+    the admission budget:
 
     - {e Idle/read deadline} ([idle_timeout_ms]): a connection that
       completes no {e frame} within the deadline — silent or
@@ -79,23 +84,6 @@
       wedge a handler mid-response; the write loop waits for
       writability in 50 ms slices and gives up at the deadline
       (counted as a write error, connection dropped).
-    - {e Per-client quota} ([quota], {!Quota}): a token bucket per
-      peer address, checked {e before} the shared admission budget, so
-      one greedy client is shed (scope ["quota"]) without starving the
-      rest. The key is the peer's IP address, so all connections from
-      one host share a bucket.
-
-    {b Brownout} ([breaker], {!Breaker}): a circuit breaker watches
-    fresh-compute outcomes (shed-for-capacity and faulted/degraded
-    responses are "bad"). Tripped, the server stops fresh compute:
-    cache hits are still served, cache misses get the cheap fallback
-    mapping ([Service.Api.fallback_response], a degraded response
-    carrying scope ["brownout"]) where one exists, and a retryable
-    [Overload] (scope ["brownout"]) otherwise. Brownout
-    outcomes do not feed the breaker; recovery happens via half-open
-    probes (see {!Breaker}). Quota and draining sheds never feed the
-    breaker either — they are client or lifecycle conditions, not
-    server overload.
 
     {b Chaos} ([chaos], {!Chaos}): wraps every connection's socket ops
     in seeded fault injection (short reads/writes, stalls, resets,
@@ -104,8 +92,8 @@
 
     {b Health surface}: the in-band control line [!health] (not a
     request: consumes no response id, sheds nothing) answers one JSON
-    line — draining flag, connection/admission occupancy, breaker
-    state, quota counters, shed breakdown — see {!health_json}.
+    line — draining flag, connection/admission occupancy, shed
+    breakdown — see {!health_json}.
 
     {b Thread safety}: fully thread-safe. The stop flag, the open-
     connection count and all stats counters are atomics; the
@@ -114,8 +102,7 @@
     domain (or a signal handler, for {!request_stop}). Sockets are
     owned by exactly one handler each; {!drain}'s force-close is the
     single documented exception and handlers treat a concurrently
-    closed fd as EOF. {!Quota} and {!Breaker} are internally locked;
-    {!Chaos} wrappers are connection-confined. *)
+    closed fd as EOF. {!Chaos} wrappers are connection-confined. *)
 
 type config = {
   host : string;  (** bind address, default ["127.0.0.1"] *)
@@ -128,14 +115,12 @@ type config = {
   idle_timeout_ms : float;
       (** close a connection that completes no frame within this
           deadline (slowloris defense); 0 disables *)
-  quota : Quota.config option;  (** per-client token bucket; [None] = off *)
-  breaker : bool;  (** circuit breaker / brownout ({!Breaker}) *)
   chaos : Chaos.plan;  (** socket fault injection; {!Chaos.none} = off *)
 }
 
 val default_config : config
 (** 127.0.0.1:0 (ephemeral), 32 connections, 8 in flight, 5 s drain
-    timeout, 60 s idle deadline, quota and breaker off, {!Chaos.none}. *)
+    timeout, 60 s idle deadline, {!Chaos.none}. *)
 
 type stats = {
   conns_accepted : int;
@@ -146,12 +131,6 @@ type stats = {
   admitted : int;  (** requests that took an admission slot *)
   shed_inflight : int;  (** Overload: admission budget full *)
   shed_draining : int;  (** Overload: arrived during drain *)
-  shed_quota : int;  (** Overload: client over its token bucket *)
-  shed_brownout : int;
-      (** Overload: breaker open and no cache/fallback answer *)
-  brownout_cached : int;  (** brownout requests served from cache *)
-  brownout_degraded : int;
-      (** brownout requests answered with the fallback mapping *)
   idle_closed : int;  (** connections reclaimed by the idle deadline *)
   malformed : int;  (** per-line parse errors answered in place *)
   completed : int;  (** admitted requests answered (write attempted) *)
@@ -171,8 +150,8 @@ val create :
 (** Binds, listens and spawns the acceptor domain; serving starts
     immediately. The server borrows [api] (it does not shut it down).
     [metrics] (default: a private registry) receives the server's
-    instruments and is handed down to its admission budget, quota and
-    breaker. Registration is idempotent, so two servers created on one
+    instruments and is handed down to its admission budget.
+    Registration is idempotent, so two servers created on one
     registry share their counters, and each one's {!stats} reports
     the sum (the [lost] invariant then holds only for the pair). The
     service stack has its own [?metrics] on {!Service.Api.create}; one
@@ -207,16 +186,11 @@ val stats : t -> stats
     cross-field invariants like [lost = 0] are only guaranteed after
     {!drain}). *)
 
-val breaker_state : t -> Breaker.state option
-(** [None] when no breaker is configured. *)
-
 val health_json : t -> string
 (** The [!health] control-line answer: one JSON object (no trailing
     newline) of the form
     [{"health": {"draining": ..., "conns": {...}, "admission": {...},
-    "breaker": ..., "quota": ..., "shed": {...}, "completed": ...}}].
-    [breaker]/[quota] are the string ["off"] when not configured.
-    Callable from any domain (it reads only atomics and the
-    internally-locked quota/breaker). *)
+    "shed": {"inflight": ..., "draining": ...}, "completed": ...}}].
+    Callable from any domain (it reads only atomics). *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -9,7 +9,7 @@
 
     {b One set of counters}. Instruments are always on: there is no
     off switch. The serving components ([Service.Api], its cache and
-    pool, [Net.Server] and its admission, quota and breaker) keep no
+    pool, [Net.Server] and its admission budget) keep no
     private tallies — their [stats] records read {!counter_value} and
     {!gauge_value} of the instruments they registered, in the caller's
     registry or in a private one they create when none is given.

@@ -90,8 +90,6 @@ let create ?(cache_capacity = 512) ?(num_domains = 1)
   let cache = Solution_cache.create ~capacity:cache_capacity ~metrics () in
   { cache; pool; resilience; injection; obs; tracer }
 
-let cache (t : t) = t.cache
-
 (* One full pipeline run, on whichever domain the pool schedules it.
    Everything here is freshly allocated per call — see the thread-safety
    notes in [Locmap.Mapper] — so workers share nothing mutable. *)
@@ -304,20 +302,6 @@ let submit (t : t) req =
   match submit_batch t [| req |] with
   | [| r |] -> r
   | _ -> assert false
-
-(* The brownout escape hatch: a degraded response without touching the
-   pool or the cache. Runs entirely on the calling domain ([degrade] is
-   O(sets)); degraded payloads are never cached, so a browned-out
-   server cannot poison the cache with fallback mappings. *)
-let fallback_response (t : t) ~id ~fault (req : Request.t) :
-    Response.t option =
-  let hash = Request.hash req in
-  match degrade req ~hash fault with
-  | Error _ -> None
-  | Ok p ->
-      Obs.Metrics.incr t.obs.i_served;
-      Obs.Metrics.incr t.obs.i_degraded;
-      Some { Response.id; hash; result = Ok p }
 
 let stats (t : t) =
   let v = Obs.Metrics.counter_value in

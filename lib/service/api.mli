@@ -96,25 +96,9 @@ val submit : t -> Request.t -> Response.t
 val submit_batch : t -> Request.t array -> Response.t array
 (** Responses in submission order, [id] = submission index. *)
 
-val fallback_response :
-  t -> id:int -> fault:Fault.t -> Request.t -> Response.t option
-(** A degraded response from the cheap fallback mapping, computed
-    inline on the calling domain — no pool submission, no admission
-    slot, no cache write (degraded payloads must never shadow real
-    solutions). This is the brownout path of [Net.Server]: when the
-    circuit breaker is open, cache misses are answered with this
-    instead of fresh compute. [fault] is recorded as the degradation
-    reason inside the payload (typically [Fault.Overload] with scope
-    ["brownout"]). [None] when the fallback itself cannot be built
-    (unknown workload, invalid machine) — the caller sheds instead.
-    Counts toward [served]/[degraded] in {!stats}. *)
-
 val stats : t -> stats
 (** Each field read from its instrument: individually exact,
     mutually consistent once in-flight submissions have returned. *)
-
-val cache : t -> Response.payload Solution_cache.t
-(** The underlying cache (shared, thread-safe). *)
 
 val shutdown : t -> unit
 (** Joins the pool's domains. The cache stays readable; further

@@ -30,11 +30,6 @@ let message = function
   | Overload { scope = "idle"; limit } ->
       Printf.sprintf
         "connection idle past the %dms deadline; reconnect to retry" limit
-  | Overload { scope = "brownout"; _ } ->
-      "server browned out (circuit breaker open); retry with backoff"
-  | Overload { scope = "quota"; limit } ->
-      Printf.sprintf
-        "client over its request quota (burst %d); retry with backoff" limit
   | Overload { scope; limit } ->
       Printf.sprintf "server over capacity (%s limit %d); retry with backoff"
         scope limit

@@ -62,8 +62,9 @@ type t =
       (** The server shed this request under load instead of running
           it. [scope] names the exhausted budget — ["inflight"] (the
           admission budget of [Net.Admission]), ["connections"] (the
-          acceptor's connection cap) or ["draining"] (the server is
-          shutting down) — and [limit] its configured size. The
+          acceptor's connection cap), ["idle"] (a connection past its
+          idle deadline) or ["draining"] (the server is shutting
+          down) — and [limit] its configured size. The
           payload deliberately excludes momentary occupancy so
           responses stay byte-deterministic. *)
 

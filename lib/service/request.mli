@@ -59,11 +59,12 @@ val hash : t -> string
 
 val to_json : t -> Json.t
 (** Wire encoding: the machine object carries only the keys
-    {!of_json} accepts; unsupported config fields must stay at their
+    {!of_string} accepts; unsupported config fields must stay at their
     defaults to round-trip. *)
 
-val of_json : Json.t -> (t, string) result
-(** Decodes a request object:
+val of_string : string -> (t, string) result
+(** Parses one JSON line ({!Json.of_string}) and decodes the request
+    object:
 
     {v
     {"workload": "moldyn",            // required
@@ -82,6 +83,3 @@ val of_json : Json.t -> (t, string) result
     Every key is optional except ["workload"]; omitted machine keys
     keep {!Machine.Config.default} values. Unknown keys and invalid
     configurations (per {!Machine.Config.validate}) are errors. *)
-
-val of_string : string -> (t, string) result
-(** [of_json] after {!Json.of_string}. *)

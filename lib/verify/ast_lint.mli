@@ -52,10 +52,10 @@ val to_json : Ast_source.finding list -> string
 (** Machine-readable findings: [{"findings":[{file,line,rule,message}
     …],"count":n}] — the CI artifact format. *)
 
-val selftest_expectations : (string * string) list
-(** Fixture stem → rule id pairs the self-test drives. *)
-
 val selftest : dir:string -> (string, string) result
-(** Seeded-fixture gate: for every expectation, [<stem>_pos.ml] in
-    [dir] must produce its rule and [<stem>_neg.ml] must not.
+(** Seeded-fixture gate: for every fixture stem and the rule it seeds
+    ([deadlock] → [lock-order-cycle], [double] → [double-acquire],
+    [blocking] → [blocking-under-lock], [escape] → [domain-escape]),
+    [<stem>_pos.ml] in [dir] must produce its rule and [<stem>_neg.ml]
+    must not.
     [Error] lists every silent rule and wrongly-flagged near-miss. *)

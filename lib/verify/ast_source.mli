@@ -37,9 +37,6 @@ type t = {
   suppressions : (int, suppression) Hashtbl.t;  (** keyed by 1-based line *)
 }
 
-val modname_of_path : string -> string
-(** Capitalised basename without extension. *)
-
 val load : path:string -> code:string -> t
 (** Parse [code] as an implementation; never raises on bad input. *)
 

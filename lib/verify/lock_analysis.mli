@@ -43,9 +43,6 @@
 
     {b Thread safety}: stateless; analysis allocates per call. *)
 
-val blocking_ops : string list
-(** Qualified names treated as indefinitely-blocking calls. *)
-
 val is_async_sink : string list -> bool
 (** Is this flattened callee path a task-submission sink whose literal
     closure arguments run on another domain ([Domain.spawn],

@@ -863,216 +863,6 @@ let test_chaos_determinism () =
     Alcotest.fail "all seeds produced the same trace"
 
 (* ------------------------------------------------------------------ *)
-(* Quota                                                               *)
-
-let test_quota_clock () =
-  let now = ref 0L in
-  let clock () = !now in
-  let q = Net.Quota.create ~now:clock { Net.Quota.rate = 10.; burst = 2. } in
-  check bool_t "first" true (Net.Quota.try_take q "a");
-  check bool_t "second (burst)" true (Net.Quota.try_take q "a");
-  check bool_t "third is over quota" false (Net.Quota.try_take q "a");
-  check int_t "denied counted" 1 (Net.Quota.denied_total q);
-  (* 100 ms at 10 tokens/s refills exactly one token. *)
-  now := 100_000_000L;
-  check bool_t "refilled after 100ms" true (Net.Quota.try_take q "a");
-  check bool_t "but only one token" false (Net.Quota.try_take q "a");
-  (* A second client gets its own bucket; once the table is full, a
-     new client evicts the longest-idle one, [a]. *)
-  now := 200_000_000L;
-  check bool_t "client b admitted" true (Net.Quota.try_take q "b");
-  check int_t "two clients tracked" 2 (Net.Quota.clients q);
-  for k = 3 to Net.Quota.max_clients do
-    now := Int64.add !now 1_000L;
-    ignore (Net.Quota.try_take q (string_of_int k))
-  done;
-  check int_t "table full" Net.Quota.max_clients (Net.Quota.clients q);
-  check int_t "no eviction yet" 0 (Net.Quota.evictions_total q);
-  now := 300_000_000L;
-  check bool_t "a new client evicts the oldest" true
-    (Net.Quota.try_take q "new");
-  check int_t "table stays bounded" Net.Quota.max_clients (Net.Quota.clients q);
-  check int_t "eviction counted" 1 (Net.Quota.evictions_total q);
-  (* [a] was evicted, so it returns with a full bucket of 2. *)
-  check bool_t "evicted client starts full" true (Net.Quota.try_take q "a");
-  check bool_t "with its whole burst" true (Net.Quota.try_take q "a");
-  check bool_t "and no more" false (Net.Quota.try_take q "a");
-  match Net.Quota.create { Net.Quota.rate = 0.; burst = 2. } with
-  | _ -> Alcotest.fail "rate 0 must raise"
-  | exception Invalid_argument _ -> ()
-
-let test_server_quota_shed () =
-  (* burst 2, negligible refill: of four pipelined requests the first
-     two are served and the rest shed with the quota scope — before
-     they can touch the admission budget. *)
-  let config =
-    {
-      Net.Server.default_config with
-      Net.Server.quota =
-        Some { Net.Quota.rate = 0.01; burst = 2. };
-    }
-  in
-  with_server ~config ~domains:1 (fun server ->
-      let fd = connect (Net.Server.port server) in
-      send_string fd
-        (String.concat "\n"
-           [ req "moldyn"; req "fmm"; req "swim"; req ~scale:0.06 "moldyn" ]
-        ^ "\n");
-      Unix.shutdown fd Unix.SHUTDOWN_SEND;
-      (match read_lines ~until_eof:true ~expect:4 fd with
-      | [ r1; r2; r3; r4 ] ->
-          check bool_t "first served" true (response_is_ok r1);
-          check bool_t "second served" true (response_is_ok r2);
-          check string_t "third shed by quota" "quota"
-            (json_member_string r3 [ "error"; "scope" ]);
-          check string_t "fourth shed by quota" "quota"
-            (json_member_string r4 [ "error"; "scope" ])
-      | other -> Alcotest.failf "expected 4 lines, got %d" (List.length other));
-      close_quietly fd;
-      let st = Net.Server.stats server in
-      check int_t "quota sheds recorded" 2 st.Net.Server.shed_quota;
-      check int_t "admission untouched by shed" 2 st.Net.Server.admitted)
-
-(* ------------------------------------------------------------------ *)
-(* Breaker                                                             *)
-
-(* The one policy on a fake clock: a window of 64 outcomes that trips
-   once it holds 16 and half are bad, a 1 s dwell, 3 probes. *)
-let test_breaker_cycle () =
-  let now = ref 0L in
-  let clock () = !now in
-  let ms x = Int64.of_int (x * 1_000_000) in
-  let b = Net.Breaker.create ~now:clock () in
-  let record ~ok n =
-    for _ = 1 to n do
-      Net.Breaker.record b ~ok
-    done
-  in
-  let closed () = Net.Breaker.state b = Net.Breaker.Closed in
-  check bool_t "closed allows" true (Net.Breaker.allow b);
-  record ~ok:false 15;
-  check bool_t "15 bad outcomes are below min_events" true (closed ());
-  record ~ok:false 1;
-  check bool_t "the 16th trips" true (Net.Breaker.state b = Net.Breaker.Open);
-  check int_t "one trip" 1 (Net.Breaker.trips_total b);
-  check bool_t "open refuses" false (Net.Breaker.allow b);
-  now := ms 999;
-  check bool_t "still open before the dwell" false (Net.Breaker.allow b);
-  now := ms 1000;
-  check bool_t "first probe allowed" true (Net.Breaker.allow b);
-  check bool_t "half-open" true (Net.Breaker.state b = Net.Breaker.Half_open);
-  check bool_t "second probe allowed" true (Net.Breaker.allow b);
-  check bool_t "third probe allowed" true (Net.Breaker.allow b);
-  check bool_t "probe budget exhausted" false (Net.Breaker.allow b);
-  record ~ok:true 2;
-  check bool_t "two successes are not enough" true
-    (Net.Breaker.state b = Net.Breaker.Half_open);
-  record ~ok:true 1;
-  check bool_t "probes close the breaker" true (closed ());
-  (* Closing cleared the window: under half bad never trips, half does. *)
-  record ~ok:true 9;
-  record ~ok:false 8;
-  check bool_t "8 bad of 17 stays closed" true (closed ());
-  record ~ok:false 1;
-  check int_t "9 bad of 18 trips" 2 (Net.Breaker.trips_total b);
-  (* A half-open failure reopens immediately and restarts the dwell. *)
-  now := ms 2000;
-  check bool_t "probe after second dwell" true (Net.Breaker.allow b);
-  Net.Breaker.record b ~ok:false;
-  check bool_t "failed probe reopens" true
-    (Net.Breaker.state b = Net.Breaker.Open);
-  check int_t "third trip" 3 (Net.Breaker.trips_total b);
-  now := ms 2999;
-  check bool_t "dwell restarted" false (Net.Breaker.allow b);
-  check string_t "state names" "half_open"
-    (Net.Breaker.state_name Net.Breaker.Half_open)
-
-let test_brownout () =
-  (* Trip the breaker with real sheds, then verify the brownout
-     contract within its 1 s dwell: cache hits still served, cache
-     misses answered with the degraded fallback, the health line says
-     "open", and the books still balance after drain. *)
-  let config =
-    { Net.Server.default_config with Net.Server.max_inflight = 1; breaker = true }
-  in
-  let injection =
-    Service.Fault_injection.create
-      [ ("compute", Service.Fault_injection.Slow 600.) ]
-  in
-  with_server ~config ~injection ~domains:1 (fun server ->
-      let port = Net.Server.port server in
-      (* Warm the cache (and give the breaker one good outcome). *)
-      let c0 = connect port in
-      send_string c0 (req "moldyn" ^ "\n");
-      (match read_lines ~expect:1 c0 with
-      | [ line ] -> check bool_t "cache warmed" true (response_is_ok line)
-      | _ -> assert false);
-      close_quietly c0;
-      (* Hold the single admission slot... *)
-      let a = connect port in
-      send_string a (req ~scale:0.06 "fmm" ^ "\n");
-      wait_until "slot held" (fun () ->
-          (Net.Server.stats server).Net.Server.admitted = 2);
-      (* ...and hammer 15 more requests into it: with the warm-up's good
-         outcome, 15 inflight sheds make the 16 outcomes the breaker
-         needs, 15 of them bad, so the last shed trips it. *)
-      let b = connect port in
-      send_string b
-        (String.concat "\n"
-           (List.init 15 (fun k ->
-                req ~scale:(0.07 +. (0.01 *. float_of_int k)) "swim"))
-        ^ "\n");
-      let shed = read_lines ~expect:15 b in
-      check int_t "15 answers" 15 (List.length shed);
-      List.iter
-        (fun r ->
-          check string_t "shed while the slot is held" "inflight"
-            (json_member_string r [ "error"; "scope" ]))
-        shed;
-      check bool_t "breaker tripped" true
-        (Net.Server.breaker_state server = Some Net.Breaker.Open);
-      (* Brownout: the cached request is still served for real... *)
-      send_string b (req "moldyn" ^ "\n");
-      (match read_lines ~expect:1 b with
-      | [ line ] ->
-          check bool_t "cache hit served in brownout" true
-            (response_is_ok line);
-          check bool_t "and not degraded" false
-            (json_member_bool line [ "result"; "degraded" ])
-      | _ -> assert false);
-      (* ...an uncached one gets the cheap degraded fallback... *)
-      send_string b (req ~scale:0.11 "fmm" ^ "\n");
-      (match read_lines ~expect:1 b with
-      | [ line ] ->
-          check bool_t "fallback is ok on the wire" true
-            (response_is_ok line);
-          check bool_t "but marked degraded" true
-            (json_member_bool line [ "result"; "degraded" ])
-      | _ -> assert false);
-      (* ...and the health surface reports the state in-band. *)
-      send_string b "!health\n";
-      (match read_lines ~expect:1 b with
-      | [ line ] ->
-          check string_t "health reports the open breaker" "open"
-            (json_member_string line [ "health"; "breaker"; "state" ]);
-          check int_t "health counts the inflight sheds" 15
-            (json_member_int line [ "health"; "shed"; "inflight" ])
-      | _ -> assert false);
-      (* The in-flight request still completes (recorded as a
-         straggler, ignored by the open breaker). *)
-      (match read_lines ~expect:1 a with
-      | [ line ] -> check bool_t "held request served" true (response_is_ok line)
-      | _ -> assert false);
-      close_quietly a;
-      close_quietly b;
-      let st = Net.Server.drain server in
-      check int_t "zero lost" 0 st.Net.Server.lost;
-      check int_t "brownout cache hit counted" 1 st.Net.Server.brownout_cached;
-      check int_t "brownout fallback counted" 1
-        st.Net.Server.brownout_degraded;
-      check int_t "inflight sheds counted" 15 st.Net.Server.shed_inflight)
-
-(* ------------------------------------------------------------------ *)
 (* Slowloris reclaim                                                   *)
 
 let test_slowloris_reclaim () =
@@ -1151,8 +941,15 @@ let test_health_control () =
             = Net.Server.default_config.Net.Server.max_inflight);
           check bool_t "not draining" false
             (json_member_bool health [ "health"; "draining" ]);
-          check string_t "breaker off by default" "off"
-            (json_member_string health [ "health"; "breaker" ]);
+          let keys path =
+            List.map fst (json_member_via Service.Json.obj_fields health path)
+          in
+          check (Alcotest.list string_t) "exact !health key set"
+            [ "draining"; "conns"; "admission"; "shed"; "completed" ]
+            (keys [ "health" ]);
+          check (Alcotest.list string_t) "exact shed breakdown"
+            [ "inflight"; "draining" ]
+            (keys [ "health"; "shed" ]);
           check bool_t "request after !health served" true
             (response_is_ok resp);
           check int_t "control line consumed no id" 0
@@ -1179,16 +976,7 @@ let test_health_control () =
    read back. *)
 let stats_session ?metrics () =
   let api = Service.Api.create ~cache_capacity:2 ~num_domains:1 ?metrics () in
-  let config =
-    {
-      Net.Server.default_config with
-      Net.Server.quota =
-        Some
-          { Net.Quota.rate = 1e4; burst = 1e4 };
-      breaker = true;
-    }
-  in
-  let server = Net.Server.create ~config ?metrics ~api () in
+  let server = Net.Server.create ?metrics ~api () in
   let lines =
     [
       req "fft";
@@ -1256,10 +1044,6 @@ let test_stats_are_counters () =
       (s.admitted, c "locmap_net_admitted_total");
       (s.shed_inflight, shed "inflight");
       (s.shed_draining, shed "draining");
-      (s.shed_quota, shed "quota");
-      (s.shed_brownout, shed "brownout");
-      (s.brownout_cached, c "locmap_net_brownout_cached_total");
-      (s.brownout_degraded, c "locmap_net_brownout_degraded_total");
       (s.idle_closed, c "locmap_net_idle_closed_total");
       (s.malformed, c "locmap_net_malformed_total");
       (s.completed, c "locmap_net_completed_total");
@@ -1445,19 +1229,6 @@ let () =
           Alcotest.test_case "spec parsing" `Quick test_chaos_spec;
           Alcotest.test_case "seeded determinism" `Quick
             test_chaos_determinism;
-        ] );
-      ( "quota",
-        [
-          Alcotest.test_case "token bucket on a fake clock" `Quick
-            test_quota_clock;
-          Alcotest.test_case "per-client shed on the wire" `Quick
-            test_server_quota_shed;
-        ] );
-      ( "breaker",
-        [
-          Alcotest.test_case "full cycle on a fake clock" `Quick
-            test_breaker_cycle;
-          Alcotest.test_case "brownout end to end" `Quick test_brownout;
         ] );
       ( "server",
         [
