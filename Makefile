@@ -170,7 +170,7 @@ chaos-net:
 sweep:
 	dune exec bin/locmap_cli.exe -- sweep -w fmm,lu,fft -m 4x4,6x6 -d 4
 
-# Concurrency lint (see Verify.Ast_lint): parsetree-based lock-order,
+# Concurrency lint (lib/lint, see Lint.Ast_lint): parsetree-based lock-order,
 # blocking-under-lock, domain-escape and thread-safety-contract rules,
 # interprocedural over a per-run call graph, scanning all of lib/, bin/
 # and bench/. Findings also land in lint_findings.json — the CI

@@ -46,10 +46,23 @@ let llc_arg =
     & opt llc_conv Cache.Llc.Private
     & info [ "llc" ] ~docv:"ORG" ~doc:"LLC organisation: private or shared.")
 
+(* A scale must be finite and positive: the floor in
+   [Wl_common.scaled] would otherwise run every array at 64 elements
+   and exit 0. *)
+let scale_conv =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when Service.Request.valid_scale x -> Ok x
+    | Ok _ ->
+        Error (`Msg (Printf.sprintf "%s is not a positive finite scale" s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let scale_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt scale_conv 1.0
     & info [ "scale" ] ~docv:"S" ~doc:"Benchmark input-size scale factor.")
 
 let bench_arg =
@@ -1122,7 +1135,7 @@ let sched_cmd =
   let sched_scale_arg =
     Arg.(
       value
-      & opt float 0.1
+      & opt scale_conv 0.1
       & info [ "scale" ] ~docv:"S"
           ~doc:"Benchmark input-size scale for the oracle's analysis.")
   in

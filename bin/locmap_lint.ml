@@ -5,7 +5,7 @@
      locmap_lint --json findings.json                # CI artifact
      locmap_lint --selftest test/fixtures/ast_lint   # seeded-rule gate
 
-   The analysis is [Verify.Ast_lint]: parsetree-based lock-order,
+   The analysis is [Lint.Ast_lint]: parsetree-based lock-order,
    blocking-under-lock, domain-escape and thread-safety-contract rules,
    interprocedural over a per-run call graph.
 
@@ -48,7 +48,7 @@ let quiet_arg =
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Print findings only.")
 
 let write_json path findings =
-  let body = Verify.Ast_lint.to_json findings in
+  let body = Lint.Ast_lint.to_json findings in
   if path = "-" then print_string body
   else begin
     let oc = open_out path in
@@ -60,7 +60,7 @@ let write_json path findings =
 let run paths json selftest quiet =
   match selftest with
   | Some dir -> (
-      match Verify.Ast_lint.selftest ~dir with
+      match Lint.Ast_lint.selftest ~dir with
       | Ok msg ->
           if not quiet then print_endline msg;
           exit 0
@@ -75,9 +75,9 @@ let run paths json selftest quiet =
             exit 2
           end)
         paths;
-      let findings = Verify.Ast_lint.scan_dirs paths in
+      let findings = Lint.Ast_lint.scan_dirs paths in
       List.iter
-        (fun f -> Format.printf "%a@." Verify.Ast_source.pp_finding f)
+        (fun f -> Format.printf "%a@." Lint.Ast_source.pp_finding f)
         findings;
       Option.iter (fun p -> write_json p findings) json;
       (match findings with
@@ -91,7 +91,7 @@ let run paths json selftest quiet =
           exit 1)
 
 let () =
-  let doc = "concurrency lint for the locmap sources (see Verify.Ast_lint)" in
+  let doc = "concurrency lint for the locmap sources (see Lint.Ast_lint)" in
   exit
     (Cmd.eval
        (Cmd.v

@@ -147,7 +147,7 @@ let scan_dirs paths = scan_files (List.concat_map ml_files_under paths)
 
 (* ------------------------------------------------------------------ *)
 (* JSON findings, for the CI artifact. No dependency on the service
-   layer's Json module: the verify library sits below it. *)
+   layer's Json module: this library links only compiler-libs. *)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 8) in

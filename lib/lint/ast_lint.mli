@@ -28,6 +28,11 @@
     markers on the reported line (see {!Ast_source}), sorted by
     file/line/rule, and deduplicated.
 
+    This is the entry point of the [locmap.lint] library, which
+    [bin/locmap_lint.ml] ([make lint]) runs. It is the only library in
+    the tree that links [compiler-libs]; the [locmap] executable does
+    not link it.
+
     {b Thread safety}: stateless; scanning allocates per call. *)
 
 val rules : string list

@@ -98,8 +98,8 @@ let plain_compute ~metrics ~on_phase (req : Request.t) :
   match Workloads.Registry.find_opt req.workload with
   | None -> Error (Fault.Unknown_workload req.workload)
   | Some entry -> (
-      if req.scale <= 0. then
-        Error (Fault.Invalid_request "scale must be positive")
+      if not (Request.valid_scale req.scale) then
+        Error (Fault.Invalid_request "scale must be positive and finite")
       else
         match Machine.Config.validate req.machine with
         | Error e -> Error (Fault.Invalid_request ("invalid machine config: " ^ e))

@@ -22,6 +22,8 @@ type t = {
   options : options;
 }
 
+let valid_scale s = Float.is_finite s && s > 0.
+
 let make ?(scale = 1.0) ?(machine = Machine.Config.default)
     ?(options = default_options) workload =
   { workload; scale; machine; options }
@@ -308,7 +310,7 @@ let of_json json =
     | None -> Ok default_options
     | Some v -> decode_options v
   in
-  if scale <= 0. then Error "scale: must be positive"
+  if not (valid_scale scale) then Error "scale: must be positive and finite"
   else
     let* () =
       Result.map_error

@@ -38,6 +38,10 @@ type t = {
   options : options;
 }
 
+val valid_scale : float -> bool
+(** [valid_scale s] holds when [s] is finite and positive: the scales
+    {!of_string}, [Api]'s compute and the CLI's [--scale] accept. *)
+
 val make :
   ?scale:float ->
   ?machine:Machine.Config.t ->

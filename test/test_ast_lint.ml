@@ -1,5 +1,5 @@
-(* Tests for the AST concurrency lint (Verify.Ast_lint over
-   Verify.Ast_source / Callgraph / Lock_analysis / Escape_analysis):
+(* Tests for the AST concurrency lint (Lint.Ast_lint over
+   Lint.Ast_source / Callgraph / Lock_analysis / Escape_analysis):
    every rule on inline sources, interprocedural and cross-file
    propagation, guard-wrapper replay, suppression markers, the JSON
    rendering, and the repository gates — the seeded-fixture self-test
@@ -11,21 +11,21 @@ let check_bool = Alcotest.(check bool)
 (* Inline units carry no .mli unless a test passes [~intf], so the
    contract rule stays out of the way of the other rules' tests. *)
 let unit_of ?intf path code =
-  { Verify.Ast_lint.src = Verify.Ast_source.load ~path ~code; intf }
+  { Lint.Ast_lint.src = Lint.Ast_source.load ~path ~code; intf }
 
 let scan ?intf ?(path = "inline.ml") code =
-  Verify.Ast_lint.scan_units [ unit_of ?intf path code ]
+  Lint.Ast_lint.scan_units [ unit_of ?intf path code ]
 
 let scan2 (p1, c1) (p2, c2) =
-  Verify.Ast_lint.scan_units [ unit_of p1 c1; unit_of p2 c2 ]
+  Lint.Ast_lint.scan_units [ unit_of p1 c1; unit_of p2 c2 ]
 
-let rules fs = List.map (fun (f : Verify.Ast_source.finding) -> f.rule) fs
+let rules fs = List.map (fun (f : Lint.Ast_source.finding) -> f.rule) fs
 let has rule fs = List.mem rule (rules fs)
 
 let pp fs =
   String.concat "; "
     (List.map
-       (fun (f : Verify.Ast_source.finding) ->
+       (fun (f : Lint.Ast_source.finding) ->
          Printf.sprintf "%s:%d:[%s] %s" f.file f.line f.rule f.message)
        fs)
 
@@ -117,7 +117,7 @@ let test_blocking_transitive () =
   check_bool "transitive blocking flagged" true (has "blocking-under-lock" fs);
   check_bool "finding names the callee chain" true
     (List.exists
-       (fun (f : Verify.Ast_source.finding) ->
+       (fun (f : Lint.Ast_source.finding) ->
          f.rule = "blocking-under-lock" && contains f.message "Unix.sleepf")
        fs)
 
@@ -382,12 +382,12 @@ let test_json_rendering () =
       "let lock = Mutex.create ()\n\
        let f () = Mutex.protect lock (fun () -> Unix.sleepf 0.1)\n"
   in
-  let json = Verify.Ast_lint.to_json fs in
+  let json = Lint.Ast_lint.to_json fs in
   check_bool "names the rule" true
     (contains json "\"rule\":\"blocking-under-lock\"");
   check_bool "counts findings" true (contains json "\"count\":1");
   check_bool "empty list renders" true
-    (contains (Verify.Ast_lint.to_json []) "\"count\":0")
+    (contains (Lint.Ast_lint.to_json []) "\"count\":0")
 
 (* ------------------------------------------------------------------ *)
 (* Repository gates. [dune runtest] runs with the test directory as
@@ -403,7 +403,7 @@ let locate candidates =
 
 let test_selftest_gate () =
   match
-    Verify.Ast_lint.selftest
+    Lint.Ast_lint.selftest
       ~dir:(locate [ "fixtures/ast_lint"; "test/fixtures/ast_lint" ])
   with
   | Ok _ -> ()
@@ -421,7 +421,7 @@ let test_repository_clean () =
     ]
   in
   let t0 = Unix.gettimeofday () in
-  let fs = Verify.Ast_lint.scan_dirs roots in
+  let fs = Lint.Ast_lint.scan_dirs roots in
   let dt = Unix.gettimeofday () -. t0 in
   check_int ("repository scan clean: " ^ pp fs) 0 (List.length fs);
   check_bool
@@ -432,7 +432,7 @@ let test_pool_reachable_sources_clean () =
   (* The code pool workers and handler domains run, scanned as a
      program of its own, stays clean too. *)
   let fs =
-    Verify.Ast_lint.scan_dirs
+    Lint.Ast_lint.scan_dirs
       [
         locate [ "../lib/service"; "lib/service" ];
         locate [ "../lib/harness"; "lib/harness" ];
@@ -449,7 +449,7 @@ let test_pool_reachable_sources_clean () =
 let test_seeded_fixture_flagged () =
   (* A file scanned from disk, not through the self-test driver. *)
   let fs =
-    Verify.Ast_lint.scan_files
+    Lint.Ast_lint.scan_files
       [
         locate
           [

@@ -141,6 +141,10 @@ let test_request_json_errors () =
   fails {|{"workload":"fft","machine":{"frobnicate":1}}|};
   fails {|{"workload":"fft","options":{"estimation":"psychic"}}|};
   fails {|{"workload":"fft","scale":-1}|};
+  (match Service.Request.of_string {|{"workload":"fft","scale":1e999}|} with
+  | Ok _ -> Alcotest.fail "an infinite scale must not decode"
+  | Error e ->
+      check string_t "names the rule" "scale: must be positive and finite" e);
   match Service.Request.of_string {|{"workload":"fft"}|} with
   | Ok r ->
       check bool_t "defaults applied" true
