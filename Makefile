@@ -170,16 +170,13 @@ chaos-net:
 sweep:
 	dune exec bin/locmap_cli.exe -- sweep -w fmm,lu,fft -m 4x4,6x6 -d 4
 
-# Concurrency lint (lib/lint, see Lint.Ast_lint): parsetree-based lock-order,
-# blocking-under-lock, domain-escape and thread-safety-contract rules,
-# interprocedural over a per-run call graph, scanning all of lib/, bin/
-# and bench/. Findings also land in lint_findings.json — the CI
-# artifact. Then the self-test gate: every rule must fire on its seeded
-# fixture and stay silent on the near-miss negative.
+# Concurrency lint (lib/lint, see Lint.Ast_lint): parsetree-based
+# lock-order-cycle, blocking-under-lock and domain-escape rules,
+# interprocedural over a per-run call graph. Its suite pins the scan of
+# lib/, bin/ and bench/ clean and checks every rule on inline cases;
+# `dune runtest` runs the same suite, so this target is a shortcut.
 lint:
-	dune build bin/locmap_lint.exe
-	./_build/default/bin/locmap_lint.exe --json lint_findings.json
-	./_build/default/bin/locmap_lint.exe --selftest test/fixtures/ast_lint
+	dune exec test/test_ast_lint.exe
 
 # Semantic verifier over every bundled workload, plus the negative
 # self-test (corrupted artifacts must be rejected).

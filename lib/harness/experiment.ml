@@ -45,9 +45,11 @@ type outcome = {
   info : Locmap.Mapper.info option;
 }
 
-(* Process-wide memo table. Guarded by [cache_lock] so figure drivers
-   may run from multiple domains; racing computations of the same key
-   are allowed (results are deterministic — last store wins). *)
+(* Process-wide memo table. Every caller today runs the figure drivers
+   on one domain (this library does not link [par]); [cache_lock] keeps
+   the table consistent should a caller spread them over several.
+   Racing computations of the same key would be allowed (results are
+   deterministic — last store wins). *)
 let cache : (string, outcome) Hashtbl.t = Hashtbl.create 256
 let cache_lock = Mutex.create ()
 

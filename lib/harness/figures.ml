@@ -17,8 +17,9 @@ let knl_apps =
   [ "fmm"; "cholesky"; "fft"; "lu"; "radix"; "mxm"; "hpccg"; "moldyn";
     "diff" ]
 
-(* Mutex-guarded like [Experiment]'s memo table, so drivers may run
-   from any domain. *)
+(* Mutex-guarded like [Experiment]'s memo table: one domain runs the
+   drivers today, and the lock keeps the table consistent if several
+   ever do. *)
 let prepared_cache : (string * float, Experiment.prepared) Hashtbl.t =
   Hashtbl.create 64
 

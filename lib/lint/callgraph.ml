@@ -1,11 +1,4 @@
-type func = {
-  fq : string;
-  name : string;
-  params : string list;
-  body : Parsetree.expression;
-  line : int;
-  src : Ast_source.t;
-}
+type func = { fq : string; body : Parsetree.expression; src : Ast_source.t }
 
 type t = {
   funcs : func list;
@@ -14,16 +7,14 @@ type t = {
 }
 
 (* Peel the [fun]-parameter spine of a binding's right-hand side. A
-   labelled parameter is stored as ["~name"] (["?name"] when optional)
-   so call sites can match labelled arguments by name and positional
-   ones by position; an unnamed pattern becomes ["_"]. *)
+   labelled or optional parameter is named by its label; an unnamed
+   pattern becomes ["_"]. *)
 let rec peel_params e =
   match e.Parsetree.pexp_desc with
   | Parsetree.Pexp_fun (label, _, pat, body) ->
       let name =
         match label with
-        | Asttypes.Labelled l -> "~" ^ l
-        | Asttypes.Optional l -> "?" ^ l
+        | Asttypes.Labelled l | Asttypes.Optional l -> l
         | Asttypes.Nolabel -> (
             match pat.Parsetree.ppat_desc with
             | Parsetree.Ppat_var { txt; _ } -> txt
@@ -34,26 +25,6 @@ let rec peel_params e =
   | Parsetree.Pexp_newtype (_, body) -> peel_params body
   | _ -> ([], e)
 
-let strip_param p =
-  if p = "" then p
-  else match p.[0] with
-    | '~' | '?' -> String.sub p 1 (String.length p - 1)
-    | _ -> p
-
-(* Which declared parameter does each argument of a call bind to?
-   Labelled arguments match by name, positional ones by position among
-   the positional parameters. Returns the stripped parameter name. *)
-let param_for_arg params ~label ~pos_index =
-  match (label : Asttypes.arg_label) with
-  | Labelled l | Optional l ->
-      if List.exists (fun p -> strip_param p = l && p <> l) params then Some l
-      else None
-  | Nolabel -> (
-      let positional = List.filter (fun p -> strip_param p = p) params in
-      match List.nth_opt positional pos_index with
-      | Some p when p <> "_" -> Some p
-      | _ -> None)
-
 let rec funcs_of_structure src prefix (str : Parsetree.structure) =
   List.concat_map
     (fun (item : Parsetree.structure_item) ->
@@ -63,16 +34,8 @@ let rec funcs_of_structure src prefix (str : Parsetree.structure) =
             (fun (vb : Parsetree.value_binding) ->
               match vb.pvb_pat.ppat_desc with
               | Ppat_var { txt = name; _ } ->
-                  let params, body = peel_params vb.pvb_expr in
-                  Some
-                    {
-                      fq = prefix ^ "." ^ name;
-                      name;
-                      params;
-                      body;
-                      line = vb.pvb_loc.loc_start.pos_lnum;
-                      src;
-                    }
+                  let _, body = peel_params vb.pvb_expr in
+                  Some { fq = prefix ^ "." ^ name; body; src }
               | _ -> None)
             vbs
       | Pstr_module
@@ -89,9 +52,7 @@ let build sources =
   let funcs =
     List.concat_map
       (fun (src : Ast_source.t) ->
-        match src.Ast_source.ast with
-        | None -> []
-        | Some str -> funcs_of_structure src src.Ast_source.modname str)
+        funcs_of_structure src src.Ast_source.modname src.Ast_source.ast)
       sources
   in
   let by_fq = Hashtbl.create 256 in

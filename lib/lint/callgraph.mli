@@ -17,11 +17,7 @@
 
 type func = {
   fq : string;  (** fully-qualified: ["Server.handle"] *)
-  name : string;  (** last component *)
-  params : string list;
-      (** in order; labelled as ["~name"], optional as ["?name"] *)
   body : Parsetree.expression;  (** after peeling the [fun] spine *)
-  line : int;  (** 1-based line of the binding *)
   src : Ast_source.t;
 }
 
@@ -34,18 +30,8 @@ type t = {
 val peel_params : Parsetree.expression -> string list * Parsetree.expression
 (** Split a binding RHS into its parameter names and inner body. *)
 
-val strip_param : string -> string
-(** Drop the ["~"]/["?"] label marker from a parameter name. *)
-
-val param_for_arg :
-  string list -> label:Asttypes.arg_label -> pos_index:int -> string option
-(** The stripped name of the declared parameter an argument binds to:
-    labelled arguments by label, the [pos_index]-th positional argument
-    by position among positional parameters. *)
-
 val build : Ast_source.t list -> t
-(** Index every parsed source; files with parse errors contribute no
-    functions. *)
+(** Index every parsed source. *)
 
 val resolve : t -> current_module:string -> Longident.t -> func list
 (** All known bindings a call-site identifier may refer to (empty for

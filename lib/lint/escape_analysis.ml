@@ -29,27 +29,23 @@ let creator_kind (e : expression) =
 
 let toplevel_kinds (src : Ast_source.t) =
   let tbl = Hashtbl.create 16 in
-  (match src.ast with
-  | None -> ()
-  | Some str ->
-      List.iter
-        (fun (item : structure_item) ->
-          match item.pstr_desc with
-          | Pstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  match vb.pvb_pat.ppat_desc with
-                  | Ppat_var { txt; _ } -> (
-                      (* A binding with parameters creates per-call
-                         state, not shared state. *)
-                      match Callgraph.peel_params vb.pvb_expr with
-                      | [], body ->
-                          Hashtbl.replace tbl txt (creator_kind body)
-                      | _ -> ())
+  List.iter
+    (fun (item : structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              match vb.pvb_pat.ppat_desc with
+              | Ppat_var { txt; _ } -> (
+                  (* A binding with parameters creates per-call state,
+                     not shared state. *)
+                  match Callgraph.peel_params vb.pvb_expr with
+                  | [], body -> Hashtbl.replace tbl txt (creator_kind body)
                   | _ -> ())
-                vbs
-          | _ -> ())
-        str);
+              | _ -> ())
+            vbs
+      | _ -> ())
+    src.ast;
   tbl
 
 (* ------------------------------------------------------------------ *)
@@ -100,7 +96,7 @@ type use = { u_line : int; u_what : string }
    closure binds itself; [locked] is true inside a [Mutex.protect]/
    [Mutex.lock] region. Collects (a) uses of captured names, and
    (b) unlocked mutations whose target is captured. *)
-let scan_closure ~modname body =
+let scan_closure body =
   let uses : (string, use list) Hashtbl.t = Hashtbl.create 16 in
   let mutations : (string * use) list ref = ref [] in
   let line e = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
@@ -208,7 +204,6 @@ let scan_closure ~modname body =
         in
         Ast_iterator.default_iterator.expr it e
   in
-  ignore modname;
   walk [] false body;
   (uses, !mutations)
 
@@ -243,11 +238,8 @@ let analyze (cg : Callgraph.t) =
           fmt
       in
       let check_sink sink_name closure =
-        let params, body = Callgraph.peel_params closure in
-        let bound0 = List.map Callgraph.strip_param params in
-        let uses, mutations =
-          scan_closure ~modname:src.Ast_source.modname body
-        in
+        let bound0, body = Callgraph.peel_params closure in
+        let uses, mutations = scan_closure body in
         (* strip closure parameters from both result sets *)
         let captured_uses =
           Hashtbl.fold

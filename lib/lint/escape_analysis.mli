@@ -27,13 +27,5 @@
 
     {b Thread safety}: stateless; analysis allocates per call. *)
 
-type kind = Mutable | Atomic | Mutex | Other
-
-val toplevel_kinds : Ast_source.t -> (string, kind) Hashtbl.t
-(** How each parameterless top-level binding of the file is created —
-    the classification behind both the escape rule and {!Ast_lint}'s
-    concurrency-surface test. *)
-
 val analyze : Callgraph.t -> Ast_source.finding list
-(** All domain-escape findings over the graph's sources, unfiltered
-    (suppression markers are applied by {!Ast_lint}). *)
+(** All domain-escape findings over the graph's sources. *)

@@ -8,29 +8,19 @@ type edge = {
   e_via : string;
 }
 
-type call = {
-  callee : Longident.t;
-  held_at : string list;
-  call_line : int;
-  call_args : (Asttypes.arg_label * expression) list;
-  mutable replayed : bool;
-}
+type call = { callee : Longident.t; held_at : string list; call_line : int }
 
 type summary = {
   func : Callgraph.func;
-  mutable acquires : (string * int) list;
-  mutable blockers : (string * string option * int) list;
-      (** op, released mutex (Condition.wait), line *)
+  mutable acquires : string list;
+  mutable blockers : string list;
   mutable calls : call list;
-  mutable params_under_lock : (string * string list) list;
-      (** stripped param name, locks held when it is invoked *)
 }
 
 type ctx = {
   sum : summary;
   modname : string;
   file : string;
-  params : string list;  (** stripped names of the enclosing function *)
   findings : Ast_source.finding list ref;
   edges : edge list ref;
 }
@@ -92,30 +82,29 @@ let finding ctx ~line ~rule fmt =
         { Ast_source.file = ctx.file; line; rule; message } :: !(ctx.findings))
     fmt
 
-let add_edge ctx ~line ?(via = "") from_lock to_lock =
-  if from_lock <> to_lock then
-    ctx.edges :=
-      { from_lock; to_lock; e_file = ctx.file; e_line = line; e_via = via }
-      :: !(ctx.edges)
+let add_edge ctx ~line from_lock to_lock =
+  ctx.edges :=
+    { from_lock; to_lock; e_file = ctx.file; e_line = line; e_via = "" }
+    :: !(ctx.edges)
 
 let release held id = List.filter (fun x -> x <> id) held
 
+(* Re-acquiring a held mutex adds no ordering; OCaml's error-checking
+   mutex raises [Sys_error] wherever a test reaches it. *)
 let acquire ctx held ~line id =
-  if List.mem id held then begin
-    finding ctx ~line ~rule:"double-acquire"
-      "mutex %s acquired while already held (OCaml mutexes are \
-       non-reentrant: this self-deadlocks)"
-      id;
-    held
-  end
+  if List.mem id held then held
   else begin
     List.iter (fun h -> add_edge ctx ~line h id) held;
-    ctx.sum.acquires <- (id, line) :: ctx.sum.acquires;
+    ctx.sum.acquires <- id :: ctx.sum.acquires;
     held @ [ id ]
   end
 
+let record_call ctx ~line held callee =
+  ctx.sum.calls <-
+    { callee; held_at = held; call_line = line } :: ctx.sum.calls
+
 let blocker ctx ~line ?released op held =
-  ctx.sum.blockers <- (op, released, line) :: ctx.sum.blockers;
+  ctx.sum.blockers <- op :: ctx.sum.blockers;
   let h =
     match released with Some m -> release held m | None -> held
   in
@@ -129,26 +118,6 @@ let blocker ctx ~line ?released op held =
    sequences and [let] chains; branches are each analysed with the
    lock set at entry (a lock or unlock local to one branch does not
    leak past the join — see the .mli for what that misses). *)
-
-let collect_unlocks ~modname e =
-  let acc = ref [] in
-  let rec it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun _ ce ->
-          (match ce.pexp_desc with
-          | Pexp_apply
-              ( { pexp_desc = Pexp_ident { txt; _ }; _ },
-                [ (_, m) ] )
-            when flatten txt = [ "Mutex"; "unlock" ] ->
-              acc := lock_id ~modname m :: !acc
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it ce);
-    }
-  in
-  it.expr it e;
-  !acc
 
 let rec walk ctx held (e : expression) : string list =
   let line = e.pexp_loc.Location.loc_start.Lexing.pos_lnum in
@@ -214,32 +183,6 @@ let rec walk ctx held (e : expression) : string list =
       Ast_iterator.default_iterator.expr it e;
       held
 
-(* The function-valued argument of a guard wrapper ([Mutex.protect],
-   [Fun.protect], or a discovered in-repo wrapper): analyse it as
-   running with [held]. *)
-and invoke_under ctx held f =
-  match f.pexp_desc with
-  | Pexp_fun _ | Pexp_function _ -> ignore (walk ctx held f)
-  | Pexp_ident { txt = Longident.Lident p; _ } when List.mem p ctx.params ->
-      if
-        not
-          (List.exists
-             (fun (q, h) -> q = p && h = held)
-             ctx.sum.params_under_lock)
-      then
-        ctx.sum.params_under_lock <- (p, held) :: ctx.sum.params_under_lock
-  | Pexp_ident { txt; _ } ->
-      ctx.sum.calls <-
-        {
-          callee = txt;
-          held_at = held;
-          call_line = f.pexp_loc.Location.loc_start.Lexing.pos_lnum;
-          call_args = [];
-          replayed = false;
-        }
-        :: ctx.sum.calls
-  | _ -> ignore (walk ctx held f)
-
 and apply ctx held ~line lid args =
   let parts = flatten lid in
   let name = String.concat "." parts in
@@ -249,47 +192,28 @@ and apply ctx held ~line lid args =
   | "Mutex.unlock", [ (_, m) ] ->
       release held (lock_id ~modname:ctx.modname m)
   | "Mutex.protect", (_, m) :: rest ->
-      let id = lock_id ~modname:ctx.modname m in
-      let held' = acquire ctx held ~line id in
-      (match rest with
-      | [ (_, f) ] -> invoke_under ctx held' f
-      | _ -> List.iter (fun (_, a) -> ignore (walk ctx held' a)) rest);
+      let held' = acquire ctx held ~line (lock_id ~modname:ctx.modname m) in
+      (* The critical section: a closure, or a named function called
+         with the lock held. *)
+      List.iter
+        (fun (_, f) ->
+          match f.pexp_desc with
+          | Pexp_ident { txt; _ } -> record_call ctx ~line held' txt
+          | _ -> ignore (walk ctx held' f))
+        rest;
       held
   | "Condition.wait", [ (_, _c); (_, m) ] ->
       blocker ctx ~line
         ~released:(lock_id ~modname:ctx.modname m)
         "Condition.wait" held;
       held
-  | "Fun.protect", _ ->
-      let unlocked = ref [] in
-      let body_arg = ref None in
-      List.iter
-        (fun ((l : Asttypes.arg_label), a) ->
-          match l with
-          | Labelled "finally" ->
-              unlocked :=
-                collect_unlocks ~modname:ctx.modname a @ !unlocked;
-              ignore (walk ctx held a)
-          | _ -> body_arg := Some a)
-        args;
-      Option.iter (fun f -> invoke_under ctx held f) !body_arg;
-      List.fold_left release held !unlocked
   | _ when List.mem name blocking_ops ->
       blocker ctx ~line name held;
       List.iter (fun (_, a) -> ignore (walk ctx held a)) args;
       held
   | _ ->
       let async = is_async_sink parts in
-      if parts <> [] then
-        ctx.sum.calls <-
-          {
-            callee = lid;
-            held_at = held;
-            call_line = line;
-            call_args = args;
-            replayed = false;
-          }
-          :: ctx.sum.calls;
+      if parts <> [] then record_call ctx ~line held lid;
       (* Arguments of an async sink — the task closure and anything
          used to build it, e.g. [Domain.spawn (worker_loop pool)] —
          run on the spawned domain with an empty lock set. *)
@@ -313,91 +237,21 @@ and apply ctx held ~line lid args =
       held
 
 (* ------------------------------------------------------------------ *)
-(* Driver: summaries, wrapper replay, transitive effects, cycles.      *)
+(* Driver: summaries, transitive effects, cycles.                     *)
 
 let summarize findings edges (f : Callgraph.func) =
-  let sum =
-    { func = f; acquires = []; blockers = []; calls = []; params_under_lock = [] }
-  in
+  let sum = { func = f; acquires = []; blockers = []; calls = [] } in
   let ctx =
     {
       sum;
       modname = f.src.Ast_source.modname;
       file = f.src.Ast_source.path;
-      params = List.map Callgraph.strip_param f.params;
       findings;
       edges;
     }
   in
   ignore (walk ctx [] f.body);
   sum
-
-(* Replay literal closures handed to discovered guard wrappers: when
-   [g]'s summary says it invokes parameter [p] holding [L], a call
-   [g ... (fun () -> body) ...] runs [body] with the caller's locks
-   plus [L]. One worklist pass; closures analysed at most once per
-   call site. *)
-let replay_wrapper_closures findings edges cg summaries by_fq =
-  let queue = Queue.create () in
-  List.iter (fun s -> List.iter (fun c -> Queue.push (s, c) queue) s.calls) summaries;
-  while not (Queue.is_empty queue) do
-    let s, c = Queue.pop queue in
-    if not c.replayed then begin
-      c.replayed <- true;
-      let callees =
-        List.concat_map
-          (fun (g : Callgraph.func) -> Hashtbl.find_all by_fq g.fq)
-          (Callgraph.resolve cg
-             ~current_module:s.func.src.Ast_source.modname c.callee)
-      in
-      List.iter
-        (fun (g : summary) ->
-          if g.params_under_lock <> [] then begin
-            let pos = ref (-1) in
-            List.iter
-              (fun ((label : Asttypes.arg_label), arg) ->
-                if label = Nolabel then incr pos;
-                if is_closure arg then
-                  match
-                    Callgraph.param_for_arg g.func.params ~label
-                      ~pos_index:!pos
-                  with
-                  | Some p -> (
-                      match List.assoc_opt p g.params_under_lock with
-                      | Some extra ->
-                          let held =
-                            c.held_at
-                            @ List.filter
-                                (fun l -> not (List.mem l c.held_at))
-                                extra
-                          in
-                          let before = s.calls in
-                          let ctx =
-                            {
-                              sum = s;
-                              modname = s.func.src.Ast_source.modname;
-                              file = s.func.src.Ast_source.path;
-                              params =
-                                List.map Callgraph.strip_param
-                                  s.func.params;
-                              findings;
-                              edges;
-                            }
-                          in
-                          ignore (walk ctx held arg);
-                          (* enqueue calls the replay discovered *)
-                          List.iter
-                            (fun c' ->
-                              if not (List.memq c' before) then
-                                Queue.push (s, c') queue)
-                            s.calls
-                      | None -> ())
-                  | None -> ())
-              c.call_args
-          end)
-        callees
-    end
-  done
 
 module SM = Map.Make (String)
 
@@ -412,13 +266,13 @@ let transitive summaries graph_resolve =
       let fq = s.func.Callgraph.fq in
       let b =
         List.fold_left
-          (fun m (op, _, _) -> SM.add op "" m)
+          (fun m op -> SM.add op "" m)
           (get blockers fq) s.blockers
       in
       Hashtbl.replace blockers fq b;
       let l =
         List.fold_left
-          (fun m (id, _) -> SM.add id "" m)
+          (fun m id -> SM.add id "" m)
           (get locks fq) s.acquires
       in
       Hashtbl.replace locks fq l)
@@ -517,9 +371,6 @@ let cycles edges =
 let analyze (cg : Callgraph.t) =
   let findings = ref [] and edges = ref [] in
   let summaries = List.map (summarize findings edges) cg.funcs in
-  let by_fq = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.add by_fq s.func.Callgraph.fq s) summaries;
-  replay_wrapper_closures findings edges cg summaries by_fq;
   let resolve = Callgraph.resolve cg in
   let trans_blockers, trans_locks = transitive summaries resolve in
   (* Call-site checks: calling into code that eventually blocks or
@@ -555,13 +406,8 @@ let analyze (cg : Callgraph.t) =
                 match Hashtbl.find_opt trans_locks g.fq with
                 | Some ls ->
                     SM.iter
-                      (fun l via ->
-                        if List.mem l c.held_at then
-                          ctx_find ~line:c.call_line ~rule:"double-acquire"
-                            "call to %s re-acquires %s%s already held here"
-                            g.fq l
-                            (if via = "" then "" else " (via " ^ via ^ ")")
-                        else
+                      (fun l _ ->
+                        if not (List.mem l c.held_at) then
                           List.iter
                             (fun h ->
                               edges :=

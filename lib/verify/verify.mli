@@ -3,9 +3,9 @@
     One of two static-analysis prongs (see DESIGN.md, "Verification &
     lint"). This one checks what the pipeline emits; the other, the
     concurrency lint over the repository's own sources, is the
-    [locmap.lint] library ([Lint.Ast_lint], [bin/locmap_lint.ml],
-    [make lint]). The lint alone links [compiler-libs], so nothing
-    that links this library carries the compiler.
+    [locmap.lint] library ([Lint.Ast_lint], run by
+    [test/test_ast_lint.ml]). The lint alone links [compiler-libs], so
+    nothing that links this library carries the compiler.
 
     [Locmap.Invariant] states the pipeline's invariants as pure check
     primitives; this module composes them — plus IR well-formedness

@@ -53,7 +53,6 @@ let blocked_table ~rng ~n ~degree ~block ~target =
       let hi = min block (target - base) in
       base + Random.State.int rng (max 1 hi))
 
-let t_ = Ir.Affine.var "t"
 let i_ = Ir.Affine.var "i"
 let v name = Ir.Affine.var name
 let c k = Ir.Affine.const k

@@ -82,9 +82,6 @@ val sliced :
 
 (** {2 Access shorthands} *)
 
-val t_ : Ir.Affine.t
-(** The timing-step variable (see {!Ir.Trace.step_var}). *)
-
 val i_ : Ir.Affine.t
 (** The conventional parallel loop variable ["i"]. *)
 

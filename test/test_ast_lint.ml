@@ -1,23 +1,17 @@
 (* Tests for the AST concurrency lint (Lint.Ast_lint over
    Lint.Ast_source / Callgraph / Lock_analysis / Escape_analysis):
    every rule on inline sources, interprocedural and cross-file
-   propagation, guard-wrapper replay, suppression markers, the JSON
-   rendering, and the repository gates — the seeded-fixture self-test
-   and the pinned-clean scan of the whole tree. *)
+   propagation, and the repository gates — each rule's seeded positive
+   and near-miss negative, and the pinned-clean scan of the whole
+   tree. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-(* Inline units carry no .mli unless a test passes [~intf], so the
-   contract rule stays out of the way of the other rules' tests. *)
-let unit_of ?intf path code =
-  { Lint.Ast_lint.src = Lint.Ast_source.load ~path ~code; intf }
-
-let scan ?intf ?(path = "inline.ml") code =
-  Lint.Ast_lint.scan_units [ unit_of ?intf path code ]
+let source path code = Lint.Ast_source.load ~path ~code
+let scan ?(path = "inline.ml") code = Lint.Ast_lint.scan [ source path code ]
 
 let scan2 (p1, c1) (p2, c2) =
-  Lint.Ast_lint.scan_units [ unit_of p1 c1; unit_of p2 c2 ]
+  Lint.Ast_lint.scan [ source p1 c1; source p2 c2 ]
 
 let rules fs = List.map (fun (f : Lint.Ast_source.finding) -> f.rule) fs
 let has rule fs = List.mem rule (rules fs)
@@ -35,26 +29,82 @@ let contains s sub =
   go 0
 
 (* ------------------------------------------------------------------ *)
+(* Seeded bugs: one positive and one near-miss negative per rule.      *)
+
+(* The classic ABBA deadlock: [transfer] nests [a] -> [b], [audit]
+   nests [b] -> [a]. *)
+let abba =
+  "let a = Mutex.create ()\n\
+   let b = Mutex.create ()\n\
+   let balance = ref 0\n\
+   let transfer n =\n\
+  \  Mutex.protect a (fun () -> Mutex.protect b (fun () -> balance := \
+   !balance - n))\n\
+   let audit () = Mutex.protect b (fun () -> Mutex.protect a (fun () -> \
+   !balance))\n"
+
+(* The same nesting in one global order: no cycle. *)
+let consistent_order =
+  "let a = Mutex.create ()\n\
+   let b = Mutex.create ()\n\
+   let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 0))\n\
+   let g () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 1))\n"
+
+(* [poll] sleeps and [join_all] joins domains while holding the mutex:
+   either stalls every domain that wants [lock]. *)
+let blocking =
+  "let lock = Mutex.create ()\n\
+   let pending = ref []\n\
+   let poll () =\n\
+  \  Mutex.protect lock (fun () -> Unix.sleepf 0.01; List.length !pending)\n\
+   let join_all () =\n\
+  \  Mutex.protect lock (fun () -> List.iter Domain.join !pending; pending \
+   := [])\n"
+
+(* The same operations, correctly structured: the sleep comes after the
+   release, and [Condition.wait] releases the only mutex held. *)
+let not_blocking =
+  "let lock = Mutex.create ()\n\
+   let cv = Condition.create ()\n\
+   let pending = ref []\n\
+   let poll () =\n\
+  \  let n = Mutex.protect lock (fun () -> List.length !pending) in\n\
+  \  Unix.sleepf 0.01;\n\
+  \  n\n\
+   let await () =\n\
+  \  Mutex.protect lock (fun () ->\n\
+  \      while !pending = [] do Condition.wait cv lock done)\n"
+
+(* A spawned closure mutates a top-level [ref] with no lock held. *)
+let escape =
+  "let hits = ref 0\n\
+   let f () = Domain.spawn (fun () -> hits := !hits + 1)\n"
+
+(* The same counter, touched only under its mutex, beside an atomic. *)
+let no_escape =
+  "let lock = Mutex.create ()\n\
+   let hits = ref 0\n\
+   let total = Atomic.make 0\n\
+   let f () =\n\
+  \  Domain.spawn (fun () ->\n\
+  \      Mutex.protect lock (fun () -> hits := !hits + 1);\n\
+  \      Atomic.incr total)\n"
+
+let seeded =
+  [
+    ("lock-order-cycle", abba, consistent_order);
+    ("blocking-under-lock", blocking, not_blocking);
+    ("domain-escape", escape, no_escape);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* lock-order-cycle *)
 
 let test_abba_cycle () =
-  let fs =
-    scan
-      "let a = Mutex.create ()\n\
-       let b = Mutex.create ()\n\
-       let fwd () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 0))\n\
-       let bwd () = Mutex.protect b (fun () -> Mutex.protect a (fun () -> 1))\n"
-  in
-  check_bool "ABBA nesting flagged" true (has "lock-order-cycle" fs)
+  check_bool "ABBA nesting flagged" true (has "lock-order-cycle" (scan abba))
 
 let test_consistent_order_clean () =
-  let fs =
-    scan
-      "let a = Mutex.create ()\n\
-       let b = Mutex.create ()\n\
-       let f () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 0))\n\
-       let g () = Mutex.protect a (fun () -> Mutex.protect b (fun () -> 1))\n"
-  in
+  let fs = scan consistent_order in
   check_int ("consistent order clean: " ^ pp fs) 0 (List.length fs)
 
 let test_cross_file_cycle () =
@@ -73,19 +123,23 @@ let test_cross_file_cycle () =
   in
   check_bool "cross-file ABBA flagged" true (has "lock-order-cycle" fs)
 
-(* ------------------------------------------------------------------ *)
-(* double-acquire *)
-
-let test_double_acquire_via_callee () =
+let test_cycle_via_callees () =
+  (* Each side takes its second lock inside a callee: the edges come
+     from the transitive lock summaries. *)
   let fs =
     scan
-      "let lock = Mutex.create ()\n\
-       let size () = Mutex.protect lock (fun () -> 0)\n\
-       let add () = Mutex.protect lock (fun () -> size ())\n"
+      "let a = Mutex.create ()\n\
+       let b = Mutex.create ()\n\
+       let take_a () = Mutex.protect a (fun () -> 0)\n\
+       let take_b () = Mutex.protect b (fun () -> 0)\n\
+       let f () = Mutex.protect a (fun () -> take_b ())\n\
+       let g () = Mutex.protect b (fun () -> take_a ())\n"
   in
-  check_bool "nested call re-acquires" true (has "double-acquire" fs)
+  check_bool "ABBA through callees flagged" true (has "lock-order-cycle" fs)
 
 let test_sequential_acquire_clean () =
+  (* Re-acquiring a mutex after its release, directly or in a callee,
+     is no ordering at all. *)
   let fs =
     scan
       "let lock = Mutex.create ()\n\
@@ -121,15 +175,18 @@ let test_blocking_transitive () =
          f.rule = "blocking-under-lock" && contains f.message "Unix.sleepf")
        fs)
 
+let test_join_via_iterator () =
+  (* A blocking primitive handed to an iterator runs under the caller's
+     lock set. *)
+  let fs = scan blocking in
+  check_bool "List.iter Domain.join under lock flagged" true
+    (List.exists
+       (fun (f : Lint.Ast_source.finding) ->
+         f.rule = "blocking-under-lock" && contains f.message "Domain.join")
+       fs)
+
 let test_condition_wait_own_mutex_clean () =
-  let fs =
-    scan
-      "let lock = Mutex.create ()\n\
-       let cv = Condition.create ()\n\
-       let await p =\n\
-      \  Mutex.protect lock (fun () ->\n\
-      \      while not (p ()) do Condition.wait cv lock done)\n"
-  in
+  let fs = scan not_blocking in
   check_int ("wait on own mutex clean: " ^ pp fs) 0 (List.length fs)
 
 let test_condition_wait_foreign_mutex_flagged () =
@@ -144,29 +201,6 @@ let test_condition_wait_foreign_mutex_flagged () =
       \      Mutex.protect b (fun () -> Condition.wait cv b))\n"
   in
   check_bool "second lock held across wait" true (has "blocking-under-lock" fs)
-
-let test_guard_wrapper_replay () =
-  (* The lib/service [locked] idiom: the wrapper owns the locking, so
-     a closure that blocks must be reported at its call site. *)
-  let code =
-    "let lock = Mutex.create ()\n\
-     let locked f =\n\
-    \  Mutex.lock lock;\n\
-    \  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f\n\
-     let bad () = locked (fun () -> Unix.sleepf 0.1)\n"
-  in
-  let fs = scan code in
-  check_bool "closure replayed under wrapper lock" true
-    (has "blocking-under-lock" fs);
-  let ok =
-    scan
-      "let lock = Mutex.create ()\n\
-       let locked f =\n\
-      \  Mutex.lock lock;\n\
-      \  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f\n\
-       let fine () = locked (fun () -> 42)\n"
-  in
-  check_int ("non-blocking closure clean: " ^ pp ok) 0 (List.length ok)
 
 let test_async_sink_args_run_unlocked () =
   (* Regression for a spawn-under-lock shape: [worker st] is a
@@ -186,24 +220,10 @@ let test_async_sink_args_run_unlocked () =
 (* domain-escape *)
 
 let test_escape_unguarded_flagged () =
-  let fs =
-    scan
-      "let hits = ref 0\n\
-       let f () = Domain.spawn (fun () -> hits := !hits + 1)\n"
-  in
-  check_bool "unguarded capture flagged" true (has "domain-escape" fs)
+  check_bool "unguarded capture flagged" true (has "domain-escape" (scan escape))
 
 let test_escape_guarded_clean () =
-  let fs =
-    scan
-      "let lock = Mutex.create ()\n\
-       let hits = ref 0\n\
-       let total = Atomic.make 0\n\
-       let f () =\n\
-      \  Domain.spawn (fun () ->\n\
-      \      Mutex.protect lock (fun () -> hits := !hits + 1);\n\
-      \      Atomic.incr total)\n"
-  in
+  let fs = scan no_escape in
   check_int ("guarded and atomic captures clean: " ^ pp fs) 0
     (List.length fs)
 
@@ -242,9 +262,8 @@ let test_escape_record_field_guarded_clean () =
   check_int ("field mutation under the lock clean: " ^ pp fs) 0
     (List.length fs)
 
-(* mutable-state: the shared-state cases of the retired lexical tier,
-   restated as what the AST lint checks — the state is flagged once a
-   spawned closure touches it unguarded, and stays clean otherwise. *)
+(* mutable-state: shared top-level state is flagged once a spawned
+   closure touches it unguarded, and stays clean otherwise. *)
 
 let test_unguarded_ref () =
   let fs =
@@ -290,104 +309,15 @@ let test_guard_wrapper_recognised () =
   check_bool "raw use beside the wrapper flagged" true
     (has "domain-escape" raw)
 
-let test_lint_ignore () =
-  (* A bare marker, with no [rule] filter, suppresses any finding on
-     its line. *)
-  let fs =
-    scan
-      "let hits = ref 0\n\
-       let f () = Domain.spawn (fun () -> incr hits) (* lint:ignore — \
-       metrics, read racily *)\n"
-  in
-  check_int ("lint:ignore suppresses: " ^ pp fs) 0 (List.length fs)
-
-let test_contract_rule () =
-  (* The contract is owed only by a unit that has an .mli: the same
-     concurrency surface scanned without one reports nothing. *)
-  let code = "let m = Mutex.create ()\nlet f g = Mutex.protect m g\n" in
-  check_bool "mli without contract flagged" true
-    (has "missing-thread-safety-contract"
-       (scan ~intf:"(** Locked. *)\nval f : (unit -> 'a) -> 'a\n" code));
-  check_int "contract accepted" 0
-    (List.length (scan ~intf:"(** {b Thread safety}: locked. *)\n" code));
-  check_int "no mli, nothing to check" 0 (List.length (scan code))
-
 (* ------------------------------------------------------------------ *)
-(* suppression, contract rule, parse errors, JSON *)
+(* plumbing *)
 
-let test_suppression_marker () =
-  let sleep_suppressed =
-    "let lock = Mutex.create ()\n\
-     let f () =\n\
-    \  Mutex.protect lock (fun () ->\n\
-    \      (* lint:ignore[blocking-under-lock] test justification *)\n\
-    \      Unix.sleepf 0.1)\n"
-  in
-  (* The marker sits on the line before the sleep; move it onto the
-     finding line to make it effective. *)
-  let on_line =
-    "let lock = Mutex.create ()\n\
-     let f () =\n\
-    \  Mutex.protect lock (fun () ->\n\
-    \      Unix.sleepf 0.1 (* lint:ignore[blocking-under-lock] test *))\n"
-  in
-  check_bool "marker on another line does not suppress" true
-    (has "blocking-under-lock" (scan sleep_suppressed));
-  check_int "marker on the finding line suppresses" 0
-    (List.length (scan on_line));
-  let wrong_rule =
-    "let lock = Mutex.create ()\n\
-     let f () =\n\
-    \  Mutex.protect lock (fun () ->\n\
-    \      Unix.sleepf 0.1 (* lint:ignore[domain-escape] test *))\n"
-  in
-  check_bool "marker for another rule keeps the finding" true
-    (has "blocking-under-lock" (scan wrong_rule))
-
-let test_contract_rule_ast_driven () =
-  (* A pure module owes no contract, even with an .mli. *)
-  let pure =
-    scan ~intf:"(** Pure helpers. *)\nval x : int\n" "let x = 1\n"
-  in
-  check_int ("pure module exempt: " ^ pp pure) 0 (List.length pure);
-  (* Mutex use demands one. *)
-  let conc_code =
-    "let m = Mutex.create ()\nlet f g = Mutex.protect m g\n"
-  in
-  let missing = scan ~intf:"(** Locked. *)\n" conc_code in
-  check_bool "concurrency surface without contract flagged" true
-    (has "missing-thread-safety-contract" missing);
-  let ok =
-    scan
-      ~intf:"(** Locked.\n\n    {b Thread safety}: fully thread-safe. *)\n"
-      conc_code
-  in
-  check_int ("documented contract accepted: " ^ pp ok) 0 (List.length ok);
-  (* A mutable record field is a concurrency surface too. *)
-  let mut =
-    scan ~intf:"(** T. *)\n"
-      "type t = { mutable n : int }\nlet get t = t.n\n"
-  in
-  check_bool "mutable field counts as surface" true
-    (has "missing-thread-safety-contract" mut)
-
-let test_parse_error_degrades () =
-  let fs = scan "let = (\n" in
-  check_bool "broken file yields parse-error" true (has "parse-error" fs);
-  check_int "and nothing else" 1 (List.length fs)
-
-let test_json_rendering () =
-  let fs =
-    scan
-      "let lock = Mutex.create ()\n\
-       let f () = Mutex.protect lock (fun () -> Unix.sleepf 0.1)\n"
-  in
-  let json = Lint.Ast_lint.to_json fs in
-  check_bool "names the rule" true
-    (contains json "\"rule\":\"blocking-under-lock\"");
-  check_bool "counts findings" true (contains json "\"count\":1");
-  check_bool "empty list renders" true
-    (contains (Lint.Ast_lint.to_json []) "\"count\":0")
+let test_parse_error_fails () =
+  (* The lint scans a tree that already compiled: a file that does not
+     parse is an error of the scan, never a silent pass. *)
+  match scan "let = (\n" with
+  | fs -> Alcotest.failf "broken file scanned: %s" (pp fs)
+  | exception Syntaxerr.Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Repository gates. [dune runtest] runs with the test directory as
@@ -401,18 +331,21 @@ let locate candidates =
         (String.concat ", " candidates)
         (Sys.getcwd ())
 
-let test_selftest_gate () =
-  match
-    Lint.Ast_lint.selftest
-      ~dir:(locate [ "fixtures/ast_lint"; "test/fixtures/ast_lint" ])
-  with
-  | Ok _ -> ()
-  | Error msg -> Alcotest.failf "seeded-fixture self-test failed:\n%s" msg
+let test_seeded () =
+  (* A rule that stops firing on its own seeded bug is worse than no
+     rule: the scan prints clean either way. *)
+  List.iter
+    (fun (rule, pos, neg) ->
+      check_bool (rule ^ " fires on its seeded bug") true (has rule (scan pos));
+      let fs = scan neg in
+      check_bool
+        (Printf.sprintf "%s silent on its near-miss: %s" rule (pp fs))
+        false (has rule fs))
+    seeded
 
 let test_repository_clean () =
-  (* The pinned triage result: the whole tree scans clean. New
-     findings mean either a real hazard or a justified lint:ignore —
-     never silence. *)
+  (* The pinned triage result: the whole tree scans clean. A new
+     finding is a real hazard or an analyzer bug; both get fixed. *)
   let roots =
     [
       locate [ "../lib"; "lib" ];
@@ -446,19 +379,17 @@ let test_pool_reachable_sources_clean () =
   check_int ("pool-reachable sources lint clean: " ^ pp fs) 0
     (List.length fs)
 
-let test_seeded_fixture_flagged () =
-  (* A file scanned from disk, not through the self-test driver. *)
-  let fs =
-    Lint.Ast_lint.scan_files
-      [
-        locate
-          [
-            "fixtures/ast_lint/escape_pos.ml";
-            "test/fixtures/ast_lint/escape_pos.ml";
-          ];
-      ]
-  in
-  check_bool "seeded fixture flagged" true (has "domain-escape" fs)
+let test_seeded_fixture_from_disk () =
+  (* The seeded escape bug written to a file and scanned from disk:
+     the path a real source takes through [scan_dirs]. *)
+  let path = Filename.temp_file "escape_pos" ".ml" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc escape);
+      let fs = Lint.Ast_lint.scan_dirs [ path ] in
+      check_bool "seeded fixture flagged" true (has "domain-escape" fs))
 
 let () =
   Alcotest.run "ast_lint"
@@ -469,22 +400,19 @@ let () =
           Alcotest.test_case "consistent order" `Quick
             test_consistent_order_clean;
           Alcotest.test_case "cross-file cycle" `Quick test_cross_file_cycle;
-        ] );
-      ( "double-acquire",
-        [
-          Alcotest.test_case "via callee" `Quick test_double_acquire_via_callee;
-          Alcotest.test_case "sequential" `Quick test_sequential_acquire_clean;
+          Alcotest.test_case "cycle via callees" `Quick test_cycle_via_callees;
+          Alcotest.test_case "sequential re-acquire" `Quick
+            test_sequential_acquire_clean;
         ] );
       ( "blocking-under-lock",
         [
           Alcotest.test_case "direct" `Quick test_blocking_direct;
           Alcotest.test_case "transitive" `Quick test_blocking_transitive;
+          Alcotest.test_case "join via iterator" `Quick test_join_via_iterator;
           Alcotest.test_case "wait own mutex" `Quick
             test_condition_wait_own_mutex_clean;
           Alcotest.test_case "wait foreign mutex" `Quick
             test_condition_wait_foreign_mutex_flagged;
-          Alcotest.test_case "guard wrapper replay" `Quick
-            test_guard_wrapper_replay;
           Alcotest.test_case "async sink args" `Quick
             test_async_sink_args_run_unlocked;
         ] );
@@ -506,26 +434,16 @@ let () =
             test_mutex_disciplined_ok;
           Alcotest.test_case "guard wrapper" `Quick
             test_guard_wrapper_recognised;
-          Alcotest.test_case "lint:ignore" `Quick test_lint_ignore;
         ] );
-      ( "contract",
-        [ Alcotest.test_case "thread-safety contract" `Quick test_contract_rule ]
-      );
       ( "plumbing",
-        [
-          Alcotest.test_case "suppression" `Quick test_suppression_marker;
-          Alcotest.test_case "contract rule" `Quick
-            test_contract_rule_ast_driven;
-          Alcotest.test_case "parse error" `Quick test_parse_error_degrades;
-          Alcotest.test_case "json" `Quick test_json_rendering;
-        ] );
+        [ Alcotest.test_case "parse error" `Quick test_parse_error_fails ] );
       ( "repository",
         [
-          Alcotest.test_case "seeded fixtures" `Quick test_selftest_gate;
+          Alcotest.test_case "seeded fixtures" `Quick test_seeded;
           Alcotest.test_case "tree clean" `Quick test_repository_clean;
           Alcotest.test_case "pool-reachable clean" `Quick
             test_pool_reachable_sources_clean;
           Alcotest.test_case "seeded fixture" `Quick
-            test_seeded_fixture_flagged;
+            test_seeded_fixture_from_disk;
         ] );
     ]

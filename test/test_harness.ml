@@ -106,6 +106,22 @@ let test_table4 () =
         body
   | _ -> Alcotest.fail "table4 is one text block"
 
+let test_driver_memoised () =
+  (* A second run of a driver reads every prepared program and every
+     outcome back from the two memo tables (the only tier-1 test that
+     takes [Figures]' prepared-program lock) and prints the same rows. *)
+  let table3 = Option.get (Harness.Figures.find "table3") in
+  let first = table3.run ~scale:0.05 in
+  let t0 = Unix.gettimeofday () in
+  let second = table3.run ~scale:0.05 in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match first with
+  | [ Harness.Report.Table { rows; _ } ] ->
+      check_int "one row per application" 21 (List.length rows)
+  | _ -> Alcotest.fail "table3 is one table");
+  check_bool "same rows" true (first = second);
+  check_bool (Printf.sprintf "second run memoised (%.3fs)" dt) true (dt < 0.5)
+
 let () =
   Alcotest.run "harness"
     [
@@ -127,5 +143,6 @@ let () =
         [
           Alcotest.test_case "registry" `Quick test_figures_registry;
           Alcotest.test_case "table4" `Quick test_table4;
+          Alcotest.test_case "driver memoised" `Quick test_driver_memoised;
         ] );
     ]

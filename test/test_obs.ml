@@ -1,7 +1,8 @@
 (* lib/obs: histogram bucket semantics, exact counts under concurrent
    domains, consistent histogram snapshots,
    allocation-free re-registration, the tracer's off switch,
-   deterministic-ID tracing, span nesting — and
+   deterministic-ID tracing, span nesting, the error-checking mutex
+   every lock relies on — and
    the end-to-end guarantee that a fully instrumented batch stays
    byte-identical across domain counts in deterministic-obs mode. *)
 
@@ -150,6 +151,27 @@ let test_reregister_allocation_free () =
     (Obs.Metrics.counter m ~help:"h" "re_total" == c);
   check bool_t "same gauge" true
     (Obs.Metrics.gauge m ~labels:[ ("k", "v") ] "re_gauge" == g)
+
+(* ------------------------------------------------------------------ *)
+(* Mutex re-acquisition                                                *)
+
+(* The registry, the tracer and every other lock in the tree rely on
+   OCaml's mutexes being error-checking: re-locking a mutex the calling
+   domain already holds raises [Sys_error] instead of deadlocking, so a
+   self-deadlock fails whichever test reaches it. (Were that to change,
+   this test would hang rather than fail.) *)
+let test_relock_raises () =
+  let m = Mutex.create () in
+  Mutex.lock m;
+  (match Mutex.lock m with
+  | () -> Alcotest.fail "re-lock of a held mutex returned"
+  | exception Sys_error _ -> ());
+  Mutex.unlock m;
+  (match Mutex.protect m (fun () -> Mutex.protect m ignore) with
+  | () -> Alcotest.fail "nested Mutex.protect returned"
+  | exception Sys_error _ -> ());
+  check bool_t "outer protect released the mutex" true (Mutex.try_lock m);
+  Mutex.unlock m
 
 (* ------------------------------------------------------------------ *)
 (* The tracer's off switch                                             *)
@@ -353,6 +375,9 @@ let () =
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "disabled is a no-op" `Quick test_disabled_noop;
         ] );
+      ( "mutex",
+        [ Alcotest.test_case "re-lock raises Sys_error" `Quick test_relock_raises ]
+      );
       ( "exposition",
         [
           Alcotest.test_case "json roundtrip" `Quick test_json_roundtrip;
